@@ -4,8 +4,9 @@
 //! benches **offline with zero external crates**. The harness is
 //! deliberately tiny: wall-clock trials via [`std::time::Instant`] with a
 //! warmup pass, reporting median/min/mean, plus a hand-rolled JSON writer
-//! for machine-readable perf trajectories (`BENCH_pr1.json`, written by the
-//! `bench_pr1` binary — see `scripts/bench.sh`).
+//! (the shape of the committed `BENCH_pr*.json` history). The repository's
+//! benchmark is `examples/benchmark/`; this crate only times the
+//! per-figure benches.
 //!
 //! Every `benches/*.rs` target is a plain `fn main()` (`harness = false`)
 //! that first renders its paper artifact once (stderr, so `cargo bench`

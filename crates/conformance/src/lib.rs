@@ -16,8 +16,7 @@
 //!   (one file per RFC section, `[[spec]]` entries carrying `level`,
 //!   `quote`, `impl` and `test` fields),
 //! * [`scan`] — a source scanner that collects every `#[test]` function
-//!   name and every item identifier in the workspace (the same
-//!   walk-and-scan style as `bench_trend`'s section scanner),
+//!   name and every item identifier in the workspace,
 //! * [`check`](check::check_tree) — the conformance gate: every spec file
 //!   parses, every MUST-level entry cites a test, every cited test exists
 //!   in the workspace, every `impl` path resolves to a real item. Dangling

@@ -1,9 +1,9 @@
 //! Workspace source scanning: which `#[test]` functions and item
 //! identifiers actually exist.
 //!
-//! The scanner is textual, in the style of `bench_trend`'s section scanner:
-//! it walks every `.rs` file under the workspace's source roots (`src/`,
-//! `tests/`, `crates/`), skipping build output, and records
+//! The scanner is textual: it walks every `.rs` file under the workspace's
+//! source roots (`src/`, `tests/`, `crates/`), skipping build output, and
+//! records
 //!
 //! * every function defined after a `#[test]` attribute (attributes,
 //!   doc comments and blank lines may sit between the attribute and the

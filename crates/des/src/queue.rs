@@ -5,9 +5,9 @@
 //! and ranks events that fire at the same instant by *what they are* rather
 //! than by when they happened to be scheduled; the sequence number, assigned
 //! at insertion, breaks the remaining ties in scheduling order. Ordering
-//! same-instant events by identity is what lets two pipelines that schedule
-//! the same event at different moments (the eager and lazy link pipelines
-//! in `xmp-netsim`) process it at the same rank — and is what makes
+//! same-instant events by identity is what lets two runs that schedule the
+//! same event at different moments (a serial `xmp-netsim` run and its
+//! partitioned twin) process it at the same rank — and is what makes
 //! whole-simulation runs bit-reproducible.
 //!
 //! # Implementation: a sliding timing wheel with an overflow heap
@@ -143,8 +143,8 @@ struct HotRec {
 /// synchronized serialization completions lands 64 ns later every round),
 /// so per-slot growable buffers re-grow forever; the slab instead quiesces
 /// at the *global* high-water event population, after which scheduling
-/// never touches the allocator (the steady-state guarantee `bench_pr5`
-/// asserts).
+/// never touches the allocator (the steady-state guarantee the
+/// benchmark's self-test asserts).
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Sorted run over the cursor's bucket: the globally earliest events,

@@ -28,7 +28,7 @@ pub struct Fig1Config {
     pub bin: SimDuration,
     /// RNG seed.
     pub seed: u64,
-    /// Simulator fast-path knobs (compiled FIBs, lazy links).
+    /// Simulator mode switches (batched loop, graceful no-route, hybrid).
     pub tuning: SimTuning,
 }
 
@@ -183,9 +183,8 @@ pub fn run(cfg: &Fig1Config) -> Fig1Result {
 }
 
 /// [`run`], also returning the total engine events processed across the
-/// four variants (for the bench harness; the count depends on the link
-/// pipeline — the lazy pipeline does one event per packet-hop, the eager
-/// one two — so it lives outside [`Fig1Result`] and its digests).
+/// four variants (a cost, not an outcome, so it lives outside
+/// [`Fig1Result`] and its digests).
 pub fn run_counting(cfg: &Fig1Config) -> (Fig1Result, u64) {
     let variants: [(&str, Scheme, usize); 4] = [
         ("DCTCP, K=10", Scheme::Dctcp, 10),

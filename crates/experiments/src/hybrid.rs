@@ -266,11 +266,7 @@ fn submit(driver: &mut Driver, ft: &FatTree, cfg: &HybridConfig) {
 /// Run the workload in one mode and fold the per-class outcome.
 pub fn run_cell(cfg: &HybridConfig, hybrid: bool) -> HybridCell {
     let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
-    // Same packet pipeline in both modes (hybrid implies lazy links, so
-    // the baseline runs lazy too — the wall-clock ratio isolates the
-    // fluid offload, not a pipeline change).
     sim.set_tuning(SimTuning {
-        lazy_links: true,
         hybrid,
         ..SimTuning::default()
     });

@@ -47,7 +47,8 @@ pub struct ScaleConfig {
     pub faults: bool,
     /// Also run every worker count with `tuning.batched` flipped and fold
     /// those cells into the digest check: batched delivery must be
-    /// bit-identical to the eager event loop, serial and partitioned.
+    /// bit-identical to the one-at-a-time event loop, serial and
+    /// partitioned.
     pub cross_batched: bool,
 }
 
@@ -81,8 +82,8 @@ impl ScaleConfig {
         }
     }
 
-    /// Memory-footprint cell: k = 32 (8192 hosts), serial only, batched +
-    /// lazy fast path. One permutation wave of short flows — the point is
+    /// Memory-footprint cell: k = 32 (8192 hosts), serial only, batched
+    /// loop. One permutation wave of short flows — the point is
     /// not throughput but the allocator high-water mark of a tree this
     /// size, which [`ScaleCell::peak_alloc_bytes`] reports when the driver
     /// process installed `xmp_netsim::set_alloc_bytes_probe` (the
@@ -95,7 +96,6 @@ impl ScaleConfig {
             seed: 42,
             max_sim: SimDuration::from_millis(200),
             tuning: SimTuning {
-                lazy_links: true,
                 batched: true,
                 ..SimTuning::default()
             },
@@ -262,7 +262,6 @@ pub fn run_cell(cfg: &ScaleConfig, workers: usize) -> ScaleCell {
         format!("{r:?}").hash(&mut h);
     }
     profile.deliver.hash(&mut h);
-    profile.tx_done.hash(&mut h);
     profile.timer.hash(&mut h);
 
     let completed = driver.records().filter(|r| r.completed.is_some()).count();
@@ -365,7 +364,7 @@ mod tests {
             ..ScaleConfig::quick()
         };
         let r = run(&cfg);
-        // 1/2 workers × eager/batched, all four digest-identical.
+        // 1/2 workers × one-at-a-time/batched, all four digest-identical.
         assert!(r.digests_match, "{r}");
         assert_eq!(r.cells.len(), 4);
         assert!(r.cells[0].completed > 0);

@@ -76,7 +76,7 @@ pub struct SuiteConfig {
     /// RTO ablation follows Vasudevan et al., discussed in the paper's
     /// related work).
     pub rto_min: SimDuration,
-    /// Simulator fast-path knobs (compiled FIBs, lazy links).
+    /// Simulator mode switches (batched loop, graceful no-route, hybrid).
     pub tuning: SimTuning,
     /// Install probes sampling every core link at this interval (`None`,
     /// the default, schedules nothing — the bit-identical baseline). The

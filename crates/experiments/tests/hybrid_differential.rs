@@ -56,24 +56,17 @@ fn suite_digest(seed: u64, scheme: Scheme, tuning: SimTuning) -> String {
 }
 
 /// `hybrid: true` with zero fluid flows must be bit-identical to
-/// `hybrid: false` on the same lazy pipeline — the coupling terms are
-/// structurally zero and no fluid event exists to reorder anything.
+/// `hybrid: false` — the coupling terms are structurally zero and no
+/// fluid event exists to reorder anything.
 #[test]
 fn hybrid_flag_without_fluid_flows_is_bit_identical() {
-    let lazy = SimTuning {
-        compiled_fib: true,
-        lazy_links: true,
-        drop_unroutable: false,
-        batched: false,
-        hybrid: false,
-    };
     let armed = SimTuning {
         hybrid: true,
-        ..lazy
+        ..SimTuning::default()
     };
     for (seed, scheme) in [(1, Scheme::xmp(2)), (2, Scheme::Dctcp)] {
         assert_eq!(
-            suite_digest(seed, scheme, lazy),
+            suite_digest(seed, scheme, SimTuning::default()),
             suite_digest(seed, scheme, armed),
             "seed {seed}: the hybrid flag alone perturbed a packet-only run"
         );
@@ -85,11 +78,8 @@ fn hybrid_flag_without_fluid_flows_is_bit_identical() {
 #[test]
 fn hybrid_flag_is_inert_under_batched_loop() {
     let batched = SimTuning {
-        compiled_fib: true,
-        lazy_links: true,
-        drop_unroutable: false,
         batched: true,
-        hybrid: false,
+        ..SimTuning::default()
     };
     let armed = SimTuning {
         hybrid: true,

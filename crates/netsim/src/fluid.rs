@@ -537,8 +537,8 @@ impl FluidState {
                     break;
                 }
                 d.fluid_advance(now, cap, d.queue.capacity() as f64 * REF_PKT_BYTES);
-                d.lazy_advance(now);
-                let backlog_pkts = d.fluid_backlog / REF_PKT_BYTES + d.lazy_waiting(now) as f64;
+                d.retire_before(now);
+                let backlog_pkts = d.fluid_backlog / REF_PKT_BYTES + d.waiting(now) as f64;
                 let sig = d.queue.fluid_signal(backlog_pkts);
                 keep_mark *= 1.0 - sig.p_mark;
                 keep_loss *= 1.0 - sig.p_loss;

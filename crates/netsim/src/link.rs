@@ -2,13 +2,16 @@
 //!
 //! A link is two independent **directions**. Each direction has its own
 //! queue discipline, serialization state and statistics. A packet offered to
-//! a direction is (a) possibly dropped by fault injection, (b) offered to
-//! the qdisc (which may mark or drop), then (c) serialized onto the wire for
-//! `size / rate` and delivered `prop_delay` later.
+//! a direction is (a) possibly dropped by fault injection, (b) classified by
+//! the qdisc (which may mark or drop) against the current backlog, then
+//! (c) booked a `(start, depart)` transmission window — service is FIFO
+//! and non-preemptive, so the window is fully determined on arrival — and
+//! delivered `prop_delay` after `depart`. The packet itself rides in its
+//! `Deliver` event; the direction only keeps the windows (DESIGN.md §10).
 
 use crate::node::{NodeId, PortId};
 use crate::packet::Packet;
-use crate::queue::{Qdisc, QdiscConfig, QdiscKind};
+use crate::queue::{EnqueueOutcome, Qdisc, QdiscConfig, QdiscKind};
 use crate::stats::DirStats;
 use std::collections::VecDeque;
 use std::fmt;
@@ -73,12 +76,10 @@ pub struct Direction<P> {
     pub to_node: NodeId,
     /// Port on `to_node` the packet arrives on.
     pub to_port: PortId,
-    /// Queue of packets waiting behind the one being serialized.
-    /// Statically dispatched for the in-tree disciplines; see
-    /// [`QdiscKind`].
+    /// The mark/drop rule and buffer size. Statically dispatched for the
+    /// in-tree disciplines; see [`QdiscKind`]. It decides, it does not
+    /// store: no packet is ever buffered in it.
     pub queue: QdiscKind<P>,
-    /// Packet currently on the wire (being serialized), if any.
-    pub in_flight: Option<Packet<P>>,
     /// Per-direction counters.
     pub stats: DirStats,
     pub(crate) fault: FaultConfig,
@@ -88,22 +89,28 @@ pub struct Direction<P> {
     pub(crate) corrupt_rng: SimRng,
     /// The direction is failed: everything offered is blackholed.
     pub(crate) down: bool,
-    /// Bumped on every `LinkDown`; `TxDone`/`Deliver` events carry the
-    /// generation they were scheduled under, so events belonging to packets
-    /// purged by a failure are recognized as stale.
+    /// Bumped on every `LinkDown`; `Deliver` events carry the generation
+    /// they were scheduled under, so events belonging to packets purged by
+    /// a failure are recognized as stale.
     pub(crate) fail_gen: u32,
     /// Conservation audit: packets accepted by this direction whose
     /// `Deliver` has not yet been processed (negative would mean a packet
     /// was double-counted — asserted by `Sim::audit_conservation`).
     pub(crate) in_network: i64,
-    /// Lazy pipeline: when the port frees up. Serialization is FIFO and
-    /// non-preemptive, so a packet accepted at `now` starts transmitting at
+    /// When the port frees up. Serialization is FIFO and non-preemptive,
+    /// so a packet accepted at `now` starts transmitting at
     /// `busy_until.max(now)` — its departure is fully determined at enqueue.
     pub(crate) busy_until: SimTime,
-    /// Lazy pipeline: `(start, depart)` per accepted, undelivered-from-port
-    /// packet, in departure order. The front entry with `start <= now` is
-    /// the one "on the wire"; later entries are the waiting backlog.
+    /// `(start, depart)` per accepted packet that has not left the port
+    /// yet, in departure order. The front entry with `start <= now` is the
+    /// one "on the wire"; later entries are the waiting backlog. `depart`
+    /// says when an entry retires; `start` is what tells serializing from
+    /// waiting when a fluid backlog (hybrid mode) floors the start time
+    /// past the previous departure and leaves the port idle in between.
     pub(crate) pending: VecDeque<(SimTime, SimTime)>,
+    /// Whether this direction is on the sim's busy list (directions whose
+    /// departures the run-window sweep still has to retire).
+    pub(crate) listed: bool,
     /// Hybrid mode: aggregate registered fluid inflow (bytes/s). Updated by
     /// [`crate::fluid::FluidState`] ticks; always 0.0 when hybrid is off.
     pub(crate) fluid_rate: f64,
@@ -115,10 +122,115 @@ pub struct Direction<P> {
     pub(crate) fluid_asof: SimTime,
 }
 
+/// What a direction did with an offered packet ([`Direction::offer`]).
+/// `waiting` is the backlog the packet arrived to (fluid occupancy
+/// included in hybrid mode), kept for the packet trace.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Offer {
+    /// The direction is down: counted, no RNG consumed.
+    Blackholed,
+    /// Lost to the fault-injection drop draw, before the qdisc saw it.
+    FaultDropped {
+        /// Waiting packets on arrival.
+        waiting: usize,
+    },
+    /// Rejected by the qdisc (overflow or early drop).
+    Dropped {
+        /// Waiting packets on arrival.
+        waiting: usize,
+    },
+    /// Accepted: the packet leaves the port at `depart`.
+    Accepted {
+        /// Whether the qdisc CE-marked it.
+        marked: bool,
+        /// Waiting packets on arrival.
+        waiting: usize,
+        /// End of its booked transmission window.
+        depart: SimTime,
+    },
+}
+
 impl<P: Send> Direction<P> {
-    /// Instantaneous backlog (waiting packets, excluding the one on the wire).
+    /// The link pipeline for one packet arriving at `now`: the blackhole
+    /// check, the fault draw, the qdisc's mark/drop decision against the
+    /// current backlog, and — service being FIFO and non-preemptive — the
+    /// packet's whole `(start, depart)` transmission window, booked right
+    /// here. The caller schedules the arrival at the far end from the
+    /// returned `depart`; nothing else ever has to happen for this packet
+    /// on this port. Updates the direction's own counters and backlog
+    /// samples; `hybrid` couples in the fluid plane's occupancy.
+    pub(crate) fn offer(
+        &mut self,
+        now: SimTime,
+        bandwidth: Bandwidth,
+        hybrid: bool,
+        pkt: &mut Packet<P>,
+    ) -> Offer {
+        if self.down {
+            // Failed link: blackhole without consuming any RNG stream, so
+            // a failure window never perturbs draws made after repair.
+            self.stats.blackholed += 1;
+            return Offer::Blackholed;
+        }
+        // Same-instant rule: a departure at exactly `now` is not retired
+        // yet, so this arrival still counts that packet as on the wire.
+        self.retire_before(now);
+        if self.fault.drop_prob > 0.0 && self.fault_rng.chance(self.fault.drop_prob) {
+            self.stats.fault_dropped += 1;
+            return Offer::FaultDropped {
+                waiting: self.waiting(now),
+            };
+        }
+        // Hybrid coupling: fluid elephants occupy this direction too.
+        // Their analytic backlog (a) inflates the waiting count the
+        // qdisc classifies against — mice see elephant-built queues in
+        // ECN marking and drop decisions — and (b) delays this
+        // packet's transmission start by the time the port needs to
+        // work the fluid backlog off. Expressing (b) as a *floor on
+        // the start time* (rather than adding it to every depart)
+        // keeps `busy_until` monotone and avoids double-counting the
+        // same fluid bytes across consecutive packets.
+        let (fluid_pkts, fluid_delay) = if hybrid {
+            let cap = bandwidth.as_bps() as f64 / 8.0;
+            let max_b = self.queue.capacity() as f64 * crate::fluid::REF_PKT_BYTES;
+            self.fluid_advance(now, cap, max_b);
+            if self.fluid_backlog > 0.0 {
+                (
+                    (self.fluid_backlog / crate::fluid::REF_PKT_BYTES).round() as usize,
+                    SimDuration::from_secs_f64(self.fluid_backlog / cap),
+                )
+            } else {
+                (0, SimDuration::ZERO)
+            }
+        } else {
+            (0, SimDuration::ZERO)
+        };
+        let waiting = self.waiting(now) + fluid_pkts;
+        let outcome = self.queue.classify(waiting, pkt);
+        if outcome == EnqueueOutcome::Dropped {
+            self.stats.dropped += 1;
+            return Offer::Dropped { waiting };
+        }
+        let marked = outcome == EnqueueOutcome::EnqueuedMarked;
+        self.stats.enqueued += 1;
+        self.stats.marked += u64::from(marked);
+        self.in_network += 1;
+        let start = self.busy_until.max(now + fluid_delay);
+        let depart = start + bandwidth.transmission_time(pkt.size);
+        self.busy_until = depart;
+        self.pending.push_back((start, depart));
+        self.stats.observe_backlog(now, self.pending.len());
+        Offer::Accepted {
+            marked,
+            waiting,
+            depart,
+        }
+    }
+
+    /// Packets queued or serializing, as of the last retired departure
+    /// (exact at run-window boundaries and probe ticks).
     pub fn backlog(&self) -> usize {
-        self.queue.len()
+        self.pending.len()
     }
 
     /// Whether the direction is currently failed (see
@@ -127,21 +239,11 @@ impl<P: Send> Direction<P> {
         self.down
     }
 
-    /// Record a queue-length sample for time-weighted averaging.
-    pub(crate) fn sample_backlog(&mut self, now: SimTime) {
-        let depth = self.queue.len() + usize::from(self.in_flight.is_some());
-        self.stats.observe_backlog(now, depth);
-    }
-
-    /// Lazy pipeline: retire entries that departed strictly before `now`,
-    /// replaying the backlog sample the eager path would have taken at each
-    /// `TxDone`. Strict, because the eager path processes a same-timestamp
-    /// arrival *before* the `TxDone` scheduled for the same instant
-    /// (propagation exceeds serialization on every in-tree link, so the
-    /// arrival was scheduled first).
-    pub(crate) fn lazy_advance(&mut self, now: SimTime) {
+    /// Retire every front entry whose departure `due` accepts, recording
+    /// the backlog sample at the instant it left the port.
+    fn retire_while(&mut self, due: impl Fn(SimTime) -> bool) {
         while let Some(&(_, depart)) = self.pending.front() {
-            if depart >= now {
+            if !due(depart) {
                 break;
             }
             self.pending.pop_front();
@@ -149,33 +251,32 @@ impl<P: Send> Direction<P> {
         }
     }
 
-    /// Lazy pipeline: retire entries with `depart <= t` — used when a run
-    /// window closes, mirroring the eager engine processing every `TxDone`
-    /// up to and including the deadline.
-    pub(crate) fn lazy_flush(&mut self, t: SimTime) {
-        while let Some(&(_, depart)) = self.pending.front() {
-            if depart > t {
-                break;
-            }
-            self.pending.pop_front();
-            self.stats.observe_backlog(depart, self.pending.len());
-        }
+    /// Retire entries that departed strictly before `now` — the
+    /// same-instant rule: an arrival at `t` is classified *before* a
+    /// departure at `t` is retired, so it still sees that packet.
+    pub(crate) fn retire_before(&mut self, now: SimTime) {
+        self.retire_while(|depart| depart < now);
     }
 
-    /// Lazy pipeline: waiting backlog at `now` (excluding the packet on the
-    /// wire), after [`Self::lazy_advance`]. The front entry has started
-    /// whenever `start <= now`.
-    pub(crate) fn lazy_waiting(&self, now: SimTime) -> usize {
+    /// Retire entries with `depart <= t` — used when a run window closes
+    /// at `t` (and by probe ticks, which rank last at their instant):
+    /// whatever the driver does next at `t` happens after every departure
+    /// at `t`.
+    pub(crate) fn retire_through(&mut self, t: SimTime) {
+        self.retire_while(|depart| depart <= t);
+    }
+
+    /// Waiting backlog at `now` (excluding the packet on the wire), after
+    /// [`Self::retire_before`]. The front entry has started whenever
+    /// `start <= now`.
+    pub(crate) fn waiting(&self, now: SimTime) -> usize {
         match self.pending.front() {
             Some(&(start, _)) if start <= now => {
-                // A link teardown clears `pending` wholesale; a stale
-                // started-entry here would make the backlog go negative
-                // (and silently skew ECN marking decisions).
-                debug_assert!(!self.down, "lazy backlog consulted on a downed direction");
-                self.pending
-                    .len()
-                    .checked_sub(1)
-                    .expect("lazy_waiting underflow: started entry on empty pending ring")
+                // Teardown clears `pending` and nothing is booked while
+                // down: an entry here is a window that outlived its link
+                // (and would silently skew ECN marking decisions).
+                debug_assert!(!self.down, "backlog consulted on a downed direction");
+                self.pending.len() - 1
             }
             _ => self.pending.len(),
         }
@@ -222,8 +323,8 @@ impl<P: Send> fmt::Debug for Direction<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Direction")
             .field("to_node", &self.to_node)
-            .field("backlog", &self.queue.len())
-            .field("busy", &self.in_flight.is_some())
+            .field("backlog", &self.pending.len())
+            .field("busy_until", &self.busy_until)
             .finish()
     }
 }
@@ -259,7 +360,6 @@ impl<P> Link<P> {
             to_node: to.0,
             to_port: to.1,
             queue: params.queue.build(),
-            in_flight: None,
             stats: DirStats::default(),
             fault: params.fault,
             fault_rng: rng.derive((link_index as u64) << 1 | salt),
@@ -269,6 +369,7 @@ impl<P> Link<P> {
             in_network: 0,
             busy_until: SimTime::ZERO,
             pending: VecDeque::new(),
+            listed: false,
             fluid_rate: 0.0,
             fluid_backlog: 0.0,
             fluid_bytes_out: 0.0,
@@ -283,9 +384,9 @@ impl<P> Link<P> {
         }
     }
 
-    /// Clone this link with **pristine** dynamic state: a fresh queue built
-    /// from the stored config, no packet in flight, an empty lazy pipeline,
-    /// and copies of the stats/RNG/fault state. Only valid before any
+    /// Clone this link with **pristine** dynamic state: a fresh qdisc built
+    /// from the stored config, no booked transmission windows, and copies
+    /// of the stats/RNG/fault state. Only valid before any
     /// traffic has run (asserted), so a partitioned run can hand every
     /// shard an identical replica of the full link table.
     pub(crate) fn replicate(&self) -> Self
@@ -294,14 +395,13 @@ impl<P> Link<P> {
     {
         let rep_dir = |d: &Direction<P>| {
             assert!(
-                d.in_flight.is_none() && d.queue.len() == 0 && d.pending.is_empty(),
+                d.pending.is_empty(),
                 "link replication requires a pristine link (no traffic yet)"
             );
             Direction {
                 to_node: d.to_node,
                 to_port: d.to_port,
                 queue: self.qcfg.build(),
-                in_flight: None,
                 stats: d.stats.clone(),
                 fault: d.fault,
                 fault_rng: d.fault_rng.clone(),
@@ -311,6 +411,7 @@ impl<P> Link<P> {
                 in_network: d.in_network,
                 busy_until: d.busy_until,
                 pending: VecDeque::new(),
+                listed: false,
                 fluid_rate: 0.0,
                 fluid_backlog: 0.0,
                 fluid_bytes_out: 0.0,
@@ -344,5 +445,208 @@ impl<P> fmt::Debug for Link<P> {
             .field("delay", &self.delay)
             .field("label", &self.label)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::addr::Addr;
+    use crate::packet::{Ecn, FlowId};
+    use crate::queue::RedMode;
+    use xmp_des::ByteSize;
+
+    /// Reference model of one output port, written the obvious way: an
+    /// explicit FIFO of packets behind the one on the wire, and a `TxDone`
+    /// per packet that records its departure and moves the next packet
+    /// onto the wire. This is the two-event port the engine ran before it
+    /// booked `(start, depart)` windows on arrival; it stays here as the
+    /// oracle [`Direction::offer`] is checked against.
+    struct RefPort {
+        queue: QdiscKind<u64>,
+        bandwidth: Bandwidth,
+        /// `(packet id, TxDone time)` of the packet being serialized.
+        on_wire: Option<(u64, SimTime)>,
+        stats: DirStats,
+        departs: Vec<(u64, SimTime)>,
+        /// Arrivals that landed on the exact instant of a `TxDone`.
+        ties: u32,
+    }
+
+    impl RefPort {
+        fn depth(&self) -> usize {
+            self.queue.len() + usize::from(self.on_wire.is_some())
+        }
+
+        fn tx_done(&mut self) {
+            let (id, at) = self.on_wire.take().expect("TxDone with an idle port");
+            self.departs.push((id, at));
+            if let Some(next) = self.queue.dequeue() {
+                let done = at + self.bandwidth.transmission_time(next.size);
+                self.on_wire = Some((next.payload, done));
+            }
+            self.stats.observe_backlog(at, self.depth());
+        }
+
+        /// Process every `TxDone` due strictly before `t` (or at `t` too,
+        /// when a run window closes there).
+        fn run_to(&mut self, t: SimTime, inclusive: bool) {
+            while let Some((_, done)) = self.on_wire {
+                if done > t || (done == t && !inclusive) {
+                    break;
+                }
+                self.tx_done();
+            }
+        }
+
+        /// A packet arrives at `now`: same-instant arrivals go before the
+        /// `TxDone` of that instant.
+        fn arrive(&mut self, now: SimTime, pkt: Packet<u64>) -> (EnqueueOutcome, usize) {
+            self.run_to(now, false);
+            self.ties += u32::from(self.on_wire.is_some_and(|(_, done)| done == now));
+            let waiting = self.queue.len();
+            let outcome = self.queue.enqueue(pkt);
+            match outcome {
+                EnqueueOutcome::Dropped => self.stats.dropped += 1,
+                _ => {
+                    self.stats.enqueued += 1;
+                    self.stats.marked += u64::from(outcome == EnqueueOutcome::EnqueuedMarked);
+                    if self.on_wire.is_none() {
+                        let next = self.queue.dequeue().expect("just enqueued");
+                        let done = now + self.bandwidth.transmission_time(next.size);
+                        self.on_wire = Some((next.payload, done));
+                    }
+                    self.stats.observe_backlog(now, self.depth());
+                }
+            }
+            (outcome, waiting)
+        }
+    }
+
+    /// Seeded arrival sequences — back-to-back bursts, gaps of exactly one
+    /// transmission time (arrivals tying with departures), idle periods,
+    /// mixed sizes and ECN codepoints — through [`Direction::offer`] and
+    /// the reference port: same mark/drop outcome and backlog per packet,
+    /// same backlog samples after every arrival, same departure times.
+    #[test]
+    fn offer_matches_the_two_event_reference_port() {
+        let bandwidth = Bandwidth::from_gbps(1);
+        let red = |mode| QdiscConfig::Red {
+            cap: 16,
+            wq: 0.5,
+            min_th: 2.0,
+            max_th: 10.0,
+            max_p: 0.5,
+            mode,
+            seed: 77,
+        };
+        let configs = [
+            QdiscConfig::DropTail { cap: 8 },
+            QdiscConfig::EcnThreshold { cap: 16, k: 4 },
+            red(RedMode::Mark),
+            red(RedMode::Drop),
+        ];
+        let sizes = [1500u64, 700, 40];
+        for qcfg in configs {
+            let (mut ties, mut drops, mut marks) = (0, 0, 0);
+            for seed in 0..60u64 {
+                let params = LinkParams::new(bandwidth, SimDuration::from_micros(20), qcfg.clone());
+                let [mut d, _] = Link::<u64>::new(
+                    &params,
+                    (NodeId(0), PortId(0)),
+                    (NodeId(1), PortId(0)),
+                    &SimRng::new(seed),
+                    0,
+                    String::new(),
+                )
+                .dirs;
+                let mut r = RefPort {
+                    queue: qcfg.build(),
+                    bandwidth,
+                    on_wire: None,
+                    stats: DirStats::default(),
+                    departs: Vec::new(),
+                    ties: 0,
+                };
+                let mut departs = Vec::new();
+                let mut rng = SimRng::new(seed ^ 0x0FFE);
+                let mut now = SimTime::ZERO;
+                for id in 0..300u64 {
+                    let size = ByteSize::from_bytes(sizes[rng.index(sizes.len())]);
+                    let full = bandwidth.transmission_time(ByteSize::from_bytes(1500));
+                    now += match rng.index(6) {
+                        0 | 1 => SimDuration::ZERO,
+                        2 => bandwidth.transmission_time(size),
+                        3 => full,
+                        4 => SimDuration::from_nanos(rng.uniform_u64(0, 2 * full.as_nanos())),
+                        _ => SimDuration::from_nanos(12 * full.as_nanos()),
+                    };
+                    let ecn = if rng.chance(0.8) {
+                        Ecn::Ect
+                    } else {
+                        Ecn::NotEct
+                    };
+                    let mut pkt = Packet::new(
+                        Addr::new(10, 0, 0, 1),
+                        Addr::new(10, 0, 0, 2),
+                        FlowId(1),
+                        ecn,
+                        size,
+                        id,
+                    );
+                    let (want, want_waiting) = r.arrive(now, pkt.clone());
+                    let got = match d.offer(now, bandwidth, false, &mut pkt) {
+                        Offer::Dropped { waiting } => (EnqueueOutcome::Dropped, waiting),
+                        Offer::Accepted {
+                            marked,
+                            waiting,
+                            depart,
+                        } => {
+                            departs.push((id, depart));
+                            assert_eq!(marked, pkt.ecn == Ecn::Ce, "CE bit follows the mark");
+                            if marked {
+                                (EnqueueOutcome::EnqueuedMarked, waiting)
+                            } else {
+                                (EnqueueOutcome::Enqueued, waiting)
+                            }
+                        }
+                        other => panic!("no faults configured, got {other:?}"),
+                    };
+                    assert_eq!(got, (want, want_waiting), "seed {seed} packet {id}");
+                    assert_eq!(d.backlog(), r.depth(), "seed {seed} packet {id}: depth");
+                    assert_eq!(
+                        format!("{:?}", d.stats),
+                        format!("{:?}", r.stats),
+                        "seed {seed} packet {id}: backlog samples"
+                    );
+                }
+                // Close the run window: everything still queued departs.
+                let end = now + SimDuration::from_millis(10);
+                r.run_to(end, true);
+                d.retire_through(end);
+                assert_eq!(departs, r.departs, "seed {seed}: departure times");
+                assert_eq!(
+                    format!("{:?}", d.stats),
+                    format!("{:?}", r.stats),
+                    "seed {seed}: final backlog samples"
+                );
+                assert_eq!(d.backlog(), 0);
+                ties += r.ties;
+                drops += r.stats.dropped;
+                marks += r.stats.marked;
+            }
+            // The sequences reach the cases that matter.
+            assert!(ties > 0, "{qcfg:?}: no arrival tied with a departure");
+            assert!(drops > 0, "{qcfg:?}: nothing was dropped");
+            let marks_expected = !matches!(
+                qcfg,
+                QdiscConfig::DropTail { .. }
+                    | QdiscConfig::Red {
+                        mode: RedMode::Drop,
+                        ..
+                    }
+            );
+            assert_eq!(marks > 0, marks_expected, "{qcfg:?}: marks");
+        }
     }
 }

@@ -1,13 +1,14 @@
 //! The simulation: nodes + links + agents + the event loop.
 //!
-//! [`Sim`] owns everything and processes three event kinds:
+//! [`Sim`] owns everything and processes two event kinds per packet and
+//! agent (plus fault, probe and fluid ticks):
 //!
-//! * `TxDone` — a packet finished serializing onto a link direction; it now
-//!   propagates (scheduled `Deliver`) and the next queued packet starts
-//!   transmitting,
-//! * `Deliver` — a packet arrived at the far end: switches forward it
-//!   (consulting their [`Router`](crate::routing) implementation), hosts hand it to
-//!   their [`Agent`],
+//! * `Deliver` — a packet arrived at the far end of a link direction:
+//!   switches forward it (compiled FIB, falling back to their
+//!   [`Router`](crate::routing) per lookup), hosts hand it to their
+//!   [`Agent`]. Offering the packet to the next direction books its
+//!   `(start, depart)` transmission window on the spot and schedules the
+//!   next `Deliver` directly — one engine event per packet-hop,
 //! * `Timer` — an agent timer fired (with lazy generation-based
 //!   cancellation).
 //!
@@ -21,11 +22,11 @@ use crate::fault::{FaultEvent, FaultPlan};
 use crate::fib::{AddrIndex, CompiledFib};
 use crate::fluid::{FluidFlowStats, FluidId, FluidSpec};
 use crate::hash::FxHashMap;
-use crate::link::{Link, LinkId, LinkParams};
+use crate::link::{Link, LinkId, LinkParams, Offer};
 use crate::node::{Node, NodeId, NodeKind, PortId};
 use crate::packet::{FlowId, Packet};
 use crate::probe::{ProbeConfig, ProbeRecord, Probes, SimProfile};
-use crate::queue::{EnqueueOutcome, Qdisc};
+use crate::queue::Qdisc;
 use crate::routing::Router;
 use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
 use std::collections::VecDeque;
@@ -39,22 +40,9 @@ pub mod partition;
 pub trait Payload: Clone + std::fmt::Debug + Send + 'static {}
 impl<T: Clone + std::fmt::Debug + Send + 'static> Payload for T {}
 
-/// Hot-path implementation switches. Both selections are proven
-/// behaviour-preserving by differential tests; the slow paths stay in-tree
-/// as benchmark baselines (`bench_pr2`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Simulation mode switches, all off by default.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimTuning {
-    /// Forward through compiled flat FIBs ([`crate::fib`]) instead of the
-    /// dynamic `Router::route` scan. Bit-identical by construction
-    /// (compilation misses fall back to the dynamic router), so on by
-    /// default.
-    pub compiled_fib: bool,
-    /// One engine event per packet-hop: skip `TxDone` and schedule the
-    /// `Deliver` directly from precomputed departure times. Equivalence
-    /// with the eager pipeline rests on propagation delay exceeding
-    /// serialization time (true for every in-tree topology) and is pinned
-    /// empirically by multi-seed differential tests; off by default.
-    pub lazy_links: bool,
     /// Graceful no-route mode: instead of panicking when a switch has no
     /// route for a packet (the default, which treats an unroutable
     /// destination as a topology bug), count the packet as a
@@ -70,7 +58,7 @@ pub struct SimTuning {
     /// or higher-ranked work (serialization times are strictly positive,
     /// and every non-`Deliver` key ranks above the whole `Deliver`
     /// namespace) — pinned by `tests/batched_differential.rs`. Off by
-    /// default; the serial loop stays as the differential baseline.
+    /// default; the one-at-a-time loop stays as the differential baseline.
     pub batched: bool,
     /// Hybrid fluid/packet mode: flows registered through
     /// [`Sim::fluid_open`] advance as fluid rate processes (per-subflow
@@ -78,37 +66,26 @@ pub struct SimTuning {
     /// ordinary wheel events) feeding per-direction analytic backlogs,
     /// while regular packet traffic keeps running on the same links and
     /// sees the fluid-contributed occupancy in its ECN marking and drop
-    /// decisions. Requires (and [`Sim::set_tuning`] forces) `lazy_links`:
-    /// the fluid backlog extends the lazy pipeline's analytic queue.
-    /// Off by default; when off, no fluid state exists, no coupling term
-    /// is evaluated, and behaviour is bit-identical to builds without the
-    /// subsystem (pinned by `tests/hybrid_differential.rs`).
+    /// decisions (the fluid backlog extends the link pipeline's booked
+    /// queue). Off by default; when off, no fluid state exists, no
+    /// coupling term is evaluated, and behaviour is bit-identical to
+    /// builds without the subsystem (pinned by
+    /// `tests/hybrid_differential.rs`).
     pub hybrid: bool,
-}
-
-impl Default for SimTuning {
-    fn default() -> Self {
-        SimTuning {
-            compiled_fib: true,
-            lazy_links: false,
-            drop_unroutable: false,
-            batched: false,
-            hybrid: false,
-        }
-    }
 }
 
 /// Events processed by the network simulation.
 #[derive(Debug)]
 pub enum NetEvent<P> {
-    /// A packet finished serializing on `link` direction `dir`.
+    /// Retired: the engine books a packet's whole transmission window on
+    /// arrival and never schedules this; one that reaches the event loop
+    /// is ignored.
     TxDone {
         /// The link.
         link: LinkId,
         /// Direction index (0 = a→b, 1 = b→a).
         dir: u8,
-        /// The direction's failure generation at scheduling time; stale
-        /// events (the link failed in between) are ignored.
+        /// The direction's failure generation at scheduling time.
         gen: u32,
     },
     /// A packet reached the far end of `link` direction `dir`.
@@ -177,31 +154,23 @@ struct TimerState {
 ///
 /// Events firing at the same instant are ranked by *identity*, not by when
 /// they were scheduled: all packet arrivals first (by link, direction),
-/// then agent timers (by node), then — eager pipeline only — `TxDone`
-/// bookkeeping. This is load-bearing for the lazy/eager bit-identity: the
-/// lazy pipeline schedules a packet's `Deliver` at enqueue time while the
-/// eager one schedules it at transmit start, so scheduling order differs
-/// between the modes but the identity rank does not. `TxDone` last ensures
-/// every same-instant arrival is enqueued before the transmitter pops and
-/// samples its backlog, matching the lazy pipeline's analytic replay
-/// (which pops departures strictly *before* `now` at each enqueue).
+/// then agent timers (by node), then faults, fluid ticks and probe
+/// samples. Identity ranks are what lets a partitioned run, whose shards
+/// schedule the same events in a different order, merge back into the
+/// serial order exactly.
 fn deliver_key(link: LinkId, dir: u8) -> u64 {
     ((link.0 as u64) << 1) | dir as u64
 }
 /// Exclusive upper bound of the `Deliver` key namespace: every other event
-/// kind (timers, `TxDone`, faults, samples) ranks at or above this. The
+/// kind (timers, faults, fluid ticks, samples) ranks at or above this. The
 /// batched drain uses it as the `drain_instant` key limit, so a drained
 /// burst is Deliver events and nothing else.
 const DELIVER_KEY_LIMIT: u64 = 1 << 62;
 fn timer_key(node: NodeId) -> u64 {
     (1 << 62) | node.0 as u64
 }
-fn tx_done_key(link: LinkId, dir: u8) -> u64 {
-    (2 << 62) | ((link.0 as u64) << 1) | dir as u64
-}
 /// Faults rank after every packet/timer event at the same instant: traffic
-/// scheduled "at t" still experiences the pre-fault topology at t, which
-/// keeps the cut-over point identical across eager and lazy pipelines.
+/// scheduled "at t" still experiences the pre-fault topology at t.
 fn fault_key(idx: u32) -> u64 {
     (3 << 62) | idx as u64
 }
@@ -214,9 +183,8 @@ fn fluid_key(id: u32) -> u64 {
     (3 << 62) | (1 << 32) | id as u64
 }
 /// Probe sampling ranks dead last at an instant: a tick at `t` observes the
-/// state *after* every packet, timer and fault effect at `t`, which is what
-/// makes the sampled queue depth identical across the eager and lazy link
-/// pipelines (`u64::MAX` exceeds every `fault_key`, whose index is a u32).
+/// state *after* every packet, timer and fault effect at `t` (`u64::MAX`
+/// exceeds every `fault_key`, whose index is a u32).
 const SAMPLE_KEY: u64 = u64::MAX;
 
 /// Identity rank of the event `ev` would be scheduled under — the same key
@@ -226,8 +194,10 @@ const SAMPLE_KEY: u64 = u64::MAX;
 /// [`partition::PartitionedSim`]).
 fn event_rank<P>(ev: &NetEvent<P>) -> u64 {
     match ev {
-        NetEvent::Deliver { link, dir, .. } => deliver_key(*link, *dir),
-        NetEvent::TxDone { link, dir, .. } => tx_done_key(*link, *dir),
+        // `TxDone` is never scheduled; it has no rank of its own.
+        NetEvent::Deliver { link, dir, .. } | NetEvent::TxDone { link, dir, .. } => {
+            deliver_key(*link, *dir)
+        }
         NetEvent::Timer { node, .. } => timer_key(*node),
         NetEvent::Fault { idx } => fault_key(*idx),
         NetEvent::Sample => SAMPLE_KEY,
@@ -291,7 +261,7 @@ pub struct Sim<P: Payload, A: Agent<P> = Box<dyn Agent<P>>> {
     /// Per-node compiled forwarding table (`None` for hosts and for
     /// routers that don't compile).
     fibs: Vec<Option<CompiledFib>>,
-    /// Cleared whenever topology or tuning changes; `run_until` rebuilds.
+    /// Cleared whenever topology changes; `run_until` rebuilds.
     fibs_ready: bool,
     /// Installed fault timeline; engine `Fault` events index into it.
     fault_timeline: Vec<FaultEvent>,
@@ -299,6 +269,10 @@ pub struct Sim<P: Payload, A: Agent<P> = Box<dyn Agent<P>>> {
     /// drain (`SimTuning::batched`); quiesces at the largest burst seen,
     /// preserving the zero-alloc steady state.
     burst_scratch: Vec<xmp_des::ScheduledEvent<NetEvent<P>>>,
+    /// Directions with booked departures the next run-window sweep has to
+    /// retire ([`Sim::retire_departures`]): filled at enqueue, pruned as
+    /// the sweep finds them drained, so the sweep never walks idle links.
+    busy_dirs: Vec<(LinkId, u8)>,
     /// Packets dropped for lack of a route (`drop_unroutable` mode).
     unroutable: u64,
     /// Conservation audit: packets injected by host agents (`Emit::Send`).
@@ -513,6 +487,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             fibs_ready: false,
             fault_timeline: Vec::new(),
             burst_scratch: Vec::new(),
+            busy_dirs: Vec::new(),
             unroutable: 0,
             audit_injected: 0,
             audit_delivered: 0,
@@ -522,19 +497,12 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         }
     }
 
-    /// Select hot-path implementations (call before running; changing the
-    /// tuning invalidates any compiled FIBs). `hybrid` implies `lazy_links`
-    /// (the fluid backlog extends the lazy pipeline's analytic queue), so
-    /// it is forced on here.
+    /// Select the simulation mode (call before running).
     pub fn set_tuning(&mut self, tuning: SimTuning) {
         self.tuning = tuning;
-        if tuning.hybrid {
-            self.tuning.lazy_links = true;
-        }
-        self.fibs_ready = false;
     }
 
-    /// Current hot-path tuning.
+    /// Current mode switches.
     pub fn tuning(&self) -> SimTuning {
         self.tuning
     }
@@ -614,36 +582,31 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     }
 
     /// Instantaneous backlog of a link direction in packets (queued +
-    /// serializing), consistent across the eager and lazy pipelines at any
-    /// driver-visible instant (run boundaries and probe ticks). A downed
-    /// direction reads zero.
+    /// serializing) at a driver-visible instant (run boundaries and probe
+    /// ticks), after every departure at or before it. A downed direction
+    /// reads zero.
     pub fn queue_depth(&mut self, link: LinkId, dir: u8) -> usize {
         let now = self.engine.now();
-        let lazy = self.tuning.lazy_links;
         let hybrid = self.tuning.hybrid;
         let l = &mut self.links[link.0 as usize];
         let cap = l.bandwidth.as_bps() as f64 / 8.0;
         let d = l.dir_mut(dir);
         if d.down {
-            0
-        } else if lazy {
-            // `run_until`/`advance_to` already retired departures up to the
-            // boundary; a probe tick at `t` flushes `depart <= t` itself,
-            // mirroring the eager pipeline having processed every TxDone
-            // at or before `t` (TxDone ranks before Sample at an instant).
-            d.lazy_flush(now);
-            let mut depth = d.pending.len();
-            if hybrid {
-                // Fluid occupancy, in reference packets, is part of the
-                // observable backlog — same view the qdisc classifies with.
-                let max_b = d.queue.capacity() as f64 * crate::fluid::REF_PKT_BYTES;
-                d.fluid_advance(now, cap, max_b);
-                depth += (d.fluid_backlog / crate::fluid::REF_PKT_BYTES).round() as usize;
-            }
-            depth
-        } else {
-            d.queue.len() + usize::from(d.in_flight.is_some())
+            return 0;
         }
+        // `run_until`/`advance_to` already retired departures up to the
+        // boundary; a probe tick at `t` ranks last at `t`, so it retires
+        // `depart <= t` itself.
+        d.retire_through(now);
+        let mut depth = d.pending.len();
+        if hybrid {
+            // Fluid occupancy, in reference packets, is part of the
+            // observable backlog — same view the qdisc classifies with.
+            let max_b = d.queue.capacity() as f64 * crate::fluid::REF_PKT_BYTES;
+            d.fluid_advance(now, cap, max_b);
+            depth += (d.fluid_backlog / crate::fluid::REF_PKT_BYTES).round() as usize;
+        }
+        depth
     }
 
     /// One probe sampling tick: record watched queue depths and delivery
@@ -953,11 +916,12 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
 
     /// Fail both directions of `link` immediately.
     ///
-    /// Queued and serializing packets are purged and counted as
-    /// [`DirStats::blackholed`](crate::stats::DirStats::blackholed);
-    /// packets already propagating die on arrival via the direction's
-    /// failure generation (their `Deliver` events are recognized as
-    /// stale). While down, everything offered to the link is blackholed
+    /// Every packet the link had accepted — queued, serializing or
+    /// propagating — already has its `Deliver` scheduled; bumping the
+    /// direction's failure generation makes those events stale, and each
+    /// is counted as
+    /// [`DirStats::blackholed`](crate::stats::DirStats::blackholed) when it
+    /// fires. While down, everything offered to the link is blackholed
     /// (counted, no RNG consumed). Compiled FIB entries steering at either
     /// endpoint's dead port are demoted to `Miss` so forwarding falls back
     /// to the dynamic router — which still picks the dead port unless the
@@ -966,73 +930,23 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// shift load to surviving subflows instead (the failover experiment).
     pub fn take_link_down(&mut self, link: LinkId) {
         let now = self.engine.now();
-        let lazy = self.tuning.lazy_links;
         let l = &mut self.links[link.0 as usize];
-        let label = l.label.clone();
         let ends = [
             (l.dirs[0].to_node, l.dirs[0].to_port),
             (l.dirs[1].to_node, l.dirs[1].to_port),
         ];
-        for dir in 0..2u8 {
-            let d = l.dir_mut(dir);
+        for d in &mut l.dirs {
             if d.down {
                 continue;
             }
             d.down = true;
             d.fail_gen = d.fail_gen.wrapping_add(1);
-            if lazy {
-                // Every accepted packet already has a (now stale) Deliver
-                // scheduled; it is counted blackholed on arrival. Replay
-                // the departures that genuinely happened, then drop the
-                // booking state so the backlog reads zero, mirroring the
-                // eager drain below sample for sample.
-                d.lazy_advance(now);
-                d.pending.clear();
-                d.busy_until = SimTime::ZERO;
-                d.stats.observe_backlog(now, 0);
-                debug_assert_eq!(
-                    d.lazy_waiting(now),
-                    0,
-                    "lazy backlog nonzero after tearing down {label}/{dir}"
-                );
-            } else {
-                // Queued and serializing packets have no Deliver event yet:
-                // purge and count them here. The serializing packet's
-                // TxDone arrives stale and is ignored.
-                while let Some(p) = d.queue.dequeue() {
-                    d.stats.blackholed += 1;
-                    d.in_network -= 1;
-                    self.audit_dropped += 1;
-                    if let Some(t) = self.trace.as_mut() {
-                        t.record(TraceEvent {
-                            at: now,
-                            link,
-                            dir,
-                            kind: TraceKind::LinkDownDrop,
-                            flow: p.flow,
-                            size: p.size.as_bytes(),
-                            backlog: d.queue.len(),
-                        });
-                    }
-                }
-                if let Some(p) = d.in_flight.take() {
-                    d.stats.blackholed += 1;
-                    d.in_network -= 1;
-                    self.audit_dropped += 1;
-                    if let Some(t) = self.trace.as_mut() {
-                        t.record(TraceEvent {
-                            at: now,
-                            link,
-                            dir,
-                            kind: TraceKind::LinkDownDrop,
-                            flow: p.flow,
-                            size: p.size.as_bytes(),
-                            backlog: 0,
-                        });
-                    }
-                }
-                d.sample_backlog(now);
-            }
+            // Record the departures that genuinely happened, then drop the
+            // booked windows so the backlog reads zero.
+            d.retire_before(now);
+            d.pending.clear();
+            d.busy_until = SimTime::ZERO;
+            d.stats.observe_backlog(now, 0);
         }
         // Stop compiled tables from steering at the dead ports. The
         // dynamic fallback stays authoritative for affected destinations
@@ -1065,9 +979,9 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         for d in &mut self.links[link.0 as usize].dirs {
             d.down = false;
         }
-        if !self.fibs_ready || !self.tuning.compiled_fib {
-            // Nothing compiled yet (or compilation disabled): the next
-            // `run_until` builds from scratch anyway.
+        if !self.fibs_ready {
+            // Nothing compiled yet: the next `run_until` builds from
+            // scratch anyway.
             return;
         }
         let dsts: Vec<Addr> = self
@@ -1308,10 +1222,9 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
                 }
             }
         }
-        // Eager processed every TxDone up to the deadline; retire the
-        // matching lazy departures so stats observed after the run window
-        // (and any run that resumes later) see identical samples.
-        self.flush_lazy(deadline);
+        // The window is closed: whatever the driver does at `deadline`
+        // comes after every departure at or before it.
+        self.retire_departures(deadline);
         if let (Some(start), Some(end)) = (alloc_start, crate::probe::read_alloc_probe()) {
             self.profile.allocs += end.saturating_sub(start);
         }
@@ -1333,8 +1246,8 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// kind (or an empty queue) falls back to the one-at-a-time path.
     ///
     /// Safety of the drain-then-process split: handlers of a `Deliver` at
-    /// `t` only ever schedule events that are strictly later (`TxDone` /
-    /// `Deliver` ride strictly positive serialization times) or carry
+    /// `t` only ever schedule events that are strictly later (the next
+    /// `Deliver` rides a strictly positive serialization time) or carry
     /// keys at/above [`DELIVER_KEY_LIMIT`] (timers, faults, samples), so
     /// nothing a burst produces could have ranked *inside* the burst.
     fn run_events_batched(
@@ -1501,7 +1414,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// start flows at exact scheduled instants between network events.
     pub fn advance_to(&mut self, t: SimTime) {
         self.engine.advance_to(t);
-        self.flush_lazy(t);
+        self.retire_departures(t);
     }
 
     /// Register a fluid elephant flow (`SimTuning::hybrid`): resolve every
@@ -1618,32 +1531,27 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             return;
         }
         let wall = std::time::Instant::now();
-        if self.tuning.compiled_fib {
-            let keys: Vec<u32> = self.addr_book.iter().map(|&(k, _)| k).collect();
-            let dsts: Vec<Addr> = self
-                .addr_book
-                .iter()
-                .map(|&(k, _)| Addr(k.to_be_bytes()))
-                .collect();
-            self.addr_index = Some(AddrIndex::build(&keys));
-            self.fibs = self
-                .nodes
-                .iter()
-                .map(|n| match &n.kind {
-                    NodeKind::Switch(r) => r.compile(&dsts),
-                    NodeKind::Host => None,
-                })
-                .collect();
-        } else {
-            self.addr_index = None;
-            self.fibs = (0..self.nodes.len()).map(|_| None).collect();
-        }
+        let keys: Vec<u32> = self.addr_book.iter().map(|&(k, _)| k).collect();
+        let dsts: Vec<Addr> = self
+            .addr_book
+            .iter()
+            .map(|&(k, _)| Addr(k.to_be_bytes()))
+            .collect();
+        self.addr_index = Some(AddrIndex::build(&keys));
+        self.fibs = self
+            .nodes
+            .iter()
+            .map(|n| match &n.kind {
+                NodeKind::Switch(r) => r.compile(&dsts),
+                NodeKind::Host => None,
+            })
+            .collect();
         self.fibs_ready = true;
         self.profile.fib_compile_ns += wall.elapsed().as_nanos() as u64;
     }
 
     /// Forwarding decision exactly as the hot path makes it: compiled FIB
-    /// when available, dynamic router otherwise (requires
+    /// when the switch's router compiles, dynamic router otherwise (requires
     /// [`Sim::compile_fibs`]). Panics on hosts and unroutable destinations,
     /// like forwarding would.
     pub fn route_on(&self, node: NodeId, dst: Addr, flow: FlowId, in_port: PortId) -> PortId {
@@ -1666,15 +1574,18 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         }
     }
 
-    fn flush_lazy(&mut self, t: SimTime) {
-        if !self.tuning.lazy_links {
-            return;
-        }
-        for l in &mut self.links {
-            for d in &mut l.dirs {
-                d.lazy_flush(t);
-            }
-        }
+    /// Retire every booked departure at or before `t` (a run window just
+    /// closed there), so link stats read after the window — and arrivals
+    /// the driver injects at `t` — see the port as it is at `t`. Only
+    /// directions on the busy list can have anything to retire.
+    fn retire_departures(&mut self, t: SimTime) {
+        let links = &mut self.links;
+        self.busy_dirs.retain(|&(link, dir)| {
+            let d = links[link.0 as usize].dir_mut(dir);
+            d.retire_through(t);
+            d.listed = !d.pending.is_empty();
+            d.listed
+        });
     }
 
     fn handle(&mut self, ev: NetEvent<P>) {
@@ -1685,10 +1596,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             ps.rank = (event_rank(&ev), 0);
         }
         match ev {
-            NetEvent::TxDone { link, dir, gen } => {
-                self.profile.tx_done += 1;
-                self.on_tx_done(link, dir, gen);
-            }
+            NetEvent::TxDone { .. } => {}
             NetEvent::Deliver {
                 link,
                 dir,
@@ -1756,52 +1664,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         }
     }
 
-    fn on_tx_done(&mut self, link: LinkId, dir: u8, gen: u32) {
-        let now = self.engine.now();
-        let l = &mut self.links[link.0 as usize];
-        let delay = l.delay;
-        let bandwidth = l.bandwidth;
-        let d = l.dir_mut(dir);
-        if gen != d.fail_gen {
-            // The link failed since this was scheduled; the serializing
-            // packet was already purged and counted by `take_link_down`.
-            return;
-        }
-        let pkt = d.in_flight.take().expect("TxDone with nothing in flight");
-        let remote = match self.part.as_ref() {
-            Some(ps) => ps.remote_rx[link.0 as usize] & (1 << dir) != 0,
-            None => false,
-        };
-        if remote {
-            self.part
-                .as_mut()
-                .expect("remote implies shard state")
-                .outbox
-                .push((now + delay, link, dir, gen, pkt));
-        } else {
-            self.engine.schedule_keyed(
-                now + delay,
-                deliver_key(link, dir),
-                NetEvent::Deliver {
-                    link,
-                    dir,
-                    gen,
-                    pkt,
-                },
-            );
-        }
-        if let Some(next) = d.queue.dequeue() {
-            let tx = bandwidth.transmission_time(next.size);
-            d.in_flight = Some(next);
-            self.engine.schedule_keyed(
-                now + tx,
-                tx_done_key(link, dir),
-                NetEvent::TxDone { link, dir, gen },
-            );
-        }
-        d.sample_backlog(now);
-    }
-
     fn on_deliver(&mut self, link: LinkId, dir: u8, gen: u32, pkt: Packet<P>) {
         let mut cache = None;
         self.on_deliver_cached(link, dir, gen, pkt, &mut cache);
@@ -1823,7 +1685,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         route_cache: &mut Option<(NodeId, Addr, FlowId, PortId)>,
     ) {
         let now = self.engine.now();
-        let lazy = self.tuning.lazy_links;
         let l = &mut self.links[link.0 as usize];
         let d = l.dir_mut(dir);
         d.in_network -= 1;
@@ -1847,13 +1708,10 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         if d.fault.corrupt_prob > 0.0 && d.corrupt_rng.chance(d.fault.corrupt_prob) {
             // The frame failed its checksum at the receiver: it consumed
             // its full wire time (unlike a fault drop) but is discarded.
-            // Drawn per *delivery* — the order packets leave a direction
-            // is FIFO in both pipelines, so the stream stays aligned.
+            // Drawn per *delivery*, in the FIFO order packets leave the
+            // direction.
             d.stats.corrupted += 1;
             self.audit_dropped += 1;
-            if lazy {
-                d.lazy_advance(now);
-            }
             if let Some(t) = self.trace.as_mut() {
                 t.record(TraceEvent {
                     at: now,
@@ -1870,14 +1728,10 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         d.stats.delivered += 1;
         d.stats.delivered_bytes += pkt.size;
         if let Some(t) = self.trace.as_mut() {
-            // The lazy pipeline only reconstructs the waiting backlog when
-            // someone looks (tracing is off in measurement runs).
-            let backlog = if lazy {
-                d.lazy_advance(now);
-                d.lazy_waiting(now)
-            } else {
-                d.queue.len()
-            };
+            // The waiting backlog is only reconstructed when someone looks
+            // (tracing is off in measurement runs).
+            d.retire_before(now);
+            let backlog = d.waiting(now);
             t.record(TraceEvent {
                 at: now,
                 link,
@@ -2086,216 +1940,77 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         self.emit_pool.push(emits);
     }
 
-    fn enqueue_on(&mut self, link: LinkId, dir: u8, pkt: Packet<P>) {
+    /// Offer `pkt` to a link direction (`Direction::offer` decides and
+    /// books its transmission window) and, when accepted, schedule its
+    /// arrival at the far end directly: one engine event per packet-hop.
+    fn enqueue_on(&mut self, link: LinkId, dir: u8, mut pkt: Packet<P>) {
         let now = self.engine.now();
-        let lazy = self.tuning.lazy_links;
-        let hybrid = self.tuning.hybrid;
         let l = &mut self.links[link.0 as usize];
-        let bandwidth = l.bandwidth;
-        let delay = l.delay;
+        let (bandwidth, delay) = (l.bandwidth, l.delay);
         let d = l.dir_mut(dir);
-        if d.down {
-            // Failed link: blackhole without consuming any RNG stream, so
-            // a failure window never perturbs draws made after repair.
-            d.stats.blackholed += 1;
-            self.audit_dropped += 1;
-            if let Some(t) = self.trace.as_mut() {
-                t.record(TraceEvent {
-                    at: now,
-                    link,
-                    dir,
-                    kind: TraceKind::LinkDownDrop,
-                    flow: pkt.flow,
-                    size: pkt.size.as_bytes(),
-                    backlog: 0,
-                });
-            }
-            return;
-        }
-        if lazy {
-            d.lazy_advance(now);
-        }
-        if d.fault.drop_prob > 0.0 && d.fault_rng.chance(d.fault.drop_prob) {
-            d.stats.fault_dropped += 1;
-            self.audit_dropped += 1;
-            if let Some(t) = self.trace.as_mut() {
-                t.record(TraceEvent {
-                    at: now,
-                    link,
-                    dir,
-                    kind: TraceKind::FaultDrop,
-                    flow: pkt.flow,
-                    size: pkt.size.as_bytes(),
-                    backlog: if lazy {
-                        d.lazy_waiting(now)
-                    } else {
-                        d.queue.len()
-                    },
-                });
-            }
-            return;
-        }
-        if lazy {
-            // One-event pipeline: FIFO non-preemptive service means this
-            // packet's transmission window is decided right now — classify
-            // against the analytic waiting count, book the `(start,
-            // depart)` window, and schedule the arrival directly.
-            let mut pkt = pkt;
-            // Hybrid coupling: fluid elephants occupy this direction too.
-            // Their analytic backlog (a) inflates the waiting count the
-            // qdisc classifies against — mice see elephant-built queues in
-            // ECN marking and drop decisions — and (b) delays this
-            // packet's transmission start by the time the port needs to
-            // work the fluid backlog off. Expressing (b) as a *floor on
-            // the start time* (rather than adding it to every depart)
-            // keeps `busy_until` monotone and avoids double-counting the
-            // same fluid bytes across consecutive packets.
-            let (fluid_pkts, fluid_delay) = if hybrid {
-                let cap = bandwidth.as_bps() as f64 / 8.0;
-                let max_b = d.queue.capacity() as f64 * crate::fluid::REF_PKT_BYTES;
-                d.fluid_advance(now, cap, max_b);
-                if d.fluid_backlog > 0.0 {
-                    (
-                        (d.fluid_backlog / crate::fluid::REF_PKT_BYTES).round() as usize,
-                        SimDuration::from_secs_f64(d.fluid_backlog / cap),
-                    )
-                } else {
-                    (0, SimDuration::ZERO)
-                }
-            } else {
-                (0, SimDuration::ZERO)
-            };
-            let waiting = d.lazy_waiting(now) + fluid_pkts;
-            let (flow, size) = (pkt.flow, pkt.size.as_bytes());
-            let outcome = d.queue.classify(waiting, &mut pkt);
-            if outcome == EnqueueOutcome::Dropped {
-                d.stats.dropped += 1;
-                self.audit_dropped += 1;
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(TraceEvent {
-                        at: now,
-                        link,
-                        dir,
-                        kind: TraceKind::Drop,
-                        flow,
-                        size,
-                        backlog: waiting,
-                    });
-                }
-                return;
-            }
-            d.stats.enqueued += 1;
-            d.in_network += 1;
-            if outcome == EnqueueOutcome::EnqueuedMarked {
-                d.stats.marked += 1;
-                if let Some(p) = self.probes.as_mut() {
-                    let rank = self.part.as_ref().map(|ps| ps.rank);
-                    p.on_mark(now, link, dir, rank);
-                }
-            }
-            if let Some(t) = self.trace.as_mut() {
-                t.record(TraceEvent {
-                    at: now,
-                    link,
-                    dir,
-                    kind: if outcome == EnqueueOutcome::EnqueuedMarked {
+        let offer = d.offer(now, bandwidth, self.tuning.hybrid, &mut pkt);
+        if let Some(t) = self.trace.as_mut() {
+            let (kind, backlog) = match offer {
+                Offer::Blackholed => (TraceKind::LinkDownDrop, 0),
+                Offer::FaultDropped { waiting } => (TraceKind::FaultDrop, waiting),
+                Offer::Dropped { waiting } => (TraceKind::Drop, waiting),
+                Offer::Accepted {
+                    marked, waiting, ..
+                } => (
+                    if marked {
                         TraceKind::Mark
                     } else {
                         TraceKind::Enqueue
                     },
-                    flow,
-                    size,
-                    backlog: waiting + 1,
-                });
-            }
-            let start = d.busy_until.max(now + fluid_delay);
-            let depart = start + bandwidth.transmission_time(pkt.size);
-            d.busy_until = depart;
-            d.pending.push_back((start, depart));
-            d.stats.observe_backlog(now, d.pending.len());
-            let remote = match self.part.as_ref() {
-                Some(ps) => ps.remote_rx[link.0 as usize] & (1 << dir) != 0,
-                None => false,
+                    waiting + 1,
+                ),
             };
-            if remote {
-                let gen = d.fail_gen;
-                self.part
-                    .as_mut()
-                    .expect("remote implies shard state")
-                    .outbox
-                    .push((depart + delay, link, dir, gen, pkt));
-            } else {
-                self.engine.schedule_keyed(
-                    depart + delay,
-                    deliver_key(link, dir),
-                    NetEvent::Deliver {
-                        link,
-                        dir,
-                        gen: d.fail_gen,
-                        pkt,
-                    },
-                );
-            }
-            return;
+            t.record(TraceEvent {
+                at: now,
+                link,
+                dir,
+                kind,
+                flow: pkt.flow,
+                size: pkt.size.as_bytes(),
+                backlog,
+            });
         }
-        let (flow, size) = (pkt.flow, pkt.size.as_bytes());
-        match d.queue.enqueue(pkt) {
-            EnqueueOutcome::Dropped => {
-                d.stats.dropped += 1;
-                self.audit_dropped += 1;
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(TraceEvent {
-                        at: now,
-                        link,
-                        dir,
-                        kind: TraceKind::Drop,
-                        flow,
-                        size,
-                        backlog: d.queue.len(),
-                    });
-                }
+        let Offer::Accepted { marked, depart, .. } = offer else {
+            self.audit_dropped += 1;
+            return;
+        };
+        if marked {
+            if let Some(p) = self.probes.as_mut() {
+                let rank = self.part.as_ref().map(|ps| ps.rank);
+                p.on_mark(now, link, dir, rank);
             }
-            outcome => {
-                d.stats.enqueued += 1;
-                d.in_network += 1;
-                if outcome == EnqueueOutcome::EnqueuedMarked {
-                    d.stats.marked += 1;
-                    let rank = self.part.as_ref().map(|ps| ps.rank);
-                    if let Some(p) = self.probes.as_mut() {
-                        p.on_mark(now, link, dir, rank);
-                    }
-                }
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(TraceEvent {
-                        at: now,
-                        link,
-                        dir,
-                        kind: if outcome == EnqueueOutcome::EnqueuedMarked {
-                            TraceKind::Mark
-                        } else {
-                            TraceKind::Enqueue
-                        },
-                        flow,
-                        size,
-                        backlog: d.queue.len(),
-                    });
-                }
-                if d.in_flight.is_none() {
-                    let next = d.queue.dequeue().expect("just enqueued");
-                    let tx = bandwidth.transmission_time(next.size);
-                    d.in_flight = Some(next);
-                    self.engine.schedule_keyed(
-                        now + tx,
-                        tx_done_key(link, dir),
-                        NetEvent::TxDone {
-                            link,
-                            dir,
-                            gen: d.fail_gen,
-                        },
-                    );
-                }
-                d.sample_backlog(now);
-            }
+        }
+        if !d.listed {
+            d.listed = true;
+            self.busy_dirs.push((link, dir));
+        }
+        let gen = d.fail_gen;
+        let remote = match self.part.as_ref() {
+            Some(ps) => ps.remote_rx[link.0 as usize] & (1 << dir) != 0,
+            None => false,
+        };
+        if remote {
+            self.part
+                .as_mut()
+                .expect("remote implies shard state")
+                .outbox
+                .push((depart + delay, link, dir, gen, pkt));
+        } else {
+            self.engine.schedule_keyed(
+                depart + delay,
+                deliver_key(link, dir),
+                NetEvent::Deliver {
+                    link,
+                    dir,
+                    gen,
+                    pkt,
+                },
+            );
         }
     }
 }
@@ -2641,237 +2356,31 @@ mod tests {
         assert!(p.matches(Addr::new(0, 0, 0, 0)));
     }
 
-    const LAZY: SimTuning = SimTuning {
-        compiled_fib: true,
-        lazy_links: true,
-        drop_unroutable: false,
-        batched: false,
-        hybrid: false,
-    };
-
+    /// One engine event per packet-hop: 10 delivered packets cost 10
+    /// `Deliver` events and nothing else.
     #[test]
-    fn lazy_two_hosts_timing_is_exact() {
+    fn one_event_per_packet_hop() {
         let mut sim: Sim<u64> = Sim::new(1);
-        sim.set_tuning(LAZY);
         let a = sim.add_host("a", Box::new(Probe::default()));
         let b = sim.add_host("b", Box::new(Probe::default()));
         sim.connect(a, b, &params_1g(), "ab");
-        let (sa, da) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
-        sim.with_agent::<Probe, _>(a, |_, ctx| {
-            ctx.send(PortId(0), pkt(sa, da, 42));
-        });
-        sim.run_until_quiet(SimTime::from_millis(1));
-        sim.with_agent::<Probe, _>(b, |p, _| {
-            assert_eq!(p.received, vec![(32_000, 42)]);
-        });
-    }
-
-    #[test]
-    fn lazy_serialization_is_back_to_back() {
-        let mut sim: Sim<u64> = Sim::new(1);
-        sim.set_tuning(LAZY);
-        let a = sim.add_host("a", Box::new(Probe::default()));
-        let b = sim.add_host("b", Box::new(Probe::default()));
-        sim.connect(a, b, &params_1g(), "ab");
-        let (sa, da) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
-        sim.with_agent::<Probe, _>(a, |_, ctx| {
-            for i in 0..3 {
-                ctx.send(PortId(0), pkt(sa, da, i));
-            }
-        });
-        sim.run_until_quiet(SimTime::from_millis(1));
-        sim.with_agent::<Probe, _>(b, |p, _| {
-            assert_eq!(
-                p.received.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
-                vec![32_000, 44_000, 56_000]
-            );
-        });
-    }
-
-    #[test]
-    fn lazy_droptail_overflow_accounted() {
-        let mut sim: Sim<u64> = Sim::new(1);
-        sim.set_tuning(LAZY);
-        let a = sim.add_host("a", Box::new(Probe::default()));
-        let b = sim.add_host("b", Box::new(Probe::default()));
-        let l = sim.connect(
-            a,
-            b,
-            &LinkParams::new(
-                Bandwidth::from_mbps(1),
-                SimDuration::from_micros(1),
-                QdiscConfig::DropTail { cap: 2 },
-            ),
-            "slow",
-        );
         let (sa, da) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
         sim.with_agent::<Probe, _>(a, |_, ctx| {
             for i in 0..10 {
                 ctx.send(PortId(0), pkt(sa, da, i));
             }
         });
-        sim.run_until_quiet(SimTime::from_secs(1));
-        let d = sim.link(l).dir(0);
-        assert_eq!(d.stats.enqueued, 3);
-        assert_eq!(d.stats.dropped, 7);
-        assert_eq!(d.stats.delivered, 3);
-        sim.with_agent::<Probe, _>(b, |p, _| assert_eq!(p.received.len(), 3));
+        sim.run_until_quiet(SimTime::from_millis(1));
+        assert_eq!(sim.events_processed(), 10);
+        assert_eq!(sim.profile().deliver, 10);
+        assert_eq!(sim.profile().tx_done, 0);
     }
 
+    /// The compiled FIB forwards where the dynamic router would, per
+    /// lookup — including an unbound destination (a FIB miss falling back
+    /// to the dynamic default route).
     #[test]
-    fn lazy_ecn_threshold_marks_under_load() {
-        let mut sim: Sim<u64> = Sim::new(1);
-        sim.set_tuning(LAZY);
-        let a = sim.add_host("a", Box::new(Probe::default()));
-        let b = sim.add_host("b", Box::new(Probe::default()));
-        let l = sim.connect(
-            a,
-            b,
-            &LinkParams::new(
-                Bandwidth::from_mbps(10),
-                SimDuration::from_micros(1),
-                QdiscConfig::EcnThreshold { cap: 100, k: 3 },
-            ),
-            "mk",
-        );
-        let (sa, da) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
-        sim.with_agent::<Probe, _>(a, |_, ctx| {
-            for i in 0..10 {
-                let mut p = pkt(sa, da, i);
-                p.ecn = Ecn::Ect;
-                ctx.send(PortId(0), p);
-            }
-        });
-        sim.run_until_quiet(SimTime::from_secs(1));
-        let s = &sim.link(l).dir(0).stats;
-        assert_eq!(s.marked, 6);
-        assert!(sim.link(l).dir(0).stats.max_depth <= 10);
-        sim.with_agent::<Probe, _>(b, |p, _| assert_eq!(p.received.len(), 10));
-    }
-
-    /// Lazy pipeline halves engine events per packet-hop: 10 delivered
-    /// packets cost 10 Deliver events instead of 10 TxDone + 10 Deliver.
-    #[test]
-    fn lazy_halves_events_per_hop() {
-        let count_events = |tuning: SimTuning| {
-            let mut sim: Sim<u64> = Sim::new(1);
-            sim.set_tuning(tuning);
-            let a = sim.add_host("a", Box::new(Probe::default()));
-            let b = sim.add_host("b", Box::new(Probe::default()));
-            sim.connect(a, b, &params_1g(), "ab");
-            let (sa, da) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
-            sim.with_agent::<Probe, _>(a, |_, ctx| {
-                for i in 0..10 {
-                    ctx.send(PortId(0), pkt(sa, da, i));
-                }
-            });
-            sim.run_until_quiet(SimTime::from_millis(1));
-            sim.events_processed()
-        };
-        let eager = count_events(SimTuning::default());
-        let lazy = count_events(LAZY);
-        assert_eq!(eager, 20);
-        assert_eq!(lazy, 10);
-    }
-
-    /// Multi-seed differential: eager and lazy pipelines produce identical
-    /// arrival times, payloads, per-direction stats and trace counters on a
-    /// lossy contended link.
-    #[test]
-    fn lazy_matches_eager_seeded() {
-        fn run(seed: u64, tuning: SimTuning) -> (Vec<(u64, u64)>, String, Vec<u64>) {
-            let mut sim: Sim<u64> = Sim::new(seed);
-            sim.set_tuning(tuning);
-            let a = sim.add_host("a", Box::new(Probe::default()));
-            let b = sim.add_host("b", Box::new(Probe::default()));
-            let l = sim.connect(
-                a,
-                b,
-                &LinkParams::new(
-                    Bandwidth::from_mbps(10),
-                    SimDuration::from_micros(50),
-                    QdiscConfig::EcnThreshold { cap: 8, k: 3 },
-                )
-                .with_drop_prob(0.1),
-                "l",
-            );
-            sim.enable_trace(16);
-            let (sa, da) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
-            let mut rng = SimRng::new(seed ^ 0xD1FF);
-            // Bursty arrivals across several run windows.
-            for burst in 0..5u64 {
-                let n = 1 + rng.index(12);
-                sim.with_agent::<Probe, _>(a, |_, ctx| {
-                    for i in 0..n {
-                        let mut p = pkt(sa, da, burst * 100 + i as u64);
-                        p.ecn = Ecn::Ect;
-                        ctx.send(PortId(0), p);
-                    }
-                });
-                let stop = SimTime::from_millis(3 * (burst + 1));
-                sim.run_until_quiet(stop);
-                sim.advance_to(stop);
-            }
-            let d = sim.link(l).dir(0);
-            let stats = format!("{:?}", d.stats);
-            let t = sim.trace().unwrap();
-            let counts = [
-                TraceKind::Enqueue,
-                TraceKind::Mark,
-                TraceKind::Drop,
-                TraceKind::FaultDrop,
-                TraceKind::Deliver,
-            ]
-            .iter()
-            .map(|&k| t.count(k))
-            .collect();
-            let received = sim.with_agent::<Probe, _>(b, |p, _| p.received.clone());
-            (received, stats, counts)
-        }
-        for seed in 0..40u64 {
-            let eager = run(seed, SimTuning::default());
-            let lazy = run(seed, LAZY);
-            assert_eq!(eager, lazy, "seed {seed} diverged");
-        }
-    }
-
-    /// The compiled-FIB path and the dynamic path deliver identically; the
-    /// test hooks agree with each other.
-    #[test]
-    fn compiled_fib_matches_dynamic_forwarding() {
-        fn run(compiled: bool) -> Vec<(u64, u64)> {
-            let mut sim: Sim<u64> = Sim::new(1);
-            sim.set_tuning(SimTuning {
-                compiled_fib: compiled,
-                lazy_links: false,
-                drop_unroutable: false,
-                batched: false,
-                hybrid: false,
-            });
-            let h1 = sim.add_host("h1", Box::new(Probe::default()));
-            let h2 = sim.add_host("h2", Box::new(Probe::default()));
-            let sw = sim.add_switch("sw", Box::new(StaticRouter::new()));
-            sim.connect(h1, sw, &params_1g(), "h1-sw");
-            sim.connect(h2, sw, &params_1g(), "h2-sw");
-            let (a1, a2) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
-            sim.bind_addr(a1, h1);
-            sim.bind_addr(a2, h2);
-            sim.set_router(
-                sw,
-                Box::new(StaticRouter::new().to(a1, PortId(0)).to(a2, PortId(1))),
-            );
-            sim.with_agent::<Probe, _>(h1, |_, ctx| {
-                for i in 0..5 {
-                    ctx.send(PortId(0), pkt(a1, a2, i));
-                }
-            });
-            sim.run_until_quiet(SimTime::from_millis(1));
-            sim.with_agent::<Probe, _>(h2, |p, _| p.received.clone())
-        }
-        assert_eq!(run(true), run(false));
-
-        // Hook-level agreement, including an unbound destination (FIB miss
-        // falling back to the dynamic default route).
+    fn compiled_fib_agrees_with_the_dynamic_router() {
         let mut sim: Sim<u64> = Sim::new(1);
         let h1 = sim.add_host("h1", Box::new(Probe::default()));
         let sw = sim.add_switch("sw", Box::new(StaticRouter::new()));
@@ -2893,13 +2402,12 @@ mod tests {
         }
     }
 
-    /// Link failure mid-burst: both pipelines blackhole the same packets,
+    /// Link failure mid-burst: packets in the pipeline are blackholed,
     /// repair restores delivery, and the conservation books balance.
     #[test]
-    fn link_down_blackholes_identically_in_both_pipelines() {
-        fn run(tuning: SimTuning) -> (Vec<(u64, u64)>, u64, u64, AuditReport) {
+    fn link_down_blackholes_and_repair_restores_delivery() {
+        fn run() -> (Vec<(u64, u64)>, u64, u64, AuditReport) {
             let mut sim: Sim<u64> = Sim::new(1);
-            sim.set_tuning(tuning);
             let a = sim.add_host("a", Box::new(Probe::default()));
             let b = sim.add_host("b", Box::new(Probe::default()));
             let l = sim.connect(
@@ -2949,10 +2457,7 @@ mod tests {
                 sim.audit_conservation(),
             )
         }
-        let eager = run(SimTuning::default());
-        let lazy = run(LAZY);
-        assert_eq!(eager, lazy, "pipelines diverged under link failure");
-        let (received, blackholed, delivered, audit) = eager;
+        let (received, blackholed, delivered, audit) = run();
         // 2 of the burst arrive (12 ms apart) before the 30 ms failure; the
         // other 8 die in the pipeline, plus the one offered while down.
         assert_eq!(delivered, 5);
@@ -3000,13 +2505,12 @@ mod tests {
         assert_eq!(audit.dropped, 1);
     }
 
-    /// Seeded corruption discards at roughly the configured rate, in both
-    /// pipelines identically, and the books still balance.
+    /// Seeded corruption discards at roughly the configured rate, and the
+    /// books still balance.
     #[test]
     fn corruption_discards_at_rate_and_conserves() {
-        fn run(tuning: SimTuning) -> (u64, u64, AuditReport) {
+        fn run() -> (u64, u64, AuditReport) {
             let mut sim: Sim<u64> = Sim::new(7);
-            sim.set_tuning(tuning);
             let a = sim.add_host("a", Box::new(Probe::default()));
             let b = sim.add_host("b", Box::new(Probe::default()));
             let l = sim.connect(a, b, &params_1g(), "noisy");
@@ -3023,10 +2527,7 @@ mod tests {
             let s = &sim.link(l).dir(0).stats;
             (s.corrupted, s.delivered, sim.audit_conservation())
         }
-        let eager = run(SimTuning::default());
-        let lazy = run(LAZY);
-        assert_eq!(eager, lazy, "pipelines diverged under corruption");
-        let (corrupted, delivered, audit) = eager;
+        let (corrupted, delivered, audit) = run();
         assert_eq!(corrupted + delivered, 1000);
         assert!(
             (300..700).contains(&corrupted),

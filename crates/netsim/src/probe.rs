@@ -136,8 +136,8 @@ pub enum ProbeRecord {
         link: u32,
         /// Direction index (0 = a→b).
         dir: u8,
-        /// Instantaneous backlog in packets (queued + serializing),
-        /// identical across the eager and lazy link pipelines.
+        /// Instantaneous backlog in packets (queued + serializing), after
+        /// every departure at or before the tick.
         depth: u64,
         /// Cumulative packets accepted by the queue.
         enqueued: u64,
@@ -644,12 +644,14 @@ impl Probes {
 
 /// Always-on engine-loop profiling counters (pure observation: no events,
 /// no RNG, no behavioural effect; excluded from determinism digests).
-/// Surfaced by the suite runner and `BENCH_pr4.json`.
+/// Surfaced by the suite runner.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimProfile {
     /// `Deliver` events handled.
     pub deliver: u64,
-    /// `TxDone` events handled (eager pipeline only).
+    /// Retired with the `TxDone` event: always 0 (the engine books a
+    /// packet's transmission window on arrival and schedules no such
+    /// event).
     pub tx_done: u64,
     /// `Timer` events handled.
     pub timer: u64,
@@ -701,13 +703,12 @@ pub struct SimProfile {
 impl SimProfile {
     /// Total events handled, all kinds.
     pub fn events_handled(&self) -> u64 {
-        self.deliver + self.tx_done + self.timer + self.fault + self.sample + self.fluid_ticks
+        self.deliver + self.timer + self.fault + self.sample + self.fluid_ticks
     }
 
     /// Macro throughput: events handled per wall-clock second inside
-    /// `run_until` windows. The cross-PR normalizer for throughput claims
-    /// (`bench_trend` surfaces it next to raw wall clock, which depends on
-    /// workload size); 0.0 before anything has run.
+    /// `run_until` windows (wall clock alone depends on workload size);
+    /// 0.0 before anything has run.
     pub fn events_per_sec(&self) -> f64 {
         if self.run_wall_ns == 0 {
             0.0
@@ -760,9 +761,8 @@ impl SimProfile {
     /// One-line human summary (suite output).
     pub fn summary(&self) -> String {
         let mut s = format!(
-            "events deliver={} txdone={} timer={} fault={} sample={} | pool hit {:.3} | run {:.1} ms (fib {:.2} ms) | {:.2} Mev/s",
+            "events deliver={} timer={} fault={} sample={} | pool hit {:.3} | run {:.1} ms (fib {:.2} ms) | {:.2} Mev/s",
             self.deliver,
-            self.tx_done,
             self.timer,
             self.fault,
             self.sample,

@@ -32,31 +32,36 @@ pub enum EnqueueOutcome {
     Dropped,
 }
 
-/// A FIFO queue discipline over simulator packets.
+/// A queue discipline: the mark/drop rule of a FIFO output port.
 ///
-/// The mark/drop decision is factored out of buffering as
-/// [`Qdisc::classify`] so the lazy link pipeline — which tracks backlog
-/// analytically instead of holding packets in the discipline's buffer —
-/// exercises the *same* decision code as the eager path: `enqueue` is
-/// required to behave exactly like `classify(self.len(), ..)` followed by
-/// a push when accepted.
+/// The simulator asks it two things — [`Qdisc::classify`] for a packet
+/// arriving to a given backlog, and [`Qdisc::capacity`] — and keeps the
+/// queue itself as booked transmission windows on the link direction
+/// (queued packets ride in their `Deliver` events), so a discipline in a
+/// running [`Sim`](crate::Sim) never holds a packet.
+///
+/// `enqueue` / `dequeue` / `len` are the same rule driven standalone, as a
+/// real FIFO over a buffer that grows on demand: `enqueue` behaves exactly
+/// like `classify(self.len(), ..)` followed by a push when accepted. The
+/// engine does not call them.
 pub trait Qdisc<P>: Send {
-    /// Offer a packet; the discipline may mark, enqueue or drop it.
-    fn enqueue(&mut self, pkt: Packet<P>) -> EnqueueOutcome;
     /// Decide the outcome for a packet arriving to `backlog` waiting
     /// packets, mutating the packet (CE marking) and any internal signal
     /// state (EWMA, RNG) — but without buffering the packet.
     fn classify(&mut self, backlog: usize, pkt: &mut Packet<P>) -> EnqueueOutcome;
-    /// Take the next packet for transmission.
+    /// Buffer capacity in packets.
+    fn capacity(&self) -> usize;
+    /// Standalone form: offer a packet; the discipline may mark, enqueue
+    /// or drop it.
+    fn enqueue(&mut self, pkt: Packet<P>) -> EnqueueOutcome;
+    /// Standalone form: take the next packet for transmission.
     fn dequeue(&mut self) -> Option<Packet<P>>;
-    /// Instantaneous backlog in packets.
+    /// Standalone form: packets currently buffered.
     fn len(&self) -> usize;
-    /// Whether the backlog is empty.
+    /// Standalone form: whether nothing is buffered.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Buffer capacity in packets.
-    fn capacity(&self) -> usize;
 }
 
 /// Declarative queue configuration, turned into a [`QdiscKind`] per port.
@@ -127,8 +132,8 @@ impl QdiscConfig {
 }
 
 /// The closed set of in-tree queue disciplines, dispatched by `match`
-/// instead of through a vtable — every per-packet `enqueue`/`classify` on
-/// the hot path monomorphizes to direct calls. External disciplines still
+/// instead of through a vtable — every per-packet `classify` on the hot
+/// path monomorphizes to direct calls. External disciplines still
 /// plug in through [`QdiscKind::Custom`]; since `QdiscKind` itself
 /// implements [`Qdisc`], the boxed path can wrap an enum value, which is
 /// how the differential tests prove both paths bit-identical.
@@ -272,7 +277,7 @@ impl<P> DropTail<P> {
     pub fn new(cap: usize) -> Self {
         assert!(cap > 0, "queue capacity must be positive");
         DropTail {
-            buf: VecDeque::with_capacity(cap.min(4096)),
+            buf: VecDeque::new(),
             cap,
         }
     }
@@ -323,7 +328,7 @@ impl<P> EcnThreshold<P> {
         assert!(cap > 0, "queue capacity must be positive");
         assert!(k <= cap, "marking threshold K={k} exceeds capacity {cap}");
         EcnThreshold {
-            buf: VecDeque::with_capacity(cap.min(4096)),
+            buf: VecDeque::new(),
             cap,
             k,
         }
@@ -413,7 +418,7 @@ impl<P> Red<P> {
         assert!(min_th <= max_th, "min_th must not exceed max_th");
         assert!((0.0..=1.0).contains(&max_p), "max_p must be a probability");
         Red {
-            buf: VecDeque::with_capacity(cap.min(4096)),
+            buf: VecDeque::new(),
             cap,
             wq,
             min_th,

@@ -2,9 +2,9 @@
 //! leg, digest each leg, and audit runtime invariants mid-run.
 //!
 //! Every leg simulates the *same* scenario under a different
-//! proven-equivalent implementation choice — eager vs batched delivery,
-//! serial vs partitioned across 2–4 workers, static vs boxed dispatch for
-//! both congestion controllers and qdiscs — and must produce a
+//! proven-equivalent implementation choice — one-at-a-time vs batched
+//! delivery, serial vs partitioned across 2–4 workers, static vs boxed
+//! dispatch for both congestion controllers and qdiscs — and must produce a
 //! bit-identical digest (the [`crate::scale`-style recipe][d]: final
 //! clock, every flow record, the conservation audit, every probe record
 //! and the per-kind event counts). Any digest mismatch or invariant-audit
@@ -279,7 +279,6 @@ pub fn run_leg(sc: &Scenario, leg: &LegSpec) -> Result<LegOutcome, String> {
         }
     }
     profile.deliver.hash(&mut h);
-    profile.tx_done.hash(&mut h);
     profile.timer.hash(&mut h);
 
     let completed = driver.records().filter(|r| r.completed.is_some()).count();

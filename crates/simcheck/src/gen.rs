@@ -35,12 +35,10 @@ pub fn generate(master: u64, index: u64) -> Scenario {
         horizon_us,
         rto_min_us: *pick(&mut rng, &[100_000, 200_000]),
         tuning: xmp_netsim::SimTuning {
-            compiled_fib: rng.chance(0.9),
-            lazy_links: rng.chance(0.3),
             // Flipped on below whenever the storm can partition the tree.
             drop_unroutable: rng.chance(0.2),
             batched: rng.chance(0.25),
-            // Chaos scenarios exercise the packet pipelines; hybrid runs
+            // Chaos scenarios exercise the packet pipeline; hybrid runs
             // have their own differential harness (`hybrid_differential`).
             hybrid: false,
         },

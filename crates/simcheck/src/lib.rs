@@ -2,8 +2,8 @@
 //!
 //! Seeded scenario fuzzing with differential oracles: every generated
 //! scenario runs under several proven-equivalent implementation choices
-//! (eager vs batched delivery, serial vs partitioned, static vs boxed
-//! dispatch) and every leg must produce a bit-identical digest while
+//! (one-at-a-time vs batched delivery, serial vs partitioned, static vs
+//! boxed dispatch) and every leg must produce a bit-identical digest while
 //! runtime invariant audits hold mid-run. On failure the scenario is
 //! shrunk to a minimal reproducer and written as a replay file that
 //! `simcheck replay` re-executes exactly.

@@ -28,8 +28,8 @@ cargo run --release --offline -p xmp-experiments -- scale --quick --workers 4 --
 # workload (the hybrid command exits nonzero when out of tolerance).
 cargo run --release --offline -p xmp-experiments -- hybrid --quick
 # Chaos gate: 50 seeded fuzz scenarios, each run under every applicable
-# differential oracle (eager/batched, serial/partitioned, static/boxed)
-# with runtime invariant audits. Exits nonzero and writes a minimized
+# differential oracle (one-at-a-time/batched loop, serial/partitioned,
+# static/boxed) with runtime invariant audits. Exits nonzero and writes a minimized
 # replay file under results/simcheck/ on any divergence.
 cargo run --release --offline -p xmp-simcheck -- run --budget quick --out results/simcheck
 # Smoke: dynamics must export parseable JSONL traces, and `trace report`
@@ -43,4 +43,9 @@ else
   echo "check.sh: results/ must be gitignored" >&2
   exit 1
 fi
+# Benchmark gate: the frozen harness in examples/benchmark/ must still
+# build against the library and pass its own assertions (~10 s at 1/20
+# size: outcome digests equal across repetitions and traced/untraced,
+# failed == 0, zero allocations per packet-hop on db_long).
+bash examples/benchmark/run.sh --self-test
 echo "check.sh: all green"

@@ -2,9 +2,10 @@
 //! agents, `QdiscKind` enums, `CcKind` controllers) must be **bit
 //! identical** to the historical dynamic path (`Box<dyn Agent>`, boxed
 //! qdiscs, `CcKind::Custom` controllers) — same clock, same per-flow
-//! records, same conservation totals, same probe stream — under every
-//! simulator tuning, with faults and probes enabled. Devirtualization is
-//! a pure performance change or it is a bug.
+//! records, same conservation totals, same probe stream — with faults and
+//! probes enabled. Devirtualization is a pure performance change or it is
+//! a bug. Both paths are also held to the outcome the two-event link
+//! pipeline (`TxDone` + `Deliver`) produced before it was removed.
 
 use xmp_suite::experiments::suite::{run_suite_profiled, Pattern, SuiteConfig};
 use xmp_suite::netsim::{Agent, ProbeConfig, ProbeRecord};
@@ -22,47 +23,14 @@ fn digest(s: &str) -> u64 {
     h
 }
 
-const ALL_TUNINGS: [SimTuning; 4] = [
-    SimTuning {
-        compiled_fib: false,
-        lazy_links: false,
-        drop_unroutable: false,
-        batched: false,
-        hybrid: false,
-    },
-    SimTuning {
-        compiled_fib: true,
-        lazy_links: false,
-        drop_unroutable: false,
-        batched: false,
-        hybrid: false,
-    },
-    SimTuning {
-        compiled_fib: false,
-        lazy_links: true,
-        drop_unroutable: false,
-        batched: false,
-        hybrid: false,
-    },
-    SimTuning {
-        compiled_fib: true,
-        lazy_links: true,
-        drop_unroutable: false,
-        batched: false,
-        hybrid: false,
-    },
-];
-
 /// One faulted, probed dumbbell scenario, generic over agent storage.
 /// Returns (final clock, flow digest, audit digest, probe JSONL digest).
 fn faulted_probed_run<A: Agent<Segment>>(
     seed: u64,
-    tuning: SimTuning,
     boxed_cc_and_qdisc: bool,
     mut make_host: impl FnMut() -> A,
 ) -> (u64, u64, u64, u64) {
     let mut sim: Sim<Segment, A> = Sim::new(seed);
-    sim.set_tuning(tuning);
     let mut qdisc = QdiscConfig::EcnThreshold { cap: 100, k: 10 };
     if boxed_cc_and_qdisc {
         qdisc = qdisc.boxed();
@@ -132,41 +100,53 @@ fn faulted_probed_run<A: Agent<Segment>>(
 }
 
 #[test]
-fn enum_and_boxed_dumbbell_runs_are_bit_identical_under_every_tuning() {
-    for tuning in ALL_TUNINGS {
-        let stat =
-            faulted_probed_run::<Host>(5, tuning, false, || HostStack::new(StackConfig::default()));
-        let dynam = faulted_probed_run::<Box<dyn Agent<Segment>>>(5, tuning, true, || {
-            Box::new(HostStack::new(StackConfig::default()))
-        });
-        assert_eq!(
-            stat, dynam,
-            "{tuning:?}: static dispatch diverged from the boxed path"
-        );
-    }
+fn enum_and_boxed_dumbbell_runs_match_the_recorded_outcome() {
+    // Recorded from the two-event link pipeline at commit ce843ca.
+    const RECORDED: (u64, u64, u64, u64) = (
+        10_000_000_000,
+        14937690962974040689,
+        846601930777279474,
+        4753027935023905155,
+    );
+    let stat = faulted_probed_run::<Host>(5, false, || HostStack::new(StackConfig::default()));
+    let dynam = faulted_probed_run::<Box<dyn Agent<Segment>>>(5, true, || {
+        Box::new(HostStack::new(StackConfig::default()))
+    });
+    assert_eq!(
+        stat, RECORDED,
+        "static dispatch moved off the recorded digest"
+    );
+    assert_eq!(
+        dynam, RECORDED,
+        "boxed dispatch diverged from the static path"
+    );
 }
 
 #[test]
-fn suite_cells_are_bit_identical_across_dispatch_under_every_tuning() {
-    for tuning in ALL_TUNINGS {
-        let cell = |boxed| SuiteConfig {
-            target_flows: 8,
-            max_sim: SimDuration::from_secs(3),
-            seed: 17,
-            tuning,
-            probe_interval: Some(SimDuration::from_millis(10)),
-            boxed_dispatch: boxed,
-            ..SuiteConfig::quick(Scheme::xmp(2), Pattern::Permutation)
-        };
-        let (rs, es, _) = run_suite_profiled(&cell(false));
-        let (rb, eb, _) = run_suite_profiled(&cell(true));
-        assert_eq!(es, eb, "{tuning:?}: event counts diverged across dispatch");
-        assert_eq!(
-            digest(&format!("{rs:?}")),
-            digest(&format!("{rb:?}")),
-            "{tuning:?}: suite outcome diverged across dispatch"
-        );
-    }
+fn suite_cell_is_bit_identical_across_dispatch_and_matches_the_recorded_outcome() {
+    // Recorded from the two-event link pipeline at commit ce843ca.
+    const RECORDED: u64 = 13708578246439681252;
+    let cell = |boxed| SuiteConfig {
+        target_flows: 8,
+        max_sim: SimDuration::from_secs(3),
+        seed: 17,
+        probe_interval: Some(SimDuration::from_millis(10)),
+        boxed_dispatch: boxed,
+        ..SuiteConfig::quick(Scheme::xmp(2), Pattern::Permutation)
+    };
+    let (rs, es, _) = run_suite_profiled(&cell(false));
+    let (rb, eb, _) = run_suite_profiled(&cell(true));
+    assert_eq!(es, eb, "event counts diverged across dispatch");
+    assert_eq!(
+        digest(&format!("{rs:?}")),
+        RECORDED,
+        "suite outcome moved off the recorded digest"
+    );
+    assert_eq!(
+        digest(&format!("{rb:?}")),
+        RECORDED,
+        "suite outcome diverged across dispatch"
+    );
 }
 
 #[test]

@@ -103,7 +103,7 @@ fn fat_tree_multipath_exact_seeded() {
 }
 
 /// Network-wide packet conservation: for every link direction,
-/// enqueued = delivered + still queued/in flight.
+/// enqueued = delivered + still queued or serializing.
 #[test]
 fn link_packet_conservation_seeded() {
     for seed in 0..24u64 {
@@ -139,7 +139,7 @@ fn link_packet_conservation_seeded() {
         for (_, link) in sim.links() {
             for dir in &link.dirs {
                 let s = &dir.stats;
-                let resident = dir.queue.len() as u64 + u64::from(dir.in_flight.is_some());
+                let resident = dir.backlog() as u64;
                 assert_eq!(
                     s.enqueued,
                     s.delivered + resident,
