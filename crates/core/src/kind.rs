@@ -5,9 +5,8 @@
 //! (see `Scheme::make_cc` in `xmp-workloads`) and the generic
 //! `MpSender<CcKind>` / `HostStack<CcKind>` monomorphize the per-ACK hot
 //! path into direct calls — no vtable, no per-flow controller allocation.
-//! External or experimental algorithms still plug in through
-//! [`CcKind::Custom`], which the dispatch differential test also uses to
-//! prove both paths bit-identical.
+//! A new algorithm is a new variant; a one-off experiment can instantiate
+//! the generic `HostStack<C>` with its own controller type instead.
 
 use crate::bos::Bos;
 use crate::xmp::Xmp;
@@ -30,14 +29,10 @@ pub enum CcKind {
     Lia(Lia),
     /// The Opportunistic LIA variant.
     Olia(Olia),
-    /// Escape hatch for out-of-tree controllers: one virtual call, exactly
-    /// the historical `Box<dyn CongestionControl>` behaviour.
-    Custom(Box<dyn CongestionControl>),
 }
 
 /// Match-delegating implementation: every arm is a direct (inlinable) call
-/// into the concrete controller, so enum dispatch is behaviourally
-/// identical to the boxed path by construction.
+/// into the concrete controller.
 macro_rules! delegate {
     ($self:ident, $inner:ident => $body:expr) => {
         match $self {
@@ -47,7 +42,6 @@ macro_rules! delegate {
             CcKind::Xmp($inner) => $body,
             CcKind::Lia($inner) => $body,
             CcKind::Olia($inner) => $body,
-            CcKind::Custom($inner) => $body,
         }
     };
 }
@@ -87,65 +81,5 @@ impl CongestionControl for CcKind {
 
     fn probe(&self, r: usize) -> Option<CcSnapshot> {
         delegate!(self, c => c.probe(r))
-    }
-}
-
-impl CcKind {
-    /// Wrap this controller in the [`CcKind::Custom`] boxed escape hatch.
-    /// The boxed value is the enum itself, so behaviour is identical and
-    /// only the dispatch mechanism (vtable vs match) changes — the lever
-    /// the dispatch differential test flips.
-    pub fn boxed(self) -> CcKind {
-        CcKind::Custom(Box::new(self))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use xmp_des::SimTime;
-
-    fn ack_info(newly_acked: u64, ce: u8, covered: u8) -> AckInfo {
-        AckInfo {
-            ack_seq: 0,
-            newly_acked,
-            ce_count: ce,
-            covered,
-            rtt_sample: None,
-            now: SimTime::ZERO,
-            mss: 1460,
-        }
-    }
-
-    #[test]
-    fn enum_and_boxed_dispatch_agree() {
-        for mk in [
-            || CcKind::Reno(Reno::new()),
-            || CcKind::Dctcp(Dctcp::new()),
-            || CcKind::Bos(Bos::new(4)),
-            || CcKind::Xmp(Xmp::new(4)),
-            || CcKind::Lia(Lia::new()),
-            || CcKind::Olia(Olia::new()),
-        ] {
-            let mut plain = mk();
-            let mut boxed = mk().boxed();
-            assert_eq!(plain.name(), boxed.name());
-            assert_eq!(plain.echo_mode(), boxed.echo_mode());
-            // One subflow: standalone BOS rejects multipath init.
-            plain.init(1);
-            boxed.init(1);
-            let mut va = vec![SubflowCc::new(10.0)];
-            let mut vb = va.clone();
-            let info = ack_info(1460, 1, 1);
-            for _ in 0..50 {
-                plain.on_ack(0, &info, &mut va);
-                boxed.on_ack(0, &info, &mut vb);
-            }
-            assert_eq!(va[0].cwnd.to_bits(), vb[0].cwnd.to_bits());
-            assert_eq!(
-                plain.ssthresh_on_loss(0, &va).to_bits(),
-                boxed.ssthresh_on_loss(0, &vb).to_bits()
-            );
-        }
     }
 }

@@ -4,7 +4,7 @@
 //! drive it either by popping events themselves (`pop`) or by calling
 //! [`Engine::run_until`] with a handler closure.
 
-use crate::queue::{EventQueue, ScheduledEvent};
+use crate::queue::EventQueue;
 use crate::time::SimTime;
 
 /// Discrete-event engine: a clock plus a deterministic event queue.
@@ -100,33 +100,6 @@ impl<E> Engine<E> {
         self.now = ev.at;
         self.processed += 1;
         Some((ev.at, ev.event))
-    }
-
-    /// Drain the maximal same-instant run of events whose tie keys fall
-    /// strictly below `key_limit` (see [`EventQueue::drain_instant`]),
-    /// advancing the clock to that instant **once** and counting every
-    /// drained event as processed. Appends to `out` in `(time, key, seq)`
-    /// order and returns the number drained (0 when the earliest pending
-    /// event is past `deadline` or at/above the key limit — the caller
-    /// then falls back to [`Engine::pop_at_or_before`]).
-    ///
-    /// Handlers processing the burst must only schedule events that are
-    /// strictly later or carry keys at/above `key_limit`; otherwise the
-    /// already-drained burst would jump ahead of them in rank order.
-    pub fn drain_instant(
-        &mut self,
-        deadline: SimTime,
-        key_limit: u64,
-        out: &mut Vec<ScheduledEvent<E>>,
-    ) -> usize {
-        let n = self.queue.drain_instant(deadline, key_limit, out);
-        if n > 0 {
-            let at = out.last().expect("drained run is non-empty").at;
-            debug_assert!(at >= self.now, "event queue went backwards");
-            self.now = at;
-            self.processed += n as u64;
-        }
-        n
     }
 
     /// Timestamp of the next pending event.
@@ -294,38 +267,6 @@ mod tests {
         e.run_until_budgeted(SimTime::from_secs(1), 1_000, |eng, n| {
             eng.schedule(eng.now(), n + 1);
         });
-    }
-
-    #[test]
-    fn drain_instant_advances_clock_once_and_counts_all() {
-        let mut e: Engine<u32> = Engine::new();
-        e.schedule_keyed(SimTime::from_micros(5), 2, 12);
-        e.schedule_keyed(SimTime::from_micros(5), 1, 11);
-        e.schedule_keyed(SimTime::from_micros(5), 9, 19);
-        e.schedule_keyed(SimTime::from_micros(7), 0, 20);
-        let mut out = Vec::new();
-        assert_eq!(e.drain_instant(SimTime::from_micros(10), 9, &mut out), 2);
-        assert_eq!(out.iter().map(|s| s.event).collect::<Vec<_>>(), [11, 12]);
-        assert_eq!(e.now(), SimTime::from_micros(5));
-        assert_eq!(e.processed(), 2);
-        // The over-limit event blocks the burst path; single pop takes it.
-        out.clear();
-        assert_eq!(e.drain_instant(SimTime::from_micros(10), 9, &mut out), 0);
-        assert_eq!(
-            e.pop_at_or_before(SimTime::from_micros(10)),
-            Some((SimTime::from_micros(5), 19))
-        );
-        // Deadline gating leaves the clock untouched.
-        assert_eq!(
-            e.drain_instant(SimTime::from_micros(6), u64::MAX, &mut out),
-            0
-        );
-        assert_eq!(e.now(), SimTime::from_micros(5));
-        assert_eq!(
-            e.drain_instant(SimTime::from_micros(7), u64::MAX, &mut out),
-            1
-        );
-        assert_eq!(e.now(), SimTime::from_micros(7));
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //!   vector. The payloads stay in the slab until their record is popped —
 //!   the sort and comparison loop touches only packed metadata, never the
 //!   (potentially large) payloads: a struct-of-arrays split of the hot
-//!   fields. A sorted run is also what lets [`EventQueue::drain_instant`]
-//!   hand back an entire same-instant burst as one contiguous slice-copy.
+//!   fields.
 //! * **Far future** — events at or beyond the window horizon go to an
 //!   overflow min-heap and migrate into the wheel as the cursor advances.
 //!
@@ -450,70 +449,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Drain the maximal run of pending events that share the earliest
-    /// pending timestamp (itself at or before `deadline`) **and** carry a
-    /// tie key strictly below `key_limit`, appending them to `out` in
-    /// `(time, key, seq)` order. Returns the number drained (0 when the
-    /// earliest pending event is past the deadline or at/above the key
-    /// limit).
-    ///
-    /// Because equal timestamps always share an absolute bucket and the
-    /// current run is fully sorted, the burst is one contiguous slice of
-    /// packed records — the whole same-instant, sub-limit run, not an
-    /// approximation. Callers interleaving pushes with burst *processing*
-    /// must guarantee those pushes never land at the drained instant with
-    /// a key below `key_limit`, or they would be processed out of rank
-    /// order (the network layer's `Deliver`-burst loop proves exactly
-    /// this: deliver handlers only schedule strictly-later or
-    /// higher-keyed work).
-    pub fn drain_instant(
-        &mut self,
-        deadline: SimTime,
-        key_limit: u64,
-        out: &mut Vec<ScheduledEvent<E>>,
-    ) -> usize {
-        if self.head == self.hot.len() {
-            if self.peek_time().is_none_or(|t| t > deadline) {
-                return 0;
-            }
-            let refilled = self.refill_current();
-            debug_assert!(refilled, "peek saw an event but refill found none");
-        }
-        let first = self.hot[self.head];
-        if first.at > deadline || first.key >= key_limit {
-            return 0;
-        }
-        // Two passes over packed memory: size the run with one cache-friendly
-        // scan of the 32-byte records, then move the payloads out in a tight
-        // loop (no per-element cursor/length re-checks as in `pop_hot`).
-        let start = self.head;
-        let n = self.hot[start..]
-            .iter()
-            .take_while(|r| r.at == first.at && r.key < key_limit)
-            .count();
-        out.reserve(n);
-        for i in start..start + n {
-            let rec = self.hot[i];
-            let node = &mut self.nodes[rec.idx as usize];
-            let event = node.payload.take().expect("hot record node occupied");
-            node.next = self.free_head;
-            self.free_head = rec.idx;
-            out.push(ScheduledEvent {
-                at: rec.at,
-                key: rec.key,
-                seq: rec.seq,
-                event,
-            });
-        }
-        self.head = start + n;
-        self.len -= n;
-        if self.head == self.hot.len() {
-            self.hot.clear();
-            self.head = 0;
-        }
-        n
-    }
-
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         if let Some(r) = self.hot.get(self.head) {
@@ -859,96 +794,6 @@ mod tests {
         q.push(e.at + SimDuration::from_nanos(100), 2); // same bucket
         assert_eq!(q.pop().unwrap().event, 1);
         assert_eq!(q.pop().unwrap().event, 2);
-    }
-
-    #[test]
-    fn drain_instant_returns_whole_same_instant_run_in_key_order() {
-        let mut q = EventQueue::new();
-        q.push_keyed(t(5), 3, "c");
-        q.push_keyed(t(5), 1, "a");
-        q.push_keyed(t(5), 2, "b");
-        q.push_keyed(t(5), 9, "timerish");
-        q.push_keyed(t(6), 0, "later");
-        let mut out = Vec::new();
-        // The key limit excludes the rank-9 event even at the same instant.
-        let n = q.drain_instant(t(10), 9, &mut out);
-        assert_eq!(n, 3);
-        let got: Vec<_> = out.iter().map(|e| e.event).collect();
-        assert_eq!(got, ["a", "b", "c"]);
-        assert_eq!(q.len(), 2);
-        // The over-limit event blocks the next burst: 0 drained.
-        assert_eq!(q.drain_instant(t(10), 9, &mut out), 0);
-        assert_eq!(q.pop().unwrap().event, "timerish");
-        out.clear();
-        assert_eq!(q.drain_instant(t(10), u64::MAX, &mut out), 1);
-        assert_eq!(out[0].event, "later");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn drain_instant_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.push(t(10), "a");
-        let mut out = Vec::new();
-        assert_eq!(q.drain_instant(t(5), u64::MAX, &mut out), 0);
-        assert!(out.is_empty());
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.drain_instant(t(10), u64::MAX, &mut out), 1);
-        assert_eq!(out[0].event, "a");
-    }
-
-    #[test]
-    fn pushes_between_bursts_keep_order() {
-        // A burst is drained, then strictly-later (or higher-keyed) events
-        // are pushed while it is "being processed" — the caller contract.
-        let mut q = EventQueue::new();
-        q.push_keyed(t(1), 0, "d0");
-        q.push_keyed(t(1), 1, "d1");
-        let mut out = Vec::new();
-        assert_eq!(q.drain_instant(t(10), 100, &mut out), 2);
-        // Same instant but over-limit key, and a later event.
-        q.push_keyed(t(1), 100, "timer");
-        q.push_keyed(t(1) + SimDuration::from_nanos(5), 0, "next");
-        assert_eq!(q.pop().unwrap().event, "timer");
-        assert_eq!(q.pop().unwrap().event, "next");
-        assert!(q.pop().is_none());
-    }
-
-    /// Differential: draining with `drain_instant` (randomized key limits)
-    /// interleaved with pops yields the same global sequence as pops alone
-    /// on an identical queue.
-    #[test]
-    fn drain_instant_matches_pop_oracle_seeded() {
-        for seed in 0..100u64 {
-            let mut rng = SimRng::new(0xD12A17 ^ seed);
-            let mut a = EventQueue::new();
-            let mut b = EventQueue::new();
-            for i in 0..rng.index(300) + 20 {
-                let at = SimTime::from_nanos(rng.uniform_u64(0, 200_000));
-                let key = rng.uniform_u64(0, 8);
-                a.push_keyed(at, key, i);
-                b.push_keyed(at, key, i);
-            }
-            let mut got_a: Vec<(SimTime, u64, usize)> = Vec::new();
-            let mut out = Vec::new();
-            while !a.is_empty() {
-                if rng.index(2) == 0 {
-                    out.clear();
-                    let limit = rng.uniform_u64(0, 9);
-                    if a.drain_instant(SimTime::MAX, limit, &mut out) > 0 {
-                        got_a.extend(out.iter().map(|e| (e.at, e.seq, e.event)));
-                        continue;
-                    }
-                }
-                let e = a.pop().expect("non-empty");
-                got_a.push((e.at, e.seq, e.event));
-            }
-            let mut got_b = Vec::new();
-            while let Some(e) = b.pop() {
-                got_b.push((e.at, e.seq, e.event));
-            }
-            assert_eq!(got_a, got_b, "drain/pop divergence (seed {seed})");
-        }
     }
 
     /// Differential test: the wheel and the heap baseline produce identical

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! xmp-experiments <command> [--quick] [--seed N] [--scale N] [--flows N]
-//!                 [--workers N] [--batched]
+//!                 [--pattern P] [--workers N]
 //!
 //! commands:
 //!   fig1      DCTCP vs constant-cut convergence/fairness
@@ -40,7 +40,6 @@ struct Opts {
     flows: usize,
     pattern: Option<String>,
     workers: usize,
-    batched: bool,
 }
 
 fn parse_opts(args: &[String]) -> Opts {
@@ -51,7 +50,6 @@ fn parse_opts(args: &[String]) -> Opts {
         flows: 2000,
         pattern: None,
         workers: 4,
-        batched: false,
     };
     fn arg<T: std::str::FromStr>(flag: &str, val: Option<&String>) -> T {
         let Some(val) = val else {
@@ -72,7 +70,6 @@ fn parse_opts(args: &[String]) -> Opts {
             "--flows" => o.flows = arg("--flows", it.next()),
             "--pattern" => o.pattern = Some(arg::<String>("--pattern", it.next()).to_lowercase()),
             "--workers" => o.workers = arg("--workers", it.next()),
-            "--batched" => o.batched = true,
             other => {
                 eprintln!("unknown option {other}");
                 std::process::exit(2);
@@ -140,7 +137,6 @@ fn suite_cfg(o: &Opts, scheme: Scheme, pattern: Pattern) -> SuiteConfig {
         SuiteConfig::new(scheme, pattern)
     };
     cfg.seed = o.seed;
-    cfg.tuning.batched = o.batched;
     if !o.quick {
         cfg.scale = o.scale;
         cfg.target_flows = o.flows;
@@ -281,7 +277,6 @@ fn run_scale(o: &Opts) {
     };
     cfg.seed = o.seed;
     cfg.workers = vec![1, o.workers];
-    cfg.cross_batched = o.batched;
     // Surface bad worker counts as a CLI error instead of a panic deep in
     // the partition planner (workers are capped by the pod count).
     if o.workers == 0 || o.workers > cfg.k {
@@ -334,7 +329,7 @@ fn run_hybrid_million(o: &Opts) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("usage: xmp-experiments <fig1|fig4|fig6|fig7|fattree|table2|ablation|failover|dynamics|scale|hybrid|trace|all> [--quick] [--seed N] [--scale N] [--flows N] [--workers N] [--batched]");
+        eprintln!("usage: xmp-experiments <fig1|fig4|fig6|fig7|fattree|table2|ablation|failover|dynamics|scale|hybrid|trace|all> [--quick] [--seed N] [--scale N] [--flows N] [--pattern P] [--workers N]");
         std::process::exit(2);
     };
     // `trace` takes file paths, which parse_opts would reject.

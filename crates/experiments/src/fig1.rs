@@ -28,7 +28,7 @@ pub struct Fig1Config {
     pub bin: SimDuration,
     /// RNG seed.
     pub seed: u64,
-    /// Simulator mode switches (batched loop, graceful no-route, hybrid).
+    /// Simulator mode switches (graceful no-route, hybrid).
     pub tuning: SimTuning,
 }
 

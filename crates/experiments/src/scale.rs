@@ -19,7 +19,7 @@ use crate::common::TextTable;
 use std::fmt;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use xmp_des::{SimDuration, SimTime};
-use xmp_netsim::{FaultPlan, PartitionedSim, PortId, QdiscConfig, Sim, SimTuning};
+use xmp_netsim::{FaultPlan, PartitionedSim, PortId, QdiscConfig, Sim};
 use xmp_topo::{FatTree, FatTreeConfig};
 use xmp_transport::{HostStack, Segment, StackConfig, SubflowSpec};
 use xmp_workloads::{Driver, FlowSim, FlowSpecBuilder, Host, Scheme};
@@ -38,18 +38,11 @@ pub struct ScaleConfig {
     pub seed: u64,
     /// Hard wall on simulated time.
     pub max_sim: SimDuration,
-    /// Simulator fast-path knobs.
-    pub tuning: SimTuning,
     /// Probe sampling interval on the watched core link.
     pub probe_interval: SimDuration,
     /// Flap a core link down/up mid-run (exercises the fault path under
     /// partitioning; the digest must still match).
     pub faults: bool,
-    /// Also run every worker count with `tuning.batched` flipped and fold
-    /// those cells into the digest check: batched delivery must be
-    /// bit-identical to the one-at-a-time event loop, serial and
-    /// partitioned.
-    pub cross_batched: bool,
 }
 
 impl ScaleConfig {
@@ -61,10 +54,8 @@ impl ScaleConfig {
             flow_bytes: 2 << 20,
             seed: 42,
             max_sim: SimDuration::from_secs(2),
-            tuning: SimTuning::default(),
             probe_interval: SimDuration::from_micros(500),
             faults: true,
-            cross_batched: false,
         }
     }
 
@@ -82,12 +73,12 @@ impl ScaleConfig {
         }
     }
 
-    /// Memory-footprint cell: k = 32 (8192 hosts), serial only, batched
-    /// loop. One permutation wave of short flows — the point is
-    /// not throughput but the allocator high-water mark of a tree this
-    /// size, which [`ScaleCell::peak_alloc_bytes`] reports when the driver
-    /// process installed `xmp_netsim::set_alloc_bytes_probe` (the
-    /// instrumented bench binaries do; plain CLI runs report 0).
+    /// Memory-footprint cell: k = 32 (8192 hosts), serial only. One
+    /// permutation wave of short flows — the point is not throughput but
+    /// the allocator high-water mark of a tree this size, which
+    /// [`ScaleCell::peak_alloc_bytes`] reports when the driver process
+    /// installed `xmp_netsim::set_alloc_bytes_probe` (plain CLI runs
+    /// report 0).
     pub fn mega() -> Self {
         ScaleConfig {
             k: 32,
@@ -95,13 +86,8 @@ impl ScaleConfig {
             flow_bytes: 32 << 10,
             seed: 42,
             max_sim: SimDuration::from_millis(200),
-            tuning: SimTuning {
-                batched: true,
-                ..SimTuning::default()
-            },
             probe_interval: SimDuration::from_millis(5),
             faults: false,
-            cross_batched: false,
         }
     }
 }
@@ -111,8 +97,6 @@ impl ScaleConfig {
 pub struct ScaleCell {
     /// Worker threads used.
     pub workers: usize,
-    /// Whether this cell ran with batched same-instant delivery.
-    pub batched: bool,
     /// Digest over flow records + audit + probes + event counts + clock.
     pub digest: u64,
     /// Completed flows.
@@ -203,7 +187,6 @@ fn drive<S: FlowSim>(sim: &mut S, driver: &mut Driver, deadline: SimTime, target
 /// Run the wave at one worker count and digest the outcome.
 pub fn run_cell(cfg: &ScaleConfig, workers: usize) -> ScaleCell {
     let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
-    sim.set_tuning(cfg.tuning);
     let ft_cfg = FatTreeConfig {
         k: cfg.k,
         ..FatTreeConfig::paper(QdiscConfig::EcnThreshold { cap: 100, k: 10 })
@@ -267,7 +250,6 @@ pub fn run_cell(cfg: &ScaleConfig, workers: usize) -> ScaleCell {
     let completed = driver.records().filter(|r| r.completed.is_some()).count();
     ScaleCell {
         workers,
-        batched: cfg.tuning.batched,
         digest: h.finish(),
         completed,
         events: profile.events_handled(),
@@ -279,21 +261,11 @@ pub fn run_cell(cfg: &ScaleConfig, workers: usize) -> ScaleCell {
     }
 }
 
-/// Run every requested worker count and check the digests. With
-/// [`ScaleConfig::cross_batched`] set, each worker count also runs with
-/// `tuning.batched` flipped, and those cells join the digest check.
+/// Run every requested worker count and check the digests.
 pub fn run(cfg: &ScaleConfig) -> ScaleResult {
     let h = cfg.k / 2;
     let hosts = cfg.k * h * h;
-    let mut cells: Vec<ScaleCell> = Vec::new();
-    for &w in &cfg.workers {
-        cells.push(run_cell(cfg, w));
-        if cfg.cross_batched {
-            let mut flipped = cfg.clone();
-            flipped.tuning.batched = !flipped.tuning.batched;
-            cells.push(run_cell(&flipped, w));
-        }
-    }
+    let cells: Vec<ScaleCell> = cfg.workers.iter().map(|&w| run_cell(cfg, w)).collect();
     let digests_match = cells.iter().all(|c| c.digest == cells[0].digest);
     ScaleResult {
         k: cfg.k,
@@ -311,7 +283,6 @@ impl fmt::Display for ScaleResult {
         ))
         .header([
             "workers",
-            "loop",
             "wall (ms)",
             "speedup",
             "Mev/s",
@@ -322,7 +293,6 @@ impl fmt::Display for ScaleResult {
         for c in &self.cells {
             t.row([
                 format!("{}", c.workers),
-                if c.batched { "batched" } else { "eager" }.into(),
                 format!("{:.0}", c.wall_ms),
                 self.speedup(c.workers)
                     .map_or("-".into(), |s| format!("{s:.2}x")),
@@ -360,13 +330,11 @@ mod tests {
             workers: vec![1, 2],
             flow_bytes: 64 << 10,
             max_sim: SimDuration::from_millis(200),
-            cross_batched: true,
             ..ScaleConfig::quick()
         };
         let r = run(&cfg);
-        // 1/2 workers × one-at-a-time/batched, all four digest-identical.
         assert!(r.digests_match, "{r}");
-        assert_eq!(r.cells.len(), 4);
+        assert_eq!(r.cells.len(), 2);
         assert!(r.cells[0].completed > 0);
         assert!(r.cells.iter().all(|c| c.completed == r.cells[0].completed));
     }

@@ -13,7 +13,7 @@ use crate::common::{mbps, TextTable};
 use std::collections::BTreeMap;
 use std::fmt;
 use xmp_des::{SimDuration, SimTime};
-use xmp_netsim::{Agent, QdiscConfig, Sim, SimTuning};
+use xmp_netsim::{QdiscConfig, Sim, SimTuning};
 use xmp_topo::{FatTree, FatTreeConfig, FlowCategory, LinkLayer, RoutingMode};
 use xmp_transport::{HostStack, Segment, StackConfig};
 use xmp_workloads::{
@@ -76,18 +76,12 @@ pub struct SuiteConfig {
     /// RTO ablation follows Vasudevan et al., discussed in the paper's
     /// related work).
     pub rto_min: SimDuration,
-    /// Simulator mode switches (batched loop, graceful no-route, hybrid).
+    /// Simulator mode switches (graceful no-route, hybrid).
     pub tuning: SimTuning,
     /// Install probes sampling every core link at this interval (`None`,
     /// the default, schedules nothing — the bit-identical baseline). The
     /// probe-overhead bench flips this on the otherwise-identical cell.
     pub probe_interval: Option<SimDuration>,
-    /// Route the hot path through the three dynamic-dispatch escape
-    /// hatches instead of the default static enums: agents stored as
-    /// `Box<dyn Agent>`, qdiscs wrapped via [`QdiscConfig::boxed`], and
-    /// per-flow controllers boxed as `CcKind::Custom`. The dispatch
-    /// differential test flips this to prove both paths bit-identical.
-    pub boxed_dispatch: bool,
     /// Worker threads for *one* simulation. `1` (the default) runs the
     /// classic serial event loop; `> 1` shards the fat tree by pod into a
     /// [`xmp_netsim::PartitionedSim`] (must divide `k`). Event processing
@@ -119,7 +113,6 @@ impl SuiteConfig {
             rto_min: SimDuration::from_millis(200),
             tuning: SimTuning::default(),
             probe_interval: None,
-            boxed_dispatch: false,
             workers: 1,
         }
     }
@@ -224,43 +217,20 @@ pub fn run_suite_counting(cfg: &SuiteConfig) -> (SuiteResult, u64) {
 /// loop). Like the event count, the profile stays out of [`SuiteResult`]
 /// so determinism digests compare workload outcomes only.
 pub fn run_suite_profiled(cfg: &SuiteConfig) -> (SuiteResult, u64, xmp_netsim::SimProfile) {
-    if cfg.boxed_dispatch {
-        run_suite_inner(cfg, |sc| -> Box<dyn Agent<Segment> + Send> {
-            Box::new(HostStack::<xmp_core::CcKind>::new(sc))
-        })
-    } else {
-        run_suite_inner(cfg, |sc| -> Host { HostStack::new(sc) })
-    }
-}
-
-/// The body of [`run_suite_profiled`], generic over how host agents are
-/// stored in the simulation: `A = Host` monomorphizes the whole event loop
-/// over inline agents (static dispatch); `A = Box<dyn Agent<Segment>>` is
-/// the historical vtable path. `cfg.boxed_dispatch` picks the arm and also
-/// flips the other two dyn boundaries (qdiscs, controllers) so one flag
-/// covers the full dispatch differential.
-fn run_suite_inner<A: Agent<Segment> + Send>(
-    cfg: &SuiteConfig,
-    mut make_host: impl FnMut(StackConfig) -> A,
-) -> (SuiteResult, u64, xmp_netsim::SimProfile) {
-    let mut sim: Sim<Segment, A> = Sim::new(cfg.seed);
+    let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
     sim.set_tuning(cfg.tuning);
-    let mut qdisc = QdiscConfig::EcnThreshold {
+    let qdisc = QdiscConfig::EcnThreshold {
         cap: cfg.queue_cap,
         k: cfg.k_mark,
     };
-    if cfg.boxed_dispatch {
-        qdisc = qdisc.boxed();
-    }
     let ft_cfg = FatTreeConfig {
         k: cfg.k,
         routing: cfg.routing,
         ..FatTreeConfig::paper(qdisc)
     };
     let stack_cfg = StackConfig::default().with_rto_min(cfg.rto_min);
-    let ft = FatTree::build(&mut sim, &ft_cfg, |_| make_host(stack_cfg.clone()));
+    let ft = FatTree::build(&mut sim, &ft_cfg, |_| HostStack::new(stack_cfg.clone()));
     let mut driver = Driver::new();
-    driver.set_boxed_cc(cfg.boxed_dispatch);
 
     if let Some(interval) = cfg.probe_interval {
         let mut pc = xmp_netsim::ProbeConfig::every(interval).until(SimTime::ZERO + cfg.max_sim);

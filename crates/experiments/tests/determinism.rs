@@ -18,7 +18,7 @@
 use xmp_des::{Bandwidth, SimDuration, SimTime};
 use xmp_experiments::common::host_stack;
 use xmp_experiments::dynamics::{self, DynamicsConfig};
-use xmp_netsim::{FaultPlan, PortId, ProbeConfig, QdiscConfig, Sim, SimTuning};
+use xmp_netsim::{FaultPlan, PortId, ProbeConfig, QdiscConfig, Sim};
 use xmp_topo::Dumbbell;
 use xmp_transport::{Segment, SubflowSpec};
 use xmp_workloads::{Driver, FlowSpecBuilder, Host, Scheme};
@@ -153,17 +153,13 @@ fn dynamics_export_matches_the_recorded_series() {
 /// partitioned run *bit-identical* to serial — nothing chains on
 /// completion, so window-boundary callback timing cannot shift the
 /// workload.
-fn partitioned_fat_tree_run(batched: bool, workers: usize) -> (u64, u64, u64, u64, (u64, u64)) {
+fn partitioned_fat_tree_run(workers: usize) -> (u64, u64, u64, u64, (u64, u64)) {
     use xmp_netsim::PartitionedSim;
     use xmp_topo::{FatTree, FatTreeConfig};
     use xmp_transport::{HostStack, StackConfig};
     use xmp_workloads::FlowSim;
 
     let mut sim: Sim<Segment, Host> = Sim::new(7);
-    sim.set_tuning(SimTuning {
-        batched,
-        ..SimTuning::default()
-    });
     let ft_cfg = FatTreeConfig {
         k: 4,
         ..FatTreeConfig::paper(QdiscConfig::EcnThreshold { cap: 100, k: 10 })
@@ -258,10 +254,10 @@ fn partitioned_fat_tree_matches_serial_and_the_recorded_outcome() {
     // The partitioned engine's determinism contract: sharding one
     // simulation across threads changes *nothing observable* — not the
     // flow records, not the conservation audit, not the probe time series,
-    // not the per-kind event counts — under either event loop, with a core
-    // link flapping and probes watching it. (`events_processed` and the
-    // fault/sample counts are intentionally excluded: fault timelines and
-    // sampling ticks are replicated per shard by design.)
+    // not the per-kind event counts — with a core link flapping and probes
+    // watching it. (`events_processed` and the fault/sample counts are
+    // intentionally excluded: fault timelines and sampling ticks are
+    // replicated per shard by design.)
     // Worker count 3 does not divide k = 4: the weighted plan gives the
     // first shard two pods and must still be bit-identical.
     const RECORDED: (u64, u64, u64, u64, (u64, u64)) = (
@@ -271,13 +267,11 @@ fn partitioned_fat_tree_matches_serial_and_the_recorded_outcome() {
         7161440994302411008,
         (30216, 24),
     );
-    for batched in [false, true] {
-        for workers in [1usize, 2, 3, 4] {
-            assert_eq!(
-                partitioned_fat_tree_run(batched, workers),
-                RECORDED,
-                "batched {batched} workers {workers}"
-            );
-        }
+    for workers in [1usize, 2, 3, 4] {
+        assert_eq!(
+            partitioned_fat_tree_run(workers),
+            RECORDED,
+            "workers {workers}"
+        );
     }
 }

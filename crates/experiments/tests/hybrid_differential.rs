@@ -72,23 +72,3 @@ fn hybrid_flag_without_fluid_flows_is_bit_identical() {
         );
     }
 }
-
-/// Same bit-identity claim under the batched delivery loop — the run-shared
-/// burst path and the hybrid coupling guards compose.
-#[test]
-fn hybrid_flag_is_inert_under_batched_loop() {
-    let batched = SimTuning {
-        batched: true,
-        ..SimTuning::default()
-    };
-    let armed = SimTuning {
-        hybrid: true,
-        ..batched
-    };
-    let seed = 5;
-    assert_eq!(
-        suite_digest(seed, Scheme::xmp(2), batched),
-        suite_digest(seed, Scheme::xmp(2), armed),
-        "seed {seed}: hybrid flag perturbed the batched loop"
-    );
-}

@@ -8,11 +8,11 @@
 //! can be flattened at build time:
 //!
 //! * the sorted address book becomes a dense **destination index**
-//!   ([`AddrIndex`]: address → small integer, one array load),
+//!   ([`AddrIndex`]: address → small integer, two array loads),
 //! * each switch's router compiles to a [`CompiledFib`]: one [`FibEntry`]
 //!   per destination index, either a fixed port or a hash-spread group.
 //!
-//! A per-packet lookup is then one or two array indexations plus (for ECMP
+//! A per-packet lookup is then three or four array indexations plus (for ECMP
 //! entries) the same `mix64` hash the dynamic router uses — bit-identical
 //! port choices by construction, pinned by the exhaustive differential
 //! tests in `xmp-topo`. Destinations a router cannot compile (or addresses
@@ -154,17 +154,25 @@ impl FibBuilder {
 }
 
 /// Address → destination-index translation, built from the sorted address
-/// book. Dense (one array load) when the bound addresses span a reasonable
+/// book. Dense (two array loads) when the bound addresses span a reasonable
 /// range — true for every in-tree topology — with a binary-search fallback
 /// so pathological address plans stay correct.
 #[derive(Clone, Debug)]
 pub enum AddrIndex {
-    /// `table[addr - base]` is the index, or `u32::MAX` for unbound.
+    /// A two-level table over `base..=max`, in pages of 256 addresses:
+    /// `slots[pages[off / 256] + off % 256]` with `off = addr - base` is
+    /// the index, or `u32::MAX` for unbound. Only pages that hold a bound
+    /// address have slots, so the table's size follows the number of
+    /// populated subnets, not the span (a k = 4 fat tree spans 200 k
+    /// addresses and binds 16).
     Dense {
         /// Lowest bound address (big-endian u32).
         base: u32,
-        /// Index table covering `base..=max`.
-        table: Vec<u32>,
+        /// Per page: its offset into `slots`, or `u32::MAX` for a page
+        /// with no bound address.
+        pages: Vec<u32>,
+        /// The populated pages, 256 entries each.
+        slots: Vec<u32>,
     },
     /// Sorted bound addresses; the index is the binary-search position.
     Sparse {
@@ -174,8 +182,12 @@ pub enum AddrIndex {
 }
 
 /// Spans beyond this fall back to [`AddrIndex::Sparse`] (a k = 16 fat tree
-/// spans ≈ 1 M addresses; 4 MB of table is fine, unbounded growth is not).
+/// spans ≈ 1 M addresses, 4 k pages; unbounded growth is not fine).
 const DENSE_SPAN_LIMIT: usize = 1 << 22;
+
+/// Addresses per page of [`AddrIndex::Dense`]: one /24, the unit every
+/// in-tree address plan allocates hosts in.
+const PAGE: usize = 256;
 
 impl AddrIndex {
     /// Build from sorted big-endian address keys (the address book's
@@ -184,11 +196,22 @@ impl AddrIndex {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be sorted");
         match (keys.first(), keys.last()) {
             (Some(&lo), Some(&hi)) if ((hi - lo) as usize) < DENSE_SPAN_LIMIT => {
-                let mut table = vec![u32::MAX; (hi - lo) as usize + 1];
+                let mut pages = vec![u32::MAX; (hi - lo) as usize / PAGE + 1];
+                let mut slots = Vec::new();
                 for (i, &k) in keys.iter().enumerate() {
-                    table[(k - lo) as usize] = i as u32;
+                    let off = (k - lo) as usize;
+                    let page = &mut pages[off / PAGE];
+                    if *page == u32::MAX {
+                        *page = slots.len() as u32;
+                        slots.resize(slots.len() + PAGE, u32::MAX);
+                    }
+                    slots[*page as usize + off % PAGE] = i as u32;
                 }
-                AddrIndex::Dense { base: lo, table }
+                AddrIndex::Dense {
+                    base: lo,
+                    pages,
+                    slots,
+                }
             }
             _ => AddrIndex::Sparse {
                 keys: keys.to_vec(),
@@ -201,10 +224,12 @@ impl AddrIndex {
     pub fn lookup(&self, addr: Addr) -> Option<u32> {
         let key = u32::from_be_bytes(addr.0);
         match self {
-            AddrIndex::Dense { base, table } => {
-                let i = key.checked_sub(*base)? as usize;
-                match table.get(i) {
-                    Some(&idx) if idx != u32::MAX => Some(idx),
+            AddrIndex::Dense { base, pages, slots } => {
+                let off = key.checked_sub(*base)? as usize;
+                match pages.get(off / PAGE) {
+                    Some(&page) if page != u32::MAX => {
+                        Some(slots[page as usize + off % PAGE]).filter(|&idx| idx != u32::MAX)
+                    }
                     _ => None,
                 }
             }
@@ -215,7 +240,7 @@ impl AddrIndex {
     /// Number of indexed destinations.
     pub fn len(&self) -> usize {
         match self {
-            AddrIndex::Dense { table, .. } => table.iter().filter(|&&i| i != u32::MAX).count(),
+            AddrIndex::Dense { slots, .. } => slots.iter().filter(|&&i| i != u32::MAX).count(),
             AddrIndex::Sparse { keys } => keys.len(),
         }
     }
@@ -223,7 +248,7 @@ impl AddrIndex {
     /// Whether no addresses are indexed.
     pub fn is_empty(&self) -> bool {
         match self {
-            AddrIndex::Dense { table, .. } => table.iter().all(|&i| i == u32::MAX),
+            AddrIndex::Dense { slots, .. } => slots.is_empty(),
             AddrIndex::Sparse { keys } => keys.is_empty(),
         }
     }
@@ -247,6 +272,8 @@ mod tests {
         assert_eq!(idx.lookup(Addr::new(10, 0, 0, 3)), None);
         assert_eq!(idx.lookup(Addr::new(9, 0, 0, 2)), None);
         assert_eq!(idx.lookup(Addr::new(10, 1, 0, 3)), None);
+        // A page between the two populated ones has no slots at all.
+        assert_eq!(idx.lookup(Addr::new(10, 0, 1, 2)), None);
         assert_eq!(idx.len(), 3);
     }
 

@@ -49,17 +49,6 @@ pub struct SimTuning {
     /// [`TraceKind::NoRoute`] drop and continue — the right behaviour when
     /// fault injection partitions the network. Off by default.
     pub drop_unroutable: bool,
-    /// Burst-oriented event drain: pull an entire same-instant `Deliver`
-    /// run out of the wheel in one queue access and forward it with a
-    /// per-burst `(switch, dst, flow)` route cache amortizing the FIB
-    /// lookup across consecutive same-flow arrivals. Bit-identical to the
-    /// one-at-a-time loop because the burst is already in `(time, key,
-    /// seq)` order and deliver handlers only ever schedule strictly-later
-    /// or higher-ranked work (serialization times are strictly positive,
-    /// and every non-`Deliver` key ranks above the whole `Deliver`
-    /// namespace) — pinned by `tests/batched_differential.rs`. Off by
-    /// default; the one-at-a-time loop stays as the differential baseline.
-    pub batched: bool,
     /// Hybrid fluid/packet mode: flows registered through
     /// [`Sim::fluid_open`] advance as fluid rate processes (per-subflow
     /// window ODEs from [`crate::fluid`], sampled at RTT granularity as
@@ -161,11 +150,6 @@ struct TimerState {
 fn deliver_key(link: LinkId, dir: u8) -> u64 {
     ((link.0 as u64) << 1) | dir as u64
 }
-/// Exclusive upper bound of the `Deliver` key namespace: every other event
-/// kind (timers, faults, fluid ticks, samples) ranks at or above this. The
-/// batched drain uses it as the `drain_instant` key limit, so a drained
-/// burst is Deliver events and nothing else.
-const DELIVER_KEY_LIMIT: u64 = 1 << 62;
 fn timer_key(node: NodeId) -> u64 {
     (1 << 62) | node.0 as u64
 }
@@ -265,10 +249,6 @@ pub struct Sim<P: Payload, A: Agent<P> = Box<dyn Agent<P>>> {
     fibs_ready: bool,
     /// Installed fault timeline; engine `Fault` events index into it.
     fault_timeline: Vec<FaultEvent>,
-    /// Recycled scratch buffer for the batched same-instant `Deliver`
-    /// drain (`SimTuning::batched`); quiesces at the largest burst seen,
-    /// preserving the zero-alloc steady state.
-    burst_scratch: Vec<xmp_des::ScheduledEvent<NetEvent<P>>>,
     /// Directions with booked departures the next run-window sweep has to
     /// retire ([`Sim::retire_departures`]): filled at enqueue, pruned as
     /// the sweep finds them drained, so the sweep never walks idle links.
@@ -486,7 +466,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             fibs: Vec::new(),
             fibs_ready: false,
             fault_timeline: Vec::new(),
-            burst_scratch: Vec::new(),
             busy_dirs: Vec::new(),
             unroutable: 0,
             audit_injected: 0,
@@ -1212,14 +1191,10 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         self.compile_fibs();
         let wall = std::time::Instant::now();
         let alloc_start = crate::probe::read_alloc_probe();
-        if self.tuning.batched {
-            self.run_events_batched(deadline, &mut on_signal);
-        } else {
-            while let Some((_, ev)) = self.engine.pop_at_or_before(deadline) {
-                self.handle(ev);
-                while let Some((node, code)) = self.signals.pop_front() {
-                    on_signal(self, node, code);
-                }
+        while let Some((_, ev)) = self.engine.pop_at_or_before(deadline) {
+            self.handle(ev);
+            while let Some((node, code)) = self.signals.pop_front() {
+                on_signal(self, node, code);
             }
         }
         // The window is closed: whatever the driver does at `deadline`
@@ -1237,176 +1212,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// `run_until` ignoring signals.
     pub fn run_until_quiet(&mut self, deadline: SimTime) {
         self.run_until(deadline, |_, _, _| {});
-    }
-
-    /// The batched event loop (`SimTuning::batched`): drain the maximal
-    /// same-instant `Deliver` run in one queue access and process it in
-    /// drained `(time, key, seq)` order — exactly the order the serial
-    /// loop would pop — with a per-burst route cache; any other event
-    /// kind (or an empty queue) falls back to the one-at-a-time path.
-    ///
-    /// Safety of the drain-then-process split: handlers of a `Deliver` at
-    /// `t` only ever schedule events that are strictly later (the next
-    /// `Deliver` rides a strictly positive serialization time) or carry
-    /// keys at/above [`DELIVER_KEY_LIMIT`] (timers, faults, samples), so
-    /// nothing a burst produces could have ranked *inside* the burst.
-    fn run_events_batched(
-        &mut self,
-        deadline: SimTime,
-        on_signal: &mut impl FnMut(&mut Self, NodeId, u64),
-    ) {
-        let mut burst = std::mem::take(&mut self.burst_scratch);
-        loop {
-            debug_assert!(burst.is_empty());
-            if self
-                .engine
-                .drain_instant(deadline, DELIVER_KEY_LIMIT, &mut burst)
-                == 0
-            {
-                // Earliest pending event is not a Deliver (or nothing is
-                // due): single-step it through the serial path.
-                let Some((_, ev)) = self.engine.pop_at_or_before(deadline) else {
-                    break;
-                };
-                self.handle(ev);
-                while let Some((node, code)) = self.signals.pop_front() {
-                    on_signal(self, node, code);
-                }
-                continue;
-            }
-            let n = burst.len() as u64;
-            self.profile.deliver += n;
-            self.profile.bursts += 1;
-            self.profile.burst_events += n;
-            self.profile.max_burst = self.profile.max_burst.max(n);
-            // Key-sorted bursts keep each (link, dir) run — hence each
-            // (switch, dst, flow) run — contiguous; one cache entry
-            // captures the amortization without a map.
-            let mut route_cache: Option<(NodeId, Addr, FlowId, PortId)> = None;
-            let mut i = 0usize;
-            while i < burst.len() {
-                let key = burst[i].key;
-                let mut j = i + 1;
-                while j < burst.len() && burst[j].key == key {
-                    j += 1;
-                }
-                self.profile.burst_runs += 1;
-                let (link, dir) = match burst[i].event {
-                    NetEvent::Deliver { link, dir, .. } => (link, dir),
-                    _ => unreachable!("keys below DELIVER_KEY_LIMIT are Deliver events"),
-                };
-                if let Some(ps) = self.part.as_mut() {
-                    // `key == deliver_key(link, dir)`: every event in the
-                    // run carries the same rank.
-                    ps.rank = (key, 0);
-                }
-                if !self.deliver_run_shared(link, dir, &mut burst[i..j], &mut route_cache) {
-                    // General path (tracing on, corruption draws armed, or
-                    // a host at the far end): one event at a time, exactly
-                    // as the serial loop would.
-                    for sev in &mut burst[i..j] {
-                        let NetEvent::Deliver {
-                            link,
-                            dir,
-                            gen,
-                            pkt,
-                        } = std::mem::replace(&mut sev.event, NetEvent::Sample)
-                        else {
-                            unreachable!("keys below DELIVER_KEY_LIMIT are Deliver events");
-                        };
-                        self.on_deliver_cached(link, dir, gen, pkt, &mut route_cache);
-                        while let Some((node, code)) = self.signals.pop_front() {
-                            on_signal(self, node, code);
-                        }
-                    }
-                }
-                i = j;
-            }
-            // Only payload-free `Sample` husks remain (every packet was
-            // moved out and either forwarded or dropped).
-            burst.clear();
-            while let Some((node, code)) = self.signals.pop_front() {
-                on_signal(self, node, code);
-            }
-        }
-        self.burst_scratch = burst;
-    }
-
-    /// Deliver one contiguous same-instant `(link, dir)` run with the
-    /// per-direction work — the link-table borrow, failure-generation
-    /// check, arrival accounting, and destination dispatch — hoisted out
-    /// of the per-packet loop: phase A accepts the whole run under a
-    /// single direction borrow, phase B forwards the survivors through
-    /// the shared route cache. Only switch-bound runs qualify; the
-    /// reordering is invisible because accepting packet *k+1* touches
-    /// nothing that forwarding packet *k* reads (forwarding mutates the
-    /// *egress* direction, and switch forwarding raises no signals).
-    ///
-    /// Returns `false` — having touched nothing — when the run needs the
-    /// general path: tracing is on (per-event backlog reconstruction),
-    /// corruption draws are armed (per-delivery RNG order must match the
-    /// serial loop exactly), or the far end is a host (agent dispatch).
-    fn deliver_run_shared(
-        &mut self,
-        link: LinkId,
-        dir: u8,
-        run: &mut [xmp_des::ScheduledEvent<NetEvent<P>>],
-        route_cache: &mut Option<(NodeId, Addr, FlowId, PortId)>,
-    ) -> bool {
-        if self.trace.is_some() {
-            return false;
-        }
-        // Phase A: accept the run under one borrow of the direction.
-        let (fail_gen, to_node, to_port);
-        {
-            let d = self.links[link.0 as usize].dir_mut(dir);
-            if d.fault.corrupt_prob > 0.0 {
-                return false;
-            }
-            to_node = d.to_node;
-            to_port = d.to_port;
-            if !matches!(self.nodes[to_node.0 as usize].kind, NodeKind::Switch(_)) {
-                return false;
-            }
-            fail_gen = d.fail_gen;
-            d.in_network -= run.len() as i64;
-            let mut delivered = 0u64;
-            let mut delivered_bytes = 0u64;
-            let mut blackholed = 0u64;
-            for sev in run.iter() {
-                let NetEvent::Deliver { gen, pkt, .. } = &sev.event else {
-                    unreachable!("runs hold only Deliver events");
-                };
-                if *gen != fail_gen {
-                    // The link failed while this packet was in the pipeline.
-                    blackholed += 1;
-                } else {
-                    delivered += 1;
-                    delivered_bytes += pkt.size.as_bytes();
-                }
-            }
-            d.stats.blackholed += blackholed;
-            d.stats.delivered += delivered;
-            d.stats.delivered_bytes += ByteSize::from_bytes(delivered_bytes);
-            self.audit_dropped += blackholed;
-        }
-        // Phase B: forward the survivors in drained order (stale packets
-        // stay behind in the scratch and are dropped wholesale).
-        for sev in run.iter_mut() {
-            let stale = match &sev.event {
-                NetEvent::Deliver { gen, .. } => *gen != fail_gen,
-                _ => unreachable!("runs hold only Deliver events"),
-            };
-            if stale {
-                continue;
-            }
-            let NetEvent::Deliver { pkt, .. } = std::mem::replace(&mut sev.event, NetEvent::Sample)
-            else {
-                unreachable!("runs hold only Deliver events");
-            };
-            self.forward_at_switch(link, dir, to_node, to_port, pkt, route_cache);
-        }
-        true
     }
 
     /// Advance the clock to `t` after the event queue has been drained up
@@ -1665,25 +1470,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     }
 
     fn on_deliver(&mut self, link: LinkId, dir: u8, gen: u32, pkt: Packet<P>) {
-        let mut cache = None;
-        self.on_deliver_cached(link, dir, gen, pkt, &mut cache);
-    }
-
-    /// [`Sim::on_deliver`] with a caller-held one-entry route cache
-    /// `(switch, dst, flow) → out port`. Only **compiled-FIB hits** are
-    /// cached — a compiled lookup is a pure function of those three keys,
-    /// while the dynamic-router fallback may be arbitrary user code — and
-    /// the cache never outlives a same-instant burst, during which no
-    /// fault event can fire (fault keys rank above every deliver key), so
-    /// a hit is exactly the lookup it replaces.
-    fn on_deliver_cached(
-        &mut self,
-        link: LinkId,
-        dir: u8,
-        gen: u32,
-        pkt: Packet<P>,
-        route_cache: &mut Option<(NodeId, Addr, FlowId, PortId)>,
-    ) {
         let now = self.engine.now();
         let l = &mut self.links[link.0 as usize];
         let d = l.dir_mut(dir);
@@ -1746,7 +1532,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         let to_port = d.to_port;
         match &self.nodes[to_node.0 as usize].kind {
             NodeKind::Switch(_) => {
-                self.forward_at_switch(link, dir, to_node, to_port, pkt, route_cache);
+                self.forward_at_switch(link, dir, to_node, to_port, pkt);
             }
             NodeKind::Host => {
                 self.audit_delivered += 1;
@@ -1756,10 +1542,8 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     }
 
     /// Forward a packet that just arrived on `(link, dir)` at the switch
-    /// `to_node` (ingress `to_port`): compiled-FIB lookup through the
-    /// caller's one-entry route cache, dynamic-router fallback, and the
-    /// egress enqueue. Shared by [`Sim::on_deliver_cached`] and the
-    /// batched loop's run-shared phase B.
+    /// `to_node` (ingress `to_port`): compiled-FIB lookup, dynamic-router
+    /// fallback, and the egress enqueue.
     fn forward_at_switch(
         &mut self,
         link: LinkId,
@@ -1767,7 +1551,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         to_node: NodeId,
         to_port: PortId,
         pkt: Packet<P>,
-        route_cache: &mut Option<(NodeId, Addr, FlowId, PortId)>,
     ) {
         // Stale-safe: a mid-run topology change (signal callbacks
         // may mutate the sim) drops back to the dynamic router
@@ -1778,16 +1561,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             None
         };
         let compiled_port = match (compiled, &self.addr_index) {
-            (Some(fib), Some(ai)) => match *route_cache {
-                Some((n, d2, f, p)) if n == to_node && d2 == pkt.dst && f == pkt.flow => Some(p),
-                _ => {
-                    let p = ai.lookup(pkt.dst).and_then(|di| fib.lookup(di, pkt.flow));
-                    if let Some(port) = p {
-                        *route_cache = Some((to_node, pkt.dst, pkt.flow, port));
-                    }
-                    p
-                }
-            },
+            (Some(fib), Some(ai)) => ai.lookup(pkt.dst).and_then(|di| fib.lookup(di, pkt.flow)),
             _ => None,
         };
         let out_port = match compiled_port {

@@ -285,7 +285,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
             fibs: _,
             fibs_ready: _,
             fault_timeline,
-            burst_scratch: _,
             busy_dirs: _,
             unroutable,
             audit_injected,
@@ -451,7 +450,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
                 fibs: Vec::new(),
                 fibs_ready: false,
                 fault_timeline: fault_timeline.clone(),
-                burst_scratch: Vec::new(),
                 busy_dirs: Vec::new(),
                 unroutable: if s == 0 { unroutable } else { 0 },
                 audit_injected: if s == 0 { audit_injected } else { 0 },
@@ -835,7 +833,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
                 fibs: _,
                 fibs_ready: _,
                 fault_timeline,
-                burst_scratch: _,
                 busy_dirs: _,
                 unroutable: ur,
                 audit_injected,
@@ -859,10 +856,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
             profile_sum.pool_misses += profile.pool_misses;
             profile_sum.fib_compile_ns += profile.fib_compile_ns;
             profile_sum.allocs += profile.allocs;
-            profile_sum.bursts += profile.bursts;
-            profile_sum.burst_events += profile.burst_events;
-            profile_sum.max_burst = profile_sum.max_burst.max(profile.max_burst);
-            profile_sum.burst_runs += profile.burst_runs;
             profile_sum.fluid_ticks += profile.fluid_ticks;
             profile_sum.alloc_high_water_bytes = profile_sum
                 .alloc_high_water_bytes
@@ -1015,7 +1008,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
             fibs: Vec::new(),
             fibs_ready: false,
             fault_timeline,
-            burst_scratch: Vec::new(),
             busy_dirs,
             unroutable,
             audit_injected: injected,
@@ -1277,16 +1269,8 @@ mod tests {
 
     type Observed = (String, Vec<(NodeId, u64)>, Vec<ProbeRecord>, AuditReport);
 
-    fn tuning(batched: bool) -> super::super::SimTuning {
-        super::super::SimTuning {
-            batched,
-            ..Default::default()
-        }
-    }
-
-    fn drive_serial(batched: bool) -> Observed {
+    fn drive_serial() -> Observed {
         let (mut sim, _, hosts, _) = build(1);
-        sim.set_tuning(tuning(batched));
         let mut sigs = Vec::new();
         sim.run_until(SimTime::from_micros(2000), |_, n, c| sigs.push((n, c)));
         // Mid-run driver injection: one extra packet from h0, at exactly
@@ -1317,9 +1301,8 @@ mod tests {
         (digest, sigs, records, audit)
     }
 
-    fn drive_partitioned(workers: u32, batched: bool) -> Observed {
-        let (mut sim, plan, hosts, _) = build(workers);
-        sim.set_tuning(tuning(batched));
+    fn drive_partitioned(workers: u32) -> Observed {
+        let (sim, plan, hosts, _) = build(workers);
         let mut part = PartitionedSim::new(sim, &plan);
         if workers > 1 {
             assert_eq!(part.lookahead(), Some(SimDuration::from_micros(40)));
@@ -1364,19 +1347,17 @@ mod tests {
     fn partitioned_matches_serial_and_the_recorded_outcome() {
         // Host arrivals, per-direction stats, signals, probe records and
         // the audit, recorded from the two-event (`TxDone` + `Deliver`)
-        // link pipeline at commit ce843ca; both event loops, serial and
-        // sharded, must keep reproducing them.
+        // link pipeline at commit ce843ca; serial and sharded runs must
+        // keep reproducing them.
         const RECORDED: u64 = 3211794231008737860;
-        for batched in [false, true] {
-            let serial = drive_serial(batched);
-            assert_eq!(digest(&serial), RECORDED, "serial, batched={batched}");
-            for workers in [1u32, 2] {
-                let part = drive_partitioned(workers, batched);
-                assert_eq!(serial.0, part.0, "digest mismatch (workers={workers})");
-                assert_eq!(serial.1, part.1, "signal mismatch (workers={workers})");
-                assert_eq!(serial.2, part.2, "probe mismatch (workers={workers})");
-                assert_eq!(serial.3, part.3, "audit mismatch (workers={workers})");
-            }
+        let serial = drive_serial();
+        assert_eq!(digest(&serial), RECORDED, "serial");
+        for workers in [1u32, 2] {
+            let part = drive_partitioned(workers);
+            assert_eq!(serial.0, part.0, "digest mismatch (workers={workers})");
+            assert_eq!(serial.1, part.1, "signal mismatch (workers={workers})");
+            assert_eq!(serial.2, part.2, "probe mismatch (workers={workers})");
+            assert_eq!(serial.3, part.3, "audit mismatch (workers={workers})");
         }
     }
 

@@ -671,18 +671,6 @@ pub struct SimProfile {
     /// installed [`set_alloc_probe`] hook (0 when no probe is installed —
     /// the default outside instrumented benches).
     pub allocs: u64,
-    /// Same-instant `Deliver` bursts drained by the batched event loop
-    /// (`SimTuning::batched`; 0 on the serial path).
-    pub bursts: u64,
-    /// `Deliver` events handled *inside* drained bursts (`burst_events /
-    /// bursts` = mean burst size).
-    pub burst_events: u64,
-    /// Largest single same-instant burst drained.
-    pub max_burst: u64,
-    /// Contiguous `(link, dir)` runs processed inside drained bursts
-    /// (`burst_events / burst_runs` = mean run length — how much
-    /// per-direction work the batched loop amortizes per borrow).
-    pub burst_runs: u64,
     /// Conservative synchronization rounds run (partitioned runs only;
     /// one round = one run-to-horizon + barrier + outbox exchange cycle).
     pub sync_rounds: u64,
@@ -739,15 +727,6 @@ impl SimProfile {
         }
     }
 
-    /// Mean drained burst size (0.0 when the batched loop never ran).
-    pub fn mean_burst(&self) -> f64 {
-        if self.bursts == 0 {
-            0.0
-        } else {
-            self.burst_events as f64 / self.bursts as f64
-        }
-    }
-
     /// Mean cross-shard handoffs per synchronization round (0.0 outside
     /// partitioned runs).
     pub fn handoffs_per_round(&self) -> f64 {
@@ -771,13 +750,6 @@ impl SimProfile {
             self.fib_compile_ns as f64 / 1e6,
             self.events_per_sec() / 1e6,
         );
-        if self.bursts > 0 {
-            s.push_str(&format!(
-                " | burst mean {:.2} max {}",
-                self.mean_burst(),
-                self.max_burst
-            ));
-        }
         if self.sync_rounds > 0 {
             s.push_str(&format!(
                 " | rounds {} ({:.1} handoffs/round)",

@@ -96,23 +96,18 @@ pub enum QdiscConfig {
         /// RNG seed for the probabilistic decisions.
         seed: u64,
     },
-    /// Build the inner configuration behind the [`QdiscKind::Custom`] boxed
-    /// escape hatch instead of its enum variant. Behaviour is identical —
-    /// only the dispatch mechanism changes — which is exactly what the
-    /// dispatch differential tests exercise.
-    Boxed(Box<QdiscConfig>),
 }
 
 impl QdiscConfig {
     /// Materialize the configuration as a statically dispatched
     /// [`QdiscKind`].
     pub fn build<P: Send + 'static>(&self) -> QdiscKind<P> {
-        match self {
-            &QdiscConfig::DropTail { cap } => QdiscKind::DropTail(DropTail::new(cap)),
-            &QdiscConfig::EcnThreshold { cap, k } => {
+        match *self {
+            QdiscConfig::DropTail { cap } => QdiscKind::DropTail(DropTail::new(cap)),
+            QdiscConfig::EcnThreshold { cap, k } => {
                 QdiscKind::EcnThreshold(EcnThreshold::new(cap, k))
             }
-            &QdiscConfig::Red {
+            QdiscConfig::Red {
                 cap,
                 wq,
                 min_th,
@@ -121,22 +116,14 @@ impl QdiscConfig {
                 mode,
                 seed,
             } => QdiscKind::Red(Red::new(cap, wq, min_th, max_th, max_p, mode, seed)),
-            QdiscConfig::Boxed(inner) => QdiscKind::Custom(Box::new(inner.build::<P>())),
         }
-    }
-
-    /// Wrap this configuration so it builds through the boxed escape hatch.
-    pub fn boxed(self) -> QdiscConfig {
-        QdiscConfig::Boxed(Box::new(self))
     }
 }
 
 /// The closed set of in-tree queue disciplines, dispatched by `match`
 /// instead of through a vtable — every per-packet `classify` on the hot
-/// path monomorphizes to direct calls. External disciplines still
-/// plug in through [`QdiscKind::Custom`]; since `QdiscKind` itself
-/// implements [`Qdisc`], the boxed path can wrap an enum value, which is
-/// how the differential tests prove both paths bit-identical.
+/// path monomorphizes to direct calls. A new discipline is a new variant
+/// (plus its [`QdiscConfig`] arm and its [`QdiscKind::fluid_signal`] ramp).
 pub enum QdiscKind<P> {
     /// FIFO, drop on overflow.
     DropTail(DropTail<P>),
@@ -144,8 +131,6 @@ pub enum QdiscKind<P> {
     EcnThreshold(EcnThreshold<P>),
     /// Classic RED.
     Red(Red<P>),
-    /// Escape hatch: any boxed [`Qdisc`] implementation.
-    Custom(Box<dyn Qdisc<P>>),
 }
 
 impl<P: Send> Qdisc<P> for QdiscKind<P> {
@@ -154,7 +139,6 @@ impl<P: Send> Qdisc<P> for QdiscKind<P> {
             QdiscKind::DropTail(q) => q.enqueue(pkt),
             QdiscKind::EcnThreshold(q) => q.enqueue(pkt),
             QdiscKind::Red(q) => q.enqueue(pkt),
-            QdiscKind::Custom(q) => q.enqueue(pkt),
         }
     }
 
@@ -163,7 +147,6 @@ impl<P: Send> Qdisc<P> for QdiscKind<P> {
             QdiscKind::DropTail(q) => q.classify(backlog, pkt),
             QdiscKind::EcnThreshold(q) => q.classify(backlog, pkt),
             QdiscKind::Red(q) => q.classify(backlog, pkt),
-            QdiscKind::Custom(q) => q.classify(backlog, pkt),
         }
     }
 
@@ -172,7 +155,6 @@ impl<P: Send> Qdisc<P> for QdiscKind<P> {
             QdiscKind::DropTail(q) => q.dequeue(),
             QdiscKind::EcnThreshold(q) => q.dequeue(),
             QdiscKind::Red(q) => q.dequeue(),
-            QdiscKind::Custom(q) => q.dequeue(),
         }
     }
 
@@ -181,7 +163,6 @@ impl<P: Send> Qdisc<P> for QdiscKind<P> {
             QdiscKind::DropTail(q) => q.len(),
             QdiscKind::EcnThreshold(q) => q.len(),
             QdiscKind::Red(q) => q.len(),
-            QdiscKind::Custom(q) => q.len(),
         }
     }
 
@@ -190,7 +171,6 @@ impl<P: Send> Qdisc<P> for QdiscKind<P> {
             QdiscKind::DropTail(q) => q.capacity(),
             QdiscKind::EcnThreshold(q) => q.capacity(),
             QdiscKind::Red(q) => q.capacity(),
-            QdiscKind::Custom(q) => q.capacity(),
         }
     }
 }
@@ -212,8 +192,6 @@ impl<P: Send> QdiscKind<P> {
     ///   instantaneous backlog (the EWMA tracks it at fluid timescales),
     ///   1 above `max_th`, routed to mark or loss per [`RedMode`]; plus the
     ///   overflow loss ramp.
-    /// * [`QdiscKind::Custom`]: the discipline's decision logic is opaque,
-    ///   so only the conservative overflow loss ramp applies.
     ///
     /// The ramps are calibrated by `experiments::hybrid` differential runs
     /// (tolerance bands in DESIGN.md §18).
@@ -257,10 +235,6 @@ impl<P: Send> QdiscKind<P> {
                     },
                 }
             }
-            QdiscKind::Custom(_) => crate::fluid::PathSignal {
-                p_mark: 0.0,
-                p_loss: overflow(0.9),
-            },
         }
     }
 }
@@ -631,47 +605,11 @@ mod tests {
             seed: 7,
         }
         .build();
-        let mut d: QdiscKind<u32> = QdiscConfig::EcnThreshold { cap: 4, k: 1 }.boxed().build();
         assert!(matches!(a, QdiscKind::DropTail(_)));
-        assert!(matches!(d, QdiscKind::Custom(_)));
-        for q in [&mut a, &mut b, &mut c, &mut d] {
+        for q in [&mut a, &mut b, &mut c] {
             assert_eq!(q.capacity(), 4);
             q.enqueue(pkt(Ecn::Ect));
             assert_eq!(q.len(), 1);
-        }
-    }
-
-    /// The boxed escape hatch and the enum variant make identical
-    /// per-packet decisions (including the RNG-bearing RED discipline).
-    #[test]
-    fn boxed_build_matches_enum_build() {
-        let cfg = QdiscConfig::Red {
-            cap: 16,
-            wq: 0.7,
-            min_th: 2.0,
-            max_th: 9.0,
-            max_p: 0.4,
-            mode: RedMode::Mark,
-            seed: 11,
-        };
-        let mut plain: QdiscKind<u32> = cfg.build();
-        let mut boxed: QdiscKind<u32> = cfg.boxed().build();
-        let mut rng = SimRng::new(99);
-        for i in 0..400 {
-            if rng.chance(0.6) {
-                assert_eq!(
-                    plain.enqueue(pkt(Ecn::Ect)),
-                    boxed.enqueue(pkt(Ecn::Ect)),
-                    "op {i}"
-                );
-            } else {
-                assert_eq!(
-                    plain.dequeue().map(|p| p.ecn),
-                    boxed.dequeue().map(|p| p.ecn),
-                    "op {i}"
-                );
-            }
-            assert_eq!(plain.len(), boxed.len(), "op {i}");
         }
     }
 
@@ -741,16 +679,6 @@ mod tests {
             "RED midpoint should be max_p/2, got {p}"
         );
         assert_eq!(red.fluid_signal(30.0).p_mark, 1.0);
-
-        let boxed: QdiscKind<u32> = QdiscConfig::EcnThreshold { cap: 100, k: 20 }
-            .boxed()
-            .build();
-        assert_eq!(
-            boxed.fluid_signal(50.0).p_mark,
-            0.0,
-            "custom qdiscs are opaque"
-        );
-        assert_eq!(boxed.fluid_signal(100.0).p_loss, 1.0);
     }
 
     /// FIFO order is preserved by all disciplines for accepted packets.

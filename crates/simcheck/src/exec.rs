@@ -2,22 +2,19 @@
 //! leg, digest each leg, and audit runtime invariants mid-run.
 //!
 //! Every leg simulates the *same* scenario under a different
-//! proven-equivalent implementation choice — one-at-a-time vs batched
-//! delivery, serial vs partitioned across 2–4 workers, static vs boxed
-//! dispatch for both congestion controllers and qdiscs — and must produce a
-//! bit-identical digest (the [`crate::scale`-style recipe][d]: final
-//! clock, every flow record, the conservation audit, every probe record
-//! and the per-kind event counts). Any digest mismatch or invariant-audit
-//! failure marks the scenario as failing, which sends it to the shrinker.
+//! proven-equivalent implementation choice — serial vs partitioned across
+//! 2–4 workers — and must produce a bit-identical digest (the
+//! [`crate::scale`-style recipe][d]: final clock, every flow record, the
+//! conservation audit, every probe record and the per-kind event counts).
+//! Any digest mismatch or invariant-audit failure marks the scenario as
+//! failing, which sends it to the shrinker.
 //!
 //! [d]: ../xmp_experiments/scale/fn.run_cell.html
 
 use crate::scenario::{FaultSpec, Scenario};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use xmp_des::{SimDuration, SimTime};
-use xmp_netsim::{
-    FaultPlan, InvariantState, PartitionedSim, PortId, ProbeConfig, QdiscConfig, Sim,
-};
+use xmp_netsim::{FaultPlan, InvariantState, PartitionedSim, PortId, ProbeConfig, Sim};
 use xmp_topo::{FatTree, FatTreeConfig};
 use xmp_transport::{HostStack, Segment, StackConfig, SubflowSpec};
 use xmp_workloads::{Driver, FlowSim, FlowSpecBuilder, Host};
@@ -25,15 +22,10 @@ use xmp_workloads::{Driver, FlowSim, FlowSpecBuilder, Host};
 /// One oracle leg: which implementation choices this run flips.
 #[derive(Debug, Clone)]
 pub struct LegSpec {
-    /// Display label, e.g. `serial`, `batched-flip`, `workers-4`, `boxed`.
+    /// Display label, e.g. `serial`, `workers-4`.
     pub label: String,
     /// Worker threads (1 = serial).
     pub workers: usize,
-    /// Flip `tuning.batched` relative to the scenario base.
-    pub flip_batched: bool,
-    /// Route qdiscs and congestion controllers through the boxed
-    /// escape hatches.
-    pub boxed: bool,
     /// Fire the spurious-timer chaos hook on this leg (test-only).
     pub inject: bool,
 }
@@ -81,31 +73,19 @@ impl RunOutcome {
 
 /// The oracle legs a scenario requests, baseline first.
 pub fn legs(sc: &Scenario) -> Vec<LegSpec> {
-    let leg = |label: &str, workers, flip_batched, boxed, inject| LegSpec {
-        label: label.to_string(),
+    let leg = |label: String, workers, inject| LegSpec {
+        label,
         workers,
-        flip_batched,
-        boxed,
         inject,
     };
-    let mut v = vec![leg("serial", 1, false, false, false)];
-    if sc.check_batched {
-        v.push(leg("batched-flip", 1, true, false, false));
-    }
-    for &w in &sc.workers {
-        v.push(LegSpec {
-            label: format!("workers-{w}"),
-            workers: w,
-            flip_batched: false,
-            boxed: false,
-            inject: false,
-        });
-    }
-    if sc.check_boxed {
-        v.push(leg("boxed", 1, false, true, false));
-    }
+    let mut v = vec![leg("serial".into(), 1, false)];
+    v.extend(
+        sc.workers
+            .iter()
+            .map(|&w| leg(format!("workers-{w}"), w, false)),
+    );
     if sc.inject_divergence {
-        v.push(leg("serial-injected", 1, false, false, true));
+        v.push(leg("serial-injected".into(), 1, true));
     }
     v
 }
@@ -138,21 +118,12 @@ pub fn run_scenario(sc: &Scenario) -> Result<RunOutcome, String> {
 /// every drive-slice boundary; partitioned legs audit after `finish()`
 /// hands the shards back.
 pub fn run_leg(sc: &Scenario, leg: &LegSpec) -> Result<LegOutcome, String> {
-    let mut tuning = sc.tuning;
-    if leg.flip_batched {
-        tuning.batched = !tuning.batched;
-    }
     let mut sim: Sim<Segment, Host> = Sim::new(sc.seed);
-    sim.set_tuning(tuning);
+    sim.set_tuning(sc.tuning);
 
-    let qdisc = if leg.boxed {
-        QdiscConfig::Boxed(Box::new(sc.qdisc.to_config()))
-    } else {
-        sc.qdisc.to_config()
-    };
     let ft_cfg = FatTreeConfig {
         k: sc.k,
-        ..FatTreeConfig::paper(qdisc)
+        ..FatTreeConfig::paper(sc.qdisc.to_config())
     };
     let stack_cfg = StackConfig::default().with_rto_min(SimDuration::from_micros(sc.rto_min_us));
     let ft = FatTree::try_build(&mut sim, &ft_cfg, |_| HostStack::new(stack_cfg.clone()))
@@ -193,7 +164,6 @@ pub fn run_leg(sc: &Scenario, leg: &LegSpec) -> Result<LegOutcome, String> {
     }
 
     let mut driver = Driver::new();
-    driver.set_boxed_cc(leg.boxed);
     let n = ft.hosts.len();
     let tag_count = ft.tag_count();
     let mut conns = Vec::with_capacity(sc.flows.len());

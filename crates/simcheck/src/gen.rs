@@ -37,7 +37,6 @@ pub fn generate(master: u64, index: u64) -> Scenario {
         tuning: xmp_netsim::SimTuning {
             // Flipped on below whenever the storm can partition the tree.
             drop_unroutable: rng.chance(0.2),
-            batched: rng.chance(0.25),
             // Chaos scenarios exercise the packet pipeline; hybrid runs
             // have their own differential harness (`hybrid_differential`).
             hybrid: false,
@@ -45,8 +44,6 @@ pub fn generate(master: u64, index: u64) -> Scenario {
         qdisc: random_qdisc(&mut rng),
         probe_interval_us: rng.uniform_u64(200, 1000),
         workers: Vec::new(),
-        check_boxed: rng.chance(0.7),
-        check_batched: rng.chance(0.7),
         inject_divergence: false,
         flows: Vec::new(),
         faults: Vec::new(),
@@ -56,16 +53,11 @@ pub fn generate(master: u64, index: u64) -> Scenario {
     };
 
     // Partitioned legs: 2 workers is the cheapest cross-shard oracle and
-    // almost always rides along; sometimes also 3 or 4 (capped at k pods).
-    if rng.chance(0.8) {
-        sc.workers.push(2);
-        if rng.chance(0.4) {
-            sc.workers.push(*pick(&mut rng, &[3, 4]).min(&k));
-        }
-        sc.workers.dedup();
-    }
-    if sc.workers.is_empty() && !sc.check_boxed && !sc.check_batched {
-        sc.check_batched = true; // always at least one oracle pair
+    // always rides along, so every scenario has a differential pair;
+    // sometimes also 3 or 4 (capped at k pods).
+    sc.workers.push(2);
+    if rng.chance(0.4) {
+        sc.workers.push(*pick(&mut rng, &[3, 4]).min(&k));
     }
 
     generate_flows(&mut rng, &mut sc, hosts, tag_count);

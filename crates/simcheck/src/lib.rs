@@ -1,12 +1,11 @@
 //! # xmp-simcheck — deterministic chaos harness for the XMP simulator
 //!
 //! Seeded scenario fuzzing with differential oracles: every generated
-//! scenario runs under several proven-equivalent implementation choices
-//! (one-at-a-time vs batched delivery, serial vs partitioned, static vs
-//! boxed dispatch) and every leg must produce a bit-identical digest while
-//! runtime invariant audits hold mid-run. On failure the scenario is
-//! shrunk to a minimal reproducer and written as a replay file that
-//! `simcheck replay` re-executes exactly.
+//! scenario runs serially and partitioned across 2–4 worker threads, and
+//! every leg must produce a bit-identical digest while runtime invariant
+//! audits hold mid-run. On failure the scenario is shrunk to a minimal
+//! reproducer and written as a replay file that `simcheck replay`
+//! re-executes exactly.
 //!
 //! * [`scenario`] — the declarative scenario file (parse / serialize),
 //! * [`gen`] — pure-function-of-seed scenario generation,

@@ -378,10 +378,6 @@ pub struct Scenario {
     pub probe_interval_us: u64,
     /// Worker counts for partitioned oracle legs.
     pub workers: Vec<usize>,
-    /// Add a boxed-dispatch oracle leg (boxed qdisc + boxed CC).
-    pub check_boxed: bool,
-    /// Add a `tuning.batched`-flipped oracle leg.
-    pub check_batched: bool,
     /// Test-only hook: append a leg with a spurious timer injected, which
     /// must diverge — proves the shrink→replay pipeline end to end.
     pub inject_divergence: bool,
@@ -416,7 +412,6 @@ impl Scenario {
         let _ = writeln!(s, "horizon_us = {}", self.horizon_us);
         let _ = writeln!(s, "rto_min_us = {}", self.rto_min_us);
         let _ = writeln!(s, "drop_unroutable = {}", t.drop_unroutable);
-        let _ = writeln!(s, "batched = {}", t.batched);
         let _ = writeln!(s, "qdisc = {}", self.qdisc);
         let _ = writeln!(s, "probe_interval_us = {}", self.probe_interval_us);
         let _ = writeln!(s, "\n[oracles]");
@@ -424,8 +419,6 @@ impl Scenario {
             let w: Vec<String> = self.workers.iter().map(|w| w.to_string()).collect();
             let _ = writeln!(s, "workers = {}", w.join(","));
         }
-        let _ = writeln!(s, "boxed = {}", self.check_boxed);
-        let _ = writeln!(s, "batched = {}", self.check_batched);
         let _ = writeln!(s, "inject_divergence = {}", self.inject_divergence);
         let _ = writeln!(s, "\n[flows]");
         for f in &self.flows {
@@ -481,8 +474,6 @@ impl Scenario {
             qdisc: QdiscSpec::Ecn { cap: 100, k: 10 },
             probe_interval_us: 500,
             workers: Vec::new(),
-            check_boxed: false,
-            check_batched: false,
             inject_divergence: false,
             flows: Vec::new(),
             faults: Vec::new(),
@@ -535,7 +526,6 @@ impl Scenario {
                 }
                 ("sim", "rto_min_us") => sc.rto_min_us = u64v()?,
                 ("sim", "drop_unroutable") => sc.tuning.drop_unroutable = boolv()?,
-                ("sim", "batched") => sc.tuning.batched = boolv()?,
                 ("sim", "qdisc") => sc.qdisc = QdiscSpec::parse(val).map_err(err)?,
                 ("sim", "probe_interval_us") => sc.probe_interval_us = u64v()?,
                 ("oracles", "workers") => {
@@ -550,8 +540,6 @@ impl Scenario {
                         );
                     }
                 }
-                ("oracles", "boxed") => sc.check_boxed = boolv()?,
-                ("oracles", "batched") => sc.check_batched = boolv()?,
                 ("oracles", "inject_divergence") => sc.inject_divergence = boolv()?,
                 ("flows", "flow") => {
                     let w: Vec<&str> = val.split_whitespace().collect();
@@ -683,8 +671,6 @@ mod tests {
             qdisc: QdiscSpec::Ecn { cap: 100, k: 10 },
             probe_interval_us: 500,
             workers: vec![2, 4],
-            check_boxed: true,
-            check_batched: true,
             inject_divergence: false,
             flows: vec![FlowLine {
                 src: 0,
@@ -731,13 +717,22 @@ mod tests {
         assert!(e.msg.contains("before any"), "{e}");
         let e = Scenario::parse("[sim]\nseed = 1\nk = 4\n").unwrap_err();
         assert!(e.msg.contains("horizon_us"), "{e}");
-        // Keys of the removed tuning switches are unknown keys like any
-        // other: an old replay file fails loudly, naming the key. (Spelled
-        // in halves so a grep for the removed names stays empty.)
-        for gone in [concat!("lazy", "_links"), concat!("compiled", "_fib")] {
-            let text = format!("[sim]\nseed = 1\nk = 4\nhorizon_us = 9\n{gone} = true\n");
+        // Keys of the removed tuning switches and oracle legs are unknown
+        // keys like any other: an old replay file fails loudly, naming the
+        // key. (Spelled in halves so a grep for the removed names stays
+        // empty.)
+        let burst_loop = concat!("bat", "ched");
+        for (section, gone) in [
+            ("sim", concat!("lazy", "_links")),
+            ("sim", concat!("compiled", "_fib")),
+            ("sim", burst_loop),
+            ("oracles", burst_loop),
+            ("oracles", "boxed"),
+        ] {
+            let text =
+                format!("[sim]\nseed = 1\nk = 4\nhorizon_us = 9\n[{section}]\n{gone} = true\n");
             let e = Scenario::parse(&text).unwrap_err();
-            assert_eq!(e.line, 5);
+            assert_eq!(e.line, 6);
             assert!(e.msg.contains("unknown key") && e.msg.contains(gone), "{e}");
         }
     }

@@ -119,8 +119,6 @@ pub fn shrink(sc: &Scenario) -> (Scenario, usize) {
     let bare = |sc: &Scenario| {
         let mut c = sc.clone();
         c.workers.clear();
-        c.check_boxed = false;
-        c.check_batched = false;
         c.inject_divergence = false;
         c
     };
@@ -133,16 +131,6 @@ pub fn shrink(sc: &Scenario) -> (Scenario, usize) {
     for &w in &best.workers {
         let mut cand = bare(&best);
         cand.workers = vec![w];
-        singles.push(cand);
-    }
-    if best.check_boxed {
-        let mut cand = bare(&best);
-        cand.check_boxed = true;
-        singles.push(cand);
-    }
-    if best.check_batched {
-        let mut cand = bare(&best);
-        cand.check_batched = true;
         singles.push(cand);
     }
     for cand in singles {

@@ -56,12 +56,10 @@ fn injected_divergence_shrinks_to_deterministic_replay() {
         "shrinker grew the scenario"
     );
     assert!(
-        min.workers.is_empty() && !min.check_boxed && !min.check_batched,
+        min.workers.is_empty(),
         "injected failure should minimize to the serial-vs-injected pair, got \
-         workers {:?} boxed {} batched {}",
-        min.workers,
-        min.check_boxed,
-        min.check_batched
+         workers {:?}",
+        min.workers
     );
     let min_out = exec::run_scenario(&min).expect("minimized scenario constructs");
     assert!(!min_out.passed(), "minimized scenario no longer fails");

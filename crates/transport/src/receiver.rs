@@ -119,6 +119,9 @@ impl MpReceiver {
         debug_assert_eq!(seg.kind, SegKind::Syn);
         let r = seg.subflow as usize;
         if self.subs.len() <= r {
+            // Exactly, not amortized: a receiver outlives its flow, and a
+            // single-path one would otherwise hold four slots for life.
+            self.subs.reserve_exact(r + 1 - self.subs.len());
             self.subs.resize_with(r + 1, || None);
         }
         if self.subs[r].is_none() {

@@ -35,8 +35,12 @@ fn untoken(token: u64) -> (ConnKey, u8, u64) {
 }
 
 enum ConnState<C: CongestionControl> {
-    Tx(MpSender<C>),
+    /// Boxed: a sender is five times a receiver's size, and receivers —
+    /// which stay in the table after their flow completes — are most of it.
+    Tx(Box<MpSender<C>>),
     Rx(MpReceiver),
+    /// What [`HostStack::retire`] leaves of a completed sender.
+    Retired(ConnStats),
 }
 
 /// Per-host transport stack.
@@ -89,7 +93,7 @@ impl<C: CongestionControl> HostStack<C> {
         let mut sender = MpSender::new(conn, subflows, total, cc, &self.cfg, ctx.now());
         let mut out = self.take_tx_scratch();
         sender.open(ctx.now(), &mut out);
-        self.conns.insert(conn, ConnState::Tx(sender));
+        self.conns.insert(conn, ConnState::Tx(Box::new(sender)));
         self.apply_tx(ctx, conn, &mut out);
         self.tx_scratch = out;
     }
@@ -123,6 +127,22 @@ impl<C: CongestionControl> HostStack<C> {
         self.conns.remove(&conn);
     }
 
+    /// Drop the sender of a completed connection and keep its statistics
+    /// (still answered by [`HostStack::conn_stats`]). A completed sender
+    /// ignores every segment and timer and has cancelled its own, so the
+    /// simulation runs on exactly as before; only [`HostStack::sender`]
+    /// stops finding it. Without this a host holds every sender it ever
+    /// opened. No-op unless `conn` is a completed sender.
+    pub fn retire(&mut self, conn: ConnKey) {
+        let Some(ConnState::Tx(s)) = self.conns.get(&conn) else {
+            return;
+        };
+        if s.is_completed() {
+            let stats = s.stats().clone();
+            self.conns.insert(conn, ConnState::Retired(stats));
+        }
+    }
+
     /// Sending-connection accessor (stats, per-subflow windows/rates).
     pub fn sender(&self, conn: ConnKey) -> Option<&MpSender<C>> {
         match self.conns.get(&conn) {
@@ -131,9 +151,13 @@ impl<C: CongestionControl> HostStack<C> {
         }
     }
 
-    /// Stats shortcut for a sending connection.
+    /// Stats of a sending connection, running or retired.
     pub fn conn_stats(&self, conn: ConnKey) -> Option<&ConnStats> {
-        self.sender(conn).map(|s| s.stats())
+        match self.conns.get(&conn) {
+            Some(ConnState::Tx(s)) => Some(s.stats()),
+            Some(ConnState::Retired(stats)) => Some(stats),
+            _ => None,
+        }
     }
 
     /// Receiving-connection accessor.
@@ -144,7 +168,8 @@ impl<C: CongestionControl> HostStack<C> {
         }
     }
 
-    /// Number of live connections (both directions).
+    /// Number of connections in the table (both directions, retired
+    /// senders included).
     pub fn conn_count(&self) -> usize {
         self.conns.len()
     }
@@ -226,7 +251,7 @@ impl<C: CongestionControl + 'static> Agent<Segment> for HostStack<C> {
                     ))
                 }) {
                     ConnState::Rx(r) => r,
-                    ConnState::Tx(_) => {
+                    ConnState::Tx(_) | ConnState::Retired(_) => {
                         // Key collision with a local sender: ignore.
                         self.rx_scratch = out;
                         return;

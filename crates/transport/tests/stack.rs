@@ -146,6 +146,42 @@ fn close_quiesces_the_network() {
     );
 }
 
+/// Retiring a completed sender frees it, keeps its statistics, and leaves
+/// the rest of the run exactly as it was: same events, same other flow.
+#[test]
+fn retire_keeps_stats_and_changes_nothing_else() {
+    let run = |retire: bool| {
+        let (mut sim, a, _b) = pair(QdiscConfig::EcnThreshold { cap: 100, k: 10 });
+        sim.with_agent::<HostStack, _>(a, |st, ctx| {
+            st.open(ctx, 1, vec![spec()], 50_000, Box::new(Dctcp::new()));
+            st.open(ctx, 2, vec![spec()], 400_000, Box::new(Dctcp::new()));
+            // A running sender is not retired.
+            st.retire(2);
+            assert!(st.sender(2).is_some());
+        });
+        sim.run_until(SimTime::from_secs(10), |sim, node, conn| {
+            if retire && conn == 1 {
+                sim.with_agent::<HostStack, _>(node, |st, _| {
+                    st.retire(1);
+                    assert!(st.sender(1).is_none());
+                });
+            }
+        });
+        let stats = sim.with_agent::<HostStack, _>(a, |st, _| {
+            assert_eq!(st.sender(1).is_none(), retire);
+            [1, 2].map(|c| {
+                let s = st.conn_stats(c).expect("stats outlive the sender");
+                (s.bytes_acked, s.completed, s.rtos, s.fast_retransmits)
+            })
+        });
+        (stats, sim.events_processed(), sim.now())
+    };
+    let kept = run(false);
+    assert_eq!(kept.0[0].0, 50_000);
+    assert_eq!(kept.0[1].0, 400_000);
+    assert_eq!(run(true), kept);
+}
+
 #[test]
 fn ecn_capable_schemes_mark_ect_and_reno_does_not() {
     for ecn_expected in [true, false] {

@@ -19,8 +19,8 @@ use xmp_transport::{
 /// controllers are the statically dispatched [`CcKind`] enum. Simulations
 /// may store hosts either as plain `Host` values (`Sim<Segment, Host>`,
 /// the devirtualized fast path) or behind `Box<dyn Agent<Segment>>` (the
-/// historical boxed path); the driver's downcasts work identically in both
-/// because boxed agents delegate `as_any_mut` to the inner stack.
+/// `Sim` default); the driver's downcasts work identically in both because
+/// a `Box`ed agent delegates `as_any_mut` to the inner stack.
 pub type Host = HostStack<CcKind>;
 
 /// A simulation the driver can run flows on: the serial [`Sim`] or a
@@ -198,9 +198,6 @@ pub struct Driver {
     // order via the monotonically assigned ConnKey.
     records: BTreeMap<ConnKey, FlowRecord>,
     completed: u64,
-    // Wrap every controller in `CcKind::Custom` (one vtable hop) — the
-    // dispatch-differential lever; behaviour is identical by construction.
-    boxed_cc: bool,
     // Hybrid mode: flows at least this many bytes (unbounded included)
     // start as fluid elephants instead of packet-level connections, when
     // the backend supports it. `None` (default) keeps everything packet.
@@ -216,14 +213,6 @@ impl Driver {
     /// Empty driver.
     pub fn new() -> Self {
         Driver::default()
-    }
-
-    /// Route every controller through the boxed [`CcKind::Custom`] escape
-    /// hatch instead of direct enum dispatch. Flow behaviour is identical;
-    /// only the dispatch mechanism changes (the dispatch differential test
-    /// flips this).
-    pub fn set_boxed_cc(&mut self, boxed: bool) {
-        self.boxed_cc = boxed;
     }
 
     /// Offload flows of at least `bytes` (unbounded flows always qualify)
@@ -356,7 +345,6 @@ impl Driver {
             return;
         }
         let cc = spec.scheme.make_cc();
-        let cc = if self.boxed_cc { cc.boxed() } else { cc };
         sim.with_host(spec.src_node, |stack, ctx| {
             stack.open(ctx, conn, spec.subflows, spec.size, cc);
         });
@@ -430,6 +418,9 @@ impl Driver {
                 rec.rtos = stats.rtos;
                 rec.fast_retransmits = stats.fast_retransmits;
             }
+            // So a host holds its running senders, not every one it ever
+            // opened (an incast cell completes hundreds per host).
+            stack.retire(conn);
         });
         *completed += 1;
     }
@@ -674,6 +665,11 @@ mod tests {
         assert!(rec.completed.is_some(), "flow did not finish");
         assert!(rec.goodput_bps > 0.0);
         assert_eq!(d.completed_count(), 1);
+        // Harvested means retired: the host keeps the stats, not the sender.
+        sim.with_host(db.sources[0], |stack, _| {
+            assert!(stack.sender(conn).is_none());
+            assert_eq!(stack.conn_stats(conn).map(|s| s.bytes_acked), Some(size));
+        });
     }
 
     #[test]

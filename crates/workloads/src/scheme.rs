@@ -67,8 +67,7 @@ impl Scheme {
 
     /// Instantiate the congestion controller. Every scheme maps to a
     /// [`CcKind`] enum arm, so per-flow controllers live inline in the
-    /// sender (no heap box, direct dispatch); wrap the result with
-    /// [`CcKind::boxed`] to route it through the dynamic escape hatch.
+    /// sender (no heap box, direct dispatch).
     pub fn make_cc(&self) -> CcKind {
         match *self {
             Scheme::Tcp => CcKind::Reno(Reno::new()),

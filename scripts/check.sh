@@ -20,17 +20,16 @@ cargo run --release --offline -p xmp-experiments -- failover --quick
 # Smoke: the partitioned simulation must stay bit-identical to serial on
 # a k=8 fat-tree wave with faults and probes live (the scale command
 # digest-checks the sharded run against the serial one and exits nonzero
-# on a mismatch). --batched also runs every worker count with batched
-# same-instant delivery and folds those digests into the same check.
-cargo run --release --offline -p xmp-experiments -- scale --quick --workers 4 --batched
+# on a mismatch).
+cargo run --release --offline -p xmp-experiments -- scale --quick --workers 4
 # Smoke: the hybrid fluid/packet mode must stay inside its documented
 # per-class tolerance bands against the packet baseline on the identical
 # workload (the hybrid command exits nonzero when out of tolerance).
 cargo run --release --offline -p xmp-experiments -- hybrid --quick
-# Chaos gate: 50 seeded fuzz scenarios, each run under every applicable
-# differential oracle (one-at-a-time/batched loop, serial/partitioned,
-# static/boxed) with runtime invariant audits. Exits nonzero and writes a minimized
-# replay file under results/simcheck/ on any divergence.
+# Chaos gate: 50 seeded fuzz scenarios, each run serially and partitioned
+# across 2-4 workers (digests must agree) with runtime invariant audits.
+# Exits nonzero and writes a minimized replay file under results/simcheck/
+# on any divergence.
 cargo run --release --offline -p xmp-simcheck -- run --budget quick --out results/simcheck
 # Smoke: dynamics must export parseable JSONL traces, and `trace report`
 # (the std-only checker) must round-trip them. results/ stays untracked.

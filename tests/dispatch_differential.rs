@@ -1,14 +1,14 @@
-//! Dispatch differential: the statically dispatched hot path (inline
-//! agents, `QdiscKind` enums, `CcKind` controllers) must be **bit
-//! identical** to the historical dynamic path (`Box<dyn Agent>`, boxed
-//! qdiscs, `CcKind::Custom` controllers) — same clock, same per-flow
-//! records, same conservation totals, same probe stream — with faults and
-//! probes enabled. Devirtualization is a pure performance change or it is
-//! a bug. Both paths are also held to the outcome the two-event link
-//! pipeline (`TxDone` + `Deliver`) produced before it was removed.
+//! Dispatch differential: `Sim` is generic over how host agents are
+//! stored, and a run over inline agents (`Sim<Segment, Host>`, what every
+//! experiment uses) must be **bit identical** to the same run over the
+//! generic default (`Sim<Segment, Box<dyn Agent<Segment>>>`) — same clock,
+//! same per-flow records, same conservation totals, same probe stream —
+//! with faults and probes enabled. Both are also held to the outcome the
+//! two-event link pipeline (`TxDone` + `Deliver`) produced before it was
+//! removed, as is one suite cell.
 
-use xmp_suite::experiments::suite::{run_suite_profiled, Pattern, SuiteConfig};
-use xmp_suite::netsim::{Agent, ProbeConfig, ProbeRecord};
+use xmp_suite::experiments::suite::{run_suite, Pattern, SuiteConfig};
+use xmp_suite::netsim::{Agent, ProbeConfig};
 use xmp_suite::prelude::*;
 use xmp_suite::workloads::Host;
 
@@ -27,20 +27,15 @@ fn digest(s: &str) -> u64 {
 /// Returns (final clock, flow digest, audit digest, probe JSONL digest).
 fn faulted_probed_run<A: Agent<Segment>>(
     seed: u64,
-    boxed_cc_and_qdisc: bool,
     mut make_host: impl FnMut() -> A,
 ) -> (u64, u64, u64, u64) {
     let mut sim: Sim<Segment, A> = Sim::new(seed);
-    let mut qdisc = QdiscConfig::EcnThreshold { cap: 100, k: 10 };
-    if boxed_cc_and_qdisc {
-        qdisc = qdisc.boxed();
-    }
     let db = Dumbbell::build(
         &mut sim,
         4,
         Bandwidth::from_gbps(1),
         SimDuration::from_micros(400),
-        qdisc,
+        QdiscConfig::EcnThreshold { cap: 100, k: 10 },
         |_| make_host(),
     );
     sim.install_fault_plan(
@@ -58,7 +53,6 @@ fn faulted_probed_run<A: Agent<Segment>>(
             .with_marks(),
     );
     let mut d = Driver::new();
-    d.set_boxed_cc(boxed_cc_and_qdisc);
     for i in 0..4 {
         d.submit(FlowSpecBuilder {
             src_node: db.sources[i],
@@ -100,7 +94,7 @@ fn faulted_probed_run<A: Agent<Segment>>(
 }
 
 #[test]
-fn enum_and_boxed_dumbbell_runs_match_the_recorded_outcome() {
+fn inline_and_boxed_agent_dumbbell_runs_match_the_recorded_outcome() {
     // Recorded from the two-event link pipeline at commit ce843ca.
     const RECORDED: (u64, u64, u64, u64) = (
         10_000_000_000,
@@ -108,103 +102,32 @@ fn enum_and_boxed_dumbbell_runs_match_the_recorded_outcome() {
         846601930777279474,
         4753027935023905155,
     );
-    let stat = faulted_probed_run::<Host>(5, false, || HostStack::new(StackConfig::default()));
-    let dynam = faulted_probed_run::<Box<dyn Agent<Segment>>>(5, true, || {
+    let inline = faulted_probed_run::<Host>(5, || HostStack::new(StackConfig::default()));
+    let boxed = faulted_probed_run::<Box<dyn Agent<Segment>>>(5, || {
         Box::new(HostStack::new(StackConfig::default()))
     });
     assert_eq!(
-        stat, RECORDED,
-        "static dispatch moved off the recorded digest"
+        inline, RECORDED,
+        "inline agents moved off the recorded digest"
     );
-    assert_eq!(
-        dynam, RECORDED,
-        "boxed dispatch diverged from the static path"
-    );
+    assert_eq!(boxed, RECORDED, "boxed agents diverged from inline agents");
 }
 
 #[test]
-fn suite_cell_is_bit_identical_across_dispatch_and_matches_the_recorded_outcome() {
+fn suite_cell_matches_the_recorded_outcome() {
     // Recorded from the two-event link pipeline at commit ce843ca.
     const RECORDED: u64 = 13708578246439681252;
-    let cell = |boxed| SuiteConfig {
+    let cell = SuiteConfig {
         target_flows: 8,
         max_sim: SimDuration::from_secs(3),
         seed: 17,
         probe_interval: Some(SimDuration::from_millis(10)),
-        boxed_dispatch: boxed,
         ..SuiteConfig::quick(Scheme::xmp(2), Pattern::Permutation)
     };
-    let (rs, es, _) = run_suite_profiled(&cell(false));
-    let (rb, eb, _) = run_suite_profiled(&cell(true));
-    assert_eq!(es, eb, "event counts diverged across dispatch");
+    let r = run_suite(&cell);
     assert_eq!(
-        digest(&format!("{rs:?}")),
+        digest(&format!("{r:?}")),
         RECORDED,
         "suite outcome moved off the recorded digest"
     );
-    assert_eq!(
-        digest(&format!("{rb:?}")),
-        RECORDED,
-        "suite outcome diverged across dispatch"
-    );
-}
-
-#[test]
-fn probe_records_match_one_for_one_across_dispatch() {
-    // Beyond the digest: the probe streams have the same length and every
-    // queue-sample record parses back identically from JSONL.
-    let collect = |boxed: bool| -> Vec<String> {
-        let mut sim: Sim<Segment, Host> = Sim::new(3);
-        let mut qdisc = QdiscConfig::EcnThreshold { cap: 100, k: 10 };
-        if boxed {
-            qdisc = qdisc.boxed();
-        }
-        let db = Dumbbell::build(
-            &mut sim,
-            2,
-            Bandwidth::from_gbps(1),
-            SimDuration::from_micros(400),
-            qdisc,
-            |_| HostStack::new(StackConfig::default()),
-        );
-        sim.install_probes(
-            ProbeConfig::every(SimDuration::from_millis(2))
-                .until(SimTime::from_secs(5))
-                .watch_queue(db.bottleneck, 0)
-                .with_marks(),
-        );
-        let mut d = Driver::new();
-        d.set_boxed_cc(boxed);
-        for i in 0..2 {
-            d.submit(FlowSpecBuilder {
-                src_node: db.sources[i],
-                subflows: vec![SubflowSpec {
-                    local_port: PortId(0),
-                    src: Dumbbell::src_addr(i),
-                    dst: Dumbbell::dst_addr(i),
-                }],
-                size: 1_000_000,
-                scheme: Scheme::xmp(1),
-                start: SimTime::ZERO,
-                category: None,
-                tag: i as u64,
-            });
-        }
-        d.run(&mut sim, SimTime::from_secs(5), |_, _, _| {});
-        let probes = sim.take_probes().expect("probes were installed");
-        probes
-            .records()
-            .iter()
-            .map(|r| {
-                let line = r.to_json();
-                let back = ProbeRecord::parse(&line).expect("probe JSONL round-trips");
-                assert_eq!(format!("{r:?}"), format!("{back:?}"));
-                line
-            })
-            .collect()
-    };
-    let a = collect(false);
-    let b = collect(true);
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "probe streams diverged across dispatch");
 }

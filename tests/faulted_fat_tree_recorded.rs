@@ -1,13 +1,9 @@
-//! Batched-delivery differential: draining a link's same-instant delivery
-//! burst through the switch in one call (`SimTuning::batched`, with its
-//! per-burst FIB route cache) must be **bit identical** to the historical
-//! one-event-at-a-time loop — same clock, same per-flow records, same
-//! conservation audit, same probe JSONL — with a core link flapping and
-//! marked probes sampling it, and whether the tree runs serial or sharded
-//! across worker threads. Batching is a pure performance change or it is
-//! a bug. Both loops are also held to the outcome the two-event link
-//! pipeline (`TxDone` + `Deliver`) produced on this scenario before it
-//! was removed.
+//! One faulted, probed k = 4 fat-tree scenario held to a recorded
+//! outcome: clock, per-flow records, conservation audit and probe JSONL
+//! must equal what the two-event link pipeline (`TxDone` + `Deliver`)
+//! produced on this scenario before it was removed — with a core link
+//! flapping and marked probes sampling it, and whether the tree runs
+//! serial or sharded across worker threads.
 
 use xmp_suite::netsim::{PartitionedSim, ProbeConfig};
 use xmp_suite::prelude::*;
@@ -39,12 +35,8 @@ const RECORDED: (u64, u64, u64, u64) = (
 /// flows from every host, a core link flapping down/up mid-run, marked
 /// probes watching both directions of the cut. Returns (final clock, flow
 /// digest, audit digest, probe JSONL digest).
-fn faulted_probed_fat_tree(batched: bool, workers: usize) -> (u64, u64, u64, u64) {
+fn faulted_probed_fat_tree(workers: usize) -> (u64, u64, u64, u64) {
     let mut sim: Sim<Segment, HostStack> = Sim::new(9);
-    sim.set_tuning(SimTuning {
-        batched,
-        ..SimTuning::default()
-    });
     let ft_cfg = FatTreeConfig {
         k: 4,
         ..FatTreeConfig::paper(QdiscConfig::EcnThreshold { cap: 100, k: 10 })
@@ -129,17 +121,6 @@ fn faulted_probed_fat_tree(batched: bool, workers: usize) -> (u64, u64, u64, u64
     let audit = sim.audit_conservation();
     let probes = sim.take_probes().expect("probes were installed");
     assert!(!probes.is_empty(), "probe stream empty");
-    if batched {
-        // Burst accounting is live in batched mode: every delivery is
-        // attributed to some burst, and at least one burst is non-trivial
-        // on a loaded fat tree.
-        let p = sim.profile();
-        assert_eq!(
-            p.burst_events, p.deliver,
-            "burst accounting must cover deliveries"
-        );
-        assert!(p.max_burst >= 1, "batched run recorded no bursts");
-    }
     (
         sim.now().as_nanos(),
         digest(&flows.join(";")),
@@ -149,31 +130,19 @@ fn faulted_probed_fat_tree(batched: bool, workers: usize) -> (u64, u64, u64, u64
 }
 
 #[test]
-fn batched_and_unbatched_match_the_recorded_outcome() {
-    assert_eq!(
-        faulted_probed_fat_tree(false, 1),
-        RECORDED,
-        "one-at-a-time loop moved off the recorded digest"
-    );
-    assert_eq!(
-        faulted_probed_fat_tree(true, 1),
-        RECORDED,
-        "batched delivery diverged from the one-at-a-time loop"
-    );
+fn serial_run_matches_the_recorded_outcome() {
+    assert_eq!(faulted_probed_fat_tree(1), RECORDED);
 }
 
 #[test]
 fn partitioned_runs_match_the_recorded_outcome() {
     // Sharding the tree across threads (including a worker count that
-    // does not divide k) changes nothing observable, with either loop —
-    // batched burst drains compose with conservative rounds.
-    for batched in [false, true] {
-        for workers in [2usize, 3, 4] {
-            assert_eq!(
-                faulted_probed_fat_tree(batched, workers),
-                RECORDED,
-                "batched {batched}, workers {workers}: partitioned run diverged"
-            );
-        }
+    // does not divide k) changes nothing observable.
+    for workers in [2usize, 3, 4] {
+        assert_eq!(
+            faulted_probed_fat_tree(workers),
+            RECORDED,
+            "workers {workers}: partitioned run diverged"
+        );
     }
 }
