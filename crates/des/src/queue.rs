@@ -341,21 +341,34 @@ impl<E> EventQueue<E> {
         None
     }
 
+    /// Absolute bucket of the next pending event once the current run is
+    /// drained. The wheel's earliest bucket wins whenever it has one:
+    /// overflow events live at least a full window past everything in the
+    /// wheel.
+    fn next_pending_bucket(&self) -> Option<u64> {
+        self.next_wheel_bucket()
+            .or_else(|| self.overflow.peek().map(|e| abs_bucket(e.at)))
+    }
+
     /// Advance the cursor to the bucket holding the next pending event and
     /// load that bucket into the current run. Returns false if nothing is
     /// pending.
     fn refill_current(&mut self) -> bool {
+        match self.next_pending_bucket() {
+            Some(target) => {
+                self.load_bucket(target);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Move the cursor to `target` — [`Self::next_pending_bucket`]'s answer
+    /// — and load that bucket into the (drained) current run.
+    fn load_bucket(&mut self, target: u64) {
         debug_assert!(self.head == self.hot.len());
         self.hot.clear();
         self.head = 0;
-        let wheel_next = self.next_wheel_bucket();
-        let overflow_next = self.overflow.peek().map(|e| abs_bucket(e.at));
-        let target = match (wheel_next, overflow_next) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        };
-        let Some(target) = target else { return false };
         self.cursor = target;
         // Migrate overflow events that now fit in the window. The overflow
         // heap yields them in (time, seq) order; anything landing in the
@@ -394,7 +407,6 @@ impl<E> EventQueue<E> {
             i = node.next;
         }
         hot.sort_unstable_by_key(|r| (r.at, r.key, r.seq));
-        true
     }
 
     /// Take the record at the pop cursor: advance the cursor, lift the
@@ -436,11 +448,15 @@ impl<E> EventQueue<E> {
             // Bound-check before committing the cursor: advancing the wheel
             // toward an event beyond the deadline would be premature — the
             // caller may schedule earlier events before its next pop.
-            if self.peek_time().is_none_or(|t| t > deadline) {
-                return None;
+            // Comparing bucket indices settles it without touching the
+            // bucket's nodes, except when the deadline falls inside the
+            // bucket itself: only then is its minimum looked up.
+            let target = self.next_pending_bucket()?;
+            match target.cmp(&abs_bucket(deadline)) {
+                Ordering::Greater => return None,
+                Ordering::Equal if self.peek_time().is_none_or(|t| t > deadline) => return None,
+                _ => self.load_bucket(target),
             }
-            let refilled = self.refill_current();
-            debug_assert!(refilled, "peek saw an event but refill found none");
         }
         if self.hot[self.head].at <= deadline {
             Some(self.pop_hot())
@@ -749,6 +765,68 @@ mod tests {
         assert_eq!(q.pop_at_or_before(t(15)), None);
         assert_eq!(q.pop_at_or_before(t(25)).unwrap().event, "b");
         assert_eq!(q.pop_at_or_before(SimTime::MAX), None);
+    }
+
+    /// `pop_at_or_before` against the heap baseline (peek, then pop) with
+    /// the current run drained and the deadline before, inside and after
+    /// the next pending bucket — the three outcomes of its bucket-index
+    /// compare — for a next bucket in the wheel and one in the overflow
+    /// heap. Whatever a pop refused, an earlier event scheduled afterwards
+    /// still pops first.
+    #[test]
+    fn pop_at_or_before_matches_heap_around_the_next_bucket() {
+        fn heap_pop(h: &mut BinaryHeapQueue<u32>, deadline: SimTime) -> Option<(SimTime, u32)> {
+            if h.peek_time()? > deadline {
+                return None;
+            }
+            h.pop().map(|e| (e.at, e.event))
+        }
+        let bucket = 1u64 << BUCKET_SHIFT;
+        // Next bucket inside the wheel window, then one beyond it.
+        for base in [1_000 * bucket, (WHEEL_SLOTS as u64 + 1_000) * bucket] {
+            // Two events in one bucket, 10 ns and 40 ns into it.
+            let (lo, hi) = (base + 10, base + 40);
+            let deadlines = [
+                base - 1,      // previous bucket
+                base,          // same bucket, before both
+                lo,            // exactly the first
+                lo + 1,        // between the two
+                hi,            // exactly the second
+                base + bucket, // next bucket
+                u64::MAX,
+            ];
+            for d in deadlines {
+                let deadline = SimTime::from_nanos(d);
+                let mut wheel = EventQueue::new();
+                let mut heap = BinaryHeapQueue::new();
+                for (at, ev) in [(hi, 2u32), (lo, 1)] {
+                    wheel.push(SimTime::from_nanos(at), ev);
+                    heap.push(SimTime::from_nanos(at), ev);
+                }
+                for round in 0..3 {
+                    let got = wheel.pop_at_or_before(deadline).map(|e| (e.at, e.event));
+                    assert_eq!(
+                        got,
+                        heap_pop(&mut heap, deadline),
+                        "deadline {d} round {round}"
+                    );
+                    wheel.check_integrity().unwrap();
+                }
+                // Whatever was refused, an earlier arrival overtakes it.
+                let early = SimTime::from_nanos(base - bucket);
+                wheel.push(early, 0);
+                heap.push(early, 0);
+                loop {
+                    let got = wheel
+                        .pop_at_or_before(SimTime::MAX)
+                        .map(|e| (e.at, e.event));
+                    assert_eq!(got, heap_pop(&mut heap, SimTime::MAX), "deadline {d} drain");
+                    if got.is_none() {
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

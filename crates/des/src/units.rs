@@ -62,10 +62,14 @@ impl Bandwidth {
     /// Panics if the bandwidth is zero.
     pub fn transmission_time(self, size: ByteSize) -> SimDuration {
         assert!(self.0 > 0, "transmission over a zero-bandwidth link");
-        let bits = size.as_bytes() as u128 * 8;
-        // ns = bits / (bits/s) * 1e9, computed in u128 to avoid overflow.
-        let ns = bits * 1_000_000_000 / self.0 as u128;
-        SimDuration::from_nanos(ns as u64)
+        // ns = bits / (bits/s) * 1e9. Every packet (anything under 2.3 GB)
+        // keeps the product inside u64 and takes one hardware divide; the
+        // u128 form, same quotient, covers the rest.
+        let ns = match size.as_bytes().checked_mul(8 * 1_000_000_000) {
+            Some(bit_ns) => bit_ns / self.0,
+            None => (size.as_bytes() as u128 * 8 * 1_000_000_000 / self.0 as u128) as u64,
+        };
+        SimDuration::from_nanos(ns)
     }
 
     /// How many bytes this bandwidth carries in `d` (truncating).
@@ -204,6 +208,41 @@ mod tests {
         let d = Bandwidth::from_kbps(1).transmission_time(ByteSize::from_gib(1));
         // 2^30 bytes * 8 bits / 1000 bps = 8.59e6 s
         assert!(d.as_secs_f64() > 8.5e6 && d.as_secs_f64() < 8.7e6);
+    }
+
+    #[test]
+    fn transmission_time_u64_path_equals_the_u128_form() {
+        let wide = |bps: u64, bytes: u64| (bytes as u128 * 8 * 1_000_000_000 / bps as u128) as u64;
+        // The last size whose bit-nanosecond product fits u64, and the
+        // sizes around it.
+        let edge = u64::MAX / 8_000_000_000;
+        assert!(edge.checked_mul(8_000_000_000).is_some());
+        assert!((edge + 1).checked_mul(8_000_000_000).is_none());
+        let sizes = [
+            0,
+            1,
+            40,
+            1500,
+            9000,
+            edge - 1,
+            edge,
+            edge + 1,
+            edge + 2,
+            1 << 40,
+        ];
+        for bps in [
+            1,
+            999,
+            1_000_000,
+            800_000_000,
+            1_000_000_000,
+            10_000_000_007,
+        ] {
+            for bytes in sizes {
+                let got = Bandwidth::from_bps(bps).transmission_time(ByteSize::from_bytes(bytes));
+                assert_eq!(got.as_nanos(), wide(bps, bytes), "{bytes} B at {bps} bps");
+            }
+        }
     }
 
     #[test]

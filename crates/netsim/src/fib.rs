@@ -1,8 +1,11 @@
 //! Compiled forwarding tables (FIBs).
 //!
-//! Dynamic [`Router`](crate::routing::Router)s answer `route()` by scanning
+//! The pattern routers ([`StaticRouter`](crate::routing::StaticRouter),
+//! [`EcmpRouter`](crate::routing::EcmpRouter)) answer `route()` by scanning
 //! pattern tables behind a `Box<dyn>` — fine for topology construction,
-//! wasteful when the same question is asked once per packet per hop. Since
+//! wasteful when the same question is asked once per packet per hop. (A
+//! router whose `route()` is closed-form, like the fat tree's, has nothing
+//! to gain from a table and does not compile.) Since
 //! every destination a packet can carry is bound in the simulation's address
 //! book *before* the run starts, the whole forwarding function of a switch
 //! can be flattened at build time:
@@ -30,18 +33,15 @@ pub enum FibEntry {
     /// Deterministic next hop.
     Port(PortId),
     /// Hash-spread over `len` ports starting at `off` in the group pool:
-    /// `group[(mix64(flow ^ salt) >> shift) % len]`. The `salt`/`shift`
-    /// parameters reproduce each dynamic router's exact hash input
+    /// `group[mix64(flow ^ salt) % len]`. The `salt` reproduces the dynamic
+    /// router's exact hash input
     /// ([`EcmpRouter`](crate::routing::EcmpRouter) salts with the
-    /// destination word; the fat-tree ECMP mode shifts for its second
-    /// level).
+    /// destination word).
     Hash {
         /// Offset of the group in `CompiledFib::groups`.
         off: u32,
         /// Group size (ports).
         len: u16,
-        /// Right-shift applied to the hash before the modulo.
-        shift: u8,
         /// XOR'd into the flow id before hashing.
         salt: u64,
     },
@@ -63,13 +63,8 @@ impl CompiledFib {
     pub fn lookup(&self, dst_idx: u32, flow: FlowId) -> Option<PortId> {
         match self.entries[dst_idx as usize] {
             FibEntry::Port(p) => Some(p),
-            FibEntry::Hash {
-                off,
-                len,
-                shift,
-                salt,
-            } => {
-                let h = mix64(flow.0 ^ salt) >> shift;
+            FibEntry::Hash { off, len, salt } => {
+                let h = mix64(flow.0 ^ salt);
                 Some(self.groups[off as usize + (h % u64::from(len)) as usize])
             }
             FibEntry::Miss => None,
@@ -135,13 +130,8 @@ impl FibBuilder {
     }
 
     /// Hash destination `dst` over an interned group.
-    pub fn hashed(&mut self, dst: usize, (off, len): (u32, u16), shift: u8, salt: u64) {
-        self.entries[dst] = FibEntry::Hash {
-            off,
-            len,
-            shift,
-            salt,
-        };
+    pub fn hashed(&mut self, dst: usize, (off, len): (u32, u16), salt: u64) {
+        self.entries[dst] = FibEntry::Hash { off, len, salt };
     }
 
     /// Finish the table.
@@ -292,7 +282,7 @@ mod tests {
         let mut b = FibBuilder::new(3);
         b.port(0, PortId(4));
         let g = b.group(&[PortId(1), PortId(2), PortId(3)]);
-        b.hashed(1, g, 0, 0xABCD);
+        b.hashed(1, g, 0xABCD);
         let fib = b.build();
         assert_eq!(fib.lookup(0, FlowId(9)), Some(PortId(4)));
         // Hash entry reproduces the dynamic formula exactly.
@@ -309,9 +299,9 @@ mod tests {
         b.port(0, PortId(4));
         b.port(1, PortId(5));
         let g = b.group(&[PortId(1), PortId(4)]);
-        b.hashed(2, g, 0, 0);
+        b.hashed(2, g, 0);
         let g2 = b.group(&[PortId(2), PortId(3)]);
-        b.hashed(3, g2, 0, 0);
+        b.hashed(3, g2, 0);
         let mut fib = b.build();
         fib.invalidate_port(PortId(4));
         // Direct port hit and the group containing it both miss now; the

@@ -523,6 +523,14 @@ mod tests {
         }
     }
 
+    /// Two directions are touched per packet-hop and a k = 16 tree has 6 144
+    /// of them: the struct's size is part of the hot path's footprint.
+    #[test]
+    fn direction_stays_within_its_size_budget() {
+        let size = std::mem::size_of::<Direction<u64>>();
+        assert!(size <= 528, "Direction<u64> grew to {size} B");
+    }
+
     /// Seeded arrival sequences — back-to-back bursts, gaps of exactly one
     /// transmission time (arrivals tying with departures), idle periods,
     /// mixed sizes and ECN codepoints — through [`Direction::offer`] and

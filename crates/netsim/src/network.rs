@@ -940,8 +940,9 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     }
 
     /// Repair both directions of `link`. In-flight state was already
-    /// purged at failure; recompiling the two endpoints' FIBs restores
-    /// compiled forwarding over the link.
+    /// purged at failure; recompiling the two endpoints' FIBs (where the
+    /// endpoint's router compiles at all) restores compiled forwarding
+    /// over the link.
     ///
     /// The recompilation is **incremental**: `take_link_down` only demoted
     /// entries in the two endpoint switches' compiled tables, so repair
@@ -963,15 +964,18 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             // scratch anyway.
             return;
         }
-        let dsts: Vec<Addr> = self
-            .addr_book
-            .iter()
-            .map(|&(k, _)| Addr(k.to_be_bytes()))
-            .collect();
         let wall = std::time::Instant::now();
+        let mut dsts: Option<Vec<Addr>> = None;
         for node in ends {
-            if let NodeKind::Switch(r) = &self.nodes[node.0 as usize].kind {
-                self.fibs[node.0 as usize] = r.compile(&dsts);
+            let i = node.0 as usize;
+            // Only an endpoint that holds a table has entries to restore;
+            // a closed-form fabric builds no destination list at all.
+            if !matches!(self.fibs.get(i), Some(Some(_))) {
+                continue;
+            }
+            if let NodeKind::Switch(r) = &self.nodes[i].kind {
+                let dsts = dsts.get_or_insert_with(|| self.addresses().map(|(a, _)| a).collect());
+                self.fibs[i] = r.compile(dsts);
             }
         }
         self.profile.fib_compile_ns += wall.elapsed().as_nanos() as u64;
@@ -1158,20 +1162,16 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         node: NodeId,
         f: impl FnOnce(&mut T, &mut Ctx<'_, P>) -> R,
     ) -> R {
-        let mut agent = self.agents[node.0 as usize]
-            .take()
-            .unwrap_or_else(|| panic!("{node:?} has no agent (switch or reentrant access)"));
         let mut emits = self.take_emit_buf();
         let now = self.engine.now();
-        let r = {
-            let mut ctx = Ctx::new(now, &mut emits);
-            let a = agent
-                .as_any_mut()
-                .downcast_mut::<T>()
-                .expect("agent type mismatch");
-            f(a, &mut ctx)
-        };
-        self.agents[node.0 as usize] = Some(agent);
+        let agent = self.agents[node.0 as usize]
+            .as_mut()
+            .unwrap_or_else(|| panic!("{node:?} has no agent (it is a switch)"));
+        let a = agent
+            .as_any_mut()
+            .downcast_mut::<T>()
+            .expect("agent type mismatch");
+        let r = f(a, &mut Ctx::new(now, &mut emits));
         self.process_emits(node, emits);
         r
     }
@@ -1328,47 +1328,72 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         self.fluid.get_or_insert_with(Default::default).tick_floor = floor;
     }
 
-    /// Build the destination index and per-switch compiled FIBs (no-op when
-    /// already current). `run_until` calls this automatically; tests that
-    /// probe [`Sim::route_on`] directly call it themselves.
+    /// Compile every switch whose router compiles, and build the
+    /// destination index their tables are keyed by (no-op when already
+    /// current). A fabric of closed-form routers (the fat tree) compiles
+    /// nothing, so it builds no index and no destination list either.
+    /// `run_until` calls this automatically; tests that probe
+    /// [`Sim::route_on`] directly call it themselves.
     pub fn compile_fibs(&mut self) {
         if self.fibs_ready {
             return;
         }
         let wall = std::time::Instant::now();
-        let keys: Vec<u32> = self.addr_book.iter().map(|&(k, _)| k).collect();
-        let dsts: Vec<Addr> = self
-            .addr_book
-            .iter()
-            .map(|&(k, _)| Addr(k.to_be_bytes()))
-            .collect();
-        self.addr_index = Some(AddrIndex::build(&keys));
-        self.fibs = self
-            .nodes
-            .iter()
-            .map(|n| match &n.kind {
-                NodeKind::Switch(r) => r.compile(&dsts),
-                NodeKind::Host => None,
-            })
-            .collect();
+        // Whether a router compiles does not depend on the destinations,
+        // so the empty list answers it for free.
+        let compiles =
+            |n: &Node| matches!(&n.kind, NodeKind::Switch(r) if r.compile(&[]).is_some());
+        self.addr_index = None;
+        self.fibs = Vec::new();
+        if self.nodes.iter().any(compiles) {
+            let keys: Vec<u32> = self.addr_book.iter().map(|&(k, _)| k).collect();
+            let dsts: Vec<Addr> = self.addresses().map(|(a, _)| a).collect();
+            self.addr_index = Some(AddrIndex::build(&keys));
+            self.fibs = self
+                .nodes
+                .iter()
+                .map(|n| match &n.kind {
+                    NodeKind::Switch(r) => r.compile(&dsts),
+                    NodeKind::Host => None,
+                })
+                .collect();
+        }
         self.fibs_ready = true;
         self.profile.fib_compile_ns += wall.elapsed().as_nanos() as u64;
     }
 
-    /// Forwarding decision exactly as the hot path makes it: compiled FIB
-    /// when the switch's router compiles, dynamic router otherwise (requires
-    /// [`Sim::compile_fibs`]). Panics on hosts and unroutable destinations,
-    /// like forwarding would.
+    /// The table `node`'s router compiled to, if it did: `None` for hosts,
+    /// for routers that don't compile, and while the tables are stale (a
+    /// mid-run topology change — signal callbacks may mutate the sim —
+    /// until the next `run_until` recompiles).
+    #[inline]
+    pub fn compiled_fib(&self, node: NodeId) -> Option<&CompiledFib> {
+        if !self.fibs_ready {
+            return None;
+        }
+        self.fibs.get(node.0 as usize)?.as_ref()
+    }
+
+    /// The compiled answer for `(node, dst, flow)`; `None` (no table, `dst`
+    /// outside the address book, or a miss entry) sends the caller to the
+    /// router itself.
+    #[inline]
+    fn compiled_port(&self, node: NodeId, dst: Addr, flow: FlowId) -> Option<PortId> {
+        let fib = self.compiled_fib(node)?;
+        let di = self.addr_index.as_ref()?.lookup(dst)?;
+        fib.lookup(di, flow)
+    }
+
+    /// Forwarding decision exactly as the hot path makes it: the compiled
+    /// table if the switch's router produced one, [`Router::route`]
+    /// otherwise (requires [`Sim::compile_fibs`]). Panics on hosts and
+    /// unroutable destinations, like forwarding would.
+    ///
+    /// [`Router::route`]: crate::routing::Router::route
     pub fn route_on(&self, node: NodeId, dst: Addr, flow: FlowId, in_port: PortId) -> PortId {
         assert!(self.fibs_ready, "call compile_fibs() before route_on()");
-        let compiled = self.fibs[node.0 as usize].as_ref();
-        match (compiled, &self.addr_index) {
-            (Some(fib), Some(ai)) => ai
-                .lookup(dst)
-                .and_then(|di| fib.lookup(di, flow))
-                .unwrap_or_else(|| self.route_dynamic(node, dst, flow, in_port)),
-            _ => self.route_dynamic(node, dst, flow, in_port),
-        }
+        self.compiled_port(node, dst, flow)
+            .unwrap_or_else(|| self.route_dynamic(node, dst, flow, in_port))
     }
 
     /// Forwarding decision from the dynamic router alone.
@@ -1542,8 +1567,8 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     }
 
     /// Forward a packet that just arrived on `(link, dir)` at the switch
-    /// `to_node` (ingress `to_port`): compiled-FIB lookup, dynamic-router
-    /// fallback, and the egress enqueue.
+    /// `to_node` (ingress `to_port`): the compiled table if the router
+    /// produced one, the router itself otherwise, and the egress enqueue.
     fn forward_at_switch(
         &mut self,
         link: LinkId,
@@ -1552,19 +1577,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         to_port: PortId,
         pkt: Packet<P>,
     ) {
-        // Stale-safe: a mid-run topology change (signal callbacks
-        // may mutate the sim) drops back to the dynamic router
-        // until the next `run_until` recompiles.
-        let compiled = if self.fibs_ready {
-            self.fibs.get(to_node.0 as usize).and_then(|f| f.as_ref())
-        } else {
-            None
-        };
-        let compiled_port = match (compiled, &self.addr_index) {
-            (Some(fib), Some(ai)) => ai.lookup(pkt.dst).and_then(|di| fib.lookup(di, pkt.flow)),
-            _ => None,
-        };
-        let out_port = match compiled_port {
+        let out_port = match self.compiled_port(to_node, pkt.dst, pkt.flow) {
             Some(p) => Some(p),
             None => {
                 let NodeKind::Switch(router) = &self.nodes[to_node.0 as usize].kind else {
@@ -1647,28 +1660,21 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
                 st.intent = None;
             }
         }
-        let mut agent = self.agents[node.0 as usize]
-            .take()
-            .expect("timer for node without agent");
         let mut emits = self.take_emit_buf();
-        {
-            let mut ctx = Ctx::new(self.engine.now(), &mut emits);
-            agent.on_timer(token, &mut ctx);
-        }
-        self.agents[node.0 as usize] = Some(agent);
+        self.agents[node.0 as usize]
+            .as_mut()
+            .expect("timer for node without agent")
+            .on_timer(token, &mut Ctx::new(now, &mut emits));
         self.process_emits(node, emits);
     }
 
     fn dispatch_packet(&mut self, node: NodeId, pkt: Packet<P>, port: PortId) {
-        let mut agent = self.agents[node.0 as usize]
-            .take()
-            .expect("packet delivered to host without agent");
         let mut emits = self.take_emit_buf();
-        {
-            let mut ctx = Ctx::new(self.engine.now(), &mut emits);
-            agent.on_packet(pkt, port, &mut ctx);
-        }
-        self.agents[node.0 as usize] = Some(agent);
+        let now = self.engine.now();
+        self.agents[node.0 as usize]
+            .as_mut()
+            .expect("packet delivered to host without agent")
+            .on_packet(pkt, port, &mut Ctx::new(now, &mut emits));
         self.process_emits(node, emits);
     }
 

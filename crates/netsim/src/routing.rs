@@ -8,13 +8,13 @@
 //! here for ablation studies). The fat-tree two-level router lives in
 //! `xmp-topo` next to the topology that defines its semantics.
 //!
-//! Routers answer packets through the dynamic [`Router::route`], but may
-//! additionally [`Router::compile`] themselves into a flat
-//! [`CompiledFib`] once the set of reachable destinations is known — see
-//! the [`fib`](crate::fib) module. The dynamic path stays authoritative:
-//! compiled tables are checked bit-identical against it by differential
-//! tests, and any destination a router declines to compile falls back to
-//! `route()` at forwarding time.
+//! Routers answer packets through the dynamic [`Router::route`], but one
+//! whose `route` is a scan (both routers here) may additionally
+//! [`Router::compile`] itself into a flat [`CompiledFib`] once the set of
+//! reachable destinations is known — see the [`fib`](crate::fib) module.
+//! The dynamic path stays authoritative: compiled tables are checked
+//! bit-identical against it by differential tests, and any destination a
+//! router declines to compile falls back to `route()` at forwarding time.
 
 use crate::addr::Addr;
 use crate::fib::{CompiledFib, FibBuilder};
@@ -43,8 +43,12 @@ pub trait Router: Send {
 
     /// Compile this router into a flat table over the given destinations
     /// (the sim's address book, in destination-index order). `None` means
-    /// the router doesn't support compilation; per-destination misses
-    /// inside a returned table likewise fall back to [`Router::route`].
+    /// the router doesn't compile — right for one whose `route` is already
+    /// a few instructions (the fat tree's), where a per-destination table
+    /// only adds a cold load; per-destination misses inside a returned
+    /// table likewise fall back to [`Router::route`]. Whether a router
+    /// compiles must not depend on `dsts`: the sim asks with the empty
+    /// list first, and builds the real one only if some router says yes.
     fn compile(&self, _dsts: &[Addr]) -> Option<CompiledFib> {
         None
     }
@@ -262,7 +266,7 @@ impl Router for EcmpRouter {
                 b.port(i, group[0]);
             } else {
                 let g = *interned[e].get_or_insert_with(|| b.group(group));
-                b.hashed(i, g, 0, dst_salt(dst));
+                b.hashed(i, g, dst_salt(dst));
             }
         }
         Some(b.build())

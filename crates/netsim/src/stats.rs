@@ -33,18 +33,20 @@ pub struct DirStats {
     pub delivered_bytes: ByteSize,
     /// Maximum observed queue depth (waiting + on-wire), packets.
     pub max_depth: usize,
-    // Time-weighted queue depth accumulator.
-    depth_weighted_ns: u128,
-    // Time (ns) spent in each DEPTH_BUCKETS band.
-    depth_hist_ns: [u128; DEPTH_BUCKETS.len()],
+    // Time-weighted queue depth accumulator, ns x packets. u64 holds a
+    // standing depth of 256 packets for 2.28 years of simulated time (100,
+    // the paper's buffer, for 5.8); the scale cells run seconds.
+    depth_weighted_ns: u64,
+    // Time (ns) spent in each DEPTH_BUCKETS band; sums to at most `now`.
+    depth_hist_ns: [u64; DEPTH_BUCKETS.len()],
     last_sample: Option<(SimTime, usize)>,
 }
 
+/// Index of the [`DEPTH_BUCKETS`] band holding `depth`: 0 for an empty
+/// queue, else one band per bit length, the last band open-ended.
 fn bucket_of(depth: usize) -> usize {
-    DEPTH_BUCKETS
-        .iter()
-        .rposition(|&lo| depth >= lo)
-        .unwrap_or(0)
+    let bits = (usize::BITS - depth.leading_zeros()) as usize;
+    bits.min(DEPTH_BUCKETS.len() - 1)
 }
 
 impl DirStats {
@@ -53,8 +55,8 @@ impl DirStats {
     pub fn observe_backlog(&mut self, now: SimTime, depth: usize) {
         if let Some((t0, d0)) = self.last_sample {
             let dt = now.as_nanos().saturating_sub(t0.as_nanos());
-            self.depth_weighted_ns += dt as u128 * d0 as u128;
-            self.depth_hist_ns[bucket_of(d0)] += dt as u128;
+            self.depth_weighted_ns += dt * d0 as u64;
+            self.depth_hist_ns[bucket_of(d0)] += dt;
         }
         self.max_depth = self.max_depth.max(depth);
         self.last_sample = Some((now, depth));
@@ -64,19 +66,19 @@ impl DirStats {
     /// depth of at least `depth` packets — e.g. `occupancy_at_least(K)` is
     /// how often arrivals were being marked.
     pub fn occupancy_at_least(&self, depth: usize) -> f64 {
-        let total: u128 = self.depth_hist_ns.iter().sum();
+        let total: u64 = self.depth_hist_ns.iter().sum();
         if total == 0 {
             return 0.0;
         }
         let from = bucket_of(depth);
-        let above: u128 = self.depth_hist_ns[from..].iter().sum();
+        let above: u64 = self.depth_hist_ns[from..].iter().sum();
         above as f64 / total as f64
     }
 
     /// The time-weighted depth histogram as `(bucket lower edge, fraction
     /// of time)` pairs.
     pub fn depth_histogram(&self) -> Vec<(usize, f64)> {
-        let total: u128 = self.depth_hist_ns.iter().sum();
+        let total: u64 = self.depth_hist_ns.iter().sum();
         DEPTH_BUCKETS
             .iter()
             .zip(self.depth_hist_ns.iter())
@@ -96,7 +98,7 @@ impl DirStats {
         let mut acc = self.depth_weighted_ns;
         if let Some((t0, d0)) = self.last_sample {
             let dt = now.as_nanos().saturating_sub(t0.as_nanos());
-            acc += dt as u128 * d0 as u128;
+            acc += dt * d0 as u64;
         }
         if now.as_nanos() == 0 {
             0.0
@@ -142,12 +144,32 @@ mod tests {
 
     #[test]
     fn bucket_mapping() {
+        // The bit-length form against the table it indexes: the last band
+        // whose lower edge is at or below the depth.
+        for depth in (0..=1025).chain([usize::MAX / 2, usize::MAX]) {
+            let want = DEPTH_BUCKETS.iter().rposition(|&lo| depth >= lo).unwrap();
+            assert_eq!(bucket_of(depth), want, "depth {depth}");
+        }
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 1);
         assert_eq!(bucket_of(3), 2);
         assert_eq!(bucket_of(4), 3);
         assert_eq!(bucket_of(100), 7);
         assert_eq!(bucket_of(5000), 9);
+    }
+
+    #[test]
+    fn accumulators_hold_a_full_queue_for_two_years() {
+        // The stated overflow horizon of the u64 accumulators: the deepest
+        // histogram band, standing, for two years of simulated time.
+        let two_years = SimTime::from_nanos(2 * 365 * 86_400 * 1_000_000_000);
+        let mut s = DirStats::default();
+        s.observe_backlog(SimTime::ZERO, 256);
+        s.observe_backlog(two_years, 256);
+        assert_eq!(s.mean_depth(two_years), 256.0);
+        assert_eq!(s.occupancy_at_least(256), 1.0);
+        // ...and not for three: the horizon is 2.28 years.
+        assert!(256u64.checked_mul(3 * two_years.as_nanos() / 2).is_none());
     }
 
     #[test]

@@ -25,9 +25,15 @@
 //!
 //! For a fixed destination host, tag `t` rides core `(t mod k/2,
 //! ⌊t / (k/2)⌋)` — distinct tags, distinct cores.
+//!
+//! **Forwarding is closed-form**, as in Al-Fares' switches: a prefix
+//! compare on the pod and switch octets, then one load from a 256-entry
+//! suffix table on the fourth octet that [`FatTree::build`] fills once and
+//! every switch of the tree shares. No switch holds per-destination state,
+//! so setup time and memory follow the node count, not nodes x addresses.
 
+use std::sync::Arc;
 use xmp_des::{Bandwidth, SimDuration};
-use xmp_netsim::fib::{CompiledFib, FibBuilder};
 use xmp_netsim::network::Payload;
 use xmp_netsim::{
     mix64, Addr, Agent, FlowId, LinkId, LinkParams, NodeId, PortId, QdiscConfig, Router, Sim,
@@ -240,11 +246,21 @@ impl FatTree {
             core_links: Vec::new(),
         };
 
+        let suffix = suffix_table(k);
+        let router = |role| {
+            Box::new(FatTreeRouter {
+                role,
+                mode: config.routing,
+                half: h as u16,
+                suffix: Arc::clone(&suffix),
+            })
+        };
+
         // Core switches (i, j).
         for i in 0..h {
             for j in 0..h {
                 ft.cores
-                    .push(sim.add_switch(format!("core{i}.{j}"), Box::new(FatTreeRouter::core(k))));
+                    .push(sim.add_switch(format!("core{i}.{j}"), router(Role::Core)));
             }
         }
 
@@ -253,14 +269,16 @@ impl FatTree {
             for e in 0..h {
                 ft.edges.push(sim.add_switch(
                     format!("edge{p}.{e}"),
-                    Box::new(FatTreeRouter::edge(k, p as u8, e as u8, config.routing)),
+                    router(Role::Edge {
+                        pod: p as u8,
+                        index: e as u8,
+                    }),
                 ));
             }
             for a in 0..h {
-                ft.aggs.push(sim.add_switch(
-                    format!("agg{p}.{a}"),
-                    Box::new(FatTreeRouter::agg(k, p as u8, config.routing)),
-                ));
+                ft.aggs.push(
+                    sim.add_switch(format!("agg{p}.{a}"), router(Role::Agg { pod: p as u8 })),
+                );
             }
             for e in 0..h {
                 let edge = ft.edges[p * h + e];
@@ -466,19 +484,53 @@ impl FatTree {
     }
 }
 
-/// Decompose an address's fourth octet into `(host, tag)`.
-fn split_host_octet(k: usize, d: u8) -> (usize, usize) {
+/// One row of the suffix table: everything a switch needs to know about a
+/// destination's fourth octet. Ports fit a byte because `k < 256`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Suffix {
+    /// Edge down-port: the host id `h`.
+    host: u8,
+    /// Two-level edge uplink port, `k/2 + (h + t) mod k/2`.
+    edge_up: u8,
+    /// Two-level aggregation uplink port, `k/2 + (h + ⌊t / (k/2)⌋) mod k/2`.
+    agg_up: u8,
+}
+
+/// Al-Fares' suffix table, one per tree: fourth octet → [`Suffix`]. All the
+/// division the addressing scheme implies (octet → host id and path tag,
+/// tag → uplinks) happens here, once, for each of the 256 octets; a lookup
+/// is then one load from 768 bytes every switch of the tree shares.
+type SuffixTable = [Suffix; 256];
+
+fn suffix_table(k: usize) -> Arc<SuffixTable> {
     let half = k / 2;
-    let v = (d as usize).saturating_sub(2);
-    (v % half, v / half)
+    let mut table = [Suffix::default(); 256];
+    for (octet, row) in table.iter_mut().enumerate() {
+        // Octets 0 and 1 are never bound; they decode like octet 2.
+        let v = octet.saturating_sub(2);
+        let (host, tag) = (v % half, v / half);
+        *row = Suffix {
+            host: host as u8,
+            edge_up: (half + (host + tag) % half) as u8,
+            agg_up: (half + (host + tag / half) % half) as u8,
+        };
+    }
+    Arc::new(table)
 }
 
 /// The router for all three switch roles (two-level or ECMP uplinks).
+///
+/// Forwarding is closed-form — prefix compares on the pod and switch
+/// octets, then the suffix table — so it neither compiles a per-destination
+/// table ([`Router::compile`] stays at its default) nor keeps any state
+/// that grows with the tree.
 #[derive(Debug)]
 struct FatTreeRouter {
-    k: usize,
     role: Role,
     mode: RoutingMode,
+    /// `k/2`: the first uplink port, and the ECMP modulus.
+    half: u16,
+    suffix: Arc<SuffixTable>,
 }
 
 #[derive(Debug)]
@@ -489,91 +541,43 @@ enum Role {
 }
 
 impl FatTreeRouter {
-    fn edge(k: usize, pod: u8, index: u8, mode: RoutingMode) -> Self {
-        FatTreeRouter {
-            k,
-            role: Role::Edge { pod, index },
-            mode,
-        }
-    }
-    fn agg(k: usize, pod: u8, mode: RoutingMode) -> Self {
-        FatTreeRouter {
-            k,
-            role: Role::Agg { pod },
-            mode,
-        }
-    }
-    fn core(k: usize) -> Self {
-        FatTreeRouter {
-            k,
-            role: Role::Core,
-            mode: RoutingMode::TwoLevel, // cores have a single down-path
+    /// An uplink port: the suffix table's (two-level) or a flow-hash draw
+    /// over the `k/2` uplinks (ECMP). Both switch levels hash the same
+    /// `mix64(flow)` word, the aggregation level consuming bits 16.. (hence
+    /// `shift`) so the two choices are independent.
+    #[inline]
+    fn uplink(&self, two_level: u8, flow: FlowId, shift: u32) -> u16 {
+        match self.mode {
+            RoutingMode::TwoLevel => u16::from(two_level),
+            RoutingMode::EcmpPerFlow => {
+                let half = usize::from(self.half);
+                (half + (mix64(flow.0) >> shift) as usize % half) as u16
+            }
         }
     }
 }
 
 impl Router for FatTreeRouter {
     fn route(&self, dst: Addr, flow: FlowId, _in_port: PortId) -> PortId {
-        let h = self.k / 2;
-        let (host, tag) = split_host_octet(self.k, dst.host());
-        // Uplink selectors: address-determined (two-level) or flow-hashed
-        // (ECMP). The down-paths are identical in both modes.
-        let (up1, up2) = match self.mode {
-            RoutingMode::TwoLevel => ((host + tag) % h, (host + tag / h) % h),
-            RoutingMode::EcmpPerFlow => {
-                let hash = mix64(flow.0);
-                ((hash as usize) % h, (hash >> 16) as usize % h)
-            }
-        };
-        match self.role {
+        let suffix = &self.suffix[usize::from(dst.host())];
+        // The down-paths are identical in both routing modes.
+        PortId(match self.role {
             Role::Edge { pod, index } => {
                 if dst.pod() == pod && dst.switch() == index {
-                    PortId(host as u16) // down to the host
+                    u16::from(suffix.host)
                 } else {
-                    PortId((h + up1) as u16)
+                    self.uplink(suffix.edge_up, flow, 0)
                 }
             }
             Role::Agg { pod } => {
                 if dst.pod() == pod {
-                    PortId(u16::from(dst.switch())) // down to the edge
+                    u16::from(dst.switch()) // down to the edge
                 } else {
-                    PortId((h + up2) as u16)
+                    self.uplink(suffix.agg_up, flow, 16)
                 }
             }
-            Role::Core => PortId(u16::from(dst.pod())),
-        }
-    }
-
-    fn compile(&self, dsts: &[Addr]) -> Option<CompiledFib> {
-        let h = self.k / 2;
-        let mut b = FibBuilder::new(dsts.len());
-        // ECMP uplinks spread over ports h..k-1; both switch levels hash
-        // the same `mix64(flow)` word, the aggregation level consuming
-        // bits 16.. (hence the shift) so the two choices are independent.
-        let up_ports: Vec<PortId> = (0..h).map(|i| PortId((h + i) as u16)).collect();
-        let mut up_group: Option<(u32, u16)> = None;
-        for (i, &dst) in dsts.iter().enumerate() {
-            // Two-level lookup is a pure function of the destination
-            // address, as are all down-paths; only ECMP uplinks hash.
-            let deterministic = match (self.mode, &self.role) {
-                (RoutingMode::TwoLevel, _) | (_, Role::Core) => true,
-                (RoutingMode::EcmpPerFlow, Role::Edge { pod, index }) => {
-                    dst.pod() == *pod && dst.switch() == *index
-                }
-                (RoutingMode::EcmpPerFlow, Role::Agg { pod }) => dst.pod() == *pod,
-            };
-            if deterministic {
-                b.port(i, self.route(dst, FlowId(0), PortId(0)));
-            } else {
-                let g = *up_group.get_or_insert_with(|| b.group(&up_ports));
-                let shift = match self.role {
-                    Role::Agg { .. } => 16,
-                    _ => 0,
-                };
-                b.hashed(i, g, shift, 0);
-            }
-        }
-        Some(b.build())
+            Role::Core => u16::from(dst.pod()),
+        })
     }
 }
 

@@ -1,16 +1,24 @@
-//! Differential bit-identity: compiled FIBs vs dynamic routers.
+//! Differential bit-identity of forwarding, both kinds.
 //!
-//! Every in-tree topology is built, its FIBs compiled, and every switch is
-//! asked for its forwarding decision over every bound destination address,
-//! a spread of flow ids (ECMP hashing) and every ingress port. The
-//! compiled answer must equal the dynamic router's, bit for bit —
-//! including the "no route" panic for (switch, destination) pairs the
-//! topology never uses (torus/testbed switches only know their paths).
+//! **What compiles** (dumbbell, torus, testbeds — pattern-scan routers):
+//! the topology is built, its FIBs compiled, and every switch is asked for
+//! its forwarding decision over every bound destination address, a spread
+//! of flow ids (ECMP hashing) and every ingress port. The compiled answer
+//! must equal the dynamic router's, bit for bit — including the "no route"
+//! panic for (switch, destination) pairs the topology never uses
+//! (torus/testbed switches only know their paths).
+//!
+//! **What is closed-form** (the fat tree): nothing compiles, so the same
+//! sweep would compare `route` with itself. Instead the router's suffix
+//! table is checked against the `%`-and-`/` arithmetic it replaced, kept
+//! here verbatim as the reference, over every (switch, bound address, flow)
+//! for k ∈ {4, 8, 12, 16, 32} in both routing modes; and every (source
+//! host, destination alias) is walked hop by hop to its host.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use xmp_des::{Bandwidth, SimDuration, SimRng};
-use xmp_netsim::{Addr, Agent, Ctx, FlowId, NodeId, Packet, PortId, QdiscConfig, Sim};
+use xmp_netsim::{mix64, Addr, Agent, Ctx, FlowId, NodeId, Packet, PortId, QdiscConfig, Sim};
 use xmp_topo::fat_tree::{FatTree, FatTreeConfig, RoutingMode};
 use xmp_topo::testbed::{FairnessTestbed, ShiftTestbed, TestbedConfig};
 use xmp_topo::torus::{Torus, TorusConfig};
@@ -48,6 +56,13 @@ fn assert_fib_identical(sim: &mut Sim<u64>, name: &str, flows: &[u64], max_in_po
         .filter(|&n| !sim.node(n).is_host())
         .collect();
     assert!(!switches.is_empty(), "{name}: no switches");
+    // Not vacuous: every switch of these topologies holds a table.
+    for &swid in &switches {
+        assert!(
+            sim.compiled_fib(swid).is_some(),
+            "{name}: {swid:?} did not compile"
+        );
+    }
 
     // Silence expected "no route" panics while probing routability.
     let hook = panic::take_hook();
@@ -102,39 +117,201 @@ fn dumbbell_fib_is_bit_identical() {
     assert_fib_identical(&mut sim, "dumbbell", &flow_set(16), usize::MAX);
 }
 
-#[test]
-fn fat_tree_k4_fib_is_bit_identical_both_modes() {
-    for routing in [RoutingMode::TwoLevel, RoutingMode::EcmpPerFlow] {
-        let mut sim: Sim<u64> = Sim::new(1);
-        let cfg = FatTreeConfig {
-            k: 4,
-            routing,
-            ..FatTreeConfig::paper(QdiscConfig::DropTail { cap: 100 })
-        };
-        FatTree::build(&mut sim, &cfg, |_| Box::<Probe>::default());
-        assert_fib_identical(
-            &mut sim,
-            &format!("fat_tree k=4 {routing:?}"),
-            &flow_set(16),
-            usize::MAX,
-        );
+/// A fat-tree switch's position, as the reference needs it.
+#[derive(Clone, Copy)]
+enum Role {
+    Edge { pod: u8, index: u8 },
+    Agg { pod: u8 },
+    Core,
+}
+
+/// Decompose an address's fourth octet into `(host, tag)`.
+fn split_host_octet(k: usize, d: u8) -> (usize, usize) {
+    let half = k / 2;
+    let v = (d as usize).saturating_sub(2);
+    (v % half, v / half)
+}
+
+/// The fat tree's forwarding function as `FatTreeRouter::route` computed
+/// it per packet before the suffix table — the reference, verbatim.
+fn reference_route(k: usize, role: Role, mode: RoutingMode, dst: Addr, flow: FlowId) -> PortId {
+    let h = k / 2;
+    let (host, tag) = split_host_octet(k, dst.host());
+    // Uplink selectors: address-determined (two-level) or flow-hashed
+    // (ECMP). The down-paths are identical in both modes.
+    let (up1, up2) = match mode {
+        RoutingMode::TwoLevel => ((host + tag) % h, (host + tag / h) % h),
+        RoutingMode::EcmpPerFlow => {
+            let hash = mix64(flow.0);
+            ((hash as usize) % h, (hash >> 16) as usize % h)
+        }
+    };
+    match role {
+        Role::Edge { pod, index } => {
+            if dst.pod() == pod && dst.switch() == index {
+                PortId(host as u16) // down to the host
+            } else {
+                PortId((h + up1) as u16)
+            }
+        }
+        Role::Agg { pod } => {
+            if dst.pod() == pod {
+                PortId(u16::from(dst.switch())) // down to the edge
+            } else {
+                PortId((h + up2) as u16)
+            }
+        }
+        Role::Core => PortId(u16::from(dst.pod())),
     }
 }
 
+fn build_fat_tree(k: usize, routing: RoutingMode) -> (Sim<u64>, FatTree) {
+    let mut sim: Sim<u64> = Sim::new(1);
+    let cfg = FatTreeConfig {
+        k,
+        routing,
+        ..FatTreeConfig::paper(QdiscConfig::DropTail { cap: 100 })
+    };
+    let ft = FatTree::build(&mut sim, &cfg, |_| Box::<Probe>::default());
+    sim.compile_fibs();
+    (sim, ft)
+}
+
+/// Every switch of the tree with its role.
+fn fat_tree_switches(k: usize, ft: &FatTree) -> Vec<(NodeId, Role)> {
+    let h = k / 2;
+    let edges = ft.edges.iter().enumerate().map(|(i, &n)| {
+        let (pod, index) = ((i / h) as u8, (i % h) as u8);
+        (n, Role::Edge { pod, index })
+    });
+    let aggs = ft.aggs.iter().enumerate().map(|(i, &n)| {
+        let pod = (i / h) as u8;
+        (n, Role::Agg { pod })
+    });
+    let cores = ft.cores.iter().map(|&n| (n, Role::Core));
+    edges.chain(aggs).chain(cores).collect()
+}
+
+/// Closed form vs reference at every switch, under every flow in `flows`,
+/// over every `stride`-th bound address (1 = every one) and over all 256
+/// fourth octets (bound or not: octets 0 and 1 take the reference's
+/// saturating branch) behind a local, a same-pod and a foreign prefix.
+fn assert_closed_form_matches_reference(
+    k: usize,
+    routing: RoutingMode,
+    flows: &[u64],
+    stride: usize,
+) {
+    let (sim, ft) = build_fat_tree(k, routing);
+    let name = format!("fat_tree k={k} {routing:?}");
+    let bound: Vec<Addr> = sim.addresses().map(|(a, _)| a).collect();
+    assert_eq!(bound.len(), ft.host_count() * ft.tag_count(), "{name}");
+    let every_octet = [(0, 0), (0, 1), (1, 0)]
+        .into_iter()
+        .flat_map(|(p, e)| (0..=255).map(move |d| Addr::new(10, p, e, d)));
+    let dsts: Vec<Addr> = bound
+        .into_iter()
+        .step_by(stride)
+        .chain(every_octet)
+        .collect();
+    for (swid, role) in fat_tree_switches(k, &ft) {
+        // The fat tree is arithmetic: nothing to compile, no table held.
+        assert!(
+            sim.compiled_fib(swid).is_none(),
+            "{name}: {swid:?} holds a FIB"
+        );
+        for &dst in &dsts {
+            for &f in flows {
+                // `route_on` is the decision as the hot path makes it.
+                let got = sim.route_on(swid, dst, FlowId(f), PortId(0));
+                let want = reference_route(k, role, routing, dst, FlowId(f));
+                assert_eq!(got, want, "{name}: {swid:?} dst {dst} flow {f}");
+            }
+        }
+    }
+}
+
+/// Both routing modes at one `k`: two flow ids for two-level forwarding
+/// (it ignores the flow; two ids pin that), `ecmp_flows` of the
+/// [`flow_set`] for ECMP.
+fn assert_both_modes_match_reference(k: usize, ecmp_flows: usize, stride: usize) {
+    assert_closed_form_matches_reference(k, RoutingMode::TwoLevel, &[0, u64::MAX], stride);
+    let flows: Vec<u64> = flow_set(16).into_iter().step_by(32 / ecmp_flows).collect();
+    assert_closed_form_matches_reference(k, RoutingMode::EcmpPerFlow, &flows, stride);
+}
+
+// An unoptimized test build spends ~0.1 µs per check, so the ECMP flow set
+// shrinks as the (switch, bound address) product grows: 2.8 M pairs at
+// k = 12, 10 M at k = 16.
 #[test]
-fn fat_tree_k8_fib_is_bit_identical_both_modes() {
-    // k=8: 80 switches x 2048 bound aliases; keep the flow/in-port spread
-    // small so the exhaustive destination sweep stays fast.
-    let flows: Vec<u64> = flow_set(4).into_iter().step_by(5).collect();
-    for routing in [RoutingMode::TwoLevel, RoutingMode::EcmpPerFlow] {
-        let mut sim: Sim<u64> = Sim::new(1);
-        let cfg = FatTreeConfig {
-            k: 8,
-            routing,
-            ..FatTreeConfig::paper(QdiscConfig::DropTail { cap: 100 })
+fn fat_tree_closed_form_matches_reference_k4_k8_k12() {
+    assert_both_modes_match_reference(4, 32, 1);
+    assert_both_modes_match_reference(8, 32, 1);
+    assert_both_modes_match_reference(12, 4, 1);
+}
+
+#[test]
+fn fat_tree_closed_form_matches_reference_k16() {
+    assert_both_modes_match_reference(16, 2, 1);
+}
+
+/// k = 32 is 1 280 switches x 122 880 bound aliases = 157 M pairs: a
+/// second per flow optimized, a quarter of a minute not. `cargo test
+/// --release` (`scripts/check.sh` runs this file that way) sweeps every
+/// pair; an unoptimized build takes every 61st alias — 240 share a /24, so
+/// the stride walks through every prefix and every octet position — at
+/// every switch.
+#[test]
+fn fat_tree_closed_form_matches_reference_k32() {
+    let stride = if cfg!(debug_assertions) { 61 } else { 1 };
+    assert_both_modes_match_reference(32, 2, stride);
+}
+
+/// Every (source host, destination alias) reaches the alias's host in at
+/// most 6 link hops, following `route_on` switch by switch. A host's only
+/// port leads to its edge switch, so the walks are made once per (edge
+/// switch, alias) and the first hop checked once per host.
+#[test]
+fn fat_tree_walks_deliver_within_six_hops() {
+    for (k, routing, flows) in [
+        (4, RoutingMode::TwoLevel, vec![0]),
+        (8, RoutingMode::TwoLevel, vec![0]),
+        (12, RoutingMode::TwoLevel, vec![0]),
+        (16, RoutingMode::TwoLevel, vec![0]),
+        (4, RoutingMode::EcmpPerFlow, flow_set(16)),
+        (8, RoutingMode::EcmpPerFlow, flow_set(4)),
+    ] {
+        let (sim, ft) = build_fat_tree(k, routing);
+        let name = format!("fat_tree k={k} {routing:?}");
+        let next = |node: NodeId, port: PortId| {
+            let (link, dir) = sim.node(node).ports[port.0 as usize];
+            let d = sim.link(link).dir(dir);
+            (d.to_node, d.to_port)
         };
-        FatTree::build(&mut sim, &cfg, |_| Box::<Probe>::default());
-        assert_fib_identical(&mut sim, &format!("fat_tree k=8 {routing:?}"), &flows, 2);
+        for (i, &host) in ft.hosts.iter().enumerate() {
+            assert_eq!(sim.node(host).port_count(), 1, "{name}: host {i}");
+            assert_eq!(
+                next(host, PortId(0)).0,
+                ft.edges[i / (k / 2)],
+                "{name}: host {i}"
+            );
+        }
+        let aliases: Vec<(Addr, NodeId)> = sim.addresses().collect();
+        for &edge in &ft.edges {
+            for &(dst, owner) in &aliases {
+                for &f in &flows {
+                    // Hop 1 brought the packet from its source host.
+                    let (mut at, mut in_port, mut hops) = (edge, PortId(0), 1);
+                    while !sim.node(at).is_host() {
+                        assert!(hops < 6, "{name}: {edge:?} -> {dst} flow {f} still walking");
+                        let out = sim.route_on(at, dst, FlowId(f), in_port);
+                        (at, in_port) = next(at, out);
+                        hops += 1;
+                    }
+                    assert_eq!(at, owner, "{name}: {edge:?} -> {dst} flow {f}");
+                }
+            }
+        }
     }
 }
 

@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --workspace --release --offline
 cargo test -q --workspace --offline
+# The fat tree's closed-form forwarding against its arithmetic reference at
+# every (switch, bound address) of a k = 32 tree: 157 M pairs, swept in full
+# only by an optimized build (the line above takes every 61st alias).
+cargo test -q --release --offline -p xmp-topo --test fib_differential
 # Conformance gate: every spec clause in specs/ parses, every MUST cites
 # a test, and every cited test exists in the workspace. Exits nonzero on
 # a dangling citation (also enforced in-suite by tests/conformance.rs).
