@@ -35,6 +35,7 @@
 //! to a citation test — see `specs/README.md`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod bos;

@@ -107,6 +107,21 @@ impl<E> Engine<E> {
         self.queue.peek_time()
     }
 
+    /// Lookahead into the queue's sorted current run
+    /// ([`EventQueue::upcoming`]): a hint at what will pop `k` events from
+    /// now, `None` when the run is shorter.
+    #[inline]
+    pub fn upcoming(&self, k: usize) -> Option<&E> {
+        self.queue.upcoming(k)
+    }
+
+    /// Start loading the storage of the event `k` pops ahead
+    /// ([`EventQueue::prefetch_upcoming`]). Changes nothing.
+    #[inline]
+    pub fn prefetch_upcoming(&self, k: usize) {
+        self.queue.prefetch_upcoming(k);
+    }
+
     /// Audit the event queue's storage invariants (see
     /// [`EventQueue::check_integrity`]) plus the engine-level guarantee
     /// that no pending event predates the clock. Returns a description of

@@ -9,7 +9,9 @@
 //! * [`Engine`] — a minimal run loop over a user-supplied event type,
 //! * [`units`] — strongly-typed bandwidth and data-size quantities,
 //! * [`SimRng`] — an explicitly seeded RNG so every simulation is
-//!   reproducible from its seed alone.
+//!   reproducible from its seed alone,
+//! * [`hint`] — the cache prefetch hint the run loop issues for events the
+//!   queue already knows are next.
 //!
 //! The design follows the event-driven, allocation-light ethos of
 //! embedded-style network stacks: no async runtime, no global state, and no
@@ -37,8 +39,11 @@
 //! ```
 
 #![warn(missing_docs)]
+// One exception, in `hint::prefetch_read`: the prefetch instruction itself.
+#![deny(unsafe_code)]
 
 pub mod engine;
+pub mod hint;
 pub mod queue;
 pub mod rng;
 pub mod time;

@@ -36,7 +36,7 @@
 //!   overflow min-heap and migrate into the wheel as the cursor advances.
 //!
 //! Ordering proof sketch: equal timestamps always land in the same absolute
-//! bucket, so ties are resolved inside one heap by `seq`; bucket `b` only
+//! bucket, so ties are resolved inside one sorted run by `(key, seq)`; bucket `b` only
 //! drains after every bucket `< b` is empty, and overflow events are only
 //! eligible once their bucket enters the window — strictly after everything
 //! currently in the wheel ahead of them. Hence pops are globally sorted by
@@ -165,7 +165,7 @@ pub struct EventQueue<E> {
     summary: [u64; BITMAP_WORDS.div_ceil(64)],
     /// Events at or beyond `cursor + WHEEL_SLOTS` buckets.
     overflow: BinaryHeap<ScheduledEvent<E>>,
-    /// Absolute bucket index the `current` heap corresponds to.
+    /// Absolute bucket index the current run (`hot`) was loaded from.
     cursor: u64,
     len: usize,
     next_seq: u64,
@@ -266,7 +266,7 @@ impl<E> EventQueue<E> {
     /// Schedule `event` to fire at absolute time `at`.
     ///
     /// Events at or before the cursor's bucket (the bucket currently being
-    /// drained) go straight into the sorted `current` heap, so zero-delay
+    /// drained) are inserted into the sorted current run, so zero-delay
     /// cascades and — for direct users without an [`Engine`](crate::Engine)
     /// clock — even past-dated pushes still pop in `(time, seq)` order
     /// relative to everything pending.
@@ -306,7 +306,7 @@ impl<E> EventQueue<E> {
     fn next_wheel_bucket(&self) -> Option<u64> {
         let start = (self.cursor & SLOT_MASK) as usize;
         // Slots run circularly from `start` (exclusive — cursor's own slot
-        // was drained into `current`) for WHEEL_SLOTS-1 positions; but a
+        // was drained into the current run) for WHEEL_SLOTS-1 positions; but a
         // fresh queue may also have events in the cursor slot itself, so
         // include it.
         let (start_word, start_bit) = (start / 64, start % 64);
@@ -463,6 +463,38 @@ impl<E> EventQueue<E> {
         } else {
             None
         }
+    }
+
+    /// Lookahead: the `k`-th event of the sorted current run past the pop
+    /// cursor — `upcoming(0)` is what the next pop returns, provided
+    /// nothing earlier is pushed first. `None` when the run holds `k` or
+    /// fewer events, however many wait in later buckets: those are not
+    /// sorted yet, and sorting them early would commit the cursor.
+    ///
+    /// For hints only. Handling the events in between may schedule others
+    /// ahead of this one or (at a layer above) make it stale.
+    #[inline]
+    pub fn upcoming(&self, k: usize) -> Option<&E> {
+        let rec = self.hot.get(self.head + k)?;
+        self.nodes[rec.idx as usize].payload.as_ref()
+    }
+
+    /// Hint the CPU to start loading the slab node of [`Self::upcoming`]`(k)`
+    /// — or, when the current run is that short, the head node of the next
+    /// non-empty wheel bucket, whose list walk is the first thing the next
+    /// refill does. Reads nothing but the queue's own index structures and
+    /// changes nothing ([`crate::hint::prefetch_read`]).
+    #[inline]
+    pub fn prefetch_upcoming(&self, k: usize) {
+        let idx = match self.hot.get(self.head + k) {
+            Some(rec) => rec.idx,
+            None => match self.next_wheel_bucket() {
+                Some(b) => self.slots[(b & SLOT_MASK) as usize],
+                // Far-future events sit in the overflow heap's own buffer.
+                None => return,
+            },
+        };
+        crate::hint::prefetch_read(&self.nodes[idx as usize]);
     }
 
     /// The timestamp of the earliest pending event.
@@ -879,6 +911,7 @@ mod tests {
     /// profile (near events + far timers + ties). 200+ seeded cases.
     #[test]
     fn wheel_matches_heap_oracle() {
+        let mut deep_lookaheads = 0;
         for seed in 0..250u64 {
             let mut rng = SimRng::new(0xC0FFEE ^ seed);
             let mut wheel = EventQueue::new();
@@ -902,21 +935,35 @@ mod tests {
                         heap.push(at, next_id);
                         next_id += 1;
                     }
-                    // 20%: pop and compare.
+                    // 20%: pop and compare — once, or as many times as the
+                    // lookahead can see: whatever `upcoming(0..=k)` shows,
+                    // the next `k + 1` pops deliver, in that order.
                     _ => {
-                        let a = wheel.pop();
-                        let b = heap.pop();
-                        match (a, b) {
-                            (None, None) => {}
-                            (Some(x), Some(y)) => {
-                                assert_eq!(
-                                    (x.at, x.seq, x.event),
-                                    (y.at, y.seq, y.event),
-                                    "diverged (seed {seed})"
-                                );
-                                now_ns = x.at.as_nanos();
+                        let k = rng.index(4);
+                        let promised: Vec<u64> =
+                            (0..=k).map_while(|j| wheel.upcoming(j).copied()).collect();
+                        assert!(
+                            (promised.len()..=k).all(|j| wheel.upcoming(j).is_none()),
+                            "lookahead has a hole (seed {seed})"
+                        );
+                        deep_lookaheads += usize::from(promised.len() > 1);
+                        wheel.prefetch_upcoming(k);
+                        for j in 0..promised.len().max(1) {
+                            match (wheel.pop(), heap.pop()) {
+                                (None, None) => {}
+                                (Some(x), Some(y)) => {
+                                    assert_eq!(
+                                        (x.at, x.seq, x.event),
+                                        (y.at, y.seq, y.event),
+                                        "diverged (seed {seed})"
+                                    );
+                                    if let Some(&want) = promised.get(j) {
+                                        assert_eq!(x.event, want, "lookahead {j} (seed {seed})");
+                                    }
+                                    now_ns = x.at.as_nanos();
+                                }
+                                (a, b) => panic!("one queue empty: {a:?} vs {b:?} (seed {seed})"),
                             }
-                            (a, b) => panic!("one queue empty: {a:?} vs {b:?} (seed {seed})"),
                         }
                     }
                 }
@@ -938,6 +985,79 @@ mod tests {
                 }
             }
         }
+        assert!(
+            deep_lookaheads > 20,
+            "only {deep_lookaheads} multi-event lookaheads"
+        );
+    }
+
+    #[test]
+    fn upcoming_sees_the_current_run_and_nothing_past_it() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.upcoming(0), None);
+        q.prefetch_upcoming(0); // nothing to hint at: must not panic
+        q.push(t(1), "a");
+        q.push(t(1), "b"); // same bucket as "a"
+        q.push(t(50), "later");
+        // Nothing is loaded until the first pop commits the cursor.
+        assert_eq!(q.upcoming(0), None);
+        assert_eq!(q.pop().unwrap().event, "a");
+        assert_eq!(q.upcoming(0), Some(&"b"));
+        assert_eq!(q.upcoming(1), None, "\"later\" waits in an unsorted bucket");
+        assert_eq!(q.pop().unwrap().event, "b");
+        // Drained run, one event still pending.
+        assert_eq!(q.upcoming(0), None);
+        assert_eq!(q.len(), 1);
+    }
+
+    /// The hint's fallback — run drained, next event in a wheel bucket or
+    /// in the overflow heap — reads the index structures and leaves the
+    /// queue exactly as it was: an earlier event pushed afterwards still
+    /// pops first (the cursor did not move).
+    #[test]
+    fn prefetch_upcoming_leaves_a_drained_queue_as_it_was() {
+        let far = SimTime::from_millis(300);
+        for (next, what) in [(t(90), "wheel"), (far, "overflow")] {
+            let mut q = EventQueue::new();
+            q.push(t(10), "first");
+            q.push(next, "next");
+            assert_eq!(q.pop().unwrap().event, "first");
+            for k in 0..3 {
+                q.prefetch_upcoming(k);
+                assert_eq!(q.upcoming(k), None, "{what}");
+            }
+            assert_eq!((q.len(), q.peek_time()), (1, Some(next)), "{what}");
+            q.check_integrity().unwrap();
+            q.push(t(20), "earlier");
+            assert_eq!(q.pop().unwrap().event, "earlier", "{what}");
+            assert_eq!(q.pop().unwrap().event, "next", "{what}");
+            assert!(q.pop().is_none());
+        }
+    }
+
+    /// Long horizons: two hours, thirty days and the last representable
+    /// instant but one are all far past the wheel window; they pop in time
+    /// order, agree with the heap baseline, and the bucket arithmetic at
+    /// the top of the `u64` range does not overflow.
+    #[test]
+    fn multi_hour_and_end_of_time_events_pop_in_order() {
+        let hour = 3_600 * 1_000_000_000u64;
+        let times = [u64::MAX - 1, 30 * 24 * hour, 2 * hour, 64];
+        let mut wheel = EventQueue::new();
+        let mut heap = BinaryHeapQueue::new();
+        for (i, ns) in times.into_iter().enumerate() {
+            wheel.push(SimTime::from_nanos(ns), i);
+            heap.push(SimTime::from_nanos(ns), i);
+        }
+        assert!(SimTime::from_nanos(u64::MAX - 1) < SimTime::MAX);
+        for want in [3, 2, 1, 0] {
+            wheel.prefetch_upcoming(1);
+            let (w, h) = (wheel.pop().unwrap(), heap.pop().unwrap());
+            assert_eq!((w.at, w.event), (h.at, h.event));
+            assert_eq!(w.event, want);
+            wheel.check_integrity().unwrap();
+        }
+        assert!(wheel.is_empty());
     }
 
     /// For any multiset of timestamps, pops are globally sorted by

@@ -22,6 +22,8 @@
 //! prints the same rows/series the paper reports. The
 //! `xmp-experiments` binary drives them from the command line.
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod common;
 pub mod dynamics;

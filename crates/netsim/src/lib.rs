@@ -25,6 +25,7 @@
 //! bit-identity with the serial run.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod addr;
 pub mod agent;

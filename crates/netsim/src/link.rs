@@ -71,46 +71,49 @@ impl LinkParams {
 }
 
 /// One direction of a link.
+///
+/// Two directions are touched per packet-hop — the one the packet arrives
+/// over and the one it leaves by — and a k = 16 fat tree has 6 144 of them,
+/// far more than a cache holds: the first touch of each is a memory stall.
+/// The fields are therefore laid out (`repr(C)`, line-aligned) by who
+/// touches them together, not by topic (DESIGN.md §13.4;
+/// `tests::direction_fields_sit_on_their_cache_lines` pins every offset):
+///
+/// | line | bytes | what | touched by |
+/// |---|---|---|---|
+/// | 0 | 0–63 | `in_network`, `fault`, `to_node`, `fail_gen`, `to_port`, `down`, `listed`, `busy_until`, `stats.delivered{,_bytes}` | **rx** (`on_deliver`: nothing else), tx, fluid |
+/// | 1 | 64–127 | `stats.{enqueued, marked, max_depth, depth_weighted_ns, last_sample}`, depth band 0 | tx |
+/// | 2 | 128–191 | depth bands 1–8 | tx |
+/// | 3 | 192–255 | depth band 9, drop/fault/corrupt/blackhole counters, `fluid_{rate, backlog, bytes_out}` | fluid; rare events |
+/// | 4 | 256–319 | `fluid_asof`, the `pending` ring's header, the qdisc's `cap`/`k` | tx, fluid |
+/// | 5–7 | 320–511 | rest of the qdisc (RED state, its RNG), fault and corruption RNGs | RED; fault draws |
+#[repr(C, align(64))]
 pub struct Direction<P> {
-    /// Node the direction delivers to.
-    pub to_node: NodeId,
-    /// Port on `to_node` the packet arrives on.
-    pub to_port: PortId,
-    /// The mark/drop rule and buffer size. Statically dispatched for the
-    /// in-tree disciplines; see [`QdiscKind`]. It decides, it does not
-    /// store: no packet is ever buffered in it.
-    pub queue: QdiscKind<P>,
-    /// Per-direction counters.
-    pub stats: DirStats,
-    pub(crate) fault: FaultConfig,
-    pub(crate) fault_rng: SimRng,
-    /// Separate stream for corruption draws so enabling one fault kind
-    /// never perturbs the other's sequence.
-    pub(crate) corrupt_rng: SimRng,
-    /// The direction is failed: everything offered is blackholed.
-    pub(crate) down: bool,
-    /// Bumped on every `LinkDown`; `Deliver` events carry the generation
-    /// they were scheduled under, so events belonging to packets purged by
-    /// a failure are recognized as stale.
-    pub(crate) fail_gen: u32,
     /// Conservation audit: packets accepted by this direction whose
     /// `Deliver` has not yet been processed (negative would mean a packet
     /// was double-counted — asserted by `Sim::audit_conservation`).
     pub(crate) in_network: i64,
+    pub(crate) fault: FaultConfig,
+    /// Node the direction delivers to.
+    pub to_node: NodeId,
+    /// Bumped on every `LinkDown`; `Deliver` events carry the generation
+    /// they were scheduled under, so events belonging to packets purged by
+    /// a failure are recognized as stale.
+    pub(crate) fail_gen: u32,
+    /// Port on `to_node` the packet arrives on.
+    pub to_port: PortId,
+    /// The direction is failed: everything offered is blackholed.
+    pub(crate) down: bool,
+    /// Whether this direction is on the sim's busy list (directions whose
+    /// departures the run-window sweep still has to retire).
+    pub(crate) listed: bool,
     /// When the port frees up. Serialization is FIFO and non-preemptive,
     /// so a packet accepted at `now` starts transmitting at
     /// `busy_until.max(now)` — its departure is fully determined at enqueue.
     pub(crate) busy_until: SimTime,
-    /// `(start, depart)` per accepted packet that has not left the port
-    /// yet, in departure order. The front entry with `start <= now` is the
-    /// one "on the wire"; later entries are the waiting backlog. `depart`
-    /// says when an entry retires; `start` is what tells serializing from
-    /// waiting when a fluid backlog (hybrid mode) floors the start time
-    /// past the previous departure and leaves the port idle in between.
-    pub(crate) pending: VecDeque<(SimTime, SimTime)>,
-    /// Whether this direction is on the sim's busy list (directions whose
-    /// departures the run-window sweep still has to retire).
-    pub(crate) listed: bool,
+    /// Per-direction counters. [`DirStats`] orders its own fields to
+    /// continue this layout: delivery counters first.
+    pub stats: DirStats,
     /// Hybrid mode: aggregate registered fluid inflow (bytes/s). Updated by
     /// [`crate::fluid::FluidState`] ticks; always 0.0 when hybrid is off.
     pub(crate) fluid_rate: f64,
@@ -120,6 +123,21 @@ pub struct Direction<P> {
     pub(crate) fluid_bytes_out: f64,
     /// Hybrid mode: instant `fluid_backlog`/`fluid_bytes_out` are valid at.
     pub(crate) fluid_asof: SimTime,
+    /// `(start, depart)` per accepted packet that has not left the port
+    /// yet, in departure order. The front entry with `start <= now` is the
+    /// one "on the wire"; later entries are the waiting backlog. `depart`
+    /// says when an entry retires; `start` is what tells serializing from
+    /// waiting when a fluid backlog (hybrid mode) floors the start time
+    /// past the previous departure and leaves the port idle in between.
+    pub(crate) pending: VecDeque<(SimTime, SimTime)>,
+    /// The mark/drop rule and buffer size. Statically dispatched for the
+    /// in-tree disciplines; see [`QdiscKind`]. It decides, it does not
+    /// store: no packet is ever buffered in it.
+    pub queue: QdiscKind<P>,
+    pub(crate) fault_rng: SimRng,
+    /// Separate stream for corruption draws so enabling one fault kind
+    /// never perturbs the other's sequence.
+    pub(crate) corrupt_rng: SimRng,
 }
 
 /// What a direction did with an offered packet ([`Direction::offer`]).
@@ -225,6 +243,14 @@ impl<P: Send> Direction<P> {
             waiting,
             depart,
         }
+    }
+
+    /// Hint the CPU that this direction is about to receive a packet:
+    /// start loading the one cache line `on_deliver` works on (line 0 of
+    /// the layout above). The run loop calls it one event ahead.
+    #[inline]
+    pub(crate) fn prefetch_rx(&self) {
+        xmp_des::hint::prefetch_read(&self.in_network);
     }
 
     /// Packets queued or serializing, as of the last retired departure
@@ -523,12 +549,85 @@ mod tests {
         }
     }
 
-    /// Two directions are touched per packet-hop and a k = 16 tree has 6 144
-    /// of them: the struct's size is part of the hot path's footprint.
+    /// The layout table in [`Direction`]'s docs, as arithmetic: which
+    /// 64-byte line each field the receive path, the transmit path and a
+    /// fluid tick touch lives on. `Direction<u64>` and `Direction<Segment>`
+    /// lay out alike — `P` only appears behind the qdisc ring's pointer.
     #[test]
-    fn direction_stays_within_its_size_budget() {
-        let size = std::mem::size_of::<Direction<u64>>();
-        assert!(size <= 528, "Direction<u64> grew to {size} B");
+    fn direction_fields_sit_on_their_cache_lines() {
+        use std::mem::{align_of, offset_of, size_of};
+        type D = Direction<u64>;
+        assert_eq!(align_of::<D>(), 64);
+        assert!(
+            size_of::<D>() <= 512,
+            "Direction<u64> is {} B",
+            size_of::<D>()
+        );
+        assert_eq!(size_of::<Link<u64>>() % 64, 0);
+
+        let stats = offset_of!(D, stats);
+        macro_rules! line_of {
+            (stats.$f:ident) => {
+                (stats + offset_of!(DirStats, $f)) / 64
+            };
+            ($f:ident) => {
+                offset_of!(D, $f) / 64
+            };
+        }
+        let band = |b: usize| (stats + offset_of!(DirStats, depth_hist_ns) + 8 * b) / 64;
+        // The end of a field's last byte is on the same line as its start.
+        let whole = |off: usize, len: usize| off / 64 == (off + len - 1) / 64;
+
+        // rx: everything `on_deliver` reads or writes on the ingress
+        // direction is line 0 — what `prefetch_rx` asks for.
+        assert_eq!(offset_of!(D, in_network), 0);
+        assert_eq!(line_of!(fail_gen), 0);
+        assert_eq!(line_of!(fault), 0);
+        assert!(whole(offset_of!(D, fault), size_of::<FaultConfig>()));
+        assert_eq!(line_of!(to_node), 0);
+        assert_eq!(line_of!(to_port), 0);
+        assert_eq!(line_of!(stats.delivered), 0);
+        assert_eq!(line_of!(stats.delivered_bytes), 0);
+
+        // tx: `offer` and the retire loop stay on lines 0, 1, 2 and 4 (plus
+        // the ring's heap line) while the backlog is under 256 packets.
+        assert_eq!(line_of!(down), 0);
+        assert_eq!(line_of!(listed), 0);
+        assert_eq!(line_of!(busy_until), 0);
+        assert_eq!(line_of!(stats.enqueued), 1);
+        assert_eq!(line_of!(stats.marked), 1);
+        assert_eq!(line_of!(stats.max_depth), 1);
+        assert_eq!(line_of!(stats.depth_weighted_ns), 1);
+        assert_eq!(line_of!(stats.last_sample), 1);
+        assert!(whole(
+            stats + offset_of!(DirStats, last_sample),
+            size_of::<Option<(SimTime, usize)>>()
+        ));
+        assert_eq!(band(0), 1);
+        assert_eq!((band(1), band(8)), (2, 2));
+        assert_eq!(line_of!(pending), 4);
+        assert!(whole(
+            offset_of!(D, pending),
+            size_of::<VecDeque<(SimTime, SimTime)>>()
+        ));
+        assert_eq!(line_of!(queue), 4);
+        assert!(whole(offset_of!(D, queue), crate::queue::RULE_SPAN));
+
+        // Fluid tick: `down`, the four fluid fields, the qdisc's capacity
+        // and the ring's front — lines 0, 3 and 4.
+        assert_eq!(line_of!(fluid_rate), 3);
+        assert_eq!(line_of!(fluid_backlog), 3);
+        assert_eq!(line_of!(fluid_bytes_out), 3);
+        assert_eq!(line_of!(fluid_asof), 4);
+
+        // Cold: rare-event counters and the deepest band share line 3, the
+        // fault RNGs close the struct.
+        assert_eq!(band(9), 3);
+        assert_eq!(line_of!(stats.dropped), 3);
+        assert_eq!(line_of!(stats.fault_dropped), 3);
+        assert_eq!(line_of!(stats.corrupted), 3);
+        assert_eq!(line_of!(stats.blackholed), 3);
+        assert!(line_of!(fault_rng) >= 6 && line_of!(corrupt_rng) >= 7);
     }
 
     /// Seeded arrival sequences — back-to-back bursts, gaps of exactly one

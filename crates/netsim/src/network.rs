@@ -703,6 +703,14 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         self.fibs_ready = false;
     }
 
+    /// Make room for `additional` more links, for builders that know their
+    /// link count: a line-aligned [`Link`] table cannot grow in place (an
+    /// over-aligned reallocation is a fresh block and a copy), and doubling
+    /// leaves up to half of it unused.
+    pub fn reserve_links(&mut self, additional: usize) {
+        self.links.reserve_exact(additional);
+    }
+
     /// Connect `a` and `b` with a full-duplex link; returns its id.
     /// The new port indices are `a`'s and `b`'s next free ports.
     ///
@@ -1182,7 +1190,8 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     ///
     /// One queue access per event: `pop_at_or_before` replaces the old
     /// `peek_time` + `pop` pair, which paid the scheduler's find-minimum
-    /// cost twice on every packet.
+    /// cost twice on every packet. The loop is also a two-stage software
+    /// pipeline over the queue's own lookahead (`prefetch_ahead`, below).
     pub fn run_until(
         &mut self,
         deadline: SimTime,
@@ -1192,6 +1201,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         let wall = std::time::Instant::now();
         let alloc_start = crate::probe::read_alloc_probe();
         while let Some((_, ev)) = self.engine.pop_at_or_before(deadline) {
+            self.prefetch_ahead();
             self.handle(ev);
             while let Some((node, code)) = self.signals.pop_front() {
                 on_signal(self, node, code);
@@ -1207,6 +1217,30 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             self.profile.alloc_high_water_bytes = self.profile.alloc_high_water_bytes.max(live);
         }
         self.profile.run_wall_ns += wall.elapsed().as_nanos() as u64;
+    }
+
+    /// The run loop's lookahead, issued with event *i* popped and not yet
+    /// handled. The queue knows what comes next, and on a large topology
+    /// each of those events starts with two cache misses in a row — its
+    /// slab node, then the link direction the node names. So, two stages,
+    /// one dependent load each: start loading the node of event *i + 2*;
+    /// read event *i + 1* (its node was requested one iteration ago) and,
+    /// if it is a delivery, start loading the line of its direction that
+    /// `on_deliver` works on. Both loads then overlap the handling of event
+    /// *i*. A third stage (routing *i + 1* early to reach its egress
+    /// direction) measured as no gain — DESIGN.md §13.4.
+    ///
+    /// `&self`: hints read the queue and the link table and change nothing;
+    /// an event scheduled in between only makes a hint useless.
+    #[inline]
+    fn prefetch_ahead(&self) {
+        self.engine.prefetch_upcoming(1);
+        if let Some(NetEvent::Deliver { link, dir, .. }) = self.engine.upcoming(0) {
+            let ingress = self.links.get(link.0 as usize);
+            if let Some(d) = ingress.and_then(|l| l.dirs.get(*dir as usize)) {
+                d.prefetch_rx();
+            }
+        }
     }
 
     /// `run_until` ignoring signals.

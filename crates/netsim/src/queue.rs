@@ -240,10 +240,17 @@ impl<P: Send> QdiscKind<P> {
 }
 
 /// FIFO, drop on overflow.
+///
+/// `repr(C)`, rule constants first: as the engine's qdisc
+/// ([`QdiscKind`] inside a `Direction`) only `cap` is ever read, and it is
+/// placed to share a cache line with the direction's transmit state. `buf`
+/// is the standalone form's storage, empty in the engine. The same goes
+/// for [`EcnThreshold`] and [`Red`].
 #[derive(Debug)]
+#[repr(C)]
 pub struct DropTail<P> {
-    buf: VecDeque<Packet<P>>,
     cap: usize,
+    buf: VecDeque<Packet<P>>,
 }
 
 impl<P> DropTail<P> {
@@ -290,10 +297,11 @@ impl<P: Send> Qdisc<P> for DropTail<P> {
 /// The paper's marking rule: CE-mark an arriving ECT packet when the
 /// instantaneous queue length (packets already waiting) is `>= K`.
 #[derive(Debug)]
+#[repr(C)]
 pub struct EcnThreshold<P> {
-    buf: VecDeque<Packet<P>>,
     cap: usize,
     k: usize,
+    buf: VecDeque<Packet<P>>,
 }
 
 impl<P> EcnThreshold<P> {
@@ -360,8 +368,8 @@ pub enum RedMode {
 
 /// Random Early Detection (Floyd & Jacobson 1993) with EWMA averaging.
 #[derive(Debug)]
+#[repr(C)]
 pub struct Red<P> {
-    buf: VecDeque<Packet<P>>,
     cap: usize,
     wq: f64,
     min_th: f64,
@@ -372,6 +380,7 @@ pub struct Red<P> {
     /// Packets since the last mark/drop while in the between-thresholds band.
     count: i64,
     rng: SimRng,
+    buf: VecDeque<Packet<P>>,
 }
 
 impl<P> Red<P> {
@@ -484,6 +493,12 @@ impl<P: Send> Qdisc<P> for Red<P> {
     }
 }
 
+/// Leading bytes of a [`QdiscKind`] that hold what the engine reads of a
+/// `DropTail` or `EcnThreshold` per packet — `cap`, then `k`
+/// (`tests::rule_constants_lead_the_enum`); `link::tests` places them.
+#[cfg(test)]
+pub(crate) const RULE_SPAN: usize = 16;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,6 +506,43 @@ mod tests {
     use crate::packet::{Ecn, FlowId};
     use xmp_des::ByteSize;
     use xmp_des::SimRng;
+
+    /// The variant structs are `repr(C)` with the rule constants first, and
+    /// the enum's tag hides in a niche behind them (`Red`'s ring, which is
+    /// why it comes last there): `cap` is the enum's first word whatever
+    /// the discipline, `k` its second. Where rustc puts a niche is not a
+    /// language guarantee, hence this check.
+    #[test]
+    fn rule_constants_lead_the_enum() {
+        fn offset<T, U>(base: &T, field: &U) -> usize {
+            std::ptr::from_ref(field).addr() - std::ptr::from_ref(base).addr()
+        }
+        let red = QdiscConfig::Red {
+            cap: 16,
+            wq: 0.5,
+            min_th: 2.0,
+            max_th: 10.0,
+            max_p: 0.5,
+            mode: RedMode::Mark,
+            seed: 7,
+        };
+        let configs = [
+            QdiscConfig::DropTail { cap: 8 },
+            QdiscConfig::EcnThreshold { cap: 16, k: 4 },
+            red,
+        ];
+        for cfg in configs {
+            let q: QdiscKind<u32> = cfg.build();
+            let (cap, k) = match &q {
+                QdiscKind::DropTail(d) => (offset(&q, &d.cap), None),
+                QdiscKind::EcnThreshold(e) => (offset(&q, &e.cap), Some(offset(&q, &e.k))),
+                QdiscKind::Red(r) => (offset(&q, &r.cap), None),
+            };
+            assert_eq!(cap, 0, "{cfg:?}");
+            assert!(k.is_none_or(|k| k + 8 == RULE_SPAN), "{cfg:?}");
+        }
+        assert!(std::mem::size_of::<QdiscKind<u32>>() <= 136);
+    }
 
     fn pkt(ecn: Ecn) -> Packet<u32> {
         Packet::new(

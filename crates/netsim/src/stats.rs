@@ -4,6 +4,7 @@
 //! (→ Fig. 11 link utilization), mark/drop counts, and a time-weighted
 //! queue-depth average (→ buffer-occupancy claims).
 
+use std::fmt;
 use xmp_des::{ByteSize, SimTime};
 
 /// Depth buckets for the occupancy histogram: `[0, 1, 2, 4, 8, 16, 32,
@@ -12,12 +13,34 @@ use xmp_des::{ByteSize, SimTime};
 pub const DEPTH_BUCKETS: [usize; 10] = [0, 1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Counters for one link direction.
-#[derive(Debug, Default, Clone)]
+///
+/// The memory order is not the reading order: the struct sits at byte 48
+/// of a line-aligned [`Direction`](crate::link::Direction), and its fields are
+/// laid out (`repr(C)`) so that what `on_deliver` counts closes that
+/// direction's first cache line, what `Direction::offer` and the retire
+/// loop update fills the second, and the counters of rare events come last
+/// (DESIGN.md §13.4; `link::tests` pins the lines). The [`Debug`](fmt::Debug)
+/// form keeps the reading order, whatever the layout does.
+#[derive(Default, Clone)]
+#[repr(C)]
 pub struct DirStats {
+    /// Packets fully delivered to the far end.
+    pub delivered: u64,
+    /// Bytes fully delivered to the far end.
+    pub delivered_bytes: ByteSize,
     /// Packets accepted into the queue (marked or not).
     pub enqueued: u64,
     /// Packets CE-marked on arrival.
     pub marked: u64,
+    /// Maximum observed queue depth (waiting + on-wire), packets.
+    pub max_depth: usize,
+    // Time-weighted queue depth accumulator, ns x packets. u64 holds a
+    // standing depth of 256 packets for 2.28 years of simulated time (100,
+    // the paper's buffer, for 5.8); the scale cells run seconds.
+    pub(crate) depth_weighted_ns: u64,
+    pub(crate) last_sample: Option<(SimTime, usize)>,
+    // Time (ns) spent in each DEPTH_BUCKETS band; sums to at most `now`.
+    pub(crate) depth_hist_ns: [u64; DEPTH_BUCKETS.len()],
     /// Packets dropped by the queue discipline (incl. overflow).
     pub dropped: u64,
     /// Packets dropped by fault injection.
@@ -27,19 +50,29 @@ pub struct DirStats {
     /// Packets blackholed by a link failure: offered while the direction
     /// was down, or purged mid-flight when it went down.
     pub blackholed: u64,
-    /// Packets fully delivered to the far end.
-    pub delivered: u64,
-    /// Bytes fully delivered to the far end.
-    pub delivered_bytes: ByteSize,
-    /// Maximum observed queue depth (waiting + on-wire), packets.
-    pub max_depth: usize,
-    // Time-weighted queue depth accumulator, ns x packets. u64 holds a
-    // standing depth of 256 packets for 2.28 years of simulated time (100,
-    // the paper's buffer, for 5.8); the scale cells run seconds.
-    depth_weighted_ns: u64,
-    // Time (ns) spent in each DEPTH_BUCKETS band; sums to at most `now`.
-    depth_hist_ns: [u64; DEPTH_BUCKETS.len()],
-    last_sample: Option<(SimTime, usize)>,
+}
+
+/// What `#[derive(Debug)]` printed before the fields were reordered for the
+/// cache, field for field. Recorded run outcomes hash this string
+/// (`partition::tests`), and the reference-port test diffs it: it is an
+/// output format, and `tests::debug_form_is_pinned` holds it still.
+impl fmt::Debug for DirStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DirStats")
+            .field("enqueued", &self.enqueued)
+            .field("marked", &self.marked)
+            .field("dropped", &self.dropped)
+            .field("fault_dropped", &self.fault_dropped)
+            .field("corrupted", &self.corrupted)
+            .field("blackholed", &self.blackholed)
+            .field("delivered", &self.delivered)
+            .field("delivered_bytes", &self.delivered_bytes)
+            .field("max_depth", &self.max_depth)
+            .field("depth_weighted_ns", &self.depth_weighted_ns)
+            .field("depth_hist_ns", &self.depth_hist_ns)
+            .field("last_sample", &self.last_sample)
+            .finish()
+    }
 }
 
 /// Index of the [`DEPTH_BUCKETS`] band holding `depth`: 0 for an empty
@@ -193,6 +226,42 @@ mod tests {
         let s = DirStats::default();
         assert_eq!(s.occupancy_at_least(1), 0.0);
         assert!(s.depth_histogram().iter().all(|&(_, f)| f == 0.0));
+    }
+
+    /// Golden strings, captured from the derived impl before the fields
+    /// were reordered (see the `Debug` impl for who depends on them).
+    #[test]
+    fn debug_form_is_pinned() {
+        assert_eq!(
+            format!("{:?}", DirStats::default()),
+            "DirStats { enqueued: 0, marked: 0, dropped: 0, fault_dropped: 0, corrupted: 0, \
+             blackholed: 0, delivered: 0, delivered_bytes: 0B, max_depth: 0, \
+             depth_weighted_ns: 0, depth_hist_ns: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], \
+             last_sample: None }"
+        );
+        let mut s = DirStats {
+            enqueued: 1,
+            marked: 2,
+            dropped: 3,
+            fault_dropped: 4,
+            corrupted: 5,
+            blackholed: 6,
+            delivered: 7,
+            delivered_bytes: ByteSize::from_bytes(8_000),
+            ..DirStats::default()
+        };
+        s.observe_backlog(SimTime::from_nanos(100), 9);
+        s.observe_backlog(SimTime::from_nanos(350), 300);
+        s.observe_backlog(SimTime::from_nanos(360), 0);
+        assert_eq!(
+            format!("{s:?}"),
+            "DirStats { enqueued: 1, marked: 2, dropped: 3, fault_dropped: 4, corrupted: 5, \
+             blackholed: 6, delivered: 7, delivered_bytes: 8000B, max_depth: 300, \
+             depth_weighted_ns: 5250, depth_hist_ns: [0, 0, 0, 0, 250, 0, 0, 0, 0, 10], \
+             last_sample: Some((t=360ns, 0)) }"
+        );
+        // The pretty form goes through the same field list.
+        assert!(format!("{s:#?}").starts_with("DirStats {\n    enqueued: 1,\n    marked: 2,\n"));
     }
 
     #[test]

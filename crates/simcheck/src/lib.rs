@@ -17,6 +17,7 @@
 //! run exactly.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod exec;
 pub mod gen;

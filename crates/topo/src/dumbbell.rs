@@ -43,6 +43,7 @@ impl Dumbbell {
             access_delay,
             QdiscConfig::DropTail { cap: 10_000 },
         );
+        sim.reserve_links(2 * n + 1);
         let left = sim.add_switch("left", Box::new(StaticRouter::new()));
         let right = sim.add_switch("right", Box::new(StaticRouter::new()));
         // Bottleneck first: port 0 on both switches.

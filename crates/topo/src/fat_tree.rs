@@ -256,6 +256,9 @@ impl FatTree {
             })
         };
 
+        // k^3/4 host links, as many edge-agg and as many agg-core.
+        sim.reserve_links(3 * k * h * h);
+
         // Core switches (i, j).
         for i in 0..h {
             for j in 0..h {

@@ -16,6 +16,7 @@
 //! `xmp-netsim`; hosts are created through a caller-supplied agent factory.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dumbbell;
 pub mod fat_tree;

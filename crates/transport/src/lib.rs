@@ -26,6 +26,7 @@
 //! (RFC 5681, 6582, 3168, 6356, 8257, 6298) — see `specs/README.md`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cc;
 pub mod config;

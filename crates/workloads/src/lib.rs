@@ -13,6 +13,8 @@
 //! * [`metrics`] — CDFs/percentiles, Jain's fairness index, rate sampling
 //!   for the time-series figures, link-utilization summaries.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod metrics;
 pub mod patterns;

@@ -2,27 +2,32 @@
 # Advisory profiler: which source lines does a benchmark workload spend its
 # CPU time on?
 #
-#   scripts/hotspots.sh WORKLOAD [SECONDS]      e.g. hotspots.sh ft16_wave 3
+#   scripts/hotspots.sh WORKLOAD [SECONDS [SEED]]    e.g. hotspots.sh ft16_wave 3 11
 #
 # Runs the release benchmark binary (the release profile keeps debug info)
 # under a SIGPROF sampler preloaded from a scratch .so, resolves every
-# sampled PC with `addr2line -i` and charges it to the innermost inlined
-# frame that lies inside this repository, then prints the 40 hottest
-# file:line sites with their share of all samples. This is in-program
+# sampled PC with `addr2line -i -f` and charges it to the innermost inlined
+# frame that lies inside this repository *and* has a line number, then
+# prints the 40 hottest file:line sites with their share of all samples.
+# A PC whose in-repo frames all lost their line (the compiler merged code
+# from several lines) is listed under the innermost one's file and function
+# name instead, and one outside the repository under its own. This is in-program
 # attribution for what the benchmark reports as `netsim.unattributed_frac`;
 # nothing is compiled into the simulator, so it costs nothing when not run.
 #
-# Not a gate: neither tier-1 nor check.sh runs it. Without `cc` or
+# Not a gate: neither tier-1 nor check.sh runs it (CI does, as a
+# non-blocking smoke step, so that it keeps working). Without `cc` or
 # `addr2line` it prints `skipped` and exits 0. Scratch files go to
 # <target>/hotspots/.
 set -euo pipefail
 
-if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    echo "usage: scripts/hotspots.sh WORKLOAD [SECONDS]" >&2
+if [ $# -lt 1 ] || [ $# -gt 3 ]; then
+    echo "usage: scripts/hotspots.sh WORKLOAD [SECONDS [SEED]]" >&2
     exit 2
 fi
 workload="$1"
 seconds="${2:-3}"
+seed="${3:-1}"
 
 for tool in cc addr2line; do
     if ! command -v "$tool" >/dev/null 2>&1; then
@@ -112,9 +117,9 @@ __attribute__((destructor)) static void finish(void) {
 EOF
 cc -O1 -shared -fPIC -o "$work/sampler.so" "$work/sampler.c"
 
-echo "hotspots: $workload, seed 1, --seconds $seconds; sampling CPU time at 1 kHz or the kernel tick" >&2
+echo "hotspots: $workload, seed $seed, --seconds $seconds; sampling CPU time at 1 kHz or the kernel tick" >&2
 (cd "$root" && HOTSPOTS_OUT="$work/samples" LD_PRELOAD="$work/sampler.so" \
-    "$target/release/benchmark" --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 \
+    "$target/release/benchmark" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
     > "$work/benchmark.out")
 grep -E '^ +(wall_s|outcome digest) ' "$work/benchmark.out" >&2 || true
 
@@ -125,12 +130,16 @@ for samples in "$work"/samples.*; do
     exe="$(head -n 1 "$samples")"
     tail -n +2 "$samples" | sort | uniq -c | awk '{ print $2, $1 }' > "$work/counts"
     [ -s "$work/counts" ] || continue
-    cut -d' ' -f1 "$work/counts" | addr2line -a -i -e "$exe" |
+    cut -d' ' -f1 "$work/counts" | addr2line -a -i -f -C -e "$exe" |
         awk -v root="$root/" -v counts="$work/counts" '
+            # Per PC, innermost frame first: a function line, then its
+            # file:line. Best site wins: 3 = in this checkout with a line,
+            # 2 = in this checkout, line lost, 1 = outside it.
             function flush() {
-                if (pc == "") return
-                if (site == "") site = "(outside) " outer
-                print count[pc], site
+                if (pc != "") print count[pc], site
+            }
+            function offer(rank, text) {
+                if (rank > best) { best = rank; site = text }
             }
             BEGIN {
                 while ((getline line < counts) > 0) {
@@ -142,18 +151,26 @@ for samples in "$work"/samples.*; do
                 flush()
                 # addr2line pads the address; the counts file does not.
                 pc = $0; sub(/^0x0+/, "0x", pc); if (pc == "0x") pc = "0x0"
-                site = ""; outer = ""
+                best = 0; site = "(outside) not in the executable"; fn = ""
                 next
             }
+            fn == "" { fn = $0; next }
             {
                 frame = $1                      # drop " (discriminator N)"
-                if (outer == "") {
-                    outer = frame
-                    sub(/^\/rustc\/[0-9a-f]+\//, "", outer)
-                }
-                # Innermost frame inside this checkout, "../.." folded away.
+                # "../.." folded away, then split off the line number.
                 while (sub(/\/[^\/]+\/\.\.\//, "/", frame)) {}
-                if (site == "" && index(frame, root) == 1) site = substr(frame, length(root) + 1)
+                file = frame; sub(/:[^:]*$/, "", file)
+                line = substr(frame, length(file) + 2)
+                if (index(file, root) == 1) {
+                    file = substr(file, length(root) + 1)
+                    if (line ~ /^[1-9][0-9]*$/) offer(3, file ":" line)
+                    else offer(2, file " (" fn ")")
+                } else if (fn != "??") {
+                    sub(/^\/rustc\/[0-9a-f]+\//, "", file)
+                    if (line ~ /^[1-9][0-9]*$/) offer(1, "(outside) " file ":" line)
+                    else offer(1, "(outside) " fn)
+                }
+                fn = ""
             }
             END { flush() }
         ' >> "$work/sites"
