@@ -14,13 +14,13 @@
 //! The recorded series export as JSON Lines ([`DynamicsTrace::jsonl`]) —
 //! the `dynamics` / `trace export` CLI commands write them under
 //! `results/`, and `trace report` renders summaries back from the files.
-//! The export is byte-identical across `SimTuning` combinations (the meta
-//! line deliberately omits tuning; pinned by `tests/determinism.rs`).
+//! The export is byte-identical across reruns (digests recorded in
+//! `tests/determinism.rs`).
 
 use crate::common::{host_stack, TextTable};
 use std::fmt;
 use xmp_des::{Bandwidth, SimDuration, SimTime};
-use xmp_netsim::{AuditReport, PortId, ProbeConfig, ProbeRecord, QdiscConfig, Sim, SimTuning};
+use xmp_netsim::{AuditReport, PortId, ProbeConfig, ProbeRecord, QdiscConfig, Sim};
 use xmp_topo::Dumbbell;
 use xmp_transport::{Segment, SubflowSpec};
 use xmp_workloads::{Driver, FlowSpecBuilder, Host, Scheme};
@@ -34,8 +34,6 @@ pub struct DynamicsConfig {
     pub epochs: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Simulator fast-path knobs.
-    pub tuning: SimTuning,
 }
 
 impl Default for DynamicsConfig {
@@ -44,7 +42,6 @@ impl Default for DynamicsConfig {
             epoch: SimDuration::from_millis(1),
             epochs: 400,
             seed: 1,
-            tuning: SimTuning::default(),
         }
     }
 }
@@ -100,7 +97,6 @@ pub struct DynamicsResult {
 
 fn run_scheme(cfg: &DynamicsConfig, scheme: Scheme) -> DynamicsTrace {
     let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
-    sim.set_tuning(cfg.tuning);
     let db = Dumbbell::build(
         &mut sim,
         1,

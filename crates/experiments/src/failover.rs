@@ -19,7 +19,7 @@
 use crate::common::{frac, host_stack, mbps, TextTable};
 use std::fmt;
 use xmp_des::{SimDuration, SimTime};
-use xmp_netsim::{AuditReport, FaultPlan, PortId, QdiscConfig, Sim, SimTuning};
+use xmp_netsim::{AuditReport, FaultPlan, PortId, QdiscConfig, Sim};
 use xmp_topo::{FatTree, FatTreeConfig};
 use xmp_transport::{Segment, SubflowSpec};
 use xmp_workloads::{Driver, FlowSpecBuilder, Host, RateSampler, Scheme};
@@ -37,8 +37,6 @@ pub struct FailoverConfig {
     pub repair_epoch: Option<u64>,
     /// RNG seed.
     pub seed: u64,
-    /// Simulator fast-path knobs.
-    pub tuning: SimTuning,
 }
 
 impl Default for FailoverConfig {
@@ -49,7 +47,6 @@ impl Default for FailoverConfig {
             fail_epoch: 10,
             repair_epoch: Some(25),
             seed: 1,
-            tuning: SimTuning::default(),
         }
     }
 }
@@ -104,7 +101,6 @@ pub struct FailoverResult {
 
 fn run_scheme(cfg: &FailoverConfig, scheme: Scheme) -> SchemeRow {
     let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
-    sim.set_tuning(cfg.tuning);
     let ft_cfg = FatTreeConfig {
         k: 4,
         ..FatTreeConfig::paper(QdiscConfig::EcnThreshold { cap: 100, k: 10 })

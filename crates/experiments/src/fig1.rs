@@ -14,7 +14,7 @@
 use crate::common::{frac, host_stack, TextTable};
 use std::fmt;
 use xmp_des::{Bandwidth, SimDuration, SimTime};
-use xmp_netsim::{PortId, QdiscConfig, Sim, SimTuning};
+use xmp_netsim::{PortId, QdiscConfig, Sim};
 use xmp_topo::Dumbbell;
 use xmp_transport::{ConnKey, Segment, SubflowSpec};
 use xmp_workloads::{jain_index, Driver, FlowSpecBuilder, Host, RateSampler, Scheme};
@@ -28,8 +28,6 @@ pub struct Fig1Config {
     pub bin: SimDuration,
     /// RNG seed.
     pub seed: u64,
-    /// Simulator mode switches (graceful no-route, hybrid).
-    pub tuning: SimTuning,
 }
 
 impl Default for Fig1Config {
@@ -38,13 +36,12 @@ impl Default for Fig1Config {
             interval: SimDuration::from_secs(5),
             bin: SimDuration::from_millis(100),
             seed: 1,
-            tuning: SimTuning::default(),
         }
     }
 }
 
 impl Fig1Config {
-    /// Scaled-down variant for benches (0.5 s epochs).
+    /// Scaled-down variant for `--quick` runs (0.5 s epochs).
     pub fn quick() -> Self {
         Fig1Config {
             interval: SimDuration::from_millis(500),
@@ -88,7 +85,6 @@ fn active_in_epoch(e: usize) -> Vec<usize> {
 
 fn run_variant(cfg: &Fig1Config, label: &str, scheme: Scheme, k: usize) -> (Fig1Series, u64) {
     let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
-    sim.set_tuning(cfg.tuning);
     let db = Dumbbell::build(
         &mut sim,
         4,
@@ -246,7 +242,6 @@ mod tests {
             interval: SimDuration::from_millis(1000),
             bin: SimDuration::from_millis(50),
             seed: 3,
-            ..Fig1Config::default()
         };
         let (s, _) = run_variant(&cfg, "halving", Scheme::Bos { beta: 2 }, 20);
         // Epoch 4 (all four flows active): near-fair, near-full.
@@ -269,7 +264,6 @@ mod tests {
             interval: SimDuration::from_millis(800),
             bin: SimDuration::from_millis(50),
             seed: 4,
-            ..Fig1Config::default()
         };
         let (s, _) = run_variant(&cfg, "dctcp", Scheme::Dctcp, 20);
         assert!(s.epoch_util[3] > 0.8, "util={}", s.epoch_util[3]);

@@ -40,7 +40,7 @@ impl Default for Fig4Config {
 }
 
 impl Fig4Config {
-    /// Scaled-down variant for benches.
+    /// Scaled-down variant for `--quick` runs.
     pub fn quick() -> Self {
         Fig4Config {
             unit: SimDuration::from_millis(500),

@@ -39,7 +39,7 @@ impl Default for Fig6Config {
 }
 
 impl Fig6Config {
-    /// Scaled-down variant for benches.
+    /// Scaled-down variant for `--quick` runs.
     pub fn quick() -> Self {
         Fig6Config {
             unit: SimDuration::from_millis(500),

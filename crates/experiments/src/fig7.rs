@@ -43,7 +43,7 @@ impl Default for Fig7Config {
 }
 
 impl Fig7Config {
-    /// Scaled-down variant for benches.
+    /// Scaled-down variant for `--quick` runs.
     pub fn quick() -> Self {
         Fig7Config {
             unit: SimDuration::from_millis(400),

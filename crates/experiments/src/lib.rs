@@ -18,8 +18,8 @@
 //! | (scaling) | [`hybrid`] | hybrid fluid/packet mode vs packet baseline, per-class tolerance bands |
 //!
 //! Each module exposes a `Config` (with paper defaults and a `quick()`
-//! variant for benches), a `run` function, and a `Display`able result that
-//! prints the same rows/series the paper reports. The
+//! variant for `--quick` runs), a `run` function, and a `Display`able
+//! result that prints the same rows/series the paper reports. The
 //! `xmp-experiments` binary drives them from the command line.
 
 #![forbid(unsafe_code)]

@@ -32,7 +32,6 @@ fn fig1_matches_the_recorded_outcome_multi_seed() {
             interval: SimDuration::from_millis(60),
             bin: SimDuration::from_millis(20),
             seed,
-            ..Fig1Config::default()
         };
         assert_eq!(
             digest(&format!("{:?}", fig1::run(&cfg))),

@@ -15,8 +15,9 @@
 //! byte-identical run. An empty plan is free: no RNG stream is consumed and
 //! no event is scheduled, so results match a faultless build bit for bit.
 //!
-//! What a downed link does to traffic — blackholing, FIB invalidation, the
-//! generation-stamped in-flight purge — is documented on
+//! What a downed link does to traffic — blackholing and the
+//! generation-stamped in-flight purge, with forwarding left as it was — is
+//! documented on
 //! [`Sim::take_link_down`](crate::Sim::take_link_down) and in DESIGN.md §11.
 
 use crate::link::LinkId;
@@ -29,7 +30,8 @@ pub enum FaultEvent {
     /// Both directions of the link fail: in-flight packets are blackholed
     /// and all traffic offered while down is dropped (counted).
     LinkDown(LinkId),
-    /// The link is repaired; routing recovers via FIB recompilation.
+    /// The link is repaired: it carries what is offered to it again. (The
+    /// routers never stopped choosing it.)
     LinkUp(LinkId),
     /// Every link attached to the node fails (the node itself keeps its
     /// state — a repaired switch resumes forwarding after `LinkUp`s).

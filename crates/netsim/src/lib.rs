@@ -12,7 +12,8 @@
 //!   degenerates to the threshold marker),
 //! * [`link::Link`] — full-duplex links with store-and-forward
 //!   serialization, propagation delay and optional fault injection,
-//! * [`routing::Router`] — pluggable per-switch forwarding,
+//! * [`routing::Router`] — per-switch forwarding: one `route` call per
+//!   packet per switch, no table compiled from it,
 //! * [`fault::FaultPlan`] — deterministic fault injection: scheduled
 //!   link/switch failures plus seeded loss and corruption,
 //! * [`network::Sim`] — the event loop tying nodes, links and host
@@ -30,7 +31,6 @@
 pub mod addr;
 pub mod agent;
 pub mod fault;
-pub mod fib;
 pub mod fluid;
 pub mod hash;
 pub mod link;
@@ -46,7 +46,6 @@ pub mod trace;
 pub use addr::Addr;
 pub use agent::{Agent, Ctx};
 pub use fault::{FaultEvent, FaultPlan};
-pub use fib::{AddrIndex, CompiledFib, FibBuilder, FibEntry};
 pub use fluid::{FluidCc, FluidFlowStats, FluidId, FluidSpec, FluidState, FluidSubflowSpec};
 pub use link::{FaultConfig, LinkId, LinkParams};
 pub use network::partition::{PartitionPlan, PartitionedSim};
@@ -60,5 +59,5 @@ pub use probe::{
 pub use queue::{
     DropTail, EcnThreshold, EnqueueOutcome, Qdisc, QdiscConfig, QdiscKind, Red, RedMode,
 };
-pub use routing::{mix64, EcmpRouter, Router, StaticRouter};
+pub use routing::{mix64, Router, StaticRouter};
 pub use trace::{TraceBuffer, TraceEvent, TraceKind};

@@ -4,11 +4,11 @@
 //! agent (plus fault, probe and fluid ticks):
 //!
 //! * `Deliver` — a packet arrived at the far end of a link direction:
-//!   switches forward it (compiled FIB, falling back to their
-//!   [`Router`](crate::routing) per lookup), hosts hand it to their
-//!   [`Agent`]. Offering the packet to the next direction books its
-//!   `(start, depart)` transmission window on the spot and schedules the
-//!   next `Deliver` directly — one engine event per packet-hop,
+//!   switches forward it where their [`Router`](crate::routing) says,
+//!   hosts hand it to their [`Agent`]. Offering the packet to the next
+//!   direction books its `(start, depart)` transmission window on the spot
+//!   and schedules the next `Deliver` directly — one engine event per
+//!   packet-hop,
 //! * `Timer` — an agent timer fired (with lazy generation-based
 //!   cancellation).
 //!
@@ -19,7 +19,6 @@
 use crate::addr::Addr;
 use crate::agent::{Agent, Ctx, Emit};
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::fib::{AddrIndex, CompiledFib};
 use crate::fluid::{FluidFlowStats, FluidId, FluidSpec};
 use crate::hash::FxHashMap;
 use crate::link::{Link, LinkId, LinkParams, Offer};
@@ -240,13 +239,6 @@ pub struct Sim<P: Payload, A: Agent<P> = Box<dyn Agent<P>>> {
     /// Always-on engine-loop profiling counters (pure observation).
     profile: SimProfile,
     tuning: SimTuning,
-    /// Destination index over the address book, built with the FIBs.
-    addr_index: Option<AddrIndex>,
-    /// Per-node compiled forwarding table (`None` for hosts and for
-    /// routers that don't compile).
-    fibs: Vec<Option<CompiledFib>>,
-    /// Cleared whenever topology changes; `run_until` rebuilds.
-    fibs_ready: bool,
     /// Installed fault timeline; engine `Fault` events index into it.
     fault_timeline: Vec<FaultEvent>,
     /// Directions with booked departures the next run-window sweep has to
@@ -462,9 +454,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             probes: None,
             profile: SimProfile::default(),
             tuning: SimTuning::default(),
-            addr_index: None,
-            fibs: Vec::new(),
-            fibs_ready: false,
             fault_timeline: Vec::new(),
             busy_dirs: Vec::new(),
             unroutable: 0,
@@ -681,26 +670,22 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     }
 
     /// Add a switch forwarding with `router`.
-    pub fn add_switch(&mut self, label: impl Into<String>, mut router: Box<dyn Router>) -> NodeId {
-        router.prepare();
+    pub fn add_switch(&mut self, label: impl Into<String>, router: Box<dyn Router>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes
             .push(Node::new(NodeKind::Switch(router), label.into()));
         self.agents.push(None);
         self.timers.push(FxHashMap::default());
-        self.fibs_ready = false;
         id
     }
 
     /// Replace a switch's router (topology builders wire routes after
     /// connecting, once port numbers are known).
-    pub fn set_router(&mut self, node: NodeId, mut router: Box<dyn Router>) {
-        router.prepare();
+    pub fn set_router(&mut self, node: NodeId, router: Box<dyn Router>) {
         match &mut self.nodes[node.0 as usize].kind {
             NodeKind::Switch(r) => *r = router,
             NodeKind::Host => panic!("set_router on a host"),
         }
-        self.fibs_ready = false;
     }
 
     /// Make room for `additional` more links, for builders that know their
@@ -775,7 +760,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             }),
             Err(i) => {
                 self.addr_book.insert(i, (key, node));
-                self.fibs_ready = false;
                 Ok(())
             }
         }
@@ -909,20 +893,13 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// is counted as
     /// [`DirStats::blackholed`](crate::stats::DirStats::blackholed) when it
     /// fires. While down, everything offered to the link is blackholed
-    /// (counted, no RNG consumed). Compiled FIB entries steering at either
-    /// endpoint's dead port are demoted to `Miss` so forwarding falls back
-    /// to the dynamic router — which still picks the dead port unless the
-    /// topology's router is failure-aware, modelling a fabric whose
+    /// (counted, no RNG consumed). Routers never see link state, so the
+    /// switches at both ends keep choosing the dead port — a fabric whose
     /// routing hasn't reconverged; multipath transports are expected to
     /// shift load to surviving subflows instead (the failover experiment).
     pub fn take_link_down(&mut self, link: LinkId) {
         let now = self.engine.now();
-        let l = &mut self.links[link.0 as usize];
-        let ends = [
-            (l.dirs[0].to_node, l.dirs[0].to_port),
-            (l.dirs[1].to_node, l.dirs[1].to_port),
-        ];
-        for d in &mut l.dirs {
+        for d in &mut self.links[link.0 as usize].dirs {
             if d.down {
                 continue;
             }
@@ -935,58 +912,14 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             d.busy_until = SimTime::ZERO;
             d.stats.observe_backlog(now, 0);
         }
-        // Stop compiled tables from steering at the dead ports. The
-        // dynamic fallback stays authoritative for affected destinations
-        // until repair recompiles.
-        if self.fibs_ready {
-            for (node, port) in ends {
-                if let Some(Some(fib)) = self.fibs.get_mut(node.0 as usize) {
-                    fib.invalidate_port(port);
-                }
-            }
-        }
     }
 
     /// Repair both directions of `link`. In-flight state was already
-    /// purged at failure; recompiling the two endpoints' FIBs (where the
-    /// endpoint's router compiles at all) restores compiled forwarding
-    /// over the link.
-    ///
-    /// The recompilation is **incremental**: `take_link_down` only demoted
-    /// entries in the two endpoint switches' compiled tables, so repair
-    /// rebuilds exactly those two tables instead of invalidating the whole
-    /// fleet and falling back to the dynamic router until the next
-    /// `run_until`. Behaviour-identical to the full recompile (a compiled
-    /// entry forwards exactly where the dynamic router would, and routing
-    /// consumes no RNG), but the repair path stays off the slow path — and
-    /// off the per-run full `compile_fibs` rebuild — for the rest of the
-    /// run.
+    /// purged at failure.
     pub fn bring_link_up(&mut self, link: LinkId) {
-        let l = &self.links[link.0 as usize];
-        let ends = [l.dirs[0].to_node, l.dirs[1].to_node];
         for d in &mut self.links[link.0 as usize].dirs {
             d.down = false;
         }
-        if !self.fibs_ready {
-            // Nothing compiled yet: the next `run_until` builds from
-            // scratch anyway.
-            return;
-        }
-        let wall = std::time::Instant::now();
-        let mut dsts: Option<Vec<Addr>> = None;
-        for node in ends {
-            let i = node.0 as usize;
-            // Only an endpoint that holds a table has entries to restore;
-            // a closed-form fabric builds no destination list at all.
-            if !matches!(self.fibs.get(i), Some(Some(_))) {
-                continue;
-            }
-            if let NodeKind::Switch(r) = &self.nodes[i].kind {
-                let dsts = dsts.get_or_insert_with(|| self.addresses().map(|(a, _)| a).collect());
-                self.fibs[i] = r.compile(dsts);
-            }
-        }
-        self.profile.fib_compile_ns += wall.elapsed().as_nanos() as u64;
     }
 
     /// Packets dropped for lack of a route (only under
@@ -1197,7 +1130,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         deadline: SimTime,
         mut on_signal: impl FnMut(&mut Self, NodeId, u64),
     ) {
-        self.compile_fibs();
         let wall = std::time::Instant::now();
         let alloc_start = crate::probe::read_alloc_probe();
         while let Some((_, ev)) = self.engine.pop_at_or_before(deadline) {
@@ -1258,7 +1190,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
 
     /// Register a fluid elephant flow (`SimTuning::hybrid`): resolve every
     /// subflow's path exactly as a packet with that flow id would be
-    /// forwarded (same compiled FIBs, same ECMP draws), then schedule its
+    /// forwarded (same routers, same ECMP draws), then schedule its
     /// first rate-update tick one base RTT out. The flow's aggregate rate
     /// feeds each hop's analytic backlog from then on; completion (for
     /// sized flows) is signalled as `(src_node, code)` through the
@@ -1281,7 +1213,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             return Err(ConfigError::HybridUnsupported);
         }
         assert!(!spec.subflows.is_empty(), "fluid flow needs >= 1 subflow");
-        self.compile_fibs();
         let now = self.engine.now();
         let mss = ByteSize::from_bytes(spec.mss as u64);
         let mut subs = Vec::with_capacity(spec.subflows.len());
@@ -1362,80 +1293,21 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         self.fluid.get_or_insert_with(Default::default).tick_floor = floor;
     }
 
-    /// Compile every switch whose router compiles, and build the
-    /// destination index their tables are keyed by (no-op when already
-    /// current). A fabric of closed-form routers (the fat tree) compiles
-    /// nothing, so it builds no index and no destination list either.
-    /// `run_until` calls this automatically; tests that probe
-    /// [`Sim::route_on`] directly call it themselves.
-    pub fn compile_fibs(&mut self) {
-        if self.fibs_ready {
-            return;
-        }
-        let wall = std::time::Instant::now();
-        // Whether a router compiles does not depend on the destinations,
-        // so the empty list answers it for free.
-        let compiles =
-            |n: &Node| matches!(&n.kind, NodeKind::Switch(r) if r.compile(&[]).is_some());
-        self.addr_index = None;
-        self.fibs = Vec::new();
-        if self.nodes.iter().any(compiles) {
-            let keys: Vec<u32> = self.addr_book.iter().map(|&(k, _)| k).collect();
-            let dsts: Vec<Addr> = self.addresses().map(|(a, _)| a).collect();
-            self.addr_index = Some(AddrIndex::build(&keys));
-            self.fibs = self
-                .nodes
-                .iter()
-                .map(|n| match &n.kind {
-                    NodeKind::Switch(r) => r.compile(&dsts),
-                    NodeKind::Host => None,
-                })
-                .collect();
-        }
-        self.fibs_ready = true;
-        self.profile.fib_compile_ns += wall.elapsed().as_nanos() as u64;
-    }
+    /// Retired with the compiled forwarding tables: does nothing. Kept
+    /// because the frozen benchmark harness calls it at set-up; it goes in
+    /// the PR that re-freezes the harness.
+    pub fn compile_fibs(&mut self) {}
 
-    /// The table `node`'s router compiled to, if it did: `None` for hosts,
-    /// for routers that don't compile, and while the tables are stale (a
-    /// mid-run topology change — signal callbacks may mutate the sim —
-    /// until the next `run_until` recompiles).
-    #[inline]
-    pub fn compiled_fib(&self, node: NodeId) -> Option<&CompiledFib> {
-        if !self.fibs_ready {
-            return None;
-        }
-        self.fibs.get(node.0 as usize)?.as_ref()
-    }
-
-    /// The compiled answer for `(node, dst, flow)`; `None` (no table, `dst`
-    /// outside the address book, or a miss entry) sends the caller to the
-    /// router itself.
-    #[inline]
-    fn compiled_port(&self, node: NodeId, dst: Addr, flow: FlowId) -> Option<PortId> {
-        let fib = self.compiled_fib(node)?;
-        let di = self.addr_index.as_ref()?.lookup(dst)?;
-        fib.lookup(di, flow)
-    }
-
-    /// Forwarding decision exactly as the hot path makes it: the compiled
-    /// table if the switch's router produced one, [`Router::route`]
-    /// otherwise (requires [`Sim::compile_fibs`]). Panics on hosts and
-    /// unroutable destinations, like forwarding would.
-    ///
-    /// [`Router::route`]: crate::routing::Router::route
+    /// The forwarding decision at switch `node`, exactly as the event loop
+    /// makes it: the switch's [`Router::route`]. Panics on hosts and
+    /// unroutable destinations, like forwarding does by default.
     pub fn route_on(&self, node: NodeId, dst: Addr, flow: FlowId, in_port: PortId) -> PortId {
-        assert!(self.fibs_ready, "call compile_fibs() before route_on()");
-        self.compiled_port(node, dst, flow)
-            .unwrap_or_else(|| self.route_dynamic(node, dst, flow, in_port))
-    }
-
-    /// Forwarding decision from the dynamic router alone.
-    pub fn route_dynamic(&self, node: NodeId, dst: Addr, flow: FlowId, in_port: PortId) -> PortId {
-        match &self.nodes[node.0 as usize].kind {
-            NodeKind::Switch(router) => router.route(dst, flow, in_port),
-            NodeKind::Host => panic!("route_dynamic on a host"),
-        }
+        let NodeKind::Switch(router) = &self.nodes[node.0 as usize].kind else {
+            panic!("route_on called on a host");
+        };
+        router
+            .route(dst, flow, in_port)
+            .unwrap_or_else(|| panic!("no route to {dst}"))
     }
 
     /// Retire every booked departure at or before `t` (a run window just
@@ -1601,8 +1473,8 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     }
 
     /// Forward a packet that just arrived on `(link, dir)` at the switch
-    /// `to_node` (ingress `to_port`): the compiled table if the router
-    /// produced one, the router itself otherwise, and the egress enqueue.
+    /// `to_node` (ingress `to_port`): the router's decision, then the
+    /// egress enqueue.
     fn forward_at_switch(
         &mut self,
         link: LinkId,
@@ -1611,29 +1483,18 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         to_port: PortId,
         pkt: Packet<P>,
     ) {
-        let out_port = match self.compiled_port(to_node, pkt.dst, pkt.flow) {
-            Some(p) => Some(p),
-            None => {
-                let NodeKind::Switch(router) = &self.nodes[to_node.0 as usize].kind else {
-                    unreachable!("forward_at_switch called with a host destination");
-                };
-                // Graceful mode asks the router politely; the default
-                // keeps the historical "no route" panic.
-                if self.tuning.drop_unroutable {
-                    router.try_route(pkt.dst, pkt.flow, to_port)
-                } else {
-                    Some(router.route(pkt.dst, pkt.flow, to_port))
-                }
-            }
+        let node = &self.nodes[to_node.0 as usize];
+        let NodeKind::Switch(router) = &node.kind else {
+            unreachable!("forward_at_switch called with a host destination");
         };
-        let ports = &self.nodes[to_node.0 as usize].ports;
-        let hop = out_port.map(|op| (op, ports.get(op.0 as usize).copied()));
+        let out_port = router.route(pkt.dst, pkt.flow, to_port);
+        let hop = out_port.map(|op| (op, node.ports.get(op.0 as usize).copied()));
         match hop {
             Some((_, Some((out_link, out_dir)))) => {
                 assert!(
-                    !(out_link == link && out_dir == dir ^ 1) || ports.len() == 1,
+                    !(out_link == link && out_dir == dir ^ 1) || node.ports.len() == 1,
                     "switch {} bounced {:?} back out its ingress",
-                    self.nodes[to_node.0 as usize].label,
+                    node.label,
                     pkt.flow
                 );
                 self.enqueue_on(out_link, out_dir, pkt);
@@ -1641,6 +1502,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             Some((op, None)) if !self.tuning.drop_unroutable => {
                 panic!("router chose missing port {op:?}")
             }
+            None if !self.tuning.drop_unroutable => panic!("no route to {}", pkt.dst),
             _ => {
                 // No usable route: count and drop instead of
                 // panicking (`SimTuning::drop_unroutable`).
@@ -2190,43 +2052,26 @@ mod tests {
         assert_eq!(sim.profile().tx_done, 0);
     }
 
-    /// The compiled FIB forwards where the dynamic router would, per
-    /// lookup — including an unbound destination (a FIB miss falling back
-    /// to the dynamic default route).
-    #[test]
-    fn compiled_fib_agrees_with_the_dynamic_router() {
-        let mut sim: Sim<u64> = Sim::new(1);
-        let h1 = sim.add_host("h1", Box::new(Probe::default()));
-        let sw = sim.add_switch("sw", Box::new(StaticRouter::new()));
-        sim.connect(h1, sw, &params_1g(), "h1-sw");
-        let a1 = Addr::new(10, 0, 0, 1);
-        sim.bind_addr(a1, h1);
-        sim.set_router(sw, Box::new(StaticRouter::new().default_via(PortId(0))));
-        sim.compile_fibs();
-        for f in 0..8 {
-            assert_eq!(
-                sim.route_on(sw, a1, FlowId(f), PortId(0)),
-                sim.route_dynamic(sw, a1, FlowId(f), PortId(0))
-            );
-            let unbound = Addr::new(9, 9, 9, 9);
-            assert_eq!(
-                sim.route_on(sw, unbound, FlowId(f), PortId(0)),
-                sim.route_dynamic(sw, unbound, FlowId(f), PortId(0))
-            );
-        }
-    }
-
     /// Link failure mid-burst: packets in the pipeline are blackholed,
-    /// repair restores delivery, and the conservation books balance.
+    /// repair restores delivery, and the conservation books balance. The
+    /// switches at the link's ends are fault-oblivious throughout: they
+    /// name the same port before the failure, while down and after repair.
     #[test]
     fn link_down_blackholes_and_repair_restores_delivery() {
         fn run() -> (Vec<(u64, u64)>, u64, u64, AuditReport) {
             let mut sim: Sim<u64> = Sim::new(1);
             let a = sim.add_host("a", Box::new(Probe::default()));
             let b = sim.add_host("b", Box::new(Probe::default()));
+            let (sa, da) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
+            // On both switches port 0 faces `a` and port 1 faces `b`: the
+            // frail link is s1's port 1 and s2's port 0.
+            let table = || Box::new(StaticRouter::new().to(sa, PortId(0)).to(da, PortId(1)));
+            let s1 = sim.add_switch("s1", table());
+            let s2 = sim.add_switch("s2", table());
+            sim.connect(a, s1, &params_1g(), "a-s1");
             let l = sim.connect(
-                a,
-                b,
+                s1,
+                s2,
                 &LinkParams::new(
                     Bandwidth::from_mbps(1), // 12 ms per 1500B packet
                     SimDuration::from_micros(1),
@@ -2234,12 +2079,19 @@ mod tests {
                 ),
                 "frail",
             );
+            sim.connect(s2, b, &params_1g(), "s2-b");
+            let onto_frail = |sim: &Sim<u64>| {
+                (
+                    sim.route_on(s1, da, FlowId(7), PortId(0)),
+                    sim.route_on(s2, sa, FlowId(7), PortId(1)),
+                )
+            };
+            assert_eq!(onto_frail(&sim), (PortId(1), PortId(0)));
             sim.install_fault_plan(
                 &FaultPlan::new()
                     .link_down(SimTime::from_millis(30), l)
                     .link_up(SimTime::from_millis(60), l),
             );
-            let (sa, da) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
             sim.with_agent::<Probe, _>(a, |_, ctx| {
                 for i in 0..10 {
                     ctx.send(PortId(0), pkt(sa, da, i));
@@ -2252,9 +2104,11 @@ mod tests {
             });
             sim.run_until_quiet(SimTime::from_millis(59));
             assert!(sim.link(l).dir(0).is_down());
+            assert_eq!(onto_frail(&sim), (PortId(1), PortId(0)));
             // After repair: traffic flows again.
             sim.run_until_quiet(SimTime::from_millis(61));
             assert!(!sim.link(l).dir(0).is_down());
+            assert_eq!(onto_frail(&sim), (PortId(1), PortId(0)));
             sim.advance_to(SimTime::from_millis(61));
             sim.with_agent::<Probe, _>(a, |_, ctx| {
                 for i in 0..3 {
@@ -2387,5 +2241,19 @@ mod tests {
         assert_eq!(audit.injected, 5);
         assert_eq!(audit.dropped, 5);
         assert_eq!(audit.in_network, 0);
+    }
+
+    /// Without `drop_unroutable`, a packet the switch cannot route is a
+    /// topology bug and forwarding says so.
+    #[test]
+    #[should_panic(expected = "no route to 10.0.0.2")]
+    fn forwarding_without_a_route_panics_by_default() {
+        let mut sim: Sim<u64> = Sim::new(1);
+        let h1 = sim.add_host("h1", Box::new(Probe::default()));
+        let sw = sim.add_switch("sw", Box::new(StaticRouter::new()));
+        sim.connect(h1, sw, &params_1g(), "h1-sw");
+        let (a1, a2) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
+        sim.with_agent::<Probe, _>(h1, |_, ctx| ctx.send(PortId(0), pkt(a1, a2, 0)));
+        sim.run_until_quiet(SimTime::from_millis(1));
     }
 }

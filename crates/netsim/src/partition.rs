@@ -281,9 +281,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
             probes,
             profile: _,
             tuning,
-            addr_index: _,
-            fibs: _,
-            fibs_ready: _,
             fault_timeline,
             busy_dirs: _,
             unroutable,
@@ -446,9 +443,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
                 probes: shard_probes,
                 profile: SimProfile::default(),
                 tuning,
-                addr_index: None,
-                fibs: Vec::new(),
-                fibs_ready: false,
                 fault_timeline: fault_timeline.clone(),
                 busy_dirs: Vec::new(),
                 unroutable: if s == 0 { unroutable } else { 0 },
@@ -829,9 +823,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
                 probes,
                 profile,
                 tuning,
-                addr_index: _,
-                fibs: _,
-                fibs_ready: _,
                 fault_timeline,
                 busy_dirs: _,
                 unroutable: ur,
@@ -854,7 +845,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
             profile_sum.sample += profile.sample;
             profile_sum.pool_hits += profile.pool_hits;
             profile_sum.pool_misses += profile.pool_misses;
-            profile_sum.fib_compile_ns += profile.fib_compile_ns;
             profile_sum.allocs += profile.allocs;
             profile_sum.fluid_ticks += profile.fluid_ticks;
             profile_sum.alloc_high_water_bytes = profile_sum
@@ -1004,9 +994,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
             probes,
             profile: profile_sum,
             tuning,
-            addr_index: None,
-            fibs: Vec::new(),
-            fibs_ready: false,
             fault_timeline,
             busy_dirs,
             unroutable,

@@ -665,8 +665,6 @@ pub struct SimProfile {
     pub pool_misses: u64,
     /// Wall-clock nanoseconds spent inside the `run_until` event loop.
     pub run_wall_ns: u64,
-    /// Wall-clock nanoseconds spent compiling FIBs.
-    pub fib_compile_ns: u64,
     /// Heap allocations observed inside `run_until` windows by the
     /// installed [`set_alloc_probe`] hook (0 when no probe is installed —
     /// the default outside instrumented benches).
@@ -740,14 +738,13 @@ impl SimProfile {
     /// One-line human summary (suite output).
     pub fn summary(&self) -> String {
         let mut s = format!(
-            "events deliver={} timer={} fault={} sample={} | pool hit {:.3} | run {:.1} ms (fib {:.2} ms) | {:.2} Mev/s",
+            "events deliver={} timer={} fault={} sample={} | pool hit {:.3} | run {:.1} ms | {:.2} Mev/s",
             self.deliver,
             self.timer,
             self.fault,
             self.sample,
             self.pool_hit_rate(),
             self.run_wall_ns as f64 / 1e6,
-            self.fib_compile_ns as f64 / 1e6,
             self.events_per_sec() / 1e6,
         );
         if self.sync_rounds > 0 {

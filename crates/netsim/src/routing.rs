@@ -1,57 +1,31 @@
 //! Switch forwarding logic.
 //!
-//! Each switch owns a [`Router`] deciding the output port for a packet.
-//! Small topologies use [`StaticRouter`] (longest-exact-match on the
-//! destination address with octet wildcards); [`EcmpRouter`] adds
-//! hash-based spreading over equal-cost ports (the scheme the paper's
-//! simulations *replace* with deterministic Two-Level Routing Lookup — kept
-//! here for ablation studies). The fat-tree two-level router lives in
-//! `xmp-topo` next to the topology that defines its semantics.
-//!
-//! Routers answer packets through the dynamic [`Router::route`], but one
-//! whose `route` is a scan (both routers here) may additionally
-//! [`Router::compile`] itself into a flat [`CompiledFib`] once the set of
-//! reachable destinations is known — see the [`fib`](crate::fib) module.
-//! The dynamic path stays authoritative: compiled tables are checked
-//! bit-identical against it by differential tests, and any destination a
-//! router declines to compile falls back to `route()` at forwarding time.
+//! Each switch owns a [`Router`], and [`Router::route`] is the one
+//! forwarding rule: the event loop asks it once per packet per switch and
+//! nothing caches, compiles or shadows the answer. The hand-built
+//! topologies (dumbbell, torus, testbeds) use [`StaticRouter`],
+//! longest-match on the destination address with octet wildcards; the
+//! fat-tree two-level router — and its per-flow ECMP mode, the scheme the
+//! paper's simulations *replace* with deterministic Two-Level Routing
+//! Lookup — lives in `xmp-topo` next to the topology that defines its
+//! semantics. Routers see addresses and flows only, never link state: a
+//! failed link does not change the port a packet takes (DESIGN.md §11.3).
 
 use crate::addr::Addr;
-use crate::fib::{CompiledFib, FibBuilder};
 use crate::node::PortId;
 use crate::packet::FlowId;
+use std::any::Any;
 
-/// Forwarding decision logic for one switch.
-pub trait Router: Send {
-    /// Choose the output port for a packet to `dst` belonging to `flow`,
-    /// arriving on `in_port`. Panics when the destination is unroutable.
-    fn route(&self, dst: Addr, flow: FlowId, in_port: PortId) -> PortId;
-
-    /// Like [`Router::route`] but returns `None` instead of panicking when
-    /// no route exists — the forwarding path uses this under
-    /// [`SimTuning::drop_unroutable`](crate::SimTuning::drop_unroutable) so
-    /// partitioned topologies degrade into counted drops. The default
-    /// delegates to `route()` (total routers never return `None`).
-    fn try_route(&self, dst: Addr, flow: FlowId, in_port: PortId) -> Option<PortId> {
-        Some(self.route(dst, flow, in_port))
-    }
-
-    /// One-time table finalization, called by the sim when the router is
-    /// installed (after which `add`-style mutation is no longer possible).
-    /// Routers that defer sorting do it here.
-    fn prepare(&mut self) {}
-
-    /// Compile this router into a flat table over the given destinations
-    /// (the sim's address book, in destination-index order). `None` means
-    /// the router doesn't compile — right for one whose `route` is already
-    /// a few instructions (the fat tree's), where a per-destination table
-    /// only adds a cold load; per-destination misses inside a returned
-    /// table likewise fall back to [`Router::route`]. Whether a router
-    /// compiles must not depend on `dsts`: the sim asks with the empty
-    /// list first, and builds the real one only if some router says yes.
-    fn compile(&self, _dsts: &[Addr]) -> Option<CompiledFib> {
-        None
-    }
+/// Forwarding decision logic for one switch. (`Any`, so a test holding a
+/// built [`Sim`](crate::Sim) can downcast a switch's router and read its
+/// table back.)
+pub trait Router: Any + Send {
+    /// The output port for a packet to `dst` belonging to `flow`, arriving
+    /// on `in_port`; `None` when the switch has no route. What happens to
+    /// an unroutable packet — panic, or a counted drop under
+    /// [`SimTuning::drop_unroutable`](crate::SimTuning::drop_unroutable) —
+    /// is the caller's decision, not the router's.
+    fn route(&self, dst: Addr, flow: FlowId, in_port: PortId) -> Option<PortId>;
 }
 
 /// A destination pattern: each octet either matches exactly or is a wildcard.
@@ -93,51 +67,44 @@ impl AddrPattern {
     }
 }
 
-/// First index whose pattern matches `dst` under longest-match semantics.
+/// Longest-match static routing over [`AddrPattern`]s: the most specific
+/// matching pattern wins regardless of insertion order, the first added
+/// among equally specific ones.
 ///
-/// When `sorted` (descending specificity, stable) the first hit wins; on an
-/// unsorted table we scan for the highest specificity, keeping the earliest
-/// entry among equals — exactly what a stable sort followed by first-match
-/// would return, so behaviour is identical whether or not
-/// [`Router::prepare`] ran.
-fn find_match<T>(entries: &[(AddrPattern, T)], sorted: bool, dst: Addr) -> Option<usize> {
-    if sorted {
-        return entries.iter().position(|(p, _)| p.matches(dst));
-    }
-    let mut best: Option<(usize, usize)> = None;
-    for (i, (p, _)) in entries.iter().enumerate() {
-        if p.matches(dst) {
-            let s = p.specificity();
-            if best.is_none_or(|(_, bs)| s > bs) {
-                best = Some((i, s));
-            }
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Longest-match static routing over [`AddrPattern`]s.
+/// The tables this serves hold a handful of exact host addresses and at
+/// most a few wildcard patterns, and are asked once per packet per hop, so
+/// the exact routes are binary-searched first (an exact match is the most
+/// specific there can be) and only a miss scans the wildcards.
+#[derive(Default)]
 pub struct StaticRouter {
-    entries: Vec<(AddrPattern, PortId)>,
-    // Entries are appended unsorted (O(1)) and stable-sorted by descending
-    // specificity once, in `prepare`; `route` handles both states.
-    sorted: bool,
+    /// Exact-address routes keyed by the big-endian address word, sorted,
+    /// one per address.
+    exact: Vec<(u32, PortId)>,
+    /// Patterns with a wildcard octet, by descending specificity; equally
+    /// specific ones in insertion order, so the first hit is the answer.
+    wild: Vec<(AddrPattern, PortId)>,
 }
 
 impl StaticRouter {
     /// Empty table.
     pub fn new() -> Self {
-        StaticRouter {
-            entries: Vec::new(),
-            sorted: false,
-        }
+        Self::default()
     }
 
     /// Add a route; more specific patterns take precedence regardless of
     /// insertion order; equal specificity resolves by insertion order.
     pub fn add(mut self, pat: AddrPattern, port: PortId) -> Self {
-        self.entries.push((pat, port));
-        self.sorted = false;
+        if let [Some(a), Some(b), Some(c), Some(d)] = pat.0 {
+            let key = u32::from_be_bytes([a, b, c, d]);
+            // A second route to the same address can never win: not stored.
+            if let Err(at) = self.exact.binary_search_by_key(&key, |&(k, _)| k) {
+                self.exact.insert(at, (key, port));
+            }
+        } else {
+            let s = pat.specificity();
+            let at = self.wild.partition_point(|(p, _)| p.specificity() >= s);
+            self.wild.insert(at, (pat, port));
+        }
         self
     }
 
@@ -150,132 +117,44 @@ impl StaticRouter {
     pub fn default_via(self, port: PortId) -> Self {
         self.add(AddrPattern::any(), port)
     }
-}
 
-impl Default for StaticRouter {
-    fn default() -> Self {
-        Self::new()
+    /// The table in lookup order: exact addresses ascending, then the
+    /// wildcard patterns from most to least specific.
+    pub fn routes(&self) -> impl Iterator<Item = (AddrPattern, PortId)> + '_ {
+        let exact = self
+            .exact
+            .iter()
+            .map(|&(k, p)| (AddrPattern::exact(Addr(k.to_be_bytes())), p));
+        exact.chain(self.wild.iter().copied())
     }
 }
 
 impl Router for StaticRouter {
-    fn route(&self, dst: Addr, flow: FlowId, in_port: PortId) -> PortId {
-        self.try_route(dst, flow, in_port)
-            .unwrap_or_else(|| panic!("no route to {dst}"))
-    }
-
-    fn try_route(&self, dst: Addr, _flow: FlowId, _in_port: PortId) -> Option<PortId> {
-        find_match(&self.entries, self.sorted, dst).map(|i| self.entries[i].1)
-    }
-
-    fn prepare(&mut self) {
-        if !self.sorted {
-            self.entries
-                .sort_by_key(|(p, _)| std::cmp::Reverse(p.specificity()));
-            self.sorted = true;
+    fn route(&self, dst: Addr, _flow: FlowId, _in_port: PortId) -> Option<PortId> {
+        let key = u32::from_be_bytes(dst.0);
+        match self.exact.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => Some(self.exact[i].1),
+            Err(_) => self
+                .wild
+                .iter()
+                .find(|(p, _)| p.matches(dst))
+                .map(|&(_, port)| port),
         }
     }
-
-    fn compile(&self, dsts: &[Addr]) -> Option<CompiledFib> {
-        let mut b = FibBuilder::new(dsts.len());
-        for (i, &dst) in dsts.iter().enumerate() {
-            if let Some(e) = find_match(&self.entries, self.sorted, dst) {
-                b.port(i, self.entries[e].1);
-            }
-        }
-        Some(b.build())
-    }
 }
 
-/// ECMP: static routes whose targets are port *groups*, spread by a hash of
-/// the flow id (per-flow consistent, like real switch ECMP).
-pub struct EcmpRouter {
-    entries: Vec<(AddrPattern, Vec<PortId>)>,
-    sorted: bool,
-}
-
-impl EcmpRouter {
-    /// Empty table.
-    pub fn new() -> Self {
-        EcmpRouter {
-            entries: Vec::new(),
-            sorted: false,
-        }
-    }
-
-    /// Add a route to a group of equal-cost ports.
-    pub fn add(mut self, pat: AddrPattern, ports: Vec<PortId>) -> Self {
-        assert!(!ports.is_empty(), "ECMP group must be non-empty");
-        self.entries.push((pat, ports));
-        self.sorted = false;
-        self
-    }
-}
-
-impl Default for EcmpRouter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The murmur-style 64-bit finalizer used for every hash-based port choice
-/// in the tree (ECMP spreading here, per-flow path selection in `xmp-topo`,
-/// and compiled [`FibEntry::Hash`](crate::fib::FibEntry) entries).
+/// The murmur-style 64-bit finalizer behind every hash-based port choice
+/// (the fat tree's per-flow ECMP mode in `xmp-topo`).
 pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     z = (z ^ (z >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
     z ^ (z >> 33)
 }
 
-/// The destination word [`EcmpRouter`] salts into its flow hash.
-fn dst_salt(dst: Addr) -> u64 {
-    u64::from_le_bytes([dst.0[0], dst.0[1], dst.0[2], dst.0[3], 0, 0, 0, 0])
-}
-
-impl Router for EcmpRouter {
-    fn route(&self, dst: Addr, flow: FlowId, in_port: PortId) -> PortId {
-        self.try_route(dst, flow, in_port)
-            .unwrap_or_else(|| panic!("no ECMP route to {dst}"))
-    }
-
-    fn try_route(&self, dst: Addr, flow: FlowId, _in_port: PortId) -> Option<PortId> {
-        let group = find_match(&self.entries, self.sorted, dst).map(|i| &self.entries[i].1)?;
-        let h = mix64(flow.0 ^ dst_salt(dst));
-        Some(group[(h % group.len() as u64) as usize])
-    }
-
-    fn prepare(&mut self) {
-        if !self.sorted {
-            self.entries
-                .sort_by_key(|(p, _)| std::cmp::Reverse(p.specificity()));
-            self.sorted = true;
-        }
-    }
-
-    fn compile(&self, dsts: &[Addr]) -> Option<CompiledFib> {
-        let mut b = FibBuilder::new(dsts.len());
-        // Intern each entry's group once, shared across destinations.
-        let mut interned: Vec<Option<(u32, u16)>> = vec![None; self.entries.len()];
-        for (i, &dst) in dsts.iter().enumerate() {
-            let Some(e) = find_match(&self.entries, self.sorted, dst) else {
-                continue;
-            };
-            let group = &self.entries[e].1;
-            if group.len() == 1 {
-                // hash % 1 == 0: a singleton group is a fixed port.
-                b.port(i, group[0]);
-            } else {
-                let g = *interned[e].get_or_insert_with(|| b.group(group));
-                b.hashed(i, g, dst_salt(dst));
-            }
-        }
-        Some(b.build())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xmp_des::SimRng;
 
     #[test]
     fn pattern_matching() {
@@ -295,131 +174,91 @@ mod tests {
             .default_via(PortId(0))
             .add(AddrPattern::subnet2(dst), PortId(1))
             .to(dst, PortId(2));
-        assert_eq!(r.route(dst, FlowId(0), PortId(9)), PortId(2));
-        assert_eq!(
-            r.route(Addr::new(10, 1, 9, 9), FlowId(0), PortId(9)),
-            PortId(1)
-        );
-        assert_eq!(
-            r.route(Addr::new(9, 9, 9, 9), FlowId(0), PortId(9)),
-            PortId(0)
-        );
+        let route = |a| r.route(a, FlowId(0), PortId(9));
+        assert_eq!(route(dst), Some(PortId(2)));
+        assert_eq!(route(Addr::new(10, 1, 9, 9)), Some(PortId(1)));
+        assert_eq!(route(Addr::new(9, 9, 9, 9)), Some(PortId(0)));
     }
 
     #[test]
-    #[should_panic(expected = "no route")]
-    fn static_missing_route_panics() {
-        StaticRouter::new().route(Addr::new(1, 1, 1, 1), FlowId(0), PortId(0));
-    }
-
-    #[test]
-    fn try_route_is_total_where_route_is() {
+    fn static_missing_route_is_none() {
         let dst = Addr::new(10, 1, 2, 3);
         let r = StaticRouter::new().to(dst, PortId(2));
-        assert_eq!(r.try_route(dst, FlowId(0), PortId(0)), Some(PortId(2)));
-        assert_eq!(
-            r.try_route(Addr::new(9, 9, 9, 9), FlowId(0), PortId(0)),
-            None
-        );
-        let e = EcmpRouter::new().add(AddrPattern::exact(dst), vec![PortId(4)]);
-        assert_eq!(e.try_route(dst, FlowId(0), PortId(0)), Some(PortId(4)));
-        assert_eq!(
-            e.try_route(Addr::new(9, 9, 9, 9), FlowId(0), PortId(0)),
-            None
-        );
+        assert_eq!(r.route(dst, FlowId(0), PortId(0)), Some(PortId(2)));
+        assert_eq!(r.route(Addr::new(9, 9, 9, 9), FlowId(0), PortId(0)), None);
     }
 
+    /// The router only answers `None`; the switch it sits on panics.
     #[test]
-    fn ecmp_is_per_flow_consistent_and_spreads() {
-        let r = EcmpRouter::new().add(
-            AddrPattern::any(),
-            vec![PortId(0), PortId(1), PortId(2), PortId(3)],
-        );
-        let dst = Addr::new(10, 0, 0, 2);
-        let mut seen = std::collections::HashSet::new();
-        for f in 0..64 {
-            let p1 = r.route(dst, FlowId(f), PortId(0));
-            let p2 = r.route(dst, FlowId(f), PortId(0));
-            assert_eq!(p1, p2, "same flow must always hash to the same port");
-            seen.insert(p1);
-        }
-        assert!(seen.len() >= 3, "64 flows should cover most of 4 ports");
+    #[should_panic(expected = "no route to 1.1.1.1")]
+    fn static_missing_route_panics() {
+        let mut sim: crate::Sim<u64> = crate::Sim::new(1);
+        let sw = sim.add_switch("sw", Box::new(StaticRouter::new()));
+        sim.route_on(sw, Addr::new(1, 1, 1, 1), FlowId(0), PortId(0));
     }
 
     #[test]
     fn equal_specificity_insertion_order_respected() {
-        // Two /24-style patterns both matching `dst`: the one added first
-        // must win, both before and after `prepare()` sorts the table.
-        let dst = Addr::new(10, 1, 2, 3);
-        let build = || {
-            StaticRouter::new()
-                .default_via(PortId(9))
-                .add(AddrPattern([Some(10), Some(1), Some(2), None]), PortId(1))
-                .add(AddrPattern([Some(10), None, Some(2), Some(3)]), PortId(2))
-        };
-        let unsorted = build();
-        assert_eq!(unsorted.route(dst, FlowId(0), PortId(0)), PortId(1));
-
-        let mut prepared = build();
-        prepared.prepare();
-        assert_eq!(prepared.route(dst, FlowId(0), PortId(0)), PortId(1));
-
-        // Same contract for ECMP tables (singleton groups for clarity).
-        let e = EcmpRouter::new()
-            .add(
-                AddrPattern([Some(10), Some(1), Some(2), None]),
-                vec![PortId(1)],
-            )
-            .add(
-                AddrPattern([Some(10), None, Some(2), Some(3)]),
-                vec![PortId(2)],
-            );
-        assert_eq!(e.route(dst, FlowId(0), PortId(0)), PortId(1));
-        let mut e2 = EcmpRouter::new()
-            .add(
-                AddrPattern([Some(10), Some(1), Some(2), None]),
-                vec![PortId(1)],
-            )
-            .add(
-                AddrPattern([Some(10), None, Some(2), Some(3)]),
-                vec![PortId(2)],
-            );
-        e2.prepare();
-        assert_eq!(e2.route(dst, FlowId(0), PortId(0)), PortId(1));
-    }
-
-    #[test]
-    fn compiled_static_matches_dynamic() {
+        // Two three-octet patterns both matching `dst`: the one added first
+        // wins, wherever less and more specific routes were added around
+        // them; likewise the first of two routes to one exact address.
         let dst = Addr::new(10, 1, 2, 3);
         let r = StaticRouter::new()
-            .default_via(PortId(0))
-            .add(AddrPattern::subnet2(dst), PortId(1))
-            .to(dst, PortId(2));
-        let dsts = [dst, Addr::new(10, 1, 9, 9), Addr::new(9, 9, 9, 9)];
-        let fib = r.compile(&dsts).unwrap();
-        for (i, &d) in dsts.iter().enumerate() {
-            assert_eq!(
-                fib.lookup(i as u32, FlowId(0)),
-                Some(r.route(d, FlowId(0), PortId(0)))
-            );
-        }
+            .default_via(PortId(9))
+            .add(AddrPattern([Some(10), Some(1), Some(2), None]), PortId(1))
+            .add(AddrPattern([Some(10), None, Some(2), Some(3)]), PortId(2))
+            .to(Addr::new(10, 1, 2, 4), PortId(3))
+            .to(Addr::new(10, 1, 2, 4), PortId(4));
+        assert_eq!(r.route(dst, FlowId(0), PortId(0)), Some(PortId(1)));
+        assert_eq!(
+            r.route(Addr::new(10, 1, 2, 4), FlowId(0), PortId(0)),
+            Some(PortId(3))
+        );
     }
 
+    /// The contract, stated as plainly as it can be over the routes as
+    /// they were added: highest specificity, earliest among equals.
+    fn reference(added: &[(AddrPattern, PortId)], dst: Addr) -> Option<PortId> {
+        let matching = added
+            .iter()
+            .enumerate()
+            .filter(|(_, (p, _))| p.matches(dst));
+        matching
+            .max_by_key(|&(i, (p, _))| (p.specificity(), std::cmp::Reverse(i)))
+            .map(|(_, &(_, port))| port)
+    }
+
+    /// Random tables over a four-value octet alphabet (so patterns overlap,
+    /// exact routes repeat and lookups hit about as often as they miss),
+    /// added in shuffled order: the indexed lookup equals the plain scan.
     #[test]
-    fn compiled_ecmp_matches_dynamic() {
-        let r = EcmpRouter::new().add(
-            AddrPattern::any(),
-            vec![PortId(0), PortId(1), PortId(2), PortId(3)],
-        );
-        let dsts = [Addr::new(10, 0, 0, 2), Addr::new(10, 0, 0, 3)];
-        let fib = r.compile(&dsts).unwrap();
-        for (i, &d) in dsts.iter().enumerate() {
-            for f in 0..256u64 {
+    fn indexed_lookup_equals_the_reference_scan_on_random_tables() {
+        let mut rng = SimRng::new(0x57A7_1C00);
+        let octet = |rng: &mut SimRng| rng.index(4) as u8;
+        let mut lookups = 0;
+        while lookups < 10_000 {
+            let mut added = Vec::new();
+            for i in 0..rng.index(24) {
+                let exact = rng.chance(0.6);
+                let pat = [(); 4].map(|()| (exact || rng.chance(0.5)).then(|| octet(&mut rng)));
+                added.push((AddrPattern(pat), PortId(i as u16)));
+                if rng.chance(0.2) {
+                    // The same pattern again, to a different port.
+                    added.push((AddrPattern(pat), PortId(100 + i as u16)));
+                }
+            }
+            rng.shuffle(&mut added);
+            let router = added
+                .iter()
+                .fold(StaticRouter::new(), |r, &(pat, port)| r.add(pat, port));
+            for _ in 0..100 {
+                let dst = Addr([(); 4].map(|()| octet(&mut rng)));
                 assert_eq!(
-                    fib.lookup(i as u32, FlowId(f)),
-                    Some(r.route(d, FlowId(f), PortId(0))),
-                    "dst {d} flow {f}"
+                    router.route(dst, FlowId(0), PortId(0)),
+                    reference(&added, dst),
+                    "{dst} in {added:?}"
                 );
+                lookups += 1;
             }
         }
     }

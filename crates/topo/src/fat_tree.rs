@@ -524,9 +524,8 @@ fn suffix_table(k: usize) -> Arc<SuffixTable> {
 /// The router for all three switch roles (two-level or ECMP uplinks).
 ///
 /// Forwarding is closed-form — prefix compares on the pod and switch
-/// octets, then the suffix table — so it neither compiles a per-destination
-/// table ([`Router::compile`] stays at its default) nor keeps any state
-/// that grows with the tree.
+/// octets, then the suffix table — and total: every address gets a port,
+/// and no state grows with the tree.
 #[derive(Debug)]
 struct FatTreeRouter {
     role: Role,
@@ -561,10 +560,10 @@ impl FatTreeRouter {
 }
 
 impl Router for FatTreeRouter {
-    fn route(&self, dst: Addr, flow: FlowId, _in_port: PortId) -> PortId {
+    fn route(&self, dst: Addr, flow: FlowId, _in_port: PortId) -> Option<PortId> {
         let suffix = &self.suffix[usize::from(dst.host())];
         // The down-paths are identical in both routing modes.
-        PortId(match self.role {
+        Some(PortId(match self.role {
             Role::Edge { pod, index } => {
                 if dst.pod() == pod && dst.switch() == index {
                     u16::from(suffix.host)
@@ -580,7 +579,7 @@ impl Router for FatTreeRouter {
                 }
             }
             Role::Core => u16::from(dst.pod()),
-        })
+        }))
     }
 }
 

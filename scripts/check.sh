@@ -9,12 +9,12 @@ cargo test -q --workspace --offline
 # The fat tree's closed-form forwarding against its arithmetic reference at
 # every (switch, bound address) of a k = 32 tree: 157 M pairs, swept in full
 # only by an optimized build (the line above takes every 61st alias).
-cargo test -q --release --offline -p xmp-topo --test fib_differential
+cargo test -q --release --offline -p xmp-topo --test forwarding_reference
 # Conformance gate: every spec clause in specs/ parses, every MUST cites
 # a test, and every cited test exists in the workspace. Exits nonzero on
 # a dangling citation (also enforced in-suite by tests/conformance.rs).
 cargo run --release --offline -p xmp-conformance -- check
-# Lint gate: clippy clean across every target (tests, benches, binaries).
+# Lint gate: clippy clean across every target (tests, examples, binaries).
 cargo clippy --workspace --all-targets --offline -- -D warnings
 # Rustdoc gate: every pub item documented, no broken intra-doc links.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline

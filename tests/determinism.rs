@@ -172,7 +172,6 @@ fn fig1_rerun_is_identical() {
         interval: SimDuration::from_millis(60),
         bin: SimDuration::from_millis(20),
         seed: 3,
-        ..Fig1Config::default()
     };
     let a = format!("{:?}", fig1::run(&cfg));
     let b = format!("{:?}", fig1::run(&cfg));
