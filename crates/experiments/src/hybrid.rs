@@ -447,9 +447,6 @@ pub struct MillionResult {
     pub fluid_ticks: u64,
     /// Aggregate steady-state sending rate (Gbit/s) across all flows.
     pub agg_rate_gbps: f64,
-    /// Allocator high-water mark (bytes); 0 when no byte probe is
-    /// installed (the bench binary installs one).
-    pub heap_high_water: u64,
 }
 
 /// Register `cfg.flows` unbounded fluid elephants on one fat tree and
@@ -517,7 +514,6 @@ pub fn run_million(cfg: &MillionConfig) -> MillionResult {
         wall_ms,
         fluid_ticks: profile.fluid_ticks,
         agg_rate_gbps: agg_rate_bps / 1e9,
-        heap_high_water: profile.alloc_high_water_bytes,
     }
 }
 
@@ -526,20 +522,8 @@ impl fmt::Display for MillionResult {
         writeln!(
             f,
             "million-flow cell: {} fluid flows, {} active at end | wall {:.0} ms | \
-             {} fluid ticks | aggregate {:.1} Gbit/s{}",
-            self.flows,
-            self.active,
-            self.wall_ms,
-            self.fluid_ticks,
-            self.agg_rate_gbps,
-            if self.heap_high_water > 0 {
-                format!(
-                    " | heap high-water {:.1} MiB",
-                    self.heap_high_water as f64 / (1 << 20) as f64
-                )
-            } else {
-                String::new()
-            }
+             {} fluid ticks | aggregate {:.1} Gbit/s",
+            self.flows, self.active, self.wall_ms, self.fluid_ticks, self.agg_rate_gbps,
         )
     }
 }

@@ -75,10 +75,8 @@ impl ScaleConfig {
 
     /// Memory-footprint cell: k = 32 (8192 hosts), serial only. One
     /// permutation wave of short flows — the point is not throughput but
-    /// the allocator high-water mark of a tree this size, which
-    /// [`ScaleCell::peak_alloc_bytes`] reports when the driver process
-    /// installed `xmp_netsim::set_alloc_bytes_probe` (plain CLI runs
-    /// report 0).
+    /// the memory high-water mark of a tree this size; read it off the
+    /// process (`VmHWM`), as the benchmark's `peak_heap_mib` does.
     pub fn mega() -> Self {
         ScaleConfig {
             k: 32,
@@ -111,10 +109,6 @@ pub struct ScaleCell {
     pub wall_ms: f64,
     /// Events per wall-clock second inside the event loop.
     pub events_per_sec: f64,
-    /// Peak live heap bytes observed during the run (0 unless the process
-    /// installed `xmp_netsim::set_alloc_bytes_probe` — see
-    /// [`ScaleConfig::mega`]).
-    pub peak_alloc_bytes: u64,
 }
 
 /// All cells plus the digest verdict.
@@ -232,7 +226,6 @@ pub fn run_cell(cfg: &ScaleConfig, workers: usize) -> ScaleCell {
     let profile = sim.profile();
 
     // Digest everything a serial observer could see. Deliberately absent:
-    // `profile.allocs` (the global alloc probe is shared across threads),
     // `fault`/`sample` counts (replicated per shard by design) and wall
     // times.
     let mut h = DefaultHasher::new();
@@ -257,7 +250,6 @@ pub fn run_cell(cfg: &ScaleConfig, workers: usize) -> ScaleCell {
         handoffs: profile.handoffs,
         wall_ms,
         events_per_sec: profile.events_per_sec(),
-        peak_alloc_bytes: profile.alloc_high_water_bytes,
     }
 }
 
@@ -287,7 +279,6 @@ impl fmt::Display for ScaleResult {
             "speedup",
             "Mev/s",
             "flows",
-            "peak MiB",
             "digest",
         ]);
         for c in &self.cells {
@@ -298,11 +289,6 @@ impl fmt::Display for ScaleResult {
                     .map_or("-".into(), |s| format!("{s:.2}x")),
                 format!("{:.2}", c.events_per_sec / 1e6),
                 format!("{}", c.completed),
-                if c.peak_alloc_bytes == 0 {
-                    "-".into()
-                } else {
-                    format!("{:.0}", c.peak_alloc_bytes as f64 / (1 << 20) as f64)
-                },
                 format!("{:016x}", c.digest),
             ]);
         }

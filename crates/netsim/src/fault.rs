@@ -20,6 +20,8 @@
 //! documented on
 //! [`Sim::take_link_down`](crate::Sim::take_link_down) and in DESIGN.md §11.
 
+use crate::error::ConfigError;
+use crate::fabric::Fabric;
 use crate::link::LinkId;
 use crate::node::NodeId;
 use xmp_des::SimTime;
@@ -82,11 +84,11 @@ impl FaultPlan {
     }
 
     /// Non-panicking [`FaultPlan::drop_rate`]: reports an out-of-range
-    /// probability as a typed [`ConfigError`](crate::ConfigError) instead
+    /// probability as a typed [`ConfigError`] instead
     /// of aborting (scenario loaders surface this to the CLI).
-    pub fn try_drop_rate(mut self, link: LinkId, p: f64) -> Result<Self, crate::ConfigError> {
+    pub fn try_drop_rate(mut self, link: LinkId, p: f64) -> Result<Self, ConfigError> {
         if !(0.0..=1.0).contains(&p) {
-            return Err(crate::ConfigError::BadProbability {
+            return Err(ConfigError::BadProbability {
                 what: "fault-plan drop rate",
                 value: p,
             });
@@ -106,11 +108,11 @@ impl FaultPlan {
     }
 
     /// Non-panicking [`FaultPlan::corrupt_rate`]: reports an out-of-range
-    /// probability as a typed [`ConfigError`](crate::ConfigError) instead
+    /// probability as a typed [`ConfigError`] instead
     /// of aborting.
-    pub fn try_corrupt_rate(mut self, link: LinkId, p: f64) -> Result<Self, crate::ConfigError> {
+    pub fn try_corrupt_rate(mut self, link: LinkId, p: f64) -> Result<Self, ConfigError> {
         if !(0.0..=1.0).contains(&p) {
-            return Err(crate::ConfigError::BadProbability {
+            return Err(ConfigError::BadProbability {
                 what: "fault-plan corruption rate",
                 value: p,
             });
@@ -122,6 +124,97 @@ impl FaultPlan {
     /// Whether the plan schedules or configures nothing at all.
     pub fn is_empty(&self) -> bool {
         self.timeline.is_empty() && self.loss.is_empty() && self.corruption.is_empty()
+    }
+
+    /// Check the whole plan against a sim of `links` links and `nodes`
+    /// nodes whose clock reads `now`: probability ranges, no past-dated
+    /// event, and every link and node id in range.
+    fn validate(&self, now: SimTime, links: usize, nodes: usize) -> Result<(), ConfigError> {
+        for (rates, what) in [
+            (&self.loss, "fault-plan drop rate"),
+            (&self.corruption, "fault-plan corruption rate"),
+        ] {
+            if let Some(&(_, value)) = rates.iter().find(|(_, p)| !(0.0..=1.0).contains(p)) {
+                return Err(ConfigError::BadProbability { what, value });
+            }
+        }
+        if let Some(&(at, _)) = self.timeline.iter().find(|&&(at, _)| at < now) {
+            return Err(ConfigError::FaultInPast { at, now });
+        }
+        let rated = self.loss.iter().chain(&self.corruption);
+        if let Some(&(link, _)) = rated.into_iter().find(|(l, _)| l.0 as usize >= links) {
+            return Err(ConfigError::UnknownLink { link });
+        }
+        for &(_, ev) in &self.timeline {
+            match ev {
+                FaultEvent::LinkDown(link) | FaultEvent::LinkUp(link)
+                    if link.0 as usize >= links =>
+                {
+                    return Err(ConfigError::UnknownLink { link });
+                }
+                FaultEvent::SwitchDown(node) if node.0 as usize >= nodes => {
+                    return Err(ConfigError::UnknownNode { node });
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The installed fault timeline of one simulation; engine `Fault` events
+/// index into it. Grows by [`FaultTimeline::install`] only.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct FaultTimeline {
+    events: Vec<FaultEvent>,
+}
+
+impl FaultTimeline {
+    /// Install `plan` on a sim whose clock reads `now`: validate all of it
+    /// **before** applying any of it (a rejected plan leaves everything
+    /// untouched), set its per-link loss and corruption rates on `fabric`,
+    /// and append its timeline. Returns the index the first appended event
+    /// received; the caller schedules `plan.timeline[i]` as engine event
+    /// `first + i`.
+    pub(crate) fn install<P>(
+        &mut self,
+        plan: &FaultPlan,
+        now: SimTime,
+        fabric: &mut Fabric<P>,
+    ) -> Result<u32, ConfigError> {
+        plan.validate(now, fabric.links.len(), fabric.nodes.len())?;
+        u32::try_from(self.events.len() + plan.timeline.len()).expect("fault timeline overflow");
+        let first = self.events.len() as u32;
+        for &(link, p) in &plan.loss {
+            for d in &mut fabric.links[link.0 as usize].dirs {
+                d.fault.drop_prob = p;
+            }
+        }
+        for &(link, p) in &plan.corruption {
+            for d in &mut fabric.links[link.0 as usize].dirs {
+                d.fault.corrupt_prob = p;
+            }
+        }
+        self.events.extend(plan.timeline.iter().map(|&(_, ev)| ev));
+        Ok(first)
+    }
+
+    /// The event engine index `idx` names.
+    pub(crate) fn get(&self, idx: u32) -> FaultEvent {
+        self.events[idx as usize]
+    }
+
+    /// Split for a partitioned run: every shard holds the full link table,
+    /// so every shard replays the full timeline.
+    pub(crate) fn shard(self, workers: usize) -> Vec<FaultTimeline> {
+        vec![self; workers]
+    }
+
+    /// Inverse of [`FaultTimeline::shard`]: the replicas are identical.
+    pub(crate) fn merge(mut shards: Vec<FaultTimeline>) -> FaultTimeline {
+        let FaultTimeline { events } = shards.swap_remove(0);
+        debug_assert!(shards.iter().all(|s| s.events == events));
+        FaultTimeline { events }
     }
 }
 

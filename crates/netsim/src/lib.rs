@@ -30,18 +30,23 @@
 
 pub mod addr;
 pub mod agent;
+mod error;
+mod fabric;
 pub mod fault;
 pub mod fluid;
 pub mod hash;
+mod hosts;
+mod ledger;
 pub mod link;
 pub mod network;
 pub mod node;
+mod observers;
 pub mod packet;
 pub mod probe;
 pub mod queue;
 pub mod routing;
 pub mod stats;
-pub mod trace;
+mod timer;
 
 pub use addr::Addr;
 pub use agent::{Agent, Ctx};
@@ -52,12 +57,8 @@ pub use network::partition::{PartitionPlan, PartitionedSim};
 pub use network::{AuditReport, ConfigError, InvariantState, NetEvent, Sim, SimTuning};
 pub use node::{NodeId, PortId};
 pub use packet::{Ecn, FlowId, Packet};
-pub use probe::{
-    set_alloc_bytes_probe, set_alloc_probe, CcSnapshot, ProbeConfig, ProbeRecord, Probes,
-    SimProfile,
-};
+pub use probe::{CcSnapshot, ProbeConfig, ProbeRecord, Probes, SimProfile};
 pub use queue::{
     DropTail, EcnThreshold, EnqueueOutcome, Qdisc, QdiscConfig, QdiscKind, Red, RedMode,
 };
 pub use routing::{mix64, Router, StaticRouter};
-pub use trace::{TraceBuffer, TraceEvent, TraceKind};

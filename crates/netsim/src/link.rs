@@ -141,17 +141,14 @@ pub struct Direction<P> {
 }
 
 /// What a direction did with an offered packet ([`Direction::offer`]).
-/// `waiting` is the backlog the packet arrived to (fluid occupancy
-/// included in hybrid mode), kept for the packet trace.
+/// `waiting` is the backlog the qdisc classified the packet against (fluid
+/// occupancy included in hybrid mode).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Offer {
     /// The direction is down: counted, no RNG consumed.
     Blackholed,
     /// Lost to the fault-injection drop draw, before the qdisc saw it.
-    FaultDropped {
-        /// Waiting packets on arrival.
-        waiting: usize,
-    },
+    FaultDropped,
     /// Rejected by the qdisc (overflow or early drop).
     Dropped {
         /// Waiting packets on arrival.
@@ -195,9 +192,7 @@ impl<P: Send> Direction<P> {
         self.retire_before(now);
         if self.fault.drop_prob > 0.0 && self.fault_rng.chance(self.fault.drop_prob) {
             self.stats.fault_dropped += 1;
-            return Offer::FaultDropped {
-                waiting: self.waiting(now),
-            };
+            return Offer::FaultDropped;
         }
         // Hybrid coupling: fluid elephants occupy this direction too.
         // Their analytic backlog (a) inflates the waiting count the
@@ -450,6 +445,54 @@ impl<P> Link<P> {
             dirs: [rep_dir(&self.dirs[0]), rep_dir(&self.dirs[1])],
             label: self.label.clone(),
             qcfg: self.qcfg.clone(),
+        }
+    }
+
+    /// Inverse of [`Link::replicate`], after any amount of running: one
+    /// link from its shard `copies` (indexed by shard), given each
+    /// direction's `(transmit, receive)` shards. The transmit-authoritative
+    /// copy carries the qdisc, booked transmission windows, fault stream
+    /// and tx-side counters wholesale. On a cut direction it never sees a
+    /// delivery, so the receive-authoritative copy supplies the delivery
+    /// counters and the corruption stream; blackholes accrue on both sides
+    /// (tx: down at enqueue; rx: stale-generation arrivals) and sum, and so
+    /// do the signed occupancy halves (tx +1 at accept, rx −1 at deliver).
+    pub(crate) fn merge(copies: Vec<Self>, dir_owner: [(u32, u32); 2]) -> Self {
+        let mut halves = Vec::with_capacity(copies.len());
+        let mut shared = None;
+        for copy in copies {
+            let Link {
+                bandwidth,
+                delay,
+                dirs: [d0, d1],
+                label,
+                qcfg,
+            } = copy;
+            halves.push([Some(d0), Some(d1)]);
+            shared.get_or_insert((bandwidth, delay, label, qcfg));
+        }
+        let mut merged = |d: usize| {
+            let (tx, rx) = dir_owner[d];
+            let mut dir = halves[tx as usize][d].take().expect("tx owner is a shard");
+            if tx != rx {
+                let rx = halves[rx as usize][d].take().expect("rx owner is a shard");
+                dir.stats.delivered = rx.stats.delivered;
+                dir.stats.delivered_bytes = rx.stats.delivered_bytes;
+                dir.stats.corrupted = rx.stats.corrupted;
+                dir.stats.blackholed += rx.stats.blackholed;
+                dir.in_network += rx.in_network;
+                dir.corrupt_rng = rx.corrupt_rng;
+            }
+            dir
+        };
+        let dirs = [merged(0), merged(1)];
+        let (bandwidth, delay, label, qcfg) = shared.expect("at least one copy");
+        Link {
+            bandwidth,
+            delay,
+            dirs,
+            label,
+            qcfg,
         }
     }
 

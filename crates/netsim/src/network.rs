@@ -1,6 +1,9 @@
-//! The simulation: nodes + links + agents + the event loop.
+//! The simulation: the event loop over its owned sub-states.
 //!
-//! [`Sim`] owns everything and processes two event kinds per packet and
+//! [`Sim`] is an engine plus one owner per kind of state — the fabric
+//! (nodes, links, addresses), the hosts (agents, timers, signals), the
+//! packet ledger, the observers (probes, profile), the fault timeline and
+//! the optional fluid plane — and processes two event kinds per packet and
 //! agent (plus fault, probe and fluid ticks):
 //!
 //! * `Deliver` — a packet arrived at the far end of a link direction:
@@ -12,25 +15,32 @@
 //! * `Timer` — an agent timer fired (with lazy generation-based
 //!   cancellation).
 //!
+//! What lives here is what needs several owners at once: the events, their
+//! identity keys, the run loop and the handlers. Everything else is a thin
+//! call into the owner (DESIGN.md §3).
+//!
 //! Drivers (workloads, experiments) interleave `run_until` with direct agent
 //! access through [`Sim::with_agent`], and observe out-of-band agent signals
 //! through the `run_until` callback.
 
 use crate::addr::Addr;
 use crate::agent::{Agent, Ctx, Emit};
-use crate::fault::{FaultEvent, FaultPlan};
+use crate::fabric::{Booked, Fabric, Hop};
+use crate::fault::{FaultEvent, FaultPlan, FaultTimeline};
 use crate::fluid::{FluidFlowStats, FluidId, FluidSpec};
-use crate::hash::FxHashMap;
-use crate::link::{Link, LinkId, LinkParams, Offer};
+use crate::hosts::Hosts;
+use crate::ledger::Ledger;
+use crate::link::{Link, LinkId, LinkParams};
 use crate::node::{Node, NodeId, NodeKind, PortId};
+use crate::observers::Observers;
 use crate::packet::{FlowId, Packet};
-use crate::probe::{ProbeConfig, ProbeRecord, Probes, SimProfile};
-use crate::queue::Qdisc;
+use crate::probe::{ProbeConfig, Probes, SimProfile};
 use crate::routing::Router;
-use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
-use std::collections::VecDeque;
-use std::fmt;
-use xmp_des::{ByteSize, Engine, SimDuration, SimRng, SimTime};
+use crate::timer::Expiry;
+use xmp_des::{ByteSize, Engine, SimDuration, SimTime};
+
+pub use crate::error::ConfigError;
+pub use crate::ledger::{AuditReport, InvariantState};
 
 #[path = "partition.rs"]
 pub mod partition;
@@ -44,8 +54,8 @@ impl<T: Clone + std::fmt::Debug + Send + 'static> Payload for T {}
 pub struct SimTuning {
     /// Graceful no-route mode: instead of panicking when a switch has no
     /// route for a packet (the default, which treats an unroutable
-    /// destination as a topology bug), count the packet as a
-    /// [`TraceKind::NoRoute`] drop and continue — the right behaviour when
+    /// destination as a topology bug), count the packet in
+    /// [`Sim::unroutable_drops`] and continue — the right behaviour when
     /// fault injection partitions the network. Off by default.
     pub drop_unroutable: bool,
     /// Hybrid fluid/packet mode: flows registered through
@@ -114,30 +124,6 @@ pub enum NetEvent<P> {
     },
 }
 
-/// Deadline-bump state for one `(node, token)` agent timer.
-///
-/// Re-arming a timer does **not** schedule a fresh engine event; it only
-/// records the new deadline (`intent`) and lets the single tracked in-flight
-/// event re-arm itself when it fires early. This matters enormously for
-/// retransmission timers, which transports push out by a full RTO on every
-/// ACK: the naive schedule-per-set approach keeps `ack rate × RTO` stale
-/// events churning through the far-future overflow heap, while this scheme
-/// keeps exactly one pending event per armed timer. A fresh event is
-/// scheduled only when none is in flight or the deadline moved *earlier*
-/// than the tracked event (the superseded event becomes an orphan, detected
-/// by its stale `sched_gen`).
-#[derive(Debug, Default, Clone, Copy)]
-struct TimerState {
-    /// The armed deadline; `None` while disarmed (cancelled or fired).
-    intent: Option<SimTime>,
-    /// The tracked in-flight engine event: `(fire time, schedule
-    /// generation)`. An event carrying any other generation is an orphan
-    /// and is ignored on expiry.
-    sched: Option<(SimTime, u64)>,
-    /// Monotone per-token schedule counter backing orphan detection.
-    sched_gen: u64,
-}
-
 /// Same-instant tie keys for engine events (see `Engine::schedule_keyed`).
 ///
 /// Events firing at the same instant are ranked by *identity*, not by when
@@ -168,7 +154,7 @@ fn fluid_key(id: u32) -> u64 {
 /// Probe sampling ranks dead last at an instant: a tick at `t` observes the
 /// state *after* every packet, timer and fault effect at `t` (`u64::MAX`
 /// exceeds every `fault_key`, whose index is a u32).
-const SAMPLE_KEY: u64 = u64::MAX;
+pub(crate) const SAMPLE_KEY: u64 = u64::MAX;
 
 /// Identity rank of the event `ev` would be scheduled under — the same key
 /// `schedule_keyed` orders it by at an instant. Partitioned shards stamp
@@ -206,7 +192,8 @@ pub(crate) struct ShardState<P> {
     pub(crate) watch_roles: Vec<(bool, bool)>,
 }
 
-/// The whole simulation.
+/// The whole simulation: an engine and the sub-states it drives, each owned
+/// by one module (the module map is DESIGN.md §3).
 ///
 /// Generic over the agent type `A` running on hosts. The default,
 /// `Box<dyn Agent<P>>`, accepts heterogeneous agents through one virtual
@@ -216,224 +203,18 @@ pub(crate) struct ShardState<P> {
 /// `impl Agent<P> for Box<A>` keeps boxed call sites working unchanged.
 pub struct Sim<P: Payload, A: Agent<P> = Box<dyn Agent<P>>> {
     engine: Engine<NetEvent<P>>,
-    nodes: Vec<Node>,
-    links: Vec<Link<P>>,
-    agents: Vec<Option<A>>,
-    /// Address book as a sorted `(addr-as-u32, node)` table: binary-search
-    /// lookups, no hashing, deterministic iteration. Bindings happen only
-    /// during topology construction.
-    addr_book: Vec<(u32, NodeId)>,
-    /// Per-node timer state, indexed densely by `NodeId`. Tokens are
-    /// sparse agent-chosen u64s (connection × subflow × kind packed bits),
-    /// so each node keeps a small fast-hash map rather than a dense slab.
-    timers: Vec<FxHashMap<u64, TimerState>>,
-    signals: VecDeque<(NodeId, u64)>,
-    /// Recycled agent emission buffers: every packet delivery and timer
-    /// expiry needs a scratch `Vec<Emit>`, and allocating one per event was
-    /// the hot loop's last per-packet heap allocation.
-    emit_pool: Vec<Vec<Emit<P>>>,
-    rng: SimRng,
-    trace: Option<TraceBuffer>,
-    /// Installed time-series probes (`None` = subsystem fully disabled).
-    probes: Option<Probes>,
-    /// Always-on engine-loop profiling counters (pure observation).
-    profile: SimProfile,
-    tuning: SimTuning,
+    fabric: Fabric<P>,
+    hosts: Hosts<P, A>,
+    ledger: Ledger,
+    observers: Observers,
     /// Installed fault timeline; engine `Fault` events index into it.
-    fault_timeline: Vec<FaultEvent>,
-    /// Directions with booked departures the next run-window sweep has to
-    /// retire ([`Sim::retire_departures`]): filled at enqueue, pruned as
-    /// the sweep finds them drained, so the sweep never walks idle links.
-    busy_dirs: Vec<(LinkId, u8)>,
-    /// Packets dropped for lack of a route (`drop_unroutable` mode).
-    unroutable: u64,
-    /// Conservation audit: packets injected by host agents (`Emit::Send`).
-    audit_injected: u64,
-    /// Conservation audit: packets handed to a destination host agent.
-    audit_delivered: u64,
-    /// Conservation audit: packets dropped anywhere, for any counted
-    /// reason (qdisc, fault, corruption, blackhole, no-route).
-    audit_dropped: u64,
+    faults: FaultTimeline,
+    tuning: SimTuning,
     /// Fluid flow registry (`SimTuning::hybrid`); `None` until the first
     /// [`Sim::fluid_open`], so packet-only runs never touch it.
     fluid: Option<Box<crate::fluid::FluidState>>,
     /// Set iff this sim is one shard of a [`partition::PartitionedSim`].
     part: Option<Box<ShardState<P>>>,
-}
-
-/// Typed error for simulation construction and configuration, surfaced by
-/// the `try_` variants of the panicking builder methods ([`Sim::try_connect`],
-/// [`Sim::try_bind_addr`], [`Sim::try_install_fault_plan`],
-/// [`partition::PartitionedSim::try_new`], …). Every variant renders
-/// an actionable message through `Display`, which the panicking wrappers
-/// reuse verbatim — CLI frontends can match on the variant or just print it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ConfigError {
-    /// A link was requested with the same node at both ends.
-    SelfLoopLink {
-        /// The node on both ends.
-        node: NodeId,
-    },
-    /// An address is already bound to another node.
-    AddrAlreadyBound {
-        /// The address being re-bound.
-        addr: Addr,
-        /// The node it is already bound to.
-        bound_to: NodeId,
-    },
-    /// A probability parameter outside `[0, 1]`.
-    BadProbability {
-        /// What the probability configures (e.g. `"drop rate"`).
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// A fault-plan timeline entry behind the simulation clock.
-    FaultInPast {
-        /// The requested fault time.
-        at: SimTime,
-        /// The clock when the plan was installed.
-        now: SimTime,
-    },
-    /// Partitioning was requested on a sim with packet tracing enabled
-    /// (the trace ring buffer is inherently serial).
-    TracingUnsupported,
-    /// Partitioning was requested on a sim that has already run.
-    NotPristine {
-        /// The non-zero clock found.
-        now: SimTime,
-    },
-    /// A partition plan's assignment length disagrees with the node count.
-    PlanLengthMismatch {
-        /// Nodes named by the plan.
-        plan: usize,
-        /// Nodes in the sim.
-        nodes: usize,
-    },
-    /// Undrained agent signals at partition time.
-    UndrainedSignals,
-    /// The sim is already one shard of a partitioned run.
-    AlreadyPartitioned,
-    /// A link crossing two shards has zero propagation delay, leaving the
-    /// conservative synchronization protocol no lookahead window.
-    ZeroDelayCutLink {
-        /// The offending link.
-        link: LinkId,
-        /// Its human-readable label.
-        label: String,
-    },
-    /// [`Sim::fluid_open`] was called without `SimTuning::hybrid` enabled.
-    HybridDisabled,
-    /// Hybrid mode and partitioning were combined (fluid flows span pods,
-    /// so their rate updates cannot be sharded under the conservative
-    /// protocol).
-    HybridUnsupported,
-    /// A fluid subflow's resolved path exceeds the supported hop budget
-    /// ([`crate::fluid::MAX_HOPS`]) — usually a routing loop.
-    FluidPathTooLong {
-        /// The flow whose path walk overran.
-        flow: FlowId,
-    },
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::SelfLoopLink { node } => write!(
-                f,
-                "self-loop link: both ends are {node:?}; connect two distinct nodes"
-            ),
-            ConfigError::AddrAlreadyBound { addr, bound_to } => write!(
-                f,
-                "address {addr} already bound to {bound_to:?}; every address \
-                 must map to exactly one node"
-            ),
-            ConfigError::BadProbability { what, value } => write!(
-                f,
-                "probability out of range: {what} = {value}; must lie in [0, 1]"
-            ),
-            ConfigError::FaultInPast { at, now } => write!(
-                f,
-                "fault event at {at:?} is in the past (clock is at {now:?}); \
-                 install fault plans before running past their first event"
-            ),
-            ConfigError::TracingUnsupported => write!(
-                f,
-                "packet tracing is unsupported in partitioned runs; drop \
-                 enable_trace() or run serially"
-            ),
-            ConfigError::NotPristine { now } => write!(
-                f,
-                "partitioning requires a pristine sim (clock at zero, found \
-                 {now:?}); build topology and partition before running"
-            ),
-            ConfigError::PlanLengthMismatch { plan, nodes } => write!(
-                f,
-                "partition plan length does not match node count: plan names \
-                 {plan} nodes, sim has {nodes}"
-            ),
-            ConfigError::UndrainedSignals => write!(
-                f,
-                "undrained signals at partition time; drain driver signals \
-                 before sharding"
-            ),
-            ConfigError::AlreadyPartitioned => {
-                write!(f, "sim is already a shard of a partitioned run")
-            }
-            ConfigError::ZeroDelayCutLink { link, label } => write!(
-                f,
-                "cut link {label} ({link:?}) has zero propagation delay (no \
-                 lookahead); give cross-shard links a positive delay or keep \
-                 both ends on one shard"
-            ),
-            ConfigError::HybridDisabled => write!(
-                f,
-                "fluid_open requires SimTuning::hybrid; enable it via \
-                 set_tuning before registering fluid flows"
-            ),
-            ConfigError::HybridUnsupported => write!(
-                f,
-                "hybrid fluid/packet mode is unsupported in partitioned \
-                 runs; run hybrid sims serially"
-            ),
-            ConfigError::FluidPathTooLong { flow } => write!(
-                f,
-                "fluid subflow {flow:?} walked more than {} hops without \
-                 reaching a host; check routing for loops",
-                crate::fluid::MAX_HOPS
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// Rolling observation state for [`Sim::audit_invariants`].
-///
-/// Some invariants are *trajectories*, not snapshots: a link direction's
-/// `busy_until` must never move backwards **within one failure generation**
-/// (link teardown legitimately resets it). The state carries the last
-/// observed `(fail_gen, busy_until)` watermark per direction between audit
-/// calls; a fresh default state accepts whatever it first sees.
-#[derive(Debug, Default)]
-pub struct InvariantState {
-    /// Per link, per direction: last observed `(fail_gen, busy_until)`.
-    marks: Vec<[(u32, SimTime); 2]>,
-}
-
-/// Packet-conservation snapshot from [`Sim::audit_conservation`]: every
-/// injected packet must be delivered, dropped with a counted reason, or
-/// still sitting in the network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AuditReport {
-    /// Packets injected by host agents.
-    pub injected: u64,
-    /// Packets handed to destination host agents.
-    pub delivered: u64,
-    /// Packets dropped, all reasons combined.
-    pub dropped: u64,
-    /// Packets accepted by some link direction and not yet delivered.
-    pub in_network: u64,
 }
 
 impl<P: Payload, A: Agent<P>> Sim<P, A> {
@@ -442,24 +223,12 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     pub fn new(seed: u64) -> Self {
         Sim {
             engine: Engine::new(),
-            nodes: Vec::new(),
-            links: Vec::new(),
-            agents: Vec::new(),
-            addr_book: Vec::new(),
-            timers: Vec::new(),
-            signals: VecDeque::new(),
-            emit_pool: Vec::new(),
-            rng: SimRng::new(seed),
-            trace: None,
-            probes: None,
-            profile: SimProfile::default(),
+            fabric: Fabric::new(seed),
+            hosts: Hosts::new(),
+            ledger: Ledger::default(),
+            observers: Observers::new(),
+            faults: FaultTimeline::default(),
             tuning: SimTuning::default(),
-            fault_timeline: Vec::new(),
-            busy_dirs: Vec::new(),
-            unroutable: 0,
-            audit_injected: 0,
-            audit_delivered: 0,
-            audit_dropped: 0,
             fluid: None,
             part: None,
         }
@@ -475,36 +244,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         self.tuning
     }
 
-    fn take_emit_buf(&mut self) -> Vec<Emit<P>> {
-        match self.emit_pool.pop() {
-            Some(buf) => {
-                self.profile.pool_hits += 1;
-                buf
-            }
-            None => {
-                self.profile.pool_misses += 1;
-                Vec::new()
-            }
-        }
-    }
-
-    /// Turn on packet tracing with a ring buffer of `capacity` events
-    /// (off by default; see [`crate::trace`]).
-    pub fn enable_trace(&mut self, capacity: usize) -> &mut TraceBuffer {
-        self.trace = Some(TraceBuffer::new(capacity));
-        self.trace.as_mut().expect("just set")
-    }
-
-    /// The trace buffer, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref()
-    }
-
-    /// Mutable trace access (to adjust filters mid-run).
-    pub fn trace_mut(&mut self) -> Option<&mut TraceBuffer> {
-        self.trace.as_mut()
-    }
-
     /// Install time-series probes and schedule the first sampling tick.
     ///
     /// Follows the [`FaultPlan`] discipline: a sim that never calls this
@@ -516,37 +255,32 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// # Panics
     /// Panics if probes are already installed.
     pub fn install_probes(&mut self, cfg: ProbeConfig) {
-        assert!(self.probes.is_none(), "probes already installed");
-        let p = Probes::new(cfg);
-        let first = self.engine.now() + p.interval;
-        if first <= p.until {
-            self.engine
-                .schedule_keyed(first, SAMPLE_KEY, NetEvent::Sample);
-        }
-        self.probes = Some(p);
+        assert!(self.observers.probes.is_none(), "probes already installed");
+        self.observers.probes = Some(Probes::new(cfg));
+        self.schedule_next_sample();
     }
 
     /// The recorded probe series, if probes are installed.
     pub fn probes(&self) -> Option<&Probes> {
-        self.probes.as_ref()
+        self.observers.probes.as_ref()
     }
 
     /// Mutable probe access (drivers push their own records, e.g.
     /// per-subflow cwnd snapshots).
     pub fn probes_mut(&mut self) -> Option<&mut Probes> {
-        self.probes.as_mut()
+        self.observers.probes.as_mut()
     }
 
     /// Remove and return the probes (ends sampling: a still-pending tick
     /// finds no probes and does not re-schedule).
     pub fn take_probes(&mut self) -> Option<Probes> {
-        self.probes.take()
+        self.observers.probes.take()
     }
 
     /// Engine-loop profiling counters (events per kind, pool hit rate,
     /// wall time per phase). Always on; never part of simulated state.
     pub fn profile(&self) -> &SimProfile {
-        &self.profile
+        &self.observers.profile
     }
 
     /// Instantaneous backlog of a link direction in packets (queued +
@@ -554,94 +288,8 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// ticks), after every departure at or before it. A downed direction
     /// reads zero.
     pub fn queue_depth(&mut self, link: LinkId, dir: u8) -> usize {
-        let now = self.engine.now();
-        let hybrid = self.tuning.hybrid;
-        let l = &mut self.links[link.0 as usize];
-        let cap = l.bandwidth.as_bps() as f64 / 8.0;
-        let d = l.dir_mut(dir);
-        if d.down {
-            return 0;
-        }
-        // `run_until`/`advance_to` already retired departures up to the
-        // boundary; a probe tick at `t` ranks last at `t`, so it retires
-        // `depart <= t` itself.
-        d.retire_through(now);
-        let mut depth = d.pending.len();
-        if hybrid {
-            // Fluid occupancy, in reference packets, is part of the
-            // observable backlog — same view the qdisc classifies with.
-            let max_b = d.queue.capacity() as f64 * crate::fluid::REF_PKT_BYTES;
-            d.fluid_advance(now, cap, max_b);
-            depth += (d.fluid_backlog / crate::fluid::REF_PKT_BYTES).round() as usize;
-        }
-        depth
-    }
-
-    /// One probe sampling tick: record watched queue depths and delivery
-    /// counters, then re-arm unless past the configured end.
-    fn on_sample(&mut self) {
-        let Some(mut p) = self.probes.take() else {
-            return; // probes were taken mid-run; stop sampling
-        };
-        let now = self.engine.now();
-        for i in 0..p.watch.len() {
-            let (link, dir) = p.watch[i];
-            // In a partitioned shard, the transmit owner records the queue
-            // series (depth and enqueue/mark/drop counters live tx-side)
-            // and the receive owner records the utilization series
-            // (delivery counters live rx-side). Serial records both.
-            let (tx_role, rx_role) = match self.part.as_ref() {
-                Some(ps) => ps.watch_roles[i],
-                None => (true, true),
-            };
-            if tx_role {
-                let depth = self.queue_depth(link, dir) as u64;
-                let stats = &self.links[link.0 as usize].dir(dir).stats;
-                p.push_ranked(
-                    ProbeRecord::Queue {
-                        at: now,
-                        link: link.0,
-                        dir,
-                        depth,
-                        enqueued: stats.enqueued,
-                        marked: stats.marked,
-                        dropped: stats.dropped,
-                    },
-                    (SAMPLE_KEY, (i as u64) * 2),
-                );
-            }
-            if rx_role {
-                // Hybrid: fluid bytes served by this direction count toward
-                // utilization (guarded, so hybrid-off exports stay
-                // bit-identical).
-                let fluid_bytes = if self.tuning.hybrid {
-                    let l = &mut self.links[link.0 as usize];
-                    let cap = l.bandwidth.as_bps() as f64 / 8.0;
-                    let d = l.dir_mut(dir);
-                    let max_b = d.queue.capacity() as f64 * crate::fluid::REF_PKT_BYTES;
-                    d.fluid_advance(now, cap, max_b);
-                    d.fluid_bytes_out as u64
-                } else {
-                    0
-                };
-                let stats = &self.links[link.0 as usize].dir(dir).stats;
-                p.push_ranked(
-                    ProbeRecord::Util {
-                        at: now,
-                        link: link.0,
-                        dir,
-                        delivered_bytes: stats.delivered_bytes.as_bytes() + fluid_bytes,
-                    },
-                    (SAMPLE_KEY, (i as u64) * 2 + 1),
-                );
-            }
-        }
-        let next = now + p.interval;
-        if next <= p.until {
-            self.engine
-                .schedule_keyed(next, SAMPLE_KEY, NetEvent::Sample);
-        }
-        self.probes = Some(p);
+        let (now, hybrid) = (self.engine.now(), self.tuning.hybrid);
+        self.fabric.queue_depth(link, dir, now, hybrid)
     }
 
     /// Current simulated time.
@@ -662,30 +310,20 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
 
     /// Add an end host running `agent`.
     pub fn add_host(&mut self, label: impl Into<String>, agent: A) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::new(NodeKind::Host, label.into()));
-        self.agents.push(Some(agent));
-        self.timers.push(FxHashMap::default());
-        id
+        self.hosts.add_node(Some(agent));
+        self.fabric.add_node(NodeKind::Host, label.into())
     }
 
     /// Add a switch forwarding with `router`.
     pub fn add_switch(&mut self, label: impl Into<String>, router: Box<dyn Router>) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes
-            .push(Node::new(NodeKind::Switch(router), label.into()));
-        self.agents.push(None);
-        self.timers.push(FxHashMap::default());
-        id
+        self.hosts.add_node(None);
+        self.fabric.add_node(NodeKind::Switch(router), label.into())
     }
 
     /// Replace a switch's router (topology builders wire routes after
     /// connecting, once port numbers are known).
     pub fn set_router(&mut self, node: NodeId, router: Box<dyn Router>) {
-        match &mut self.nodes[node.0 as usize].kind {
-            NodeKind::Switch(r) => *r = router,
-            NodeKind::Host => panic!("set_router on a host"),
-        }
+        self.fabric.set_router(node, router);
     }
 
     /// Make room for `additional` more links, for builders that know their
@@ -693,7 +331,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// over-aligned reallocation is a fresh block and a copy), and doubling
     /// leaves up to half of it unused.
     pub fn reserve_links(&mut self, additional: usize) {
-        self.links.reserve_exact(additional);
+        self.fabric.links.reserve_exact(additional);
     }
 
     /// Connect `a` and `b` with a full-duplex link; returns its id.
@@ -721,17 +359,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         params: &LinkParams,
         label: impl Into<String>,
     ) -> Result<LinkId, ConfigError> {
-        if a == b {
-            return Err(ConfigError::SelfLoopLink { node: a });
-        }
-        let id = LinkId(self.links.len() as u32);
-        let pa = PortId(self.nodes[a.0 as usize].ports.len() as u16);
-        let pb = PortId(self.nodes[b.0 as usize].ports.len() as u16);
-        let link = Link::new(params, (a, pa), (b, pb), &self.rng, id.0, label.into());
-        self.nodes[a.0 as usize].ports.push((id, 0));
-        self.nodes[b.0 as usize].ports.push((id, 1));
-        self.links.push(link);
-        Ok(id)
+        self.fabric.connect(a, b, params, label.into())
     }
 
     /// Bind an address to a node (a node may hold many addresses; the
@@ -740,68 +368,46 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// # Panics
     /// Panics if the address is already bound; [`Sim::try_bind_addr`]
     /// reports it instead.
-    pub fn bind_addr(&mut self, addr: crate::addr::Addr, node: NodeId) {
+    pub fn bind_addr(&mut self, addr: Addr, node: NodeId) {
         self.try_bind_addr(addr, node)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Non-panicking [`Sim::bind_addr`]: reports a duplicate binding as a
     /// typed [`ConfigError`] instead of aborting.
-    pub fn try_bind_addr(
-        &mut self,
-        addr: crate::addr::Addr,
-        node: NodeId,
-    ) -> Result<(), ConfigError> {
-        let key = u32::from_be_bytes(addr.0);
-        match self.addr_book.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => Err(ConfigError::AddrAlreadyBound {
-                addr,
-                bound_to: self.addr_book[i].1,
-            }),
-            Err(i) => {
-                self.addr_book.insert(i, (key, node));
-                Ok(())
-            }
-        }
+    pub fn try_bind_addr(&mut self, addr: Addr, node: NodeId) -> Result<(), ConfigError> {
+        self.fabric.bind_addr(addr, node)
     }
 
     /// Iterate all bound `(address, node)` pairs in address order.
     pub fn addresses(&self) -> impl Iterator<Item = (Addr, NodeId)> + '_ {
-        self.addr_book
-            .iter()
-            .map(|&(k, n)| (Addr(k.to_be_bytes()), n))
+        self.fabric.addresses()
     }
 
     /// Node owning `addr`, if bound.
-    pub fn lookup_addr(&self, addr: crate::addr::Addr) -> Option<NodeId> {
-        let key = u32::from_be_bytes(addr.0);
-        self.addr_book
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .ok()
-            .map(|i| self.addr_book[i].1)
+    pub fn lookup_addr(&self, addr: Addr) -> Option<NodeId> {
+        self.fabric.lookup_addr(addr)
     }
 
     /// Immutable node access.
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.0 as usize]
+        &self.fabric.nodes[id.0 as usize]
     }
 
     /// Immutable link access.
     pub fn link(&self, id: LinkId) -> &Link<P> {
-        &self.links[id.0 as usize]
+        &self.fabric.links[id.0 as usize]
     }
 
     /// Iterate all links with their ids.
     pub fn links(&self) -> impl Iterator<Item = (LinkId, &Link<P>)> {
-        self.links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (LinkId(i as u32), l))
+        let links = self.fabric.links.iter().enumerate();
+        links.map(|(i, l)| (LinkId(i as u32), l))
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.fabric.nodes.len()
     }
 
     /// Change a link's fault-injection drop probability at runtime
@@ -813,18 +419,10 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     }
 
     /// Non-panicking [`Sim::set_link_drop_prob`]: reports an out-of-range
-    /// probability as a typed [`ConfigError`] instead of aborting.
+    /// probability or an unknown link as a typed [`ConfigError`] instead
+    /// of aborting.
     pub fn try_set_link_drop_prob(&mut self, link: LinkId, p: f64) -> Result<(), ConfigError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(ConfigError::BadProbability {
-                what: "link drop rate",
-                value: p,
-            });
-        }
-        for d in &mut self.links[link.0 as usize].dirs {
-            d.fault.drop_prob = p;
-        }
-        Ok(())
+        self.fabric.set_link_drop_prob(link, p)
     }
 
     /// Install a [`FaultPlan`]: apply its per-link loss/corruption rates
@@ -835,50 +433,22 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// a run without fault machinery.
     ///
     /// # Panics
-    /// Panics on out-of-range probabilities or past-dated timeline events;
-    /// [`Sim::try_install_fault_plan`] reports them instead.
+    /// Panics on out-of-range probabilities, past-dated timeline events and
+    /// unknown link or node ids; [`Sim::try_install_fault_plan`] reports
+    /// them instead.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
         self.try_install_fault_plan(plan)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Non-panicking [`Sim::install_fault_plan`]: validates the whole plan
-    /// (probability ranges, no past-dated events) **before** applying any
-    /// of it, so a rejected plan leaves the sim untouched.
+    /// (probability ranges, no past-dated events, every link and node id
+    /// known) **before** applying any of it, so a rejected plan leaves the
+    /// sim untouched.
     pub fn try_install_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), ConfigError> {
         let now = self.engine.now();
-        for &(_, p) in &plan.loss {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(ConfigError::BadProbability {
-                    what: "fault-plan drop rate",
-                    value: p,
-                });
-            }
-        }
-        for &(_, p) in &plan.corruption {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(ConfigError::BadProbability {
-                    what: "fault-plan corruption rate",
-                    value: p,
-                });
-            }
-        }
-        if let Some(&(at, _)) = plan.timeline.iter().find(|&&(at, _)| at < now) {
-            return Err(ConfigError::FaultInPast { at, now });
-        }
-        for &(link, p) in &plan.loss {
-            for d in &mut self.links[link.0 as usize].dirs {
-                d.fault.drop_prob = p;
-            }
-        }
-        for &(link, p) in &plan.corruption {
-            for d in &mut self.links[link.0 as usize].dirs {
-                d.fault.corrupt_prob = p;
-            }
-        }
-        for &(at, ev) in &plan.timeline {
-            let idx = u32::try_from(self.fault_timeline.len()).expect("fault timeline overflow");
-            self.fault_timeline.push(ev);
+        let first = self.faults.install(plan, now, &mut self.fabric)?;
+        for (idx, &(at, _)) in (first..).zip(&plan.timeline) {
             self.engine
                 .schedule_keyed(at, fault_key(idx), NetEvent::Fault { idx });
         }
@@ -898,34 +468,19 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// routing hasn't reconverged; multipath transports are expected to
     /// shift load to surviving subflows instead (the failover experiment).
     pub fn take_link_down(&mut self, link: LinkId) {
-        let now = self.engine.now();
-        for d in &mut self.links[link.0 as usize].dirs {
-            if d.down {
-                continue;
-            }
-            d.down = true;
-            d.fail_gen = d.fail_gen.wrapping_add(1);
-            // Record the departures that genuinely happened, then drop the
-            // booked windows so the backlog reads zero.
-            d.retire_before(now);
-            d.pending.clear();
-            d.busy_until = SimTime::ZERO;
-            d.stats.observe_backlog(now, 0);
-        }
+        self.fabric.take_link_down(link, self.engine.now());
     }
 
     /// Repair both directions of `link`. In-flight state was already
     /// purged at failure.
     pub fn bring_link_up(&mut self, link: LinkId) {
-        for d in &mut self.links[link.0 as usize].dirs {
-            d.down = false;
-        }
+        self.fabric.bring_link_up(link);
     }
 
     /// Packets dropped for lack of a route (only under
     /// [`SimTuning::drop_unroutable`]).
     pub fn unroutable_drops(&self) -> u64 {
-        self.unroutable
+        self.ledger.unroutable
     }
 
     /// Check packet conservation: every packet injected by a host agent
@@ -941,28 +496,8 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// description instead of aborting, so a chaos harness can record the
     /// violation and shrink the scenario that produced it.
     pub fn try_audit_conservation(&self) -> Result<AuditReport, String> {
-        let mut in_network = 0i64;
-        for l in &self.links {
-            for d in &l.dirs {
-                if d.in_network < 0 {
-                    return Err(format!(
-                        "negative in-network count {} on {}",
-                        d.in_network, l.label
-                    ));
-                }
-                in_network += d.in_network;
-            }
-        }
-        let report = AuditReport {
-            injected: self.audit_injected,
-            delivered: self.audit_delivered,
-            dropped: self.audit_dropped,
-            in_network: in_network as u64,
-        };
-        if report.injected != report.delivered + report.dropped + report.in_network {
-            return Err(format!("packet conservation violated: {report:?}"));
-        }
-        Ok(report)
+        self.ledger
+            .conservation(Fabric::in_network(&[&self.fabric])?)
     }
 
     /// Mid-run invariant audit: check every structural invariant that must
@@ -995,64 +530,14 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         failures: &mut Vec<String>,
     ) -> usize {
         let start = failures.len();
-        let now = self.engine.now();
         if let Err(e) = self.try_audit_conservation() {
             failures.push(e);
         }
         if let Err(e) = self.engine.check_integrity() {
             failures.push(format!("event queue integrity: {e}"));
         }
-        if state.marks.len() < self.links.len() {
-            state
-                .marks
-                .resize(self.links.len(), [(0, SimTime::ZERO); 2]);
-        }
-        for (i, l) in self.links.iter().enumerate() {
-            for (dir, d) in l.dirs.iter().enumerate() {
-                let (seen_gen, seen_busy) = state.marks[i][dir];
-                if d.fail_gen == seen_gen && d.busy_until < seen_busy {
-                    failures.push(format!(
-                        "busy_until went backwards on {}/{dir}: {:?} after {:?} \
-                         (fail_gen {})",
-                        l.label, d.busy_until, seen_busy, d.fail_gen
-                    ));
-                }
-                state.marks[i][dir] = (d.fail_gen, d.busy_until);
-            }
-        }
-        for (node, table) in self.timers.iter().enumerate() {
-            for (&token, st) in table.iter() {
-                if let Some(intent) = st.intent {
-                    match st.sched {
-                        None => failures.push(format!(
-                            "timer node {node} token {token:#x}: armed (intent \
-                             {intent:?}) but no in-flight event is tracked"
-                        )),
-                        Some((at, _)) if at > intent => failures.push(format!(
-                            "timer node {node} token {token:#x}: tracked event at \
-                             {at:?} fires after the armed intent {intent:?}"
-                        )),
-                        Some(_) => {}
-                    }
-                }
-                if let Some((at, gen)) = st.sched {
-                    if gen != st.sched_gen {
-                        failures.push(format!(
-                            "timer node {node} token {token:#x}: tracked event \
-                             generation {gen} is not the latest ({}) — the live \
-                             event would be treated as an orphan",
-                            st.sched_gen
-                        ));
-                    }
-                    if at < now {
-                        failures.push(format!(
-                            "timer node {node} token {token:#x}: tracked event at \
-                             {at:?} is in the past (clock {now:?})"
-                        ));
-                    }
-                }
-            }
-        }
+        state.observe(&self.fabric.links, failures);
+        self.hosts.timers.audit(self.engine.now(), failures);
         failures.len() - start
     }
 
@@ -1065,15 +550,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// replay pipeline end to end.
     #[doc(hidden)]
     pub fn debug_inject_spurious_timer(&mut self, node: NodeId, at: SimTime) {
-        self.engine.schedule_keyed(
-            at,
-            timer_key(node),
-            NetEvent::Timer {
-                node,
-                token: u64::MAX,
-                gen: u64::MAX,
-            },
-        );
+        self.schedule_timer(at, node, u64::MAX, u64::MAX);
     }
 
     /// Test-only hook: force a `(node, token)` timer's schedule-generation
@@ -1082,11 +559,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// across the wraparound.
     #[doc(hidden)]
     pub fn debug_set_timer_gen(&mut self, node: NodeId, token: u64, gen: u64) {
-        let st = self.timers[node.0 as usize].entry(token).or_default();
-        st.sched_gen = gen;
-        if let Some((_, g)) = &mut st.sched {
-            *g = gen;
-        }
+        self.hosts.timers.set_gen(node, token, gen);
     }
 
     /// Run the concrete agent on `node` with driver code.
@@ -1103,18 +576,10 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         node: NodeId,
         f: impl FnOnce(&mut T, &mut Ctx<'_, P>) -> R,
     ) -> R {
-        let mut emits = self.take_emit_buf();
-        let now = self.engine.now();
-        let agent = self.agents[node.0 as usize]
-            .as_mut()
-            .unwrap_or_else(|| panic!("{node:?} has no agent (it is a switch)"));
-        let a = agent
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("agent type mismatch");
-        let r = f(a, &mut Ctx::new(now, &mut emits));
-        self.process_emits(node, emits);
-        r
+        self.call_agent(node, |agent, ctx| {
+            let agent = agent.as_any_mut().downcast_mut::<T>();
+            f(agent.expect("agent type mismatch"), ctx)
+        })
     }
 
     /// Process all events up to and including `deadline`. After each event,
@@ -1131,24 +596,17 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         mut on_signal: impl FnMut(&mut Self, NodeId, u64),
     ) {
         let wall = std::time::Instant::now();
-        let alloc_start = crate::probe::read_alloc_probe();
         while let Some((_, ev)) = self.engine.pop_at_or_before(deadline) {
             self.prefetch_ahead();
             self.handle(ev);
-            while let Some((node, code)) = self.signals.pop_front() {
+            while let Some((node, code)) = self.hosts.signals.pop_front() {
                 on_signal(self, node, code);
             }
         }
         // The window is closed: whatever the driver does at `deadline`
         // comes after every departure at or before it.
-        self.retire_departures(deadline);
-        if let (Some(start), Some(end)) = (alloc_start, crate::probe::read_alloc_probe()) {
-            self.profile.allocs += end.saturating_sub(start);
-        }
-        if let Some(live) = crate::probe::read_alloc_bytes_probe() {
-            self.profile.alloc_high_water_bytes = self.profile.alloc_high_water_bytes.max(live);
-        }
-        self.profile.run_wall_ns += wall.elapsed().as_nanos() as u64;
+        self.fabric.retire_departures(deadline);
+        self.observers.profile.run_wall_ns += wall.elapsed().as_nanos() as u64;
     }
 
     /// The run loop's lookahead, issued with event *i* popped and not yet
@@ -1168,7 +626,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     fn prefetch_ahead(&self) {
         self.engine.prefetch_upcoming(1);
         if let Some(NetEvent::Deliver { link, dir, .. }) = self.engine.upcoming(0) {
-            let ingress = self.links.get(link.0 as usize);
+            let ingress = self.fabric.links.get(link.0 as usize);
             if let Some(d) = ingress.and_then(|l| l.dirs.get(*dir as usize)) {
                 d.prefetch_rx();
             }
@@ -1185,7 +643,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// start flows at exact scheduled instants between network events.
     pub fn advance_to(&mut self, t: SimTime) {
         self.engine.advance_to(t);
-        self.retire_departures(t);
+        self.fabric.retire_departures(t);
     }
 
     /// Register a fluid elephant flow (`SimTuning::hybrid`): resolve every
@@ -1213,53 +671,28 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             return Err(ConfigError::HybridUnsupported);
         }
         assert!(!spec.subflows.is_empty(), "fluid flow needs >= 1 subflow");
-        let now = self.engine.now();
         let mss = ByteSize::from_bytes(spec.mss as u64);
         let mut subs = Vec::with_capacity(spec.subflows.len());
         for sf in &spec.subflows {
-            let mut path = [(LinkId(0), 0u8); crate::fluid::MAX_HOPS];
-            let mut hops = 0usize;
+            let (path, hops) = self
+                .fabric
+                .path(spec.src_node, sf.local_port, sf.dst, sf.flow)
+                .ok_or(ConfigError::FluidPathTooLong { flow: sf.flow })?;
             let mut rtt_ns = 0u64;
             let mut cap = f64::INFINITY;
-            let &(mut link, mut dir) = self.nodes[spec.src_node.0 as usize]
-                .ports
-                .get(sf.local_port.0 as usize)
-                .unwrap_or_else(|| panic!("{:?} has no port {:?}", spec.src_node, sf.local_port));
-            loop {
-                if hops >= crate::fluid::MAX_HOPS {
-                    return Err(ConfigError::FluidPathTooLong { flow: sf.flow });
-                }
-                let l = &self.links[link.0 as usize];
-                path[hops] = (link, dir);
-                hops += 1;
+            for &(link, _) in &path[..hops] {
+                let l = &self.fabric.links[link.0 as usize];
                 // Base RTT: serialization + propagation per hop, both ways
                 // (the reverse path is approximated as symmetric; ACKs are
                 // small, so the data-direction serialization dominates).
                 rtt_ns += 2 * (l.bandwidth.transmission_time(mss) + l.delay).as_nanos();
                 cap = cap.min(l.bandwidth.as_bps() as f64 / 8.0);
-                let d = l.dir(dir);
-                let (to_node, to_port) = (d.to_node, d.to_port);
-                match &self.nodes[to_node.0 as usize].kind {
-                    NodeKind::Host => break,
-                    NodeKind::Switch(_) => {
-                        let out = self.route_on(to_node, sf.dst, sf.flow, to_port);
-                        let &(l2, d2) = self.nodes[to_node.0 as usize]
-                            .ports
-                            .get(out.0 as usize)
-                            .unwrap_or_else(|| panic!("router chose missing port {out:?}"));
-                        (link, dir) = (l2, d2);
-                    }
-                }
             }
-            subs.push(crate::fluid::subflow(
-                path,
-                hops as u8,
-                SimDuration::from_nanos(rtt_ns),
-                cap,
-            ));
+            let rtt = SimDuration::from_nanos(rtt_ns);
+            subs.push(crate::fluid::subflow(path, hops as u8, rtt, cap));
         }
         let fluid = self.fluid.get_or_insert_with(Default::default);
-        let (id, first) = fluid.open_flow(spec, subs, now);
+        let (id, first) = fluid.open_flow(spec, subs, self.engine.now());
         self.engine
             .schedule_keyed(first, fluid_key(id), NetEvent::Fluid { id });
         Ok(FluidId(id))
@@ -1274,11 +707,8 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// returning the final snapshot. Safe on completed flows (their rates
     /// are already withdrawn); `None` for unknown ids.
     pub fn fluid_stop(&mut self, id: FluidId) -> Option<FluidFlowStats> {
-        let mut fluid = self.fluid.take()?;
         let now = self.engine.now();
-        let out = fluid.stop(id.0, now, &mut self.links);
-        self.fluid = Some(fluid);
-        out
+        self.fluid.as_mut()?.stop(id.0, now, &mut self.fabric.links)
     }
 
     /// Number of fluid flows still actively sending.
@@ -1302,26 +732,25 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// makes it: the switch's [`Router::route`]. Panics on hosts and
     /// unroutable destinations, like forwarding does by default.
     pub fn route_on(&self, node: NodeId, dst: Addr, flow: FlowId, in_port: PortId) -> PortId {
-        let NodeKind::Switch(router) = &self.nodes[node.0 as usize].kind else {
-            panic!("route_on called on a host");
-        };
-        router
-            .route(dst, flow, in_port)
-            .unwrap_or_else(|| panic!("no route to {dst}"))
+        match self.fabric.next_hop(node, in_port, dst, flow) {
+            Ok(Hop::Out(port, _, _)) => port,
+            Ok(Hop::Home) => panic!("route_on called on a host"),
+            Err(e) => panic!("{e}"),
+        }
     }
 
-    /// Retire every booked departure at or before `t` (a run window just
-    /// closed there), so link stats read after the window — and arrivals
-    /// the driver injects at `t` — see the port as it is at `t`. Only
-    /// directions on the busy list can have anything to retire.
-    fn retire_departures(&mut self, t: SimTime) {
-        let links = &mut self.links;
-        self.busy_dirs.retain(|&(link, dir)| {
-            let d = links[link.0 as usize].dir_mut(dir);
-            d.retire_through(t);
-            d.listed = !d.pending.is_empty();
-            d.listed
-        });
+    fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: u64, gen: u64) {
+        let ev = NetEvent::Timer { node, token, gen };
+        self.engine.schedule_keyed(at, timer_key(node), ev);
+    }
+
+    /// Schedule the sampling tick after now, unless the probes are gone or
+    /// past their configured end.
+    fn schedule_next_sample(&mut self) {
+        if let Some(next) = self.observers.next_tick(self.engine.now()) {
+            self.engine
+                .schedule_keyed(next, SAMPLE_KEY, NetEvent::Sample);
+        }
     }
 
     fn handle(&mut self, ev: NetEvent<P>) {
@@ -1331,6 +760,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             // the serial order at equal timestamps.
             ps.rank = (event_rank(&ev), 0);
         }
+        let profile = &mut self.observers.profile;
         match ev {
             NetEvent::TxDone { .. } => {}
             NetEvent::Deliver {
@@ -1339,23 +769,27 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
                 gen,
                 pkt,
             } => {
-                self.profile.deliver += 1;
+                profile.deliver += 1;
                 self.on_deliver(link, dir, gen, pkt);
             }
             NetEvent::Timer { node, token, gen } => {
-                self.profile.timer += 1;
+                profile.timer += 1;
                 self.on_timer(node, token, gen);
             }
             NetEvent::Fault { idx } => {
-                self.profile.fault += 1;
+                profile.fault += 1;
                 self.on_fault(idx);
             }
             NetEvent::Sample => {
-                self.profile.sample += 1;
-                self.on_sample();
+                profile.sample += 1;
+                let roles = self.part.as_ref().map(|ps| &ps.watch_roles[..]);
+                let (now, hybrid) = (self.engine.now(), self.tuning.hybrid);
+                self.observers
+                    .on_sample(now, &mut self.fabric, hybrid, roles);
+                self.schedule_next_sample();
             }
             NetEvent::Fluid { id } => {
-                self.profile.fluid_ticks += 1;
+                profile.fluid_ticks += 1;
                 self.on_fluid(id);
             }
         }
@@ -1363,63 +797,41 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
 
     /// One fluid rate-update tick: advance the flow's hop backlogs, step
     /// its subflow windows against the path congestion signals, and re-arm.
-    /// The registry is moved out for the duration so the tick can borrow
-    /// the link table mutably without aliasing the sim.
     fn on_fluid(&mut self, id: u32) {
-        let Some(mut fluid) = self.fluid.take() else {
+        let Some(fluid) = self.fluid.as_mut() else {
             return; // stopped wholesale mid-run; the event rides out
         };
-        let now = self.engine.now();
-        let out = fluid.tick(id, now, &mut self.links);
+        let out = fluid.tick(id, self.engine.now(), &mut self.fabric.links);
         if let Some((node, code)) = out.completed {
             // Same out-of-band channel transport completions use; the
             // driver's `run_until` callback picks it up this event round.
-            self.signals.push_back((node, code));
+            self.hosts.signals.push_back((node, code));
         }
         if let Some(next) = out.next {
             self.engine
                 .schedule_keyed(next, fluid_key(id), NetEvent::Fluid { id });
         }
-        self.fluid = Some(fluid);
     }
 
     fn on_fault(&mut self, idx: u32) {
-        match self.fault_timeline[idx as usize] {
-            FaultEvent::LinkDown(l) => self.take_link_down(l),
-            FaultEvent::LinkUp(l) => self.bring_link_up(l),
-            FaultEvent::SwitchDown(n) => {
-                let links: Vec<LinkId> = self.nodes[n.0 as usize]
-                    .ports
-                    .iter()
-                    .map(|&(l, _)| l)
-                    .collect();
-                for l in links {
-                    self.take_link_down(l);
-                }
-            }
+        let now = self.engine.now();
+        match self.faults.get(idx) {
+            FaultEvent::LinkDown(l) => self.fabric.take_link_down(l, now),
+            FaultEvent::LinkUp(l) => self.fabric.bring_link_up(l),
+            FaultEvent::SwitchDown(n) => self.fabric.take_switch_down(n, now),
         }
     }
 
+    /// A packet reached the far end of `(link, dir)`: the receive side of
+    /// the link, then the forwarding step — home to the host's agent, or
+    /// on to the egress the switch's router names.
     fn on_deliver(&mut self, link: LinkId, dir: u8, gen: u32, pkt: Packet<P>) {
-        let now = self.engine.now();
-        let l = &mut self.links[link.0 as usize];
-        let d = l.dir_mut(dir);
+        let d = self.fabric.links[link.0 as usize].dir_mut(dir);
         d.in_network -= 1;
         if gen != d.fail_gen {
             // The link failed while this packet was in the pipeline.
             d.stats.blackholed += 1;
-            self.audit_dropped += 1;
-            if let Some(t) = self.trace.as_mut() {
-                t.record(TraceEvent {
-                    at: now,
-                    link,
-                    dir,
-                    kind: TraceKind::LinkDownDrop,
-                    flow: pkt.flow,
-                    size: pkt.size.as_bytes(),
-                    backlog: 0,
-                });
-            }
+            self.ledger.dropped += 1;
             return;
         }
         if d.fault.corrupt_prob > 0.0 && d.corrupt_rng.chance(d.fault.corrupt_prob) {
@@ -1428,69 +840,19 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             // Drawn per *delivery*, in the FIFO order packets leave the
             // direction.
             d.stats.corrupted += 1;
-            self.audit_dropped += 1;
-            if let Some(t) = self.trace.as_mut() {
-                t.record(TraceEvent {
-                    at: now,
-                    link,
-                    dir,
-                    kind: TraceKind::Corrupt,
-                    flow: pkt.flow,
-                    size: pkt.size.as_bytes(),
-                    backlog: 0,
-                });
-            }
+            self.ledger.dropped += 1;
             return;
         }
         d.stats.delivered += 1;
         d.stats.delivered_bytes += pkt.size;
-        if let Some(t) = self.trace.as_mut() {
-            // The waiting backlog is only reconstructed when someone looks
-            // (tracing is off in measurement runs).
-            d.retire_before(now);
-            let backlog = d.waiting(now);
-            t.record(TraceEvent {
-                at: now,
-                link,
-                dir,
-                kind: TraceKind::Deliver,
-                flow: pkt.flow,
-                size: pkt.size.as_bytes(),
-                backlog,
-            });
-        }
-        let to_node = d.to_node;
-        let to_port = d.to_port;
-        match &self.nodes[to_node.0 as usize].kind {
-            NodeKind::Switch(_) => {
-                self.forward_at_switch(link, dir, to_node, to_port, pkt);
+        let (to_node, to_port) = (d.to_node, d.to_port);
+        match self.fabric.next_hop(to_node, to_port, pkt.dst, pkt.flow) {
+            Ok(Hop::Home) => {
+                self.ledger.delivered += 1;
+                self.call_agent(to_node, |agent, ctx| agent.on_packet(pkt, to_port, ctx));
             }
-            NodeKind::Host => {
-                self.audit_delivered += 1;
-                self.dispatch_packet(to_node, pkt, to_port);
-            }
-        }
-    }
-
-    /// Forward a packet that just arrived on `(link, dir)` at the switch
-    /// `to_node` (ingress `to_port`): the router's decision, then the
-    /// egress enqueue.
-    fn forward_at_switch(
-        &mut self,
-        link: LinkId,
-        dir: u8,
-        to_node: NodeId,
-        to_port: PortId,
-        pkt: Packet<P>,
-    ) {
-        let node = &self.nodes[to_node.0 as usize];
-        let NodeKind::Switch(router) = &node.kind else {
-            unreachable!("forward_at_switch called with a host destination");
-        };
-        let out_port = router.route(pkt.dst, pkt.flow, to_port);
-        let hop = out_port.map(|op| (op, node.ports.get(op.0 as usize).copied()));
-        match hop {
-            Some((_, Some((out_link, out_dir)))) => {
+            Ok(Hop::Out(_, out_link, out_dir)) => {
+                let node = &self.fabric.nodes[to_node.0 as usize];
                 assert!(
                     !(out_link == link && out_dir == dir ^ 1) || node.ports.len() == 1,
                     "switch {} bounced {:?} back out its ingress",
@@ -1499,194 +861,88 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
                 );
                 self.enqueue_on(out_link, out_dir, pkt);
             }
-            Some((op, None)) if !self.tuning.drop_unroutable => {
-                panic!("router chose missing port {op:?}")
-            }
-            None if !self.tuning.drop_unroutable => panic!("no route to {}", pkt.dst),
-            _ => {
+            Err(e) if !self.tuning.drop_unroutable => panic!("{e}"),
+            Err(_) => {
                 // No usable route: count and drop instead of
                 // panicking (`SimTuning::drop_unroutable`).
-                self.unroutable += 1;
-                self.audit_dropped += 1;
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(TraceEvent {
-                        at: self.engine.now(),
-                        link,
-                        dir,
-                        kind: TraceKind::NoRoute,
-                        flow: pkt.flow,
-                        size: pkt.size.as_bytes(),
-                        backlog: 0,
-                    });
-                }
+                self.ledger.unroutable += 1;
+                self.ledger.dropped += 1;
             }
         }
     }
 
     fn on_timer(&mut self, node: NodeId, token: u64, gen: u64) {
-        let now = self.engine.now();
-        let Some(st) = self.timers[node.0 as usize].get_mut(&token) else {
-            return; // token never armed on this node
-        };
-        match st.sched {
-            Some((_, g)) if g == gen => st.sched = None,
-            _ => return, // orphan: superseded by an earlier re-schedule
+        match self
+            .hosts
+            .timers
+            .expire(node, token, gen, self.engine.now())
+        {
+            Expiry::Ignore => {}
+            Expiry::Rearm { at, gen } => self.schedule_timer(at, node, token, gen),
+            Expiry::Fire => self.call_agent(node, |agent, ctx| agent.on_timer(token, ctx)),
         }
-        match st.intent {
-            None => return, // cancelled; the event rode out harmlessly
-            Some(t) if t > now => {
-                // Deadline was bumped out past this event: re-arm the one
-                // tracked event at the current intent and keep waiting.
-                st.sched_gen = st.sched_gen.wrapping_add(1);
-                let g = st.sched_gen;
-                st.sched = Some((t, g));
-                self.engine.schedule_keyed(
-                    t,
-                    timer_key(node),
-                    NetEvent::Timer {
-                        node,
-                        token,
-                        gen: g,
-                    },
-                );
-                return;
-            }
-            Some(t) => {
-                debug_assert!(t == now, "tracked timer event fired late");
-                st.intent = None;
-            }
-        }
-        let mut emits = self.take_emit_buf();
-        self.agents[node.0 as usize]
-            .as_mut()
-            .expect("timer for node without agent")
-            .on_timer(token, &mut Ctx::new(now, &mut emits));
-        self.process_emits(node, emits);
     }
 
-    fn dispatch_packet(&mut self, node: NodeId, pkt: Packet<P>, port: PortId) {
-        let mut emits = self.take_emit_buf();
+    /// Run `f` on `node`'s agent now, then do what the agent asked for.
+    fn call_agent<R>(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut Ctx<'_, P>) -> R) -> R {
         let now = self.engine.now();
-        self.agents[node.0 as usize]
-            .as_mut()
-            .expect("packet delivered to host without agent")
-            .on_packet(pkt, port, &mut Ctx::new(now, &mut emits));
-        self.process_emits(node, emits);
-    }
-
-    fn process_emits(&mut self, node: NodeId, mut emits: Vec<Emit<P>>) {
-        let now = self.engine.now();
+        let profile = &mut self.observers.profile;
+        let (r, mut emits) = self.hosts.call(node, now, profile, f);
         for emit in emits.drain(..) {
             match emit {
                 Emit::Send { port, pkt } => {
-                    let &(link, dir) = self.nodes[node.0 as usize]
-                        .ports
-                        .get(port.0 as usize)
-                        .unwrap_or_else(|| panic!("{node:?} has no port {port:?}"));
-                    self.audit_injected += 1;
+                    let (link, dir) = self.fabric.port(node, port);
+                    self.ledger.injected += 1;
                     self.enqueue_on(link, dir, pkt);
                 }
                 Emit::SetTimer { token, at } => {
                     let at = at.max(now);
-                    let st = self.timers[node.0 as usize].entry(token).or_default();
-                    st.intent = Some(at);
-                    // Ride the tracked in-flight event whenever it fires at
-                    // or before the new deadline (it re-arms itself on
-                    // expiry); schedule only when none is pending or the
-                    // deadline moved earlier.
-                    if st.sched.is_none_or(|(p, _)| p > at) {
-                        st.sched_gen = st.sched_gen.wrapping_add(1);
-                        let gen = st.sched_gen;
-                        st.sched = Some((at, gen));
-                        self.engine.schedule_keyed(
-                            at,
-                            timer_key(node),
-                            NetEvent::Timer { node, token, gen },
-                        );
+                    if let Some(gen) = self.hosts.timers.arm(node, token, at) {
+                        self.schedule_timer(at, node, token, gen);
                     }
                 }
-                Emit::CancelTimer { token } => {
-                    if let Some(st) = self.timers[node.0 as usize].get_mut(&token) {
-                        st.intent = None;
-                    }
-                }
-                Emit::Signal(code) => self.signals.push_back((node, code)),
+                Emit::CancelTimer { token } => self.hosts.timers.cancel(node, token),
+                Emit::Signal(code) => self.hosts.signals.push_back((node, code)),
             }
         }
-        self.emit_pool.push(emits);
+        self.hosts.recycle(emits);
+        r
     }
 
     /// Offer `pkt` to a link direction (`Direction::offer` decides and
     /// books its transmission window) and, when accepted, schedule its
     /// arrival at the far end directly: one engine event per packet-hop.
     fn enqueue_on(&mut self, link: LinkId, dir: u8, mut pkt: Packet<P>) {
-        let now = self.engine.now();
-        let l = &mut self.links[link.0 as usize];
-        let (bandwidth, delay) = (l.bandwidth, l.delay);
-        let d = l.dir_mut(dir);
-        let offer = d.offer(now, bandwidth, self.tuning.hybrid, &mut pkt);
-        if let Some(t) = self.trace.as_mut() {
-            let (kind, backlog) = match offer {
-                Offer::Blackholed => (TraceKind::LinkDownDrop, 0),
-                Offer::FaultDropped { waiting } => (TraceKind::FaultDrop, waiting),
-                Offer::Dropped { waiting } => (TraceKind::Drop, waiting),
-                Offer::Accepted {
-                    marked, waiting, ..
-                } => (
-                    if marked {
-                        TraceKind::Mark
-                    } else {
-                        TraceKind::Enqueue
-                    },
-                    waiting + 1,
-                ),
-            };
-            t.record(TraceEvent {
-                at: now,
-                link,
-                dir,
-                kind,
-                flow: pkt.flow,
-                size: pkt.size.as_bytes(),
-                backlog,
-            });
-        }
-        let Offer::Accepted { marked, depart, .. } = offer else {
-            self.audit_dropped += 1;
+        let (now, hybrid) = (self.engine.now(), self.tuning.hybrid);
+        let Some(Booked {
+            marked,
+            arrives,
+            gen,
+        }) = self.fabric.offer(link, dir, now, hybrid, &mut pkt)
+        else {
+            self.ledger.dropped += 1;
             return;
         };
         if marked {
-            if let Some(p) = self.probes.as_mut() {
+            if let Some(p) = self.observers.probes.as_mut() {
                 let rank = self.part.as_ref().map(|ps| ps.rank);
                 p.on_mark(now, link, dir, rank);
             }
         }
-        if !d.listed {
-            d.listed = true;
-            self.busy_dirs.push((link, dir));
-        }
-        let gen = d.fail_gen;
-        let remote = match self.part.as_ref() {
-            Some(ps) => ps.remote_rx[link.0 as usize] & (1 << dir) != 0,
-            None => false,
-        };
-        if remote {
-            self.part
-                .as_mut()
-                .expect("remote implies shard state")
-                .outbox
-                .push((depart + delay, link, dir, gen, pkt));
-        } else {
-            self.engine.schedule_keyed(
-                depart + delay,
-                deliver_key(link, dir),
-                NetEvent::Deliver {
+        match self.part.as_mut() {
+            Some(ps) if ps.remote_rx[link.0 as usize] & (1 << dir) != 0 => {
+                ps.outbox.push((arrives, link, dir, gen, pkt));
+            }
+            _ => {
+                let ev = NetEvent::Deliver {
                     link,
                     dir,
                     gen,
                     pkt,
-                },
-            );
+                };
+                self.engine
+                    .schedule_keyed(arrives, deliver_key(link, dir), ev);
+            }
         }
     }
 }
@@ -1984,13 +1240,14 @@ mod tests {
         assert!(sim.link(l).dir(0).stats.max_depth <= 10);
     }
 
+    /// The per-direction counters tell a packet's whole life: offered,
+    /// marked or dropped at the port, delivered at the far end.
     #[test]
     fn tracing_records_the_packet_life_cycle() {
-        use crate::trace::TraceKind;
         let mut sim: Sim<u64> = Sim::new(1);
         let a = sim.add_host("a", Box::new(Probe::default()));
         let b = sim.add_host("b", Box::new(Probe::default()));
-        sim.connect(
+        let l = sim.connect(
             a,
             b,
             &LinkParams::new(
@@ -2000,7 +1257,6 @@ mod tests {
             ),
             "l",
         );
-        sim.enable_trace(64);
         let (sa, da) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
         sim.with_agent::<Probe, _>(a, |_, ctx| {
             for i in 0..6 {
@@ -2010,18 +1266,14 @@ mod tests {
             }
         });
         sim.run_until_quiet(SimTime::from_secs(1));
-        let trace = sim.trace().expect("enabled");
-        let kinds: Vec<TraceKind> = trace.events().map(|e| e.kind).collect();
         // 6 offered: 1 straight to the wire, 1 unmarked enqueue, 2 marked,
-        // 2 overflow drops; 4 deliveries interleave.
-        assert_eq!(kinds.iter().filter(|&&k| k == TraceKind::Drop).count(), 2);
-        assert_eq!(kinds.iter().filter(|&&k| k == TraceKind::Mark).count(), 2);
-        assert_eq!(
-            kinds.iter().filter(|&&k| k == TraceKind::Deliver).count(),
-            4
-        );
-        // Render includes the queue depth annotations.
-        assert!(trace.render().contains("q="));
+        // 2 overflow drops; the 4 accepted are delivered.
+        let s = &sim.link(l).dir(0).stats;
+        assert_eq!(s.dropped, 2);
+        assert_eq!(s.marked, 2);
+        assert_eq!(s.enqueued, 4);
+        assert_eq!(s.delivered, 4);
+        sim.audit_conservation();
     }
 
     #[test]
@@ -2225,7 +1477,6 @@ mod tests {
         sim.bind_addr(a2, h2);
         // The switch only knows how to reach h1: h2 is partitioned off.
         sim.set_router(sw, Box::new(StaticRouter::new().to(a1, PortId(0))));
-        sim.enable_trace(16);
         sim.with_agent::<Probe, _>(h1, |_, ctx| {
             for i in 0..4 {
                 ctx.send(PortId(0), pkt(a1, a2, i));
@@ -2235,7 +1486,6 @@ mod tests {
         });
         sim.run_until_quiet(SimTime::from_millis(1));
         assert_eq!(sim.unroutable_drops(), 5);
-        assert_eq!(sim.trace().expect("enabled").count(TraceKind::NoRoute), 5);
         sim.with_agent::<Probe, _>(h2, |p, _| assert!(p.received.is_empty()));
         let audit = sim.audit_conservation();
         assert_eq!(audit.injected, 5);
@@ -2255,5 +1505,53 @@ mod tests {
         let (a1, a2) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
         sim.with_agent::<Probe, _>(h1, |_, ctx| ctx.send(PortId(0), pkt(a1, a2, 0)));
         sim.run_until_quiet(SimTime::from_millis(1));
+    }
+
+    /// A plan naming a link or node the sim does not have is rejected
+    /// whole — as are the setters — and a rejected plan changes nothing:
+    /// not the rates it set before the bad entry, not the timeline, not
+    /// the engine.
+    #[test]
+    fn rejected_fault_plan_leaves_the_sim_untouched() {
+        let mut sim: Sim<u64> = Sim::new(1);
+        let a = sim.add_host("a", Box::new(Probe::default()));
+        let b = sim.add_host("b", Box::new(Probe::default()));
+        let l = sim.connect(a, b, &params_1g(), "ab");
+        let (bad_link, bad_node) = (LinkId(1), NodeId(2));
+        let at = SimTime::from_millis(1);
+        let good = FaultPlan::new().drop_rate(l, 0.25).link_down(at, l);
+        for (plan, want) in [
+            (
+                good.clone().corrupt_rate(bad_link, 0.5),
+                ConfigError::UnknownLink { link: bad_link },
+            ),
+            (
+                good.clone().link_down(at, bad_link),
+                ConfigError::UnknownLink { link: bad_link },
+            ),
+            (
+                good.clone().link_up(at, bad_link),
+                ConfigError::UnknownLink { link: bad_link },
+            ),
+            (
+                good.clone().switch_down(at, bad_node),
+                ConfigError::UnknownNode { node: bad_node },
+            ),
+        ] {
+            assert_eq!(sim.try_install_fault_plan(&plan), Err(want));
+            assert_eq!(sim.link(l).dir(0).fault.drop_prob, 0.0);
+            assert_eq!(sim.faults, FaultTimeline::default());
+            assert_eq!(sim.events_scheduled(), 0);
+        }
+        assert_eq!(
+            sim.try_set_link_drop_prob(bad_link, 0.5),
+            Err(ConfigError::UnknownLink { link: bad_link })
+        );
+        // The same plan without the bad entry installs, and runs.
+        assert_eq!(sim.try_install_fault_plan(&good), Ok(()));
+        assert_eq!(sim.link(l).dir(1).fault.drop_prob, 0.25);
+        assert_eq!(sim.events_scheduled(), 1);
+        sim.run_until_quiet(SimTime::from_millis(2));
+        assert!(sim.link(l).dir(0).is_down());
     }
 }

@@ -63,18 +63,19 @@
 //! harvest-only callbacks (the determinism tests, the scale experiment and
 //! the benchmarks) are bit-identical end to end.
 
-use super::{
-    deliver_key, event_rank, AuditReport, NetEvent, Payload, ShardState, Sim, TimerState,
-    SAMPLE_KEY,
-};
+use super::{deliver_key, event_rank, AuditReport, NetEvent, Payload, ShardState, Sim, SAMPLE_KEY};
 use crate::agent::{Agent, Ctx};
-use crate::link::{Link, LinkId};
-use crate::node::{Node, NodeId, NodeKind};
-use crate::probe::{ProbeConfig, ProbeRecord, Probes, SimProfile};
-use std::collections::VecDeque;
+use crate::fabric::{DirOwners, Fabric};
+use crate::fault::FaultTimeline;
+use crate::hosts::Hosts;
+use crate::ledger::Ledger;
+use crate::link::LinkId;
+use crate::node::NodeId;
+use crate::observers::Observers;
+use crate::probe::Probes;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
-use xmp_des::{Engine, SimDuration, SimRng, SimTime};
+use xmp_des::{Engine, SimDuration, SimTime};
 
 /// Merge-rank namespace for driver operations ([`PartitionedSim::with_agent`]):
 /// they rank after every same-instant engine event and probe sample, in call
@@ -133,6 +134,42 @@ impl PartitionPlan {
     }
 }
 
+/// Split a per-node table across `workers` shards without renumbering:
+/// entry `i` moves to shard `owner[i]`, and every other shard holds
+/// `stand_in(&entry)` at index `i` instead.
+pub(crate) fn scatter<T>(
+    table: Vec<T>,
+    owner: &[u32],
+    workers: usize,
+    stand_in: impl Fn(&T) -> T,
+) -> Vec<Vec<T>> {
+    let mut shards: Vec<Vec<T>> = (0..workers)
+        .map(|_| Vec::with_capacity(table.len()))
+        .collect();
+    for (entry, &own) in table.into_iter().zip(owner) {
+        for (s, shard) in shards.iter_mut().enumerate() {
+            if s != own as usize {
+                shard.push(stand_in(&entry));
+            }
+        }
+        shards[own as usize].push(entry);
+    }
+    shards
+}
+
+/// Inverse of [`scatter`]: entry `i` comes back from shard `owner[i]`.
+pub(crate) fn gather<T>(shards: Vec<Vec<T>>, owner: &[u32]) -> Vec<T> {
+    let mut shards: Vec<_> = shards.into_iter().map(Vec::into_iter).collect();
+    let mut next = |own: &u32| {
+        let mut row: Vec<T> = shards
+            .iter_mut()
+            .map(|it| it.next().expect("tables aligned"))
+            .collect();
+        row.swap_remove(*own as usize)
+    };
+    owner.iter().map(&mut next).collect()
+}
+
 /// A cross-shard delivery in flight through the broker:
 /// `(arrival, link, dir, fail_gen, packet, source sequence)`.
 type Handoff<P> = (SimTime, LinkId, u8, u32, crate::packet::Packet<P>, u64);
@@ -141,14 +178,38 @@ type Handoff<P> = (SimTime, LinkId, u8, u32, crate::packet::Packet<P>, u64);
 /// `(time, merge rank, node, code)`.
 type SignalRec = (SimTime, (u64, u64), NodeId, u64);
 
-/// Shard-0 metadata threaded through `finish` into the merged sim:
-/// `(addr_book, rng, tuning, fault_timeline)`.
-type SimMeta = (
-    Vec<(u32, NodeId)>,
-    SimRng,
-    super::SimTuning,
-    Vec<crate::fault::FaultEvent>,
-);
+/// Move `sim`'s outbox into `per_target[receive shard]`, stamping each
+/// handoff with its emission order; returns how many there were.
+fn drain_outbox<P: Payload, A: Agent<P>>(
+    sim: &mut Sim<P, A>,
+    dir_owner: &DirOwners,
+    per_target: &mut [Vec<Handoff<P>>],
+) -> u64 {
+    let outbox = std::mem::take(&mut sim.part.as_mut().expect("shard state").outbox);
+    let n = outbox.len() as u64;
+    for (seq, (at, link, dir, gen, pkt)) in outbox.into_iter().enumerate() {
+        let target = dir_owner[link.0 as usize][dir as usize].1 as usize;
+        per_target[target].push((at, link, dir, gen, pkt, seq as u64));
+    }
+    n
+}
+
+/// Schedule received handoffs on `sim`'s wheel, sorted by `(arrival,
+/// identity key, source order)`: equal `(arrival, key)` pairs share a
+/// source shard, where `seq` preserves emission order, so the result does
+/// not depend on the order the handoffs were collected in.
+fn absorb<P: Payload, A: Agent<P>>(sim: &mut Sim<P, A>, mut inbox: Vec<Handoff<P>>) {
+    inbox.sort_by_key(|&(at, link, dir, _, _, seq)| (at, deliver_key(link, dir), seq));
+    for (at, link, dir, gen, pkt, _) in inbox {
+        let ev = NetEvent::Deliver {
+            link,
+            dir,
+            gen,
+            pkt,
+        };
+        sim.engine.schedule_keyed(at, deliver_key(link, dir), ev);
+    }
+}
 
 /// A [`Sim`] sharded across `std::thread` workers.
 ///
@@ -182,11 +243,9 @@ pub struct PartitionedSim<P: Payload, A: Agent<P> + Send> {
     /// Cross-shard handoffs exchanged through round outboxes so far
     /// (merged into the final profile's `handoffs`).
     handoffs: u64,
-    /// Probe configuration replicated to every shard (`None` = unprobed).
-    probe_cfg: Option<ProbeConfig>,
-    /// Records pushed before partitioning (e.g. a `Meta` line); prepended
-    /// to the merged record list by `finish`.
-    probe_preamble: Vec<ProbeRecord>,
+    /// The probes as installed before sharding, waiting for `finish` to
+    /// append the shards' records in serial order (`None` = unprobed).
+    probes: Option<Probes>,
     /// Signals raised by driver operations (`with_agent`) between windows,
     /// stamped with the operation's rank; delivered by the next `run_until`.
     pending_signals: Vec<SignalRec>,
@@ -197,35 +256,31 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
     ///
     /// # Panics
     /// Panics if the sim has already run (events processed, traffic on any
-    /// link, or a non-zero clock), has tracing enabled (the ring buffer is
-    /// inherently serial), or the plan's length does not match the node
-    /// count.
+    /// link, or a non-zero clock) or the plan's length does not match the
+    /// node count.
     pub fn new(sim: Sim<P, A>, plan: &PartitionPlan) -> Self {
         Self::try_new(sim, plan).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Non-panicking [`PartitionedSim::new`]: reports unsatisfiable
-    /// preconditions (tracing enabled, non-pristine sim, plan/node length
+    /// preconditions (non-pristine sim, plan/node length
     /// mismatch, zero-delay cut links, …) as a typed
     /// [`ConfigError`](crate::ConfigError) instead of aborting, so CLI
     /// frontends can surface an actionable message.
     pub fn try_new(sim: Sim<P, A>, plan: &PartitionPlan) -> Result<Self, crate::ConfigError> {
         use crate::ConfigError;
-        if sim.trace.is_some() {
-            return Err(ConfigError::TracingUnsupported);
-        }
         if sim.engine.now() != SimTime::ZERO {
             return Err(ConfigError::NotPristine {
                 now: sim.engine.now(),
             });
         }
-        if plan.assignment.len() != sim.nodes.len() {
+        if plan.assignment.len() != sim.fabric.nodes.len() {
             return Err(ConfigError::PlanLengthMismatch {
                 plan: plan.assignment.len(),
-                nodes: sim.nodes.len(),
+                nodes: sim.fabric.nodes.len(),
             });
         }
-        if !sim.signals.is_empty() {
+        if !sim.hosts.signals.is_empty() {
             return Err(ConfigError::UndrainedSignals);
         }
         if sim.part.is_some() {
@@ -243,9 +298,9 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
         // Per-direction authority and the conservative lookahead. The
         // sender of `dirs[d]` is the *other* end: `dirs[d]` delivers to
         // `dirs[d].to_node`, which `dirs[d^1].to_node` transmits toward.
-        let mut dir_owner = Vec::with_capacity(sim.links.len());
+        let mut dir_owner = Vec::with_capacity(sim.fabric.links.len());
         let mut lookahead: Option<SimDuration> = None;
-        for (li, l) in sim.links.iter().enumerate() {
+        for (li, l) in sim.fabric.links.iter().enumerate() {
             let mut per = [(0u32, 0u32); 2];
             for d in 0..2usize {
                 let tx = owner[l.dirs[d ^ 1].to_node.0 as usize];
@@ -267,118 +322,44 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
             dir_owner.push(per);
         }
 
+        // Every owner splits itself; what is left to decide here is where
+        // the master's pending events go.
         let Sim {
             engine,
-            nodes,
-            links,
-            agents,
-            addr_book,
-            timers,
-            signals: _,
-            emit_pool: _,
-            rng,
-            trace: _,
-            probes,
-            profile: _,
+            fabric,
+            hosts,
+            ledger,
+            observers,
+            faults,
             tuning,
-            fault_timeline,
-            busy_dirs: _,
-            unroutable,
-            audit_injected,
-            audit_delivered,
-            audit_dropped,
-            fluid,
-            part,
+            fluid: _,
+            part: _,
         } = sim;
-        assert!(
-            part.is_none(),
-            "sim is already a shard of a partitioned run"
-        );
-        assert!(fluid.is_none(), "hybrid rejected above");
+        let (observers, probes) = observers.shard(w);
+        let mut subs = fabric
+            .shard(&owner, w)
+            .into_iter()
+            .zip(hosts.shard(&owner, w))
+            .zip(ledger.shard(w))
+            .zip(observers)
+            .zip(faults.shard(w));
 
-        // Probe state: keep the config (replicated to every shard so the
-        // sampling tick phase is uniform) and any pre-run records.
-        let mut probe_preamble = Vec::new();
-        let probe_cfg = probes.map(|mut p| {
-            probe_preamble = p.take_records();
-            ProbeConfig {
-                interval: p.interval,
-                until: p.until,
-                watch: std::mem::take(&mut p.watch),
-                record_marks: p.record_marks,
-            }
-        });
-
-        // Nodes, agents and timer tables: the real state moves to the
-        // owner; other shards get an agent-less placeholder host carrying
-        // the same port table (fault handling iterates ports everywhere).
-        let mut shard_nodes: Vec<Vec<Node>> =
-            (0..w).map(|_| Vec::with_capacity(nodes.len())).collect();
-        for (i, node) in nodes.into_iter().enumerate() {
-            let own = owner[i] as usize;
-            for (s, sn) in shard_nodes.iter_mut().enumerate() {
-                if s != own {
-                    sn.push(Node {
-                        kind: NodeKind::Host,
-                        ports: node.ports.clone(),
-                        label: node.label.clone(),
-                    });
-                }
-            }
-            shard_nodes[own].push(node);
-        }
-        let mut shard_agents: Vec<Vec<Option<A>>> =
-            (0..w).map(|_| Vec::with_capacity(owner.len())).collect();
-        for (i, mut a) in agents.into_iter().enumerate() {
-            let own = owner[i] as usize;
-            for (s, sa) in shard_agents.iter_mut().enumerate() {
-                sa.push(if s == own { a.take() } else { None });
-            }
-        }
-        let mut shard_timers: Vec<Vec<crate::hash::FxHashMap<u64, TimerState>>> =
-            (0..w).map(|_| Vec::with_capacity(owner.len())).collect();
-        for (i, mut t) in timers.into_iter().enumerate() {
-            let own = owner[i] as usize;
-            for (s, st) in shard_timers.iter_mut().enumerate() {
-                st.push(if s == own {
-                    std::mem::take(&mut t)
-                } else {
-                    crate::hash::FxHashMap::default()
-                });
-            }
-        }
-
-        // Full link-table replication (pristine state asserted inside).
-        let mut shard_links: Vec<Vec<Link<P>>> =
-            (0..w).map(|_| Vec::with_capacity(links.len())).collect();
-        for l in &links {
-            for sl in shard_links.iter_mut() {
-                sl.push(l.replicate());
-            }
-        }
-        drop(links);
-
-        // Route the master's pending events: faults to every shard (each
-        // holds the full link table), timers to the owner, sampling ticks
-        // re-installed per shard below. Traffic events cannot exist on a
-        // pristine sim.
-        let mut shard_events: Vec<Vec<(SimTime, u64, NetEvent<P>)>> =
-            (0..w).map(|_| Vec::new()).collect();
+        // Faults go to every shard (each holds the full link table), timers
+        // to the owner; sampling ticks are re-armed per shard below.
+        // Traffic events cannot exist on a pristine sim.
+        let mut engines: Vec<Engine<NetEvent<P>>> = (0..w).map(|_| Engine::new()).collect();
         let mut eng = engine;
         while let Some((t, ev)) = eng.pop() {
+            let key = event_rank(&ev);
             match ev {
                 NetEvent::Fault { idx } => {
-                    for se in shard_events.iter_mut() {
-                        se.push((t, super::fault_key(idx), NetEvent::Fault { idx }));
+                    for e in engines.iter_mut() {
+                        e.schedule_keyed(t, key, NetEvent::Fault { idx });
                     }
                 }
                 NetEvent::Sample => {}
-                NetEvent::Timer { node, token, gen } => {
-                    shard_events[owner[node.0 as usize] as usize].push((
-                        t,
-                        super::timer_key(node),
-                        NetEvent::Timer { node, token, gen },
-                    ));
+                NetEvent::Timer { node, .. } => {
+                    engines[owner[node.0 as usize] as usize].schedule_keyed(t, key, ev);
                 }
                 NetEvent::Deliver { .. } | NetEvent::TxDone { .. } => {
                     panic!("partitioning requires a pristine sim (traffic already scheduled)")
@@ -390,33 +371,14 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
         }
 
         let mut shards = Vec::with_capacity(w);
-        for s in 0..w {
-            let mut engine = Engine::new();
-            for (t, key, ev) in shard_events[s].drain(..) {
-                engine.schedule_keyed(t, key, ev);
+        for (s, mut engine) in engines.into_iter().enumerate() {
+            let ((((fabric, hosts), ledger), observers), faults) =
+                subs.next().expect("one sub-state per shard");
+            // The probes are replicated (uniform tick phase across shards);
+            // the roles decide which series each shard actually records.
+            if let Some(first) = observers.next_tick(SimTime::ZERO) {
+                engine.schedule_keyed(first, SAMPLE_KEY, NetEvent::Sample);
             }
-            // Replicate the probes (uniform tick phase across shards); the
-            // roles decide which series each shard actually records.
-            let (shard_probes, watch_roles) = match &probe_cfg {
-                Some(cfg) => {
-                    let roles = cfg
-                        .watch
-                        .iter()
-                        .map(|&(l, d)| {
-                            let (tx, rx) = dir_owner[l.0 as usize][d as usize];
-                            (tx == s as u32, rx == s as u32)
-                        })
-                        .collect();
-                    let mut p = Probes::new(cfg.clone());
-                    p.ranks = Some(Vec::new());
-                    let first = SimTime::ZERO + p.interval;
-                    if first <= p.until {
-                        engine.schedule_keyed(first, SAMPLE_KEY, NetEvent::Sample);
-                    }
-                    (Some(p), roles)
-                }
-                None => (None, Vec::new()),
-            };
             let remote_rx = dir_owner
                 .iter()
                 .map(|per| {
@@ -429,33 +391,22 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
                     bits
                 })
                 .collect();
+            let part = ShardState {
+                remote_rx,
+                outbox: Vec::new(),
+                rank: (0, 0),
+                watch_roles: observers.watch_roles(s as u32, &dir_owner),
+            };
             shards.push(Sim {
                 engine,
-                nodes: std::mem::take(&mut shard_nodes[s]),
-                links: std::mem::take(&mut shard_links[s]),
-                agents: std::mem::take(&mut shard_agents[s]),
-                addr_book: addr_book.clone(),
-                timers: std::mem::take(&mut shard_timers[s]),
-                signals: VecDeque::new(),
-                emit_pool: Vec::new(),
-                rng: rng.clone(),
-                trace: None,
-                probes: shard_probes,
-                profile: SimProfile::default(),
+                fabric,
+                hosts,
+                ledger,
+                observers,
+                faults,
                 tuning,
-                fault_timeline: fault_timeline.clone(),
-                busy_dirs: Vec::new(),
-                unroutable: if s == 0 { unroutable } else { 0 },
-                audit_injected: if s == 0 { audit_injected } else { 0 },
-                audit_delivered: if s == 0 { audit_delivered } else { 0 },
-                audit_dropped: if s == 0 { audit_dropped } else { 0 },
                 fluid: None,
-                part: Some(Box::new(ShardState {
-                    remote_rx,
-                    outbox: Vec::new(),
-                    rank: (0, 0),
-                    watch_roles,
-                })),
+                part: Some(Box::new(part)),
             });
         }
 
@@ -469,8 +420,7 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
             wall_ns: 0,
             rounds: 0,
             handoffs: 0,
-            probe_cfg,
-            probe_preamble,
+            probes,
             pending_signals: Vec::new(),
         })
     }
@@ -497,36 +447,15 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
     }
 
     /// Drain every shard's outbox into the target shards' wheels (serial;
-    /// used before rounds start and by `finish`). Deliveries are sorted by
-    /// `(arrival, identity key, source order)` so scheduling order is
-    /// deterministic.
+    /// used before rounds start and by `finish`).
     fn exchange(&mut self) {
         let w = self.shards.len();
         let mut per_target: Vec<Vec<Handoff<P>>> = (0..w).map(|_| Vec::new()).collect();
-        for s in 0..w {
-            let outbox = {
-                let ps = self.shards[s].part.as_mut().expect("shard state");
-                std::mem::take(&mut ps.outbox)
-            };
-            for (seq, (at, link, dir, gen, pkt)) in outbox.into_iter().enumerate() {
-                let target = self.dir_owner[link.0 as usize][dir as usize].1 as usize;
-                per_target[target].push((at, link, dir, gen, pkt, seq as u64));
-            }
+        for sim in &mut self.shards {
+            drain_outbox(sim, &self.dir_owner, &mut per_target);
         }
-        for (t, mut inbox) in per_target.into_iter().enumerate() {
-            inbox.sort_by_key(|&(at, link, dir, _, _, seq)| (at, deliver_key(link, dir), seq));
-            for (at, link, dir, gen, pkt, _) in inbox {
-                self.shards[t].engine.schedule_keyed(
-                    at,
-                    deliver_key(link, dir),
-                    NetEvent::Deliver {
-                        link,
-                        dir,
-                        gen,
-                        pkt,
-                    },
-                );
-            }
+        for (sim, inbox) in self.shards.iter_mut().zip(per_target) {
+            absorb(sim, inbox);
         }
     }
 
@@ -609,45 +538,20 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
                         // Drain this shard's outbox into per-target buffers:
                         // group locally first, then one bulk append per
                         // non-empty target.
-                        let outbox = {
-                            let ps = sim.part.as_mut().expect("shard state");
-                            std::mem::take(&mut ps.outbox)
-                        };
-                        if !outbox.is_empty() {
-                            handoffs += outbox.len() as u64;
-                            for (seq, (at, link, dir, gen, pkt)) in outbox.into_iter().enumerate() {
-                                let target = dir_owner[link.0 as usize][dir as usize].1 as usize;
-                                per_target[target].push((at, link, dir, gen, pkt, seq as u64));
-                            }
-                            for (t, buf) in per_target.iter_mut().enumerate() {
-                                if !buf.is_empty() {
-                                    buckets[t].lock().expect("bucket lock").append(buf);
-                                }
+                        handoffs += drain_outbox(sim, dir_owner, &mut per_target);
+                        for (t, buf) in per_target.iter_mut().enumerate() {
+                            if !buf.is_empty() {
+                                buckets[t].lock().expect("bucket lock").append(buf);
                             }
                         }
                         barrier.wait();
-                        // Absorb deliveries addressed to this shard. The
-                        // sort key restores a deterministic order whatever
-                        // the lock-acquisition interleaving was: equal
-                        // (arrival, key) pairs share a source shard, where
-                        // `seq` preserves emission order.
-                        let mut inbox =
-                            std::mem::take(&mut *buckets[s].lock().expect("bucket lock"));
-                        inbox.sort_by_key(|&(at, link, dir, _, _, seq)| {
-                            (at, deliver_key(link, dir), seq)
-                        });
-                        for (at, link, dir, gen, pkt, _) in inbox {
-                            sim.engine.schedule_keyed(
-                                at,
-                                deliver_key(link, dir),
-                                NetEvent::Deliver {
-                                    link,
-                                    dir,
-                                    gen,
-                                    pkt,
-                                },
-                            );
-                        }
+                        // Absorb deliveries addressed to this shard, in an
+                        // order independent of the lock-acquisition
+                        // interleaving.
+                        absorb(
+                            sim,
+                            std::mem::take(&mut *buckets[s].lock().expect("bucket lock")),
+                        );
                         // Publish this shard's earliest pending event for
                         // the next round's horizon vote. The closing
                         // barrier orders these stores before any worker's
@@ -728,7 +632,7 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
         // under the next window's first event identity; stamp it with the
         // operation's own rank and deliver it with the window's signals.
         let clock = self.clock;
-        while let Some((n, code)) = sim.signals.pop_front() {
+        while let Some((n, code)) = sim.hosts.signals.pop_front() {
             self.pending_signals.push((clock, rank, n, code));
         }
         r
@@ -742,41 +646,10 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
     /// *signed sum over every shard's copy*. Panics if the books don't
     /// balance.
     pub fn audit_conservation(&self) -> AuditReport {
-        let mut injected = 0u64;
-        let mut delivered = 0u64;
-        let mut dropped = 0u64;
-        for sim in &self.shards {
-            injected += sim.audit_injected;
-            delivered += sim.audit_delivered;
-            dropped += sim.audit_dropped;
-        }
-        let mut in_network = 0i64;
-        for li in 0..self.dir_owner.len() {
-            for d in 0..2usize {
-                let sum: i64 = self
-                    .shards
-                    .iter()
-                    .map(|s| s.links[li].dirs[d].in_network)
-                    .sum();
-                assert!(
-                    sum >= 0,
-                    "negative merged in-network count {sum} on link {li} dir {d}"
-                );
-                in_network += sum;
-            }
-        }
-        let report = AuditReport {
-            injected,
-            delivered,
-            dropped,
-            in_network: in_network as u64,
-        };
-        assert_eq!(
-            report.injected,
-            report.delivered + report.dropped + report.in_network,
-            "packet conservation violated across partitions: {report:?}"
-        );
-        report
+        let fabrics: Vec<&Fabric<P>> = self.shards.iter().map(|s| &s.fabric).collect();
+        Fabric::in_network(&fabrics)
+            .and_then(|n| Ledger::merge(self.shards.iter().map(|s| s.ledger)).conservation(n))
+            .unwrap_or_else(|e| panic!("across partitions: {e}"))
     }
 
     /// Reassemble one serial [`Sim`] from the shards: owned node, agent and
@@ -795,117 +668,32 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
         // outboxes; place them so the merged wheel sees them.
         self.exchange();
         let w = self.shards.len();
-        let n_nodes = self.owner.len();
-        let n_links = self.dir_owner.len();
-
-        let mut nodes_its = Vec::with_capacity(w);
-        let mut agents_its = Vec::with_capacity(w);
-        let mut timers_its = Vec::with_capacity(w);
-        let mut links_its = Vec::with_capacity(w);
         let mut engines = Vec::with_capacity(w);
-        let mut probes_list = Vec::with_capacity(w);
-        let mut profile_sum = SimProfile::default();
-        let mut unroutable = 0u64;
-        let (mut injected, mut delivered, mut dropped) = (0u64, 0u64, 0u64);
-        let mut first_meta: Option<SimMeta> = None;
+        let mut fabrics = Vec::with_capacity(w);
+        let mut hosts = Vec::with_capacity(w);
+        let mut ledgers = Vec::with_capacity(w);
+        let mut observers = Vec::with_capacity(w);
+        let mut faults = Vec::with_capacity(w);
+        let mut tuning = None;
         for sim in self.shards.drain(..) {
             let Sim {
                 engine,
-                nodes,
-                links,
-                agents,
-                addr_book,
-                timers,
-                signals,
-                emit_pool: _,
-                rng,
-                trace: _,
-                probes,
-                profile,
-                tuning,
-                fault_timeline,
-                busy_dirs: _,
-                unroutable: ur,
-                audit_injected,
-                audit_delivered,
-                audit_dropped,
+                fabric,
+                hosts: h,
+                ledger,
+                observers: o,
+                faults: f,
+                tuning: t,
                 fluid: _,
                 part: _,
             } = sim;
-            assert!(signals.is_empty(), "undrained signals at finish");
-            nodes_its.push(nodes.into_iter());
-            agents_its.push(agents.into_iter());
-            timers_its.push(timers.into_iter());
-            links_its.push(links.into_iter());
             engines.push(engine);
-            probes_list.push(probes);
-            profile_sum.deliver += profile.deliver;
-            profile_sum.timer += profile.timer;
-            profile_sum.fault += profile.fault;
-            profile_sum.sample += profile.sample;
-            profile_sum.pool_hits += profile.pool_hits;
-            profile_sum.pool_misses += profile.pool_misses;
-            profile_sum.allocs += profile.allocs;
-            profile_sum.fluid_ticks += profile.fluid_ticks;
-            profile_sum.alloc_high_water_bytes = profile_sum
-                .alloc_high_water_bytes
-                .max(profile.alloc_high_water_bytes);
-            unroutable += ur;
-            injected += audit_injected;
-            delivered += audit_delivered;
-            dropped += audit_dropped;
-            if first_meta.is_none() {
-                first_meta = Some((addr_book, rng, tuning, fault_timeline));
-            }
-        }
-        profile_sum.run_wall_ns = self.wall_ns;
-        profile_sum.sync_rounds = self.rounds;
-        profile_sum.handoffs = self.handoffs;
-        let (addr_book, rng, tuning, fault_timeline) = first_meta.expect("at least one shard");
-
-        // Owned node/agent/timer state per index.
-        let mut nodes = Vec::with_capacity(n_nodes);
-        let mut agents = Vec::with_capacity(n_nodes);
-        let mut timers = Vec::with_capacity(n_nodes);
-        for i in 0..n_nodes {
-            let own = self.owner[i] as usize;
-            let mut node = None;
-            let mut agent = None;
-            let mut timer = None;
-            for s in 0..w {
-                let n = nodes_its[s].next().expect("node tables aligned");
-                let a = agents_its[s].next().expect("agent tables aligned");
-                let t = timers_its[s].next().expect("timer tables aligned");
-                if s == own {
-                    node = Some(n);
-                    agent = Some(a);
-                    timer = Some(t);
-                }
-            }
-            nodes.push(node.expect("owner within shard count"));
-            agents.push(agent.expect("owner within shard count"));
-            timers.push(timer.expect("owner within shard count"));
-        }
-
-        // Link state merged per direction from the authoritative copies.
-        let mut links = Vec::with_capacity(n_links);
-        for li in 0..n_links {
-            let copies: Vec<Link<P>> = links_its
-                .iter_mut()
-                .map(|it| it.next().expect("link tables aligned"))
-                .collect();
-            links.push(merge_link(copies, self.dir_owner[li]));
-        }
-        // The merged sim's sweep list: every direction that still holds
-        // booked departures (each came from its transmit shard's list).
-        let mut busy_dirs = Vec::new();
-        for (li, l) in links.iter_mut().enumerate() {
-            for (d, dir) in l.dirs.iter_mut().enumerate() {
-                dir.listed = !dir.pending.is_empty();
-                if dir.listed {
-                    busy_dirs.push((LinkId(li as u32), d as u8));
-                }
-            }
+            fabrics.push(fabric);
+            hosts.push(h);
+            ledgers.push(ledger);
+            observers.push(o);
+            faults.push(f);
+            tuning.get_or_insert(t);
         }
 
         // One wheel from all pending events. Equal (time, key) pairs come
@@ -945,144 +733,23 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
         engine.advance_to(self.clock);
         engine.absorb_counters(processed, scheduled);
 
-        // Probe records back into serial order: (time, event rank, shard
-        // order). Only shards record (all records are timed); the pre-run
-        // preamble (Meta lines) goes first, as pushed.
-        let probes = self.probe_cfg.take().map(|cfg| {
-            let mut tagged: Vec<(SimTime, (u64, u64), usize, ProbeRecord)> = Vec::new();
-            for p in probes_list.into_iter() {
-                let mut p = p.expect("probed run keeps shard probes");
-                let ranks = p.ranks.take().expect("shard probes carry ranks");
-                let records = p.take_records();
-                assert_eq!(ranks.len(), records.len(), "rank channel out of sync");
-                for (rec, rank) in records.into_iter().zip(ranks) {
-                    let at = match &rec {
-                        ProbeRecord::Queue { at, .. }
-                        | ProbeRecord::Util { at, .. }
-                        | ProbeRecord::Mark { at, .. }
-                        | ProbeRecord::Cwnd { at, .. } => *at,
-                        ProbeRecord::Meta { .. } => {
-                            unreachable!("shards never record Meta lines")
-                        }
-                    };
-                    let seq = tagged.len();
-                    tagged.push((at, rank, seq, rec));
-                }
-            }
-            tagged.sort_by_key(|&(at, rank, seq, _)| (at, rank, seq));
-            let mut merged = Probes::new(cfg);
-            for rec in self.probe_preamble.drain(..) {
-                merged.push(rec);
-            }
-            for (_, _, _, rec) in tagged {
-                merged.push(rec);
-            }
-            merged
-        });
-
+        // Every owner merges itself; the window's wall clock and the
+        // protocol's own counters are this engine's to report.
+        let mut observers = Observers::merge(observers, self.probes.take());
+        observers.profile.run_wall_ns = self.wall_ns;
+        observers.profile.sync_rounds = self.rounds;
+        observers.profile.handoffs = self.handoffs;
         Sim {
             engine,
-            nodes,
-            links,
-            agents,
-            addr_book,
-            timers,
-            signals: VecDeque::new(),
-            emit_pool: Vec::new(),
-            rng,
-            trace: None,
-            probes,
-            profile: profile_sum,
-            tuning,
-            fault_timeline,
-            busy_dirs,
-            unroutable,
-            audit_injected: injected,
-            audit_delivered: delivered,
-            audit_dropped: dropped,
+            fabric: Fabric::merge(fabrics, &self.owner, &self.dir_owner),
+            hosts: Hosts::merge(hosts, &self.owner),
+            ledger: Ledger::merge(ledgers),
+            observers,
+            faults: FaultTimeline::merge(faults),
+            tuning: tuning.expect("at least one shard"),
             fluid: None,
             part: None,
         }
-    }
-}
-
-/// Merge one link's shard copies: the transmit-authoritative copy carries
-/// the qdisc, booked transmission windows, fault stream and tx-side counters
-/// wholesale; the receive-authoritative copy overrides the delivery
-/// counters and corruption stream and contributes its occupancy decrements
-/// and stale-delivery blackholes.
-fn merge_link<P: Payload>(copies: Vec<Link<P>>, dir_owner: [(u32, u32); 2]) -> Link<P> {
-    // Rx-authoritative bits, cloned out before the move below.
-    let rx_bits: Vec<(u64, xmp_des::ByteSize, u64, u64, i64, SimRng)> = (0..2usize)
-        .map(|d| {
-            let (_, rx) = dir_owner[d];
-            let dd = &copies[rx as usize].dirs[d];
-            (
-                dd.stats.delivered,
-                dd.stats.delivered_bytes,
-                dd.stats.corrupted,
-                dd.stats.blackholed,
-                dd.in_network,
-                dd.corrupt_rng.clone(),
-            )
-        })
-        .collect();
-    let mut meta: Option<(
-        xmp_des::Bandwidth,
-        SimDuration,
-        String,
-        crate::queue::QdiscConfig,
-    )> = None;
-    let mut slots: [Option<crate::link::Direction<P>>; 2] = [None, None];
-    for (s, link) in copies.into_iter().enumerate() {
-        let Link {
-            bandwidth,
-            delay,
-            dirs,
-            label,
-            qcfg,
-        } = link;
-        let [d0, d1] = dirs;
-        if s as u32 == dir_owner[0].0 {
-            slots[0] = Some(d0);
-        }
-        if s as u32 == dir_owner[1].0 {
-            slots[1] = Some(d1);
-        }
-        if meta.is_none() {
-            meta = Some((bandwidth, delay, label, qcfg));
-        }
-    }
-    let (bandwidth, delay, label, qcfg) = meta.expect("at least one copy");
-    let [slot0, slot1] = slots;
-    let mut dirs = [
-        slot0.expect("tx owner within shard count"),
-        slot1.expect("tx owner within shard count"),
-    ];
-    for (d, dir) in dirs.iter_mut().enumerate() {
-        let (tx, rx) = dir_owner[d];
-        if tx != rx {
-            let (del, del_bytes, corrupted, rx_blackholed, rx_in_network, corrupt_rng) =
-                rx_bits[d].clone();
-            // Tx copy never sees deliveries on a cut direction; the rx
-            // copy's counters are authoritative. Blackholes accrue on both
-            // sides (tx: down-at-enqueue; rx: stale-generation arrivals)
-            // and sum; so do the signed occupancy halves (tx +1 at
-            // accept, rx −1 at deliver).
-            dir.stats.delivered = del;
-            dir.stats.delivered_bytes = del_bytes;
-            dir.stats.corrupted = corrupted;
-            dir.stats.blackholed += rx_blackholed;
-            dir.in_network += rx_in_network;
-            dir.corrupt_rng = corrupt_rng;
-        }
-    }
-    Link {
-        bandwidth,
-        delay,
-        dirs,
-        label,
-        qcfg,
     }
 }
 
@@ -1094,7 +761,7 @@ mod tests {
     use crate::link::LinkParams;
     use crate::node::PortId;
     use crate::packet::{Ecn, FlowId, Packet};
-    use crate::probe::ProbeConfig;
+    use crate::probe::{ProbeConfig, ProbeRecord};
     use crate::queue::QdiscConfig;
     use crate::routing::StaticRouter;
     use std::any::Any;
@@ -1374,5 +1041,48 @@ mod tests {
         let (mut sim, plan, _, _) = build(2);
         sim.run_until_quiet(SimTime::from_micros(500));
         let _ = PartitionedSim::new(sim, &plan);
+    }
+
+    /// Sharding and merging again with nothing run in between is the
+    /// identity on every sub-state, whatever the plan: same links, same
+    /// timers, same ledger, and each pending event exactly once.
+    #[test]
+    fn shard_then_merge_restores_every_sub_state() {
+        fn snapshot(mut sim: Sim<u64, DynAgent>) -> String {
+            use std::fmt::Write;
+            let mut out = format!("{:?}\n{:?}\n", sim.ledger, sim.hosts.timers);
+            for l in &sim.fabric.links {
+                writeln!(out, "{l:?} {:?}", l.dirs.each_ref().map(|d| (d, &d.stats))).unwrap();
+                let cold = l
+                    .dirs
+                    .each_ref()
+                    .map(|d| (d.fail_gen, d.down, d.fault, d.in_network));
+                writeln!(out, "{cold:?}").unwrap();
+            }
+            while let Some((t, ev)) = sim.engine.pop() {
+                writeln!(out, "{t:?} {ev:?}").unwrap();
+            }
+            out
+        }
+        let pristine = || {
+            let (mut sim, _, _, _) = build(1);
+            sim.ledger.injected = 9;
+            sim.ledger.dropped = 9;
+            sim
+        };
+        let want = snapshot(pristine());
+        for plan in [
+            PartitionPlan::single(6),
+            PartitionPlan::new(vec![0, 0, 0, 1, 1, 1]),
+            PartitionPlan::new(vec![0, 2, 1, 1, 0, 2]),
+        ] {
+            let merged = PartitionedSim::new(pristine(), &plan).finish();
+            assert!(merged.observers.probes.is_some(), "probes survive");
+            assert_eq!(snapshot(merged), want, "{plan:?}");
+        }
+        // 2 faults, 4 host timers and the sampling tick, once each.
+        assert_eq!(want.matches("Fault {").count(), 2);
+        assert_eq!(want.matches("Timer {").count(), 4);
+        assert_eq!(want.matches("Sample").count(), 1);
     }
 }

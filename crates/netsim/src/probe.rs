@@ -29,51 +29,7 @@
 
 use crate::link::LinkId;
 use std::fmt::Write as _;
-use std::sync::OnceLock;
 use xmp_des::{SimDuration, SimTime};
-
-/// Process-wide allocation-counter probe, installed once by an
-/// instrumented harness (the bench crate's counting global allocator).
-static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
-
-/// Install an allocation-counter probe: a function returning the running
-/// total of heap allocations made by this process. `Sim::run_until` samples
-/// it at the start and end of every event-loop window and accumulates the
-/// delta into [`SimProfile::allocs`], giving
-/// [`SimProfile::allocs_per_packet_hop`] without the simulator depending on
-/// a custom global allocator itself.
-///
-/// The probe is process-global and write-once: the first call wins and
-/// later calls are ignored (benches install it from `main` before any sim
-/// runs). Uninstalled — the default for all library and test builds — it
-/// costs one relaxed atomic load per `run_until` call and
-/// `SimProfile::allocs` stays 0.
-pub fn set_alloc_probe(probe: fn() -> u64) {
-    let _ = ALLOC_PROBE.set(probe);
-}
-
-/// Sample the installed allocation probe, if any.
-pub(crate) fn read_alloc_probe() -> Option<u64> {
-    ALLOC_PROBE.get().map(|f| f())
-}
-
-/// Process-wide live-heap-bytes probe (high-water memory accounting).
-static ALLOC_BYTES_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
-
-/// Install a live-heap-bytes probe: a function returning the current number
-/// of heap bytes allocated and not yet freed by this process. `Sim::run_until`
-/// samples it during event-loop windows and keeps the maximum in
-/// [`SimProfile::alloc_high_water_bytes`], giving the bounded-memory claims
-/// of the million-flow hybrid cells a measured number rather than an
-/// estimate. Same write-once, zero-default contract as [`set_alloc_probe`].
-pub fn set_alloc_bytes_probe(probe: fn() -> u64) {
-    let _ = ALLOC_BYTES_PROBE.set(probe);
-}
-
-/// Sample the installed live-bytes probe, if any.
-pub(crate) fn read_alloc_bytes_probe() -> Option<u64> {
-    ALLOC_BYTES_PROBE.get().map(|f| f())
-}
 
 /// Round-state snapshot of one subflow's congestion controller, embedded in
 /// [`ProbeRecord::Cwnd`] for round-based algorithms (XMP/BOS). Defined here
@@ -568,6 +524,16 @@ impl Probes {
         }
     }
 
+    /// The configuration these probes were installed with.
+    pub(crate) fn config(&self) -> ProbeConfig {
+        ProbeConfig {
+            interval: self.interval,
+            until: self.until,
+            watch: self.watch.clone(),
+            record_marks: self.record_marks,
+        }
+    }
+
     /// Append a record (sampling ticks do this; drivers push their own,
     /// e.g. per-subflow cwnd snapshots).
     pub fn push(&mut self, rec: ProbeRecord) {
@@ -665,10 +631,6 @@ pub struct SimProfile {
     pub pool_misses: u64,
     /// Wall-clock nanoseconds spent inside the `run_until` event loop.
     pub run_wall_ns: u64,
-    /// Heap allocations observed inside `run_until` windows by the
-    /// installed [`set_alloc_probe`] hook (0 when no probe is installed —
-    /// the default outside instrumented benches).
-    pub allocs: u64,
     /// Conservative synchronization rounds run (partitioned runs only;
     /// one round = one run-to-horizon + barrier + outbox exchange cycle).
     pub sync_rounds: u64,
@@ -679,11 +641,6 @@ pub struct SimProfile {
     /// Fluid rate-update ticks handled (`SimTuning::hybrid`; 0 on
     /// packet-only runs).
     pub fluid_ticks: u64,
-    /// Peak live heap bytes observed by the installed
-    /// [`set_alloc_bytes_probe`] hook, sampled at `run_until` window
-    /// boundaries (0 when no probe is installed — the default outside
-    /// instrumented benches).
-    pub alloc_high_water_bytes: u64,
 }
 
 impl SimProfile {
@@ -700,17 +657,6 @@ impl SimProfile {
             0.0
         } else {
             self.events_handled() as f64 / (self.run_wall_ns as f64 / 1e9)
-        }
-    }
-
-    /// Heap allocations per `Deliver` event — the headline "allocations per
-    /// packet-hop" number. Meaningful only when an allocation probe is
-    /// installed ([`set_alloc_probe`]); 0.0 when nothing was delivered.
-    pub fn allocs_per_packet_hop(&self) -> f64 {
-        if self.deliver == 0 {
-            0.0
-        } else {
-            self.allocs as f64 / self.deliver as f64
         }
     }
 
@@ -756,12 +702,6 @@ impl SimProfile {
         }
         if self.fluid_ticks > 0 {
             s.push_str(&format!(" | fluid ticks {}", self.fluid_ticks));
-        }
-        if self.alloc_high_water_bytes > 0 {
-            s.push_str(&format!(
-                " | heap high-water {:.1} MiB",
-                self.alloc_high_water_bytes as f64 / (1024.0 * 1024.0)
-            ));
         }
         s
     }

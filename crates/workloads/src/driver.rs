@@ -260,11 +260,7 @@ impl Driver {
                 fast_retransmits: 0,
             },
         );
-        let pos = self
-            .pending
-            .iter()
-            .position(|p| p.spec.start < spec.start)
-            .unwrap_or(self.pending.len());
+        let pos = self.pending.partition_point(|p| p.spec.start >= spec.start);
         self.pending.insert(pos, PendingFlow { spec, conn });
         conn
     }

@@ -51,4 +51,7 @@ fi
 # size: outcome digests equal across repetitions and traced/untraced,
 # failed == 0, zero allocations per packet-hop on db_long).
 bash examples/benchmark/run.sh --self-test
+# Bit-identity gate: the six seed-1 benchmark outcome digests against the
+# recorded list (~1 min); names the workload that moved.
+scripts/digests.sh
 echo "check.sh: all green"
