@@ -46,11 +46,6 @@ impl Bandwidth {
         self.0
     }
 
-    /// Megabits per second as a float.
-    pub fn as_mbps_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Gigabits per second as a float.
     pub fn as_gbps_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -128,11 +123,6 @@ impl ByteSize {
     /// Raw byte count.
     pub const fn as_bytes(self) -> u64 {
         self.0
-    }
-
-    /// Megabytes (2^20) as float.
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
     }
 
     /// Saturating subtraction.

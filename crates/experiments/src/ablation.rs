@@ -20,7 +20,7 @@ use xmp_des::{Bandwidth, SimDuration, SimTime};
 use xmp_netsim::{PortId, QdiscConfig, Sim};
 use xmp_topo::Dumbbell;
 use xmp_transport::{Segment, SubflowSpec};
-use xmp_workloads::{jain_index, Driver, FlowSpecBuilder, Host, RateSampler, Scheme};
+use xmp_workloads::{jain_index, Driver, FlowSpecBuilder, Host, RateBins, Scheme};
 
 /// Configuration for the ablation suite.
 #[derive(Clone, Debug)]
@@ -129,33 +129,23 @@ fn sweep_point(cfg: &AblationConfig, beta: u32, k: usize) -> SweepPoint {
             })
         })
         .collect();
-    // Warm up one window, measure over the next.
-    let warm = SimTime::ZERO + cfg.window;
-    d.run(&mut sim, warm, |_, _, _| {});
-    let mut sampler = RateSampler::new();
-    for &c in &conns {
-        sampler.sample(&mut sim, &d, c, 0);
-    }
+    // Warm up one window, measure over the next: the second bin.
+    let mut bins = RateBins::new(conns.iter().map(|&c| (c, 0)), cfg.window);
+    bins.run(&mut d, &mut sim, SimTime::ZERO + cfg.window);
     let bytes_before = sim.link(db.bottleneck).dir(0).stats.delivered_bytes;
     let t0 = sim.now();
-    d.run(&mut sim, warm + cfg.window, |_, _, _| {});
-    let rates: Vec<f64> = conns
-        .iter()
-        .map(|&c| sampler.sample(&mut sim, &d, c, 0))
-        .collect();
+    bins.run(&mut d, &mut sim, t0 + cfg.window);
+    let rates = &bins.rows()[1];
     let s = &sim.link(db.bottleneck).dir(0).stats;
     let dt = sim.now().duration_since(t0).as_secs_f64();
     let bits = (s.delivered_bytes - bytes_before).as_bytes() as f64 * 8.0;
-    for &c in &conns {
-        // Leave the flows in place; each sweep point owns its sim.
-        let _ = c;
-    }
+    sim.audit_conservation();
     SweepPoint {
         beta,
         k,
         utilization: bits / (1e9 * dt),
         mean_queue: s.mean_depth(sim.now()),
-        jain: jain_index(&rates),
+        jain: jain_index(rates),
         eq1_satisfied: k as f64 >= bdp_packets / (f64::from(beta) - 1.0),
     }
 }
@@ -209,14 +199,10 @@ fn coupling_share(cfg: &AblationConfig, coupled: bool) -> f64 {
             tag: i as u64,
         });
     }
-    let warm = SimTime::ZERO + cfg.window * 2;
-    d.run(&mut sim, warm, |_, _, _| {});
-    let mut sampler = RateSampler::new();
-    for r in 0..3 {
-        sampler.sample(&mut sim, &d, multi, r);
-    }
-    d.run(&mut sim, warm + cfg.window * 2, |_, _, _| {});
-    let rate: f64 = (0..3).map(|r| sampler.sample(&mut sim, &d, multi, r)).sum();
+    // Warm up two windows, measure over the next two: the second bin.
+    let mut bins = RateBins::new((0..3).map(|r| (multi, r)), cfg.window * 2);
+    bins.run(&mut d, &mut sim, SimTime::ZERO + cfg.window * 4);
+    let rate: f64 = bins.rows()[1].iter().sum();
     rate / 300e6
 }
 

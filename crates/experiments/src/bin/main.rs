@@ -22,7 +22,8 @@
 //!             tolerance check (exits nonzero when out of tolerance);
 //!             `hybrid million` runs the million-flow fluid scale cell
 //!   trace     export | report [files...] — write / summarize JSONL traces
-//!   all       everything above (except trace and scale)
+//!   all       the paper commands: fig1, fig4, fig6, fig7, fattree,
+//!             table2, failover, dynamics
 //! ```
 
 use std::time::Instant;
@@ -167,7 +168,7 @@ fn run_fattree(o: &Opts) {
         for &s in &schemes {
             let cfg = suite_cfg(o, s, p);
             let label = format!("{}/{}", s.label(), p.label());
-            let (r, _events, profile) = timed(&label, || suite::run_suite_profiled(&cfg));
+            let (r, profile) = timed(&label, || suite::run_suite_profiled(&cfg));
             eprintln!("  -> {r}");
             eprintln!("  -> profile: {}", profile.summary());
             results.push(r);

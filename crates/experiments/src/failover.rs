@@ -22,7 +22,7 @@ use xmp_des::{SimDuration, SimTime};
 use xmp_netsim::{AuditReport, FaultPlan, PortId, QdiscConfig, Sim};
 use xmp_topo::{FatTree, FatTreeConfig};
 use xmp_transport::{Segment, SubflowSpec};
-use xmp_workloads::{Driver, FlowSpecBuilder, Host, RateSampler, Scheme};
+use xmp_workloads::{Driver, FlowSpecBuilder, Host, RateBins, Scheme};
 
 /// Experiment configuration.
 #[derive(Clone, Debug)]
@@ -145,15 +145,11 @@ fn run_scheme(cfg: &FailoverConfig, scheme: Scheme) -> SchemeRow {
         tag: 0,
     });
 
-    let mut sampler = RateSampler::new();
-    let mut goodput = Vec::with_capacity(cfg.epochs as usize);
-    for e in 0..cfg.epochs {
-        driver.run(&mut sim, SimTime::ZERO + cfg.epoch * (e + 1), |_, _, _| {});
-        let bps: f64 = (0..tags.len())
-            .map(|x| sampler.sample(&mut sim, &driver, conn, x))
-            .sum();
-        goodput.push(bps);
-    }
+    // Aggregate goodput per epoch: every subflow's rate, summed.
+    let end = SimTime::ZERO + cfg.epoch * cfg.epochs;
+    let mut bins = RateBins::new((0..tags.len()).map(|x| (conn, x)), cfg.epoch);
+    bins.run(&mut driver, &mut sim, end);
+    let goodput: Vec<f64> = bins.rows().iter().map(|r| r.iter().sum()).collect();
     driver.stop_flow(&mut sim, conn);
     let rtos = driver.record(conn).map_or(0, |r| r.rtos);
     let l = sim.link(dead);

@@ -11,13 +11,13 @@
 //!   utilized (Fig. 1d), and even K = 10 loses little because the smaller
 //!   RTT speeds up window growth (Fig. 1c).
 
-use crate::common::{frac, host_stack, TextTable};
+use crate::common::{alive, frac, host_stack, long_flow, Life, TextTable};
 use std::fmt;
 use xmp_des::{Bandwidth, SimDuration, SimTime};
 use xmp_netsim::{PortId, QdiscConfig, Sim};
 use xmp_topo::Dumbbell;
 use xmp_transport::{ConnKey, Segment, SubflowSpec};
-use xmp_workloads::{jain_index, Driver, FlowSpecBuilder, Host, RateSampler, Scheme};
+use xmp_workloads::{jain_index, Driver, Host, RateBins, Scheme};
 
 /// Experiment configuration.
 #[derive(Clone, Debug)]
@@ -75,15 +75,12 @@ pub struct Fig1Result {
 
 const CAPACITY_BPS: f64 = 1e9;
 
-/// Which flows are alive during epoch `e` (0-based): starts at 0,1,2,3;
-/// stops at 4,5,6 (flows 0,1,2).
-fn active_in_epoch(e: usize) -> Vec<usize> {
-    (0..4)
-        .filter(|&i| e >= i && (i == 3 || e < 4 + i))
-        .collect()
-}
+/// The schedule: flow `i` starts at epoch `i`; flows 1–3 stop at epochs
+/// 4, 5, 6 and flow 4 runs to the end.
+const SCHEDULE: [Life; 4] = [(0, Some(4)), (1, Some(5)), (2, Some(6)), (3, None)];
+const EPOCHS: u64 = 7;
 
-fn run_variant(cfg: &Fig1Config, label: &str, scheme: Scheme, k: usize) -> (Fig1Series, u64) {
+fn run_variant(cfg: &Fig1Config, label: &str, scheme: Scheme, k: usize) -> Fig1Series {
     let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
     let db = Dumbbell::build(
         &mut sim,
@@ -95,109 +92,68 @@ fn run_variant(cfg: &Fig1Config, label: &str, scheme: Scheme, k: usize) -> (Fig1
     );
     let mut driver = Driver::new();
     let unit = cfg.interval;
-    let total = SimTime::ZERO + unit * 7;
-    // Flow i starts at i*unit; flows 0..2 stop at (4+i)*unit.
-    let conns: Vec<ConnKey> = (0..4)
-        .map(|i| {
-            driver.submit(FlowSpecBuilder {
-                src_node: db.sources[i],
-                subflows: vec![SubflowSpec {
-                    local_port: PortId(0),
-                    src: Dumbbell::src_addr(i),
-                    dst: Dumbbell::dst_addr(i),
-                }],
-                size: u64::MAX,
+    let conns: Vec<ConnKey> = SCHEDULE
+        .iter()
+        .enumerate()
+        .map(|(i, &life)| {
+            let path = SubflowSpec {
+                local_port: PortId(0),
+                src: Dumbbell::src_addr(i),
+                dst: Dumbbell::dst_addr(i),
+            };
+            long_flow(
+                &mut driver,
+                unit,
+                life,
+                db.sources[i],
+                vec![path],
                 scheme,
-                start: SimTime::ZERO + unit * i as u64,
-                category: None,
-                tag: i as u64,
-            })
+                i as u64,
+            )
         })
         .collect();
+    let mut rates = RateBins::new(conns.iter().map(|&c| (c, 0)), cfg.bin);
+    rates.run(&mut driver, &mut sim, SimTime::ZERO + unit * EPOCHS);
+    sim.audit_conservation();
 
-    let mut sampler = RateSampler::new();
-    let mut bins = Vec::new();
-    let mut stopped = [false; 4];
-    let mut t = SimTime::ZERO;
-    while t < total {
-        t += cfg.bin;
-        driver.run(&mut sim, t, |_, _, _| {});
-        for i in 0..3 {
-            if !stopped[i] && t >= SimTime::ZERO + unit * (4 + i as u64) {
-                driver.stop_flow(&mut sim, conns[i]);
-                stopped[i] = true;
-            }
-        }
-        let mut row = [0.0; 4];
-        for (i, &c) in conns.iter().enumerate() {
-            let r = sampler.sample(&mut sim, &driver, c, 0);
-            row[i] = r / CAPACITY_BPS;
-        }
-        bins.push(row);
-    }
+    let bins: Vec<[f64; 4]> = rates
+        .rows()
+        .iter()
+        .map(|r| [0, 1, 2, 3].map(|i| r[i] / CAPACITY_BPS))
+        .collect();
+    let epoch_means = rates.epoch_means(unit, &bins);
+    let (epoch_jain, epoch_util) = epoch_means
+        .iter()
+        .enumerate()
+        .map(|(e, mean)| {
+            let active: Vec<f64> = alive(SCHEDULE, e as u64).iter().map(|&i| mean[i]).collect();
+            (jain_index(&active), active.iter().sum::<f64>())
+        })
+        .unzip();
 
-    // Epoch summaries.
-    let per_epoch = (unit.as_nanos() / cfg.bin.as_nanos()).max(1) as usize;
-    let mut epoch_means = Vec::new();
-    let mut epoch_jain = Vec::new();
-    let mut epoch_util = Vec::new();
-    for e in 0..7 {
-        let lo = e * per_epoch;
-        let hi = ((e + 1) * per_epoch).min(bins.len());
-        if lo >= hi {
-            break;
-        }
-        let mut mean = [0.0; 4];
-        for row in &bins[lo..hi] {
-            for i in 0..4 {
-                mean[i] += row[i];
-            }
-        }
-        for m in &mut mean {
-            *m /= (hi - lo) as f64;
-        }
-        let active = active_in_epoch(e);
-        let rates: Vec<f64> = active.iter().map(|&i| mean[i]).collect();
-        epoch_jain.push(jain_index(&rates));
-        epoch_util.push(rates.iter().sum());
-        epoch_means.push(mean);
-    }
-
-    let series = Fig1Series {
+    Fig1Series {
         label: label.into(),
         bins,
         epoch_means,
         epoch_jain,
         epoch_util,
-    };
-    (series, sim.events_processed())
+    }
 }
 
 /// Run all four variants.
 pub fn run(cfg: &Fig1Config) -> Fig1Result {
-    run_counting(cfg).0
-}
-
-/// [`run`], also returning the total engine events processed across the
-/// four variants (a cost, not an outcome, so it lives outside
-/// [`Fig1Result`] and its digests).
-pub fn run_counting(cfg: &Fig1Config) -> (Fig1Result, u64) {
     let variants: [(&str, Scheme, usize); 4] = [
         ("DCTCP, K=10", Scheme::Dctcp, 10),
         ("DCTCP, K=20", Scheme::Dctcp, 20),
         ("Halving cwnd, K=10", Scheme::Bos { beta: 2 }, 10),
         ("Halving cwnd, K=20", Scheme::Bos { beta: 2 }, 20),
     ];
-    let mut events = 0;
-    let series = variants
-        .iter()
-        .map(|(label, scheme, k)| {
-            let (s, ev) = run_variant(cfg, label, *scheme, *k);
-            events += ev;
-            s
-        })
-        .collect();
-    (Fig1Result { series }, events)
+    Fig1Result {
+        series: variants
+            .iter()
+            .map(|(label, scheme, k)| run_variant(cfg, label, *scheme, *k))
+            .collect(),
+    }
 }
 
 impl fmt::Display for Fig1Result {
@@ -228,10 +184,10 @@ mod tests {
 
     #[test]
     fn active_flow_sets() {
-        assert_eq!(active_in_epoch(0), vec![0]);
-        assert_eq!(active_in_epoch(3), vec![0, 1, 2, 3]);
-        assert_eq!(active_in_epoch(4), vec![1, 2, 3]);
-        assert_eq!(active_in_epoch(6), vec![3]);
+        assert_eq!(alive(SCHEDULE, 0), vec![0]);
+        assert_eq!(alive(SCHEDULE, 3), vec![0, 1, 2, 3]);
+        assert_eq!(alive(SCHEDULE, 4), vec![1, 2, 3]);
+        assert_eq!(alive(SCHEDULE, 6), vec![3]);
     }
 
     #[test]
@@ -243,7 +199,7 @@ mod tests {
             bin: SimDuration::from_millis(50),
             seed: 3,
         };
-        let (s, _) = run_variant(&cfg, "halving", Scheme::Bos { beta: 2 }, 20);
+        let s = run_variant(&cfg, "halving", Scheme::Bos { beta: 2 }, 20);
         // Epoch 4 (all four flows active): near-fair, near-full.
         assert!(s.epoch_jain[3] > 0.9, "jain={}", s.epoch_jain[3]);
         assert!(s.epoch_util[3] > 0.85, "util={}", s.epoch_util[3]);
@@ -255,7 +211,7 @@ mod tests {
             "flow4 end rate {}",
             s.epoch_means[6][3]
         );
-        assert!(s.epoch_means[6][0] < 0.01, "flow1 stopped");
+        assert!(s.epoch_means[6][0] < 0.01, "flow1 still sending");
     }
 
     #[test]
@@ -265,7 +221,7 @@ mod tests {
             bin: SimDuration::from_millis(50),
             seed: 4,
         };
-        let (s, _) = run_variant(&cfg, "dctcp", Scheme::Dctcp, 20);
+        let s = run_variant(&cfg, "dctcp", Scheme::Dctcp, 20);
         assert!(s.epoch_util[3] > 0.8, "util={}", s.epoch_util[3]);
         assert_eq!(s.epoch_means.len(), 7);
     }

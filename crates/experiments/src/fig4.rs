@@ -7,13 +7,13 @@
 //! less bandwidth per mark, converges slower, and can stall under global
 //! synchronization.
 
-use crate::common::{frac, host_stack, TextTable};
+use crate::common::{covers, frac, host_stack, long_flow, Life, TextTable};
 use std::fmt;
 use xmp_des::{SimDuration, SimTime};
 use xmp_netsim::Sim;
-use xmp_topo::testbed::{Path, ShiftTestbed, TestbedConfig};
-use xmp_transport::{ConnKey, Segment, SubflowSpec};
-use xmp_workloads::{Driver, FlowSpecBuilder, Host, RateSampler, Scheme};
+use xmp_topo::testbed::{ShiftTestbed, TestbedConfig};
+use xmp_transport::Segment;
+use xmp_workloads::{path_spec, Driver, Host, RateBins, Scheme};
 
 /// Experiment configuration.
 #[derive(Clone, Debug)]
@@ -69,13 +69,11 @@ pub struct Fig4Result {
     pub series: Vec<Fig4Series>,
 }
 
-fn to_spec(p: Path) -> SubflowSpec {
-    SubflowSpec {
-        local_port: p.port,
-        src: p.src,
-        dst: p.dst,
-    }
-}
+/// The schedule: Flows 1–3 run throughout; the background flow on DN1
+/// lives over epochs 2–3, the one on DN2 over epochs 4–5.
+const FOREGROUND: Life = (0, None);
+const BACKGROUND: [(&str, Life); 2] = [("bg on DN1", (2, Some(4))), ("bg on DN2", (4, Some(6)))];
+const EPOCHS: u64 = 8;
 
 fn run_beta(cfg: &Fig4Config, beta: u32) -> Fig4Series {
     let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
@@ -84,79 +82,36 @@ fn run_beta(cfg: &Fig4Config, beta: u32) -> Fig4Series {
     let capacity = tcfg.bandwidth.as_bps() as f64;
     let mut driver = Driver::new();
     let unit = cfg.unit;
-    let total = SimTime::ZERO + unit * 8;
 
-    let single = |path: Path| vec![to_spec(path)];
-    let xmp1 = Scheme::Xmp { beta, subflows: 1 };
-    let xmp2 = Scheme::Xmp { beta, subflows: 2 };
-    let mk = |node, subflows, scheme, start, tag| FlowSpecBuilder {
-        src_node: node,
-        subflows,
-        size: u64::MAX,
-        scheme,
-        start,
-        category: None,
-        tag,
-    };
+    let xmp = |n: usize| Scheme::Xmp { beta, subflows: n };
+    let flows = [
+        (FOREGROUND, tb.s[0], vec![tb.flow1_path()], 1),
+        (FOREGROUND, tb.s[1], tb.flow2_paths().to_vec(), 2),
+        (FOREGROUND, tb.s[2], vec![tb.flow3_path()], 3),
+        (BACKGROUND[0].1, tb.bg_src[0], vec![tb.bg_path(0)], 10),
+        (BACKGROUND[1].1, tb.bg_src[1], vec![tb.bg_path(1)], 11),
+    ];
+    let conns = flows.map(|(life, node, paths, tag)| {
+        let scheme = xmp(paths.len());
+        let subflows = paths.into_iter().map(path_spec).collect();
+        long_flow(&mut driver, unit, life, node, subflows, scheme, tag)
+    });
+    let flow2 = conns[1];
 
-    driver.submit(mk(tb.s[0], single(tb.flow1_path()), xmp1, SimTime::ZERO, 1));
-    let flow2: ConnKey = driver.submit(mk(
-        tb.s[1],
-        tb.flow2_paths().into_iter().map(to_spec).collect(),
-        xmp2,
-        SimTime::ZERO,
-        2,
-    ));
-    driver.submit(mk(tb.s[2], single(tb.flow3_path()), xmp1, SimTime::ZERO, 3));
-    // Background epochs: DN1 during [2u, 4u), DN2 during [4u, 6u).
-    let bg1 = driver.submit(mk(
-        tb.bg_src[0],
-        single(tb.bg_path(0)),
-        xmp1,
-        SimTime::ZERO + unit * 2,
-        10,
-    ));
-    let bg2 = driver.submit(mk(
-        tb.bg_src[1],
-        single(tb.bg_path(1)),
-        xmp1,
-        SimTime::ZERO + unit * 4,
-        11,
-    ));
+    let mut rates = RateBins::new([(flow2, 0), (flow2, 1)], cfg.bin);
+    rates.run(&mut driver, &mut sim, SimTime::ZERO + unit * EPOCHS);
+    sim.audit_conservation();
 
-    let mut sampler = RateSampler::new();
-    let mut bins = Vec::new();
-    let mut stopped = [false; 2];
-    let mut t = SimTime::ZERO;
-    while t < total {
-        t += cfg.bin;
-        driver.run(&mut sim, t, |_, _, _| {});
-        if !stopped[0] && t >= SimTime::ZERO + unit * 4 {
-            driver.stop_flow(&mut sim, bg1);
-            stopped[0] = true;
-        }
-        if !stopped[1] && t >= SimTime::ZERO + unit * 6 {
-            driver.stop_flow(&mut sim, bg2);
-            stopped[1] = true;
-        }
-        let r0 = sampler.sample(&mut sim, &driver, flow2, 0) / capacity;
-        let r1 = sampler.sample(&mut sim, &driver, flow2, 1) / capacity;
-        bins.push([r0, r1]);
-    }
-
-    let per_epoch = (unit.as_nanos() / cfg.bin.as_nanos()).max(1) as usize;
-    let mut epoch_means = Vec::new();
-    for e in 0..8 {
-        let lo = e * per_epoch;
-        let hi = ((e + 1) * per_epoch).min(bins.len());
-        if lo >= hi {
-            break;
-        }
-        let n = (hi - lo) as f64;
-        let s0: f64 = bins[lo..hi].iter().map(|b| b[0]).sum::<f64>() / n;
-        let s1: f64 = bins[lo..hi].iter().map(|b| b[1]).sum::<f64>() / n;
-        epoch_means.push([s0, s1, s0 + s1]);
-    }
+    let bins: Vec<[f64; 2]> = rates
+        .rows()
+        .iter()
+        .map(|r| [r[0] / capacity, r[1] / capacity])
+        .collect();
+    let epoch_means = rates
+        .epoch_means(unit, &bins)
+        .into_iter()
+        .map(|[s0, s1]| [s0, s1, s0 + s1])
+        .collect();
 
     Fig4Series {
         beta,
@@ -177,20 +132,14 @@ impl fmt::Display for Fig4Result {
         for s in &self.series {
             let mut t = TextTable::new(format!("Fig.4 — Flow 2 subflow rates, beta={}", s.beta))
                 .header(["epoch", "bg state", "flow2-1 (DN1)", "flow2-2 (DN2)", "sum"]);
-            let bg = [
-                "-",
-                "-",
-                "bg on DN1",
-                "bg on DN1",
-                "bg on DN2",
-                "bg on DN2",
-                "-",
-                "-",
-            ];
             for (e, m) in s.epoch_means.iter().enumerate() {
                 t.row([
                     format!("{}", e + 1),
-                    bg.get(e).copied().unwrap_or("-").to_string(),
+                    BACKGROUND
+                        .iter()
+                        .find(|(_, life)| covers(*life, e as u64))
+                        .map_or("-", |(label, _)| label)
+                        .to_string(),
                     frac(m[0]),
                     frac(m[1]),
                     frac(m[2]),

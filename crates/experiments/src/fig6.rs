@@ -6,13 +6,13 @@
 //! β = 4 every *flow* converges to an equal share regardless of its subflow
 //! count — the point of coupling subflows; β = 6 degrades fairness.
 
-use crate::common::{frac, host_stack, TextTable};
+use crate::common::{alive, frac, host_stack, long_flow, Life, TextTable};
 use std::fmt;
 use xmp_des::{SimDuration, SimTime};
 use xmp_netsim::Sim;
 use xmp_topo::testbed::{FairnessTestbed, TestbedConfig};
-use xmp_transport::{ConnKey, Segment, SubflowSpec};
-use xmp_workloads::{jain_index, Driver, FlowSpecBuilder, Host, RateSampler, Scheme};
+use xmp_transport::Segment;
+use xmp_workloads::{jain_index, path_spec, Driver, Host, RateBins, Scheme};
 
 /// Experiment configuration.
 #[derive(Clone, Debug)]
@@ -70,21 +70,20 @@ pub struct Fig6Result {
     pub series: Vec<Fig6Series>,
 }
 
-/// Flows active during epoch `e`: flow1 from 0, flow2 from 4u, flow3 0–5u,
-/// flow4 2u–5u.
-fn active_in_epoch(e: usize) -> Vec<usize> {
-    let mut v = vec![0];
-    if e >= 4 {
-        v.push(1);
-    }
-    if e < 5 {
-        v.push(2);
-    }
-    if (2..5).contains(&e) {
-        v.push(3);
-    }
-    v.sort_unstable();
-    v
+/// The schedule, per flow: its life, the subflows it opens with, and the
+/// epochs at which it joins one more. Flow 1 grows 1 → 2 → 3 subflows at
+/// epochs 1 and 3; Flow 2 opens two at epoch 4; Flows 3 and 4 are
+/// single-path and stop at epoch 5.
+const SCHEDULE: [(Life, usize, &[u64]); 4] = [
+    ((0, None), 1, &[1, 3]),
+    ((4, None), 2, &[]),
+    ((0, Some(5)), 1, &[]),
+    ((2, Some(5)), 1, &[]),
+];
+const EPOCHS: u64 = 6;
+
+fn lives() -> [Life; 4] {
+    SCHEDULE.map(|(life, _, _)| life)
 }
 
 fn run_beta(cfg: &Fig6Config, beta: u32) -> Fig6Series {
@@ -94,111 +93,59 @@ fn run_beta(cfg: &Fig6Config, beta: u32) -> Fig6Series {
     let capacity = tcfg.bandwidth.as_bps() as f64;
     let mut driver = Driver::new();
     let unit = cfg.unit;
-    let total = SimTime::ZERO + unit * 6;
 
-    let spec = |i: usize| SubflowSpec {
-        local_port: tb.flow_path(i).port,
-        src: tb.flow_path(i).src,
-        dst: tb.flow_path(i).dst,
-    };
-    let xmp = |n: usize| Scheme::Xmp { beta, subflows: n };
-    let mk = |node, subflows, scheme, start, tag| FlowSpecBuilder {
-        src_node: node,
-        subflows,
-        size: u64::MAX,
-        scheme,
-        start,
-        category: None,
-        tag,
-    };
-
-    // Flow 1: one subflow now, two more joined later.
-    let f1: ConnKey = driver.submit(mk(
-        tb.net.sources[0],
-        vec![spec(0)],
-        xmp(1),
-        SimTime::ZERO,
-        1,
-    ));
-    let f2: ConnKey = driver.submit(mk(
-        tb.net.sources[1],
-        vec![spec(1), spec(1)],
-        xmp(2),
-        SimTime::ZERO + unit * 4,
-        2,
-    ));
-    let f3: ConnKey = driver.submit(mk(
-        tb.net.sources[2],
-        vec![spec(2)],
-        xmp(1),
-        SimTime::ZERO,
-        3,
-    ));
-    let f4: ConnKey = driver.submit(mk(
-        tb.net.sources[3],
-        vec![spec(3)],
-        xmp(1),
-        SimTime::ZERO + unit * 2,
-        4,
-    ));
-    let conns = [f1, f2, f3, f4];
-
-    let mut sampler = RateSampler::new();
-    let mut bins = Vec::new();
-    let mut joined = [false; 2];
-    let mut stopped = false;
-    let mut subflow_counts = [1usize, 2, 1, 1];
-    let mut t = SimTime::ZERO;
-    while t < total {
-        t += cfg.bin;
-        driver.run(&mut sim, t, |_, _, _| {});
-        // Flow 1 joins its 2nd subflow at 1u and its 3rd at 3u.
-        if !joined[0] && t >= SimTime::ZERO + unit {
-            driver.add_subflow(&mut sim, f1, spec(0));
-            subflow_counts[0] = 2;
-            joined[0] = true;
+    // One (conn, subflow) series per subflow a flow ever has; `owner[s]`
+    // is the flow series `s` belongs to.
+    let mut series = Vec::new();
+    let mut owner = Vec::new();
+    for (i, (life, opens_with, joins)) in SCHEDULE.into_iter().enumerate() {
+        let spec = path_spec(tb.flow_path(i));
+        let conn = long_flow(
+            &mut driver,
+            unit,
+            life,
+            tb.net.sources[i],
+            vec![spec; opens_with],
+            Scheme::Xmp {
+                beta,
+                subflows: opens_with,
+            },
+            i as u64 + 1,
+        );
+        for &e in joins {
+            driver.add_subflow_at(conn, SimTime::ZERO + unit * e, spec);
         }
-        if !joined[1] && t >= SimTime::ZERO + unit * 3 {
-            driver.add_subflow(&mut sim, f1, spec(0));
-            subflow_counts[0] = 3;
-            joined[1] = true;
+        for r in 0..opens_with + joins.len() {
+            series.push((conn, r));
+            owner.push(i);
         }
-        // Flows 3 and 4 shut down at 5u.
-        if !stopped && t >= SimTime::ZERO + unit * 5 {
-            driver.stop_flow(&mut sim, f3);
-            driver.stop_flow(&mut sim, f4);
-            stopped = true;
-        }
-        let mut row = [0.0f64; 4];
-        for (i, &c) in conns.iter().enumerate() {
-            for r in 0..subflow_counts[i] {
-                row[i] += sampler.sample(&mut sim, &driver, c, r);
-            }
-            row[i] /= capacity;
-        }
-        bins.push(row);
     }
 
-    let per_epoch = (unit.as_nanos() / cfg.bin.as_nanos()).max(1) as usize;
-    let mut epoch_means = Vec::new();
-    let mut epoch_jain = Vec::new();
-    for e in 0..6 {
-        let lo = e * per_epoch;
-        let hi = ((e + 1) * per_epoch).min(bins.len());
-        if lo >= hi {
-            break;
-        }
-        let n = (hi - lo) as f64;
-        let mut mean = [0.0; 4];
-        for row in &bins[lo..hi] {
-            for i in 0..4 {
-                mean[i] += row[i] / n;
+    let mut rates = RateBins::new(series, cfg.bin);
+    rates.run(&mut driver, &mut sim, SimTime::ZERO + unit * EPOCHS);
+    sim.audit_conservation();
+
+    // Per-bin *flow* rates: subflows summed, then normalized.
+    let bins: Vec<[f64; 4]> = rates
+        .rows()
+        .iter()
+        .map(|r| {
+            let mut row = [0.0; 4];
+            for (&i, x) in owner.iter().zip(r) {
+                row[i] += x;
             }
-        }
-        let rates: Vec<f64> = active_in_epoch(e).iter().map(|&i| mean[i]).collect();
-        epoch_jain.push(jain_index(&rates));
-        epoch_means.push(mean);
-    }
+            row.map(|x| x / capacity)
+        })
+        .collect();
+    let epoch_means = rates.epoch_means(unit, &bins);
+    let epoch_jain = epoch_means
+        .iter()
+        .enumerate()
+        .map(|(e, mean)| {
+            let active: Vec<f64> = alive(lives(), e as u64).iter().map(|&i| mean[i]).collect();
+            jain_index(&active)
+        })
+        .collect();
 
     Fig6Series {
         beta,
@@ -245,10 +192,10 @@ mod tests {
 
     #[test]
     fn active_sets() {
-        assert_eq!(active_in_epoch(0), vec![0, 2]);
-        assert_eq!(active_in_epoch(2), vec![0, 2, 3]);
-        assert_eq!(active_in_epoch(4), vec![0, 1, 2, 3]);
-        assert_eq!(active_in_epoch(5), vec![0, 1]);
+        assert_eq!(alive(lives(), 0), vec![0, 2]);
+        assert_eq!(alive(lives(), 2), vec![0, 2, 3]);
+        assert_eq!(alive(lives(), 4), vec![0, 1, 2, 3]);
+        assert_eq!(alive(lives(), 5), vec![0, 1]);
     }
 
     #[test]

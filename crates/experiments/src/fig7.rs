@@ -12,14 +12,13 @@
 //!   absorb the traffic,
 //! * per flow, one subflow's rate curve mirrors the other's.
 
-use crate::common::{frac, host_stack, TextTable};
+use crate::common::{frac, host_stack, long_flow, TextTable};
 use std::fmt;
 use xmp_des::{SimDuration, SimTime};
 use xmp_netsim::Sim;
-use xmp_topo::testbed::Path;
 use xmp_topo::torus::{Torus, TorusConfig, CAPACITIES_GBPS, RING};
-use xmp_transport::{ConnKey, Segment, SubflowSpec};
-use xmp_workloads::{Driver, FlowSpecBuilder, Host, RateSampler, Scheme};
+use xmp_transport::{ConnKey, Segment};
+use xmp_workloads::{path_spec, Driver, Host, RateBins, Scheme};
 
 /// Experiment configuration.
 #[derive(Clone, Debug)]
@@ -72,13 +71,11 @@ pub struct Fig7Result {
     pub series: Vec<Fig7Series>,
 }
 
-fn to_spec(p: Path) -> SubflowSpec {
-    SubflowSpec {
-        local_port: p.port,
-        src: p.src,
-        dst: p.dst,
-    }
-}
+/// The schedule, in epochs: Flow `i` starts at epoch `i`; background flow
+/// `b` lives on L3 over epochs `5 + b .. 9 + b`; L3 closes at epoch 12.
+const BACKGROUND_FLOWS: u64 = 4;
+const L3_CLOSES: u64 = 12;
+const EPOCHS: u64 = 14;
 
 fn run_variant(cfg: &Fig7Config, beta: u32, k: usize) -> Fig7Series {
     let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
@@ -93,62 +90,46 @@ fn run_variant(cfg: &Fig7Config, beta: u32, k: usize) -> Fig7Series {
     let mut driver = Driver::new();
     let unit = cfg.unit;
 
-    // Flows 1..5, two subflows each, started 1 unit apart.
     let flows: Vec<ConnKey> = (0..RING)
         .map(|i| {
-            driver.submit(FlowSpecBuilder {
-                src_node: torus.src[i],
-                subflows: torus.flow_paths(i).into_iter().map(to_spec).collect(),
-                size: u64::MAX,
-                scheme: Scheme::Xmp { beta, subflows: 2 },
-                start: SimTime::ZERO + unit * i as u64,
-                category: None,
-                tag: i as u64,
-            })
+            long_flow(
+                &mut driver,
+                unit,
+                (i as u64, None),
+                torus.src[i],
+                torus.flow_paths(i).into_iter().map(path_spec).collect(),
+                Scheme::Xmp { beta, subflows: 2 },
+                i as u64,
+            )
         })
         .collect();
-    // Four background flows on L3, staggered on/off.
-    let bg: Vec<ConnKey> = (0..4)
-        .map(|b| {
-            driver.submit(FlowSpecBuilder {
-                src_node: torus.bg_src,
-                subflows: vec![to_spec(torus.bg_path())],
-                size: u64::MAX,
-                scheme: Scheme::Xmp { beta, subflows: 1 },
-                start: SimTime::ZERO + unit * (5 + b as u64),
-                category: None,
-                tag: 100 + b as u64,
-            })
-        })
-        .collect();
-
-    let mut sampler = RateSampler::new();
-    let mut rates: Vec<[Vec<f64>; 2]> = (0..RING).map(|_| [Vec::new(), Vec::new()]).collect();
-    let mut bg_stopped = [false; 4];
-    let mut l3_closed = false;
-    for epoch in 0..14u64 {
-        let t = SimTime::ZERO + unit * (epoch + 1);
-        driver.run(&mut sim, t, |_, _, _| {});
-        // Background flows leave at 9u, 10u, 11u, 12u.
-        for (b, stop) in bg_stopped.iter_mut().enumerate() {
-            if !*stop && epoch + 1 >= 9 + b as u64 {
-                driver.stop_flow(&mut sim, bg[b]);
-                *stop = true;
-            }
-        }
-        // L3 closes at 12u (60 s in the paper's timeline).
-        if !l3_closed && epoch + 1 >= 12 {
-            sim.set_link_drop_prob(torus.bottlenecks[2], 1.0);
-            l3_closed = true;
-        }
-        for (i, &c) in flows.iter().enumerate() {
-            for x in 0..2 {
-                let bps = sampler.sample(&mut sim, &driver, c, x);
-                let cap = CAPACITIES_GBPS[(i + x) % RING] * 1e9;
-                rates[i][x].push(bps / cap);
-            }
-        }
+    for b in 0..BACKGROUND_FLOWS {
+        long_flow(
+            &mut driver,
+            unit,
+            (5 + b, Some(9 + b)),
+            torus.bg_src,
+            vec![path_spec(torus.bg_path())],
+            Scheme::Xmp { beta, subflows: 1 },
+            100 + b,
+        );
     }
+
+    // One bin per epoch, so the rows are the epoch means.
+    let mut bins = RateBins::new(flows.iter().flat_map(|&c| [(c, 0), (c, 1)]), unit);
+    bins.run(&mut driver, &mut sim, SimTime::ZERO + unit * L3_CLOSES);
+    sim.set_link_drop_prob(torus.bottlenecks[2], 1.0);
+    bins.run(&mut driver, &mut sim, SimTime::ZERO + unit * EPOCHS);
+    sim.audit_conservation();
+
+    let rates = (0..RING)
+        .map(|i| {
+            [0, 1].map(|x| {
+                let cap = CAPACITIES_GBPS[(i + x) % RING] * 1e9;
+                bins.rows().iter().map(|row| row[2 * i + x] / cap).collect()
+            })
+        })
+        .collect();
 
     Fig7Series { beta, k, rates }
 }

@@ -290,11 +290,7 @@ pub fn run_cell(cfg: &HybridConfig, hybrid: bool) -> HybridCell {
     let target = cfg.elephants + cfg.mice;
     let wall = std::time::Instant::now();
     let slice = SimDuration::from_millis(10);
-    while sim.now() < deadline && (driver.completed_count() as usize) < target {
-        let t = (sim.now() + slice).min(deadline);
-        driver.run(&mut sim, t, |_, _, _| {});
-    }
-    driver.finalize_running(&mut sim);
+    driver.drive(&mut sim, deadline, slice, target, |_, _| {});
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
     let profile = sim.profile();

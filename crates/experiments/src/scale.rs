@@ -17,12 +17,11 @@
 
 use crate::common::TextTable;
 use std::fmt;
-use std::hash::{DefaultHasher, Hash, Hasher};
 use xmp_des::{SimDuration, SimTime};
 use xmp_netsim::{FaultPlan, PartitionedSim, PortId, QdiscConfig, Sim};
 use xmp_topo::{FatTree, FatTreeConfig};
 use xmp_transport::{HostStack, Segment, StackConfig, SubflowSpec};
-use xmp_workloads::{Driver, FlowSim, FlowSpecBuilder, Host, Scheme};
+use xmp_workloads::{Driver, FlowSpecBuilder, Host, Scheme};
 
 /// Configuration for one scale run.
 #[derive(Clone, Debug)]
@@ -167,17 +166,6 @@ fn submit_wave(driver: &mut Driver, ft: &FatTree, cfg: &ScaleConfig) {
     }
 }
 
-/// Harvest-only drive loop: no chaining, so serial and partitioned runs
-/// process identical event sets.
-fn drive<S: FlowSim>(sim: &mut S, driver: &mut Driver, deadline: SimTime, target: usize) {
-    let slice = SimDuration::from_millis(10);
-    while sim.now() < deadline && (driver.completed_count() as usize) < target {
-        let t = (sim.now() + slice).min(deadline);
-        driver.run(sim, t, |_, _, _| {});
-    }
-    driver.finalize_running(sim);
-}
-
 /// Run the wave at one worker count and digest the outcome.
 pub fn run_cell(cfg: &ScaleConfig, workers: usize) -> ScaleCell {
     let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
@@ -208,42 +196,26 @@ pub fn run_cell(cfg: &ScaleConfig, workers: usize) -> ScaleCell {
     let target = ft.hosts.len();
     let deadline = SimTime::ZERO + cfg.max_sim;
 
+    let slice = SimDuration::from_millis(10);
     let wall = std::time::Instant::now();
     let sim = if workers > 1 {
         let plan = ft.partition_plan(workers);
         let mut psim = PartitionedSim::new(sim, &plan);
-        drive(&mut psim, &mut driver, deadline, target);
+        driver.drive(&mut psim, deadline, slice, target, |_, _| {});
         psim.finish()
     } else {
-        drive(&mut sim, &mut driver, deadline, target);
+        driver.drive(&mut sim, deadline, slice, target, |_, _| {});
         sim
     };
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
-    let audit = sim.audit_conservation();
-    let mut sim = sim;
-    let probes = sim.take_probes().expect("probes installed");
+    let digest = driver.outcome_digest(&sim, &sim.audit_conservation());
     let profile = sim.profile();
-
-    // Digest everything a serial observer could see. Deliberately absent:
-    // `fault`/`sample` counts (replicated per shard by design) and wall
-    // times.
-    let mut h = DefaultHasher::new();
-    format!("{:?}", sim.now()).hash(&mut h);
-    for r in driver.records() {
-        format!("{r:?}").hash(&mut h);
-    }
-    format!("{audit:?}").hash(&mut h);
-    for r in probes.records() {
-        format!("{r:?}").hash(&mut h);
-    }
-    profile.deliver.hash(&mut h);
-    profile.timer.hash(&mut h);
 
     let completed = driver.records().filter(|r| r.completed.is_some()).count();
     ScaleCell {
         workers,
-        digest: h.finish(),
+        digest,
         completed,
         events: profile.events_handled(),
         sync_rounds: profile.sync_rounds,

@@ -17,7 +17,7 @@ use xmp_netsim::{QdiscConfig, Sim, SimTuning};
 use xmp_topo::{FatTree, FatTreeConfig, FlowCategory, LinkLayer, RoutingMode};
 use xmp_transport::{HostStack, Segment, StackConfig};
 use xmp_workloads::{
-    link_utilization, Cdf, Driver, FlowSim, Host, IncastPattern, PatternConfig, PermutationPattern,
+    link_utilization, Cdf, Driver, Host, IncastPattern, PatternConfig, PermutationPattern,
     RandomPattern, Scheme,
 };
 
@@ -61,8 +61,6 @@ pub struct SuiteConfig {
     pub scale: u64,
     /// Hard wall on simulated time.
     pub max_sim: SimDuration,
-    /// Switch marking threshold K (paper: 10).
-    pub k_mark: usize,
     /// Queue capacity in packets (paper: 100).
     pub queue_cap: usize,
     /// RNG seed.
@@ -79,19 +77,9 @@ pub struct SuiteConfig {
     /// Simulator mode switches (graceful no-route, hybrid).
     pub tuning: SimTuning,
     /// Install probes sampling every core link at this interval (`None`,
-    /// the default, schedules nothing — the bit-identical baseline). The
-    /// probe-overhead bench flips this on the otherwise-identical cell.
+    /// the default, schedules nothing; probes observe without perturbing,
+    /// so either way the flow outcomes are the same).
     pub probe_interval: Option<SimDuration>,
-    /// Worker threads for *one* simulation. `1` (the default) runs the
-    /// classic serial event loop; `> 1` shards the fat tree by pod into a
-    /// [`xmp_netsim::PartitionedSim`] (must divide `k`). Event processing
-    /// is bit-identical to serial — the determinism suite asserts it on
-    /// pre-submitted workloads — but the suite's *chained* patterns see
-    /// completions at window boundaries, so their sharded results are
-    /// statistically equivalent rather than byte-equal (and reproducible
-    /// run-to-run). Orthogonal to [`run_suite_parallel`], which runs
-    /// *independent cells* on separate threads.
-    pub workers: usize,
 }
 
 impl SuiteConfig {
@@ -105,7 +93,6 @@ impl SuiteConfig {
             min_jobs: 400,
             scale: 128,
             max_sim: SimDuration::from_secs(120),
-            k_mark: 10,
             queue_cap: 100,
             seed: 42,
             coexist_with: None,
@@ -113,7 +100,6 @@ impl SuiteConfig {
             rto_min: SimDuration::from_millis(200),
             tuning: SimTuning::default(),
             probe_interval: None,
-            workers: 1,
         }
     }
 
@@ -193,6 +179,10 @@ fn layer_name(l: LinkLayer) -> &'static str {
     }
 }
 
+/// Switch marking threshold K, packets (paper: 10; the β/K ablation sweeps
+/// K on its own dumbbell).
+const K_MARK: usize = 10;
+
 enum PatternState {
     Perm(PermutationPattern),
     Rand(RandomPattern),
@@ -201,27 +191,19 @@ enum PatternState {
 
 /// Run one (scheme, pattern) simulation.
 pub fn run_suite(cfg: &SuiteConfig) -> SuiteResult {
-    run_suite_counting(cfg).0
+    run_suite_profiled(cfg).0
 }
 
-/// [`run_suite`], also returning the engine events processed (for the
-/// bench harness; the count depends on the link pipeline, so it stays out
-/// of [`SuiteResult`] and its determinism digests).
-pub fn run_suite_counting(cfg: &SuiteConfig) -> (SuiteResult, u64) {
-    let (result, events, _) = run_suite_profiled(cfg);
-    (result, events)
-}
-
-/// [`run_suite_counting`], additionally returning the simulator's
-/// profiling counters (event mix, pool hit rate, wall time in the event
-/// loop). Like the event count, the profile stays out of [`SuiteResult`]
-/// so determinism digests compare workload outcomes only.
-pub fn run_suite_profiled(cfg: &SuiteConfig) -> (SuiteResult, u64, xmp_netsim::SimProfile) {
+/// [`run_suite`], also returning the simulator's profiling counters (event
+/// mix, pool hit rate, wall time in the event loop). They are costs, not
+/// outcomes, so they stay out of [`SuiteResult`] and its determinism
+/// digests.
+pub fn run_suite_profiled(cfg: &SuiteConfig) -> (SuiteResult, xmp_netsim::SimProfile) {
     let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
     sim.set_tuning(cfg.tuning);
     let qdisc = QdiscConfig::EcnThreshold {
         cap: cfg.queue_cap,
-        k: cfg.k_mark,
+        k: K_MARK,
     };
     let ft_cfg = FatTreeConfig {
         k: cfg.k,
@@ -266,53 +248,32 @@ pub fn run_suite_profiled(cfg: &SuiteConfig) -> (SuiteResult, u64, xmp_netsim::S
         }
     };
 
-    // Run in short slices until enough large flows completed. The loop is
-    // generic over the simulation backend: serial, or partitioned across
-    // `cfg.workers` threads (merged back into a serial `Sim` at the end so
-    // the metric collection below is backend-agnostic).
-    fn drive_flows<S: FlowSim>(
-        sim: &mut S,
-        driver: &mut Driver,
-        pattern: &mut PatternState,
-        ft: &FatTree,
-        cfg: &SuiteConfig,
-    ) -> usize {
-        let slice = SimDuration::from_millis(100);
-        let mut large_done = 0usize;
-        let deadline = SimTime::ZERO + cfg.max_sim;
-        let done = |large_done: usize, pattern: &PatternState| {
-            large_done >= cfg.target_flows
-                && match pattern {
-                    PatternState::Incast(p) => p.jobs_completed() >= cfg.min_jobs,
-                    _ => true,
-                }
-        };
-        while sim.now() < deadline && !done(large_done, pattern) {
-            let t = (sim.now() + slice).min(deadline);
-            driver.run(sim, t, |sim, d, conn| {
-                let is_large = d.record(conn).is_some_and(|r| r.tag < 1_000_000);
-                if is_large {
-                    large_done += 1;
-                }
-                match pattern {
-                    PatternState::Perm(p) => p.on_complete(sim, d, ft, conn),
-                    PatternState::Rand(p) => p.on_complete(sim, d, ft, conn),
-                    PatternState::Incast(p) => p.on_complete(sim, d, ft, conn),
-                }
-            });
-        }
-        driver.finalize_running(sim);
-        large_done
-    }
-    let (sim, large_done) = if cfg.workers > 1 {
-        let plan = ft.partition_plan(cfg.workers);
-        let mut psim = xmp_netsim::PartitionedSim::new(sim, &plan);
-        let n = drive_flows(&mut psim, &mut driver, &mut pattern, &ft, cfg);
-        (psim.finish(), n)
-    } else {
-        let n = drive_flows(&mut sim, &mut driver, &mut pattern, &ft, cfg);
-        (sim, n)
+    // Run in short slices until enough large flows completed.
+    let slice = SimDuration::from_millis(100);
+    let mut large_done = 0usize;
+    let deadline = SimTime::ZERO + cfg.max_sim;
+    let done = |large_done: usize, pattern: &PatternState| {
+        large_done >= cfg.target_flows
+            && match pattern {
+                PatternState::Incast(p) => p.jobs_completed() >= cfg.min_jobs,
+                _ => true,
+            }
     };
+    while sim.now() < deadline && !done(large_done, &pattern) {
+        let t = (sim.now() + slice).min(deadline);
+        driver.run(&mut sim, t, |sim, d, conn| {
+            let is_large = d.record(conn).is_some_and(|r| r.tag < 1_000_000);
+            if is_large {
+                large_done += 1;
+            }
+            match &mut pattern {
+                PatternState::Perm(p) => p.on_complete(sim, d, &ft, conn),
+                PatternState::Rand(p) => p.on_complete(sim, d, &ft, conn),
+                PatternState::Incast(p) => p.on_complete(sim, d, &ft, conn),
+            }
+        });
+    }
+    driver.finalize_running(&mut sim);
     // Every injected packet must be delivered, dropped for a counted
     // reason, or still in flight — panics on a conservation violation.
     sim.audit_conservation();
@@ -384,8 +345,8 @@ pub fn run_suite_profiled(cfg: &SuiteConfig) -> (SuiteResult, u64, xmp_netsim::S
                     let l = sim.link(id);
                     l.dirs[0]
                         .stats
-                        .occupancy_at_least(cfg.k_mark)
-                        .max(l.dirs[1].stats.occupancy_at_least(cfg.k_mark))
+                        .occupancy_at_least(K_MARK)
+                        .max(l.dirs[1].stats.occupancy_at_least(K_MARK))
                 })
                 .sum::<f64>()
                 / ids.len() as f64
@@ -414,7 +375,7 @@ pub fn run_suite_profiled(cfg: &SuiteConfig) -> (SuiteResult, u64, xmp_netsim::S
         completed_flows: large_done,
         sim_time: now,
     };
-    (result, sim.events_processed(), *sim.profile())
+    (result, *sim.profile())
 }
 
 /// Run a batch of suite cells across OS threads.
@@ -730,33 +691,6 @@ mod tests {
         let jt = r.job_times_ms.expect("job times recorded");
         assert!(jt.len() >= 8, "{} jobs", jt.len());
         assert!(jt.min() > 0.0);
-    }
-
-    #[test]
-    fn partitioned_suite_is_reproducible_and_sane() {
-        // Suite patterns *chain* flows on completion, and a partitioned run
-        // surfaces completions at window boundaries — statistically
-        // equivalent to serial, not bit-identical (the bit-identity
-        // contract for pre-submitted workloads is asserted by the
-        // determinism suite and the scale experiment's digest check). What
-        // must hold here: the sharded run is deterministic run-to-run, and
-        // it completes the workload with plausible goodput.
-        let tiny = || SuiteConfig {
-            target_flows: 6,
-            max_sim: SimDuration::from_secs(2),
-            seed: 3,
-            workers: 2,
-            ..SuiteConfig::quick(Scheme::xmp(2), Pattern::Permutation)
-        };
-        let a = run_suite(&tiny());
-        let b = run_suite(&tiny());
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert!(a.completed_flows >= 6, "{} flows", a.completed_flows);
-        assert!(
-            a.avg_goodput_bps > 50e6,
-            "avg goodput {} too low",
-            a.avg_goodput_bps
-        );
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! tokens, flow ids). This is the classic multiply-rotate scheme used by
 //! rustc's `FxHashMap`: one rotate, one xor and one multiply per word.
 //!
-//! Determinism note: the hasher has **no random state** (unlike
-//! `RandomState`), so map behavior is identical across runs — a property
-//! the reproducibility guarantees lean on even though none of the current
-//! call sites iterate their maps.
+//! The hasher has **no random state** (unlike `RandomState`), so a map's
+//! bucket order — hence its drop order and the heap layout it leaves — is
+//! the same in every process. No call site iterates a map for results.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -36,41 +35,16 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.add_word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        for c in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..c.len()].copy_from_slice(c);
+            self.add_word(u64::from_le_bytes(word));
         }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.add_word(u64::from_le_bytes(tail));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add_word(n as u64);
-    }
-
-    #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.add_word(n as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add_word(n as u64);
     }
 
     #[inline]
     fn write_u64(&mut self, n: u64) {
         self.add_word(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add_word(n as u64);
     }
 }
 

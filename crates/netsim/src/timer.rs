@@ -62,18 +62,39 @@ pub(crate) enum Expiry {
     Fire,
 }
 
-/// Per-node timer state, indexed densely by `NodeId`. Tokens are sparse
-/// agent-chosen u64s (connection × subflow × kind packed bits), so each
-/// node keeps a small fast-hash map rather than a dense slab.
+/// One node's timers. Tokens are sparse agent-chosen u64s (connection ×
+/// subflow × kind packed bits), hence a fast-hash map and not a slab; it
+/// holds live timers only — [`TimerTable::expire`] drops a token once it
+/// is disarmed with nothing in flight.
+#[derive(Debug, Default, PartialEq)]
+struct NodeTimers {
+    live: FxHashMap<u64, TimerState>,
+    /// Highest `sched_gen` of any dropped token. A returning token counts
+    /// on from here, so an orphan of an earlier life never matches it.
+    gen_floor: u64,
+}
+
+impl NodeTimers {
+    fn state(&mut self, token: u64) -> &mut TimerState {
+        let sched_gen = self.gen_floor;
+        let fresh = TimerState {
+            sched_gen,
+            ..TimerState::default()
+        };
+        self.live.entry(token).or_insert(fresh)
+    }
+}
+
+/// Per-node timer state, indexed densely by `NodeId`.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct TimerTable {
-    nodes: Vec<FxHashMap<u64, TimerState>>,
+    nodes: Vec<NodeTimers>,
 }
 
 impl TimerTable {
     /// Make room for one more node (ids are dense, in creation order).
     pub(crate) fn add_node(&mut self) {
-        self.nodes.push(FxHashMap::default());
+        self.nodes.push(NodeTimers::default());
     }
 
     /// Arm `(node, token)` for `at`. The tracked in-flight event is ridden
@@ -81,45 +102,44 @@ impl TimerTable {
     /// on expiry); `Some(gen)` asks the caller to schedule a fresh event at
     /// `at` — none is pending, or the deadline moved earlier.
     pub(crate) fn arm(&mut self, node: NodeId, token: u64, at: SimTime) -> Option<u64> {
-        let st = self.nodes[node.0 as usize].entry(token).or_default();
+        let st = self.nodes[node.0 as usize].state(token);
         st.intent = Some(at);
         st.sched.is_none_or(|(p, _)| p > at).then(|| st.track(at))
     }
 
     /// Disarm `(node, token)`; its tracked event rides out and is ignored.
     pub(crate) fn cancel(&mut self, node: NodeId, token: u64) {
-        if let Some(st) = self.nodes[node.0 as usize].get_mut(&token) {
+        if let Some(st) = self.nodes[node.0 as usize].live.get_mut(&token) {
             st.intent = None;
         }
     }
 
-    /// The engine event `(node, token, gen)` fired at `now`.
+    /// The engine event `(node, token, gen)` fired at `now`. Unless it
+    /// re-arms, the token ends disarmed and untracked, and is dropped.
     pub(crate) fn expire(&mut self, node: NodeId, token: u64, gen: u64, now: SimTime) -> Expiry {
-        let Some(st) = self.nodes[node.0 as usize].get_mut(&token) else {
+        let timers = &mut self.nodes[node.0 as usize];
+        let Some(st) = timers.live.get_mut(&token) else {
             return Expiry::Ignore;
         };
         match st.sched {
             Some((_, g)) if g == gen => st.sched = None,
             _ => return Expiry::Ignore,
         }
-        match st.intent {
-            None => Expiry::Ignore,
-            Some(at) if at > now => Expiry::Rearm {
-                at,
-                gen: st.track(at),
-            },
-            Some(at) => {
-                debug_assert!(at == now, "tracked timer event fired late");
-                st.intent = None;
-                Expiry::Fire
-            }
+        if let Some(at) = st.intent.filter(|&at| at > now) {
+            let gen = st.track(at);
+            return Expiry::Rearm { at, gen };
         }
+        debug_assert!(st.intent.is_none_or(|at| at == now), "fired late");
+        let expiry = st.intent.map_or(Expiry::Ignore, |_| Expiry::Fire);
+        timers.gen_floor = timers.gen_floor.max(st.sched_gen);
+        timers.live.remove(&token);
+        expiry
     }
 
     /// Force a timer's schedule-generation counter, keeping any tracked
     /// event consistent (test hook behind `Sim::debug_set_timer_gen`).
     pub(crate) fn set_gen(&mut self, node: NodeId, token: u64, gen: u64) {
-        let st = self.nodes[node.0 as usize].entry(token).or_default();
+        let st = self.nodes[node.0 as usize].state(token);
         st.sched_gen = gen;
         if let Some((_, g)) = &mut st.sched {
             *g = gen;
@@ -133,7 +153,7 @@ impl TimerTable {
     /// past. One description per violation is appended to `failures`.
     pub(crate) fn audit(&self, now: SimTime, failures: &mut Vec<String>) {
         for (node, table) in self.nodes.iter().enumerate() {
-            for (&token, st) in table.iter() {
+            for (&token, st) in table.live.iter() {
                 if let Some(intent) = st.intent {
                     match st.sched {
                         None => failures.push(format!(
@@ -171,7 +191,7 @@ impl TimerTable {
     /// that owns it; every other shard keeps an empty table in that slot.
     pub(crate) fn shard(self, owner: &[u32], workers: usize) -> Vec<TimerTable> {
         let TimerTable { nodes } = self;
-        let shards = scatter(nodes, owner, workers, |_| FxHashMap::default());
+        let shards = scatter(nodes, owner, workers, |_| NodeTimers::default());
         shards
             .into_iter()
             .map(|nodes| TimerTable { nodes })
@@ -234,7 +254,12 @@ mod tests {
         let early = t.arm(N, TOKEN, us(10)).expect("moved earlier: new event");
         assert_ne!(late, early);
         assert_eq!(t.expire(N, TOKEN, early, us(10)), Expiry::Fire);
+        // Fired and untracked: dropped; its next life outnumbers the orphan.
+        assert!(t.nodes[0].live.is_empty());
+        let again = t.arm(N, TOKEN, us(40)).expect("fresh entry schedules");
+        assert!(again > late.max(early));
         assert_eq!(t.expire(N, TOKEN, late, us(30)), Expiry::Ignore, "orphan");
+        audited(&t, us(30));
     }
 
     #[test]
@@ -244,6 +269,7 @@ mod tests {
         t.cancel(N, TOKEN);
         audited(&t, us(0));
         assert_eq!(t.expire(N, TOKEN, g, us(10)), Expiry::Ignore);
+        assert!(t.nodes[0].live.is_empty(), "rode out: dropped");
         // Disarmed and untracked: arming again needs a fresh event.
         assert!(t.arm(N, TOKEN, us(20)).is_some());
         // A token that was never armed ignores whatever fires for it.

@@ -3,16 +3,13 @@
 //!
 //! Every leg simulates the *same* scenario under a different
 //! proven-equivalent implementation choice — serial vs partitioned across
-//! 2–4 workers — and must produce a bit-identical digest (the
-//! [`crate::scale`-style recipe][d]: final clock, every flow record, the
+//! 2–4 workers — and must produce a bit-identical
+//! [`Driver::outcome_digest`] (final clock, every flow record, the
 //! conservation audit, every probe record and the per-kind event counts).
 //! Any digest mismatch or invariant-audit failure marks the scenario as
 //! failing, which sends it to the shrinker.
-//!
-//! [d]: ../xmp_experiments/scale/fn.run_cell.html
 
 use crate::scenario::{FaultSpec, Scenario};
-use std::hash::{DefaultHasher, Hash, Hasher};
 use xmp_des::{SimDuration, SimTime};
 use xmp_netsim::{FaultPlan, InvariantState, PartitionedSim, PortId, ProbeConfig, Sim};
 use xmp_topo::{FatTree, FatTreeConfig};
@@ -210,6 +207,8 @@ pub fn run_leg(sc: &Scenario, leg: &LegSpec) -> Result<LegOutcome, String> {
     // Drive in fixed slices so serial and partitioned runs process
     // identical event sets (everything is pre-submitted, nothing chains).
     let target = conns.len();
+    let span = deadline - SimTime::ZERO;
+    let slice = SimDuration::from_nanos((span.as_nanos() / 16).max(100_000));
     let mut audit_failures = Vec::new();
     let mut inv = InvariantState::default();
     let sim = if leg.workers > 1 {
@@ -218,10 +217,10 @@ pub fn run_leg(sc: &Scenario, leg: &LegSpec) -> Result<LegOutcome, String> {
             .map_err(|e| format!("partition: {e}"))?;
         let mut psim =
             PartitionedSim::try_new(sim, &plan).map_err(|e| format!("partition: {e}"))?;
-        drive(&mut psim, &mut driver, deadline, target, |_, _| {});
+        driver.drive(&mut psim, deadline, slice, target, |_, _| {});
         psim.finish()
     } else {
-        drive(&mut sim, &mut driver, deadline, target, |s, d| {
+        driver.drive(&mut sim, deadline, slice, target, |s, d| {
             s.audit_invariants(&mut inv, &mut audit_failures);
             audit_windows(s, d, &conns, &mut audit_failures);
         });
@@ -232,53 +231,15 @@ pub fn run_leg(sc: &Scenario, leg: &LegSpec) -> Result<LegOutcome, String> {
     // chance: the shards only merge back at `finish()`).
     sim.audit_invariants(&mut inv, &mut audit_failures);
 
-    let audit = sim.try_audit_conservation();
-    let mut sim = sim;
-    let probes = sim.take_probes();
-    let profile = sim.profile();
-
-    let mut h = DefaultHasher::new();
-    format!("{:?}", sim.now()).hash(&mut h);
-    for r in driver.records() {
-        format!("{r:?}").hash(&mut h);
-    }
-    format!("{audit:?}").hash(&mut h);
-    if let Some(p) = &probes {
-        for r in p.records() {
-            format!("{r:?}").hash(&mut h);
-        }
-    }
-    profile.deliver.hash(&mut h);
-    profile.timer.hash(&mut h);
+    let digest = driver.outcome_digest(&sim, &sim.try_audit_conservation());
 
     let completed = driver.records().filter(|r| r.completed.is_some()).count();
     Ok(LegOutcome {
         label: leg.label.clone(),
-        digest: h.finish(),
+        digest,
         completed,
         audit_failures,
     })
-}
-
-/// Harvest-only drive loop with an audit callback at slice boundaries.
-fn drive<S: FlowSim>(
-    sim: &mut S,
-    driver: &mut Driver,
-    deadline: SimTime,
-    target: usize,
-    mut audit: impl FnMut(&mut S, &mut Driver),
-) {
-    let slice = {
-        // Recomputed here so serial and partitioned legs share one slicing.
-        let span = deadline - SimTime::ZERO;
-        SimDuration::from_nanos((span.as_nanos() / 16).max(100_000))
-    };
-    while sim.now() < deadline && (driver.completed_count() as usize) < target {
-        let t = (sim.now() + slice).min(deadline);
-        driver.run(sim, t, |_, _, _| {});
-        audit(sim, driver);
-    }
-    driver.finalize_running(sim);
 }
 
 /// Per-flow congestion-window sanity at an audit boundary: cwnd finite and

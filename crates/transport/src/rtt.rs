@@ -72,11 +72,6 @@ impl RttEstimator {
     pub fn backoff(&mut self) {
         self.backoff = (self.backoff + 1).min(16);
     }
-
-    /// Current backoff exponent.
-    pub fn backoff_count(&self) -> u32 {
-        self.backoff
-    }
 }
 
 #[cfg(test)]

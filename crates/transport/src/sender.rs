@@ -569,12 +569,6 @@ impl<C: CongestionControl> MpSender<C> {
         out.push(TxAction::Completed);
     }
 
-    /// Expose the controller mutably (the driver uses this for scheme-
-    /// specific inspection in tests).
-    pub fn cc_mut(&mut self) -> &mut C {
-        &mut self.cc
-    }
-
     /// The initial congestion window this sender was configured with.
     pub fn initial_cwnd(&self) -> f64 {
         self.initial_cwnd

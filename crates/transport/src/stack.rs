@@ -15,8 +15,8 @@ use crate::receiver::{MpReceiver, ReplyPath, RxAction};
 use crate::segment::{ConnKey, EchoMode, SegKind, Segment};
 use crate::sender::{ConnStats, MpSender, SubflowSpec, TxAction};
 use std::any::Any;
-use std::collections::HashMap;
 use xmp_des::ByteSize;
+use xmp_netsim::hash::FxHashMap;
 use xmp_netsim::{Agent, Ctx, Ecn, FlowId, Packet, PortId};
 
 const KIND_RTO: u64 = 0;
@@ -50,7 +50,7 @@ enum ConnState<C: CongestionControl> {
 /// to a closed enum devirtualizes the per-ACK hot path.
 pub struct HostStack<C: CongestionControl = Box<dyn CongestionControl>> {
     cfg: StackConfig,
-    conns: HashMap<ConnKey, ConnState<C>>,
+    conns: FxHashMap<ConnKey, ConnState<C>>,
     /// Scratch buffer for sender actions, reused across events so the
     /// steady state never allocates (the stack-level analogue of the sim's
     /// emit-buffer pool). Always drained back to empty before it is
@@ -65,7 +65,7 @@ impl<C: CongestionControl> HostStack<C> {
     pub fn new(cfg: StackConfig) -> Self {
         HostStack {
             cfg,
-            conns: HashMap::new(),
+            conns: FxHashMap::default(),
             tx_scratch: Vec::new(),
             rx_scratch: Vec::new(),
         }

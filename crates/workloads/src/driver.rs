@@ -1,11 +1,14 @@
-//! The flow driver: schedules flow starts, tracks completions, keeps
-//! per-flow records, and exposes the rate-sampling hooks the time-series
-//! figures need.
+//! The flow driver: holds each flow's schedule (start, subflow joins,
+//! stop) as one time-ordered action queue, tracks completions, keeps
+//! per-flow records, and bins per-subflow rates for the time-series
+//! figures.
 
 use crate::scheme::Scheme;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use xmp_core::CcKind;
 use xmp_des::{SimDuration, SimTime};
+use xmp_netsim::hash::FxHashMap;
 use xmp_netsim::{
     Agent, Ctx, FlowId, FluidFlowStats, FluidId, FluidSpec, FluidSubflowSpec, NodeId,
     PartitionedSim, Sim,
@@ -155,13 +158,6 @@ pub struct FlowRecord {
     pub fast_retransmits: u64,
 }
 
-impl FlowRecord {
-    /// Goodput normalized to a link capacity.
-    pub fn normalized_goodput(&self, capacity_bps: u64) -> f64 {
-        self.goodput_bps / capacity_bps as f64
-    }
-}
-
 /// Everything needed to start one flow.
 #[derive(Debug)]
 pub struct FlowSpecBuilder {
@@ -181,18 +177,35 @@ pub struct FlowSpecBuilder {
     pub tag: u64,
 }
 
-struct PendingFlow {
-    spec: FlowSpecBuilder,
+/// What a scheduled action does to its flow, and when (a start carries its
+/// time in the spec).
+enum Action {
+    Start(FlowSpecBuilder),
+    Join(SimTime, SubflowSpec),
+    Stop(SimTime),
+}
+
+struct Pending {
     conn: ConnKey,
+    action: Action,
+}
+
+impl Pending {
+    fn at(&self) -> SimTime {
+        match &self.action {
+            Action::Start(spec) => spec.start,
+            Action::Join(at, _) | Action::Stop(at) => *at,
+        }
+    }
 }
 
 /// Flow lifecycle manager over a [`Sim`] whose hosts run [`Host`] stacks.
 #[derive(Default)]
 pub struct Driver {
     next_conn: ConnKey,
-    // Pending flows sorted by *descending* start time; due flows pop off
-    // the back. Ties keep submission order.
-    pending: Vec<PendingFlow>,
+    // Scheduled actions in *descending* order (see `schedule`); due ones
+    // pop off the back. The tie rule is on `Driver::run`.
+    pending: Vec<Pending>,
     // BTreeMap, not HashMap: metrics fold over `records()` (float sums,
     // CDF inputs), so iteration order must be deterministic — submission
     // order via the monotonically assigned ConnKey.
@@ -221,11 +234,6 @@ impl Driver {
     /// is inert: every flow stays packet-level.
     pub fn set_fluid_threshold(&mut self, bytes: Option<u64>) {
         self.fluid_threshold = bytes;
-    }
-
-    /// Connections currently running (or finished) on the fluid plane.
-    pub fn fluid_count(&self) -> usize {
-        self.fluid.len()
     }
 
     /// Whether a connection was offloaded to the fluid plane.
@@ -260,9 +268,41 @@ impl Driver {
                 fast_retransmits: 0,
             },
         );
-        let pos = self.pending.partition_point(|p| p.spec.start >= spec.start);
-        self.pending.insert(pos, PendingFlow { spec, conn });
+        self.schedule(conn, Action::Start(spec));
         conn
+    }
+
+    /// Declare that `conn` stops at `at`: [`Driver::stop_flow`], fired by
+    /// [`Driver::run`] at that instant (a no-op on a completed or unknown
+    /// flow, like the immediate form).
+    pub fn stop_at(&mut self, conn: ConnKey, at: SimTime) {
+        self.schedule(conn, Action::Stop(at));
+    }
+
+    /// Declare that `conn` joins the extra subflow `spec` at `at`:
+    /// [`Driver::add_subflow`], fired by [`Driver::run`] at that instant.
+    /// Panics on an unknown flow, like the immediate form; a join that
+    /// comes due when the flow is not sending (not yet started, completed,
+    /// stopped) is skipped.
+    pub fn add_subflow_at(&mut self, conn: ConnKey, at: SimTime, spec: SubflowSpec) {
+        assert!(
+            self.records.contains_key(&conn),
+            "add_subflow_at on unknown flow {conn}"
+        );
+        self.schedule(conn, Action::Join(at, spec));
+    }
+
+    fn schedule(&mut self, conn: ConnKey, action: Action) {
+        // Sorted by time, at one instant starts before joins and stops; among
+        // equal keys a start goes to the back (popped first), a join or stop
+        // to the front (popped last): see the tie rule on `run`.
+        let key = |p: &Pending| (p.at(), !matches!(p.action, Action::Start(_)));
+        let new = Pending { conn, action };
+        let k = key(&new);
+        let pos = self
+            .pending
+            .partition_point(|p| key(p) > k || (!k.1 && key(p) == k));
+        self.pending.insert(pos, new);
     }
 
     /// Number of completed flows so far.
@@ -280,10 +320,17 @@ impl Driver {
         self.records.get(&conn)
     }
 
-    /// Run the simulation until `until`, starting queued flows on time and
-    /// invoking `on_complete(sim, driver, conn)` as flows finish (the
-    /// callback may submit more flows or stop unbounded ones). Works over
-    /// any [`FlowSim`]: pass a serial [`Sim`] or a [`PartitionedSim`].
+    /// Run the simulation until `until`, firing every scheduled action
+    /// (flow start, subflow join, stop) at its instant and invoking
+    /// `on_complete(sim, driver, conn)` as flows finish (the callback may
+    /// submit more flows or stop unbounded ones). Works over any
+    /// [`FlowSim`]: pass a serial [`Sim`] or a [`PartitionedSim`].
+    ///
+    /// An action fires after every event at or before its instant. At one
+    /// instant starts fire first, most recently submitted first (the order
+    /// every recorded digest was taken in), then joins and stops in the
+    /// order they were declared. An action declared for a time already
+    /// passed fires at the next `run`.
     pub fn run<S: FlowSim>(
         &mut self,
         sim: &mut S,
@@ -291,9 +338,9 @@ impl Driver {
         mut on_complete: impl FnMut(&mut S, &mut Driver, ConnKey),
     ) {
         loop {
-            self.start_due(sim);
-            // Advance to the next flow start or the deadline.
-            let stop = match self.pending.last().map(|p| p.spec.start) {
+            self.fire_due(sim);
+            // Advance to the next scheduled action or the deadline.
+            let stop = match self.pending.last().map(Pending::at) {
                 Some(t) if t <= until => t,
                 _ => until,
             };
@@ -309,41 +356,41 @@ impl Driver {
                     conn,
                 );
                 on_complete(sim2, self, conn);
-                self.start_due(sim2);
+                self.fire_due(sim2);
             });
             sim.advance_to(stop);
             // Done once the deadline is reached and nothing is due at it.
-            if stop >= until && self.pending.last().is_none_or(|p| p.spec.start > sim.now()) {
+            if stop >= until && self.pending.last().is_none_or(|p| p.at() > sim.now()) {
                 break;
             }
         }
     }
 
-    /// Start every pending flow whose start time has been reached.
-    fn start_due<S: FlowSim>(&mut self, sim: &mut S) {
-        while self
-            .pending
-            .last()
-            .is_some_and(|p| p.spec.start <= sim.now())
-        {
-            let due = self.pending.pop().expect("checked non-empty");
-            self.start_now(sim, due);
+    /// Fire every scheduled action whose time has been reached.
+    fn fire_due<S: FlowSim>(&mut self, sim: &mut S) {
+        while self.pending.last().is_some_and(|p| p.at() <= sim.now()) {
+            let Pending { conn, action } = self.pending.pop().expect("checked non-empty");
+            match action {
+                Action::Start(spec) => self.start_now(sim, spec, conn),
+                Action::Join(_, spec) => {
+                    let node = self.records[&conn].src_node;
+                    if sim.with_host(node, |stack, _| stack.sender(conn).is_some()) {
+                        self.add_subflow(sim, conn, spec);
+                    }
+                }
+                Action::Stop(_) => self.stop_flow(sim, conn),
+            }
         }
     }
 
-    fn start_now<S: FlowSim>(&mut self, sim: &mut S, due: PendingFlow) {
-        let PendingFlow { spec, conn } = due;
+    fn start_now<S: FlowSim>(&mut self, sim: &mut S, spec: FlowSpecBuilder, conn: ConnKey) {
         let is_elephant = self.fluid_threshold.is_some_and(|t| spec.size >= t);
-        if is_elephant && sim.fluid_supported() && self.start_fluid(sim, &spec, conn) {
-            if let Some(rec) = self.records.get_mut(&conn) {
-                rec.start = sim.now().max(rec.start);
-            }
-            return;
+        if !(is_elephant && sim.fluid_supported() && self.start_fluid(sim, &spec, conn)) {
+            let cc = spec.scheme.make_cc();
+            sim.with_host(spec.src_node, |stack, ctx| {
+                stack.open(ctx, conn, spec.subflows, spec.size, cc);
+            });
         }
-        let cc = spec.scheme.make_cc();
-        sim.with_host(spec.src_node, |stack, ctx| {
-            stack.open(ctx, conn, spec.subflows, spec.size, cc);
-        });
         if let Some(rec) = self.records.get_mut(&conn) {
             rec.start = sim.now().max(rec.start);
         }
@@ -503,6 +550,51 @@ impl Driver {
         }
     }
 
+    /// Harvest-only drive loop: run in `slice`-long steps until `deadline`
+    /// or until `target` flows completed, calling `each_slice` at every
+    /// step boundary, then finalize what is still running. Nothing chains
+    /// on completion, so a serial and a partitioned backend process
+    /// identical event sets.
+    pub fn drive<S: FlowSim>(
+        &mut self,
+        sim: &mut S,
+        deadline: SimTime,
+        slice: SimDuration,
+        target: usize,
+        mut each_slice: impl FnMut(&mut S, &mut Driver),
+    ) {
+        while sim.now() < deadline && (self.completed as usize) < target {
+            let t = (sim.now() + slice).min(deadline);
+            self.run(sim, t, |_, _, _| {});
+            each_slice(sim, self);
+        }
+        self.finalize_running(sim);
+    }
+
+    /// Digest of everything a serial observer can see of a finished run:
+    /// final clock, every flow record, the conservation `audit`, every
+    /// probe record and the per-kind event counts. Deliberately absent:
+    /// `fault`/`sample` counts (replicated per shard by design) and wall
+    /// times.
+    pub fn outcome_digest<A: Agent<Segment>>(
+        &self,
+        sim: &Sim<Segment, A>,
+        audit: &impl std::fmt::Debug,
+    ) -> u64 {
+        let mut h = DefaultHasher::new();
+        format!("{:?}", sim.now()).hash(&mut h);
+        for r in self.records.values() {
+            format!("{r:?}").hash(&mut h);
+        }
+        format!("{audit:?}").hash(&mut h);
+        for r in sim.probes().map_or(&[][..], |p| p.records()) {
+            format!("{r:?}").hash(&mut h);
+        }
+        sim.profile().deliver.hash(&mut h);
+        sim.profile().timer.hash(&mut h);
+        h.finish()
+    }
+
     /// Instantaneous per-subflow state of a running flow: window,
     /// threshold, SRTT and — for round-based controllers (XMP/BOS) — the
     /// Fig. 2 round bookkeeping. Empty if the flow is unknown or closed.
@@ -542,7 +634,8 @@ impl Driver {
         &self.snap_scratch
     }
 
-    /// Bytes acknowledged so far on one subflow of a running flow.
+    /// Bytes acknowledged so far on subflow `r` of a running flow; 0 for a
+    /// flow that is not running or a subflow it has not (yet) joined.
     pub fn subflow_acked<S: FlowSim>(&self, sim: &mut S, conn: ConnKey, r: usize) -> u64 {
         let Some(rec) = self.records.get(&conn) else {
             return 0;
@@ -550,7 +643,8 @@ impl Driver {
         sim.with_host(rec.src_node, |stack, _| {
             stack
                 .sender(conn)
-                .map_or(0, |s| s.subflow_acked(r.min(s.subflow_count() - 1)))
+                .filter(|s| r < s.subflow_count())
+                .map_or(0, |s| s.subflow_acked(r))
         })
     }
 }
@@ -576,7 +670,7 @@ pub struct SubflowSnapshot {
 /// time series (Figs. 4, 6, 7).
 #[derive(Default)]
 pub struct RateSampler {
-    prev: HashMap<(ConnKey, usize), (u64, SimTime)>,
+    prev: FxHashMap<(ConnKey, usize), (u64, SimTime)>,
 }
 
 impl RateSampler {
@@ -609,12 +703,105 @@ impl RateSampler {
     }
 }
 
+/// Per-bin rates of a fixed set of `(conn, subflow)` series: runs the
+/// simulation bin by bin and keeps one row of rates (bits/s) per bin, then
+/// folds rows into per-epoch means *by time*. The bin is an observation
+/// grid only — every start, join and stop is the [`Driver`]'s, so it moves
+/// no simulated bit. A series reads 0 while its flow is not running or has
+/// not joined that subflow, and in the bin it is first seen in.
+pub struct RateBins {
+    series: Vec<(ConnKey, usize)>,
+    bin: SimDuration,
+    sampler: RateSampler,
+    // `edges[0]` is where the first bin starts, `edges[i + 1]` where row
+    // `i` ends.
+    edges: Vec<SimTime>,
+    rows: Vec<Vec<f64>>,
+}
+
+impl RateBins {
+    /// Bin `series` every `bin` (positive).
+    pub fn new(series: impl IntoIterator<Item = (ConnKey, usize)>, bin: SimDuration) -> Self {
+        assert!(bin > SimDuration::ZERO, "rate bin must be positive");
+        RateBins {
+            series: series.into_iter().collect(),
+            bin,
+            sampler: RateSampler::new(),
+            edges: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Run `sim` from its current time to `until`, appending one row per
+    /// bin; the last bin is cut short at `until`. Call again to continue
+    /// (e.g. after changing the network between two phases).
+    pub fn run<S: FlowSim>(&mut self, driver: &mut Driver, sim: &mut S, until: SimTime) {
+        if self.edges.is_empty() {
+            self.edges.push(sim.now());
+        }
+        while sim.now() < until {
+            let t = (sim.now() + self.bin).min(until);
+            driver.run(sim, t, |_, _, _| {});
+            let row = self
+                .series
+                .iter()
+                .map(|&(conn, r)| self.sampler.sample(sim, driver, conn, r))
+                .collect();
+            self.rows.push(row);
+            self.edges.push(t);
+        }
+    }
+
+    /// The rows so far: `rows()[b][s]` is series `s`'s rate over bin `b`.
+    pub fn rows(&self) -> &[Vec<f64>] {
+        &self.rows
+    }
+
+    /// Time-weighted mean of `rows` — one per bin of this series, usually
+    /// [`RateBins::rows`] normalized or summed by the caller — over each
+    /// `unit`-long epoch since the first bin began. A bin counts in an
+    /// epoch by the share of a nominal bin it overlaps it for; bins that
+    /// tile the epoch weigh 1 each, so the mean is then the plain
+    /// `sum / count`.
+    pub fn epoch_means<const N: usize>(
+        &self,
+        unit: SimDuration,
+        rows: &[[f64; N]],
+    ) -> Vec<[f64; N]> {
+        assert!(unit > SimDuration::ZERO, "epoch length must be positive");
+        assert_eq!(rows.len(), self.rows.len(), "one row per sampled bin");
+        let (Some(&first), Some(&last)) = (self.edges.first(), self.edges.last()) else {
+            return Vec::new();
+        };
+        let mut means = Vec::new();
+        let mut lo = first;
+        while lo < last {
+            let hi = (lo + unit).min(last);
+            let mut mean = [0.0; N];
+            let mut weight = 0.0;
+            for (row, edge) in rows.iter().zip(self.edges.windows(2)) {
+                let (from, to) = (edge[0].max(lo), edge[1].min(hi));
+                if from < to {
+                    let w = (to - from).as_nanos() as f64 / self.bin.as_nanos() as f64;
+                    for (m, x) in mean.iter_mut().zip(row) {
+                        *m += x * w;
+                    }
+                    weight += w;
+                }
+            }
+            means.push(mean.map(|m| m / weight));
+            lo = hi;
+        }
+        means
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use xmp_des::{Bandwidth, SimDuration};
     use xmp_netsim::QdiscConfig;
-    use xmp_topo::Dumbbell;
+    use xmp_topo::{Dumbbell, FatTree, FatTreeConfig};
     use xmp_transport::{StackConfig, DEFAULT_MSS};
 
     fn stack() -> Host {
@@ -735,6 +922,139 @@ mod tests {
             "steady rate {rate} not near 300 Mbps"
         );
         d.stop_flow(&mut sim, conn);
+    }
+
+    fn extra(db: &Dumbbell, i: usize) -> SubflowSpec {
+        flow(db, i, 0, Scheme::Tcp, 0).subflows[0]
+    }
+
+    #[test]
+    fn actions_fire_starts_first_then_in_declaration_order_and_late_ones_at_the_next_run() {
+        let (mut sim, db) = setup(2);
+        let mut d = Driver::new();
+        let at = SimTime::from_millis(20);
+        let c1 = d.submit(flow(&db, 0, u64::MAX, Scheme::xmp(1), 0));
+        // Declared: join c1, stop c1, start c2, join c2 — all for `at`.
+        d.add_subflow_at(c1, at, extra(&db, 0));
+        d.stop_at(c1, at);
+        let c2 = d.submit(flow(&db, 1, u64::MAX, Scheme::xmp(1), 20));
+        d.add_subflow_at(c2, at, extra(&db, 1));
+        d.run(&mut sim, at, |_, _, _| {});
+        // c2's join found it sending: the start fired before it.
+        assert_eq!(d.record(c2).expect("c2").subflows, 2);
+        // c1 joined, then stopped: declaration order (a stop first would
+        // have left the join nothing to join).
+        assert_eq!(d.record(c1).expect("c1").subflows, 2);
+        assert!(sim.with_host(db.sources[0], |st, _| st.sender(c1).is_none()));
+        // An action declared for the past fires at the next `run`.
+        d.stop_at(c2, SimTime::from_millis(10));
+        assert!(sim.with_host(db.sources[1], |st, _| st.sender(c2).is_some()));
+        d.run(&mut sim, SimTime::from_millis(21), |_, _, _| {});
+        assert!(sim.with_host(db.sources[1], |st, _| st.sender(c2).is_none()));
+    }
+
+    #[test]
+    fn stop_at_on_a_completed_or_unknown_flow_is_a_noop() {
+        let (mut sim, db) = setup(1);
+        let mut d = Driver::new();
+        let at = SimTime::from_millis(500);
+        let conn = d.submit(flow(&db, 0, 50_000, Scheme::Dctcp, 0));
+        d.stop_at(conn, at);
+        d.stop_at(conn + 1000, at);
+        // A join that comes due after completion is skipped, not a panic.
+        d.add_subflow_at(conn, at, extra(&db, 0));
+        d.run(&mut sim, SimTime::from_millis(400), |_, _, _| {});
+        let before = format!("{:?}", d.record(conn).expect("record"));
+        assert!(before.contains("completed: Some"), "{before}");
+        d.run(&mut sim, SimTime::from_millis(600), |_, _, _| {});
+        assert_eq!(format!("{:?}", d.record(conn).expect("record")), before);
+    }
+
+    /// A Fig. 4/6-shaped schedule on the dumbbell — a flow joining
+    /// subflows at `1u` and `3u`, a background flow over `[2u, 4u)` —
+    /// binned every `bin` for `8u`, on `workers` threads.
+    fn shaped_run(bin: SimDuration, workers: usize) -> (u64, usize) {
+        let unit = SimDuration::from_millis(10);
+        let at = |e: u64| SimTime::ZERO + unit * e;
+        let mut sim: Sim<Segment, Host> = Sim::new(7);
+        let cfg = FatTreeConfig {
+            k: 4,
+            ..FatTreeConfig::paper(QdiscConfig::EcnThreshold { cap: 100, k: 10 })
+        };
+        let ft = FatTree::build(&mut sim, &cfg, |_| stack());
+        let path = |src: usize, tag| SubflowSpec {
+            local_port: xmp_netsim::PortId(0),
+            src: ft.host_addr(src, tag),
+            dst: ft.host_addr(src + 8, tag),
+        };
+        let mk = |src: usize, start| FlowSpecBuilder {
+            src_node: ft.host(src),
+            subflows: vec![path(src, 0)],
+            size: u64::MAX,
+            scheme: Scheme::xmp(2),
+            start,
+            category: None,
+            tag: 0,
+        };
+        let mut d = Driver::new();
+        let grows = d.submit(mk(0, at(0)));
+        d.add_subflow_at(grows, at(1), path(0, 1));
+        d.add_subflow_at(grows, at(3), path(0, 2));
+        let bg = d.submit(mk(1, at(2)));
+        d.stop_at(bg, at(4));
+        let mut bins = RateBins::new([(grows, 0), (grows, 1), (grows, 2), (bg, 0)], bin);
+        let mut sim = if workers > 1 {
+            let mut psim = PartitionedSim::new(sim, &ft.partition_plan(workers));
+            bins.run(&mut d, &mut psim, at(8));
+            psim.finish()
+        } else {
+            bins.run(&mut d, &mut sim, at(8));
+            sim
+        };
+        d.finalize_running(&mut sim);
+        assert_eq!(sim.now(), at(8), "the run ends at 8 × unit");
+        assert_eq!(d.record(grows).expect("record").subflows, 3);
+        // A series reads 0 before its subflow joins and after its flow stops.
+        let (early, last) = (&bins.rows()[1], &bins.rows()[bins.rows().len() - 1]);
+        assert!(early[0] > 0.0 && early[2] == 0.0, "{early:?}");
+        assert!(last[2] > 0.0 && last[3] == 0.0, "{last:?}");
+        let epochs = bins
+            .epoch_means(unit, &vec![[0.0]; bins.rows().len()])
+            .len();
+        (d.outcome_digest(&sim, &sim.audit_conservation()), epochs)
+    }
+
+    #[test]
+    fn the_sampling_bin_does_not_change_the_simulation() {
+        // bin = 0.3 × unit divides nothing; the joins must still land at
+        // exactly 1 × and 3 × unit, the stop at 4 × unit and the end at
+        // 8 × unit, so the outcome equals the run binned once per epoch.
+        let per_epoch = shaped_run(SimDuration::from_millis(10), 1);
+        assert_eq!(shaped_run(SimDuration::from_millis(3), 1), per_epoch);
+        assert_eq!(per_epoch.1, 8);
+    }
+
+    #[test]
+    fn scheduled_joins_and_stops_are_identical_serial_and_partitioned() {
+        let bin = SimDuration::from_millis(5);
+        assert_eq!(shaped_run(bin, 2), shaped_run(bin, 1));
+    }
+
+    #[test]
+    fn epoch_means_fold_by_time() {
+        // 40 ms bins over 300 ms (the last cut to 20 ms), 100 ms epochs: a
+        // bin straddling an epoch boundary counts half in each.
+        let (mut sim, _) = setup(1);
+        let mut bins = RateBins::new([], SimDuration::from_millis(40));
+        bins.run(&mut Driver::new(), &mut sim, SimTime::from_millis(300));
+        let rows = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0].map(|x| [x, 2.0 * x]);
+        let means = bins.epoch_means(SimDuration::from_millis(100), &rows);
+        // (10 + 20 + 30/2) / 2.5, (30/2 + 40 + 50) / 2.5, (60 + 70 + 80/2) / 2.5
+        assert_eq!(means, [[18.0, 36.0], [42.0, 84.0], [68.0, 136.0]]);
+        // Bins that tile the epochs: the plain mean of each epoch's rows.
+        let tiled = bins.epoch_means(SimDuration::from_millis(80), &rows);
+        assert_eq!(tiled[..3], [[15.0, 30.0], [35.0, 70.0], [55.0, 110.0]]);
+        assert_eq!(tiled.len(), 4);
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //!
 //! * [`scheme`] — the named congestion-control schemes of the paper's
 //!   evaluation (`TCP`, `DCTCP`, `LIA-n`, `XMP-n`, `BOS`),
-//! * [`driver`] — starts flows at their scheduled times, reacts to
-//!   completion signals, and keeps per-flow records (goodput, RTT, locality
-//!   class, retransmission counters),
+//! * [`driver`] — holds each flow's schedule (start, subflow joins, stop)
+//!   and fires it on time, reacts to completion signals, keeps per-flow
+//!   records (goodput, RTT, locality class, retransmission counters), and
+//!   bins per-subflow rates for the time-series figures,
 //! * [`patterns`] — the paper's three fat-tree traffic patterns
 //!   (Section 5.2.1): **Permutation**, **Random** (Pareto sizes) and
 //!   **Incast** (9-host jobs over TCP with Random background flows),
-//! * [`metrics`] — CDFs/percentiles, Jain's fairness index, rate sampling
-//!   for the time-series figures, link-utilization summaries.
+//! * [`metrics`] — CDFs/percentiles, Jain's fairness index,
+//!   link-utilization summaries.
 
 #![forbid(unsafe_code)]
 
@@ -21,8 +22,8 @@ pub mod patterns;
 pub mod scheme;
 
 pub use driver::{
-    Driver, FlowRecord, FlowSim, FlowSpecBuilder, Host, RateSampler, SubflowSnapshot,
+    Driver, FlowRecord, FlowSim, FlowSpecBuilder, Host, RateBins, RateSampler, SubflowSnapshot,
 };
 pub use metrics::{jain_index, link_utilization, Cdf};
-pub use patterns::{IncastPattern, PatternConfig, PermutationPattern, RandomPattern};
+pub use patterns::{path_spec, IncastPattern, PatternConfig, PermutationPattern, RandomPattern};
 pub use scheme::Scheme;

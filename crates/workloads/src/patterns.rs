@@ -18,9 +18,10 @@
 
 use crate::driver::{Driver, FlowSim, FlowSpecBuilder};
 use crate::scheme::Scheme;
-use std::collections::HashMap;
 use xmp_des::{SimRng, SimTime};
+use xmp_netsim::hash::FxHashMap;
 use xmp_netsim::PortId;
+use xmp_topo::testbed::Path;
 use xmp_topo::FatTree;
 use xmp_transport::{ConnKey, SubflowSpec};
 
@@ -52,6 +53,15 @@ impl PatternConfig {
 }
 
 const MB: u64 = 1 << 20;
+
+/// The subflow binding that rides one testbed or torus [`Path`].
+pub fn path_spec(p: Path) -> SubflowSpec {
+    SubflowSpec {
+        local_port: p.port,
+        src: p.src,
+        dst: p.dst,
+    }
+}
 
 /// Build the subflow specs for a fat-tree flow with `n` subflows on
 /// distinct random path tags.
@@ -183,7 +193,7 @@ pub struct RandomPattern {
     cfg: PatternConfig,
     rng: SimRng,
     incoming: Vec<u32>,
-    flows: HashMap<ConnKey, (usize, usize)>,
+    flows: FxHashMap<ConnKey, (usize, usize)>,
     started: usize,
     /// Force source and destination into different racks (the paper's
     /// constraint on Incast background flows).
@@ -200,7 +210,7 @@ impl RandomPattern {
             cfg,
             rng,
             incoming: Vec::new(),
-            flows: HashMap::new(),
+            flows: FxHashMap::default(),
             started: 0,
             rack_constraint: false,
             host_schemes: None,
@@ -301,7 +311,7 @@ pub struct IncastPattern {
     pub background: RandomPattern,
     rng: SimRng,
     jobs: Vec<Job>,
-    roles: HashMap<ConnKey, (usize, Role)>,
+    roles: FxHashMap<ConnKey, (usize, Role)>,
     /// Completed job durations (ms).
     pub job_times_ms: Vec<f64>,
     request_bytes: u64,
@@ -332,7 +342,7 @@ impl IncastPattern {
             background,
             rng: SimRng::new(cfg.seed).derive(0x1ca5),
             jobs: Vec::new(),
-            roles: HashMap::new(),
+            roles: FxHashMap::default(),
             job_times_ms: Vec::new(),
             request_bytes: 2 * 1024,
             response_bytes: 64 * 1024,

@@ -23,12 +23,7 @@ fn main() {
     let mut driver = Driver::new();
     let conns: Vec<_> = (0..4)
         .map(|i| {
-            let p = tb.flow_path(i);
-            let spec = SubflowSpec {
-                local_port: p.port,
-                src: p.src,
-                dst: p.dst,
-            };
+            let spec = path_spec(tb.flow_path(i));
             driver.submit(FlowSpecBuilder {
                 src_node: tb.net.sources[i],
                 subflows: vec![spec; subflow_counts[i]],

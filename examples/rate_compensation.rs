@@ -17,18 +17,13 @@ fn main() {
         Box::new(HostStack::new(StackConfig::default()))
     });
     let mut driver = Driver::new();
-    let spec = |p: xmp_suite::topo::testbed::Path| SubflowSpec {
-        local_port: p.port,
-        src: p.src,
-        dst: p.dst,
-    };
 
     // All five two-subflow flows from t = 0.
     let flows: Vec<_> = (0..RING)
         .map(|i| {
             driver.submit(FlowSpecBuilder {
                 src_node: torus.src[i],
-                subflows: torus.flow_paths(i).into_iter().map(spec).collect(),
+                subflows: torus.flow_paths(i).into_iter().map(path_spec).collect(),
                 size: u64::MAX,
                 scheme: Scheme::xmp(2),
                 start: SimTime::ZERO,
@@ -38,21 +33,27 @@ fn main() {
         })
         .collect();
     // Background congestion on L3 during [2 s, 4 s); L3 dies at 5 s.
-    let bg: Vec<_> = (0..4)
-        .map(|b| {
-            driver.submit(FlowSpecBuilder {
-                src_node: torus.bg_src,
-                subflows: vec![spec(torus.bg_path())],
-                size: u64::MAX,
-                scheme: Scheme::xmp(1),
-                start: SimTime::from_secs(2),
-                category: None,
-                tag: 100 + b,
-            })
-        })
-        .collect();
+    for b in 0..4 {
+        let bg = driver.submit(FlowSpecBuilder {
+            src_node: torus.bg_src,
+            subflows: vec![path_spec(torus.bg_path())],
+            size: u64::MAX,
+            scheme: Scheme::xmp(1),
+            start: SimTime::from_secs(2),
+            category: None,
+            tag: 100 + b,
+        });
+        driver.stop_at(bg, SimTime::from_secs(4));
+    }
 
-    let mut sampler = RateSampler::new();
+    let mut rates = RateBins::new(
+        flows.iter().flat_map(|&c| [(c, 0), (c, 1)]),
+        SimDuration::from_secs(1),
+    );
+    rates.run(&mut driver, &mut sim, SimTime::from_secs(5));
+    sim.set_link_drop_prob(torus.bottlenecks[2], 1.0);
+    rates.run(&mut driver, &mut sim, SimTime::from_secs(7));
+
     println!("phase                 | subflow rates, normalized to each bottleneck");
     println!(
         "                      | {}",
@@ -61,35 +62,22 @@ fn main() {
             .collect::<Vec<_>>()
             .join("   ")
     );
-    let mut bg_stopped = false;
-    let mut l3_down = false;
-    for sec in 1..=7u64 {
-        let t = SimTime::from_secs(sec);
-        driver.run(&mut sim, t, |_, _, _| {});
-        if !bg_stopped && sec >= 4 {
-            for &b in &bg {
-                driver.stop_flow(&mut sim, b);
-            }
-            bg_stopped = true;
-        }
-        if !l3_down && sec >= 5 {
-            sim.set_link_drop_prob(torus.bottlenecks[2], 1.0);
-            l3_down = true;
-        }
+    for (sec, row) in (1u64..).zip(rates.rows()) {
         let phase = match sec {
             1..=2 => "steady state        ",
             3..=4 => "bg flows congest L3 ",
             5 => "bg gone             ",
             _ => "L3 link down        ",
         };
-        let mut cells = Vec::new();
-        for (i, &c) in flows.iter().enumerate() {
-            for x in 0..2 {
-                let bps = sampler.sample(&mut sim, &driver, c, x);
-                let cap = CAPACITIES_GBPS[(i + x) % RING] * 1e9;
-                cells.push(format!("{:.2}", bps / cap));
-            }
-        }
+        // Series 2i + x is flow i's subflow x, which rides L(i + x).
+        let cells: Vec<String> = row
+            .iter()
+            .enumerate()
+            .map(|(s, bps)| {
+                let cap = CAPACITIES_GBPS[(s / 2 + s % 2) % RING] * 1e9;
+                format!("{:.2}", bps / cap)
+            })
+            .collect();
         println!("{phase} | {}", cells.join("  "));
     }
     println!();

@@ -18,11 +18,6 @@ fn main() {
     });
     let cap = cfg.bandwidth.as_bps() as f64;
 
-    let spec = |p: xmp_suite::topo::testbed::Path| SubflowSpec {
-        local_port: p.port,
-        src: p.src,
-        dst: p.dst,
-    };
     let mut driver = Driver::new();
     let flow = |node, subflows, n, start_s| FlowSpecBuilder {
         src_node: node,
@@ -37,33 +32,25 @@ fn main() {
         tag: 0,
     };
 
-    driver.submit(flow(tb.s[0], vec![spec(tb.flow1_path())], 1, 0));
+    driver.submit(flow(tb.s[0], vec![path_spec(tb.flow1_path())], 1, 0));
     let flow2 = driver.submit(flow(
         tb.s[1],
-        tb.flow2_paths().into_iter().map(spec).collect(),
+        tb.flow2_paths().into_iter().map(path_spec).collect(),
         2,
         0,
     ));
-    driver.submit(flow(tb.s[2], vec![spec(tb.flow3_path())], 1, 0));
-    let bg1 = driver.submit(flow(tb.bg_src[0], vec![spec(tb.bg_path(0))], 1, 2));
-    let bg2 = driver.submit(flow(tb.bg_src[1], vec![spec(tb.bg_path(1))], 1, 4));
+    driver.submit(flow(tb.s[2], vec![path_spec(tb.flow3_path())], 1, 0));
+    // Background on DN1 during [2 s, 4 s), on DN2 during [4 s, 6 s).
+    let bg1 = driver.submit(flow(tb.bg_src[0], vec![path_spec(tb.bg_path(0))], 1, 2));
+    driver.stop_at(bg1, SimTime::from_secs(4));
+    let bg2 = driver.submit(flow(tb.bg_src[1], vec![path_spec(tb.bg_path(1))], 1, 4));
+    driver.stop_at(bg2, SimTime::from_secs(6));
+
+    let mut rates = RateBins::new([(flow2, 0), (flow2, 1)], SimDuration::from_millis(500));
+    rates.run(&mut driver, &mut sim, SimTime::from_secs(8));
 
     println!("t(s)   flow2-1(DN1)  flow2-2(DN2)   phase");
-    let mut sampler = RateSampler::new();
-    let mut stopped = (false, false);
-    for half in 1..=16u64 {
-        let t = SimTime::from_millis(500 * half);
-        driver.run(&mut sim, t, |_, _, _| {});
-        if !stopped.0 && t >= SimTime::from_secs(4) {
-            driver.stop_flow(&mut sim, bg1);
-            stopped.0 = true;
-        }
-        if !stopped.1 && t >= SimTime::from_secs(6) {
-            driver.stop_flow(&mut sim, bg2);
-            stopped.1 = true;
-        }
-        let r1 = sampler.sample(&mut sim, &driver, flow2, 0) / cap;
-        let r2 = sampler.sample(&mut sim, &driver, flow2, 1) / cap;
+    for (half, row) in (1u64..).zip(rates.rows()) {
         let phase = match half {
             1..=4 => "no background",
             5..=8 => "background on DN1 -> shift to DN2",
@@ -72,9 +59,9 @@ fn main() {
         };
         println!(
             "{:>4.1}   {:>12.2}  {:>12.2}   {phase}",
-            t.as_secs_f64(),
-            r1,
-            r2
+            SimTime::from_millis(500 * half).as_secs_f64(),
+            row[0] / cap,
+            row[1] / cap
         );
     }
 }

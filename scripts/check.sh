@@ -46,6 +46,10 @@ else
   echo "check.sh: results/ must be gitignored" >&2
   exit 1
 fi
+# Smoke: the two examples that declare stops to the driver and bin rates
+# (the clippy gate compiles every example; nothing else runs these).
+cargo run --release --offline --example traffic_shifting >/dev/null
+cargo run --release --offline --example rate_compensation >/dev/null
 # Benchmark gate: the frozen harness in examples/benchmark/ must still
 # build against the library and pass its own assertions (~10 s at 1/20
 # size: outcome digests equal across repetitions and traced/untraced,

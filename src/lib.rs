@@ -76,7 +76,7 @@ pub mod prelude {
     // `xmp_transport::HostStack<C>`.
     pub use xmp_workloads::Host as HostStack;
     pub use xmp_workloads::{
-        jain_index, Cdf, Driver, FlowSpecBuilder, IncastPattern, PatternConfig, PermutationPattern,
-        RandomPattern, RateSampler, Scheme,
+        jain_index, path_spec, Cdf, Driver, FlowSpecBuilder, IncastPattern, PatternConfig,
+        PermutationPattern, RandomPattern, RateBins, RateSampler, Scheme,
     };
 }

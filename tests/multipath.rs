@@ -2,18 +2,10 @@
 //! subflow joins, and scheme coexistence.
 
 use xmp_suite::prelude::*;
-use xmp_suite::topo::testbed::{Path, ShiftTestbed, TestbedConfig};
+use xmp_suite::topo::testbed::{ShiftTestbed, TestbedConfig};
 
 fn stack() -> Box<HostStack> {
     Box::new(HostStack::new(StackConfig::default()))
-}
-
-fn spec(p: Path) -> SubflowSpec {
-    SubflowSpec {
-        local_port: p.port,
-        src: p.src,
-        dst: p.dst,
-    }
 }
 
 #[test]
@@ -37,10 +29,10 @@ fn trash_shifts_towards_the_empty_bottleneck() {
     };
     let flow2 = d.submit(mk(
         tb.s[1],
-        tb.flow2_paths().into_iter().map(spec).collect(),
+        tb.flow2_paths().into_iter().map(path_spec).collect(),
         2,
     ));
-    let _competitor = d.submit(mk(tb.bg_src[0], vec![spec(tb.bg_path(0))], 1));
+    let _competitor = d.submit(mk(tb.bg_src[0], vec![path_spec(tb.bg_path(0))], 1));
     d.run(&mut sim, SimTime::from_secs(2), |_, _, _| {});
     let mut sampler = RateSampler::new();
     sampler.sample(&mut sim, &d, flow2, 0);
@@ -69,9 +61,9 @@ fn aggregate_throughput_exceeds_single_path_under_competition() {
         let mut d = Driver::new();
         let paths = tb.flow2_paths();
         let subflows = if two_paths {
-            paths.into_iter().map(spec).collect()
+            paths.into_iter().map(path_spec).collect()
         } else {
-            vec![spec(paths[0])]
+            vec![path_spec(paths[0])]
         };
         let n = subflows.len();
         let flow = d.submit(FlowSpecBuilder {
@@ -89,7 +81,7 @@ fn aggregate_throughput_exceeds_single_path_under_competition() {
         // Competitor on DN1 only.
         d.submit(FlowSpecBuilder {
             src_node: tb.bg_src[0],
-            subflows: vec![spec(tb.bg_path(0))],
+            subflows: vec![path_spec(tb.bg_path(0))],
             size: u64::MAX,
             scheme: Scheme::xmp(1),
             start: SimTime::ZERO,
@@ -122,7 +114,7 @@ fn joined_subflow_carries_traffic() {
     // Start with one subflow on DN1 only.
     let flow = d.submit(FlowSpecBuilder {
         src_node: tb.s[1],
-        subflows: vec![spec(paths[0])],
+        subflows: vec![path_spec(paths[0])],
         size: u64::MAX,
         scheme: Scheme::xmp(1),
         start: SimTime::ZERO,
@@ -131,7 +123,7 @@ fn joined_subflow_carries_traffic() {
     });
     d.run(&mut sim, SimTime::from_secs(1), |_, _, _| {});
     // Join the DN2 subflow mid-flight.
-    d.add_subflow(&mut sim, flow, spec(paths[1]));
+    d.add_subflow(&mut sim, flow, path_spec(paths[1]));
     d.run(&mut sim, SimTime::from_secs(3), |_, _, _| {});
     let acked0 = d.subflow_acked(&mut sim, flow, 0);
     let acked1 = d.subflow_acked(&mut sim, flow, 1);
@@ -202,7 +194,7 @@ fn lia_and_xmp_complete_multipath_transfers_exactly() {
         let size = 7_777_777u64;
         let c = d.submit(FlowSpecBuilder {
             src_node: tb.s[1],
-            subflows: tb.flow2_paths().into_iter().map(spec).collect(),
+            subflows: tb.flow2_paths().into_iter().map(path_spec).collect(),
             size,
             scheme,
             start: SimTime::ZERO,
