@@ -12,9 +12,12 @@
 //!
 //! This crate is the machinery that keeps the tree honest:
 //!
-//! * [`spec`] — the spec-file format and its line-numbered-error parser
-//!   (one file per RFC section, `[[spec]]` entries carrying `level`,
-//!   `quote`, `impl` and `test` fields),
+//! * [`text`] — the one reader for the workspace's keyed text files
+//!   (`#` comments, `[table]` / `[[table]]` headers, `key = value` fields
+//!   with line numbers), shared with simcheck's `.scn` scenarios,
+//! * [`spec`] — the spec-file format on top of it (one file per RFC
+//!   section, `[[spec]]` entries carrying `level`, `quote`, `impl` and
+//!   `test` fields),
 //! * [`scan`] — a source scanner that collects every `#[test]` function
 //!   name and every item identifier in the workspace,
 //! * [`check`](check::check_tree) — the conformance gate: every spec file
@@ -39,6 +42,7 @@
 pub mod check;
 pub mod scan;
 pub mod spec;
+pub mod text;
 
 pub use check::{check_tree, render_report, CheckError, Coverage};
 pub use scan::{SourceIndex, TestIndex};

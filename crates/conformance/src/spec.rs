@@ -1,9 +1,8 @@
 //! The spec-file format and its parser.
 //!
 //! A spec file pins one RFC section (or one paper algorithm) to the code.
-//! The format is a TOML subset, kept deliberately tiny so the parser stays
-//! std-only and errors carry exact line numbers (the `simcheck` scenario
-//! parser's style):
+//! The format is a TOML subset read by [`crate::text`], the reader `.scn`
+//! scenarios share, so errors carry exact line numbers:
 //!
 //! ```text
 //! target = "https://www.rfc-editor.org/rfc/rfc5681#section-3.1"
@@ -26,8 +25,11 @@
 //! the citation `#[test]` (mandatory for MUST-level entries, verified to
 //! exist); `note` is free text, typically recording how a clause maps onto
 //! the simulator's modelling (e.g. windows counted in packets, the CWR bit
-//! modelled as `cwr_seq`).
+//! modelled as `cwr_seq`). Every value is a string, each key appears at
+//! most once per entry, and only `target` (once) may precede the first
+//! `[[spec]]`.
 
+use crate::text::{self, Field, Table, TextError};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -117,10 +119,9 @@ pub struct SpecError {
 
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "{}: {}", self.path.display(), self.msg)
-        } else {
-            write!(f, "{}:{}: {}", self.path.display(), self.line, self.msg)
+        match self.line {
+            0 => write!(f, "{}: {}", self.path.display(), self.msg),
+            n => write!(f, "{}:{n}: {}", self.path.display(), self.msg),
         }
     }
 }
@@ -129,54 +130,8 @@ impl std::error::Error for SpecError {}
 
 /// Whether `s` is a valid Rust identifier (test names, path segments).
 fn is_ident(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+    s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
         && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-}
-
-/// Strip a `key = value` line into `(key, raw_value)`.
-fn split_kv(line: &str) -> Option<(&str, &str)> {
-    let (k, v) = line.split_once('=')?;
-    Some((k.trim(), v.trim()))
-}
-
-/// Parse a quoted scalar: `"..."` or the opening of a `'''` block.
-enum Scalar<'a> {
-    /// A complete single-line string.
-    Inline(&'a str),
-    /// A `'''` opener: the value continues on following lines.
-    BlockOpen,
-}
-
-/// Entry under construction during parsing: `[[spec]]` header line plus the
-/// optional fields in declaration order (level, quote, impl, test, note).
-type PartialEntry = (
-    usize,
-    Option<Level>,
-    Option<String>,
-    Option<String>,
-    Option<String>,
-    Option<String>,
-);
-
-fn parse_scalar(raw: &str) -> Result<Scalar<'_>, String> {
-    if raw == "'''" {
-        return Ok(Scalar::BlockOpen);
-    }
-    if let Some(inner) = raw.strip_prefix('"').and_then(|r| r.strip_suffix('"')) {
-        if inner.contains('"') {
-            return Err("embedded quotes are not supported".into());
-        }
-        return Ok(Scalar::Inline(inner));
-    }
-    if let Some(inner) = raw.strip_prefix("'''").and_then(|r| r.strip_suffix("'''")) {
-        if raw.len() >= 6 {
-            return Ok(Scalar::Inline(inner));
-        }
-    }
-    Err(format!("expected \"string\" or ''' block, got `{raw}`"))
 }
 
 impl SpecFile {
@@ -192,107 +147,11 @@ impl SpecFile {
 
     /// Parse spec-file text. `path` is used only for error reporting.
     pub fn parse(path: &Path, text: &str) -> Result<SpecFile, SpecError> {
-        let err = |line: usize, msg: String| SpecError {
+        let (target, entries) = parse_text(text).map_err(|e| SpecError {
             path: path.to_path_buf(),
-            line,
-            msg,
-        };
-
-        let mut target: Option<String> = None;
-        let mut entries: Vec<SpecEntry> = Vec::new();
-        // Fields of the entry currently being assembled.
-        let mut cur: Option<PartialEntry> = None;
-        // (key, start_line, collected lines) of an open ''' block.
-        let mut block: Option<(String, usize, Vec<String>)> = None;
-
-        // Finalize the in-progress entry, validating mandatory fields.
-        let finish = |cur: &mut Option<PartialEntry>,
-                      entries: &mut Vec<SpecEntry>|
-         -> Result<(), SpecError> {
-            let Some((line, level, quote, impl_path, test, note)) = cur.take() else {
-                return Ok(());
-            };
-            let level = level.ok_or_else(|| err(line, "entry is missing `level`".into()))?;
-            let quote = quote.ok_or_else(|| err(line, "entry is missing `quote`".into()))?;
-            let quote = quote.trim_matches('\n').to_string();
-            if quote.trim().is_empty() {
-                return Err(err(line, "entry has an empty `quote`".into()));
-            }
-            if level == Level::Must && test.is_none() {
-                return Err(err(
-                    line,
-                    "MUST-level entry must cite a test (`test = \"...\"`)".into(),
-                ));
-            }
-            entries.push(SpecEntry {
-                line,
-                level,
-                quote,
-                impl_path,
-                test,
-                note,
-            });
-            Ok(())
-        };
-
-        for (i, raw_line) in text.lines().enumerate() {
-            let lineno = i + 1;
-
-            // Inside a ''' block: collect until the closing fence.
-            if let Some((key, start, lines)) = block.as_mut() {
-                if raw_line.trim() == "'''" {
-                    let value = lines.join("\n");
-                    let key = key.clone();
-                    let start = *start;
-                    block = None;
-                    assign(path, &mut cur, &key, value, start)?;
-                } else {
-                    lines.push(raw_line.to_string());
-                }
-                continue;
-            }
-
-            let line = raw_line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-
-            if line == "[[spec]]" {
-                finish(&mut cur, &mut entries)?;
-                cur = Some((lineno, None, None, None, None, None));
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(err(lineno, format!("unknown section `{line}`")));
-            }
-
-            let Some((key, raw_value)) = split_kv(line) else {
-                return Err(err(lineno, format!("expected `key = value`, got `{line}`")));
-            };
-            match parse_scalar(raw_value).map_err(|m| err(lineno, m))? {
-                Scalar::BlockOpen => block = Some((key.to_string(), lineno, Vec::new())),
-                Scalar::Inline(v) => {
-                    if key == "target" && cur.is_none() {
-                        if target.is_some() {
-                            return Err(err(lineno, "duplicate `target`".into()));
-                        }
-                        target = Some(v.to_string());
-                    } else {
-                        assign(path, &mut cur, key, v.to_string(), lineno)?;
-                    }
-                }
-            }
-        }
-
-        if let Some((key, start, _)) = block {
-            return Err(err(start, format!("unterminated ''' block for `{key}`")));
-        }
-        finish(&mut cur, &mut entries)?;
-
-        let target = target.ok_or_else(|| err(0, "file is missing `target = \"...\"`".into()))?;
-        if entries.is_empty() {
-            return Err(err(0, "file has no [[spec]] entries".into()));
-        }
+            line: e.line,
+            msg: e.msg,
+        })?;
         Ok(SpecFile {
             path: path.to_path_buf(),
             target,
@@ -301,67 +160,60 @@ impl SpecFile {
     }
 }
 
-/// Assign `key = value` into the current entry, with duplicate/format checks.
-#[allow(clippy::type_complexity)] // one scratch tuple, local to the parser
-fn assign(
-    path: &Path,
-    cur: &mut Option<PartialEntry>,
-    key: &str,
-    value: String,
-    lineno: usize,
-) -> Result<(), SpecError> {
-    let err = |msg: String| SpecError {
-        path: path.to_path_buf(),
-        line: lineno,
-        msg,
-    };
-    let Some((_, level, quote, impl_path, test, note)) = cur.as_mut() else {
-        return Err(err(format!("`{key}` outside a [[spec]] entry")));
-    };
-    let dup = |name: &str| err(format!("duplicate `{name}` in entry"));
-    match key {
-        "level" => {
-            if level.is_some() {
-                return Err(dup("level"));
-            }
-            *level = Some(
-                Level::parse(&value)
-                    .ok_or_else(|| err(format!("bad level `{value}` (want MUST/SHOULD/MAY)")))?,
-            );
-        }
-        "quote" => {
-            if quote.is_some() {
-                return Err(dup("quote"));
-            }
-            *quote = Some(value);
-        }
-        "impl" => {
-            if impl_path.is_some() {
-                return Err(dup("impl"));
-            }
-            if value.is_empty() || !value.split("::").all(is_ident) {
-                return Err(err(format!("bad impl path `{value}`")));
-            }
-            *impl_path = Some(value);
-        }
-        "test" => {
-            if test.is_some() {
-                return Err(dup("test"));
-            }
-            if !is_ident(&value) {
-                return Err(err(format!("bad test name `{value}`")));
-            }
-            *test = Some(value);
-        }
-        "note" => {
-            if note.is_some() {
-                return Err(dup("note"));
-            }
-            *note = Some(value);
-        }
-        other => return Err(err(format!("unknown key `{other}`"))),
+/// The `target` and the entries: only `target` (once) before the first
+/// `[[spec]]`, and at least one entry.
+fn parse_text(text: &str) -> Result<(String, Vec<SpecEntry>), TextError> {
+    let doc = text::parse(text)?;
+    doc.top.only(&["target"])?;
+    let target = doc.top.once("target")?.map(Field::string).transpose()?;
+    let entries = doc
+        .tables
+        .iter()
+        .map(entry)
+        .collect::<Result<Vec<_>, _>>()?;
+    let target = target.ok_or_else(|| TextError::at(0, "file is missing `target = \"...\"`"))?;
+    if entries.is_empty() {
+        return Err(TextError::at(0, "file has no [[spec]] entries"));
     }
-    Ok(())
+    Ok((target.to_string(), entries))
+}
+
+/// One `[[spec]]` table as an entry: string values only, each key at most
+/// once, `level` and a non-empty `quote` required, and a `test` required
+/// at MUST level.
+fn entry(t: &Table<'_>) -> Result<SpecEntry, TextError> {
+    if !(t.array && t.name == "spec") {
+        return Err(t.err(format!("unknown section `{}`", t.header())));
+    }
+    t.only(&["level", "quote", "impl", "test", "note"])?;
+    let get = |key: &str| -> Result<Option<(&Field<'_>, &str)>, TextError> {
+        t.once(key)?.map(|f| Ok((f, f.string()?))).transpose()
+    };
+    let (f, v) = get("level")?.ok_or_else(|| t.err("entry is missing `level`"))?;
+    let level =
+        Level::parse(v).ok_or_else(|| f.err(format!("bad level `{v}` (want MUST/SHOULD/MAY)")))?;
+    let (_, quote) = get("quote")?.ok_or_else(|| t.err("entry is missing `quote`"))?;
+    let quote = quote.trim_matches('\n').to_string();
+    if quote.trim().is_empty() {
+        return Err(t.err("entry has an empty `quote`"));
+    }
+    let checked = |key: &str, what: &str, ok: fn(&str) -> bool| match get(key)? {
+        Some((f, v)) if !ok(v) => Err(f.err(format!("bad {what} `{v}`"))),
+        hit => Ok(hit.map(|(_, v)| v.to_string())),
+    };
+    let impl_path = checked("impl", "impl path", |v| v.split("::").all(is_ident))?;
+    let test = checked("test", "test name", is_ident)?;
+    if level == Level::Must && test.is_none() {
+        return Err(t.err("MUST-level entry must cite a test (`test = \"...\"`)"));
+    }
+    Ok(SpecEntry {
+        line: t.line,
+        level,
+        quote,
+        impl_path,
+        test,
+        note: get("note")?.map(|(_, v)| v.to_string()),
+    })
 }
 
 #[cfg(test)]

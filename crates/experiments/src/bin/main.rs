@@ -67,7 +67,15 @@ fn parse_opts(args: &[String]) -> Opts {
         match a.as_str() {
             "--quick" => o.quick = true,
             "--seed" => o.seed = arg("--seed", it.next()),
-            "--scale" => o.scale = arg("--scale", it.next()),
+            "--scale" => {
+                o.scale = arg("--scale", it.next());
+                if o.scale == 0 {
+                    eprintln!(
+                        "--scale 0 is out of range: flow sizes are divided by it, pick 1 or more"
+                    );
+                    std::process::exit(2);
+                }
+            }
             "--flows" => o.flows = arg("--flows", it.next()),
             "--pattern" => o.pattern = Some(arg::<String>("--pattern", it.next()).to_lowercase()),
             "--workers" => o.workers = arg("--workers", it.next()),
@@ -163,6 +171,13 @@ fn run_fattree(o: &Opts) {
                 .is_none_or(|want| p.label().to_lowercase().starts_with(want))
         })
         .collect();
+    if patterns.is_empty() {
+        eprintln!(
+            "--pattern {}: unknown pattern, want permutation, random or incast (or a prefix)",
+            o.pattern.as_deref().unwrap_or_default()
+        );
+        std::process::exit(2);
+    }
     let mut results = Vec::new();
     for &p in &patterns {
         for &s in &schemes {

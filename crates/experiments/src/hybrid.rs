@@ -11,20 +11,20 @@
 //! trades on:
 //!
 //! * **Elephant goodput**: per-class mean, hybrid vs packet, within
-//!   [`HybridConfig::goodput_tol`].
+//!   [`GOODPUT_TOL`].
 //! * **Mice FCT**: p50/p99 flow-completion times, hybrid vs packet, within
-//!   [`HybridConfig::fct_tol`]. Mice FCTs are the sensitive output: they
-//!   inherit queueing delay from backlogs the elephants only contribute
-//!   analytically in hybrid mode.
+//!   [`FCT_TOL`]. Mice FCTs are the sensitive output: they inherit queueing
+//!   delay from backlogs the elephants only contribute analytically in
+//!   hybrid mode.
 //!
 //! The wall-clock ratio of the two runs is the mode's raw payoff; the
-//! headline numbers (`BENCH_pr10.json`) come from the bigger bench cells.
+//! benchmark's `hybrid_mix` workload measures it at scale.
 //!
 //! [`run_million`] is the scale half: it registers a configurable number
-//! of concurrent fluid elephants (a million in the bench cell) on one
+//! of concurrent fluid elephants (a million in the default cell) on one
 //! fat tree and drives them to a steady state, reporting wall clock,
-//! fluid ticks and the allocator high-water mark — the "million-flow
-//! scenarios at packet-mode fidelity" claim, made measurable.
+//! fluid ticks and the aggregate rate — the "million-flow scenarios at
+//! packet-mode fidelity" claim, made measurable.
 
 use crate::common::TextTable;
 use std::fmt;
@@ -35,6 +35,25 @@ use xmp_netsim::{
 use xmp_topo::{FatTree, FatTreeConfig};
 use xmp_transport::{HostStack, Segment, StackConfig, SubflowSpec, DEFAULT_MSS};
 use xmp_workloads::{Cdf, Driver, FlowSpecBuilder, Host, Scheme};
+
+/// Accepted relative error on the per-class elephant goodput mean.
+///
+/// Both bands are calibrated empirically (see EXPERIMENTS.md): the fluid
+/// plane models elephants at round granularity without slow-start packet
+/// bursts or retransmission timeouts, so per-class goodput agrees to well
+/// within 25% and mice FCT percentiles to within 50%.
+pub const GOODPUT_TOL: f64 = 0.25;
+/// Accepted relative error on mice FCT p50/p99.
+pub const FCT_TOL: f64 = 0.50;
+
+/// Window over which elephant starts are spread (evenly, in submission
+/// order). A synchronized elephant wave is an incast artifact, not a
+/// data-center arrival process: every queue fills during the joint
+/// slow-start before any congestion signal lands, and the handful of mice
+/// born into that instant eat a 200→400→800 ms RTO backoff chain in *both*
+/// modes' tails — the percentile then measures the collision, not the
+/// steady state the cell is about.
+const ELEPHANT_STAGGER: SimDuration = SimDuration::from_millis(100);
 
 /// Configuration for one hybrid-vs-packet comparison.
 #[derive(Clone, Debug)]
@@ -51,40 +70,15 @@ pub struct HybridConfig {
     pub mice_bytes: u64,
     /// RNG seed (mice placement).
     pub seed: u64,
-    /// Hard wall on simulated time.
+    /// Hard wall on simulated time; mice arrive uniformly over its first
+    /// half.
     pub max_sim: SimDuration,
-    /// Window over which elephant starts are spread (evenly, in submission
-    /// order). A synchronized elephant wave is an incast artifact, not a
-    /// data-center arrival process: every queue fills during the joint
-    /// slow-start before any congestion signal lands, and the handful of
-    /// mice born into that instant eat a 200→400→800 ms RTO backoff chain
-    /// in *both* modes' tails — the percentile then measures the collision,
-    /// not the steady state the cell is about.
-    pub elephant_stagger: SimDuration,
-    /// Mice arrivals are drawn uniformly from `[mice_start_after,
-    /// max_sim/2]`. Default `ZERO`. Cells that raise the tick floor should
-    /// also raise this past the elephant convergence point: a coarse floor
-    /// *deliberately* slows the fluid transient (DESIGN.md §18.4), so mice
-    /// born into it measure the documented approximation, not the
-    /// steady-state class interaction the tolerance bands are about — a
-    /// single transient-built full queue turns a mouse's FCT into an RTO
-    /// backoff chain and the p99 into a step function.
-    pub mice_start_after: SimDuration,
     /// Fluid tick floor for the hybrid run (`ZERO` = every base RTT).
     pub tick_floor: SimDuration,
-    /// Accepted relative error on the per-class elephant goodput mean.
-    pub goodput_tol: f64,
-    /// Accepted relative error on mice FCT p50/p99.
-    pub fct_tol: f64,
 }
 
 impl HybridConfig {
     /// The validation cell: k = 8 (128 hosts), 64 elephants, 256 mice.
-    ///
-    /// Tolerances are calibrated empirically (see EXPERIMENTS.md): the
-    /// fluid plane models elephants at round granularity without slow-start
-    /// packet bursts or retransmission timeouts, so per-class goodput
-    /// agrees to well within 25% and mice FCT percentiles to within 50%.
     pub fn default_cfg() -> Self {
         HybridConfig {
             k: 8,
@@ -94,11 +88,7 @@ impl HybridConfig {
             mice_bytes: 16 << 10,
             seed: 42,
             max_sim: SimDuration::from_secs(2),
-            elephant_stagger: SimDuration::from_millis(100),
-            mice_start_after: SimDuration::ZERO,
             tick_floor: SimDuration::ZERO,
-            goodput_tol: 0.25,
-            fct_tol: 0.50,
         }
     }
 
@@ -149,10 +139,6 @@ pub struct HybridResult {
     pub packet: HybridCell,
     /// Hybrid run on the identical workload.
     pub hybrid: HybridCell,
-    /// Accepted relative goodput error.
-    pub goodput_tol: f64,
-    /// Accepted relative FCT error.
-    pub fct_tol: f64,
 }
 
 impl HybridResult {
@@ -188,9 +174,9 @@ impl HybridResult {
     pub fn within_tolerance(&self) -> bool {
         self.packet.elephants_done == self.hybrid.elephants_done
             && self.packet.mice_done == self.hybrid.mice_done
-            && self.goodput_err() <= self.goodput_tol
-            && self.fct_p50_err() <= self.fct_tol
-            && self.fct_p99_err() <= self.fct_tol
+            && self.goodput_err() <= GOODPUT_TOL
+            && self.fct_p50_err() <= FCT_TOL
+            && self.fct_p99_err() <= FCT_TOL
     }
 }
 
@@ -214,7 +200,7 @@ fn submit(driver: &mut Driver, ft: &FatTree, cfg: &HybridConfig) {
     let tags = [0, ft.tag_count() - 1];
     // Even spread over the stagger window; +i ns keeps starts strictly
     // ordered even with a zero window.
-    let step_ns = cfg.elephant_stagger.as_nanos() / cfg.elephants.max(1) as u64;
+    let step_ns = ELEPHANT_STAGGER.as_nanos() / cfg.elephants.max(1) as u64;
     for i in 0..cfg.elephants {
         let src = i % n;
         let dst = (src + n / 2) % n;
@@ -237,9 +223,8 @@ fn submit(driver: &mut Driver, ft: &FatTree, cfg: &HybridConfig) {
         });
     }
     let mut rng = SimRng::new(cfg.seed);
-    // Mice arrive uniformly over [mice_start_after, max_sim/2].
-    let base_us = cfg.mice_start_after.as_nanos() / 1_000;
-    let window_us = (cfg.max_sim.as_nanos() / 2_000).max(base_us + 1);
+    // Mice arrive uniformly over [0, max_sim/2].
+    let window_us = (cfg.max_sim.as_nanos() / 2_000).max(1);
     for _ in 0..cfg.mice {
         let src = rng.index(n);
         let mut dst = rng.index(n);
@@ -256,7 +241,7 @@ fn submit(driver: &mut Driver, ft: &FatTree, cfg: &HybridConfig) {
             }],
             size: cfg.mice_bytes,
             scheme: Scheme::Dctcp,
-            start: SimTime::ZERO + SimDuration::from_micros(rng.uniform_u64(base_us, window_us)),
+            start: SimTime::ZERO + SimDuration::from_micros(rng.uniform_u64(0, window_us)),
             category: Some(ft.category(src, dst)),
             tag: 1,
         });
@@ -336,8 +321,6 @@ pub fn run(cfg: &HybridConfig) -> HybridResult {
         hosts,
         packet,
         hybrid,
-        goodput_tol: cfg.goodput_tol,
-        fct_tol: cfg.fct_tol,
     }
 }
 
@@ -377,10 +360,10 @@ impl fmt::Display for HybridResult {
             "goodput err {:.1}% (tol {:.0}%) | FCT p50 err {:.1}% / p99 err {:.1}% (tol {:.0}%) \
              | speedup {:.1}x | {}",
             self.goodput_err() * 100.0,
-            self.goodput_tol * 100.0,
+            GOODPUT_TOL * 100.0,
             self.fct_p50_err() * 100.0,
             self.fct_p99_err() * 100.0,
-            self.fct_tol * 100.0,
+            FCT_TOL * 100.0,
             self.speedup(),
             if self.within_tolerance() {
                 "WITHIN tolerance"
@@ -394,7 +377,7 @@ impl fmt::Display for HybridResult {
 /// Configuration of the million-flow scale cell.
 #[derive(Clone, Debug)]
 pub struct MillionConfig {
-    /// Fat-tree port count (the bench cell uses 16 → 1024 hosts).
+    /// Fat-tree port count (the default cell uses 16 → 1024 hosts).
     pub k: usize,
     /// Concurrent unbounded fluid elephants to register.
     pub flows: usize,
@@ -408,7 +391,7 @@ pub struct MillionConfig {
 }
 
 impl MillionConfig {
-    /// The bench cell: k = 16, one million flows, 10 ms tick floor.
+    /// The default cell: k = 16, one million flows, 10 ms tick floor.
     pub fn default_cfg() -> Self {
         MillionConfig {
             k: 16,

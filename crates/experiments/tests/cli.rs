@@ -37,6 +37,29 @@ fn unknown_option_is_named_and_exits_2() {
 }
 
 #[test]
+fn fattree_rejects_an_unknown_pattern_naming_the_valid_ones() {
+    let out = cli(&["fattree", "--quick", "--pattern", "xyz"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "printed tables for no pattern");
+    let err = stderr(&out);
+    assert!(
+        err.contains("xyz") && err.contains("permutation, random or incast"),
+        "{err}"
+    );
+}
+
+#[test]
+fn fattree_rejects_zero_scale_with_the_range() {
+    let out = cli(&["fattree", "--scale", "0", "--pattern", "perm"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(
+        err.contains("--scale 0 is out of range") && err.contains("1 or more"),
+        "{err}"
+    );
+}
+
+#[test]
 fn scale_rejects_zero_workers_with_the_range() {
     let out = cli(&["scale", "--quick", "--workers", "0"]);
     assert_eq!(out.status.code(), Some(2));

@@ -3,8 +3,8 @@
 //!
 //! 1. **Tolerance bands hold across seeds.** The fluid plane is an
 //!    approximation, so hybrid-vs-packet equivalence is a *banded* claim:
-//!    per-class elephant goodput within `goodput_tol` and mice FCT
-//!    p50/p99 within `fct_tol` (both documented and calibrated in
+//!    per-class elephant goodput within `GOODPUT_TOL` and mice FCT
+//!    p50/p99 within `FCT_TOL` (both documented and calibrated in
 //!    EXPERIMENTS.md). A band that only holds on the default seed would
 //!    be a fit, not a model — so the claim is checked across seeds, which
 //!    reshuffle mice placement, path draws and start times.

@@ -297,6 +297,12 @@ impl Fields {
             Err(format!("{key:?}: expected unsigned integer, found {n}"))
         }
     }
+    /// An unsigned integer that must fit `T` (link ids, subflow and
+    /// direction indices): out-of-range values are errors, not wraps.
+    fn fit<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let n = self.int(key)?;
+        T::try_from(n).map_err(|_| format!("{key:?}: {n} is out of range"))
+    }
     fn has(&self, key: &str) -> bool {
         self.0.iter().any(|(k, _)| k == key)
     }
@@ -404,7 +410,7 @@ impl ProbeRecord {
             "cwnd" => Ok(ProbeRecord::Cwnd {
                 at: at()?,
                 conn: f.int("conn")?,
-                subflow: f.int("subflow")? as u32,
+                subflow: f.fit("subflow")?,
                 cwnd: f.num("cwnd")?,
                 ssthresh: f.num("ssthresh")?,
                 cc: if f.has("reduced") {
@@ -420,8 +426,8 @@ impl ProbeRecord {
             }),
             "queue" => Ok(ProbeRecord::Queue {
                 at: at()?,
-                link: f.int("link")? as u32,
-                dir: f.int("dir")? as u8,
+                link: f.fit("link")?,
+                dir: f.fit("dir")?,
                 depth: f.int("depth")?,
                 enqueued: f.int("enqueued")?,
                 marked: f.int("marked")?,
@@ -429,13 +435,13 @@ impl ProbeRecord {
             }),
             "mark" => Ok(ProbeRecord::Mark {
                 at: at()?,
-                link: f.int("link")? as u32,
-                dir: f.int("dir")? as u8,
+                link: f.fit("link")?,
+                dir: f.fit("dir")?,
             }),
             "util" => Ok(ProbeRecord::Util {
                 at: at()?,
-                link: f.int("link")? as u32,
-                dir: f.int("dir")? as u8,
+                link: f.fit("link")?,
+                dir: f.fit("dir")?,
                 delivered_bytes: f.int("delivered_bytes")?,
             }),
             other => Err(format!("unknown record type {other:?}")),
@@ -794,6 +800,10 @@ mod tests {
             "{\"type\":\"mark\",\"at_ns\":1,\"link\":0,\"dir\":0} trailing",
             "{\"type\":\"mark\",\"at_ns\":-4,\"link\":0,\"dir\":0}", // negative count
             "{\"type\":\"mark\",\"at_ns\":1.5,\"link\":0,\"dir\":0}", // fractional int
+            // Out of range for the field's type.
+            "{\"type\":\"mark\",\"at_ns\":1,\"link\":0,\"dir\":256}",
+            "{\"type\":\"util\",\"at_ns\":1,\"link\":4294967296,\"dir\":0,\"delivered_bytes\":0}",
+            "{\"type\":\"cwnd\",\"at_ns\":1,\"conn\":1,\"subflow\":4294967296,\"cwnd\":1.0,\"ssthresh\":null}",
         ] {
             assert!(
                 ProbeRecord::parse(bad).is_err(),

@@ -15,6 +15,11 @@ use xmp_des::SimRng;
 use xmp_topo::FatTree;
 use xmp_workloads::Scheme;
 
+/// Master seed of the `--budget quick` batch ("SICNECC" — simcheck).
+pub const QUICK_SEED: u64 = 0x51_3C_4E_C4;
+/// Scenarios in the `--budget quick` batch.
+pub const QUICK_COUNT: u64 = 50;
+
 /// Generate scenario `index` of the batch seeded by `master`.
 pub fn generate(master: u64, index: u64) -> Scenario {
     let mut rng = SimRng::new(master).derive(index);

@@ -26,7 +26,5 @@ pub mod shrink;
 
 pub use exec::{legs, run_scenario, LegOutcome, LegSpec, RunOutcome};
 pub use gen::generate;
-pub use scenario::{
-    FaultLine, FaultSpec, FlowLine, LinkRef, NodeRef, QdiscSpec, Scenario, ScenarioError,
-};
+pub use scenario::{FaultLine, FaultSpec, FlowLine, LinkRef, NodeRef, QdiscSpec, Scenario};
 pub use shrink::shrink;

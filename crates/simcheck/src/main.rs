@@ -16,6 +16,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use xmp_simcheck::gen::{QUICK_COUNT, QUICK_SEED};
 use xmp_simcheck::{exec, gen, shrink, Scenario};
 
 fn main() -> ExitCode {
@@ -61,10 +62,6 @@ struct Opts {
     out: PathBuf,
     files: Vec<String>,
 }
-
-/// The fixed CI configuration: one well-known seed, 50 scenarios.
-const QUICK_SEED: u64 = 0x51_3C_4E_C4; // "SICNECC" — simcheck
-const QUICK_COUNT: u64 = 50;
 
 fn parse_opts(args: &[&str]) -> Result<Opts, String> {
     let mut o = Opts {

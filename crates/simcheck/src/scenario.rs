@@ -5,32 +5,19 @@
 //! to cross-check — in a small plain-text file that round-trips through
 //! [`Scenario::to_text`] / [`Scenario::parse`]. The format is the first
 //! cut of the ROADMAP's scenario DSL: `[section]` headers with
-//! `key = value` lines, `#` comments, all times in microseconds so files
-//! stay grep-able and diffs stay small. A minimized replay file produced
-//! by the shrinker is just another scenario file; `simcheck replay` parses
-//! and re-executes it exactly.
+//! `key = value` lines and `#` comments, read by `xmp_conformance::text`
+//! (the reader spec files share), with bare values only and all times in
+//! microseconds so files stay grep-able and diffs stay small. A minimized
+//! replay file produced by the shrinker is just another scenario file;
+//! `simcheck replay` parses and re-executes it exactly.
 
 use std::fmt;
+use std::num::NonZeroU64;
+use std::str::FromStr;
+use xmp_conformance::text::{self, Field, TextError};
 use xmp_netsim::{LinkId, NodeId, QdiscConfig, RedMode, SimTuning};
 use xmp_topo::FatTree;
 use xmp_workloads::Scheme;
-
-/// A parse failure, pointing at the offending line.
-#[derive(Debug, Clone)]
-pub struct ScenarioError {
-    /// 1-based line number in the scenario text.
-    pub line: usize,
-    /// What went wrong.
-    pub msg: String,
-}
-
-impl fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "scenario line {}: {}", self.line, self.msg)
-    }
-}
-
-impl std::error::Error for ScenarioError {}
 
 /// A link named by its place in the fat tree, independent of `LinkId`
 /// numbering: `core/i/j/p`, `agg/i` or `rack/i`.
@@ -237,49 +224,42 @@ impl QdiscSpec {
     }
 
     fn parse(s: &str) -> Result<QdiscSpec, String> {
-        let mut words = s.split_whitespace();
-        let kind = words.next().ok_or("empty qdisc spec")?;
-        let mut kv = std::collections::BTreeMap::new();
-        for w in words {
-            let (k, v) = w
-                .split_once('=')
-                .ok_or_else(|| format!("bad qdisc param `{w}` (want key=value)"))?;
-            kv.insert(k.to_string(), v.to_string());
+        let words: Vec<&str> = s.split_whitespace().collect();
+        let (&kind, params) = words.split_first().ok_or("empty qdisc spec")?;
+        if let Some(w) = params.iter().find(|w| !w.contains('=')) {
+            return Err(format!("bad qdisc param `{w}` (want key=value)"));
         }
-        let get = |key: &str| -> Result<&String, String> {
-            kv.get(key)
-                .ok_or_else(|| format!("qdisc `{kind}` missing {key}="))
-        };
-        let num = |key: &str| -> Result<f64, String> {
-            get(key)?
-                .parse::<f64>()
-                .map_err(|_| format!("bad number for qdisc {key}="))
-        };
-        let int = |key: &str| -> Result<u64, String> {
-            get(key)?
-                .parse::<u64>()
-                .map_err(|_| format!("bad integer for qdisc {key}="))
-        };
         match kind {
             "droptail" => Ok(QdiscSpec::DropTail {
-                cap: int("cap")? as usize,
+                cap: param(params, "cap")?,
             }),
             "ecn" => Ok(QdiscSpec::Ecn {
-                cap: int("cap")? as usize,
-                k: int("k")? as usize,
+                cap: param(params, "cap")?,
+                k: param(params, "k")?,
             }),
             "red" => Ok(QdiscSpec::Red {
-                cap: int("cap")? as usize,
-                wq: num("wq")?,
-                min_th: num("min")?,
-                max_th: num("max")?,
-                max_p: num("maxp")?,
-                drop: kv.get("mode").map(|m| m == "drop").unwrap_or(false),
-                seed: int("seed")?,
+                cap: param(params, "cap")?,
+                wq: param(params, "wq")?,
+                min_th: param(params, "min")?,
+                max_th: param(params, "max")?,
+                max_p: param(params, "maxp")?,
+                drop: param::<String>(params, "mode").is_ok_and(|m| m == "drop"),
+                seed: param(params, "seed")?,
             }),
             _ => Err(format!("unknown qdisc `{kind}`")),
         }
     }
+}
+
+/// The `key=value` word of a qdisc spec for `key` (the last one, if
+/// repeated), parsed as `T`.
+fn param<T: FromStr>(params: &[&str], key: &str) -> Result<T, String> {
+    let v = params
+        .iter()
+        .rev()
+        .find_map(|w| w.strip_prefix(key)?.strip_prefix('='));
+    let v = v.ok_or_else(|| format!("qdisc missing {key}="))?;
+    v.parse().map_err(|_| format!("bad qdisc {key}={v}"))
 }
 
 impl fmt::Display for QdiscSpec {
@@ -340,19 +320,24 @@ fn scheme_parse(s: &str) -> Result<Scheme, String> {
         p.parse::<usize>()
             .map_err(|_| format!("bad count in scheme `{s}`"))
     };
+    // The β range `Xmp::new` accepts (Eq. 1 needs β ≥ 2).
+    let beta = |p: &str| match p.parse::<u32>() {
+        Ok(b) if (2..=16).contains(&b) => Ok(b),
+        _ => Err(format!("bad beta in scheme `{s}` (want 2..=16)")),
+    };
     match parts.as_slice() {
         ["tcp"] => Ok(Scheme::Tcp),
         ["dctcp"] => Ok(Scheme::Dctcp),
-        ["bos", b] => Ok(Scheme::Bos { beta: n(b)? as u32 }),
+        ["bos", b] => Ok(Scheme::Bos { beta: beta(b)? }),
         ["lia", c] => Ok(Scheme::lia(n(c)?)),
         ["olia", c] => Ok(Scheme::Olia { subflows: n(c)? }),
         ["xmp", c] => Ok(Scheme::xmp(n(c)?)),
         ["xmp", c, b] => Ok(Scheme::Xmp {
-            beta: n(b)? as u32,
+            beta: beta(b)?,
             subflows: n(c)?,
         }),
         ["uxmp", c, b] => Ok(Scheme::XmpUncoupled {
-            beta: n(b)? as u32,
+            beta: beta(b)?,
             subflows: n(c)?,
         }),
         _ => Err(format!("unknown scheme `{s}`")),
@@ -403,68 +388,58 @@ impl Scenario {
     /// [`Scenario::parse`]).
     pub fn to_text(&self) -> String {
         use fmt::Write;
-        let mut s = String::new();
-        let t = &self.tuning;
-        let _ = writeln!(s, "# simcheck scenario v1");
-        let _ = writeln!(s, "[sim]");
-        let _ = writeln!(s, "seed = {}", self.seed);
-        let _ = writeln!(s, "k = {}", self.k);
-        let _ = writeln!(s, "horizon_us = {}", self.horizon_us);
-        let _ = writeln!(s, "rto_min_us = {}", self.rto_min_us);
-        let _ = writeln!(s, "drop_unroutable = {}", t.drop_unroutable);
-        let _ = writeln!(s, "qdisc = {}", self.qdisc);
-        let _ = writeln!(s, "probe_interval_us = {}", self.probe_interval_us);
-        let _ = writeln!(s, "\n[oracles]");
+        let list = |v: &[usize]| v.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
+        let mut s = format!(
+            "# simcheck scenario v1\n[sim]\nseed = {}\nk = {}\nhorizon_us = {}\nrto_min_us = {}\n\
+             drop_unroutable = {}\nqdisc = {}\nprobe_interval_us = {}\n\n[oracles]\n",
+            self.seed,
+            self.k,
+            self.horizon_us,
+            self.rto_min_us,
+            self.tuning.drop_unroutable,
+            self.qdisc,
+            self.probe_interval_us
+        );
         if !self.workers.is_empty() {
-            let w: Vec<String> = self.workers.iter().map(|w| w.to_string()).collect();
-            let _ = writeln!(s, "workers = {}", w.join(","));
+            let _ = writeln!(s, "workers = {}", list(&self.workers));
         }
-        let _ = writeln!(s, "inject_divergence = {}", self.inject_divergence);
-        let _ = writeln!(s, "\n[flows]");
+        let inject = self.inject_divergence;
+        let _ = writeln!(s, "inject_divergence = {inject}\n\n[flows]");
         for f in &self.flows {
-            let tags: Vec<String> = f.tags.iter().map(|t| t.to_string()).collect();
-            let _ = writeln!(
-                s,
-                "flow = {} {} {} {} {} {}",
-                f.src,
-                f.dst,
-                f.size,
-                scheme_to_text(f.scheme),
-                f.start_us,
-                tags.join(",")
-            );
+            let (scheme, tags) = (scheme_to_text(f.scheme), list(&f.tags));
+            let (src, dst, size, at) = (f.src, f.dst, f.size, f.start_us);
+            let _ = writeln!(s, "flow = {src} {dst} {size} {scheme} {at} {tags}");
         }
-        let _ = writeln!(s, "\n[faults]");
+        s.push_str("\n[faults]\n");
         for f in &self.faults {
-            match f.event {
-                FaultSpec::Down(l) => {
-                    let _ = writeln!(s, "down = {} {l}", f.at_us);
-                }
-                FaultSpec::Up(l) => {
-                    let _ = writeln!(s, "up = {} {l}", f.at_us);
-                }
-                FaultSpec::SwitchDown(n) => {
-                    let _ = writeln!(s, "switch_down = {} {n}", f.at_us);
-                }
+            let _ = match f.event {
+                FaultSpec::Down(l) => writeln!(s, "down = {} {l}", f.at_us),
+                FaultSpec::Up(l) => writeln!(s, "up = {} {l}", f.at_us),
+                FaultSpec::SwitchDown(n) => writeln!(s, "switch_down = {} {n}", f.at_us),
+            };
+        }
+        for (key, links) in [("loss", &self.loss), ("corrupt", &self.corruption)] {
+            for (l, p) in links {
+                let _ = writeln!(s, "{key} = {l} {p}");
             }
         }
-        for (l, p) in &self.loss {
-            let _ = writeln!(s, "loss = {l} {p}");
-        }
-        for (l, p) in &self.corruption {
-            let _ = writeln!(s, "corrupt = {l} {p}");
-        }
-        let _ = writeln!(s, "\n[probes]");
+        s.push_str("\n[probes]\n");
         for (l, d) in &self.probes {
             let _ = writeln!(s, "watch = {l} {d}");
         }
         s
     }
 
-    /// Parse the text format. Unknown sections or keys, malformed values
-    /// and missing required `[sim]` keys are all reported with their line
-    /// number.
-    pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
+    /// Parse the text format: a walk over [`text::parse`]'s tables. Keys
+    /// outside a section, unknown sections or keys, quoted or malformed
+    /// values and missing required `[sim]` keys are all reported with
+    /// their line number. A scalar key given twice keeps its last value;
+    /// `flow`, fault and `watch` lines accumulate in file order.
+    pub fn parse(text: &str) -> Result<Scenario, TextError> {
+        let doc = text::parse(text)?;
+        if let Some(f) = doc.top.fields.first() {
+            return Err(f.err(format!("key `{}` before any [section]", f.key)));
+        }
         let mut sc = Scenario {
             seed: 0,
             k: 0,
@@ -481,177 +456,117 @@ impl Scenario {
             corruption: Vec::new(),
             probes: Vec::new(),
         };
-        let mut seen = [false; 3]; // seed, k, horizon
-        let mut section = String::new();
-        for (i, raw) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let err = |msg: String| ScenarioError { line: lineno, msg };
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+        for t in &doc.tables {
+            let known = ["sim", "oracles", "flows", "faults", "probes"].contains(&t.name);
+            if t.array || !known {
+                return Err(t.err(format!("unknown section {}", t.header())));
             }
-            if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                match name {
-                    "sim" | "oracles" | "flows" | "faults" | "probes" => {
-                        section = name.to_string();
+            for f in &t.fields {
+                let msg = |m: String| f.err(m);
+                match (t.name, f.key) {
+                    ("sim", "seed") => sc.seed = f.parse("integer")?,
+                    ("sim", "k") => sc.k = f.parse("integer")?,
+                    ("sim", "horizon_us") => sc.horizon_us = f.parse("integer")?,
+                    ("sim", "rto_min_us") => sc.rto_min_us = f.parse("integer")?,
+                    ("sim", "drop_unroutable") => sc.tuning.drop_unroutable = f.parse("bool")?,
+                    ("sim", "qdisc") => sc.qdisc = QdiscSpec::parse(f.bare()?).map_err(msg)?,
+                    // Zero would stall the probe clock (`ProbeConfig::every`).
+                    ("sim", "probe_interval_us") => {
+                        sc.probe_interval_us = f.parse::<NonZeroU64>("positive integer")?.get()
                     }
-                    _ => return Err(err(format!("unknown section [{name}]"))),
-                }
-                continue;
-            }
-            let (key, val) = line
-                .split_once('=')
-                .ok_or_else(|| err(format!("expected key = value, got `{line}`")))?;
-            let (key, val) = (key.trim(), val.trim());
-            let u64v = || {
-                val.parse::<u64>()
-                    .map_err(|_| err(format!("bad integer `{val}` for {key}")))
-            };
-            let boolv = || {
-                val.parse::<bool>()
-                    .map_err(|_| err(format!("bad bool `{val}` for {key}")))
-            };
-            match (section.as_str(), key) {
-                ("sim", "seed") => {
-                    sc.seed = u64v()?;
-                    seen[0] = true;
-                }
-                ("sim", "k") => {
-                    sc.k = u64v()? as usize;
-                    seen[1] = true;
-                }
-                ("sim", "horizon_us") => {
-                    sc.horizon_us = u64v()?;
-                    seen[2] = true;
-                }
-                ("sim", "rto_min_us") => sc.rto_min_us = u64v()?,
-                ("sim", "drop_unroutable") => sc.tuning.drop_unroutable = boolv()?,
-                ("sim", "qdisc") => sc.qdisc = QdiscSpec::parse(val).map_err(err)?,
-                ("sim", "probe_interval_us") => sc.probe_interval_us = u64v()?,
-                ("oracles", "workers") => {
-                    for w in val.split(',') {
-                        let w = w.trim();
-                        if w.is_empty() {
-                            continue;
+                    ("oracles", "workers") => {
+                        let words = f.bare()?.split(',').map(str::trim);
+                        for w in words.filter(|w| !w.is_empty()) {
+                            sc.workers.push(f.parse_word(w, "worker count")?);
                         }
-                        sc.workers.push(
-                            w.parse::<usize>()
-                                .map_err(|_| err(format!("bad worker count `{w}`")))?,
-                        );
                     }
-                }
-                ("oracles", "inject_divergence") => sc.inject_divergence = boolv()?,
-                ("flows", "flow") => {
-                    let w: Vec<&str> = val.split_whitespace().collect();
-                    if w.len() != 6 {
-                        return Err(err(format!(
-                            "flow wants `src dst size scheme start_us tags`, got {} fields",
-                            w.len()
-                        )));
+                    ("oracles", "inject_divergence") => sc.inject_divergence = f.parse("bool")?,
+                    ("flows", "flow") => sc.flows.push(flow_line(f)?),
+                    ("faults", "down") => sc.faults.push(link_fault(f, FaultSpec::Down)?),
+                    ("faults", "up") => sc.faults.push(link_fault(f, FaultSpec::Up)?),
+                    ("faults", "switch_down") => {
+                        let (at, n) = pair(f, "at_us noderef")?;
+                        let event = FaultSpec::SwitchDown(NodeRef::parse(n).map_err(msg)?);
+                        let at_us = f.parse_word(at, "time")?;
+                        sc.faults.push(FaultLine { at_us, event });
                     }
-                    let n = |s: &str| {
-                        s.parse::<u64>()
-                            .map_err(|_| err(format!("bad number `{s}` in flow")))
-                    };
-                    let scheme = scheme_parse(w[3]).map_err(err)?;
-                    let mut tags = Vec::new();
-                    for t in w[5].split(',') {
-                        tags.push(n(t)? as usize);
+                    ("faults", "loss") => sc.loss.push(link_rate(f)?),
+                    ("faults", "corrupt") => sc.corruption.push(link_rate(f)?),
+                    ("probes", "watch") => {
+                        let (l, d) = pair(f, "linkref dir")?;
+                        let link = LinkRef::parse(l).map_err(msg)?;
+                        match f.parse_word(d, "direction")? {
+                            dir @ (0 | 1) => sc.probes.push((link, dir)),
+                            dir => return Err(msg(format!("direction must be 0 or 1, got {dir}"))),
+                        }
                     }
-                    if tags.len() != scheme.subflow_count() {
-                        return Err(err(format!(
-                            "flow scheme {} wants {} tags, got {}",
-                            scheme_to_text(scheme),
-                            scheme.subflow_count(),
-                            tags.len()
-                        )));
-                    }
-                    sc.flows.push(FlowLine {
-                        src: n(w[0])? as usize,
-                        dst: n(w[1])? as usize,
-                        size: n(w[2])?,
-                        scheme,
-                        start_us: n(w[4])?,
-                        tags,
-                    });
-                }
-                ("faults", "down") | ("faults", "up") => {
-                    let (at, l) = val
-                        .split_once(' ')
-                        .ok_or_else(|| err(format!("{key} wants `at_us linkref`")))?;
-                    let at_us = at
-                        .trim()
-                        .parse::<u64>()
-                        .map_err(|_| err(format!("bad time `{at}`")))?;
-                    let link = LinkRef::parse(l.trim()).map_err(err)?;
-                    let event = if key == "down" {
-                        FaultSpec::Down(link)
-                    } else {
-                        FaultSpec::Up(link)
-                    };
-                    sc.faults.push(FaultLine { at_us, event });
-                }
-                ("faults", "switch_down") => {
-                    let (at, n) = val
-                        .split_once(' ')
-                        .ok_or_else(|| err("switch_down wants `at_us noderef`".into()))?;
-                    let at_us = at
-                        .trim()
-                        .parse::<u64>()
-                        .map_err(|_| err(format!("bad time `{at}`")))?;
-                    let node = NodeRef::parse(n.trim()).map_err(err)?;
-                    sc.faults.push(FaultLine {
-                        at_us,
-                        event: FaultSpec::SwitchDown(node),
-                    });
-                }
-                ("faults", "loss") | ("faults", "corrupt") => {
-                    let (l, p) = val
-                        .split_once(' ')
-                        .ok_or_else(|| err(format!("{key} wants `linkref p`")))?;
-                    let link = LinkRef::parse(l.trim()).map_err(err)?;
-                    let p = p
-                        .trim()
-                        .parse::<f64>()
-                        .map_err(|_| err(format!("bad probability `{p}`")))?;
-                    if key == "loss" {
-                        sc.loss.push((link, p));
-                    } else {
-                        sc.corruption.push((link, p));
-                    }
-                }
-                ("probes", "watch") => {
-                    let (l, d) = val
-                        .split_once(' ')
-                        .ok_or_else(|| err("watch wants `linkref dir`".into()))?;
-                    let link = LinkRef::parse(l.trim()).map_err(err)?;
-                    let dir = d
-                        .trim()
-                        .parse::<u8>()
-                        .map_err(|_| err(format!("bad direction `{d}`")))?;
-                    if dir > 1 {
-                        return Err(err(format!("direction must be 0 or 1, got {dir}")));
-                    }
-                    sc.probes.push((link, dir));
-                }
-                ("", _) => {
-                    return Err(err(format!("key `{key}` before any [section]")));
-                }
-                (s, k) => {
-                    return Err(err(format!("unknown key `{k}` in section [{s}]")));
+                    (s, k) => return Err(msg(format!("unknown key `{k}` in section [{s}]"))),
                 }
             }
         }
-        for (i, name) in ["seed", "k", "horizon_us"].iter().enumerate() {
-            if !seen[i] {
-                return Err(ScenarioError {
-                    line: 0,
-                    msg: format!("[sim] missing required key `{name}`"),
-                });
+        let sim = doc.tables.iter().filter(|t| t.name == "sim");
+        let given: Vec<&str> = sim.flat_map(|t| &t.fields).map(|f| f.key).collect();
+        for name in ["seed", "k", "horizon_us"] {
+            if !given.contains(&name) {
+                return Err(TextError::at(
+                    0,
+                    format!("[sim] missing required key `{name}`"),
+                ));
             }
         }
         Ok(sc)
     }
+}
+
+/// A two-word value, `first rest`, split at the first space.
+fn pair<'a>(f: &Field<'a>, shape: &str) -> Result<(&'a str, &'a str), TextError> {
+    let (a, b) = f
+        .bare()?
+        .split_once(' ')
+        .ok_or_else(|| f.err(format!("{} wants `{shape}`", f.key)))?;
+    Ok((a.trim(), b.trim()))
+}
+
+/// An `at_us linkref` fault: `event` (down or up) on that link.
+fn link_fault(f: &Field<'_>, event: fn(LinkRef) -> FaultSpec) -> Result<FaultLine, TextError> {
+    let (at, l) = pair(f, "at_us linkref")?;
+    let event = event(LinkRef::parse(l).map_err(|m| f.err(m))?);
+    let at_us = f.parse_word(at, "time")?;
+    Ok(FaultLine { at_us, event })
+}
+
+/// A `linkref p` value: a link and a per-packet probability.
+fn link_rate(f: &Field<'_>) -> Result<(LinkRef, f64), TextError> {
+    let (l, p) = pair(f, "linkref p")?;
+    let link = LinkRef::parse(l).map_err(|m| f.err(m))?;
+    Ok((link, f.parse_word(p, "probability")?))
+}
+
+/// A `flow = src dst size scheme start_us tags` line.
+fn flow_line(f: &Field<'_>) -> Result<FlowLine, TextError> {
+    let w: Vec<&str> = f.bare()?.split_whitespace().collect();
+    let [src, dst, size, scheme, start_us, tags] = w[..] else {
+        let n = w.len();
+        return Err(f.err(format!(
+            "flow wants `src dst size scheme start_us tags`, got {n} fields"
+        )));
+    };
+    let scheme = scheme_parse(scheme).map_err(|m| f.err(m))?;
+    let tags = tags.split(',').map(|t| f.parse_word(t, "tag"));
+    let tags: Vec<usize> = tags.collect::<Result<_, _>>()?;
+    let (want, got) = (scheme.subflow_count(), tags.len());
+    if want != got {
+        let scheme = scheme_to_text(scheme);
+        return Err(f.err(format!("flow scheme {scheme} wants {want} tags, got {got}")));
+    }
+    Ok(FlowLine {
+        src: f.parse_word(src, "host")?,
+        dst: f.parse_word(dst, "host")?,
+        size: f.parse_word(size, "size")?,
+        scheme,
+        start_us: f.parse_word(start_us, "time")?,
+        tags,
+    })
 }
 
 #[cfg(test)]
@@ -735,6 +650,46 @@ mod tests {
             assert_eq!(e.line, 6);
             assert!(e.msg.contains("unknown key") && e.msg.contains(gone), "{e}");
         }
+    }
+
+    /// Values that used to reach a constructor assert in `simcheck replay`
+    /// are rejected at parse time, at their line.
+    #[test]
+    fn rejects_values_that_would_panic_the_run() {
+        let head = "[sim]\nseed = 1\nk = 4\nhorizon_us = 9000\n";
+        let e = Scenario::parse(&format!(
+            "{head}probe_interval_us = 0\n[probes]\nwatch = rack/0 0\n"
+        ))
+        .unwrap_err();
+        assert_eq!(e.line, 5, "{e}");
+        assert!(e.msg.contains("bad positive integer `0`"), "{e}");
+        for scheme in ["xmp:2:1", "bos:1", "uxmp:2:20", "xmp:2:4294967300"] {
+            let text = format!("{head}[flows]\nflow = 0 1 100 {scheme} 0 0,1\n");
+            let e = Scenario::parse(&text).unwrap_err();
+            assert_eq!(e.line, 6, "{scheme}: {e}");
+            assert!(e.msg.contains("want 2..=16"), "{scheme}: {e}");
+        }
+        let ok =
+            format!("{head}[flows]\nflow = 0 1 100 uxmp:2:16 0 0,1\nflow = 0 1 100 bos:2 0 0\n");
+        Scenario::parse(&ok).expect("β 2 and 16 are in range");
+    }
+
+    /// The `.scn` rules on top of the shared reader: bare values only, and
+    /// scalar keys may repeat (the last wins) while list keys accumulate.
+    #[test]
+    fn scenario_rules_on_the_shared_reader() {
+        let e = Scenario::parse("[sim]\nseed = \"1\"\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        let e = Scenario::parse("[sim]\nseed = 1\n[[flows]]\n").unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.msg.contains("unknown section [[flows]]"), "{e}");
+        let sc = Scenario::parse(
+            "[sim]\nseed = 1\nseed = 2\nk = 4\nhorizon_us = 9\n[faults]\ndown = 5 agg/0\nswitch_down = 6 core/1\nup = 7 agg/0\n",
+        )
+        .unwrap();
+        assert_eq!(sc.seed, 2);
+        let at: Vec<u64> = sc.faults.iter().map(|f| f.at_us).collect();
+        assert_eq!(at, [5, 6, 7]);
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //!   deterministically after a text round trip — the whole
 //!   divergence → shrink → replay pipeline.
 
+use xmp_simcheck::gen::QUICK_SEED;
 use xmp_simcheck::{exec, gen, shrink, Scenario};
-
-/// The same master seed `--budget quick` uses.
-const QUICK_SEED: u64 = 0x51_3C_4E_C4;
 
 #[test]
 fn quick_batch_slice_has_no_divergence() {

@@ -35,6 +35,11 @@ cargo run --release --offline -p xmp-experiments -- hybrid --quick
 # Exits nonzero and writes a minimized replay file under results/simcheck/
 # on any divergence.
 cargo run --release --offline -p xmp-simcheck -- run --budget quick --out results/simcheck
+# Smoke: the path a human replay takes — write the quick batch to disk,
+# read one file back through the .scn reader and run it (exit 0 = every
+# oracle leg agrees).
+cargo run --release --offline -p xmp-simcheck -- generate --budget quick --out results/scn >/dev/null
+cargo run --release --offline -p xmp-simcheck -- replay results/scn/scenario-00000000513c4ec4-007.scn
 # Smoke: dynamics must export parseable JSONL traces, and `trace report`
 # (the std-only checker) must round-trip them. results/ stays untracked.
 cargo run --release --offline -p xmp-experiments -- dynamics --quick
