@@ -6,14 +6,17 @@
 //!                 [--pattern P] [--workers N]
 //!
 //! commands:
+//!   run FILE  one paper run from a scenario file with a [measure]
+//!             (scenarios/paper/*.scn); --seed overrides the file's
 //!   fig1      DCTCP vs constant-cut convergence/fairness
 //!   fig4      traffic shifting on the Fig.3a testbed (beta 4 vs 6)
 //!   fig6      fairness with 3/2/1/1 subflows (beta 4 vs 6)
 //!   fig7      torus rate compensation (beta 4/5/6)
+//!   failover  goodput through a mid-transfer core-link failure
+//!             (these five run scenarios/paper/<command>.scn, built in)
 //!   fattree   the fat-tree suite: Table 1, Figs. 8/9/10/11, Table 3
 //!   table2    XMP coexistence with LIA / TCP / DCTCP
 //!   ablation  beta/K sweep, TraSh-coupling ablation, OLIA comparison
-//!   failover  goodput through a mid-transfer core-link failure
 //!   dynamics  Fig.2-style cwnd/queue time series, exported to results/
 //!   scale     partitioned vs serial wall clock on one large cell,
 //!             digest-checked (exits nonzero on a digest mismatch);
@@ -25,18 +28,20 @@
 //!   all       the paper commands: fig1, fig4, fig6, fig7, fattree,
 //!             table2, failover, dynamics
 //! ```
+//!
+//! A paper run exits 2 on a file that does not load and 1 when an
+//! end-of-run audit fails.
 
 use std::time::Instant;
 use xmp_experiments::suite::{self, Pattern, SuiteConfig};
-use xmp_experiments::{
-    ablation, dynamics, failover, fig1, fig4, fig6, fig7, hybrid, report, scale, table2,
-};
+use xmp_experiments::{ablation, dynamics, hybrid, report, runner, scale, table2};
 use xmp_workloads::Scheme;
 
 #[derive(Debug, Clone)]
 struct Opts {
     quick: bool,
-    seed: u64,
+    /// `None`: a scenario file's own seed, 42 for the other commands.
+    seed: Option<u64>,
     scale: u64,
     flows: usize,
     pattern: Option<String>,
@@ -46,7 +51,7 @@ struct Opts {
 fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts {
         quick: false,
-        seed: 42,
+        seed: None,
         scale: 128,
         flows: 2000,
         pattern: None,
@@ -66,7 +71,7 @@ fn parse_opts(args: &[String]) -> Opts {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => o.quick = true,
-            "--seed" => o.seed = arg("--seed", it.next()),
+            "--seed" => o.seed = Some(arg("--seed", it.next())),
             "--scale" => {
                 o.scale = arg("--scale", it.next());
                 if o.scale == 0 {
@@ -88,6 +93,12 @@ fn parse_opts(args: &[String]) -> Opts {
     o
 }
 
+impl Opts {
+    fn seed(&self) -> u64 {
+        self.seed.unwrap_or(42)
+    }
+}
+
 fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     let t0 = Instant::now();
     let r = f();
@@ -95,48 +106,35 @@ fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     r
 }
 
-fn run_fig1(o: &Opts) {
-    let mut cfg = if o.quick {
-        fig1::Fig1Config::quick()
-    } else {
-        fig1::Fig1Config::default()
-    };
-    cfg.seed = o.seed;
-    let r = timed("fig1", || fig1::run(&cfg));
-    println!("{r}");
+/// A paper run that cannot start: exit 2 naming it.
+fn refuse(label: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("{label}: {e}");
+    std::process::exit(2);
 }
 
-fn run_fig4(o: &Opts) {
-    let mut cfg = if o.quick {
-        fig4::Fig4Config::quick()
-    } else {
-        fig4::Fig4Config::default()
-    };
-    cfg.seed = o.seed;
-    let r = timed("fig4", || fig4::run(&cfg));
+/// One paper run from scenario-file `text`.
+fn run_paper(label: &str, text: &str, o: &Opts) {
+    let mut sc = runner::load(text).unwrap_or_else(|e| refuse(label, e));
+    if o.quick {
+        sc = sc.quick();
+    }
+    sc.seed = o.seed.unwrap_or(sc.seed);
+    let r = timed(label, || runner::run(&sc)).unwrap_or_else(|e| refuse(label, e));
     println!("{r}");
+    let failures = r.audit_failures();
+    for f in &failures {
+        eprintln!("{label}: audit failed: {f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
 }
 
-fn run_fig6(o: &Opts) {
-    let mut cfg = if o.quick {
-        fig6::Fig6Config::quick()
-    } else {
-        fig6::Fig6Config::default()
-    };
-    cfg.seed = o.seed;
-    let r = timed("fig6", || fig6::run(&cfg));
-    println!("{r}");
-}
-
-fn run_fig7(o: &Opts) {
-    let mut cfg = if o.quick {
-        fig7::Fig7Config::quick()
-    } else {
-        fig7::Fig7Config::default()
-    };
-    cfg.seed = o.seed;
-    let r = timed("fig7", || fig7::run(&cfg));
-    println!("{r}");
+/// The committed run `name` (`scenarios/paper/<name>.scn`).
+fn run_committed(name: &str, o: &Opts) {
+    if let Some((_, text)) = runner::PAPER_RUNS.iter().find(|r| r.0 == name) {
+        run_paper(name, text, o);
+    }
 }
 
 fn suite_cfg(o: &Opts, scheme: Scheme, pattern: Pattern) -> SuiteConfig {
@@ -145,7 +143,7 @@ fn suite_cfg(o: &Opts, scheme: Scheme, pattern: Pattern) -> SuiteConfig {
     } else {
         SuiteConfig::new(scheme, pattern)
     };
-    cfg.seed = o.seed;
+    cfg.seed = o.seed();
     if !o.quick {
         cfg.scale = o.scale;
         cfg.target_flows = o.flows;
@@ -226,7 +224,7 @@ fn run_dynamics(o: &Opts) {
     } else {
         dynamics::DynamicsConfig::default()
     };
-    cfg.seed = o.seed;
+    cfg.seed = o.seed();
     let r = timed("dynamics", || dynamics::run(&cfg));
     print!("{r}");
     std::fs::create_dir_all("results").expect("create results/");
@@ -274,24 +272,13 @@ fn run_trace_report(paths: &[String]) {
     }
 }
 
-fn run_failover(o: &Opts) {
-    let mut cfg = if o.quick {
-        failover::FailoverConfig::quick()
-    } else {
-        failover::FailoverConfig::default()
-    };
-    cfg.seed = o.seed;
-    let r = timed("failover", || failover::run(&cfg));
-    println!("{r}");
-}
-
 fn run_scale(o: &Opts) {
     let mut cfg = if o.quick {
         scale::ScaleConfig::quick()
     } else {
         scale::ScaleConfig::default_cfg()
     };
-    cfg.seed = o.seed;
+    cfg.seed = o.seed();
     cfg.workers = vec![1, o.workers];
     // Surface bad worker counts as a CLI error instead of a panic deep in
     // the partition planner (workers are capped by the pod count).
@@ -312,7 +299,7 @@ fn run_scale(o: &Opts) {
 
 fn run_scale_mega(o: &Opts) {
     let mut cfg = scale::ScaleConfig::mega();
-    cfg.seed = o.seed;
+    cfg.seed = o.seed();
     let r = timed("scale mega", || scale::run(&cfg));
     println!("{r}");
 }
@@ -323,7 +310,7 @@ fn run_hybrid(o: &Opts) {
     } else {
         hybrid::HybridConfig::default_cfg()
     };
-    cfg.seed = o.seed;
+    cfg.seed = o.seed();
     let r = timed("hybrid", || hybrid::run(&cfg));
     println!("{r}");
     if !r.within_tolerance() {
@@ -337,7 +324,7 @@ fn run_hybrid_million(o: &Opts) {
     } else {
         hybrid::MillionConfig::default_cfg()
     };
-    cfg.seed = o.seed;
+    cfg.seed = o.seed();
     let r = timed("hybrid million", || hybrid::run_million(&cfg));
     println!("{r}");
 }
@@ -345,7 +332,7 @@ fn run_hybrid_million(o: &Opts) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("usage: xmp-experiments <fig1|fig4|fig6|fig7|fattree|table2|ablation|failover|dynamics|scale|hybrid|trace|all> [--quick] [--seed N] [--scale N] [--flows N] [--pattern P] [--workers N]");
+        eprintln!("usage: xmp-experiments <run FILE|fig1|fig4|fig6|fig7|fattree|table2|ablation|failover|dynamics|scale|hybrid|trace|all> [--quick] [--seed N] [--scale N] [--flows N] [--pattern P] [--workers N]");
         std::process::exit(2);
     };
     // `trace` takes file paths, which parse_opts would reject.
@@ -376,15 +363,23 @@ fn main() {
         }
         return;
     }
+    // `run` takes the scenario file first.
+    if cmd == "run" {
+        let Some((path, tail)) = rest.split_first().filter(|(p, _)| !p.starts_with("--")) else {
+            eprintln!("usage: xmp-experiments run FILE.scn [--quick] [--seed N]");
+            std::process::exit(2);
+        };
+        let o = parse_opts(tail);
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| refuse(path, format!("cannot read: {e}")));
+        run_paper(path, &text, &o);
+        return;
+    }
     let o = parse_opts(rest);
     match cmd.as_str() {
-        "fig1" => run_fig1(&o),
-        "fig4" => run_fig4(&o),
-        "fig6" => run_fig6(&o),
-        "fig7" => run_fig7(&o),
+        "fig1" | "fig4" | "fig6" | "fig7" | "failover" => run_committed(cmd, &o),
         "fattree" | "table1" | "fig8" | "fig9" | "fig10" | "fig11" | "table3" => run_fattree(&o),
         "table2" => run_table2(&o),
-        "failover" => run_failover(&o),
         "dynamics" => run_dynamics(&o),
         "ablation" => {
             let cfg = if o.quick {
@@ -396,13 +391,12 @@ fn main() {
             println!("{r}");
         }
         "all" => {
-            run_fig1(&o);
-            run_fig4(&o);
-            run_fig6(&o);
-            run_fig7(&o);
+            for fig in ["fig1", "fig4", "fig6", "fig7"] {
+                run_committed(fig, &o);
+            }
             run_fattree(&o);
             run_table2(&o);
-            run_failover(&o);
+            run_committed("failover", &o);
             run_dynamics(&o);
         }
         other => {

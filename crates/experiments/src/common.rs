@@ -1,10 +1,8 @@
 //! Shared experiment plumbing: host factories and plain-text rendering.
 
 use std::fmt;
-use xmp_des::{SimDuration, SimTime};
-use xmp_netsim::NodeId;
-use xmp_transport::{ConnKey, HostStack, StackConfig, SubflowSpec};
-use xmp_workloads::{Driver, FlowSpecBuilder, Host, Scheme};
+use xmp_transport::{HostStack, StackConfig};
+use xmp_workloads::Host;
 
 /// Standard host agent for experiments: a [`HostStack`] over the
 /// statically dispatched [`xmp_core::CcKind`] controllers, stored inline
@@ -12,53 +10,6 @@ use xmp_workloads::{Driver, FlowSpecBuilder, Host, Scheme};
 /// fully devirtualized.
 pub fn host_stack() -> Host {
     HostStack::new(StackConfig::default())
-}
-
-/// A flow's life in whole epochs, `(from, to)`: it starts at epoch `from`
-/// and stops at epoch `to` (`None` = runs to the end). The time-series
-/// figures write their schedules as tables of these; one table feeds both
-/// [`long_flow`] and [`alive`].
-pub type Life = (u64, Option<u64>);
-
-/// Whether `life` covers epoch `e` (0-based).
-pub fn covers(life: Life, e: u64) -> bool {
-    life.0 <= e && life.1.is_none_or(|to| e < to)
-}
-
-/// Indices of the flows of a schedule alive during epoch `e`.
-pub fn alive(lives: impl IntoIterator<Item = Life>, e: u64) -> Vec<usize> {
-    lives
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, life)| covers(life, e))
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Declare one unbounded flow to `driver`: it starts at `life.0 * unit`
-/// and, if `life.1` is set, stops at `life.1 * unit`.
-pub fn long_flow(
-    driver: &mut Driver,
-    unit: SimDuration,
-    life: Life,
-    src_node: NodeId,
-    subflows: Vec<SubflowSpec>,
-    scheme: Scheme,
-    tag: u64,
-) -> ConnKey {
-    let conn = driver.submit(FlowSpecBuilder {
-        src_node,
-        subflows,
-        size: u64::MAX,
-        scheme,
-        start: SimTime::ZERO + unit * life.0,
-        category: None,
-        tag,
-    });
-    if let Some(to) = life.1 {
-        driver.stop_at(conn, SimTime::ZERO + unit * to);
-    }
-    conn
 }
 
 /// A simple aligned text table (the experiment reports are plain text, one

@@ -2,6 +2,7 @@
 //! message naming what was wrong, and the `scale` smoke that CI runs exits
 //! 0 only on matching digests.
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn cli(args: &[&str]) -> Output {
@@ -81,4 +82,56 @@ fn scale_quick_matches_digests_across_workers() {
         .find(|l| l.contains("workers") && l.contains("digest"))
         .expect("table header");
     assert!(!header.contains("loop"), "{header}");
+}
+
+/// `text` in a scratch file named after the test; removed on drop.
+struct ScnFile(PathBuf);
+
+impl ScnFile {
+    fn new(name: &str, text: &str) -> ScnFile {
+        let path = std::env::temp_dir().join(format!("xmp-cli-{}-{name}.scn", std::process::id()));
+        std::fs::write(&path, text).expect("temp dir is writable");
+        ScnFile(path)
+    }
+
+    fn run(&self) -> (Output, String) {
+        let path = self.0.to_string_lossy().into_owned();
+        (cli(&["run", &path, "--quick"]), path)
+    }
+}
+
+impl Drop for ScnFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+#[test]
+fn run_names_a_missing_file_and_exits_2() {
+    let out = cli(&["run", "no/such/run.scn"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.starts_with("no/such/run.scn: cannot read"), "{err}");
+}
+
+#[test]
+fn run_names_a_malformed_line_and_exits_2() {
+    let (out, path) = ScnFile::new("malformed", "[sim]\nseed = 1\nunit_us = soon\n").run();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "printed tables for a bad file");
+    let err = stderr(&out);
+    assert!(
+        err.starts_with(&format!("{path}: line 3: bad number `soon` for unit_us")),
+        "{err}"
+    );
+}
+
+#[test]
+fn run_refuses_a_chaos_scenario_without_a_measure() {
+    let chaos = "[sim]\nseed = 1\nk = 4\nhorizon_us = 1000\n[flows]\nflow = 0 5 1000 tcp 0 0\n";
+    let (out, path) = ScnFile::new("chaos", chaos).run();
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(err.starts_with(&format!("{path}: no [measure]")), "{err}");
+    assert!(err.contains("simcheck replay"), "{err}");
 }

@@ -4,12 +4,12 @@
 //! with one event per packet-hop. The engine that remains must keep
 //! reproducing them.
 //!
-//! Each digest is FNV-1a over the full `Debug` rendering of the result
-//! structure — f64 Debug formatting round-trips exactly, so equal digests
-//! mean bit-equal rates, Jain indices, goodputs and queue statistics.
+//! Each digest is FNV-1a over the `Debug` rendering of the result — f64
+//! Debug formatting round-trips exactly, so equal digests mean bit-equal
+//! rates, Jain indices, goodputs and queue statistics.
 
 use xmp_des::SimDuration;
-use xmp_experiments::fig1::{self, Fig1Config};
+use xmp_experiments::runner::{self, PAPER_RUNS};
 use xmp_experiments::suite::{run_suite, Pattern, SuiteConfig};
 use xmp_workloads::Scheme;
 
@@ -25,16 +25,22 @@ fn digest(s: &str) -> u64 {
 #[test]
 fn fig1_matches_the_recorded_outcome_multi_seed() {
     // The four-flow dumbbell draws no network-side randomness, so the
-    // seeds agree with each other — that, too, is part of the record.
-    const RECORDED: u64 = 8243830511157267765;
+    // seeds agree with each other — that, too, is part of the record. The
+    // digest is over every variant's per-bin normalized rates, bit-equal to
+    // the bins of the `fig1` module that `scenarios/paper/fig1.scn` replaced.
+    const RECORDED: u64 = 11738406904076764245;
+    let text = PAPER_RUNS
+        .iter()
+        .find(|r| r.0 == "fig1")
+        .expect("committed")
+        .1;
     for seed in [3, 7, 11] {
-        let cfg = Fig1Config {
-            interval: SimDuration::from_millis(60),
-            bin: SimDuration::from_millis(20),
-            seed,
-        };
+        let mut sc = runner::load(text).expect("fig1.scn parses");
+        (sc.seed, sc.paper.unit_us, sc.paper.bin_us) = (seed, 60_000, Some(20_000));
+        let r = runner::run(&sc).expect("fig1.scn runs");
+        let bins: Vec<_> = r.runs.iter().map(|v| &v.bins).collect();
         assert_eq!(
-            digest(&format!("{:?}", fig1::run(&cfg))),
+            digest(&format!("{bins:?}")),
             RECORDED,
             "seed {seed}: fig1 moved off the recorded digest"
         );

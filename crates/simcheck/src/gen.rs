@@ -10,7 +10,9 @@
 //! mice + elephants), a random fault storm (flaps, switch kills, seeded
 //! loss and corruption), probe placement and partitioned worker counts.
 
-use crate::scenario::{FaultLine, FaultSpec, FlowLine, LinkRef, NodeRef, QdiscSpec, Scenario};
+use crate::scenario::{
+    FaultLine, FaultSpec, FlowLine, LinkRef, NodeRef, Paper, QdiscSpec, Scenario,
+};
 use xmp_des::SimRng;
 use xmp_topo::FatTree;
 use xmp_workloads::Scheme;
@@ -55,6 +57,7 @@ pub fn generate(master: u64, index: u64) -> Scenario {
         loss: Vec::new(),
         corruption: Vec::new(),
         probes: Vec::new(),
+        paper: Paper::default(),
     };
 
     // Partitioned legs: 2 workers is the cheapest cross-shard oracle and

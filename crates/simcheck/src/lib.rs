@@ -7,7 +7,8 @@
 //! reproducer and written as a replay file that `simcheck replay`
 //! re-executes exactly.
 //!
-//! * [`scenario`] — the declarative scenario file (parse / serialize),
+//! * [`scenario`] — the declarative scenario file (parse / serialize), the
+//!   one `.scn` model shared with the paper runs of `xmp-experiments`,
 //! * [`gen`] — pure-function-of-seed scenario generation,
 //! * [`exec`] — oracle legs, digests and invariant audits,
 //! * [`mod@shrink`] — minimization to a replay file.
@@ -21,8 +22,9 @@
 
 pub mod exec;
 pub mod gen;
-pub mod scenario;
 pub mod shrink;
+
+pub use xmp_experiments::scenario;
 
 pub use exec::{legs, run_scenario, LegOutcome, LegSpec, RunOutcome};
 pub use gen::generate;

@@ -274,7 +274,7 @@ fn cmd_shrink(args: &[&str]) -> ExitCode {
 
 fn load(path: &str) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    Scenario::parse(&text).map_err(|e| format!("{path}: {e}"))
+    Scenario::parse_chaos(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Write the minimized reproducer, annotated with what failed.

@@ -154,6 +154,7 @@ fn refs_fit(sc: &Scenario, k: usize) -> bool {
         LinkRef::Core(i, j, p) => i < h && j < h && p < k,
         LinkRef::Agg(i) => i < k * h * h,
         LinkRef::Rack(i) => i < hosts,
+        LinkRef::Bottleneck(_) => false,
     };
     let node_ok = |n: &NodeRef| match *n {
         NodeRef::Edge(i) => i < k * h,

@@ -3,8 +3,8 @@
 //! probe JSONL (`ProbeRecord::parse`, `report::parse_jsonl`).
 //!
 //! Each reader gets well-formed seeds — the `--budget quick` scenarios'
-//! `to_text`, every committed `specs/**/*.toml`, one JSONL export of every
-//! record type — and a fixed number of mutants per seed drawn from
+//! `to_text` and the committed paper runs `scenarios/paper/*.scn`, every
+//! committed `specs/**/*.toml`, one JSONL export of every record type — and a fixed number of mutants per seed drawn from
 //! `SimRng`: byte flips, line drops, duplicates and swaps, truncation.
 //! Every mutant must come back `Ok` or as an error whose line number lies
 //! inside the mutant; a panic is a failure, caught and reported with the
@@ -97,15 +97,31 @@ fn fuzz(
     }
 }
 
-fn spec_paths(dir: &Path, out: &mut Vec<PathBuf>) {
-    for e in std::fs::read_dir(dir).expect("specs/ is readable") {
+/// Every `.ext` file under `dir`, recursively.
+fn files(dir: &Path, ext: &str, out: &mut Vec<PathBuf>) {
+    for e in std::fs::read_dir(dir).expect("directory is readable") {
         let path = e.expect("dir entry").path();
         if path.is_dir() {
-            spec_paths(&path, out);
-        } else if path.extension().is_some_and(|x| x == "toml") {
+            files(&path, ext, out);
+        } else if path.extension().is_some_and(|x| x == ext) {
             out.push(path);
         }
     }
+}
+
+/// The committed files under `dir` (from the workspace root) ending `.ext`,
+/// sorted.
+fn committed(dir: &str, ext: &str) -> Vec<PathBuf> {
+    let mut paths = Vec::new();
+    files(
+        &Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(dir),
+        ext,
+        &mut paths,
+    );
+    paths.sort();
+    paths
 }
 
 fn records() -> Vec<ProbeRecord> {
@@ -201,11 +217,32 @@ fn scenario_reader_survives_mutation_and_round_trips_the_quick_batch() {
 }
 
 #[test]
+fn paper_runs_round_trip_and_survive_mutation() {
+    let paths = committed("scenarios/paper", "scn");
+    assert!(paths.len() >= 5, "found {} paper runs", paths.len());
+    let seeds: Vec<String> = paths
+        .iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(p).expect("paper run is readable");
+            let sc = Scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
+            assert!(sc.paper.measure.is_some(), "{}", p.display());
+            assert_eq!(
+                Scenario::parse(&sc.to_text()).as_ref(),
+                Ok(&sc),
+                "{}",
+                p.display()
+            );
+            text
+        })
+        .collect();
+    fuzz(".scn", &seeds, 1000, 5, |m| {
+        Scenario::parse(m).err().map(|e| e.line)
+    });
+}
+
+#[test]
 fn spec_reader_survives_mutation() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
-    let mut paths = Vec::new();
-    spec_paths(&root, &mut paths);
-    paths.sort();
+    let paths = committed("specs", "toml");
     assert!(paths.len() >= 10, "found {} spec files", paths.len());
     let seeds: Vec<String> = paths
         .iter()

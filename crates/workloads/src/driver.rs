@@ -763,21 +763,18 @@ impl RateBins {
     /// epoch by the share of a nominal bin it overlaps it for; bins that
     /// tile the epoch weigh 1 each, so the mean is then the plain
     /// `sum / count`.
-    pub fn epoch_means<const N: usize>(
-        &self,
-        unit: SimDuration,
-        rows: &[[f64; N]],
-    ) -> Vec<[f64; N]> {
+    pub fn epoch_means(&self, unit: SimDuration, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
         assert!(unit > SimDuration::ZERO, "epoch length must be positive");
         assert_eq!(rows.len(), self.rows.len(), "one row per sampled bin");
         let (Some(&first), Some(&last)) = (self.edges.first(), self.edges.last()) else {
             return Vec::new();
         };
+        let width = rows.first().map_or(0, Vec::len);
         let mut means = Vec::new();
         let mut lo = first;
         while lo < last {
             let hi = (lo + unit).min(last);
-            let mut mean = [0.0; N];
+            let mut mean = vec![0.0; width];
             let mut weight = 0.0;
             for (row, edge) in rows.iter().zip(self.edges.windows(2)) {
                 let (from, to) = (edge[0].max(lo), edge[1].min(hi));
@@ -789,7 +786,7 @@ impl RateBins {
                     weight += w;
                 }
             }
-            means.push(mean.map(|m| m / weight));
+            means.push(mean.into_iter().map(|m| m / weight).collect());
             lo = hi;
         }
         means
@@ -1019,7 +1016,7 @@ mod tests {
         assert!(early[0] > 0.0 && early[2] == 0.0, "{early:?}");
         assert!(last[2] > 0.0 && last[3] == 0.0, "{last:?}");
         let epochs = bins
-            .epoch_means(unit, &vec![[0.0]; bins.rows().len()])
+            .epoch_means(unit, &vec![vec![0.0]; bins.rows().len()])
             .len();
         (d.outcome_digest(&sim, &sim.audit_conservation()), epochs)
     }
@@ -1047,7 +1044,7 @@ mod tests {
         let (mut sim, _) = setup(1);
         let mut bins = RateBins::new([], SimDuration::from_millis(40));
         bins.run(&mut Driver::new(), &mut sim, SimTime::from_millis(300));
-        let rows = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0].map(|x| [x, 2.0 * x]);
+        let rows = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0].map(|x| vec![x, 2.0 * x]);
         let means = bins.epoch_means(SimDuration::from_millis(100), &rows);
         // (10 + 20 + 30/2) / 2.5, (30/2 + 40 + 50) / 2.5, (60 + 70 + 80/2) / 2.5
         assert_eq!(means, [[18.0, 36.0], [42.0, 84.0], [68.0, 136.0]]);

@@ -18,9 +18,17 @@ cargo run --release --offline -p xmp-conformance -- check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 # Rustdoc gate: every pub item documented, no broken intra-doc links.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
-# Smoke: the failover experiment must survive a mid-run link failure
-# (and its packet-conservation audit) end to end.
-cargo run --release --offline -p xmp-experiments -- failover --quick
+# Smoke: the paper runs read from disk, through the one .scn runner: the
+# failover file's fault plan and fig7's mid-run L3 closure (a drop split
+# between two bin runs), each ending with the invariant and conservation
+# audits (exit 1 on a failure). The on-disk fig7 must print what the
+# built-in `fig7` alias prints.
+mkdir -p results
+cargo run --release --offline -p xmp-experiments -- run scenarios/paper/failover.scn --quick
+cargo run --release --offline -p xmp-experiments -- run scenarios/paper/fig7.scn --quick \
+  > results/fig7-file.txt
+cargo run --release --offline -p xmp-experiments -- fig7 --quick > results/fig7-alias.txt
+diff results/fig7-file.txt results/fig7-alias.txt
 # Smoke: the partitioned simulation must stay bit-identical to serial on
 # a k=8 fat-tree wave with faults and probes live (the scale command
 # digest-checks the sharded run against the serial one and exits nonzero

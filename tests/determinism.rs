@@ -5,7 +5,7 @@
 //! counts, identical simulated clock, identical per-flow results — and the
 //! parallel runner must return byte-for-byte what the serial loop returns.
 
-use xmp_suite::experiments::fig1::{self, Fig1Config};
+use xmp_suite::experiments::runner::{self, PAPER_RUNS};
 use xmp_suite::experiments::suite::{run_suite, run_suite_parallel, Pattern, SuiteConfig};
 use xmp_suite::prelude::*;
 
@@ -168,14 +168,18 @@ fn fault_outcome_matches_the_recorded_two_event_engine() {
 
 #[test]
 fn fig1_rerun_is_identical() {
-    let cfg = Fig1Config {
-        interval: SimDuration::from_millis(60),
-        bin: SimDuration::from_millis(20),
-        seed: 3,
+    let text = PAPER_RUNS
+        .iter()
+        .find(|r| r.0 == "fig1")
+        .expect("committed")
+        .1;
+    let mut sc = runner::load(text).expect("fig1.scn parses");
+    (sc.seed, sc.paper.unit_us, sc.paper.bin_us) = (3, 60_000, Some(20_000));
+    let bins = || {
+        let r = runner::run(&sc).expect("fig1.scn runs");
+        format!("{:?}", r.runs.iter().map(|v| &v.bins).collect::<Vec<_>>())
     };
-    let a = format!("{:?}", fig1::run(&cfg));
-    let b = format!("{:?}", fig1::run(&cfg));
-    assert_eq!(digest(&a), digest(&b), "fig1 rerun diverged");
+    assert_eq!(digest(&bins()), digest(&bins()), "fig1 rerun diverged");
 }
 
 #[test]
