@@ -139,15 +139,6 @@ impl<E> Engine<E> {
         self.queue.check_integrity()
     }
 
-    /// Fold another engine's lifetime counters into this one's. Used when a
-    /// partitioned run reassembles per-shard engines into a single engine:
-    /// the merged `processed`/`scheduled` totals then reflect the work done
-    /// across every shard, not just events handled after the merge.
-    pub fn absorb_counters(&mut self, processed: u64, scheduled: u64) {
-        self.processed += processed;
-        self.scheduled += scheduled;
-    }
-
     /// Move the clock forward to `t` without processing events.
     ///
     /// # Panics

@@ -5,10 +5,9 @@
 //! and ranks events that fire at the same instant by *what they are* rather
 //! than by when they happened to be scheduled; the sequence number, assigned
 //! at insertion, breaks the remaining ties in scheduling order. Ordering
-//! same-instant events by identity is what lets two runs that schedule the
-//! same event at different moments (a serial `xmp-netsim` run and its
-//! partitioned twin) process it at the same rank — and is what makes
-//! whole-simulation runs bit-reproducible.
+//! same-instant events by identity means an event's rank does not depend
+//! on the moment it was scheduled — part of what makes whole-simulation
+//! runs bit-reproducible.
 //!
 //! # Implementation: a sliding timing wheel with an overflow heap
 //!

@@ -13,7 +13,7 @@
 //! 3. **OLIA comparison** — the Pareto-optimality fix the paper's
 //!    Section 7 points to, run through the same fat-tree suite.
 
-use crate::common::{frac, host_stack, mbps, TextTable};
+use crate::common::{end_of_run_audit, frac, host_stack, mbps, TextTable};
 use crate::suite::{run_suite, Pattern, SuiteConfig};
 use std::fmt;
 use xmp_des::{Bandwidth, SimDuration, SimTime};
@@ -97,10 +97,19 @@ pub struct AblationResult {
     /// RTOmin 200 ms vs 10 ms on the Incast pattern — the paper's
     /// related-work conjecture that fine-grained RTO would help MPTCP.
     pub rto_rows: Vec<(String, f64, f64)>,
+    /// Every end-of-run audit failure of a sweep or coupling cell, after
+    /// the cell's name; empty when every cell is sound.
+    pub audit: Vec<String>,
+}
+
+/// `cell`'s end-of-run audit failures, named, onto `audit`.
+fn audit_cell(audit: &mut Vec<String>, cell: &str, sim: &Sim<Segment, Host>) {
+    let failures = end_of_run_audit(sim);
+    audit.extend(failures.into_iter().map(|f| format!("{cell}: {f}")));
 }
 
 /// Four single-path XMP flows on a 1 Gbps / 400 µs dumbbell at (β, K).
-fn sweep_point(cfg: &AblationConfig, beta: u32, k: usize) -> SweepPoint {
+fn sweep_point(cfg: &AblationConfig, beta: u32, k: usize, audit: &mut Vec<String>) -> SweepPoint {
     let bdp_packets = 33.0; // 1 Gbps x 400 us / 1500 B
     let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
     let db = Dumbbell::build(
@@ -139,7 +148,7 @@ fn sweep_point(cfg: &AblationConfig, beta: u32, k: usize) -> SweepPoint {
     let s = &sim.link(db.bottleneck).dir(0).stats;
     let dt = sim.now().duration_since(t0).as_secs_f64();
     let bits = (s.delivered_bytes - bytes_before).as_bytes() as f64 * 8.0;
-    sim.audit_conservation();
+    audit_cell(audit, &format!("beta={beta} K={k}"), &sim);
     SweepPoint {
         beta,
         k,
@@ -152,7 +161,7 @@ fn sweep_point(cfg: &AblationConfig, beta: u32, k: usize) -> SweepPoint {
 
 /// The coupling ablation on a 300 Mbps bottleneck: a 3-subflow flow vs
 /// three single-path XMP flows; returns the multi-subflow flow's share.
-fn coupling_share(cfg: &AblationConfig, coupled: bool) -> f64 {
+fn coupling_share(cfg: &AblationConfig, coupled: bool, audit: &mut Vec<String>) -> f64 {
     let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
     let db = Dumbbell::build(
         &mut sim,
@@ -202,19 +211,29 @@ fn coupling_share(cfg: &AblationConfig, coupled: bool) -> f64 {
     // Warm up two windows, measure over the next two: the second bin.
     let mut bins = RateBins::new((0..3).map(|r| (multi, r)), cfg.window * 2);
     bins.run(&mut d, &mut sim, SimTime::ZERO + cfg.window * 4);
+    let cell = if coupled {
+        "XMP (coupled)"
+    } else {
+        "uXMP (uncoupled)"
+    };
+    audit_cell(audit, cell, &sim);
     let rate: f64 = bins.rows()[1].iter().sum();
     rate / 300e6
 }
 
 /// Run all three ablations.
 pub fn run(cfg: &AblationConfig) -> AblationResult {
+    let mut audit = Vec::new();
     let mut sweep = Vec::new();
     for &beta in &cfg.betas {
         for &k in &cfg.ks {
-            sweep.push(sweep_point(cfg, beta, k));
+            sweep.push(sweep_point(cfg, beta, k, &mut audit));
         }
     }
-    let coupling = (coupling_share(cfg, true), coupling_share(cfg, false));
+    let coupling = (
+        coupling_share(cfg, true, &mut audit),
+        coupling_share(cfg, false, &mut audit),
+    );
     let olia_rows = [Scheme::xmp(2), Scheme::lia(2), Scheme::Olia { subflows: 2 }]
         .iter()
         .map(|&s| {
@@ -266,6 +285,7 @@ pub fn run(cfg: &AblationConfig) -> AblationResult {
         olia_rows,
         routing_rows,
         rto_rows,
+        audit,
     }
 }
 
@@ -336,24 +356,26 @@ mod tests {
     #[test]
     fn eq1_predicts_the_utilization_cliff() {
         let cfg = tiny();
+        let mut audit = Vec::new();
         // beta=2 needs K >= 33: K=5 under-utilizes, K=30 nearly does not.
-        let low = sweep_point(&cfg, 2, 5);
-        let high = sweep_point(&cfg, 2, 30);
+        let low = sweep_point(&cfg, 2, 5, &mut audit);
+        let high = sweep_point(&cfg, 2, 30, &mut audit);
         assert!(!low.eq1_satisfied && low.utilization < 0.85, "{low:?}");
         assert!(
             high.utilization > low.utilization + 0.1,
             "K=30 {high:?} vs K=5 {low:?}"
         );
         // Larger beta tolerates small K: beta=6 with K=10 >= 33/5.
-        let b6 = sweep_point(&cfg, 6, 30);
+        let b6 = sweep_point(&cfg, 6, 30, &mut audit);
         assert!(b6.utilization > 0.85, "{b6:?}");
+        assert!(audit.is_empty(), "{audit:?}");
     }
 
     #[test]
     fn queue_depth_tracks_k() {
         let cfg = tiny();
-        let small = sweep_point(&cfg, 4, 5);
-        let large = sweep_point(&cfg, 4, 30);
+        let small = sweep_point(&cfg, 4, 5, &mut Vec::new());
+        let large = sweep_point(&cfg, 4, 30, &mut Vec::new());
         assert!(
             large.mean_queue > small.mean_queue,
             "queue should grow with K: {} vs {}",
@@ -365,8 +387,10 @@ mod tests {
     #[test]
     fn coupling_restores_fairness() {
         let cfg = tiny();
-        let coupled = coupling_share(&cfg, true);
-        let uncoupled = coupling_share(&cfg, false);
+        let mut audit = Vec::new();
+        let coupled = coupling_share(&cfg, true, &mut audit);
+        let uncoupled = coupling_share(&cfg, false, &mut audit);
+        assert!(audit.is_empty(), "{audit:?}");
         // Fair share is 0.25; uncoupled should grab roughly 3 of 6 "slots".
         assert!(
             uncoupled > coupled + 0.1,

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! xmp-experiments <command> [--quick] [--seed N] [--scale N] [--flows N]
-//!                 [--pattern P] [--workers N]
+//!                 [--pattern P]
 //!
 //! commands:
 //!   run FILE  one paper run from a scenario file with a [measure]
@@ -17,9 +17,10 @@
 //!   fattree   the fat-tree suite: Table 1, Figs. 8/9/10/11, Table 3
 //!   table2    XMP coexistence with LIA / TCP / DCTCP
 //!   ablation  beta/K sweep, TraSh-coupling ablation, OLIA comparison
+//!             (exits 1 naming a cell whose end-of-run audit fails)
 //!   dynamics  Fig.2-style cwnd/queue time series, exported to results/
-//!   scale     partitioned vs serial wall clock on one large cell,
-//!             digest-checked (exits nonzero on a digest mismatch);
+//!             (exits 2 naming the path when results/ cannot be written)
+//!   scale     wall clock and outcome digest of one large serial cell;
 //!             `scale mega` runs the k=32 (8192-host) memory cell
 //!   hybrid    hybrid fluid/packet mode vs packet baseline, per-class
 //!             tolerance check (exits nonzero when out of tolerance);
@@ -45,7 +46,6 @@ struct Opts {
     scale: u64,
     flows: usize,
     pattern: Option<String>,
-    workers: usize,
 }
 
 fn parse_opts(args: &[String]) -> Opts {
@@ -55,7 +55,6 @@ fn parse_opts(args: &[String]) -> Opts {
         scale: 128,
         flows: 2000,
         pattern: None,
-        workers: 4,
     };
     fn arg<T: std::str::FromStr>(flag: &str, val: Option<&String>) -> T {
         let Some(val) = val else {
@@ -83,7 +82,6 @@ fn parse_opts(args: &[String]) -> Opts {
             }
             "--flows" => o.flows = arg("--flows", it.next()),
             "--pattern" => o.pattern = Some(arg::<String>("--pattern", it.next()).to_lowercase()),
-            "--workers" => o.workers = arg("--workers", it.next()),
             other => {
                 eprintln!("unknown option {other}");
                 std::process::exit(2);
@@ -121,8 +119,12 @@ fn run_paper(label: &str, text: &str, o: &Opts) {
     sc.seed = o.seed.unwrap_or(sc.seed);
     let r = timed(label, || runner::run(&sc)).unwrap_or_else(|e| refuse(label, e));
     println!("{r}");
-    let failures = r.audit_failures();
-    for f in &failures {
+    exit_on_audit_failures(label, &r.audit_failures());
+}
+
+/// Name every end-of-run audit failure of run `label`; exit 1 if any.
+fn exit_on_audit_failures(label: &str, failures: &[String]) {
+    for f in failures {
         eprintln!("{label}: audit failed: {f}");
     }
     if !failures.is_empty() {
@@ -227,10 +229,10 @@ fn run_dynamics(o: &Opts) {
     cfg.seed = o.seed();
     let r = timed("dynamics", || dynamics::run(&cfg));
     print!("{r}");
-    std::fs::create_dir_all("results").expect("create results/");
+    std::fs::create_dir_all("results").unwrap_or_else(|e| refuse("create results/", e));
     for tr in &r.traces {
         let path = format!("results/{}", tr.filename());
-        std::fs::write(&path, &tr.jsonl).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(&path, &tr.jsonl).unwrap_or_else(|e| refuse(&format!("write {path}"), e));
         println!("wrote {path} ({} lines)", tr.jsonl.lines().count());
     }
 }
@@ -279,22 +281,8 @@ fn run_scale(o: &Opts) {
         scale::ScaleConfig::default_cfg()
     };
     cfg.seed = o.seed();
-    cfg.workers = vec![1, o.workers];
-    // Surface bad worker counts as a CLI error instead of a panic deep in
-    // the partition planner (workers are capped by the pod count).
-    if o.workers == 0 || o.workers > cfg.k {
-        eprintln!(
-            "--workers {} is out of range for the k={} cell: pick 1..={} \
-             (each shard takes at least one pod)",
-            o.workers, cfg.k, cfg.k
-        );
-        std::process::exit(2);
-    }
     let r = timed("scale", || scale::run(&cfg));
     println!("{r}");
-    if !r.digests_match {
-        std::process::exit(1);
-    }
 }
 
 fn run_scale_mega(o: &Opts) {
@@ -332,7 +320,7 @@ fn run_hybrid_million(o: &Opts) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("usage: xmp-experiments <run FILE|fig1|fig4|fig6|fig7|fattree|table2|ablation|failover|dynamics|scale|hybrid|trace|all> [--quick] [--seed N] [--scale N] [--flows N] [--pattern P] [--workers N]");
+        eprintln!("usage: xmp-experiments <run FILE|fig1|fig4|fig6|fig7|fattree|table2|ablation|failover|dynamics|scale|hybrid|trace|all> [--quick] [--seed N] [--scale N] [--flows N] [--pattern P]");
         std::process::exit(2);
     };
     // `trace` takes file paths, which parse_opts would reject.
@@ -389,6 +377,7 @@ fn main() {
             };
             let r = timed("ablation", || ablation::run(&cfg));
             println!("{r}");
+            exit_on_audit_failures("ablation", &r.audit);
         }
         "all" => {
             for fig in ["fig1", "fig4", "fig6", "fig7"] {

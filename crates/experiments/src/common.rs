@@ -1,7 +1,9 @@
-//! Shared experiment plumbing: host factories and plain-text rendering.
+//! Shared experiment plumbing: host factories, the end-of-run audit and
+//! plain-text rendering.
 
 use std::fmt;
-use xmp_transport::{HostStack, StackConfig};
+use xmp_netsim::{InvariantState, Sim};
+use xmp_transport::{HostStack, Segment, StackConfig};
 use xmp_workloads::Host;
 
 /// Standard host agent for experiments: a [`HostStack`] over the
@@ -10,6 +12,16 @@ use xmp_workloads::Host;
 /// fully devirtualized.
 pub fn host_stack() -> Host {
     HostStack::new(StackConfig::default())
+}
+
+/// The audits a cell ends with — [`Sim::audit_invariants`], then
+/// [`Sim::try_audit_conservation`] — as one description per failure;
+/// empty when the run is sound.
+pub fn end_of_run_audit(sim: &Sim<Segment, Host>) -> Vec<String> {
+    let mut failures = Vec::new();
+    sim.audit_invariants(&mut InvariantState::default(), &mut failures);
+    failures.extend(sim.try_audit_conservation().err());
+    failures
 }
 
 /// A simple aligned text table (the experiment reports are plain text, one

@@ -6,14 +6,14 @@
 //! closes) and ends with the invariant and conservation audits; a
 //! [`Report`] renders the measure's tables.
 
-use crate::common::{frac, mbps, TextTable};
+use crate::common::{end_of_run_audit, frac, mbps, TextTable};
 use crate::scenario::{indexed, Column, LinkAction, LinkRef, Measure, Paper, QdiscSpec};
 use crate::scenario::{Scenario, Shape, Topology, Variant};
 use std::fmt;
 use std::iter::once;
 use xmp_conformance::text::TextError;
 use xmp_des::{Bandwidth, SimDuration, SimTime};
-use xmp_netsim::{FaultPlan, InvariantState, LinkId, NodeId, PortId, Sim};
+use xmp_netsim::{FaultPlan, LinkId, NodeId, PortId, Sim};
 use xmp_topo::testbed::{Path, TestbedConfig};
 use xmp_topo::torus::TorusConfig;
 use xmp_topo::{Dumbbell, FatTree, FatTreeConfig, ShiftTestbed, Torus};
@@ -287,9 +287,7 @@ fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, St
     }
     rates.run(&mut driver, &mut sim, end);
     driver.finalize_running(&mut sim);
-    let mut audit = Vec::new();
-    sim.audit_invariants(&mut InvariantState::default(), &mut audit);
-    audit.extend(sim.try_audit_conservation().err());
+    let audit = end_of_run_audit(&sim);
 
     let sums = |row: &Vec<f64>| {
         let mut row = row.iter();

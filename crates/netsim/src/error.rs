@@ -13,7 +13,7 @@ use xmp_des::SimTime;
 /// ([`Sim::try_connect`](crate::Sim::try_connect),
 /// [`Sim::try_bind_addr`](crate::Sim::try_bind_addr),
 /// [`Sim::try_install_fault_plan`](crate::Sim::try_install_fault_plan),
-/// [`PartitionedSim::try_new`](crate::PartitionedSim::try_new), …). Every
+/// …). Every
 /// variant renders an actionable message through `Display`, which the
 /// panicking wrappers reuse verbatim — CLI frontends can match on the
 /// variant or just print it.
@@ -55,37 +55,9 @@ pub enum ConfigError {
         /// The offending id.
         node: NodeId,
     },
-    /// Partitioning was requested on a sim that has already run.
-    NotPristine {
-        /// The non-zero clock found.
-        now: SimTime,
-    },
-    /// A partition plan's assignment length disagrees with the node count.
-    PlanLengthMismatch {
-        /// Nodes named by the plan.
-        plan: usize,
-        /// Nodes in the sim.
-        nodes: usize,
-    },
-    /// Undrained agent signals at partition time.
-    UndrainedSignals,
-    /// The sim is already one shard of a partitioned run.
-    AlreadyPartitioned,
-    /// A link crossing two shards has zero propagation delay, leaving the
-    /// conservative synchronization protocol no lookahead window.
-    ZeroDelayCutLink {
-        /// The offending link.
-        link: LinkId,
-        /// Its human-readable label.
-        label: String,
-    },
     /// [`Sim::fluid_open`](crate::Sim::fluid_open) was called without
     /// `SimTuning::hybrid` enabled.
     HybridDisabled,
-    /// Hybrid mode and partitioning were combined (fluid flows span pods,
-    /// so their rate updates cannot be sharded under the conservative
-    /// protocol).
-    HybridUnsupported,
     /// A fluid subflow's resolved path exceeds the supported hop budget
     /// ([`crate::fluid::MAX_HOPS`]) — usually a routing loop.
     FluidPathTooLong {
@@ -125,39 +97,10 @@ impl fmt::Display for ConfigError {
                 "unknown node {node:?}; fault plans may only name nodes \
                  returned by add_host()/add_switch()"
             ),
-            ConfigError::NotPristine { now } => write!(
-                f,
-                "partitioning requires a pristine sim (clock at zero, found \
-                 {now:?}); build topology and partition before running"
-            ),
-            ConfigError::PlanLengthMismatch { plan, nodes } => write!(
-                f,
-                "partition plan length does not match node count: plan names \
-                 {plan} nodes, sim has {nodes}"
-            ),
-            ConfigError::UndrainedSignals => write!(
-                f,
-                "undrained signals at partition time; drain driver signals \
-                 before sharding"
-            ),
-            ConfigError::AlreadyPartitioned => {
-                write!(f, "sim is already a shard of a partitioned run")
-            }
-            ConfigError::ZeroDelayCutLink { link, label } => write!(
-                f,
-                "cut link {label} ({link:?}) has zero propagation delay (no \
-                 lookahead); give cross-shard links a positive delay or keep \
-                 both ends on one shard"
-            ),
             ConfigError::HybridDisabled => write!(
                 f,
                 "fluid_open requires SimTuning::hybrid; enable it via \
                  set_tuning before registering fluid flows"
-            ),
-            ConfigError::HybridUnsupported => write!(
-                f,
-                "hybrid fluid/packet mode is unsupported in partitioned \
-                 runs; run hybrid sims serially"
             ),
             ConfigError::FluidPathTooLong { flow } => write!(
                 f,

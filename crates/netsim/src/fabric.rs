@@ -10,7 +10,6 @@ use crate::addr::Addr;
 use crate::error::ConfigError;
 use crate::fluid::{MAX_HOPS, REF_PKT_BYTES};
 use crate::link::{Direction, Link, LinkId, LinkParams, Offer};
-use crate::network::partition::{gather, scatter};
 use crate::node::{Node, NodeId, NodeKind, PortId};
 use crate::packet::{FlowId, Packet};
 use crate::queue::Qdisc;
@@ -55,10 +54,6 @@ pub(crate) struct Booked {
     /// The direction's failure generation its `Deliver` must carry.
     pub(crate) gen: u32,
 }
-
-/// Per link, per direction: the `(transmit, receive)` shards of a
-/// partitioned run (see `PartitionedSim`).
-pub(crate) type DirOwners = [[(u32, u32); 2]];
 
 /// Nodes, links and addresses of one simulation.
 pub(crate) struct Fabric<P> {
@@ -345,101 +340,20 @@ impl<P: Send + 'static> Fabric<P> {
         self.fluid_advanced(link, dir, now).fluid_bytes_out as u64
     }
 
-    /// Packets accepted by some direction and not yet delivered, over
-    /// `copies` of one fabric: the fabric itself, or every shard of a
-    /// partitioned run — a handed-off packet stays counted in the transmit
-    /// shard's copy of the direction until the receive shard decrements
-    /// its own, so occupancy is the *signed sum over every copy*. `Err`
-    /// describes a direction whose sum is negative: a packet counted twice.
-    pub(crate) fn in_network(copies: &[&Fabric<P>]) -> Result<u64, String> {
-        let mut total = 0i64;
-        for (li, l) in copies[0].links.iter().enumerate() {
-            for d in 0..2 {
-                let sum: i64 = copies.iter().map(|f| f.links[li].dirs[d].in_network).sum();
-                if sum < 0 {
-                    return Err(format!("negative in-network count {sum} on {}", l.label));
-                }
-                total += sum;
+    /// Packets accepted by some direction and not yet delivered. `Err`
+    /// describes a direction whose count is negative: a packet counted
+    /// twice.
+    pub(crate) fn in_network(&self) -> Result<u64, String> {
+        let mut total = 0;
+        for l in &self.links {
+            for d in &l.dirs {
+                let n = u64::try_from(d.in_network).map_err(|_| {
+                    format!("negative in-network count {} on {}", d.in_network, l.label)
+                })?;
+                total += n;
             }
         }
-        Ok(total as u64)
-    }
-
-    /// Split for a partitioned run. Each node moves to the shard that owns
-    /// it; the other shards get an agent-less placeholder host carrying
-    /// the same port table (fault handling iterates ports everywhere). The
-    /// link table is replicated in full — pristine, asserted by
-    /// [`Link::replicate`] — so link indices, and with them the
-    /// per-direction stream derivations, need no remapping; so is the
-    /// address book.
-    pub(crate) fn shard(self, owner: &[u32], workers: usize) -> Vec<Self> {
-        let Fabric {
-            nodes,
-            links,
-            addr_book,
-            busy_dirs: _,
-            rng,
-        } = self;
-        let placeholder = |node: &Node| Node {
-            kind: NodeKind::Host,
-            ports: node.ports.clone(),
-            label: node.label.clone(),
-        };
-        let shards = scatter(nodes, owner, workers, placeholder).into_iter();
-        shards
-            .map(|nodes| Fabric {
-                nodes,
-                links: links.iter().map(Link::replicate).collect(),
-                addr_book: addr_book.clone(),
-                busy_dirs: Vec::new(),
-                rng: rng.clone(),
-            })
-            .collect()
-    }
-
-    /// Inverse of [`Fabric::shard`], after any amount of running: each
-    /// node comes back from its owner, each link from the authoritative
-    /// copies of its directions ([`Link::merge`]), and the sweep list is
-    /// rebuilt from the directions that still hold booked departures.
-    pub(crate) fn merge(shards: Vec<Self>, owner: &[u32], dir_owner: &DirOwners) -> Self {
-        let mut nodes = Vec::with_capacity(shards.len());
-        let mut links = Vec::with_capacity(shards.len());
-        let mut shared = None;
-        for shard in shards {
-            let Fabric {
-                nodes: n,
-                links: l,
-                addr_book,
-                busy_dirs: _,
-                rng,
-            } = shard;
-            nodes.push(n);
-            links.push(l.into_iter());
-            shared.get_or_insert((addr_book, rng));
-        }
-        let (addr_book, rng) = shared.expect("at least one shard");
-        let mut merge_next = |&owners| {
-            let copies = links
-                .iter_mut()
-                .map(|it| it.next().expect("link tables aligned"));
-            Link::merge(copies.collect(), owners)
-        };
-        let mut merged = Fabric {
-            nodes: gather(nodes, owner),
-            links: dir_owner.iter().map(&mut merge_next).collect(),
-            addr_book,
-            busy_dirs: Vec::new(),
-            rng,
-        };
-        for (li, l) in merged.links.iter_mut().enumerate() {
-            for (d, dir) in l.dirs.iter_mut().enumerate() {
-                dir.listed = !dir.pending.is_empty();
-                if dir.listed {
-                    merged.busy_dirs.push((LinkId(li as u32), d as u8));
-                }
-            }
-        }
-        merged
+        Ok(total)
     }
 }
 

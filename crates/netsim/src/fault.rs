@@ -164,7 +164,7 @@ impl FaultPlan {
 
 /// The installed fault timeline of one simulation; engine `Fault` events
 /// index into it. Grows by [`FaultTimeline::install`] only.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct FaultTimeline {
     events: Vec<FaultEvent>,
 }
@@ -202,19 +202,6 @@ impl FaultTimeline {
     /// The event engine index `idx` names.
     pub(crate) fn get(&self, idx: u32) -> FaultEvent {
         self.events[idx as usize]
-    }
-
-    /// Split for a partitioned run: every shard holds the full link table,
-    /// so every shard replays the full timeline.
-    pub(crate) fn shard(self, workers: usize) -> Vec<FaultTimeline> {
-        vec![self; workers]
-    }
-
-    /// Inverse of [`FaultTimeline::shard`]: the replicas are identical.
-    pub(crate) fn merge(mut shards: Vec<FaultTimeline>) -> FaultTimeline {
-        let FaultTimeline { events } = shards.swap_remove(0);
-        debug_assert!(shards.iter().all(|s| s.events == events));
-        FaultTimeline { events }
     }
 }
 

@@ -5,7 +5,6 @@
 //! and the event loop then applies what it emitted.
 
 use crate::agent::{Agent, Ctx, Emit};
-use crate::network::partition::{gather, scatter};
 use crate::node::NodeId;
 use crate::probe::SimProfile;
 use crate::timer::TimerTable;
@@ -77,51 +76,5 @@ impl<P, A: Agent<P>> Hosts<P, A> {
     pub(crate) fn recycle(&mut self, emits: Vec<Emit<P>>) {
         debug_assert!(emits.is_empty());
         self.emit_pool.push(emits);
-    }
-
-    /// Split for a partitioned run: each node's agent and timers move to
-    /// the shard that owns it, every other shard holds an empty slot for
-    /// it. Signals must have been drained; the buffer pool starts over.
-    pub(crate) fn shard(self, owner: &[u32], workers: usize) -> Vec<Self> {
-        let Hosts {
-            agents,
-            emit_pool: _,
-            signals,
-            timers,
-        } = self;
-        assert!(signals.is_empty(), "undrained signals at partition time");
-        let agents = scatter(agents, owner, workers, |_| None);
-        let shards = agents.into_iter().zip(timers.shard(owner, workers));
-        shards
-            .map(|(agents, timers)| Hosts {
-                agents,
-                emit_pool: Vec::new(),
-                signals: VecDeque::new(),
-                timers,
-            })
-            .collect()
-    }
-
-    /// Inverse of [`Hosts::shard`].
-    pub(crate) fn merge(shards: Vec<Self>, owner: &[u32]) -> Self {
-        let mut agents = Vec::with_capacity(shards.len());
-        let mut timers = Vec::with_capacity(shards.len());
-        for shard in shards {
-            let Hosts {
-                agents: a,
-                emit_pool: _,
-                signals,
-                timers: t,
-            } = shard;
-            assert!(signals.is_empty(), "undrained signals at finish");
-            agents.push(a);
-            timers.push(t);
-        }
-        Hosts {
-            agents: gather(agents, owner),
-            emit_pool: Vec::new(),
-            signals: VecDeque::new(),
-            timers: TimerTable::merge(timers, owner),
-        }
     }
 }

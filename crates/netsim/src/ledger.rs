@@ -6,8 +6,8 @@
 use crate::link::Link;
 use xmp_des::SimTime;
 
-/// Conservation counters of one simulation (or one shard of it).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Conservation counters of one simulation.
+#[derive(Debug, Default)]
 pub(crate) struct Ledger {
     /// Packets injected by host agents (`Emit::Send`).
     pub(crate) injected: u64,
@@ -50,32 +50,6 @@ impl Ledger {
             return Err(format!("packet conservation violated: {report:?}"));
         }
         Ok(report)
-    }
-
-    /// Split for a partitioned run: shard 0 carries the counts so far, the
-    /// others start from zero, so the shards always sum to the whole.
-    pub(crate) fn shard(self, workers: usize) -> Vec<Ledger> {
-        let mut shards = vec![Ledger::default(); workers];
-        shards[0] = self;
-        shards
-    }
-
-    /// Inverse of [`Ledger::shard`]: every count is a sum over shards.
-    pub(crate) fn merge(shards: impl IntoIterator<Item = Ledger>) -> Ledger {
-        shards.into_iter().fold(Ledger::default(), |sum, shard| {
-            let Ledger {
-                injected,
-                delivered,
-                dropped,
-                unroutable,
-            } = shard;
-            Ledger {
-                injected: sum.injected + injected,
-                delivered: sum.delivered + delivered,
-                dropped: sum.dropped + dropped,
-                unroutable: sum.unroutable + unroutable,
-            }
-        })
     }
 }
 

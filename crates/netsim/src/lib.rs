@@ -20,10 +20,8 @@
 //!   [`agent::Agent`]s together on top of the `xmp-des` kernel.
 //!
 //! Everything is deterministic: same topology + same seed ⇒ bit-identical
-//! results. Runs are single-threaded by default; a
-//! [`network::partition::PartitionedSim`] shards one simulation across
-//! threads with a conservative synchronization protocol that preserves
-//! bit-identity with the serial run.
+//! results. A run is single-threaded; independent runs parallelize across
+//! cells.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,7 +51,6 @@ pub use agent::{Agent, Ctx};
 pub use fault::{FaultEvent, FaultPlan};
 pub use fluid::{FluidCc, FluidFlowStats, FluidId, FluidSpec, FluidState, FluidSubflowSpec};
 pub use link::{FaultConfig, LinkId, LinkParams};
-pub use network::partition::{PartitionPlan, PartitionedSim};
 pub use network::{AuditReport, ConfigError, InvariantState, NetEvent, Sim, SimTuning};
 pub use node::{NodeId, PortId};
 pub use packet::{Ecn, FlowId, Packet};

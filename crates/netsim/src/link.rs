@@ -360,9 +360,6 @@ pub struct Link<P> {
     pub dirs: [Direction<P>; 2],
     /// Optional label from the topology builder (e.g. `"L3"`).
     pub label: String,
-    /// The queue configuration both directions were built from, kept so a
-    /// partitioned run can replicate pristine direction state per shard.
-    pub(crate) qcfg: QdiscConfig,
 }
 
 impl<P> Link<P> {
@@ -401,98 +398,6 @@ impl<P> Link<P> {
             delay: params.delay,
             dirs: [mk_dir(b, 0), mk_dir(a, 1)],
             label,
-            qcfg: params.queue.clone(),
-        }
-    }
-
-    /// Clone this link with **pristine** dynamic state: a fresh qdisc built
-    /// from the stored config, no booked transmission windows, and copies
-    /// of the stats/RNG/fault state. Only valid before any
-    /// traffic has run (asserted), so a partitioned run can hand every
-    /// shard an identical replica of the full link table.
-    pub(crate) fn replicate(&self) -> Self
-    where
-        P: Send + 'static,
-    {
-        let rep_dir = |d: &Direction<P>| {
-            assert!(
-                d.pending.is_empty(),
-                "link replication requires a pristine link (no traffic yet)"
-            );
-            Direction {
-                to_node: d.to_node,
-                to_port: d.to_port,
-                queue: self.qcfg.build(),
-                stats: d.stats.clone(),
-                fault: d.fault,
-                fault_rng: d.fault_rng.clone(),
-                corrupt_rng: d.corrupt_rng.clone(),
-                down: d.down,
-                fail_gen: d.fail_gen,
-                in_network: d.in_network,
-                busy_until: d.busy_until,
-                pending: VecDeque::new(),
-                listed: false,
-                fluid_rate: 0.0,
-                fluid_backlog: 0.0,
-                fluid_bytes_out: 0.0,
-                fluid_asof: SimTime::ZERO,
-            }
-        };
-        Link {
-            bandwidth: self.bandwidth,
-            delay: self.delay,
-            dirs: [rep_dir(&self.dirs[0]), rep_dir(&self.dirs[1])],
-            label: self.label.clone(),
-            qcfg: self.qcfg.clone(),
-        }
-    }
-
-    /// Inverse of [`Link::replicate`], after any amount of running: one
-    /// link from its shard `copies` (indexed by shard), given each
-    /// direction's `(transmit, receive)` shards. The transmit-authoritative
-    /// copy carries the qdisc, booked transmission windows, fault stream
-    /// and tx-side counters wholesale. On a cut direction it never sees a
-    /// delivery, so the receive-authoritative copy supplies the delivery
-    /// counters and the corruption stream; blackholes accrue on both sides
-    /// (tx: down at enqueue; rx: stale-generation arrivals) and sum, and so
-    /// do the signed occupancy halves (tx +1 at accept, rx −1 at deliver).
-    pub(crate) fn merge(copies: Vec<Self>, dir_owner: [(u32, u32); 2]) -> Self {
-        let mut halves = Vec::with_capacity(copies.len());
-        let mut shared = None;
-        for copy in copies {
-            let Link {
-                bandwidth,
-                delay,
-                dirs: [d0, d1],
-                label,
-                qcfg,
-            } = copy;
-            halves.push([Some(d0), Some(d1)]);
-            shared.get_or_insert((bandwidth, delay, label, qcfg));
-        }
-        let mut merged = |d: usize| {
-            let (tx, rx) = dir_owner[d];
-            let mut dir = halves[tx as usize][d].take().expect("tx owner is a shard");
-            if tx != rx {
-                let rx = halves[rx as usize][d].take().expect("rx owner is a shard");
-                dir.stats.delivered = rx.stats.delivered;
-                dir.stats.delivered_bytes = rx.stats.delivered_bytes;
-                dir.stats.corrupted = rx.stats.corrupted;
-                dir.stats.blackholed += rx.stats.blackholed;
-                dir.in_network += rx.in_network;
-                dir.corrupt_rng = rx.corrupt_rng;
-            }
-            dir
-        };
-        let dirs = [merged(0), merged(1)];
-        let (bandwidth, delay, label, qcfg) = shared.expect("at least one copy");
-        Link {
-            bandwidth,
-            delay,
-            dirs,
-            label,
-            qcfg,
         }
     }
 

@@ -42,9 +42,6 @@ use xmp_des::{ByteSize, Engine, SimDuration, SimTime};
 pub use crate::error::ConfigError;
 pub use crate::ledger::{AuditReport, InvariantState};
 
-#[path = "partition.rs"]
-pub mod partition;
-
 /// Payload requirements for simulated packets.
 pub trait Payload: Clone + std::fmt::Debug + Send + 'static {}
 impl<T: Clone + std::fmt::Debug + Send + 'static> Payload for T {}
@@ -129,9 +126,9 @@ pub enum NetEvent<P> {
 /// Events firing at the same instant are ranked by *identity*, not by when
 /// they were scheduled: all packet arrivals first (by link, direction),
 /// then agent timers (by node), then faults, fluid ticks and probe
-/// samples. Identity ranks are what lets a partitioned run, whose shards
-/// schedule the same events in a different order, merge back into the
-/// serial order exactly.
+/// samples. This fixes how traffic, faults and samples relate at one
+/// instant whatever order they were scheduled in, and every recorded
+/// digest was taken under it (DESIGN.md §10.3).
 fn deliver_key(link: LinkId, dir: u8) -> u64 {
     ((link.0 as u64) << 1) | dir as u64
 }
@@ -154,43 +151,7 @@ fn fluid_key(id: u32) -> u64 {
 /// Probe sampling ranks dead last at an instant: a tick at `t` observes the
 /// state *after* every packet, timer and fault effect at `t` (`u64::MAX`
 /// exceeds every `fault_key`, whose index is a u32).
-pub(crate) const SAMPLE_KEY: u64 = u64::MAX;
-
-/// Identity rank of the event `ev` would be scheduled under — the same key
-/// `schedule_keyed` orders it by at an instant. Partitioned shards stamp
-/// probe records with the rank of the event being processed so the merge
-/// can reproduce the serial record order exactly (see
-/// [`partition::PartitionedSim`]).
-fn event_rank<P>(ev: &NetEvent<P>) -> u64 {
-    match ev {
-        // `TxDone` is never scheduled; it has no rank of its own.
-        NetEvent::Deliver { link, dir, .. } | NetEvent::TxDone { link, dir, .. } => {
-            deliver_key(*link, *dir)
-        }
-        NetEvent::Timer { node, .. } => timer_key(*node),
-        NetEvent::Fault { idx } => fault_key(*idx),
-        NetEvent::Sample => SAMPLE_KEY,
-        NetEvent::Fluid { id } => fluid_key(*id),
-    }
-}
-
-/// Per-shard bookkeeping present only while this `Sim` is one partition of
-/// a [`partition::PartitionedSim`]. `None` in serial runs: the hot path
-/// pays exactly one branch per scheduled delivery.
-pub(crate) struct ShardState<P> {
-    /// Per link, bit `dir` set means direction `dir`'s receiving node lives
-    /// on another shard: its `Deliver` goes to the outbox, not the engine.
-    pub(crate) remote_rx: Vec<u8>,
-    /// Cross-partition deliveries produced this round, in emission order:
-    /// `(arrival, link, dir, fail_gen, pkt)`.
-    pub(crate) outbox: Vec<(SimTime, LinkId, u8, u32, Packet<P>)>,
-    /// Identity rank of the event (or driver operation) currently being
-    /// processed; stamped on probe records for the deterministic merge.
-    pub(crate) rank: (u64, u64),
-    /// Per probe-watch index: whether this shard owns the transmit side
-    /// (records `Queue`/`Mark`) and the receive side (records `Util`).
-    pub(crate) watch_roles: Vec<(bool, bool)>,
-}
+const SAMPLE_KEY: u64 = u64::MAX;
 
 /// The whole simulation: an engine and the sub-states it drives, each owned
 /// by one module (the module map is DESIGN.md §3).
@@ -213,8 +174,6 @@ pub struct Sim<P: Payload, A: Agent<P> = Box<dyn Agent<P>>> {
     /// Fluid flow registry (`SimTuning::hybrid`); `None` until the first
     /// [`Sim::fluid_open`], so packet-only runs never touch it.
     fluid: Option<Box<crate::fluid::FluidState>>,
-    /// Set iff this sim is one shard of a [`partition::PartitionedSim`].
-    part: Option<Box<ShardState<P>>>,
 }
 
 impl<P: Payload, A: Agent<P>> Sim<P, A> {
@@ -230,7 +189,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             faults: FaultTimeline::default(),
             tuning: SimTuning::default(),
             fluid: None,
-            part: None,
         }
     }
 
@@ -496,8 +454,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// description instead of aborting, so a chaos harness can record the
     /// violation and shrink the scenario that produced it.
     pub fn try_audit_conservation(&self) -> Result<AuditReport, String> {
-        self.ledger
-            .conservation(Fabric::in_network(&[&self.fabric])?)
+        self.ledger.conservation(self.fabric.in_network()?)
     }
 
     /// Mid-run invariant audit: check every structural invariant that must
@@ -655,8 +612,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// `run_until` callback, just like a transport completion.
     ///
     /// # Errors
-    /// [`ConfigError::HybridDisabled`] without the tuning flag,
-    /// [`ConfigError::HybridUnsupported`] on a partitioned shard, and
+    /// [`ConfigError::HybridDisabled`] without the tuning flag, and
     /// [`ConfigError::FluidPathTooLong`] when a path walk exceeds
     /// [`crate::fluid::MAX_HOPS`] (a routing loop).
     ///
@@ -666,9 +622,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     pub fn fluid_open(&mut self, spec: &FluidSpec) -> Result<FluidId, ConfigError> {
         if !self.tuning.hybrid {
             return Err(ConfigError::HybridDisabled);
-        }
-        if self.part.is_some() {
-            return Err(ConfigError::HybridUnsupported);
         }
         assert!(!spec.subflows.is_empty(), "fluid flow needs >= 1 subflow");
         let mss = ByteSize::from_bytes(spec.mss as u64);
@@ -754,12 +707,6 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     }
 
     fn handle(&mut self, ev: NetEvent<P>) {
-        if let Some(ps) = self.part.as_mut() {
-            // Probe records and signals produced while handling this event
-            // carry its identity rank, so the cross-shard merge can restore
-            // the serial order at equal timestamps.
-            ps.rank = (event_rank(&ev), 0);
-        }
         let profile = &mut self.observers.profile;
         match ev {
             NetEvent::TxDone { .. } => {}
@@ -782,10 +729,8 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             }
             NetEvent::Sample => {
                 profile.sample += 1;
-                let roles = self.part.as_ref().map(|ps| &ps.watch_roles[..]);
                 let (now, hybrid) = (self.engine.now(), self.tuning.hybrid);
-                self.observers
-                    .on_sample(now, &mut self.fabric, hybrid, roles);
+                self.observers.on_sample(now, &mut self.fabric, hybrid);
                 self.schedule_next_sample();
             }
             NetEvent::Fluid { id } => {
@@ -925,25 +870,17 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         };
         if marked {
             if let Some(p) = self.observers.probes.as_mut() {
-                let rank = self.part.as_ref().map(|ps| ps.rank);
-                p.on_mark(now, link, dir, rank);
+                p.on_mark(now, link, dir);
             }
         }
-        match self.part.as_mut() {
-            Some(ps) if ps.remote_rx[link.0 as usize] & (1 << dir) != 0 => {
-                ps.outbox.push((arrives, link, dir, gen, pkt));
-            }
-            _ => {
-                let ev = NetEvent::Deliver {
-                    link,
-                    dir,
-                    gen,
-                    pkt,
-                };
-                self.engine
-                    .schedule_keyed(arrives, deliver_key(link, dir), ev);
-            }
-        }
+        let ev = NetEvent::Deliver {
+            link,
+            dir,
+            gen,
+            pkt,
+        };
+        self.engine
+            .schedule_keyed(arrives, deliver_key(link, dir), ev);
     }
 }
 
@@ -1553,5 +1490,152 @@ mod tests {
         assert_eq!(sim.events_scheduled(), 1);
         sim.run_until_quiet(SimTime::from_millis(2));
         assert!(sim.link(l).dir(0).is_down());
+    }
+
+    /// Paced source + sink: bursts 3 packets to a fixed peer on each of 30
+    /// timer ticks 150 µs apart, records arrivals, raises a signal per
+    /// delivery.
+    struct Pacer {
+        src: Addr,
+        dst: Addr,
+        flow: u64,
+        ticks: u64,
+        received: Vec<(u64, u64)>,
+    }
+
+    impl Agent<u64> for Pacer {
+        fn on_packet(&mut self, pkt: Packet<u64>, _port: PortId, ctx: &mut Ctx<'_, u64>) {
+            self.received.push((ctx.now().as_nanos(), pkt.payload));
+            ctx.signal(pkt.payload);
+        }
+        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_, u64>) {
+            for i in 0..3 {
+                let payload = self.flow * 1_000_000 + self.ticks * 100 + i;
+                let size = ByteSize::from_bytes(1500);
+                let pkt = Packet::new(
+                    self.src,
+                    self.dst,
+                    FlowId(self.flow),
+                    Ecn::Ect,
+                    size,
+                    payload,
+                );
+                ctx.send(PortId(0), pkt);
+            }
+            self.ticks += 1;
+            if self.ticks < 30 {
+                ctx.set_timer(0, ctx.now() + SimDuration::from_micros(150));
+            }
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Two "pods" (switch + two hosts each) joined by one lossy, corrupting
+    /// trunk that fails and is repaired mid-run, with marked probes on it;
+    /// all four paced flows cross it, and the driver injects one extra
+    /// packet at 2 ms. Host arrivals, per-direction stats, signals, probe
+    /// records and the audit are held to the outcome recorded from the
+    /// two-event (`TxDone` + `Deliver`) link pipeline at commit ce843ca.
+    #[test]
+    fn paced_two_pod_run_matches_the_recorded_outcome() {
+        const RECORDED: u64 = 3211794231008737860;
+        let mut sim: Sim<u64> = Sim::new(42);
+        let a = |i: u8| Addr::new(10, 0, 0, i);
+        let ecn = QdiscConfig::EcnThreshold { cap: 64, k: 4 };
+        let link = |us| {
+            LinkParams::new(
+                Bandwidth::from_gbps(1),
+                SimDuration::from_micros(us),
+                ecn.clone(),
+            )
+        };
+        let pacer = |src: u8, dst: u8, flow| -> Box<dyn Agent<u64>> {
+            let (src, dst) = (a(src), a(dst));
+            Box::new(Pacer {
+                src,
+                dst,
+                flow,
+                ticks: 0,
+                received: Vec::new(),
+            })
+        };
+        let h0 = sim.add_host("h0", pacer(1, 3, 1));
+        let h1 = sim.add_host("h1", pacer(2, 4, 2));
+        let sw0 = sim.add_switch("sw0", Box::new(StaticRouter::new()));
+        let h2 = sim.add_host("h2", pacer(3, 1, 3));
+        let h3 = sim.add_host("h3", pacer(4, 2, 4));
+        let sw1 = sim.add_switch("sw1", Box::new(StaticRouter::new()));
+        sim.connect(h0, sw0, &link(20), "h0-sw0"); // sw0 port 0
+        sim.connect(h1, sw0, &link(20), "h1-sw0"); // sw0 port 1
+        let trunk = sim.connect(sw0, sw1, &link(40), "sw0-sw1"); // sw0 p2, sw1 p0
+        sim.connect(h2, sw1, &link(20), "h2-sw1"); // sw1 port 1
+        sim.connect(h3, sw1, &link(20), "h3-sw1"); // sw1 port 2
+        let hosts = [h0, h1, h2, h3];
+        for (i, &h) in hosts.iter().enumerate() {
+            sim.bind_addr(a(i as u8 + 1), h);
+        }
+        let ports = |p: [u16; 4]| {
+            let routes = (1..=4).zip(p).map(|(i, port)| (a(i), PortId(port)));
+            Box::new(routes.fold(StaticRouter::new(), |r, (dst, port)| r.to(dst, port)))
+        };
+        sim.set_router(sw0, ports([0, 1, 2, 2]));
+        sim.set_router(sw1, ports([0, 0, 1, 2]));
+        sim.install_fault_plan(
+            &FaultPlan::new()
+                .drop_rate(trunk, 0.02)
+                .corrupt_rate(trunk, 0.01)
+                .link_down(SimTime::from_micros(1500), trunk)
+                .link_up(SimTime::from_micros(2500), trunk),
+        );
+        sim.install_probes(ProbeConfig {
+            interval: SimDuration::from_micros(100),
+            until: SimTime::from_micros(8000),
+            watch: vec![(trunk, 0), (trunk, 1)],
+            record_marks: true,
+        });
+        for h in hosts {
+            sim.with_agent::<Pacer, _>(h, |_, ctx| ctx.set_timer(0, SimTime::from_micros(10)));
+        }
+
+        let mut sigs = Vec::new();
+        sim.run_until(SimTime::from_micros(2000), |_, n, c| sigs.push((n, c)));
+        sim.advance_to(SimTime::from_micros(2000));
+        sim.with_agent::<Pacer, _>(h0, |p, ctx| {
+            let size = ByteSize::from_bytes(700);
+            let pkt = Packet::new(p.src, p.dst, FlowId(p.flow), Ecn::Ect, size, 999_999);
+            ctx.send(PortId(0), pkt);
+        });
+        sim.run_until(SimTime::from_micros(8000), |_, n, c| sigs.push((n, c)));
+        let audit = sim.audit_conservation();
+
+        use std::fmt::Write;
+        let mut seen = String::new();
+        writeln!(seen, "clock={:?}", sim.now()).unwrap();
+        for h in hosts {
+            let recv = sim.with_agent::<Pacer, _>(h, |p, _| p.received.clone());
+            writeln!(seen, "host {h:?}: {recv:?}").unwrap();
+        }
+        for (id, l) in sim.links() {
+            for d in 0..2 {
+                writeln!(seen, "{id:?}/{d}: {:?}", l.dirs[d].stats).unwrap();
+            }
+        }
+        let p = sim.profile();
+        writeln!(seen, "deliver={} timer={}", p.deliver, p.timer).unwrap();
+        let records = sim
+            .take_probes()
+            .expect("probes installed")
+            .records()
+            .to_vec();
+        let observed = (seen, sigs, records, audit);
+        // FNV-1a over everything observed.
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in format!("{observed:?}").bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        assert_eq!(h, RECORDED);
     }
 }

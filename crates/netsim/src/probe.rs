@@ -509,13 +509,6 @@ pub struct Probes {
     pub(crate) watch: Vec<(LinkId, u8)>,
     pub(crate) record_marks: bool,
     records: Vec<ProbeRecord>,
-    /// Merge-rank side channel, active only on partitioned shards: one
-    /// `(primary, secondary)` rank per record, parallel to `records`. The
-    /// primary is the identity key of the engine event being handled when
-    /// the record was pushed; the secondary orders records within one event
-    /// (sampling ticks) or driver operations. The cross-shard merge sorts
-    /// by `(time, rank)` to reproduce the serial recording order exactly.
-    pub(crate) ranks: Option<Vec<(u64, u64)>>,
 }
 
 impl Probes {
@@ -526,49 +519,18 @@ impl Probes {
             watch: cfg.watch,
             record_marks: cfg.record_marks,
             records: Vec::new(),
-            ranks: None,
-        }
-    }
-
-    /// The configuration these probes were installed with.
-    pub(crate) fn config(&self) -> ProbeConfig {
-        ProbeConfig {
-            interval: self.interval,
-            until: self.until,
-            watch: self.watch.clone(),
-            record_marks: self.record_marks,
         }
     }
 
     /// Append a record (sampling ticks do this; drivers push their own,
     /// e.g. per-subflow cwnd snapshots).
     pub fn push(&mut self, rec: ProbeRecord) {
-        if let Some(ranks) = self.ranks.as_mut() {
-            // Un-ranked pushes on a shard (none exist today) would sort
-            // after everything at their instant.
-            ranks.push((u64::MAX, u64::MAX));
-        }
-        self.records.push(rec);
-    }
-
-    /// Append a record with an explicit merge rank (partitioned shards;
-    /// the rank is dropped when the side channel is inactive).
-    pub(crate) fn push_ranked(&mut self, rec: ProbeRecord, rank: (u64, u64)) {
-        if let Some(ranks) = self.ranks.as_mut() {
-            ranks.push(rank);
-        }
         self.records.push(rec);
     }
 
     /// All records in recording order.
     pub fn records(&self) -> &[ProbeRecord] {
         &self.records
-    }
-
-    /// Move all records out (the partitioned merge re-orders per-shard
-    /// records into the serial recording order).
-    pub(crate) fn take_records(&mut self) -> Vec<ProbeRecord> {
-        std::mem::take(&mut self.records)
     }
 
     /// Number of records.
@@ -587,18 +549,13 @@ impl Probes {
     }
 
     /// On-change hook for CE marks (called from the enqueue paths).
-    /// `rank` is the processing event's merge rank on partitioned shards,
-    /// `None` in serial runs.
-    pub(crate) fn on_mark(&mut self, at: SimTime, link: LinkId, dir: u8, rank: Option<(u64, u64)>) {
+    pub(crate) fn on_mark(&mut self, at: SimTime, link: LinkId, dir: u8) {
         if self.record_marks && self.watch.contains(&(link, dir)) {
-            self.push_ranked(
-                ProbeRecord::Mark {
-                    at,
-                    link: link.0,
-                    dir,
-                },
-                rank.unwrap_or((u64::MAX, u64::MAX)),
-            );
+            self.push(ProbeRecord::Mark {
+                at,
+                link: link.0,
+                dir,
+            });
         }
     }
 
@@ -637,13 +594,6 @@ pub struct SimProfile {
     pub pool_misses: u64,
     /// Wall-clock nanoseconds spent inside the `run_until` event loop.
     pub run_wall_ns: u64,
-    /// Conservative synchronization rounds run (partitioned runs only;
-    /// one round = one run-to-horizon + barrier + outbox exchange cycle).
-    pub sync_rounds: u64,
-    /// Cross-shard packet handoffs exchanged through round outboxes
-    /// (partitioned runs only; `handoffs / sync_rounds` = mean per-round
-    /// handoff count).
-    pub handoffs: u64,
     /// Fluid rate-update ticks handled (`SimTuning::hybrid`; 0 on
     /// packet-only runs).
     pub fluid_ticks: u64,
@@ -677,16 +627,6 @@ impl SimProfile {
         }
     }
 
-    /// Mean cross-shard handoffs per synchronization round (0.0 outside
-    /// partitioned runs).
-    pub fn handoffs_per_round(&self) -> f64 {
-        if self.sync_rounds == 0 {
-            0.0
-        } else {
-            self.handoffs as f64 / self.sync_rounds as f64
-        }
-    }
-
     /// One-line human summary (suite output).
     pub fn summary(&self) -> String {
         let mut s = format!(
@@ -699,13 +639,6 @@ impl SimProfile {
             self.run_wall_ns as f64 / 1e6,
             self.events_per_sec() / 1e6,
         );
-        if self.sync_rounds > 0 {
-            s.push_str(&format!(
-                " | rounds {} ({:.1} handoffs/round)",
-                self.sync_rounds,
-                self.handoffs_per_round()
-            ));
-        }
         if self.fluid_ticks > 0 {
             s.push_str(&format!(" | fluid ticks {}", self.fluid_ticks));
         }
@@ -844,12 +777,12 @@ mod tests {
             .until(SimTime::from_secs(1))
             .watch_queue(LinkId(3), 0);
         let mut p = Probes::new(cfg.clone().with_marks());
-        p.on_mark(SimTime::ZERO, LinkId(3), 0, None); // watched
-        p.on_mark(SimTime::ZERO, LinkId(3), 1, None); // wrong dir
-        p.on_mark(SimTime::ZERO, LinkId(4), 0, None); // wrong link
+        p.on_mark(SimTime::ZERO, LinkId(3), 0); // watched
+        p.on_mark(SimTime::ZERO, LinkId(3), 1); // wrong dir
+        p.on_mark(SimTime::ZERO, LinkId(4), 0); // wrong link
         assert_eq!(p.len(), 1);
         let mut quiet = Probes::new(cfg); // record_marks off
-        quiet.on_mark(SimTime::ZERO, LinkId(3), 0, None);
+        quiet.on_mark(SimTime::ZERO, LinkId(3), 0);
         assert!(quiet.is_empty());
     }
 

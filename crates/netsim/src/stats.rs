@@ -54,7 +54,7 @@ pub struct DirStats {
 
 /// What `#[derive(Debug)]` printed before the fields were reordered for the
 /// cache, field for field. Recorded run outcomes hash this string
-/// (`partition::tests`), and the reference-port test diffs it: it is an
+/// (`network::tests`), and the reference-port test diffs it: it is an
 /// output format, and `tests::debug_form_is_pinned` holds it still.
 impl fmt::Debug for DirStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -6,7 +6,6 @@
 //! expiring event means, so the rules run (and are tested) without a sim.
 
 use crate::hash::FxHashMap;
-use crate::network::partition::{gather, scatter};
 use crate::node::NodeId;
 use xmp_des::SimTime;
 
@@ -184,25 +183,6 @@ impl TimerTable {
                     }
                 }
             }
-        }
-    }
-
-    /// Split for a partitioned run: each node's timers move to the shard
-    /// that owns it; every other shard keeps an empty table in that slot.
-    pub(crate) fn shard(self, owner: &[u32], workers: usize) -> Vec<TimerTable> {
-        let TimerTable { nodes } = self;
-        let shards = scatter(nodes, owner, workers, |_| NodeTimers::default());
-        shards
-            .into_iter()
-            .map(|nodes| TimerTable { nodes })
-            .collect()
-    }
-
-    /// Inverse of [`TimerTable::shard`].
-    pub(crate) fn merge(shards: Vec<TimerTable>, owner: &[u32]) -> TimerTable {
-        let shards = shards.into_iter().map(|TimerTable { nodes }| nodes);
-        TimerTable {
-            nodes: gather(shards.collect(), owner),
         }
     }
 }

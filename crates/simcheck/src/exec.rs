@@ -1,28 +1,32 @@
 //! Scenario execution: run one scenario through every applicable oracle
 //! leg, digest each leg, and audit runtime invariants mid-run.
 //!
-//! Every leg simulates the *same* scenario under a different
-//! proven-equivalent implementation choice — serial vs partitioned across
-//! 2–4 workers — and must produce a bit-identical
-//! [`Driver::outcome_digest`] (final clock, every flow record, the
-//! conservation audit, every probe record and the per-kind event counts).
-//! Any digest mismatch or invariant-audit failure marks the scenario as
-//! failing, which sends it to the shrinker.
+//! Every leg simulates the *same* scenario and must produce a
+//! bit-identical [`Driver::outcome_digest`] (final clock, every flow
+//! record, the conservation audit, every probe record and the per-kind
+//! event counts). The baseline drives the run in fixed slices and may stop
+//! early once every flow completed; a `slices-N` leg drives it through a
+//! seeded sequence of irregular windows drawn from `(seed, N)` and ends at
+//! exactly the baseline's final instant — so state that depends on where
+//! a run window falls, and not only on the events, shows up as a
+//! divergence. Any digest mismatch or invariant-audit failure marks the
+//! scenario as failing, which sends it to the shrinker.
 
 use crate::scenario::{FaultSpec, Scenario};
-use xmp_des::{SimDuration, SimTime};
-use xmp_netsim::{FaultPlan, InvariantState, PartitionedSim, PortId, ProbeConfig, Sim};
+use xmp_des::{SimDuration, SimRng, SimTime};
+use xmp_netsim::{FaultPlan, InvariantState, PortId, ProbeConfig, Sim};
 use xmp_topo::{FatTree, FatTreeConfig};
 use xmp_transport::{HostStack, Segment, StackConfig, SubflowSpec};
 use xmp_workloads::{Driver, FlowSim, FlowSpecBuilder, Host};
 
-/// One oracle leg: which implementation choices this run flips.
+/// One oracle leg: how this run is cut into run windows.
 #[derive(Debug, Clone)]
 pub struct LegSpec {
-    /// Display label, e.g. `serial`, `workers-4`.
+    /// Display label, e.g. `serial`, `slices-4`.
     pub label: String,
-    /// Worker threads (1 = serial).
-    pub workers: usize,
+    /// `0`: the baseline's fixed slices. `n`: irregular windows drawn from
+    /// `(seed, n)`, about `16 n` of them.
+    pub slices: usize,
     /// Fire the spurious-timer chaos hook on this leg (test-only).
     pub inject: bool,
 }
@@ -38,6 +42,8 @@ pub struct LegOutcome {
     pub completed: usize,
     /// Invariant-audit failures observed on this leg.
     pub audit_failures: Vec<String>,
+    /// The leg's final instant.
+    pub end: SimTime,
 }
 
 /// The verdict for a whole scenario.
@@ -70,19 +76,19 @@ impl RunOutcome {
 
 /// The oracle legs a scenario requests, baseline first.
 pub fn legs(sc: &Scenario) -> Vec<LegSpec> {
-    let leg = |label: String, workers, inject| LegSpec {
+    let leg = |label: String, slices, inject| LegSpec {
         label,
-        workers,
+        slices,
         inject,
     };
-    let mut v = vec![leg("serial".into(), 1, false)];
-    v.extend(
-        sc.workers
-            .iter()
-            .map(|&w| leg(format!("workers-{w}"), w, false)),
-    );
+    let mut v = vec![leg("serial".into(), 0, false)];
+    let sliced = sc
+        .slices
+        .iter()
+        .map(|&n| leg(format!("slices-{n}"), n, false));
+    v.extend(sliced);
     if sc.inject_divergence {
-        v.push(leg("serial-injected".into(), 1, true));
+        v.push(leg("serial-injected".into(), 0, true));
     }
     v
 }
@@ -93,9 +99,10 @@ pub fn legs(sc: &Scenario) -> Vec<LegSpec> {
 /// harness/generator bug, not a divergence.
 pub fn run_scenario(sc: &Scenario) -> Result<RunOutcome, String> {
     let specs = legs(sc);
-    let mut out = Vec::with_capacity(specs.len());
+    let mut out: Vec<LegOutcome> = Vec::with_capacity(specs.len());
     for leg in &specs {
-        out.push(run_leg(sc, leg)?);
+        let end = out.first().map(|base| base.end);
+        out.push(run_leg(sc, leg, end)?);
     }
     let base = out[0].digest;
     let divergent = out
@@ -111,10 +118,10 @@ pub fn run_scenario(sc: &Scenario) -> Result<RunOutcome, String> {
 }
 
 /// Run one leg of the scenario and digest everything an observer could
-/// see. Serial legs additionally run the mid-run invariant audits at
-/// every drive-slice boundary; partitioned legs audit after `finish()`
-/// hands the shards back.
-pub fn run_leg(sc: &Scenario, leg: &LegSpec) -> Result<LegOutcome, String> {
+/// see. Fixed-slice legs run the mid-run invariant audits at every slice
+/// boundary; a re-sliced leg, which needs the baseline's final instant
+/// `end`, audits when it gets there.
+fn run_leg(sc: &Scenario, leg: &LegSpec, end: Option<SimTime>) -> Result<LegOutcome, String> {
     let mut sim: Sim<Segment, Host> = Sim::new(sc.seed);
     sim.set_tuning(sc.tuning);
 
@@ -204,31 +211,30 @@ pub fn run_leg(sc: &Scenario, leg: &LegSpec) -> Result<LegOutcome, String> {
         sim.debug_inject_spurious_timer(ft.host(0), SimTime::ZERO + SimDuration::from_micros(1));
     }
 
-    // Drive in fixed slices so serial and partitioned runs process
-    // identical event sets (everything is pre-submitted, nothing chains).
-    let target = conns.len();
-    let span = deadline - SimTime::ZERO;
-    let slice = SimDuration::from_nanos((span.as_nanos() / 16).max(100_000));
+    // Everything is pre-submitted and nothing chains on completion, so
+    // where the windows fall must not change what happens.
     let mut audit_failures = Vec::new();
     let mut inv = InvariantState::default();
-    let sim = if leg.workers > 1 {
-        let plan = ft
-            .try_partition_plan(leg.workers)
-            .map_err(|e| format!("partition: {e}"))?;
-        let mut psim =
-            PartitionedSim::try_new(sim, &plan).map_err(|e| format!("partition: {e}"))?;
-        driver.drive(&mut psim, deadline, slice, target, |_, _| {});
-        psim.finish()
-    } else {
-        driver.drive(&mut sim, deadline, slice, target, |s, d| {
-            s.audit_invariants(&mut inv, &mut audit_failures);
-            audit_windows(s, d, &conns, &mut audit_failures);
-        });
-        sim
-    };
-
-    // Post-run audit on every leg (for partitioned legs this is the first
-    // chance: the shards only merge back at `finish()`).
+    match (leg.slices, end) {
+        (n @ 1.., Some(end)) => {
+            let mut rng = SimRng::new(sc.seed).derive(n as u64);
+            let longest = (2 * end.as_nanos() / (16 * n as u64)).max(1);
+            while sim.now() < end {
+                let window = SimDuration::from_nanos(rng.uniform_u64(1, longest));
+                let t = (sim.now() + window).min(end);
+                driver.run(&mut sim, t, |_, _, _| {});
+            }
+            driver.finalize_running(&mut sim);
+        }
+        _ => {
+            let span = deadline - SimTime::ZERO;
+            let slice = SimDuration::from_nanos((span.as_nanos() / 16).max(100_000));
+            driver.drive(&mut sim, deadline, slice, conns.len(), |s, d| {
+                s.audit_invariants(&mut inv, &mut audit_failures);
+                audit_windows(s, d, &conns, &mut audit_failures);
+            });
+        }
+    }
     sim.audit_invariants(&mut inv, &mut audit_failures);
 
     let digest = driver.outcome_digest(&sim, &sim.try_audit_conservation());
@@ -239,6 +245,7 @@ pub fn run_leg(sc: &Scenario, leg: &LegSpec) -> Result<LegOutcome, String> {
         digest,
         completed,
         audit_failures,
+        end: sim.now(),
     })
 }
 

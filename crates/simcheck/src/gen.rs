@@ -8,7 +8,7 @@
 //! three qdisc families, every congestion-control scheme the workloads
 //! crate knows, three traffic patterns (random permutation, incast,
 //! mice + elephants), a random fault storm (flaps, switch kills, seeded
-//! loss and corruption), probe placement and partitioned worker counts.
+//! loss and corruption), probe placement and the re-sliced oracle legs.
 
 use crate::scenario::{
     FaultLine, FaultSpec, FlowLine, LinkRef, NodeRef, Paper, QdiscSpec, Scenario,
@@ -50,7 +50,7 @@ pub fn generate(master: u64, index: u64) -> Scenario {
         },
         qdisc: random_qdisc(&mut rng),
         probe_interval_us: rng.uniform_u64(200, 1000),
-        workers: Vec::new(),
+        slices: Vec::new(),
         inject_divergence: false,
         flows: Vec::new(),
         faults: Vec::new(),
@@ -60,12 +60,11 @@ pub fn generate(master: u64, index: u64) -> Scenario {
         paper: Paper::default(),
     };
 
-    // Partitioned legs: 2 workers is the cheapest cross-shard oracle and
-    // always rides along, so every scenario has a differential pair;
-    // sometimes also 3 or 4 (capped at k pods).
-    sc.workers.push(2);
+    // Re-sliced legs: `slices = 2` always rides along, so every scenario
+    // has a differential pair; sometimes also 3 or 4.
+    sc.slices.push(2);
     if rng.chance(0.4) {
-        sc.workers.push(*pick(&mut rng, &[3, 4]).min(&k));
+        sc.slices.push(*pick(&mut rng, &[3, 4]));
     }
 
     generate_flows(&mut rng, &mut sc, hosts, tag_count);
@@ -298,8 +297,8 @@ mod tests {
                 assert!(f.tags.iter().all(|&t| t < tags));
                 assert_eq!(f.tags.len(), f.scheme.subflow_count());
             }
-            for w in &sc.workers {
-                assert!(*w >= 2 && *w <= sc.k);
+            for n in &sc.slices {
+                assert!((2..=4).contains(n));
             }
             let text = sc.to_text();
             let back = Scenario::parse(&text).expect("round trip");

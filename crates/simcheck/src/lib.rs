@@ -1,9 +1,9 @@
 //! # xmp-simcheck — deterministic chaos harness for the XMP simulator
 //!
 //! Seeded scenario fuzzing with differential oracles: every generated
-//! scenario runs serially and partitioned across 2–4 worker threads, and
-//! every leg must produce a bit-identical digest while runtime invariant
-//! audits hold mid-run. On failure the scenario is shrunk to a minimal
+//! scenario runs once in fixed slices and again cut into seeded irregular
+//! windows, and every leg must produce a bit-identical digest while
+//! runtime invariant audits hold mid-run. On failure the scenario is shrunk to a minimal
 //! reproducer and written as a replay file that `simcheck replay`
 //! re-executes exactly.
 //!

@@ -86,7 +86,6 @@ pub fn shrink(sc: &Scenario) -> (Scenario, usize) {
         }
         let mut cand = best.clone();
         cand.k = k;
-        cand.workers.retain(|&w| w <= k);
         runs += 1;
         if fails(&cand) {
             best = cand;
@@ -118,7 +117,7 @@ pub fn shrink(sc: &Scenario) -> (Scenario, usize) {
     let mut singles: Vec<Scenario> = Vec::new();
     let bare = |sc: &Scenario| {
         let mut c = sc.clone();
-        c.workers.clear();
+        c.slices.clear();
         c.inject_divergence = false;
         c
     };
@@ -128,9 +127,9 @@ pub fn shrink(sc: &Scenario) -> (Scenario, usize) {
         cand.inject_divergence = true;
         singles.push(cand);
     }
-    for &w in &best.workers {
+    for &n in &best.slices {
         let mut cand = bare(&best);
-        cand.workers = vec![w];
+        cand.slices = vec![n];
         singles.push(cand);
     }
     for cand in singles {
@@ -171,5 +170,4 @@ fn refs_fit(sc: &Scenario, k: usize) -> bool {
         && sc.loss.iter().all(|(l, _)| link_ok(l))
         && sc.corruption.iter().all(|(l, _)| link_ok(l))
         && sc.probes.iter().all(|(l, _)| link_ok(l))
-        && sc.workers.iter().all(|&w| w <= k)
 }

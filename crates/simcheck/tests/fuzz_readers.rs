@@ -180,7 +180,7 @@ horizon_us = 9000
 qdisc = red cap=50 wq=0.2 min=5 max=15 maxp=0.1 mode=drop seed=3
 probe_interval_us = 100
 [oracles]
-workers = 2,4
+slices = 2,4
 inject_divergence = false
 [flows]
 flow = 0 1 100 bos:2 0 0

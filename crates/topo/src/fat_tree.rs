@@ -109,8 +109,8 @@ impl FatTreeConfig {
     }
 }
 
-/// Typed error for invalid fat-tree construction or partition parameters,
-/// returned by [`FatTree::try_build`] and [`FatTree::try_partition_plan`].
+/// Typed error for invalid fat-tree construction parameters, returned by
+/// [`FatTree::try_build`].
 /// Every variant renders an actionable message through `Display`; the
 /// panicking wrappers reuse it verbatim.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,16 +131,6 @@ pub enum TopoError {
         /// The offending `k`.
         k: usize,
     },
-    /// A partition plan was requested with zero workers.
-    NoWorkers,
-    /// More workers than pods: some shard would own no pod and idle every
-    /// synchronization round.
-    TooManyWorkers {
-        /// The requested worker count.
-        workers: usize,
-        /// The pod count `k`.
-        k: usize,
-    },
 }
 
 impl std::fmt::Display for TopoError {
@@ -159,12 +149,6 @@ impl std::fmt::Display for TopoError {
                 f,
                 "alias addressing leaves no multipath diversity for this k ({k}): \
                  fewer than two path tags fit the address scheme"
-            ),
-            TopoError::NoWorkers => write!(f, "need at least one worker"),
-            TopoError::TooManyWorkers { workers, k } => write!(
-                f,
-                "workers ({workers}) must not exceed pod count k ({k}); a shard \
-                 with no pod would idle every round"
             ),
         }
     }
@@ -415,68 +399,6 @@ impl FatTree {
         }
     }
 
-    /// Pod-based shard assignment for a partitioned run
-    /// ([`xmp_netsim::PartitionedSim`]): each shard takes a consecutive
-    /// block of pods wholesale (hosts + edge + aggregation switches), and
-    /// the `(k/2)²` core switches spread round-robin across shards. When
-    /// `workers` does not divide `k` the first `k % workers` shards take
-    /// one extra pod (`⌈k/workers⌉` vs `⌊k/workers⌋`), so any worker
-    /// count up to `k` yields a plan whose pod imbalance is at most one.
-    /// Rack and edge–aggregation links never cross shards; the cut set is
-    /// a subset of the aggregation↔core links, so the conservative
-    /// lookahead is the core-link delay (40 µs under the paper's
-    /// parameters).
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero or exceeds `k` (a shard with no pod
-    /// would idle every round).
-    pub fn partition_plan(&self, workers: usize) -> xmp_netsim::PartitionPlan {
-        self.try_partition_plan(workers)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`FatTree::partition_plan`]: reports an unusable
-    /// worker count as a typed [`TopoError`] instead of aborting.
-    pub fn try_partition_plan(
-        &self,
-        workers: usize,
-    ) -> Result<xmp_netsim::PartitionPlan, TopoError> {
-        if workers == 0 {
-            return Err(TopoError::NoWorkers);
-        }
-        if workers > self.k {
-            return Err(TopoError::TooManyWorkers { workers, k: self.k });
-        }
-        let h = self.k / 2;
-        let base = self.k / workers;
-        let extra = self.k % workers;
-        // Pods [0, boundary) land on the first `extra` shards in blocks of
-        // base + 1; the rest land on the remaining shards in blocks of base.
-        let boundary = extra * (base + 1);
-        let pod_shard = |pod: usize| -> u32 {
-            if pod < boundary {
-                (pod / (base + 1)) as u32
-            } else {
-                (extra + (pod - boundary) / base) as u32
-            }
-        };
-        let nodes = h * h + self.k * (2 * h + h * h);
-        let mut assignment = vec![0u32; nodes];
-        for (c, &core) in self.cores.iter().enumerate() {
-            assignment[core.0 as usize] = (c % workers) as u32;
-        }
-        for (i, &sw) in self.edges.iter().enumerate() {
-            assignment[sw.0 as usize] = pod_shard(i / h);
-        }
-        for (i, &sw) in self.aggs.iter().enumerate() {
-            assignment[sw.0 as usize] = pod_shard(i / h);
-        }
-        for (i, &host) in self.hosts.iter().enumerate() {
-            assignment[host.0 as usize] = pod_shard(i / (h * h));
-        }
-        Ok(xmp_netsim::PartitionPlan::new(assignment))
-    }
-
     /// All links with their layer, for utilization reports.
     pub fn links_by_layer(&self) -> impl Iterator<Item = (LinkLayer, LinkId)> + '_ {
         self.rack_links
@@ -643,69 +565,6 @@ mod tests {
         let t = ft.tag_count() - 1;
         let a = ft.host_addr(0, t);
         assert_eq!(sim.lookup_addr(a), Some(ft.host(0)));
-    }
-
-    #[test]
-    fn partition_plan_keeps_pods_whole() {
-        let (sim, ft) = build(8);
-        for workers in [1, 2, 4, 8] {
-            let plan = ft.partition_plan(workers);
-            assert_eq!(plan.workers(), workers);
-            assert_eq!(plan.assignment().len(), sim.node_count());
-            let pods_per_shard = 8 / workers;
-            for (i, &host) in ft.hosts.iter().enumerate() {
-                let (p, e, _) = ft.locate(i);
-                let shard = (p / pods_per_shard) as u32;
-                assert_eq!(plan.owner(host), shard);
-                assert_eq!(plan.owner(ft.edges[p * 4 + e]), shard);
-            }
-            for (c, &core) in ft.cores.iter().enumerate() {
-                assert_eq!(plan.owner(core), (c % workers) as u32);
-            }
-        }
-    }
-
-    #[test]
-    fn partition_plan_balances_non_divisor_worker_counts() {
-        // Non-divisor worker counts are legal: pods stay whole, blocks stay
-        // consecutive, and no shard carries more than one extra pod.
-        for (k, workers) in [(4, 3), (8, 3), (8, 5), (8, 6), (8, 7), (16, 5)] {
-            let (_, ft) = build(k);
-            let plan = ft.partition_plan(workers);
-            assert_eq!(plan.workers(), workers);
-            let mut pods_per_shard = vec![0usize; workers];
-            let mut prev = 0u32;
-            for pod in 0..k {
-                let shard = plan.owner(ft.edges[pod * (k / 2)]);
-                assert!(shard >= prev, "pod blocks must be consecutive");
-                prev = shard;
-                pods_per_shard[shard as usize] += 1;
-                // Every node in the pod rides with its edge switches.
-                for e in 0..k / 2 {
-                    assert_eq!(plan.owner(ft.edges[pod * (k / 2) + e]), shard);
-                    assert_eq!(plan.owner(ft.aggs[pod * (k / 2) + e]), shard);
-                }
-                for h in 0..(k / 2) * (k / 2) {
-                    assert_eq!(plan.owner(ft.hosts[pod * (k / 2) * (k / 2) + h]), shard);
-                }
-            }
-            let (min, max) = (
-                *pods_per_shard.iter().min().unwrap(),
-                *pods_per_shard.iter().max().unwrap(),
-            );
-            assert!(min >= 1, "every shard owns at least one pod");
-            assert!(
-                max - min <= 1,
-                "pod imbalance at most one ({pods_per_shard:?})"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must not exceed pod count")]
-    fn partition_plan_rejects_more_workers_than_pods() {
-        let (_, ft) = build(4);
-        let _ = ft.partition_plan(5);
     }
 
     #[test]

@@ -10,8 +10,7 @@ use xmp_core::CcKind;
 use xmp_des::{SimDuration, SimTime};
 use xmp_netsim::hash::FxHashMap;
 use xmp_netsim::{
-    Agent, Ctx, FlowId, FluidFlowStats, FluidId, FluidSpec, FluidSubflowSpec, NodeId,
-    PartitionedSim, Sim,
+    Agent, Ctx, FlowId, FluidFlowStats, FluidId, FluidSpec, FluidSubflowSpec, NodeId, Sim,
 };
 use xmp_topo::FlowCategory;
 use xmp_transport::{
@@ -26,16 +25,10 @@ use xmp_transport::{
 /// a `Box`ed agent delegates `as_any_mut` to the inner stack.
 pub type Host = HostStack<CcKind>;
 
-/// A simulation the driver can run flows on: the serial [`Sim`] or a
-/// [`PartitionedSim`] sharded across worker threads. Every [`Driver`]
-/// method is generic over this handle, so the same experiment code drives
-/// either backend — the `workers` knob in the experiments crate is just a
-/// choice of `FlowSim` implementation.
-///
-/// Completion callbacks on a partitioned sim fire at window boundaries in
-/// serial event order (see the partitioning module docs): harvest-only
-/// workloads observe bit-identical records; callbacks that *chain new
-/// flows* see them start at the window end rather than mid-window.
+/// A simulation the driver can run flows on. Every [`Driver`] method is
+/// generic over this handle; [`Sim`] implements it, and so can a wrapper
+/// around one (the benchmark times the driver's calls into the simulator
+/// that way).
 pub trait FlowSim {
     /// Current driver-visible time.
     fn now(&self) -> SimTime;
@@ -105,25 +98,6 @@ impl<A: Agent<Segment>> FlowSim for Sim<Segment, A> {
     }
     fn fluid_stop(&mut self, id: FluidId) -> Option<FluidFlowStats> {
         Sim::fluid_stop(self, id)
-    }
-}
-
-impl<A: Agent<Segment> + Send> FlowSim for PartitionedSim<Segment, A> {
-    fn now(&self) -> SimTime {
-        PartitionedSim::now(self)
-    }
-    fn advance_to(&mut self, t: SimTime) {
-        PartitionedSim::advance_to(self, t);
-    }
-    fn with_host<R>(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut Host, &mut Ctx<'_, Segment>) -> R,
-    ) -> R {
-        self.with_agent::<Host, _>(node, f)
-    }
-    fn run_signals(&mut self, deadline: SimTime, on_signal: impl FnMut(&mut Self, NodeId, u64)) {
-        self.run_until(deadline, on_signal);
     }
 }
 
@@ -323,8 +297,7 @@ impl Driver {
     /// Run the simulation until `until`, firing every scheduled action
     /// (flow start, subflow join, stop) at its instant and invoking
     /// `on_complete(sim, driver, conn)` as flows finish (the callback may
-    /// submit more flows or stop unbounded ones). Works over any
-    /// [`FlowSim`]: pass a serial [`Sim`] or a [`PartitionedSim`].
+    /// submit more flows or stop unbounded ones).
     ///
     /// An action fires after every event at or before its instant. At one
     /// instant starts fire first, most recently submitted first (the order
@@ -552,9 +525,9 @@ impl Driver {
 
     /// Harvest-only drive loop: run in `slice`-long steps until `deadline`
     /// or until `target` flows completed, calling `each_slice` at every
-    /// step boundary, then finalize what is still running. Nothing chains
-    /// on completion, so a serial and a partitioned backend process
-    /// identical event sets.
+    /// step boundary, then finalize what is still running. The slice is an
+    /// observation grid: where the steps fall changes no simulated bit,
+    /// only where the run may stop early.
     pub fn drive<S: FlowSim>(
         &mut self,
         sim: &mut S,
@@ -571,11 +544,11 @@ impl Driver {
         self.finalize_running(sim);
     }
 
-    /// Digest of everything a serial observer can see of a finished run:
-    /// final clock, every flow record, the conservation `audit`, every
-    /// probe record and the per-kind event counts. Deliberately absent:
-    /// `fault`/`sample` counts (replicated per shard by design) and wall
-    /// times.
+    /// Digest of everything an observer can see of a finished run: final
+    /// clock, every flow record, the conservation `audit`, every probe
+    /// record and the `deliver`/`timer` event counts. Deliberately absent:
+    /// the `fault`/`sample` counts and wall times. The recorded digests
+    /// were taken over exactly these inputs.
     pub fn outcome_digest<A: Agent<Segment>>(
         &self,
         sim: &Sim<Segment, A>,
@@ -969,8 +942,8 @@ mod tests {
 
     /// A Fig. 4/6-shaped schedule on the dumbbell — a flow joining
     /// subflows at `1u` and `3u`, a background flow over `[2u, 4u)` —
-    /// binned every `bin` for `8u`, on `workers` threads.
-    fn shaped_run(bin: SimDuration, workers: usize) -> (u64, usize) {
+    /// binned every `bin` for `8u`.
+    fn shaped_run(bin: SimDuration) -> (u64, usize) {
         let unit = SimDuration::from_millis(10);
         let at = |e: u64| SimTime::ZERO + unit * e;
         let mut sim: Sim<Segment, Host> = Sim::new(7);
@@ -1000,14 +973,7 @@ mod tests {
         let bg = d.submit(mk(1, at(2)));
         d.stop_at(bg, at(4));
         let mut bins = RateBins::new([(grows, 0), (grows, 1), (grows, 2), (bg, 0)], bin);
-        let mut sim = if workers > 1 {
-            let mut psim = PartitionedSim::new(sim, &ft.partition_plan(workers));
-            bins.run(&mut d, &mut psim, at(8));
-            psim.finish()
-        } else {
-            bins.run(&mut d, &mut sim, at(8));
-            sim
-        };
+        bins.run(&mut d, &mut sim, at(8));
         d.finalize_running(&mut sim);
         assert_eq!(sim.now(), at(8), "the run ends at 8 × unit");
         assert_eq!(d.record(grows).expect("record").subflows, 3);
@@ -1026,15 +992,9 @@ mod tests {
         // bin = 0.3 × unit divides nothing; the joins must still land at
         // exactly 1 × and 3 × unit, the stop at 4 × unit and the end at
         // 8 × unit, so the outcome equals the run binned once per epoch.
-        let per_epoch = shaped_run(SimDuration::from_millis(10), 1);
-        assert_eq!(shaped_run(SimDuration::from_millis(3), 1), per_epoch);
+        let per_epoch = shaped_run(SimDuration::from_millis(10));
+        assert_eq!(shaped_run(SimDuration::from_millis(3)), per_epoch);
         assert_eq!(per_epoch.1, 8);
-    }
-
-    #[test]
-    fn scheduled_joins_and_stops_are_identical_serial_and_partitioned() {
-        let bin = SimDuration::from_millis(5);
-        assert_eq!(shaped_run(bin, 2), shaped_run(bin, 1));
     }
 
     #[test]

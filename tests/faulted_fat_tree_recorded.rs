@@ -2,12 +2,10 @@
 //! outcome: clock, per-flow records, conservation audit and probe JSONL
 //! must equal what the two-event link pipeline (`TxDone` + `Deliver`)
 //! produced on this scenario before it was removed — with a core link
-//! flapping and marked probes sampling it, and whether the tree runs
-//! serial or sharded across worker threads.
+//! flapping and marked probes sampling it.
 
-use xmp_suite::netsim::{PartitionedSim, ProbeConfig};
+use xmp_suite::netsim::ProbeConfig;
 use xmp_suite::prelude::*;
-use xmp_suite::workloads::FlowSim;
 
 /// FNV-1a over a string rendering (f64 Debug formatting round-trips
 /// exactly, so equal digests mean bit-equal numbers).
@@ -22,8 +20,8 @@ fn digest(s: &str) -> u64 {
 
 /// `(final clock, flow digest, audit digest, probe JSONL digest)` of
 /// [`faulted_probed_fat_tree`], recorded from the two-event link pipeline
-/// at commit ce843ca (identical there serial and under 2/3/4 workers, with
-/// the dynamic router or compiled FIBs).
+/// at commit ce843ca (identical there with the dynamic router or compiled
+/// FIBs).
 const RECORDED: (u64, u64, u64, u64) = (
     50_000_000,
     15187593173212376555,
@@ -33,9 +31,9 @@ const RECORDED: (u64, u64, u64, u64) = (
 
 /// One faulted, probed k = 4 fat-tree scenario: cross-pod XMP-2 and DCTCP
 /// flows from every host, a core link flapping down/up mid-run, marked
-/// probes watching both directions of the cut. Returns (final clock, flow
-/// digest, audit digest, probe JSONL digest).
-fn faulted_probed_fat_tree(workers: usize) -> (u64, u64, u64, u64) {
+/// probes watching both its directions. Returns (final clock, flow digest,
+/// audit digest, probe JSONL digest).
+fn faulted_probed_fat_tree() -> (u64, u64, u64, u64) {
     let mut sim: Sim<Segment, HostStack> = Sim::new(9);
     let ft_cfg = FatTreeConfig {
         k: 4,
@@ -45,7 +43,7 @@ fn faulted_probed_fat_tree(workers: usize) -> (u64, u64, u64, u64) {
     let ft = FatTree::build(&mut sim, &ft_cfg, |_| HostStack::new(stack_cfg.clone()));
     let end = SimTime::from_millis(50);
 
-    // Fault and probes live on a core link — under partitioning, the cut.
+    // Fault and probes live on a core link.
     let watched = ft.core_link(0, 0, 0);
     sim.install_fault_plan(
         &FaultPlan::new()
@@ -91,23 +89,12 @@ fn faulted_probed_fat_tree(workers: usize) -> (u64, u64, u64, u64) {
         });
     }
 
-    fn drive<S: FlowSim>(sim: &mut S, driver: &mut Driver, end: SimTime) {
-        let slice = SimDuration::from_millis(5);
-        while sim.now() < end {
-            let t = (sim.now() + slice).min(end);
-            driver.run(sim, t, |_, _, _| {});
-        }
-        driver.finalize_running(sim);
+    let slice = SimDuration::from_millis(5);
+    while sim.now() < end {
+        let t = (sim.now() + slice).min(end);
+        driver.run(&mut sim, t, |_, _, _| {});
     }
-    let mut sim = if workers > 1 {
-        let plan = ft.partition_plan(workers);
-        let mut psim = PartitionedSim::new(sim, &plan);
-        drive(&mut psim, &mut driver, end);
-        psim.finish()
-    } else {
-        drive(&mut sim, &mut driver, end);
-        sim
-    };
+    driver.finalize_running(&mut sim);
 
     let flows: Vec<String> = driver
         .records()
@@ -131,18 +118,5 @@ fn faulted_probed_fat_tree(workers: usize) -> (u64, u64, u64, u64) {
 
 #[test]
 fn serial_run_matches_the_recorded_outcome() {
-    assert_eq!(faulted_probed_fat_tree(1), RECORDED);
-}
-
-#[test]
-fn partitioned_runs_match_the_recorded_outcome() {
-    // Sharding the tree across threads (including a worker count that
-    // does not divide k) changes nothing observable.
-    for workers in [2usize, 3, 4] {
-        assert_eq!(
-            faulted_probed_fat_tree(workers),
-            RECORDED,
-            "workers {workers}: partitioned run diverged"
-        );
-    }
+    assert_eq!(faulted_probed_fat_tree(), RECORDED);
 }
