@@ -18,8 +18,9 @@
 //!
 //! * **Near future** — a wheel of `WHEEL_SLOTS` buckets, each covering
 //!   `BUCKET_NS` nanoseconds. A bucket is an unsorted intrusive list of
-//!   nodes in a shared slab (see [`EventQueue`]); push is O(1) and
-//!   allocation-free once the slab reaches its high-water size. The wheel
+//!   nodes in a shared slab of fixed 256-node chunks (see [`EventQueue`]);
+//!   push is O(1) and allocation-free once the slab reaches its
+//!   high-water size, which it exceeds by less than a chunk. The wheel
 //!   is a *sliding window* over absolute bucket indices
 //!   `[cursor, cursor + WHEEL_SLOTS)`; slot `abs % WHEEL_SLOTS` is unique
 //!   within the window.
@@ -121,6 +122,97 @@ struct Node<E> {
     next: u32,
 }
 
+/// Nodes per slab chunk: 2^8 = 256, about 34 KiB at the packet engine's
+/// 136-byte node.
+const CHUNK_SHIFT: u32 = 8;
+const CHUNK_NODES: usize = 1 << CHUNK_SHIFT;
+const CHUNK_MASK: u32 = (CHUNK_NODES as u32) - 1;
+
+/// The wheel's node storage: fixed chunks of `CHUNK_NODES` nodes behind
+/// one `u32` index (chunk `i >> CHUNK_SHIFT`, entry `i & CHUNK_MASK`).
+/// A chunk is allocated whole and never resized, so a node never moves
+/// once placed, nothing is ever copied by a realloc, and the room held
+/// exceeds the high-water population by less than one chunk — a doubling
+/// `Vec` leaves up to half of it never written (DESIGN.md §9.2). A chunk
+/// is a fixed-size array, so an index costs one bounds check, on the
+/// chunk table.
+#[derive(Debug)]
+struct Slab<E> {
+    chunks: Vec<Box<[Node<E>; CHUNK_NODES]>>,
+    /// Nodes placed so far (live or free-listed); the rest of the last
+    /// chunk is vacant.
+    len: u32,
+}
+
+impl<E> Slab<E> {
+    const fn new() -> Self {
+        Slab {
+            chunks: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Nodes placed so far.
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Nodes the allocated chunks have room for.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.chunks.len() * CHUNK_NODES
+    }
+
+    /// The node at `i`, if it has been placed.
+    fn get(&self, i: u32) -> Option<&Node<E>> {
+        (i < self.len).then(|| &self[i])
+    }
+
+    /// Place a node after the last one, opening a new chunk when the last
+    /// one is full, and return its index.
+    fn push(&mut self, node: Node<E>) -> u32 {
+        let i = self.len;
+        assert!(i != NIL, "wheel slab exceeds u32 indices");
+        if i as usize == self.chunks.len() * CHUNK_NODES {
+            let vacant = (0..CHUNK_NODES).map(|_| Node {
+                at: SimTime::ZERO,
+                key: 0,
+                seq: 0,
+                payload: None,
+                next: NIL,
+            });
+            let chunk: Box<[Node<E>]> = vacant.collect();
+            let Ok(chunk) = chunk.try_into() else {
+                unreachable!("a chunk holds CHUNK_NODES nodes")
+            };
+            self.chunks.push(chunk);
+        }
+        self.len += 1;
+        self[i] = node;
+        i
+    }
+
+    /// The placed nodes, in index order.
+    fn iter(&self) -> impl Iterator<Item = &Node<E>> {
+        self.chunks.iter().flat_map(|c| c.iter()).take(self.len())
+    }
+}
+
+impl<E> std::ops::Index<u32> for Slab<E> {
+    type Output = Node<E>;
+    #[inline]
+    fn index(&self, i: u32) -> &Node<E> {
+        &self.chunks[(i >> CHUNK_SHIFT) as usize][(i & CHUNK_MASK) as usize]
+    }
+}
+
+impl<E> std::ops::IndexMut<u32> for Slab<E> {
+    #[inline]
+    fn index_mut(&mut self, i: u32) -> &mut Node<E> {
+        &mut self.chunks[(i >> CHUNK_SHIFT) as usize][(i & CHUNK_MASK) as usize]
+    }
+}
+
 /// A current-bucket record: the hot scheduling fields plus the slab index
 /// of the payload. 32 bytes, `Copy` — sorting the current bucket moves
 /// these, never the payloads.
@@ -136,7 +228,8 @@ struct HotRec {
 /// (timing-wheel implementation; see the module docs).
 ///
 /// Wheel storage is a **slab with an intrusive freelist**: each slot holds
-/// the head index of a singly linked list of nodes in one shared `Vec`.
+/// the head index of a singly linked list of nodes in one shared, chunked
+/// slab.
 /// Hot buckets drift across slots as simulated time advances (a cluster of
 /// synchronized serialization completions lands 64 ns later every round),
 /// so per-slot growable buffers re-grow forever; the slab instead quiesces
@@ -153,7 +246,7 @@ pub struct EventQueue<E> {
     head: usize,
     /// Slab of wheel nodes; freelist threads through `payload == None`
     /// entries.
-    nodes: Vec<Node<E>>,
+    nodes: Slab<E>,
     /// Head of the freelist (`NIL` when the slab is full).
     free_head: u32,
     /// Per-slot list head; slot = absolute bucket % WHEEL_SLOTS.
@@ -182,7 +275,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             hot: Vec::new(),
             head: 0,
-            nodes: Vec::new(),
+            nodes: Slab::new(),
             free_head: NIL,
             slots: vec![NIL; WHEEL_SLOTS].into_boxed_slice(),
             bitmap: [0; BITMAP_WORDS],
@@ -214,7 +307,7 @@ impl<E> EventQueue<E> {
     fn alloc_node(&mut self, at: SimTime, key: u64, seq: u64, payload: E, next: u32) -> u32 {
         if self.free_head != NIL {
             let i = self.free_head;
-            let node = &mut self.nodes[i as usize];
+            let node = &mut self.nodes[i];
             debug_assert!(node.payload.is_none(), "freelist node still occupied");
             self.free_head = node.next;
             *node = Node {
@@ -226,16 +319,13 @@ impl<E> EventQueue<E> {
             };
             i
         } else {
-            let i = u32::try_from(self.nodes.len()).expect("wheel slab exceeds u32 indices");
-            assert!(i != NIL, "wheel slab exceeds u32 indices");
             self.nodes.push(Node {
                 at,
                 key,
                 seq,
                 payload: Some(payload),
                 next,
-            });
-            i
+            })
         }
     }
 
@@ -395,7 +485,7 @@ impl<E> EventQueue<E> {
         let mut i = std::mem::replace(&mut slots[slot], NIL);
         debug_assert!(i != NIL, "advanced to an empty bucket");
         while i != NIL {
-            let node = &nodes[i as usize];
+            let node = &nodes[i];
             debug_assert!(node.payload.is_some(), "slot list node occupied");
             hot.push(HotRec {
                 at: node.at,
@@ -415,7 +505,7 @@ impl<E> EventQueue<E> {
     fn pop_hot(&mut self) -> ScheduledEvent<E> {
         let rec = self.hot[self.head];
         self.head += 1;
-        let node = &mut self.nodes[rec.idx as usize];
+        let node = &mut self.nodes[rec.idx];
         let event = node.payload.take().expect("hot record node occupied");
         node.next = self.free_head;
         self.free_head = rec.idx;
@@ -475,7 +565,7 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn upcoming(&self, k: usize) -> Option<&E> {
         let rec = self.hot.get(self.head + k)?;
-        self.nodes[rec.idx as usize].payload.as_ref()
+        self.nodes[rec.idx].payload.as_ref()
     }
 
     /// Hint the CPU to start loading the slab node of [`Self::upcoming`]`(k)`
@@ -493,7 +583,7 @@ impl<E> EventQueue<E> {
                 None => return,
             },
         };
-        crate::hint::prefetch_read(&self.nodes[idx as usize]);
+        crate::hint::prefetch_read(&self.nodes[idx]);
     }
 
     /// The timestamp of the earliest pending event.
@@ -508,7 +598,7 @@ impl<E> EventQueue<E> {
             let mut i = self.slots[slot];
             let mut best: Option<SimTime> = None;
             while i != NIL {
-                let node = &self.nodes[i as usize];
+                let node = &self.nodes[i];
                 best = Some(best.map_or(node.at, |b| b.min(node.at)));
                 i = node.next;
             }
@@ -548,7 +638,7 @@ impl<E> EventQueue<E> {
         let mut free = 0usize;
         let mut i = self.free_head;
         while i != NIL {
-            let node = self.nodes.get(i as usize).ok_or_else(|| {
+            let node = self.nodes.get(i).ok_or_else(|| {
                 format!(
                     "freelist index {i} out of range (slab holds {} nodes)",
                     self.nodes.len()
@@ -578,7 +668,7 @@ impl<E> EventQueue<E> {
         for (n, rec) in live_hot.iter().enumerate() {
             let node = self
                 .nodes
-                .get(rec.idx as usize)
+                .get(rec.idx)
                 .ok_or_else(|| format!("hot record {n} slab index {} out of range", rec.idx))?;
             if node.payload.is_none() {
                 return Err(format!(
@@ -616,7 +706,7 @@ impl<E> EventQueue<E> {
             while j != NIL {
                 let node = self
                     .nodes
-                    .get(j as usize)
+                    .get(j)
                     .ok_or_else(|| format!("slot {slot} list index {j} out of range"))?;
                 if node.payload.is_none() {
                     return Err(format!("slot {slot} lists vacated slab node {j}"));
@@ -1098,6 +1188,41 @@ mod tests {
                 seen[ev.event] = true;
             }
             assert!(seen.iter().all(|&s| s), "lost event (seed {seed})");
+        }
+    }
+
+    /// The slab grows one chunk at a time and holds less than a chunk past
+    /// its high-water population: a second burst to the same depth after a
+    /// full drain reuses the freelist and grows nothing. The audit walks a
+    /// slab of several chunks, mid-burst and mid-drain.
+    #[test]
+    fn slab_stays_within_a_chunk_of_high_water() {
+        const N: usize = 1_000;
+        let mut q = EventQueue::new();
+        for round in 0..2u64 {
+            let base = SimTime::from_millis(10 * round);
+            for i in 0..N as u64 {
+                // One event every 0.7 µs: about 100 ns of wheel buckets
+                // apart, a few sharing one.
+                q.push(base + SimDuration::from_nanos(700 * i), i);
+                if i == N as u64 / 2 {
+                    q.check_integrity().unwrap();
+                }
+            }
+            assert_eq!(q.len(), N);
+            assert_eq!(q.nodes.len(), N, "round {round}: nodes placed");
+            assert!(q.nodes.chunks.len() > 1);
+            assert_eq!(q.nodes.capacity(), N.div_ceil(CHUNK_NODES) * CHUNK_NODES);
+            assert!(q.nodes.capacity() < N + CHUNK_NODES);
+            q.check_integrity().unwrap();
+            for i in 0..N as u64 {
+                assert_eq!(q.pop().unwrap().event, i, "round {round}");
+                if i == N as u64 / 3 {
+                    q.check_integrity().unwrap();
+                }
+            }
+            assert!(q.is_empty());
+            q.check_integrity().unwrap();
         }
     }
 }

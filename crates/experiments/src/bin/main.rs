@@ -17,11 +17,10 @@
 //!   fattree   the fat-tree suite: Table 1, Figs. 8/9/10/11, Table 3
 //!   table2    XMP coexistence with LIA / TCP / DCTCP
 //!   ablation  beta/K sweep, TraSh-coupling ablation, OLIA comparison
-//!             (exits 1 naming a cell whose end-of-run audit fails)
 //!   dynamics  Fig.2-style cwnd/queue time series, exported to results/
 //!             (exits 2 naming the path when results/ cannot be written)
-//!   scale     wall clock and outcome digest of one large serial cell;
-//!             `scale mega` runs the k=32 (8192-host) memory cell
+//!   scale     wall clock, peak RSS and outcome digest of one large serial
+//!             cell; `scale mega` runs the k=32 (8192-host) memory cell
 //!   hybrid    hybrid fluid/packet mode vs packet baseline, per-class
 //!             tolerance check (exits nonzero when out of tolerance);
 //!             `hybrid million` runs the million-flow fluid scale cell
@@ -30,8 +29,9 @@
 //!             table2, failover, dynamics
 //! ```
 //!
-//! A paper run exits 2 on a file that does not load and 1 when an
-//! end-of-run audit fails.
+//! A paper run exits 2 on a file that does not load. Every command that
+//! simulates, `hybrid` aside, ends each cell with the full end-of-run
+//! audit and exits 1 naming a cell whose audit fails.
 
 use std::time::Instant;
 use xmp_experiments::suite::{self, Pattern, SuiteConfig};
@@ -179,13 +179,15 @@ fn run_fattree(o: &Opts) {
         std::process::exit(2);
     }
     let mut results = Vec::new();
+    let mut failures = Vec::new();
     for &p in &patterns {
         for &s in &schemes {
             let cfg = suite_cfg(o, s, p);
             let label = format!("{}/{}", s.label(), p.label());
-            let (r, profile) = timed(&label, || suite::run_suite_profiled(&cfg));
+            let (r, profile, audit) = timed(&label, || suite::run_suite_profiled(&cfg));
             eprintln!("  -> {r}");
             eprintln!("  -> profile: {}", profile.summary());
+            failures.extend(audit.into_iter().map(|f| format!("{label}: {f}")));
             results.push(r);
         }
     }
@@ -207,6 +209,7 @@ fn run_fattree(o: &Opts) {
     for &p in &patterns {
         println!("{}", suite::render_occupancy(&results, p));
     }
+    exit_on_audit_failures("fattree", &failures);
 }
 
 fn run_table2(o: &Opts) {
@@ -218,6 +221,7 @@ fn run_table2(o: &Opts) {
     cfg.base = suite_cfg(o, Scheme::xmp(2), Pattern::Random);
     let r = timed("table2", || table2::run(&cfg));
     println!("{r}");
+    exit_on_audit_failures("table2", &r.audit);
 }
 
 fn run_dynamics(o: &Opts) {
@@ -235,6 +239,7 @@ fn run_dynamics(o: &Opts) {
         std::fs::write(&path, &tr.jsonl).unwrap_or_else(|e| refuse(&format!("write {path}"), e));
         println!("wrote {path} ({} lines)", tr.jsonl.lines().count());
     }
+    exit_on_audit_failures("dynamics", &r.audit_failures());
 }
 
 /// `trace report [files...]` — defaults to every results/dynamics_*.jsonl.
@@ -283,6 +288,7 @@ fn run_scale(o: &Opts) {
     cfg.seed = o.seed();
     let r = timed("scale", || scale::run(&cfg));
     println!("{r}");
+    exit_on_audit_failures("scale", &r.audit);
 }
 
 fn run_scale_mega(o: &Opts) {
@@ -290,6 +296,7 @@ fn run_scale_mega(o: &Opts) {
     cfg.seed = o.seed();
     let r = timed("scale mega", || scale::run(&cfg));
     println!("{r}");
+    exit_on_audit_failures("scale mega", &r.audit);
 }
 
 fn run_hybrid(o: &Opts) {

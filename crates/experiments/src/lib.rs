@@ -16,7 +16,7 @@
 //! | (extensions) | [`ablation`] | β/K sweep, TraSh-coupling ablation, OLIA |
 //! | Fig. 2 (dynamics) | [`dynamics`] | cwnd/queue/mark time series, exported as JSONL |
 //! | (tooling) | [`report`] | summaries rendered back from exported traces |
-//! | (scaling) | [`scale`] | wall clock and outcome digest of one large serial cell |
+//! | (scaling) | [`scale`] | wall clock, peak RSS and outcome digest of one large serial cell |
 //! | (scaling) | [`hybrid`] | hybrid fluid/packet mode vs packet baseline, per-class tolerance bands |
 //!
 //! Each module exposes a `Config` (with paper defaults and a `quick()`

@@ -10,9 +10,10 @@
 //! are `7e93a02948d16d8f` (`--quick`) and `e5d22f17048e3846` (default).
 //!
 //! The headline is wall clock and events per second for the k = 16 cell;
-//! `mega` is the k = 32 memory-footprint cell.
+//! `mega` is the k = 32 memory-footprint cell, and every cell prints the
+//! process's peak resident set once it is done.
 
-use crate::common::TextTable;
+use crate::common::{end_of_run_audit, TextTable};
 use std::fmt;
 use xmp_des::{SimDuration, SimTime};
 use xmp_netsim::{FaultPlan, PortId, QdiscConfig, Sim};
@@ -64,8 +65,7 @@ impl ScaleConfig {
 
     /// Memory-footprint cell: k = 32 (8192 hosts). One permutation wave of
     /// short flows — the point is not throughput but the memory high-water
-    /// mark of a tree this size; read it off the process (`VmHWM`), as the
-    /// benchmark's `peak_heap_mib` does.
+    /// mark of a tree this size, [`ScaleCell::peak_rss_mib`].
     pub fn mega() -> Self {
         ScaleConfig {
             k: 32,
@@ -95,6 +95,22 @@ pub struct ScaleCell {
     pub wall_ms: f64,
     /// Events per wall-clock second inside the event loop.
     pub events_per_sec: f64,
+    /// Peak resident set of the whole process once the cell is done
+    /// ([`peak_rss_mib`]).
+    pub peak_rss_mib: Option<f64>,
+    /// Every end-of-run audit failure ([`end_of_run_audit`]); empty when
+    /// the run is sound.
+    pub audit: Vec<String>,
+}
+
+/// The process's peak resident set in MiB: `VmHWM` in
+/// `/proc/self/status`, the figure the benchmark reads off a child as
+/// `peak_heap_mib`. `None` where that file is absent.
+pub fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 /// Submit the pre-planned permutation wave: host `i` sends one flow to the
@@ -162,7 +178,13 @@ pub fn run(cfg: &ScaleConfig) -> ScaleCell {
     driver.drive(&mut sim, deadline, slice, target, |_, _| {});
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
-    let digest = driver.outcome_digest(&sim, &sim.audit_conservation());
+    let audit = end_of_run_audit(&sim);
+    // The recorded digests hash the conservation report itself; a run
+    // whose books do not balance hashes the imbalance (and fails `audit`).
+    let digest = match sim.try_audit_conservation() {
+        Ok(report) => driver.outcome_digest(&sim, &report),
+        Err(e) => driver.outcome_digest(&sim, &e),
+    };
     let profile = sim.profile();
     ScaleCell {
         k: cfg.k,
@@ -172,6 +194,8 @@ pub fn run(cfg: &ScaleConfig) -> ScaleCell {
         events: profile.events_handled(),
         wall_ms,
         events_per_sec: profile.events_per_sec(),
+        peak_rss_mib: peak_rss_mib(),
+        audit,
     }
 }
 
@@ -181,11 +205,13 @@ impl fmt::Display for ScaleCell {
             "Scale — k={} fat tree ({} hosts), one permutation wave",
             self.k, self.hosts
         ))
-        .header(["wall (ms)", "Mev/s", "flows", "digest"]);
+        .header(["wall (ms)", "Mev/s", "flows", "peak RSS (MiB)", "digest"]);
         t.row([
             format!("{:.0}", self.wall_ms),
             format!("{:.2}", self.events_per_sec / 1e6),
             format!("{}", self.completed),
+            self.peak_rss_mib
+                .map_or_else(|| "-".into(), |m| format!("{m:.1}")),
             format!("{:016x}", self.digest),
         ]);
         write!(f, "{t}")
@@ -209,5 +235,14 @@ mod tests {
         let (a, b) = (run(&cfg), run(&cfg));
         assert_eq!(a.digest, b.digest, "{a}{b}");
         assert_eq!(a.completed, a.hosts, "{a}");
+        assert!(a.audit.is_empty(), "{:?}", a.audit);
+    }
+
+    #[test]
+    fn peak_rss_is_read_where_proc_has_it() {
+        let have_proc = std::path::Path::new("/proc/self/status").exists();
+        let rss = peak_rss_mib();
+        assert_eq!(rss.is_some(), have_proc);
+        assert!(rss.is_none_or(|m| m > 0.0), "{rss:?}");
     }
 }

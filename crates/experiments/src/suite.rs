@@ -9,7 +9,7 @@
 //! (goodput is a rate, so the distribution shapes survive scaling —
 //! EXPERIMENTS.md records the scale used).
 
-use crate::common::{mbps, TextTable};
+use crate::common::{end_of_run_audit, mbps, TextTable};
 use std::collections::BTreeMap;
 use std::fmt;
 use xmp_des::{SimDuration, SimTime};
@@ -190,15 +190,28 @@ enum PatternState {
 }
 
 /// Run one (scheme, pattern) simulation.
+///
+/// # Panics
+/// Panics naming the failures if the cell's end-of-run audit fails;
+/// [`run_suite_profiled`] returns them instead.
 pub fn run_suite(cfg: &SuiteConfig) -> SuiteResult {
-    run_suite_profiled(cfg).0
+    let (r, _, audit) = run_suite_profiled(cfg);
+    assert!(
+        audit.is_empty(),
+        "{} / {}: end-of-run audit failed: {audit:?}",
+        r.scheme,
+        r.pattern.label()
+    );
+    r
 }
 
 /// [`run_suite`], also returning the simulator's profiling counters (event
-/// mix, pool hit rate, wall time in the event loop). They are costs, not
-/// outcomes, so they stay out of [`SuiteResult`] and its determinism
+/// mix, pool hit rate, wall time in the event loop) and every failure of
+/// the cell's end-of-run audit ([`end_of_run_audit`]; empty when the run
+/// is sound). The counters are costs and the audit a verdict, not
+/// outcomes, so both stay out of [`SuiteResult`] and its determinism
 /// digests.
-pub fn run_suite_profiled(cfg: &SuiteConfig) -> (SuiteResult, xmp_netsim::SimProfile) {
+pub fn run_suite_profiled(cfg: &SuiteConfig) -> (SuiteResult, xmp_netsim::SimProfile, Vec<String>) {
     let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
     sim.set_tuning(cfg.tuning);
     let qdisc = QdiscConfig::EcnThreshold {
@@ -274,9 +287,7 @@ pub fn run_suite_profiled(cfg: &SuiteConfig) -> (SuiteResult, xmp_netsim::SimPro
         });
     }
     driver.finalize_running(&mut sim);
-    // Every injected packet must be delivered, dropped for a counted
-    // reason, or still in flight — panics on a conservation violation.
-    sim.audit_conservation();
+    let audit = end_of_run_audit(&sim);
     let now = sim.now();
 
     // Collect per-flow metrics over completed large flows.
@@ -375,7 +386,7 @@ pub fn run_suite_profiled(cfg: &SuiteConfig) -> (SuiteResult, xmp_netsim::SimPro
         completed_flows: large_done,
         sim_time: now,
     };
-    (result, *sim.profile())
+    (result, *sim.profile(), audit)
 }
 
 /// Run a batch of suite cells across OS threads.

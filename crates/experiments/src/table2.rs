@@ -8,7 +8,7 @@
 //! buffers feed more ECN marks back to XMP.
 
 use crate::common::{mbps, TextTable};
-use crate::suite::{run_suite, Pattern, SuiteConfig};
+use crate::suite::{run_suite_profiled, Pattern, SuiteConfig};
 use std::fmt;
 use xmp_workloads::Scheme;
 
@@ -64,11 +64,14 @@ pub struct CoexistCell {
 pub struct Table2Result {
     /// All cells.
     pub cells: Vec<CoexistCell>,
+    /// Every end-of-run audit failure, after its cell's pairing.
+    pub audit: Vec<String>,
 }
 
 /// Run the coexistence grid.
 pub fn run(cfg: &Table2Config) -> Table2Result {
     let mut cells = Vec::new();
+    let mut audit = Vec::new();
     for &cap in &cfg.queue_caps {
         for &other in &cfg.others {
             let sc = SuiteConfig {
@@ -76,7 +79,9 @@ pub fn run(cfg: &Table2Config) -> Table2Result {
                 coexist_with: Some(other),
                 ..cfg.base.clone()
             };
-            let r = run_suite(&sc);
+            let (r, _, failures) = run_suite_profiled(&sc);
+            let cell = format!("XMP : {} / {cap} pkts", other.label());
+            audit.extend(failures.into_iter().map(|f| format!("{cell}: {f}")));
             let xmp_label = cfg.base.scheme.label();
             let xmp_bps = r.goodput_by_scheme.get(&xmp_label).copied().unwrap_or(0.0);
             let other_bps = r
@@ -92,7 +97,7 @@ pub fn run(cfg: &Table2Config) -> Table2Result {
             });
         }
     }
-    Table2Result { cells }
+    Table2Result { cells, audit }
 }
 
 impl fmt::Display for Table2Result {
@@ -121,6 +126,7 @@ mod tests {
         let cfg = Table2Config::quick();
         let r = run(&cfg);
         assert_eq!(r.cells.len(), 1);
+        assert!(r.audit.is_empty(), "{:?}", r.audit);
         let c = &r.cells[0];
         assert!(c.xmp_bps > 0.0 && c.other_bps > 0.0);
         // The paper's Table 2 shape: XMP well above TCP at queue 50.

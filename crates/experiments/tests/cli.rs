@@ -66,6 +66,7 @@ fn scale_quick_prints_the_recorded_digest() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let table = String::from_utf8_lossy(&out.stdout);
     assert!(table.contains("7e93a02948d16d8f"), "{table}");
+    assert!(table.contains("peak RSS (MiB)"), "{table}");
     // The retired worker-count flag is an unknown option.
     let retired = concat!("--wor", "kers");
     let out = cli(&["scale", "--quick", retired, "2"]);

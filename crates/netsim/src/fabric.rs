@@ -9,7 +9,7 @@
 use crate::addr::Addr;
 use crate::error::ConfigError;
 use crate::fluid::{MAX_HOPS, REF_PKT_BYTES};
-use crate::link::{Direction, Link, LinkId, LinkParams, Offer};
+use crate::link::{Direction, FaultConfig, Link, LinkId, LinkParams, Offer};
 use crate::node::{Node, NodeId, NodeKind, PortId};
 use crate::packet::{FlowId, Packet};
 use crate::queue::Qdisc;
@@ -151,12 +151,19 @@ impl<P: Send + 'static> Fabric<P> {
                 value: p,
             });
         }
-        let l = self.links.get_mut(link.0 as usize);
-        let l = l.ok_or(ConfigError::UnknownLink { link })?;
-        for d in &mut l.dirs {
-            d.fault.drop_prob = p;
+        if link.0 as usize >= self.links.len() {
+            return Err(ConfigError::UnknownLink { link });
         }
+        self.set_faults(link, |f| f.drop_prob = p);
         Ok(())
+    }
+
+    /// Change the fault probabilities of both directions of `link` through
+    /// `set` ([`Direction::set_fault`]).
+    pub(crate) fn set_faults(&mut self, link: LinkId, set: impl Fn(&mut FaultConfig)) {
+        for (dir, d) in self.links[link.0 as usize].dirs.iter_mut().enumerate() {
+            d.set_fault(&self.rng, link.0, dir, &set);
+        }
     }
 
     /// Fail both directions of `link` at `now` (`Sim::take_link_down`).
@@ -360,9 +367,10 @@ impl<P: Send + 'static> Fabric<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::Ecn;
     use crate::queue::QdiscConfig;
     use crate::routing::StaticRouter;
-    use xmp_des::{Bandwidth, SimDuration};
+    use xmp_des::{Bandwidth, ByteSize, SimDuration};
 
     /// h0 — s1 — s2 — h3, routed both ways; `loopy` makes s2 send traffic
     /// for h3 back to s1.
@@ -418,5 +426,56 @@ mod tests {
             f.next_hop(NodeId(3), PortId(0), a3, FlowId(1)),
             Ok(Hop::Home)
         ));
+    }
+
+    /// Fault state is boxed on first use, yet every direction draws what
+    /// streams built with its link would have: a drop probability that
+    /// goes 0 → p → 0 → p after build gives exactly the Bernoulli sequence
+    /// of `derive(link << 1 | dir)` off the fabric seed, drawing nothing
+    /// while it is 0; corruption draws `derive(1 << 32 | link << 1 | dir)`,
+    /// whether the box was made for it or for drops earlier.
+    #[test]
+    fn fault_streams_are_the_derived_streams_whenever_they_start() {
+        let (mut f, a0, a3) = line(false);
+        let root = SimRng::new(1);
+        let stream = |salt: u64| [0, 1].map(|dir| root.derive(salt | dir));
+        let (p, bw) = (0.4, Bandwidth::from_gbps(1));
+        let mut want = stream(2 << 1);
+        let mut now = SimTime::ZERO;
+        let mut dropped = 0;
+        for (phase, prob) in [0.0, p, 0.0, p].into_iter().enumerate() {
+            f.set_link_drop_prob(LinkId(2), prob).unwrap();
+            for d in &f.links[2].dirs {
+                assert_eq!(d.faults.is_some(), phase > 0, "phase {phase}");
+                assert_eq!(d.fault().drop_prob, prob);
+            }
+            for i in 0..200 {
+                // Far apart: the port is idle again at every offer.
+                now += SimDuration::from_micros(100);
+                for dir in 0..2 {
+                    let size = ByteSize::from_bytes(1500);
+                    let mut pkt = Packet::new(a0, a3, FlowId(1), Ecn::Ect, size, i);
+                    let d = f.links[2].dir_mut(dir);
+                    let got = d.offer(now, bw, false, &mut pkt) == Offer::FaultDropped;
+                    let expect = prob > 0.0 && want[dir as usize].chance(prob);
+                    assert_eq!(got, expect, "phase {phase} packet {i} dir {dir}");
+                    dropped += u32::from(got);
+                }
+            }
+        }
+        assert!(dropped > 100, "{dropped} fault drops");
+        // Corruption: on link 1 the box is made for it, on link 2 it
+        // exists already.
+        for link in [1u32, 2] {
+            f.set_faults(LinkId(link), |c| c.corrupt_prob = p);
+            let mut want = stream(1 << 32 | u64::from(link) << 1);
+            for i in 0..200 {
+                for (dir, d) in f.links[link as usize].dirs.iter_mut().enumerate() {
+                    let got = d.faults.as_mut().expect("boxed").corrupts();
+                    assert_eq!(got, want[dir].chance(p), "link {link} draw {i} dir {dir}");
+                }
+            }
+        }
+        assert!(f.links[0].dirs.iter().all(|d| d.faults.is_none()));
     }
 }

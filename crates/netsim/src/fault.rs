@@ -176,7 +176,7 @@ impl FaultTimeline {
     /// and append its timeline. Returns the index the first appended event
     /// received; the caller schedules `plan.timeline[i]` as engine event
     /// `first + i`.
-    pub(crate) fn install<P>(
+    pub(crate) fn install<P: Send + 'static>(
         &mut self,
         plan: &FaultPlan,
         now: SimTime,
@@ -186,14 +186,10 @@ impl FaultTimeline {
         u32::try_from(self.events.len() + plan.timeline.len()).expect("fault timeline overflow");
         let first = self.events.len() as u32;
         for &(link, p) in &plan.loss {
-            for d in &mut fabric.links[link.0 as usize].dirs {
-                d.fault.drop_prob = p;
-            }
+            fabric.set_faults(link, |f| f.drop_prob = p);
         }
         for &(link, p) in &plan.corruption {
-            for d in &mut fabric.links[link.0 as usize].dirs {
-                d.fault.corrupt_prob = p;
-            }
+            fabric.set_faults(link, |f| f.corrupt_prob = p);
         }
         self.events.extend(plan.timeline.iter().map(|&(_, ev)| ev));
         Ok(first)

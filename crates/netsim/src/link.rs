@@ -81,19 +81,27 @@ impl LinkParams {
 ///
 /// | line | bytes | what | touched by |
 /// |---|---|---|---|
-/// | 0 | 0–63 | `in_network`, `fault`, `to_node`, `fail_gen`, `to_port`, `down`, `listed`, `busy_until`, `stats.delivered{,_bytes}` | **rx** (`on_deliver`: nothing else), tx, fluid |
+/// | 0 | 0–63 | `in_network`, `faults`, `to_node`, `fail_gen`, `to_port`, `down`, `listed`, `busy_until`, `stats.delivered{,_bytes}` | **rx** (`on_deliver`: nothing else), tx, fluid |
 /// | 1 | 64–127 | `stats.{enqueued, marked, max_depth, depth_weighted_ns, last_sample}`, depth band 0 | tx |
 /// | 2 | 128–191 | depth bands 1–8 | tx |
 /// | 3 | 192–255 | depth band 9, drop/fault/corrupt/blackhole counters, `fluid_{rate, backlog, bytes_out}` | fluid; rare events |
 /// | 4 | 256–319 | `fluid_asof`, the `pending` ring's header, the qdisc's `cap`/`k` | tx, fluid |
-/// | 5–7 | 320–511 | rest of the qdisc (RED state, its RNG), fault and corruption RNGs | RED; fault draws |
+/// | 5 | 320–383 | rest of the qdisc (its standalone ring; RED's `mode` and state box) | RED |
+///
+/// What only faults and RED use lives behind boxes: a direction without
+/// faults carries a null `faults` pointer, and a RED qdisc's mutable state
+/// is one allocation of its own (DESIGN.md §13.5).
 #[repr(C, align(64))]
 pub struct Direction<P> {
     /// Conservation audit: packets accepted by this direction whose
     /// `Deliver` has not yet been processed (negative would mean a packet
     /// was double-counted — asserted by `Sim::audit_conservation`).
     pub(crate) in_network: i64,
-    pub(crate) fault: FaultConfig,
+    /// Fault injection, boxed the first time a probability is set nonzero
+    /// ([`Direction::set_fault`]); `None` means neither kind of fault.
+    pub(crate) faults: Option<Box<DirFaults>>,
+    /// Unused. Holds `stats` at byte 48, where the table above puts it.
+    _spare: u64,
     /// Node the direction delivers to.
     pub to_node: NodeId,
     /// Bumped on every `LinkDown`; `Deliver` events carry the generation
@@ -134,10 +142,28 @@ pub struct Direction<P> {
     /// in-tree disciplines; see [`QdiscKind`]. It decides, it does not
     /// store: no packet is ever buffered in it.
     pub queue: QdiscKind<P>,
-    pub(crate) fault_rng: SimRng,
+}
+
+/// A direction's fault state: its probabilities and the two streams they
+/// draw from.
+pub(crate) struct DirFaults {
+    cfg: FaultConfig,
+    drop_rng: SimRng,
     /// Separate stream for corruption draws so enabling one fault kind
     /// never perturbs the other's sequence.
-    pub(crate) corrupt_rng: SimRng,
+    corrupt_rng: SimRng,
+}
+
+impl DirFaults {
+    /// The fault-drop draw for a packet offered to the direction.
+    pub(crate) fn drops(&mut self) -> bool {
+        self.drop_rng.chance(self.cfg.drop_prob)
+    }
+
+    /// The corruption draw for a packet delivered over the direction.
+    pub(crate) fn corrupts(&mut self) -> bool {
+        self.corrupt_rng.chance(self.cfg.corrupt_prob)
+    }
 }
 
 /// What a direction did with an offered packet ([`Direction::offer`]).
@@ -190,7 +216,7 @@ impl<P: Send> Direction<P> {
         // Same-instant rule: a departure at exactly `now` is not retired
         // yet, so this arrival still counts that packet as on the wire.
         self.retire_before(now);
-        if self.fault.drop_prob > 0.0 && self.fault_rng.chance(self.fault.drop_prob) {
+        if self.faults.as_mut().is_some_and(|f| f.drops()) {
             self.stats.fault_dropped += 1;
             return Offer::FaultDropped;
         }
@@ -258,6 +284,46 @@ impl<P: Send> Direction<P> {
     /// [`FaultPlan`](crate::FaultPlan)).
     pub fn is_down(&self) -> bool {
         self.down
+    }
+
+    /// The direction's fault probabilities; all zero until one is set.
+    pub(crate) fn fault(&self) -> FaultConfig {
+        self.faults
+            .as_ref()
+            .map_or_else(FaultConfig::default, |f| f.cfg)
+    }
+
+    /// Change the fault probabilities of direction `dir` of link `link`
+    /// through `set`, drawing its streams from `root` (the fabric's).
+    ///
+    /// The state is boxed the first time a probability becomes nonzero and
+    /// kept from then on. Nothing is drawn before that, and
+    /// [`SimRng::derive`] is a pure function of the root's seed and the
+    /// salt, so the streams start exactly where streams built with the link
+    /// would stand; once boxed, zeroing a probability and raising it again
+    /// continues the same stream.
+    pub(crate) fn set_fault(
+        &mut self,
+        root: &SimRng,
+        link: u32,
+        dir: usize,
+        set: impl FnOnce(&mut FaultConfig),
+    ) {
+        let mut cfg = self.fault();
+        set(&mut cfg);
+        match &mut self.faults {
+            Some(f) => f.cfg = cfg,
+            None if cfg.drop_prob > 0.0 || cfg.corrupt_prob > 0.0 => {
+                // The corruption stream's salt has bit 32 set as well.
+                let salt = u64::from(link) << 1 | dir as u64;
+                self.faults = Some(Box::new(DirFaults {
+                    cfg,
+                    drop_rng: root.derive(salt),
+                    corrupt_rng: root.derive(1 << 32 | salt),
+                }));
+            }
+            None => {}
+        }
     }
 
     /// Retire every front entry whose departure `due` accepts, recording
@@ -374,24 +440,27 @@ impl<P> Link<P> {
     where
         P: Send + 'static,
     {
-        let mk_dir = |to: (NodeId, PortId), salt: u64| Direction {
-            to_node: to.0,
-            to_port: to.1,
-            queue: params.queue.build(),
-            stats: DirStats::default(),
-            fault: params.fault,
-            fault_rng: rng.derive((link_index as u64) << 1 | salt),
-            corrupt_rng: rng.derive((1 << 32) | (link_index as u64) << 1 | salt),
-            down: false,
-            fail_gen: 0,
-            in_network: 0,
-            busy_until: SimTime::ZERO,
-            pending: VecDeque::new(),
-            listed: false,
-            fluid_rate: 0.0,
-            fluid_backlog: 0.0,
-            fluid_bytes_out: 0.0,
-            fluid_asof: SimTime::ZERO,
+        let mk_dir = |to: (NodeId, PortId), dir: usize| {
+            let mut d = Direction {
+                to_node: to.0,
+                to_port: to.1,
+                queue: params.queue.build(),
+                stats: DirStats::default(),
+                faults: None,
+                _spare: 0,
+                down: false,
+                fail_gen: 0,
+                in_network: 0,
+                busy_until: SimTime::ZERO,
+                pending: VecDeque::new(),
+                listed: false,
+                fluid_rate: 0.0,
+                fluid_backlog: 0.0,
+                fluid_bytes_out: 0.0,
+                fluid_asof: SimTime::ZERO,
+            };
+            d.set_fault(rng, link_index, dir, |f| *f = params.fault);
+            d
         };
         Link {
             bandwidth: params.bandwidth,
@@ -507,9 +576,14 @@ mod tests {
         type D = Direction<u64>;
         assert_eq!(align_of::<D>(), 64);
         assert!(
-            size_of::<D>() <= 512,
+            size_of::<D>() <= 384,
             "Direction<u64> is {} B",
             size_of::<D>()
+        );
+        assert!(
+            size_of::<Link<u64>>() <= 832,
+            "Link<u64> is {} B",
+            size_of::<Link<u64>>()
         );
         assert_eq!(size_of::<Link<u64>>() % 64, 0);
 
@@ -530,8 +604,12 @@ mod tests {
         // direction is line 0 — what `prefetch_rx` asks for.
         assert_eq!(offset_of!(D, in_network), 0);
         assert_eq!(line_of!(fail_gen), 0);
-        assert_eq!(line_of!(fault), 0);
-        assert!(whole(offset_of!(D, fault), size_of::<FaultConfig>()));
+        assert_eq!(line_of!(faults), 0);
+        assert!(whole(
+            offset_of!(D, faults),
+            size_of::<Option<Box<DirFaults>>>()
+        ));
+        assert_eq!(stats, 48, "DirStats is laid out to start at byte 48");
         assert_eq!(line_of!(to_node), 0);
         assert_eq!(line_of!(to_port), 0);
         assert_eq!(line_of!(stats.delivered), 0);
@@ -568,14 +646,12 @@ mod tests {
         assert_eq!(line_of!(fluid_bytes_out), 3);
         assert_eq!(line_of!(fluid_asof), 4);
 
-        // Cold: rare-event counters and the deepest band share line 3, the
-        // fault RNGs close the struct.
+        // Cold: rare-event counters and the deepest band share line 3.
         assert_eq!(band(9), 3);
         assert_eq!(line_of!(stats.dropped), 3);
         assert_eq!(line_of!(stats.fault_dropped), 3);
         assert_eq!(line_of!(stats.corrupted), 3);
         assert_eq!(line_of!(stats.blackholed), 3);
-        assert!(line_of!(fault_rng) >= 6 && line_of!(corrupt_rng) >= 7);
     }
 
     /// Seeded arrival sequences — back-to-back bursts, gaps of exactly one

@@ -779,7 +779,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             self.ledger.dropped += 1;
             return;
         }
-        if d.fault.corrupt_prob > 0.0 && d.corrupt_rng.chance(d.fault.corrupt_prob) {
+        if d.faults.as_mut().is_some_and(|f| f.corrupts()) {
             // The frame failed its checksum at the receiver: it consumed
             // its full wire time (unlike a fault drop) but is discarded.
             // Drawn per *delivery*, in the FIFO order packets leave the
@@ -1476,7 +1476,7 @@ mod tests {
             ),
         ] {
             assert_eq!(sim.try_install_fault_plan(&plan), Err(want));
-            assert_eq!(sim.link(l).dir(0).fault.drop_prob, 0.0);
+            assert_eq!(sim.link(l).dir(0).fault().drop_prob, 0.0);
             assert_eq!(sim.faults, FaultTimeline::default());
             assert_eq!(sim.events_scheduled(), 0);
         }
@@ -1486,7 +1486,7 @@ mod tests {
         );
         // The same plan without the bad entry installs, and runs.
         assert_eq!(sim.try_install_fault_plan(&good), Ok(()));
-        assert_eq!(sim.link(l).dir(1).fault.drop_prob, 0.25);
+        assert_eq!(sim.link(l).dir(1).fault().drop_prob, 0.25);
         assert_eq!(sim.events_scheduled(), 1);
         sim.run_until_quiet(SimTime::from_millis(2));
         assert!(sim.link(l).dir(0).is_down());

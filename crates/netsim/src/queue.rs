@@ -367,6 +367,12 @@ pub enum RedMode {
 }
 
 /// Random Early Detection (Floyd & Jacobson 1993) with EWMA averaging.
+///
+/// The rule constants are inline; what changes per packet (the EWMA, the
+/// inter-mark count, the RNG) and the standalone buffer sit behind one
+/// box, so a RED port costs a [`QdiscKind`] no more than a threshold
+/// marker does. `mode` comes last: its spare values are where the enum
+/// keeps its tag (`tests::rule_constants_lead_the_enum`).
 #[derive(Debug)]
 #[repr(C)]
 pub struct Red<P> {
@@ -375,7 +381,13 @@ pub struct Red<P> {
     min_th: f64,
     max_th: f64,
     max_p: f64,
+    state: Box<RedState<P>>,
     mode: RedMode,
+}
+
+/// The mutable half of a [`Red`].
+#[derive(Debug)]
+struct RedState<P> {
     avg: f64,
     /// Packets since the last mark/drop while in the between-thresholds band.
     count: i64,
@@ -401,51 +413,53 @@ impl<P> Red<P> {
         assert!(min_th <= max_th, "min_th must not exceed max_th");
         assert!((0.0..=1.0).contains(&max_p), "max_p must be a probability");
         Red {
-            buf: VecDeque::new(),
             cap,
             wq,
             min_th,
             max_th,
             max_p,
+            state: Box::new(RedState {
+                avg: 0.0,
+                count: -1,
+                rng: SimRng::new(seed),
+                buf: VecDeque::new(),
+            }),
             mode,
-            avg: 0.0,
-            count: -1,
-            rng: SimRng::new(seed),
         }
     }
 
     /// Current EWMA queue estimate (packets).
     pub fn avg(&self) -> f64 {
-        self.avg
+        self.state.avg
     }
 
     /// Decide whether the arriving packet should be signalled, updating the
     /// EWMA (over `backlog` waiting packets) and the inter-mark count.
     fn should_signal(&mut self, backlog: usize) -> bool {
-        self.avg = (1.0 - self.wq) * self.avg + self.wq * backlog as f64;
-        if self.avg < self.min_th {
-            self.count = -1;
+        let s = &mut *self.state;
+        s.avg = (1.0 - self.wq) * s.avg + self.wq * backlog as f64;
+        if s.avg < self.min_th {
+            s.count = -1;
             return false;
         }
-        if self.avg >= self.max_th {
-            self.count = 0;
+        if s.avg >= self.max_th {
+            s.count = 0;
             return true;
         }
         // Between thresholds: geometric spreading via the count mechanism.
-        if self.count >= 0 {
-            self.count += 1;
+        if s.count >= 0 {
+            s.count += 1;
         } else {
-            self.count = 0;
+            s.count = 0;
         }
-        let pb =
-            (self.max_p * (self.avg - self.min_th) / (self.max_th - self.min_th)).clamp(0.0, 1.0);
-        let pa = if self.count as f64 * pb >= 1.0 {
+        let pb = (self.max_p * (s.avg - self.min_th) / (self.max_th - self.min_th)).clamp(0.0, 1.0);
+        let pa = if s.count as f64 * pb >= 1.0 {
             1.0
         } else {
-            pb / (1.0 - self.count as f64 * pb)
+            pb / (1.0 - s.count as f64 * pb)
         };
-        if self.rng.chance(pa) {
-            self.count = 0;
+        if s.rng.chance(pa) {
+            s.count = 0;
             true
         } else {
             false
@@ -455,16 +469,16 @@ impl<P> Red<P> {
 
 impl<P: Send> Qdisc<P> for Red<P> {
     fn enqueue(&mut self, mut pkt: Packet<P>) -> EnqueueOutcome {
-        let outcome = self.classify(self.buf.len(), &mut pkt);
+        let outcome = self.classify(self.state.buf.len(), &mut pkt);
         if outcome != EnqueueOutcome::Dropped {
-            self.buf.push_back(pkt);
+            self.state.buf.push_back(pkt);
         }
         outcome
     }
 
     fn classify(&mut self, backlog: usize, pkt: &mut Packet<P>) -> EnqueueOutcome {
         if backlog >= self.cap {
-            self.count = 0;
+            self.state.count = 0;
             return EnqueueOutcome::Dropped;
         }
         if self.should_signal(backlog) {
@@ -481,11 +495,11 @@ impl<P: Send> Qdisc<P> for Red<P> {
     }
 
     fn dequeue(&mut self) -> Option<Packet<P>> {
-        self.buf.pop_front()
+        self.state.buf.pop_front()
     }
 
     fn len(&self) -> usize {
-        self.buf.len()
+        self.state.buf.len()
     }
 
     fn capacity(&self) -> usize {
@@ -508,10 +522,11 @@ mod tests {
     use xmp_des::SimRng;
 
     /// The variant structs are `repr(C)` with the rule constants first, and
-    /// the enum's tag hides in a niche behind them (`Red`'s ring, which is
-    /// why it comes last there): `cap` is the enum's first word whatever
-    /// the discipline, `k` its second. Where rustc puts a niche is not a
-    /// language guarantee, hence this check.
+    /// the enum's tag hides in a niche behind them (`Red`'s `mode`, past
+    /// the other variants' last byte, which is why it comes last there):
+    /// `cap` is the enum's first word whatever the discipline, `k` its
+    /// second, and the enum is no larger than its largest variant. Where
+    /// rustc puts a niche is not a language guarantee, hence this check.
     #[test]
     fn rule_constants_lead_the_enum() {
         fn offset<T, U>(base: &T, field: &U) -> usize {
@@ -541,7 +556,9 @@ mod tests {
             assert_eq!(cap, 0, "{cfg:?}");
             assert!(k.is_none_or(|k| k + 8 == RULE_SPAN), "{cfg:?}");
         }
-        assert!(std::mem::size_of::<QdiscKind<u32>>() <= 136);
+        use std::mem::size_of;
+        assert_eq!(size_of::<QdiscKind<u32>>(), size_of::<Red<u32>>());
+        assert!(size_of::<QdiscKind<u32>>() <= 56);
     }
 
     fn pkt(ecn: Ecn) -> Packet<u32> {
