@@ -29,9 +29,9 @@
 //!             table2, failover, dynamics
 //! ```
 //!
-//! A paper run exits 2 on a file that does not load. Every command that
-//! simulates, `hybrid` aside, ends each cell with the full end-of-run
-//! audit and exits 1 naming a cell whose audit fails.
+//! A paper run exits 2 on a file that does not load or a scenario that does
+//! not build. Every command that simulates ends each cell with the full
+//! end-of-run audit and exits 1 naming a cell whose audit fails.
 
 use std::time::Instant;
 use xmp_experiments::suite::{self, Pattern, SuiteConfig};
@@ -279,24 +279,11 @@ fn run_trace_report(paths: &[String]) {
     }
 }
 
-fn run_scale(o: &Opts) {
-    let mut cfg = if o.quick {
-        scale::ScaleConfig::quick()
-    } else {
-        scale::ScaleConfig::default_cfg()
-    };
-    cfg.seed = o.seed();
-    let r = timed("scale", || scale::run(&cfg));
+/// One scale cell, `label` naming it.
+fn run_scale(label: &str, sc: xmp_experiments::scenario::Scenario) {
+    let r = timed(label, || scale::run(sc)).unwrap_or_else(|e| refuse(label, e));
     println!("{r}");
-    exit_on_audit_failures("scale", &r.audit);
-}
-
-fn run_scale_mega(o: &Opts) {
-    let mut cfg = scale::ScaleConfig::mega();
-    cfg.seed = o.seed();
-    let r = timed("scale mega", || scale::run(&cfg));
-    println!("{r}");
-    exit_on_audit_failures("scale mega", &r.audit);
+    exit_on_audit_failures(label, &r.audit);
 }
 
 fn run_hybrid(o: &Opts) {
@@ -308,6 +295,7 @@ fn run_hybrid(o: &Opts) {
     cfg.seed = o.seed();
     let r = timed("hybrid", || hybrid::run(&cfg));
     println!("{r}");
+    exit_on_audit_failures("hybrid", &r.audit_failures());
     if !r.within_tolerance() {
         std::process::exit(1);
     }
@@ -322,6 +310,7 @@ fn run_hybrid_million(o: &Opts) {
     cfg.seed = o.seed();
     let r = timed("hybrid million", || hybrid::run_million(&cfg));
     println!("{r}");
+    exit_on_audit_failures("hybrid million", &r.audit);
 }
 
 fn main() {
@@ -353,8 +342,18 @@ fn main() {
     // `scale` has a `mega` subcommand (k = 32 memory-footprint cell).
     if cmd == "scale" {
         match rest.split_first() {
-            Some((sub, tail)) if sub == "mega" => run_scale_mega(&parse_opts(tail)),
-            _ => run_scale(&parse_opts(rest)),
+            Some((sub, tail)) if sub == "mega" => {
+                run_scale("scale mega", scale::mega(parse_opts(tail).seed()))
+            }
+            _ => {
+                let o = parse_opts(rest);
+                let cell = if o.quick {
+                    scale::quick
+                } else {
+                    scale::headline
+                };
+                run_scale("scale", cell(o.seed()))
+            }
         }
         return;
     }

@@ -26,14 +26,14 @@
 //! fluid ticks and the aggregate rate — the "million-flow scenarios at
 //! packet-mode fidelity" claim, made measurable.
 
-use crate::common::TextTable;
+use crate::common::{end_of_run_audit, TextTable};
+use crate::runner::{self, Net};
+use crate::scenario::Scenario;
 use std::fmt;
 use xmp_des::{SimDuration, SimRng, SimTime};
-use xmp_netsim::{
-    FlowId, FluidCc, FluidSpec, FluidSubflowSpec, PortId, QdiscConfig, Sim, SimTuning,
-};
-use xmp_topo::{FatTree, FatTreeConfig};
-use xmp_transport::{HostStack, Segment, StackConfig, SubflowSpec, DEFAULT_MSS};
+use xmp_netsim::{FlowId, FluidCc, FluidSpec, FluidSubflowSpec, PortId, Sim};
+use xmp_topo::FatTree;
+use xmp_transport::{Segment, SubflowSpec, DEFAULT_MSS};
 use xmp_workloads::{Cdf, Driver, FlowSpecBuilder, Host, Scheme};
 
 /// Accepted relative error on the per-class elephant goodput mean.
@@ -126,6 +126,9 @@ pub struct HybridCell {
     pub events: u64,
     /// Fluid rate-update ticks (0 for the packet run).
     pub fluid_ticks: u64,
+    /// Every end-of-run audit failure ([`end_of_run_audit`]); empty when
+    /// the run is sound.
+    pub audit: Vec<String>,
 }
 
 /// Both cells plus the per-class comparison verdict.
@@ -169,6 +172,13 @@ impl HybridResult {
         }
     }
 
+    /// Both cells' end-of-run audit failures, each after its mode's name.
+    pub fn audit_failures(&self) -> Vec<String> {
+        let cells = [("packet", &self.packet), ("hybrid", &self.hybrid)];
+        let each = cells.map(|(mode, c)| c.audit.iter().map(move |a| format!("{mode}: {a}")));
+        each.into_iter().flatten().collect()
+    }
+
     /// Every per-class number within its documented tolerance band, and
     /// both runs completed their full flow population.
     pub fn within_tolerance(&self) -> bool {
@@ -198,23 +208,20 @@ fn rel_err(got: f64, want: f64) -> f64 {
 fn submit(driver: &mut Driver, ft: &FatTree, cfg: &HybridConfig) {
     let n = ft.hosts.len();
     let tags = [0, ft.tag_count() - 1];
+    let subflow = |src, dst, t| SubflowSpec {
+        local_port: PortId(0),
+        src: ft.host_addr(src, t),
+        dst: ft.host_addr(dst, t),
+    };
     // Even spread over the stagger window; +i ns keeps starts strictly
     // ordered even with a zero window.
     let step_ns = ELEPHANT_STAGGER.as_nanos() / cfg.elephants.max(1) as u64;
     for i in 0..cfg.elephants {
         let src = i % n;
         let dst = (src + n / 2) % n;
-        let subflows: Vec<SubflowSpec> = tags
-            .iter()
-            .map(|&t| SubflowSpec {
-                local_port: PortId(0),
-                src: ft.host_addr(src, t),
-                dst: ft.host_addr(dst, t),
-            })
-            .collect();
         driver.submit(FlowSpecBuilder {
             src_node: ft.host(src),
-            subflows,
+            subflows: tags.map(|t| subflow(src, dst, t)).into(),
             size: cfg.elephant_bytes,
             scheme: Scheme::xmp(2),
             start: SimTime::ZERO + SimDuration::from_nanos(i as u64 * step_ns + i as u64),
@@ -234,11 +241,7 @@ fn submit(driver: &mut Driver, ft: &FatTree, cfg: &HybridConfig) {
         let t = rng.index(ft.tag_count());
         driver.submit(FlowSpecBuilder {
             src_node: ft.host(src),
-            subflows: vec![SubflowSpec {
-                local_port: PortId(0),
-                src: ft.host_addr(src, t),
-                dst: ft.host_addr(dst, t),
-            }],
+            subflows: vec![subflow(src, dst, t)],
             size: cfg.mice_bytes,
             scheme: Scheme::Dctcp,
             start: SimTime::ZERO + SimDuration::from_micros(rng.uniform_u64(0, window_us)),
@@ -248,22 +251,29 @@ fn submit(driver: &mut Driver, ft: &FatTree, cfg: &HybridConfig) {
     }
 }
 
+/// A flowless `k`-ary fat tree from [`runner::build`], seeded `seed`, with
+/// the fluid plane on when `hybrid`. Panics on a `k` the tree cannot take
+/// (odd, or below 4).
+fn fat_tree(k: usize, seed: u64, hybrid: bool) -> (Sim<Segment, Host>, FatTree) {
+    let mut sc = Scenario {
+        seed,
+        k,
+        ..Scenario::default()
+    };
+    sc.tuning.hybrid = hybrid;
+    let cell = runner::build(&sc, None).unwrap_or_else(|e| panic!("{e}"));
+    let Net::Tree(ft) = cell.net else {
+        unreachable!("a scenario's default topology is the fat tree")
+    };
+    (cell.sim, ft)
+}
+
 /// Run the workload in one mode and fold the per-class outcome.
 pub fn run_cell(cfg: &HybridConfig, hybrid: bool) -> HybridCell {
-    let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
-    sim.set_tuning(SimTuning {
-        hybrid,
-        ..SimTuning::default()
-    });
+    let (mut sim, ft) = fat_tree(cfg.k, cfg.seed, hybrid);
     if hybrid {
         sim.set_fluid_tick_floor(cfg.tick_floor);
     }
-    let ft_cfg = FatTreeConfig {
-        k: cfg.k,
-        ..FatTreeConfig::paper(QdiscConfig::EcnThreshold { cap: 100, k: 10 })
-    };
-    let stack_cfg = StackConfig::default().with_rto_min(SimDuration::from_millis(200));
-    let ft = FatTree::build(&mut sim, &ft_cfg, |_| HostStack::new(stack_cfg.clone()));
 
     let mut driver = Driver::new();
     // Anything elephant-sized goes fluid when the backend supports it;
@@ -278,6 +288,7 @@ pub fn run_cell(cfg: &HybridConfig, hybrid: bool) -> HybridCell {
     driver.drive(&mut sim, deadline, slice, target, |_, _| {});
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
+    let audit = end_of_run_audit(&sim);
     let profile = sim.profile();
     let mut elephant_goodputs = Vec::new();
     let mut elephants_done = 0usize;
@@ -307,6 +318,7 @@ pub fn run_cell(cfg: &HybridConfig, hybrid: bool) -> HybridCell {
         wall_ms,
         events: profile.events_handled(),
         fluid_ticks: profile.fluid_ticks,
+        audit,
     }
 }
 
@@ -426,27 +438,17 @@ pub struct MillionResult {
     pub fluid_ticks: u64,
     /// Aggregate steady-state sending rate (Gbit/s) across all flows.
     pub agg_rate_gbps: f64,
+    /// Every end-of-run audit failure ([`end_of_run_audit`]); empty when
+    /// the run is sound.
+    pub audit: Vec<String>,
 }
 
 /// Register `cfg.flows` unbounded fluid elephants on one fat tree and
 /// drive them to `cfg.sim_time`. Goes through `Sim::fluid_open` directly —
 /// at this scale there is no per-flow driver bookkeeping to pay for.
 pub fn run_million(cfg: &MillionConfig) -> MillionResult {
-    let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
-    sim.set_tuning(SimTuning {
-        hybrid: true,
-        ..SimTuning::default()
-    });
+    let (mut sim, ft) = fat_tree(cfg.k, cfg.seed, true);
     sim.set_fluid_tick_floor(cfg.tick_floor);
-    let ft_cfg = FatTreeConfig {
-        k: cfg.k,
-        ..FatTreeConfig::paper(QdiscConfig::EcnThreshold { cap: 100, k: 10 })
-    };
-    let ft = FatTree::build(
-        &mut sim,
-        &ft_cfg,
-        |_| HostStack::new(StackConfig::default()),
-    );
     let n = ft.hosts.len();
     let tag_count = ft.tag_count();
 
@@ -493,6 +495,7 @@ pub fn run_million(cfg: &MillionConfig) -> MillionResult {
         wall_ms,
         fluid_ticks: profile.fluid_ticks,
         agg_rate_gbps: agg_rate_bps / 1e9,
+        audit: end_of_run_audit(&sim),
     }
 }
 
@@ -532,5 +535,6 @@ mod tests {
         assert_eq!(r.active, cfg.flows, "unbounded flows must stay active");
         assert!(r.fluid_ticks > 0);
         assert!(r.agg_rate_gbps > 0.0, "{r}");
+        assert!(r.audit.is_empty(), "{:?}", r.audit);
     }
 }

@@ -10,19 +10,19 @@
 //! | Fig. 6 | `scenarios/paper/fig6.scn` | Fairness across flows with 3/2/1/1 subflows, β = 4 vs 6 |
 //! | Fig. 7 | `scenarios/paper/fig7.scn` | Rate compensation on the Fig. 5 torus, β ∈ {4, 5, 6} |
 //! | (extensions) | `scenarios/paper/failover.scn` | goodput through a mid-transfer core-link failure |
-//! | (all of the above) | [`scenario`], [`runner`] | the `.scn` model and the one runner of a paper run |
+//! | (all of the above) | [`scenario`], [`runner`] | the `.scn` model, [`runner::build`] (the one builder from a scenario to a simulation, for paper runs, simcheck, `scale` and `hybrid`) and the one runner of a paper run |
 //! | Table 1, Figs. 8/10/11 (+ Fig. 9, Table 3 for Incast) | [`suite`] | The fat-tree evaluation |
 //! | Table 2 | [`table2`] | XMP coexistence with LIA / TCP / DCTCP |
 //! | (extensions) | [`ablation`] | β/K sweep, TraSh-coupling ablation, OLIA |
 //! | Fig. 2 (dynamics) | [`dynamics`] | cwnd/queue/mark time series, exported as JSONL |
 //! | (tooling) | [`report`] | summaries rendered back from exported traces |
-//! | (scaling) | [`scale`] | wall clock, peak RSS and outcome digest of one large serial cell |
+//! | (scaling) | [`scale`] | wall clock, peak RSS and outcome digest of one large serial cell, itself a chaos scenario |
 //! | (scaling) | [`hybrid`] | hybrid fluid/packet mode vs packet baseline, per-class tolerance bands |
 //!
 //! Each module exposes a `Config` (with paper defaults and a `quick()`
 //! variant for `--quick` runs), a `run` function, and a `Display`able
 //! result that prints the same rows/series the paper reports; a scenario
-//! file carries its own `[quick]`. The `xmp-experiments` binary drives
+//! file carries its own `[quick]`, and `scale`'s cells are scenarios. The `xmp-experiments` binary drives
 //! them from the command line.
 
 #![forbid(unsafe_code)]

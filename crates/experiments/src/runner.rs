@@ -1,23 +1,29 @@
-//! The one runner for the paper's time-series runs. A paper run is a
-//! [`Scenario`] with a `[measure]`, such as the committed
-//! `scenarios/paper/*.scn` ([`PAPER_RUNS`]). Per variant it builds the
-//! topology, installs the `down`/`up` fault plan, declares the schedule to
-//! one [`Driver`], bins the series with [`RateBins`] (split where a link
-//! closes) and ends with the invariant and conservation audits; a
-//! [`Report`] renders the measure's tables.
+//! The one builder from a [`Scenario`] to a simulation, and the runner
+//! for the paper's time-series runs.
+//!
+//! [`build`] turns any scenario — a paper run's variant, a chaos leg, the
+//! `scale` and `hybrid` cells — into a [`Cell`]: the topology, probes, one
+//! fault plan and every declared flow on one [`Driver`]. Callers keep only
+//! what differs: how the run is windowed and what it reports.
+//!
+//! A paper run is a [`Scenario`] with a `[measure]`, such as the committed
+//! `scenarios/paper/*.scn` ([`PAPER_RUNS`]). Per variant it builds the cell,
+//! bins the series with [`RateBins`] (split where a link closes) and ends
+//! with the invariant and conservation audits; a [`Report`] renders the
+//! measure's tables.
 
 use crate::common::{end_of_run_audit, frac, mbps, TextTable};
-use crate::scenario::{indexed, Column, LinkAction, LinkRef, Measure, Paper, QdiscSpec};
-use crate::scenario::{Scenario, Shape, Topology, Variant};
+use crate::scenario::{indexed, refuse, Column, FaultSpec, LinkAction, LinkRef, Measure, NodeRef};
+use crate::scenario::{Paper, QdiscSpec, Scenario, Shape, Topology, Variant};
 use std::fmt;
 use std::iter::once;
-use xmp_conformance::text::TextError;
+use xmp_conformance::text::{Field, Table, TextError};
 use xmp_des::{Bandwidth, SimDuration, SimTime};
-use xmp_netsim::{FaultPlan, LinkId, NodeId, PortId, Sim};
+use xmp_netsim::{Addr, FaultPlan, LinkId, NodeId, PortId, ProbeConfig, Sim};
 use xmp_topo::testbed::{Path, TestbedConfig};
 use xmp_topo::torus::TorusConfig;
 use xmp_topo::{Dumbbell, FatTree, FatTreeConfig, ShiftTestbed, Torus};
-use xmp_transport::{HostStack, Segment, StackConfig, SubflowSpec};
+use xmp_transport::{ConnKey, HostStack, Segment, StackConfig, SubflowSpec};
 use xmp_workloads::{jain_index, path_spec, Driver, FlowSpecBuilder, Host, RateBins};
 
 /// The committed paper runs by command name, built in so that the commands
@@ -33,16 +39,23 @@ pub const PAPER_RUNS: [(&str, &str); 5] = [
     ),
 ];
 
-/// Parse a paper run: [`Scenario::parse`], with a `[measure]` required.
+/// Parse a paper run: [`Scenario::parse`], with a `[measure]` required and
+/// the chaos-only settings no paper report reads — `horizon_us`,
+/// `probe_interval_us`, `[oracles]` and `[probes]` — refused at their line.
 pub fn load(text: &str) -> Result<Scenario, TextError> {
     let sc = Scenario::parse(text)?;
-    let why = "no [measure]: a chaos scenario, replay it with `simcheck replay`";
-    let paper = sc.paper.measure.is_some();
-    paper.then_some(sc).ok_or_else(|| TextError::at(0, why))
+    if sc.paper.measure.is_none() {
+        let why = "no [measure]: a chaos scenario, replay it with `simcheck replay`";
+        return Err(TextError::at(0, why));
+    }
+    let chaos = |t: &Table<'_>| ["oracles", "probes"].contains(&t.name);
+    let key = |f: &Field<'_>| ["horizon_us", "probe_interval_us"].contains(&f.key);
+    let why = |name| format!("{name} is a chaos-run setting that no paper report reads");
+    refuse(sc, text, chaos, key, why)
 }
 
 /// A built topology.
-enum Net {
+pub enum Net {
     Tree(FatTree),
     Dumbbell(Dumbbell),
     Shift(ShiftTestbed),
@@ -87,21 +100,20 @@ impl Net {
         })
     }
 
+    /// The fat tree, if this is one.
+    pub fn tree(&self) -> Option<&FatTree> {
+        match self {
+            Net::Tree(ft) => Some(ft),
+            _ => None,
+        }
+    }
+
     /// The source host and subflow binding of path ref `p`, if it exists
     /// here.
     fn path(&self, p: &str) -> Option<(NodeId, SubflowSpec)> {
-        let port0 = |src, dst| Path {
-            port: PortId(0),
-            src,
-            dst,
-        };
         let (name, idx) = indexed(p, "path ref").ok()?;
         let (node, path) = match (self, name, &idx[..]) {
-            (Net::Tree(ft), "ft", &[s, d, t]) => {
-                let n = ft.hosts.len();
-                let ok = s < n && d < n && s != d && t < ft.tag_count();
-                ok.then(|| (ft.host(s), port0(ft.host_addr(s, t), ft.host_addr(d, t))))
-            }
+            (Net::Tree(ft), "ft", &[s, d, t]) => return host_path(ft, s, d, t).ok(),
             (Net::Dumbbell(db), "flow", &[i, 0]) => {
                 let path = port0(Dumbbell::src_addr(i), Dumbbell::dst_addr(i));
                 db.sources.get(i).map(|&n| (n, path))
@@ -126,13 +138,187 @@ impl Net {
     /// The link `l` names, if it exists here.
     fn link(&self, l: LinkRef) -> Option<LinkId> {
         match (self, l) {
-            (Net::Tree(ft), l) => l.resolve(ft).ok(),
+            (Net::Tree(ft), LinkRef::Core(i, j, p)) => {
+                // (k/2)² cores, k pods.
+                let h = ft.cores.len().isqrt();
+                (i < h && j < h && p < 2 * h).then(|| ft.core_link(i, j, p))
+            }
+            (Net::Tree(ft), LinkRef::Agg(i)) => ft.agg_links.get(i).copied(),
+            (Net::Tree(ft), LinkRef::Rack(i)) => ft.rack_links.get(i).copied(),
             (Net::Dumbbell(db), LinkRef::Bottleneck(0)) => Some(db.bottleneck),
             (Net::Shift(tb), LinkRef::Bottleneck(i)) => tb.dn.get(i).copied(),
             (Net::Torus(r), LinkRef::Bottleneck(i)) => r.bottlenecks.get(i).copied(),
             _ => None,
         }
     }
+
+    /// The switch `n` names, if it exists here.
+    fn switch(&self, n: NodeRef) -> Option<NodeId> {
+        let ft = self.tree()?;
+        let (layer, i) = match n {
+            NodeRef::Edge(i) => (&ft.edges, i),
+            NodeRef::Agg(i) => (&ft.aggs, i),
+            NodeRef::Core(i) => (&ft.cores, i),
+        };
+        layer.get(i).copied()
+    }
+}
+
+/// Fat-tree hosts `s` to `d` on tag `t`: the one resolver of host-indexed
+/// paths, `ft/s/d/t` refs and `[flows]` lines alike.
+fn host_path(ft: &FatTree, s: usize, d: usize, t: usize) -> Result<(NodeId, SubflowSpec), String> {
+    let (n, tags) = (ft.hosts.len(), ft.tag_count());
+    if s >= n || d >= n {
+        return Err(format!("host index out of range (hosts = {n})"));
+    }
+    if s == d {
+        return Err(format!("src == dst == {s}"));
+    }
+    if t >= tags {
+        return Err(format!("tag {t} out of range (tag_count = {tags})"));
+    }
+    let path = port0(ft.host_addr(s, t), ft.host_addr(d, t));
+    Ok((ft.host(s), path_spec(path)))
+}
+
+/// The path from `src` to `dst` on port 0.
+fn port0(src: Addr, dst: Addr) -> Path {
+    Path {
+        port: PortId(0),
+        src,
+        dst,
+    }
+}
+
+/// A scenario built and declared, not yet run: the simulation, its
+/// network, the [`Driver`] holding every declared flow, their connections
+/// (`[flows]` lines first, then `[schedule]` flows, each tagged with its
+/// index here), and the `close` events in time order.
+pub struct Cell {
+    pub sim: Sim<Segment, Host>,
+    pub net: Net,
+    pub driver: Driver,
+    pub conns: Vec<ConnKey>,
+    pub(crate) closes: Vec<(SimTime, LinkId)>,
+}
+
+/// The one way from a scenario to a simulation. It sets the tuning, builds
+/// the topology (marking at `variant`'s `k`, if it sets one), installs the
+/// probes and one fault plan — `[faults]` in µs, then `[schedule]`'s `down`
+/// and `up` in epochs — and declares the `[flows]` lines and the
+/// `[schedule]` flows (schemes from `variant`) to one driver. A name the
+/// network does not have, or a host-indexed flow or switch off the fat
+/// tree, is an error naming it.
+pub fn build(sc: &Scenario, variant: Option<&Variant>) -> Result<Cell, String> {
+    let (p, topology) = (&sc.paper, sc.paper.topology);
+    let us = |t: u64| SimTime::ZERO + SimDuration::from_micros(t);
+    let at = |epoch: u64| SimTime::ZERO + SimDuration::from_micros(p.unit_us) * epoch;
+    let mut sim: Sim<Segment, Host> = Sim::new(sc.seed);
+    sim.set_tuning(sc.tuning);
+    let net = Net::build(&mut sim, sc, variant.and_then(|v| v.k))?;
+    let link = |l| net.link(l).ok_or(format!("no link {l} on {topology}"));
+    let path = |q: &String| net.path(q).ok_or(format!("no path {q} on {topology}"));
+
+    if !sc.probes.is_empty() {
+        let every = SimDuration::from_micros(sc.probe_interval_us);
+        let mut pc = ProbeConfig::every(every).until(us(sc.horizon_us));
+        for &(l, dir) in &sc.probes {
+            pc = pc.watch_queue(link(l)?, dir);
+        }
+        sim.install_probes(pc);
+    }
+
+    let mut plan = FaultPlan::new();
+    for f in &sc.faults {
+        plan = match f.event {
+            FaultSpec::Down(l) => plan.link_down(us(f.at_us), link(l)?),
+            FaultSpec::Up(l) => plan.link_up(us(f.at_us), link(l)?),
+            FaultSpec::SwitchDown(n) => {
+                let node = net
+                    .switch(n)
+                    .ok_or(format!("no switch {n} on {topology}"))?;
+                plan.switch_down(us(f.at_us), node)
+            }
+        };
+    }
+    for &(l, rate) in &sc.loss {
+        plan = plan
+            .try_drop_rate(link(l)?, rate)
+            .map_err(|e| e.to_string())?;
+    }
+    for &(l, rate) in &sc.corruption {
+        plan = plan
+            .try_corrupt_rate(link(l)?, rate)
+            .map_err(|e| e.to_string())?;
+    }
+    // A closure is set between two bin runs, not planned.
+    let mut closes = Vec::new();
+    for &(epoch, action, l) in &p.links {
+        plan = match action {
+            LinkAction::Down => plan.link_down(at(epoch), link(l)?),
+            LinkAction::Up => plan.link_up(at(epoch), link(l)?),
+            LinkAction::Close => {
+                closes.push((at(epoch), link(l)?));
+                plan
+            }
+        };
+    }
+    if !plan.is_empty() {
+        sim.try_install_fault_plan(&plan)
+            .map_err(|e| e.to_string())?;
+    }
+    closes.sort_by_key(|c| c.0);
+
+    let mut driver = Driver::new();
+    let mut conns = Vec::with_capacity(sc.flows.len() + p.flows.len());
+    for (i, f) in sc.flows.iter().enumerate() {
+        let named = |e| format!("flow {i}: {e}");
+        let why = format!("host indices need a fat tree, not {topology}");
+        let ft = net.tree().ok_or_else(|| named(why))?;
+        let paths = f.tags.iter().map(|&t| host_path(ft, f.src, f.dst, t));
+        let paths: Vec<_> = paths.collect::<Result<_, _>>().map_err(named)?;
+        conns.push(driver.submit(FlowSpecBuilder {
+            src_node: ft.host(f.src),
+            subflows: paths.into_iter().map(|(_, spec)| spec).collect(),
+            size: f.size,
+            scheme: f.scheme,
+            start: us(f.start_us),
+            category: Some(ft.category(f.src, f.dst)),
+            tag: i as u64,
+        }));
+    }
+    for f in &p.flows {
+        let v = variant.ok_or(format!("flow `{}` takes its scheme from a variant", f.name))?;
+        let scheme = v.scheme(f.paths.len());
+        let opened = f.paths.get(..scheme.subflow_count()).unwrap_or_default();
+        let paths: Vec<_> = opened.iter().map(path).collect::<Result<_, _>>()?;
+        let Some(&(src_node, _)) = paths.first() else {
+            return Err(format!("flow `{}` opens nothing", f.name));
+        };
+        let conn = driver.submit(FlowSpecBuilder {
+            src_node,
+            subflows: paths.into_iter().map(|(_, spec)| spec).collect(),
+            size: u64::MAX,
+            scheme,
+            start: at(f.start),
+            category: None,
+            tag: conns.len() as u64,
+        });
+        if let Some(to) = f.stop {
+            driver.stop_at(conn, at(to));
+        }
+        for (epoch, q) in &f.joins {
+            driver.add_subflow_at(conn, at(*epoch), path(q)?.1);
+        }
+        conns.push(conn);
+    }
+    Ok(Cell {
+        sim,
+        net,
+        driver,
+        conns,
+        closes,
+    })
 }
 
 /// One variant's run: per bin, each series' summed member rates over its
@@ -213,62 +399,12 @@ pub fn run(sc: &Scenario) -> Result<Report, String> {
 fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, String> {
     let p = &sc.paper;
     let unit = SimDuration::from_micros(p.unit_us);
-    let at = |epoch: u64| SimTime::ZERO + unit * epoch;
-    let mut sim: Sim<Segment, Host> = Sim::new(sc.seed);
-    sim.set_tuning(sc.tuning);
-    let net = Net::build(&mut sim, sc, v.k)?;
-    let link = |l| net.link(l).ok_or(format!("no link {l} on {}", p.topology));
-    let path = |q| net.path(q).ok_or(format!("no path {q} on {}", p.topology));
-
-    // Failures and repairs go to the fault plan; a closure is set between
-    // two bin runs.
-    let (mut plan, mut closes) = (FaultPlan::new(), Vec::new());
-    for &(epoch, action, l) in &p.links {
-        plan = match action {
-            LinkAction::Down => plan.link_down(at(epoch), link(l)?),
-            LinkAction::Up => plan.link_up(at(epoch), link(l)?),
-            LinkAction::Close => {
-                closes.push((epoch, link(l)?));
-                plan
-            }
-        };
-    }
-    if !plan.is_empty() {
-        sim.try_install_fault_plan(&plan)
-            .map_err(|e| e.to_string())?;
-    }
-    closes.sort_by_key(|c| c.0);
-
-    let mut driver = Driver::new();
-    let mut conns = Vec::with_capacity(p.flows.len());
-    for (i, f) in p.flows.iter().enumerate() {
-        let scheme = v.scheme(f.paths.len());
-        let opened = f.paths.get(..scheme.subflow_count()).unwrap_or_default();
-        let paths: Vec<_> = opened.iter().map(|q| path(q)).collect::<Result<_, _>>()?;
-        let Some(&(src_node, _)) = paths.first() else {
-            return Err(format!("flow `{}` opens nothing", f.name));
-        };
-        let conn = driver.submit(FlowSpecBuilder {
-            src_node,
-            subflows: paths.into_iter().map(|(_, spec)| spec).collect(),
-            size: u64::MAX,
-            scheme,
-            start: at(f.start),
-            category: None,
-            tag: i as u64,
-        });
-        if let Some(to) = f.stop {
-            driver.stop_at(conn, at(to));
-        }
-        for (epoch, q) in &f.joins {
-            driver.add_subflow_at(conn, at(*epoch), path(q)?.1);
-        }
-        conns.push(conn);
-    }
-
+    let mut cell = build(sc, Some(v))?;
+    let (sim, driver) = (&mut cell.sim, &mut cell.driver);
+    let planned = &cell.conns[sc.flows.len()..];
     let conn = |name: &str| {
         let i = p.flows.iter().position(|f| f.name == name);
-        i.map(|i| conns[i]).ok_or(format!("no flow `{name}`"))
+        i.map(|i| planned[i]).ok_or(format!("no flow `{name}`"))
     };
     let series: Vec<(&[(String, usize)], f64)> = m.series().collect();
     let members = series
@@ -279,15 +415,15 @@ fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, St
         members,
         SimDuration::from_micros(p.bin_us.unwrap_or(p.unit_us)),
     );
-    let end = at(p.epochs);
-    for (epoch, l) in closes {
-        rates.run(&mut driver, &mut sim, at(epoch).min(end));
+    let end = SimTime::ZERO + unit * p.epochs;
+    for &(t, l) in &cell.closes {
+        rates.run(driver, sim, t.min(end));
         sim.try_set_link_drop_prob(l, 1.0)
             .map_err(|e| e.to_string())?;
     }
-    rates.run(&mut driver, &mut sim, end);
-    driver.finalize_running(&mut sim);
-    let audit = end_of_run_audit(&sim);
+    rates.run(driver, sim, end);
+    driver.finalize_running(sim);
+    let audit = end_of_run_audit(sim);
 
     let sums = |row: &Vec<f64>| {
         let mut row = row.iter();
@@ -301,7 +437,7 @@ fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, St
     let first = series.first().and_then(|s| s.0.first());
     let record = first.and_then(|(f, _)| driver.record(conn(f).ok()?));
     let dead = p.links.iter().find(|l| l.1 == LinkAction::Down);
-    let blackholed = dead.and_then(|d| net.link(d.2)).map_or(0, |l| {
+    let blackholed = dead.and_then(|d| cell.net.link(d.2)).map_or(0, |l| {
         let dirs = &sim.link(l).dirs;
         dirs[0].stats.blackholed + dirs[1].stats.blackholed
     });
@@ -448,5 +584,52 @@ mod tests {
         let wide = head.replace("[[variant]]\n", "[[variant]]\nk = 101\n");
         let sc = load(&format!("{wide}[measure]\n")).expect("parses");
         assert!(run(&sc).unwrap_err().contains("k = 101 does not fit"));
+    }
+
+    /// The chaos sections a paper run shares are honoured or refused, never
+    /// ignored: `[faults]` and `[flows]` reach the build, where a
+    /// host-indexed flow or a switch off the fat tree is an error naming
+    /// it; the settings no paper report reads fail the load at their line.
+    #[test]
+    fn a_paper_run_honours_or_refuses_every_section() {
+        let base = "[sim]\nseed = 1\ntopology = dumbbell pairs=1 mbps=1000 rtt_us=100\n\
+                    unit_us = 2000\nepochs = 2\n[[variant]]\nscheme = dctcp\n\
+                    [schedule]\nflow = a 0 - flow/0/0\n[measure]\nseries = a/0 1e9 a\n";
+        let bins = |tail: &str| run(&load(&format!("{base}{tail}")).unwrap()).map(|r| r.runs);
+        let clean = bins("").unwrap();
+        for faults in ["loss = bottleneck/0 0.05", "down = 0 bottleneck/0"] {
+            let faulted = bins(&format!("[faults]\n{faults}\n")).unwrap();
+            assert_ne!(faulted[0].bins, clean[0].bins, "{faults} changed nothing");
+        }
+        for (tail, want) in [
+            (
+                "[flows]\nflow = 0 1 100 tcp 0 0\n",
+                "flow 0: host indices need a fat tree, not dumbbell",
+            ),
+            (
+                "[faults]\nswitch_down = 0 core/0\n",
+                "no switch core/0 on dumbbell",
+            ),
+        ] {
+            let e = bins(tail).unwrap_err();
+            assert!(e.starts_with(want), "{tail}: {e}");
+        }
+        for (tail, line, what) in [
+            (
+                "[probes]\nwatch = rack/999 0\n",
+                12,
+                "[probes] is a chaos-run",
+            ),
+            ("[oracles]\nslices = 2\n", 12, "[oracles] is a chaos-run"),
+        ] {
+            let e = load(&format!("{base}{tail}")).unwrap_err();
+            assert_eq!((e.line, &e.msg[..what.len()]), (line, what), "{e}");
+        }
+        for key in ["horizon_us = 9", "probe_interval_us = 9"] {
+            let e =
+                load(&base.replace("epochs = 2\n", &format!("epochs = 2\n{key}\n"))).unwrap_err();
+            assert_eq!(e.line, 6, "{e}");
+            assert!(e.msg.contains("no paper report reads"), "{e}");
+        }
     }
 }

@@ -1,81 +1,89 @@
 //! Scale experiment: one large fat-tree cell, run serially.
 //!
-//! One pre-submitted permutation wave (every host sends one fixed-size
-//! XMP-2 flow to the host half a tree away) runs to completion or its
-//! horizon. A core link flaps mid-run and probes watch it throughout, so
-//! the outcome digest — every flow record, the packet-conservation audit,
-//! the probe records and the per-kind event counts — covers the fault and
+//! A cell is a chaos [`Scenario`] built by [`runner::build`]: one
+//! pre-submitted permutation wave (every host sends one fixed-size XMP-2
+//! flow to the host half a tree away) runs to completion or its horizon. A
+//! core link flaps mid-run and probes watch it throughout, so the outcome
+//! digest — every flow record, the packet-conservation audit, the probe
+//! records and the per-kind event counts — covers the fault and
 //! observability paths, not just the happy path. The digest is
-//! `Driver::outcome_digest`, the one simcheck prints; the recorded values
-//! are `7e93a02948d16d8f` (`--quick`) and `e5d22f17048e3846` (default).
+//! `Driver::outcome_digest` over the conservation report; the recorded
+//! values are `7e93a02948d16d8f` ([`quick`]), `e5d22f17048e3846`
+//! ([`headline`]) and `d3616a796022d710` ([`mega`]).
 //!
 //! The headline is wall clock and events per second for the k = 16 cell;
 //! `mega` is the k = 32 memory-footprint cell, and every cell prints the
 //! process's peak resident set once it is done.
 
 use crate::common::{end_of_run_audit, TextTable};
+use crate::runner;
+use crate::scenario::{FaultLine, FaultSpec, FlowLine, LinkRef, Scenario};
 use std::fmt;
 use xmp_des::{SimDuration, SimTime};
-use xmp_netsim::{FaultPlan, PortId, QdiscConfig, Sim};
-use xmp_topo::{FatTree, FatTreeConfig};
-use xmp_transport::{HostStack, Segment, StackConfig, SubflowSpec};
-use xmp_workloads::{Driver, FlowSpecBuilder, Host, Scheme};
+use xmp_topo::FatTree;
+use xmp_workloads::Scheme;
 
-/// Configuration for one scale run.
-#[derive(Clone, Debug)]
-pub struct ScaleConfig {
-    /// Fat-tree port count (the headline cell uses 16 → 1024 hosts).
-    pub k: usize,
-    /// Bytes per flow (one flow per host).
-    pub flow_bytes: u64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Hard wall on simulated time.
-    pub max_sim: SimDuration,
-    /// Probe sampling interval on the watched core link.
-    pub probe_interval: SimDuration,
-    /// Flap a core link down/up mid-run.
-    pub faults: bool,
+/// The headline k = 16 cell (1024 hosts): 2 MiB flows over at most 2 s,
+/// both directions of `core/0/0/0` probed every 500 µs, and that link down
+/// from 20 ms to 40 ms.
+pub fn headline(seed: u64) -> Scenario {
+    let core = LinkRef::Core(0, 0, 0);
+    let flap = [
+        (20_000, FaultSpec::Down(core)),
+        (40_000, FaultSpec::Up(core)),
+    ];
+    Scenario {
+        seed,
+        k: 16,
+        horizon_us: 2_000_000,
+        flows: wave(16, 2 << 20),
+        faults: flap.map(|(at_us, event)| FaultLine { at_us, event }).into(),
+        probes: vec![(core, 0), (core, 1)],
+        ..Scenario::default()
+    }
 }
 
-impl ScaleConfig {
-    /// The headline k = 16 cell: 1024 hosts.
-    pub fn default_cfg() -> Self {
-        ScaleConfig {
-            k: 16,
-            flow_bytes: 2 << 20,
-            seed: 42,
-            max_sim: SimDuration::from_secs(2),
-            probe_interval: SimDuration::from_micros(500),
-            faults: true,
-        }
+/// CI-sized variant: k = 8 (128 hosts), 256 KiB flows, 500 ms. Fast enough
+/// for `scripts/check.sh`.
+pub fn quick(seed: u64) -> Scenario {
+    Scenario {
+        k: 8,
+        horizon_us: 500_000,
+        flows: wave(8, 256 << 10),
+        ..headline(seed)
     }
+}
 
-    /// CI-sized variant: k = 8 (128 hosts), small flows. Fast enough for
-    /// `scripts/check.sh`.
-    pub fn quick() -> Self {
-        ScaleConfig {
-            k: 8,
-            flow_bytes: 256 << 10,
-            seed: 42,
-            max_sim: SimDuration::from_millis(500),
-            ..ScaleConfig::default_cfg()
-        }
+/// Memory-footprint cell: k = 32 (8192 hosts), 32 KiB flows, 200 ms,
+/// probes every 5 ms and no flap — the point is not throughput but the
+/// memory high-water mark of a tree this size, [`ScaleCell::peak_rss_mib`].
+pub fn mega(seed: u64) -> Scenario {
+    Scenario {
+        k: 32,
+        horizon_us: 200_000,
+        probe_interval_us: 5_000,
+        flows: wave(32, 32 << 10),
+        faults: Vec::new(),
+        ..headline(seed)
     }
+}
 
-    /// Memory-footprint cell: k = 32 (8192 hosts). One permutation wave of
-    /// short flows — the point is not throughput but the memory high-water
-    /// mark of a tree this size, [`ScaleCell::peak_rss_mib`].
-    pub fn mega() -> Self {
-        ScaleConfig {
-            k: 32,
-            flow_bytes: 32 << 10,
-            seed: 42,
-            max_sim: SimDuration::from_millis(200),
-            probe_interval: SimDuration::from_millis(5),
-            faults: false,
-        }
-    }
+/// The permutation wave of a `k`-ary tree: host `i` sends one `bytes`
+/// flow to the host `n/2` positions away (always inter-pod for a whole
+/// tree), with subflow paths on tags 0 and `tag_count - 1` (disjoint
+/// cores), staggered 1 µs apart so startup does not synchronize every
+/// stack.
+fn wave(k: usize, bytes: u64) -> Vec<FlowLine> {
+    let n = k * k * k / 4;
+    let flow = |i| FlowLine {
+        src: i,
+        dst: (i + n / 2) % n,
+        size: bytes,
+        scheme: Scheme::xmp(2),
+        start_us: i as u64,
+        tags: vec![0, FatTree::tag_count_for(k) - 1],
+    };
+    (0..n).map(flow).collect()
 }
 
 /// One cell's outcome.
@@ -113,82 +121,31 @@ pub fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
-/// Submit the pre-planned permutation wave: host `i` sends one flow to the
-/// host `n/2` positions away (always inter-pod for a whole tree), with
-/// subflow paths on tags 0 and `tag_count - 1` (disjoint cores), staggered
-/// 1 µs apart so startup does not synchronize every stack.
-fn submit_wave(driver: &mut Driver, ft: &FatTree, cfg: &ScaleConfig) {
-    let n = ft.hosts.len();
-    let scheme = Scheme::xmp(2);
-    for i in 0..n {
-        let dst = (i + n / 2) % n;
-        let tags = [0, ft.tag_count() - 1];
-        let subflows: Vec<SubflowSpec> = tags
-            .iter()
-            .map(|&t| SubflowSpec {
-                local_port: PortId(0),
-                src: ft.host_addr(i, t),
-                dst: ft.host_addr(dst, t),
-            })
-            .collect();
-        driver.submit(FlowSpecBuilder {
-            src_node: ft.host(i),
-            subflows,
-            size: cfg.flow_bytes,
-            scheme,
-            start: SimTime::ZERO + SimDuration::from_micros(i as u64),
-            category: Some(ft.category(i, dst)),
-            tag: i as u64,
-        });
-    }
-}
-
-/// Run the wave and digest the outcome.
-pub fn run(cfg: &ScaleConfig) -> ScaleCell {
-    let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
-    let ft_cfg = FatTreeConfig {
-        k: cfg.k,
-        ..FatTreeConfig::paper(QdiscConfig::EcnThreshold { cap: 100, k: 10 })
-    };
-    let stack_cfg = StackConfig::default().with_rto_min(SimDuration::from_millis(200));
-    let ft = FatTree::build(&mut sim, &ft_cfg, |_| HostStack::new(stack_cfg.clone()));
-
-    let watched = ft.core_link(0, 0, 0);
-    let pc = xmp_netsim::ProbeConfig::every(cfg.probe_interval)
-        .until(SimTime::ZERO + cfg.max_sim)
-        .watch_queue(watched, 0)
-        .watch_queue(watched, 1);
-    sim.install_probes(pc);
-    if cfg.faults {
-        let down = SimTime::ZERO + SimDuration::from_millis(20);
-        let up = SimTime::ZERO + SimDuration::from_millis(40);
-        let plan = FaultPlan::new()
-            .link_down(down, watched)
-            .link_up(up, watched);
-        sim.install_fault_plan(&plan);
-    }
-
-    let mut driver = Driver::new();
-    submit_wave(&mut driver, &ft, cfg);
-    let target = ft.hosts.len();
-    let deadline = SimTime::ZERO + cfg.max_sim;
-
+/// Run cell `sc` in 10 ms slices to its horizon or until every flow
+/// completes, and digest the outcome. The scenario is dropped once built,
+/// so that its flow list does not count in the cell's peak RSS.
+pub fn run(sc: Scenario) -> Result<ScaleCell, String> {
+    let mut cell = runner::build(&sc, None)?;
+    let (sim, driver) = (&mut cell.sim, &mut cell.driver);
+    let (k, hosts) = (sc.k, sc.host_count());
+    let deadline = SimTime::ZERO + SimDuration::from_micros(sc.horizon_us);
+    drop(sc);
     let slice = SimDuration::from_millis(10);
     let wall = std::time::Instant::now();
-    driver.drive(&mut sim, deadline, slice, target, |_, _| {});
+    driver.drive(sim, deadline, slice, cell.conns.len(), |_, _| {});
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
-    let audit = end_of_run_audit(&sim);
+    let audit = end_of_run_audit(sim);
     // The recorded digests hash the conservation report itself; a run
     // whose books do not balance hashes the imbalance (and fails `audit`).
     let digest = match sim.try_audit_conservation() {
-        Ok(report) => driver.outcome_digest(&sim, &report),
-        Err(e) => driver.outcome_digest(&sim, &e),
+        Ok(report) => driver.outcome_digest(sim, &report),
+        Err(e) => driver.outcome_digest(sim, &e),
     };
     let profile = sim.profile();
-    ScaleCell {
-        k: cfg.k,
-        hosts: target,
+    Ok(ScaleCell {
+        k,
+        hosts,
         digest,
         completed: driver.records().filter(|r| r.completed.is_some()).count(),
         events: profile.events_handled(),
@@ -196,7 +153,7 @@ pub fn run(cfg: &ScaleConfig) -> ScaleCell {
         events_per_sec: profile.events_per_sec(),
         peak_rss_mib: peak_rss_mib(),
         audit,
-    }
+    })
 }
 
 impl fmt::Display for ScaleCell {
@@ -226,13 +183,13 @@ mod tests {
     fn quick_scale_digests_match() {
         // The same cell twice: every flow finishes and the outcome repeats
         // to the bit.
-        let cfg = ScaleConfig {
+        let sc = Scenario {
             k: 4,
-            flow_bytes: 64 << 10,
-            max_sim: SimDuration::from_millis(200),
-            ..ScaleConfig::quick()
+            horizon_us: 200_000,
+            flows: wave(4, 64 << 10),
+            ..quick(42)
         };
-        let (a, b) = (run(&cfg), run(&cfg));
+        let (a, b) = (run(sc.clone()).unwrap(), run(sc).unwrap());
         assert_eq!(a.digest, b.digest, "{a}{b}");
         assert_eq!(a.completed, a.hosts, "{a}");
         assert!(a.audit.is_empty(), "{:?}", a.audit);

@@ -21,8 +21,7 @@ use std::fmt::{self, Write};
 use std::num::NonZeroU64;
 use std::str::FromStr;
 use xmp_conformance::text::{self, Field, Table, TextError, Value};
-use xmp_netsim::{LinkId, NodeId, QdiscConfig, RedMode, SimTuning};
-use xmp_topo::FatTree;
+use xmp_netsim::{QdiscConfig, RedMode, SimTuning};
 use xmp_workloads::Scheme;
 
 /// The largest fat-tree arity any command builds (`scale mega`); a larger
@@ -71,25 +70,6 @@ pub enum LinkRef {
 }
 
 impl LinkRef {
-    /// Resolve against a built tree; errors on out-of-range indices.
-    pub fn resolve(&self, ft: &FatTree) -> Result<LinkId, String> {
-        match *self {
-            LinkRef::Core(i, j, p) => {
-                // core (i, j) with i, j < k/2; pod p < k. Recover k from
-                // the layer sizes (aggs = k²/2).
-                let pods = num_pods(ft);
-                let half = pods / 2;
-                if i >= half || j >= half || p >= pods {
-                    return Err(format!("core link {self} out of range for a k={pods} tree"));
-                }
-                Ok(ft.core_link(i, j, p))
-            }
-            LinkRef::Agg(i) => pick(&ft.agg_links, i, "agg link"),
-            LinkRef::Rack(i) => pick(&ft.rack_links, i, "rack link"),
-            LinkRef::Bottleneck(_) => Err(format!("a fat tree has no {self}")),
-        }
-    }
-
     fn parse(s: &str) -> Result<LinkRef, String> {
         match indexed(s, "link ref")? {
             ("core", idx) if idx.len() == 3 => Ok(LinkRef::Core(idx[0], idx[1], idx[2])),
@@ -101,19 +81,6 @@ impl LinkRef {
             )),
         }
     }
-}
-
-/// `v[i]`, or an error naming `what`.
-fn pick<T: Copy>(v: &[T], i: usize, what: &str) -> Result<T, String> {
-    v.get(i)
-        .copied()
-        .ok_or_else(|| format!("{what} index {i} out of range"))
-}
-
-fn num_pods(ft: &FatTree) -> usize {
-    // k pods, k/2 aggs per pod.
-    let aggs = ft.aggs.len();
-    (2.0 * (aggs as f64)).sqrt().round() as usize
 }
 
 impl fmt::Display for LinkRef {
@@ -139,15 +106,6 @@ pub enum NodeRef {
 }
 
 impl NodeRef {
-    /// Resolve against a built tree.
-    pub fn resolve(&self, ft: &FatTree) -> Result<NodeId, String> {
-        match *self {
-            NodeRef::Edge(i) => pick(&ft.edges, i, "edge switch"),
-            NodeRef::Agg(i) => pick(&ft.aggs, i, "agg switch"),
-            NodeRef::Core(i) => pick(&ft.cores, i, "core switch"),
-        }
-    }
-
     fn parse(s: &str) -> Result<NodeRef, String> {
         match indexed(s, "node ref")? {
             ("edge", idx) if idx.len() == 1 => Ok(NodeRef::Edge(idx[0])),
@@ -710,23 +668,7 @@ impl Scenario {
         if let Some(f) = doc.top.fields.first() {
             return Err(f.err(format!("key `{}` before any [section]", f.key)));
         }
-        let mut sc = Scenario {
-            seed: 0,
-            k: 0,
-            horizon_us: 0,
-            rto_min_us: 200_000,
-            tuning: SimTuning::default(),
-            qdisc: QdiscSpec::Ecn { cap: 100, k: 10 },
-            probe_interval_us: 500,
-            slices: Vec::new(),
-            inject_divergence: false,
-            flows: Vec::new(),
-            faults: Vec::new(),
-            loss: Vec::new(),
-            corruption: Vec::new(),
-            probes: Vec::new(),
-            paper: Paper::default(),
-        };
+        let mut sc = Scenario::default();
         let mut flow_lines = Vec::new();
         for t in &doc.tables {
             let p = &mut sc.paper;
@@ -778,18 +720,55 @@ impl Scenario {
     pub fn parse_chaos(text: &str) -> Result<Scenario, TextError> {
         let sc = Self::parse(text)?;
         let tree = Value::Bare("fattree");
-        let mut lines = Vec::new();
-        for t in &text::parse(text)?.tables {
-            if !CHAOS_SECTIONS.contains(&t.name) {
-                lines.push(t.line);
-            }
-            let topology = t.fields.iter().filter(|f| f.key == "topology");
-            lines.extend(topology.filter(|f| f.value != tree).map(|f| f.line));
-        }
-        let why = "a paper run, not a chaos scenario: run it with `xmp-experiments run`";
-        let first = lines.into_iter().min();
-        first.map_or(Ok(sc), |line| Err(TextError::at(line, why)))
+        let paper = |t: &Table<'_>| !CHAOS_SECTIONS.contains(&t.name);
+        let topology = |f: &Field<'_>| f.key == "topology" && f.value != tree;
+        let why = |_| "a paper run, not a chaos scenario: run it with `xmp-experiments run`".into();
+        refuse(sc, text, paper, topology, why)
     }
+}
+
+impl Default for Scenario {
+    /// What a file that sets no key describes: no tree, traffic, faults or
+    /// probes; a 200 ms minimum RTO, the paper's ECN marking at K = 10 on
+    /// 100-packet queues and probes every 500 µs once one is placed.
+    fn default() -> Self {
+        Scenario {
+            seed: 0,
+            k: 0,
+            horizon_us: 0,
+            rto_min_us: 200_000,
+            tuning: SimTuning::default(),
+            qdisc: QdiscSpec::Ecn { cap: 100, k: 10 },
+            probe_interval_us: 500,
+            slices: Vec::new(),
+            inject_divergence: false,
+            flows: Vec::new(),
+            faults: Vec::new(),
+            loss: Vec::new(),
+            corruption: Vec::new(),
+            probes: Vec::new(),
+            paper: Paper::default(),
+        }
+    }
+}
+
+/// `sc`, unless `text` has a section `table` picks or a field `field` picks:
+/// then an error at the first such line, `why` of its name.
+pub(crate) fn refuse(
+    sc: Scenario,
+    text: &str,
+    table: impl Fn(&Table<'_>) -> bool,
+    field: impl Fn(&Field<'_>) -> bool,
+    why: impl Fn(String) -> String,
+) -> Result<Scenario, TextError> {
+    let mut named = Vec::new();
+    for t in &text::parse(text)?.tables {
+        named.extend(table(t).then(|| (t.line, t.header())));
+        let fields = t.fields.iter().filter(|f| field(f));
+        named.extend(fields.map(|f| (f.line, format!("`{}`", f.key))));
+    }
+    let first = named.into_iter().min_by_key(|n| n.0);
+    first.map_or(Ok(sc), |(line, name)| Err(TextError::at(line, why(name))))
 }
 
 /// One `[sim]`, `[oracles]`, `[flows]`, `[faults]` or `[probes]` field.
@@ -1108,15 +1087,11 @@ mod tests {
             seed: 99,
             k: 4,
             horizon_us: 40_000,
-            rto_min_us: 200_000,
             tuning: SimTuning {
                 drop_unroutable: true,
                 ..SimTuning::default()
             },
-            qdisc: QdiscSpec::Ecn { cap: 100, k: 10 },
-            probe_interval_us: 500,
             slices: vec![2, 4],
-            inject_divergence: false,
             flows: vec![FlowLine {
                 src: 0,
                 dst: 9,
@@ -1142,7 +1117,7 @@ mod tests {
             loss: vec![(LinkRef::Rack(0), 0.01)],
             corruption: vec![(LinkRef::Agg(1), 0.001)],
             probes: vec![(LinkRef::Core(0, 0, 0), 0)],
-            paper: Paper::default(),
+            ..Scenario::default()
         }
     }
 

@@ -141,3 +141,35 @@ fn run_refuses_a_chaos_scenario_without_a_measure() {
     assert!(err.starts_with(&format!("{path}: no [measure]")), "{err}");
     assert!(err.contains("simcheck replay"), "{err}");
 }
+
+/// `fig1.scn` plus chaos sections a paper report cannot use: the run exits
+/// 2 naming what it refused, before printing a table. Settings no paper
+/// report reads fail the load at their line; a host-indexed flow on the
+/// dumbbell fails the build, naming the flow. (`[faults]` on their own
+/// change the numbers: `runner`'s unit tests.)
+#[test]
+fn run_refuses_what_a_paper_run_cannot_honour() {
+    let fig1 = include_str!("../../../scenarios/paper/fig1.scn");
+    let probes = fig1.lines().count() + 6;
+    let all = "[faults]\nloss = bottleneck/0 0.5\ndown = 0 bottleneck/0\n\
+               [flows]\nflow = 0 1 100 tcp 0 0\n[probes]\nwatch = rack/999 0\n";
+    let flows = "[flows]\nflow = 0 1 100 tcp 0 0\n";
+    for (name, tail, want) in [
+        (
+            "fig1-chaos",
+            all,
+            format!("line {probes}: [probes] is a chaos-run"),
+        ),
+        (
+            "fig1-flows",
+            flows,
+            "flow 0: host indices need a fat tree".into(),
+        ),
+    ] {
+        let (out, path) = ScnFile::new(name, &format!("{fig1}{tail}")).run();
+        assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
+        assert!(out.stdout.is_empty(), "{name}: printed tables");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("{path}: {want}")), "{name}: {err}");
+    }
+}

@@ -26,7 +26,8 @@ use xmp_netsim::SimTuning;
 use xmp_workloads::Scheme;
 
 /// The hybrid validation cell across seeds: both traffic classes must
-/// land inside their documented tolerance bands on every one of them.
+/// land inside their documented tolerance bands on every one of them, and
+/// both modes must pass the end-of-run audits.
 #[test]
 fn hybrid_tolerance_bands_hold_across_seeds() {
     for seed in [7, 19, 101] {
@@ -41,6 +42,8 @@ fn hybrid_tolerance_bands_hold_across_seeds() {
             r.within_tolerance(),
             "seed {seed}: hybrid cell out of tolerance\n{r}"
         );
+        let audits = r.audit_failures();
+        assert!(audits.is_empty(), "seed {seed}: {audits:?}");
     }
 }
 

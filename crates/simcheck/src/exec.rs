@@ -12,12 +12,11 @@
 //! divergence. Any digest mismatch or invariant-audit failure marks the
 //! scenario as failing, which sends it to the shrinker.
 
-use crate::scenario::{FaultSpec, Scenario};
+use crate::scenario::Scenario;
 use xmp_des::{SimDuration, SimRng, SimTime};
-use xmp_netsim::{FaultPlan, InvariantState, PortId, ProbeConfig, Sim};
-use xmp_topo::{FatTree, FatTreeConfig};
-use xmp_transport::{HostStack, Segment, StackConfig, SubflowSpec};
-use xmp_workloads::{Driver, FlowSim, FlowSpecBuilder, Host};
+use xmp_experiments::runner::build;
+use xmp_netsim::InvariantState;
+use xmp_workloads::{Driver, FlowSim};
 
 /// One oracle leg: how this run is cut into run windows.
 #[derive(Debug, Clone)]
@@ -95,8 +94,9 @@ pub fn legs(sc: &Scenario) -> Vec<LegSpec> {
 
 /// Validate and run every leg, compare digests against the baseline, and
 /// collect audit failures. A scenario that cannot even be constructed
-/// (bad topology, bad refs, bad fault plan) is an `Err` — that is a
-/// harness/generator bug, not a divergence.
+/// (bad topology, bad refs, bad fault plan: whatever `runner::build`
+/// refuses) is an `Err` — that is a harness/generator bug, not a
+/// divergence.
 pub fn run_scenario(sc: &Scenario) -> Result<RunOutcome, String> {
     let specs = legs(sc);
     let mut out: Vec<LegOutcome> = Vec::with_capacity(specs.len());
@@ -117,97 +117,23 @@ pub fn run_scenario(sc: &Scenario) -> Result<RunOutcome, String> {
     })
 }
 
-/// Run one leg of the scenario and digest everything an observer could
-/// see. Fixed-slice legs run the mid-run invariant audits at every slice
-/// boundary; a re-sliced leg, which needs the baseline's final instant
-/// `end`, audits when it gets there.
+/// Run one leg of the scenario, built by `runner::build`, and digest
+/// everything an observer could see. Fixed-slice legs run the mid-run
+/// invariant audits at every slice boundary; a re-sliced leg, which needs
+/// the baseline's final instant `end`, audits when it gets there.
 fn run_leg(sc: &Scenario, leg: &LegSpec, end: Option<SimTime>) -> Result<LegOutcome, String> {
-    let mut sim: Sim<Segment, Host> = Sim::new(sc.seed);
-    sim.set_tuning(sc.tuning);
-
-    let ft_cfg = FatTreeConfig {
-        k: sc.k,
-        ..FatTreeConfig::paper(sc.qdisc.to_config())
-    };
-    let stack_cfg = StackConfig::default().with_rto_min(SimDuration::from_micros(sc.rto_min_us));
-    let ft = FatTree::try_build(&mut sim, &ft_cfg, |_| HostStack::new(stack_cfg.clone()))
-        .map_err(|e| format!("topology: {e}"))?;
-
+    let mut cell = build(sc, None)?;
+    let (sim, driver, conns) = (&mut cell.sim, &mut cell.driver, &cell.conns);
     let deadline = SimTime::ZERO + SimDuration::from_micros(sc.horizon_us);
-    if !sc.probes.is_empty() {
-        let mut pc =
-            ProbeConfig::every(SimDuration::from_micros(sc.probe_interval_us)).until(deadline);
-        for (link, dir) in &sc.probes {
-            pc = pc.watch_queue(link.resolve(&ft)?, *dir);
-        }
-        sim.install_probes(pc);
-    }
-
-    let mut plan = FaultPlan::new();
-    for f in &sc.faults {
-        let at = SimTime::ZERO + SimDuration::from_micros(f.at_us);
-        plan = match f.event {
-            FaultSpec::Down(l) => plan.link_down(at, l.resolve(&ft)?),
-            FaultSpec::Up(l) => plan.link_up(at, l.resolve(&ft)?),
-            FaultSpec::SwitchDown(n) => plan.switch_down(at, n.resolve(&ft)?),
-        };
-    }
-    for (l, p) in &sc.loss {
-        plan = plan
-            .try_drop_rate(l.resolve(&ft)?, *p)
-            .map_err(|e| e.to_string())?;
-    }
-    for (l, p) in &sc.corruption {
-        plan = plan
-            .try_corrupt_rate(l.resolve(&ft)?, *p)
-            .map_err(|e| e.to_string())?;
-    }
-    if !plan.is_empty() {
-        sim.try_install_fault_plan(&plan)
-            .map_err(|e| e.to_string())?;
-    }
-
-    let mut driver = Driver::new();
-    let n = ft.hosts.len();
-    let tag_count = ft.tag_count();
-    let mut conns = Vec::with_capacity(sc.flows.len());
-    for (i, f) in sc.flows.iter().enumerate() {
-        if f.src >= n || f.dst >= n {
-            return Err(format!("flow {i}: host index out of range (hosts = {n})"));
-        }
-        if f.src == f.dst {
-            return Err(format!("flow {i}: src == dst == {}", f.src));
-        }
-        if let Some(&t) = f.tags.iter().find(|&&t| t >= tag_count) {
-            return Err(format!(
-                "flow {i}: tag {t} out of range (tag_count = {tag_count})"
-            ));
-        }
-        let subflows: Vec<SubflowSpec> = f
-            .tags
-            .iter()
-            .map(|&t| SubflowSpec {
-                local_port: PortId(0),
-                src: ft.host_addr(f.src, t),
-                dst: ft.host_addr(f.dst, t),
-            })
-            .collect();
-        conns.push(driver.submit(FlowSpecBuilder {
-            src_node: ft.host(f.src),
-            subflows,
-            size: f.size,
-            scheme: f.scheme,
-            start: SimTime::ZERO + SimDuration::from_micros(f.start_us),
-            category: Some(ft.category(f.src, f.dst)),
-            tag: i as u64,
-        }));
-    }
-
     if leg.inject {
         // Chaos hook: a timer event for a token that was never armed. The
         // timer layer ignores it, but the event count perturbs the digest
         // deterministically — the intended, detectable divergence. Injected
         // 1 µs in so it fires even if every flow completes early.
+        let ft = cell
+            .net
+            .tree()
+            .ok_or("the injected leg needs the fat tree")?;
         sim.debug_inject_spurious_timer(ft.host(0), SimTime::ZERO + SimDuration::from_micros(1));
     }
 
@@ -222,22 +148,22 @@ fn run_leg(sc: &Scenario, leg: &LegSpec, end: Option<SimTime>) -> Result<LegOutc
             while sim.now() < end {
                 let window = SimDuration::from_nanos(rng.uniform_u64(1, longest));
                 let t = (sim.now() + window).min(end);
-                driver.run(&mut sim, t, |_, _, _| {});
+                driver.run(sim, t, |_, _, _| {});
             }
-            driver.finalize_running(&mut sim);
+            driver.finalize_running(sim);
         }
         _ => {
             let span = deadline - SimTime::ZERO;
             let slice = SimDuration::from_nanos((span.as_nanos() / 16).max(100_000));
-            driver.drive(&mut sim, deadline, slice, conns.len(), |s, d| {
+            driver.drive(sim, deadline, slice, conns.len(), |s, d| {
                 s.audit_invariants(&mut inv, &mut audit_failures);
-                audit_windows(s, d, &conns, &mut audit_failures);
+                audit_windows(s, d, conns, &mut audit_failures);
             });
         }
     }
     sim.audit_invariants(&mut inv, &mut audit_failures);
 
-    let digest = driver.outcome_digest(&sim, &sim.try_audit_conservation());
+    let digest = driver.outcome_digest(sim, &sim.try_audit_conservation());
 
     let completed = driver.records().filter(|r| r.completed.is_some()).count();
     Ok(LegOutcome {

@@ -10,9 +10,7 @@
 //! mice + elephants), a random fault storm (flaps, switch kills, seeded
 //! loss and corruption), probe placement and the re-sliced oracle legs.
 
-use crate::scenario::{
-    FaultLine, FaultSpec, FlowLine, LinkRef, NodeRef, Paper, QdiscSpec, Scenario,
-};
+use crate::scenario::{FaultLine, FaultSpec, FlowLine, LinkRef, NodeRef, QdiscSpec, Scenario};
 use xmp_des::SimRng;
 use xmp_topo::FatTree;
 use xmp_workloads::Scheme;
@@ -36,6 +34,7 @@ pub fn generate(master: u64, index: u64) -> Scenario {
     let tag_count = FatTree::tag_count_for(k);
     let horizon_us = rng.uniform_u64(20_000, 80_000);
 
+    // Fields draw in the order written, so keep it.
     let mut sc = Scenario {
         seed: rng.next_u64(),
         k,
@@ -50,14 +49,7 @@ pub fn generate(master: u64, index: u64) -> Scenario {
         },
         qdisc: random_qdisc(&mut rng),
         probe_interval_us: rng.uniform_u64(200, 1000),
-        slices: Vec::new(),
-        inject_divergence: false,
-        flows: Vec::new(),
-        faults: Vec::new(),
-        loss: Vec::new(),
-        corruption: Vec::new(),
-        probes: Vec::new(),
-        paper: Paper::default(),
+        ..Scenario::default()
     };
 
     // Re-sliced legs: `slices = 2` always rides along, so every scenario

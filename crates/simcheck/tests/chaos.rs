@@ -108,3 +108,22 @@ flow = 0 1 65536 tcp 0 0
     let err = exec::run_scenario(&sc).expect_err("odd k must be rejected");
     assert!(err.contains("even"), "unhelpful error: {err}");
 }
+
+/// `scale --quick`'s cell is a chaos scenario like any other: it replays
+/// from its text, and cutting its flapped, probed k = 8 wave into seeded
+/// windows changes nothing.
+#[test]
+fn the_scale_cell_is_a_replayable_scenario() {
+    let mut sc = xmp_experiments::scale::quick(42);
+    let back = Scenario::parse_chaos(&sc.to_text()).expect("the cell's text parses");
+    assert_eq!(back, sc, "the text changed the cell");
+    sc.slices = vec![2];
+    let out = exec::run_scenario(&sc).expect("the cell builds");
+    assert!(
+        out.passed(),
+        "divergent {:?} / audits {:?}",
+        out.divergent,
+        out.audit_failures()
+    );
+    assert_eq!(out.legs[0].completed, sc.flows.len(), "the wave finishes");
+}
