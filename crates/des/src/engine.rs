@@ -52,6 +52,12 @@ impl<E> Engine<E> {
         self.scheduled
     }
 
+    /// Number of those scheduled past the event queue's wheel window
+    /// ([`EventQueue::far_total`]; a profiling counter).
+    pub fn far(&self) -> u64 {
+        self.queue.far_total()
+    }
+
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
         self.queue.len()

@@ -41,7 +41,8 @@
 //! eligible once their bucket enters the window — strictly after everything
 //! currently in the wheel ahead of them. Hence pops are globally sorted by
 //! `(time, seq)`, exactly like the previous `BinaryHeap` implementation
-//! (kept below as [`BinaryHeapQueue`] and used as the bench baseline).
+//! (kept below as [`BinaryHeapQueue`], the differential oracle the wheel's
+//! tests compare every pop against).
 //!
 //! An occupancy bitmap (one bit per slot, plus a word-level summary) lets
 //! the cursor jump over empty buckets in O(words) rather than O(slots).
@@ -54,10 +55,18 @@ use std::collections::BinaryHeap;
 /// of one 1500 B serialization time at 1 Gbps, so buckets stay shallow even
 /// with tens of thousands of packet events pending).
 const BUCKET_SHIFT: u32 = 6;
-/// Number of wheel slots (2^16). Window horizon = 2^22 ns ≈ 4.2 ms, which
-/// comfortably holds delayed-ACK and flow-gap timers; only long timers
-/// (RTO ≈ 200 ms) overflow past it.
-const WHEEL_SLOTS: usize = 1 << 16;
+/// Number of wheel slots (2^15). Window horizon = 2^21 ns ≈ 2.1 ms.
+///
+/// Sizing rule: the window holds what a packet schedules — one hop's
+/// propagation plus the queue ahead of it — on the paper's slowest link,
+/// the 300 Mbps bottleneck of its 1.8 ms-RTT testbed: 450 µs of
+/// propagation plus K = 15 serializations of 40 µs marks at about 1.05 ms,
+/// and the window leaves as much again for a queue that overshoots K.
+/// Timers do not fit at any size worth keeping (delayed ACK 40 ms, RTO
+/// ≥ 200 ms) and go to the overflow heap; [`EventQueue::far_total`] counts
+/// them together with any packet event past the horizon. Every slot costs
+/// a resident `u32` head per queue, 128 KiB in all (DESIGN.md §9.2).
+const WHEEL_SLOTS: usize = 1 << 15;
 const SLOT_MASK: u64 = (WHEEL_SLOTS as u64) - 1;
 /// Occupancy bitmap words.
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
@@ -261,6 +270,8 @@ pub struct EventQueue<E> {
     cursor: u64,
     len: usize,
     next_seq: u64,
+    /// Events ever pushed past the window (into `overflow`).
+    far: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -284,6 +295,7 @@ impl<E> EventQueue<E> {
             cursor: 0,
             len: 0,
             next_seq: 0,
+            far: 0,
         }
     }
 
@@ -381,6 +393,7 @@ impl<E> EventQueue<E> {
                 event,
             });
         } else {
+            self.far += 1;
             self.overflow.push(ScheduledEvent {
                 at,
                 key,
@@ -622,6 +635,13 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
+    /// Events ever pushed at or past the window horizon — into the overflow
+    /// heap rather than a wheel slot. Timers account for nearly all of them;
+    /// a packet workload whose share grows has outrun the window.
+    pub fn far_total(&self) -> u64 {
+        self.far
+    }
+
     /// Audit the wheel's storage invariants: freelist integrity (no cycles,
     /// every free node vacated), slab accounting (every node either live or
     /// on the freelist), hot-run consistency (sorted records pointing at
@@ -747,9 +767,8 @@ impl<E> EventQueue<E> {
 }
 
 /// The previous single-`BinaryHeap` scheduler, kept verbatim as the
-/// measurement baseline for the timing wheel (see `crates/bench`) and as a
-/// differential-testing oracle: both implementations must produce the same
-/// pop sequence for any push sequence.
+/// timing wheel's differential oracle: both implementations must produce
+/// the same pop sequence for any push sequence.
 #[derive(Debug)]
 pub struct BinaryHeapQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
@@ -997,7 +1016,10 @@ mod tests {
 
     /// Differential test: the wheel and the heap baseline produce identical
     /// pop sequences over randomized workloads with a dumbbell-like time
-    /// profile (near events + far timers + ties). 200+ seeded cases.
+    /// profile (near events + queueing delays + far timers + ties), plus
+    /// pushes within two buckets of the window horizon, so every seed
+    /// migrates events across it. `far_total` counts exactly the pushes
+    /// past the horizon. 200+ seeded cases.
     #[test]
     fn wheel_matches_heap_oracle() {
         let mut deep_lookaheads = 0;
@@ -1007,23 +1029,23 @@ mod tests {
             let mut heap = BinaryHeapQueue::new();
             let mut now_ns = 0u64;
             let mut next_id = 0u64;
-            for _ in 0..rng.index(400) + 10 {
-                match rng.index(10) {
-                    // 60%: push a near event (serialization-scale delay).
-                    0..=5 => {
-                        let at = SimTime::from_nanos(now_ns + rng.uniform_u64(0, 40_000));
-                        wheel.push(at, next_id);
-                        heap.push(at, next_id);
-                        next_id += 1;
+            let mut far = 0u64;
+            let ops = rng.index(400) + 10;
+            for op in 0..5 + ops {
+                // The first five pushes land near the window horizon; then
+                // 50% near events (serialization-scale delay), 5% a
+                // queueing delay on a slow link (1–2 ms), 5% near the
+                // horizon again, 20% far timers (RTO-scale delay), 20% pops.
+                let roll = if op < 5 { 11 } else { rng.index(20) };
+                let push = match roll {
+                    0..=9 => Some(now_ns + rng.uniform_u64(0, 40_000)),
+                    10 => Some(now_ns + rng.uniform_u64(1_000_000, 2_000_000)),
+                    // Within two buckets either side of the horizon.
+                    11 => {
+                        let b = wheel.cursor + WHEEL_SLOTS as u64 - 2 + rng.uniform_u64(0, 4);
+                        Some((b << BUCKET_SHIFT) + rng.uniform_u64(0, (1 << BUCKET_SHIFT) - 1))
                     }
-                    // 20%: push a far timer (RTO-scale delay).
-                    6..=7 => {
-                        let at =
-                            SimTime::from_nanos(now_ns + rng.uniform_u64(10_000_000, 300_000_000));
-                        wheel.push(at, next_id);
-                        heap.push(at, next_id);
-                        next_id += 1;
-                    }
+                    12..=15 => Some(now_ns + rng.uniform_u64(10_000_000, 300_000_000)),
                     // 20%: pop and compare — once, or as many times as the
                     // lookahead can see: whatever `upcoming(0..=k)` shows,
                     // the next `k + 1` pops deliver, in that order.
@@ -1054,7 +1076,15 @@ mod tests {
                                 (a, b) => panic!("one queue empty: {a:?} vs {b:?} (seed {seed})"),
                             }
                         }
+                        None
                     }
+                };
+                if let Some(ns) = push {
+                    let at = SimTime::from_nanos(ns);
+                    far += u64::from(abs_bucket(at) >= wheel.cursor + WHEEL_SLOTS as u64);
+                    wheel.push(at, next_id);
+                    heap.push(at, next_id);
+                    next_id += 1;
                 }
                 assert_eq!(wheel.len(), heap.len(), "len diverged (seed {seed})");
                 assert_eq!(
@@ -1073,6 +1103,7 @@ mod tests {
                     (a, b) => panic!("drain length mismatch: {a:?} vs {b:?} (seed {seed})"),
                 }
             }
+            assert_eq!(wheel.far_total(), far, "far count (seed {seed})");
         }
         assert!(
             deep_lookaheads > 20,
@@ -1147,6 +1178,69 @@ mod tests {
             wheel.check_integrity().unwrap();
         }
         assert!(wheel.is_empty());
+    }
+
+    /// Long horizons, seeded against the heap oracle: events anchored at 3 h,
+    /// 5 h and 30 days and in the top window of the `u64` range (`MAX −
+    /// 70 ms`, `MAX − 1`, `MAX`), each jittered by up to 3 ms so some land
+    /// inside the window of their anchor's first event and some past it;
+    /// every popped event is re-armed 1.5 ms later (saturating at `MAX`, so
+    /// the top chains pile up on the last instant) a seeded number of times.
+    /// Pops match the heap's and the wheel audits clean after every pop —
+    /// the `cursor + WHEEL_SLOTS` horizon arithmetic holds up to the last
+    /// bucket.
+    #[test]
+    fn multi_hour_and_top_of_range_horizons_match_heap_oracle() {
+        let hour = 3_600 * 1_000_000_000u64;
+        let anchors = [
+            3 * hour,
+            5 * hour,
+            30 * 24 * hour,
+            u64::MAX - 70_000_000,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let rearm = SimDuration::from_micros(1_500);
+        for seed in 0..10u64 {
+            let mut rng = SimRng::new(0x10E ^ seed);
+            let mut wheel = EventQueue::new();
+            let mut heap = BinaryHeapQueue::new();
+            // The payload is how many re-arms the event has left.
+            let mut push = |at: SimTime, left: u32| {
+                wheel.push(at, left);
+                heap.push(at, left);
+            };
+            push(t(1), 0);
+            for a in anchors {
+                for _ in 0..rng.index(4) + 1 {
+                    let at = SimTime::from_nanos(a.saturating_add(rng.uniform_u64(0, 3_000_000)));
+                    push(at, rng.index(60) as u32);
+                }
+            }
+            let mut pops = 0;
+            loop {
+                let (x, y) = match (wheel.pop(), heap.pop()) {
+                    (None, None) => break,
+                    (Some(x), Some(y)) => (x, y),
+                    (a, b) => panic!("one queue empty: {a:?} vs {b:?} (seed {seed})"),
+                };
+                assert_eq!(
+                    (x.at, x.seq, x.event),
+                    (y.at, y.seq, y.event),
+                    "diverged at pop {pops} (seed {seed})"
+                );
+                wheel
+                    .check_integrity()
+                    .unwrap_or_else(|e| panic!("{e} (seed {seed})"));
+                if x.event > 0 {
+                    let at = x.at.saturating_add(rearm);
+                    wheel.push(at, x.event - 1);
+                    heap.push(at, x.event - 1);
+                }
+                pops += 1;
+            }
+            assert!(pops > anchors.len(), "seed {seed}: {pops} pops");
+        }
     }
 
     /// For any multiset of timestamps, pops are globally sorted by

@@ -324,8 +324,9 @@ pub fn build(sc: &Scenario, variant: Option<&Variant>) -> Result<Cell, String> {
 /// One variant's run: per bin, each series' summed member rates over its
 /// capacity; per epoch, their means; the RTOs of the first series' flow;
 /// the packets blackholed on the first `down` link; the first series'
-/// [`Outage`], if the run has a `down`; and what the end-of-run audits
-/// found.
+/// [`Outage`], if the run has a `down`; what the end-of-run audits found;
+/// and the events the run scheduled, in all and past the event wheel's
+/// window.
 #[derive(Debug)]
 pub struct VariantRun {
     pub bins: Vec<Vec<f64>>,
@@ -334,6 +335,8 @@ pub struct VariantRun {
     pub blackholed: u64,
     pub outage: Option<Outage>,
     pub audit: Vec<String>,
+    pub events_scheduled: u64,
+    pub events_far: u64,
 }
 
 /// A finished paper run: the scenario as run and one [`VariantRun`] per
@@ -448,6 +451,8 @@ fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, St
         bins,
         blackholed,
         audit,
+        events_scheduled: sim.events_scheduled(),
+        events_far: sim.events_far(),
     })
 }
 
@@ -630,6 +635,31 @@ mod tests {
                 load(&base.replace("epochs = 2\n", &format!("epochs = 2\n{key}\n"))).unwrap_err();
             assert_eq!(e.line, 6, "{e}");
             assert!(e.msg.contains("no paper report reads"), "{e}");
+        }
+    }
+
+    /// The event wheel's window covers what the paper's slowest links
+    /// schedule: the testbed runs `fig4` and `fig6` at `--quick` (300 Mbps,
+    /// K = 15) put at most 0.5 % of their events past it, about what their
+    /// timers alone put there. A window shorter than a queued packet's
+    /// `Deliver` on those links (2^14 slots, 1.05 ms) puts 2.3–2.8 % past.
+    #[test]
+    fn testbed_runs_schedule_inside_the_wheel_window() {
+        for name in ["fig4", "fig6"] {
+            let text = PAPER_RUNS
+                .iter()
+                .find(|r| r.0 == name)
+                .expect("committed")
+                .1;
+            let r = run(&load(text).expect("parses").quick()).expect("runs");
+            let titles = r.scenario.paper.variants.iter().map(|v| &v.title);
+            for (title, v) in titles.zip(&r.runs) {
+                let (far, all) = (v.events_far, v.events_scheduled);
+                assert!(
+                    far * 200 <= all,
+                    "{name}: {title}: {far} of {all} events past the window"
+                );
+            }
         }
     }
 }

@@ -266,6 +266,12 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         self.engine.scheduled()
     }
 
+    /// How many of [`Sim::events_scheduled`] went past the event wheel's
+    /// window into its overflow heap (profiling: nearly all are timers).
+    pub fn events_far(&self) -> u64 {
+        self.engine.far()
+    }
+
     /// Add an end host running `agent`.
     pub fn add_host(&mut self, label: impl Into<String>, agent: A) -> NodeId {
         self.hosts.add_node(Some(agent));
