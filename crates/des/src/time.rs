@@ -100,6 +100,15 @@ impl SimDuration {
         SimDuration(us * 1_000)
     }
 
+    /// Construct from microseconds; `None` where the nanosecond count
+    /// would not fit, which [`SimDuration::from_micros`] wraps in release.
+    pub const fn checked_from_micros(us: u64) -> Option<Self> {
+        match us.checked_mul(1_000) {
+            Some(ns) => Some(SimDuration(ns)),
+            None => None,
+        }
+    }
+
     /// Construct from milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
@@ -264,6 +273,17 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1).as_micros(), 1_000_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_millis(), 500);
         assert_eq!(SimTime::from_secs_f64(1.25).as_millis(), 1250);
+    }
+
+    #[test]
+    fn checked_micros_refuses_what_would_wrap() {
+        let max = u64::MAX / 1_000;
+        assert_eq!(
+            SimDuration::checked_from_micros(max),
+            Some(SimDuration::from_nanos(max * 1_000))
+        );
+        assert_eq!(SimDuration::checked_from_micros(max + 1), None);
+        assert_eq!(SimDuration::checked_from_micros(u64::MAX), None);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   chaos file has none of them, so its text is unchanged.
 
 use std::fmt::{self, Write};
-use std::num::NonZeroU64;
 use std::str::FromStr;
 use xmp_conformance::text::{self, Field, Table, TextError, Value};
+use xmp_des::SimDuration;
 use xmp_netsim::{QdiscConfig, RedMode, SimTuning};
 use xmp_workloads::Scheme;
 
@@ -783,14 +783,12 @@ fn chaos_field(sc: &mut Scenario, section: &str, f: &Field<'_>) -> Result<(), Te
             }
             k => sc.k = k,
         },
-        ("sim", "horizon_us") => sc.horizon_us = f.parse("integer")?,
-        ("sim", "rto_min_us") => sc.rto_min_us = f.parse("integer")?,
+        ("sim", "horizon_us") => sc.horizon_us = micros(f, f.key, f.bare()?, 0)?,
+        ("sim", "rto_min_us") => sc.rto_min_us = micros(f, f.key, f.bare()?, 0)?,
         ("sim", "drop_unroutable") => sc.tuning.drop_unroutable = f.parse("bool")?,
         ("sim", "qdisc") => sc.qdisc = QdiscSpec::parse(f.bare()?).map_err(msg)?,
         // Zero would stall the probe clock (`ProbeConfig::every`).
-        ("sim", "probe_interval_us") => {
-            sc.probe_interval_us = f.parse::<NonZeroU64>("positive integer")?.get()
-        }
+        ("sim", "probe_interval_us") => sc.probe_interval_us = micros(f, f.key, f.bare()?, 1)?,
         ("sim", "topology") => sc.paper.topology = Topology::parse(f.bare()?).map_err(msg)?,
         ("sim", "unit_us") => sc.paper.unit_us = unit(f)?,
         ("sim", "bin_us") => sc.paper.bin_us = Some(unit(f)?),
@@ -808,7 +806,7 @@ fn chaos_field(sc: &mut Scenario, section: &str, f: &Field<'_>) -> Result<(), Te
         ("faults", "switch_down") => {
             let (at, n) = pair(f, "at_us noderef")?;
             let event = FaultSpec::SwitchDown(NodeRef::parse(n).map_err(msg)?);
-            let at_us = f.parse_word(at, "time")?;
+            let at_us = micros(f, "at_us", at, 0)?;
             sc.faults.push(FaultLine { at_us, event });
         }
         ("faults", "loss") => sc.loss.push(link_rate(f)?),
@@ -836,7 +834,19 @@ fn bounded(f: &Field<'_>, word: &str, min: u64, max: u64) -> Result<u64, TextErr
 
 /// A `unit_us` or `bin_us`: at most an hour.
 fn unit(f: &Field<'_>) -> Result<u64, TextError> {
-    bounded(f, f.bare()?, 1, MAX_UNIT_US)
+    micros(f, f.key, f.bare()?, 1)
+}
+
+/// `word`, the `name` of `f`, as microseconds in `min..=MAX_UNIT_US` (an
+/// hour). Checked on the way to nanoseconds, so a count that
+/// `SimDuration::from_micros` would wrap is refused here, at its line.
+fn micros(f: &Field<'_>, name: &str, word: &str, min: u64) -> Result<u64, TextError> {
+    let us = f.parse_word(word, "number")?;
+    let max = SimDuration::from_micros(MAX_UNIT_US);
+    match SimDuration::checked_from_micros(us) {
+        Some(d) if us >= min && d <= max => Ok(us),
+        _ => Err(f.err(format!("{name} = {us} is outside {min}..={MAX_UNIT_US}"))),
+    }
 }
 
 /// An epoch count or instant.
@@ -1040,7 +1050,7 @@ fn pair<'a>(f: &Field<'a>, shape: &str) -> Result<(&'a str, &'a str), TextError>
 fn link_fault(f: &Field<'_>, event: fn(LinkRef) -> FaultSpec) -> Result<FaultLine, TextError> {
     let (at, l) = pair(f, "at_us linkref")?;
     let event = event(LinkRef::parse(l).map_err(|m| f.err(m))?);
-    let at_us = f.parse_word(at, "time")?;
+    let at_us = micros(f, "at_us", at, 0)?;
     Ok(FaultLine { at_us, event })
 }
 
@@ -1073,7 +1083,7 @@ fn flow_line(f: &Field<'_>) -> Result<FlowLine, TextError> {
         dst: f.parse_word(dst, "host")?,
         size: f.parse_word(size, "size")?,
         scheme,
-        start_us: f.parse_word(start_us, "time")?,
+        start_us: micros(f, "start_us", start_us, 0)?,
         tags,
     })
 }
@@ -1159,6 +1169,66 @@ mod tests {
         }
     }
 
+    /// Every time key is at most an hour, so none wraps on its way to
+    /// nanoseconds (`horizon_us = u64::MAX` once replayed as "ok").
+    #[test]
+    fn time_keys_are_bounded_at_their_line() {
+        let text = sample().to_text();
+        let line_of = |prefix: &str| 1 + text.lines().position(|l| l.starts_with(prefix)).unwrap();
+        let huge = u64::MAX.to_string();
+        for (prefix, bad, name) in [
+            (
+                "horizon_us = ",
+                format!("horizon_us = {huge}"),
+                "horizon_us",
+            ),
+            (
+                "rto_min_us = ",
+                format!("rto_min_us = {huge}"),
+                "rto_min_us",
+            ),
+            (
+                "probe_interval_us = ",
+                "probe_interval_us = 3600000001".into(),
+                "probe_interval_us",
+            ),
+            (
+                "flow = ",
+                format!("flow = 0 9 65536 xmp:2 {huge} 0,1"),
+                "start_us",
+            ),
+            ("down = ", format!("down = {huge} core/0/0/0"), "at_us"),
+            (
+                "switch_down = ",
+                "switch_down = 18446744073709552 agg/1".into(),
+                "at_us",
+            ),
+        ] {
+            let line = line_of(prefix);
+            let lines = text.lines().enumerate();
+            let edited: Vec<String> = lines
+                .map(|(i, l)| {
+                    if i + 1 == line {
+                        bad.clone()
+                    } else {
+                        l.to_string()
+                    }
+                })
+                .collect();
+            let e = Scenario::parse(&edited.join("\n")).unwrap_err();
+            assert_eq!(e.line, line, "{bad}: {e}");
+            assert!(e.msg.starts_with(&format!("{name} = ")), "{bad}: {e}");
+            assert!(e.msg.ends_with("..=3600000000"), "{bad}: {e}");
+        }
+        let hour = text.replace("horizon_us = 40000", "horizon_us = 3600000000");
+        assert_eq!(
+            Scenario::parse(&hour)
+                .expect("an hour is in range")
+                .horizon_us,
+            3_600_000_000
+        );
+    }
+
     /// Values that used to reach a constructor assert in `simcheck replay`
     /// are rejected at parse time, at their line.
     #[test]
@@ -1169,7 +1239,10 @@ mod tests {
         ))
         .unwrap_err();
         assert_eq!(e.line, 5, "{e}");
-        assert!(e.msg.contains("bad positive integer `0`"), "{e}");
+        assert!(
+            e.msg.contains("probe_interval_us = 0 is outside 1..="),
+            "{e}"
+        );
         for scheme in ["xmp:2:1", "bos:1", "uxmp:2:20", "xmp:2:4294967300"] {
             let text = format!("{head}[flows]\nflow = 0 1 100 {scheme} 0 0,1\n");
             let e = Scenario::parse(&text).unwrap_err();

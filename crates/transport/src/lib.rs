@@ -42,4 +42,4 @@ pub use receiver::{MpReceiver, ReplyPath, RxAction};
 pub use rtt::RttEstimator;
 pub use segment::{ConnKey, EchoMode, SegKind, Segment, DEFAULT_MSS, HEADER_BYTES};
 pub use sender::{ConnStats, MpSender, SubflowSpec, TxAction};
-pub use stack::HostStack;
+pub use stack::{Acked, HostStack};

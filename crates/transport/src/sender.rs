@@ -44,7 +44,7 @@ fn tsnow(now: SimTime) -> u64 {
 }
 
 /// Lifetime statistics of a sending connection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConnStats {
     /// When `open` was called.
     pub start: SimTime,

@@ -36,11 +36,21 @@ fn untoken(token: u64) -> (ConnKey, u8, u64) {
 
 enum ConnState<C: CongestionControl> {
     /// Boxed: a sender is five times a receiver's size, and receivers —
-    /// which stay in the table after their flow completes — are most of it.
+    /// which stay in the table after their flow completes, so a late
+    /// duplicate is still ACKed — are most of it.
     Tx(Box<MpSender<C>>),
     Rx(MpReceiver),
-    /// What [`HostStack::retire`] leaves of a completed sender.
-    Retired(ConnStats),
+}
+
+/// What [`HostStack::conn_stats`] reports of a sending connection, running
+/// or retired. A retired sender's full [`ConnStats`] went to the caller of
+/// [`HostStack::retire`]; its key and this count, 16 bytes, are all its
+/// host keeps, so a caller can still check what each finished flow
+/// delivered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Acked {
+    /// Cumulative acknowledged bytes (across subflows).
+    pub bytes_acked: u64,
 }
 
 /// Per-host transport stack.
@@ -51,6 +61,9 @@ enum ConnState<C: CongestionControl> {
 pub struct HostStack<C: CongestionControl = Box<dyn CongestionControl>> {
     cfg: StackConfig,
     conns: FxHashMap<ConnKey, ConnState<C>>,
+    /// The acknowledged byte count of each sender [`HostStack::retire`]
+    /// removed, sorted by key: all the table keeps of it.
+    retired: Vec<(ConnKey, u64)>,
     /// Scratch buffer for sender actions, reused across events so the
     /// steady state never allocates (the stack-level analogue of the sim's
     /// emit-buffer pool). Always drained back to empty before it is
@@ -66,6 +79,7 @@ impl<C: CongestionControl> HostStack<C> {
         HostStack {
             cfg,
             conns: FxHashMap::default(),
+            retired: Vec::new(),
             tx_scratch: Vec::new(),
             rx_scratch: Vec::new(),
         }
@@ -127,20 +141,29 @@ impl<C: CongestionControl> HostStack<C> {
         self.conns.remove(&conn);
     }
 
-    /// Drop the sender of a completed connection and keep its statistics
-    /// (still answered by [`HostStack::conn_stats`]). A completed sender
-    /// ignores every segment and timer and has cancelled its own, so the
-    /// simulation runs on exactly as before; only [`HostStack::sender`]
-    /// stops finding it. Without this a host holds every sender it ever
-    /// opened. No-op unless `conn` is a completed sender.
-    pub fn retire(&mut self, conn: ConnKey) {
-        let Some(ConnState::Tx(s)) = self.conns.get(&conn) else {
-            return;
-        };
-        if s.is_completed() {
-            let stats = s.stats().clone();
-            self.conns.insert(conn, ConnState::Retired(stats));
+    /// Remove the sender of a completed connection and return its
+    /// statistics. A completed sender ignores every segment and timer and
+    /// has cancelled its own, so the simulation runs on exactly as before;
+    /// only [`HostStack::sender`] stops finding it. Without this a host
+    /// holds every sender it ever opened. `None`, and nothing changes,
+    /// unless `conn` is a completed sender.
+    pub fn retire(&mut self, conn: ConnKey) -> Option<ConnStats> {
+        if !matches!(self.conns.get(&conn), Some(ConnState::Tx(s)) if s.is_completed()) {
+            return None;
         }
+        let Some(ConnState::Tx(s)) = self.conns.remove(&conn) else {
+            unreachable!("checked above");
+        };
+        let stats = s.stats().clone();
+        match self.retired_at(conn) {
+            Ok(i) => self.retired[i].1 = stats.bytes_acked,
+            Err(i) => self.retired.insert(i, (conn, stats.bytes_acked)),
+        }
+        Some(stats)
+    }
+
+    fn retired_at(&self, conn: ConnKey) -> Result<usize, usize> {
+        self.retired.binary_search_by_key(&conn, |&(c, _)| c)
     }
 
     /// Sending-connection accessor (stats, per-subflow windows/rates).
@@ -151,13 +174,14 @@ impl<C: CongestionControl> HostStack<C> {
         }
     }
 
-    /// Stats of a sending connection, running or retired.
-    pub fn conn_stats(&self, conn: ConnKey) -> Option<&ConnStats> {
-        match self.conns.get(&conn) {
-            Some(ConnState::Tx(s)) => Some(s.stats()),
-            Some(ConnState::Retired(stats)) => Some(stats),
-            _ => None,
-        }
+    /// Bytes acknowledged on a sending connection, running or retired.
+    /// The full stats of a running sender are [`HostStack::sender`]'s.
+    pub fn conn_stats(&self, conn: ConnKey) -> Option<Acked> {
+        let bytes_acked = match self.conns.get(&conn) {
+            Some(ConnState::Tx(s)) => s.stats().bytes_acked,
+            _ => self.retired[self.retired_at(conn).ok()?].1,
+        };
+        Some(Acked { bytes_acked })
     }
 
     /// Receiving-connection accessor.
@@ -168,8 +192,7 @@ impl<C: CongestionControl> HostStack<C> {
         }
     }
 
-    /// Number of connections in the table (both directions, retired
-    /// senders included).
+    /// Number of connections in the table: running senders and receivers.
     pub fn conn_count(&self) -> usize {
         self.conns.len()
     }
@@ -251,7 +274,7 @@ impl<C: CongestionControl + 'static> Agent<Segment> for HostStack<C> {
                     ))
                 }) {
                     ConnState::Rx(r) => r,
-                    ConnState::Tx(_) | ConnState::Retired(_) => {
+                    ConnState::Tx(_) => {
                         // Key collision with a local sender: ignore.
                         self.rx_scratch = out;
                         return;
@@ -333,6 +356,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_table_entry_is_a_receiver_or_a_pointer() {
+        // A host keeps every receiver it ever had, so an entry is paid once
+        // per flow. `Tx` is a box: the controller type does not change it.
+        assert!(std::mem::size_of::<ConnState<Box<dyn CongestionControl>>>() <= 56);
+        assert!(std::mem::size_of::<ConnState<crate::Dctcp>>() <= 56);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use xmp_core::Xmp;
 use xmp_des::{Bandwidth, SimDuration, SimTime};
 use xmp_netsim::routing::StaticRouter;
 use xmp_netsim::{Addr, LinkParams, NodeId, PortId, QdiscConfig, Sim};
-use xmp_transport::{Dctcp, HostStack, Lia, Reno, Segment, StackConfig, SubflowSpec};
+use xmp_transport::{Acked, Dctcp, HostStack, Lia, Reno, Segment, StackConfig, SubflowSpec};
 
 const A: Addr = Addr::new(10, 0, 0, 1);
 const B: Addr = Addr::new(10, 0, 0, 2);
@@ -75,7 +75,7 @@ fn many_concurrent_connections_demux_cleanly() {
     // Sender-side stats agree.
     sim.with_agent::<HostStack, _>(a, |st, _| {
         for (i, &size) in sizes.iter().enumerate() {
-            let stats = st.conn_stats(100 + i as u64).unwrap();
+            let stats = st.sender(100 + i as u64).unwrap().stats();
             assert_eq!(stats.bytes_acked, size);
             assert!(stats.completed.is_some());
         }
@@ -146,8 +146,10 @@ fn close_quiesces_the_network() {
     );
 }
 
-/// Retiring a completed sender frees it, keeps its statistics, and leaves
-/// the rest of the run exactly as it was: same events, same other flow.
+/// Retiring a completed sender removes it and hands the caller the stats
+/// it reported just before; its host keeps only its acknowledged byte
+/// count, and the rest of the run is exactly as it was: same events, same
+/// other flow.
 #[test]
 fn retire_keeps_stats_and_changes_nothing_else() {
     let run = |retire: bool| {
@@ -155,24 +157,38 @@ fn retire_keeps_stats_and_changes_nothing_else() {
         sim.with_agent::<HostStack, _>(a, |st, ctx| {
             st.open(ctx, 1, vec![spec()], 50_000, Box::new(Dctcp::new()));
             st.open(ctx, 2, vec![spec()], 400_000, Box::new(Dctcp::new()));
-            // A running sender is not retired.
-            st.retire(2);
+            // A running sender and an unknown key are not retired.
+            assert!(st.retire(2).is_none() && st.retire(3).is_none());
             assert!(st.sender(2).is_some());
         });
+        let mut handed = None;
         sim.run_until(SimTime::from_secs(10), |sim, node, conn| {
             if retire && conn == 1 {
                 sim.with_agent::<HostStack, _>(node, |st, _| {
-                    st.retire(1);
-                    assert!(st.sender(1).is_none());
+                    let before = st
+                        .sender(1)
+                        .expect("completed, not retired")
+                        .stats()
+                        .clone();
+                    let stats = st.retire(1).expect("a completed sender retires");
+                    assert_eq!(stats, before);
+                    assert!(st.sender(1).is_none() && st.retire(1).is_none());
+                    assert_eq!(
+                        st.conn_stats(1),
+                        Some(Acked {
+                            bytes_acked: 50_000
+                        })
+                    );
+                    handed = Some(stats);
                 });
             }
         });
         let stats = sim.with_agent::<HostStack, _>(a, |st, _| {
             assert_eq!(st.sender(1).is_none(), retire);
-            [1, 2].map(|c| {
-                let s = st.conn_stats(c).expect("stats outlive the sender");
-                (s.bytes_acked, s.completed, s.rtos, s.fast_retransmits)
-            })
+            assert_eq!(st.conn_count(), if retire { 1 } else { 2 });
+            let first = handed.unwrap_or_else(|| st.sender(1).expect("kept").stats().clone());
+            let second = st.sender(2).expect("never retired").stats().clone();
+            [first, second].map(|s| (s.bytes_acked, s.completed, s.rtos, s.fast_retransmits))
         });
         (stats, sim.events_processed(), sim.now())
     };

@@ -14,7 +14,7 @@ use xmp_netsim::{
 };
 use xmp_topo::FlowCategory;
 use xmp_transport::{
-    CcSnapshot, CongestionControl, ConnKey, HostStack, Segment, SubflowSpec, DEFAULT_MSS,
+    CcSnapshot, CongestionControl, ConnKey, ConnStats, HostStack, Segment, SubflowSpec, DEFAULT_MSS,
 };
 
 /// The host agent the driver manages: a [`HostStack`] whose congestion
@@ -151,25 +151,66 @@ pub struct FlowSpecBuilder {
     pub tag: u64,
 }
 
-/// What a scheduled action does to its flow, and when (a start carries its
-/// time in the spec).
+/// What a scheduled action does to its flow. A start carries only what the
+/// flow's record lacks; the rest is read from the record when it fires.
 enum Action {
-    Start(FlowSpecBuilder),
-    Join(SimTime, SubflowSpec),
-    Stop(SimTime),
+    Start(Scheme, Box<[SubflowSpec]>),
+    Join(SubflowSpec),
+    Stop,
 }
 
 struct Pending {
     conn: ConnKey,
+    at: SimTime,
     action: Action,
 }
 
-impl Pending {
-    fn at(&self) -> SimTime {
-        match &self.action {
-            Action::Start(spec) => spec.start,
-            Action::Join(at, _) | Action::Stop(at) => *at,
+/// Records per chunk of [`Records`].
+const RECORD_CHUNK: usize = 32;
+
+/// Every flow's record, indexed by `conn - 1` (keys are handed out densely
+/// from 1), so iteration is ascending-key order: metrics fold over
+/// `records()` (float sums, CDF inputs) and need that order to be
+/// deterministic. Fixed chunks rather than one `Vec`: a doubling `Vec`
+/// may hold as many spare slots as records, a chunk at most 31.
+#[derive(Default)]
+struct Records {
+    chunks: Vec<Vec<FlowRecord>>,
+}
+
+impl Records {
+    fn push(&mut self, rec: FlowRecord) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < RECORD_CHUNK => chunk.push(rec),
+            _ => {
+                let mut chunk = Vec::with_capacity(RECORD_CHUNK);
+                chunk.push(rec);
+                self.chunks.push(chunk);
+            }
         }
+    }
+
+    fn slot(conn: ConnKey) -> Option<(usize, usize)> {
+        let i = usize::try_from(conn.checked_sub(1)?).ok()?;
+        Some((i / RECORD_CHUNK, i % RECORD_CHUNK))
+    }
+
+    fn get(&self, conn: ConnKey) -> Option<&FlowRecord> {
+        let (c, i) = Self::slot(conn)?;
+        self.chunks.get(c)?.get(i)
+    }
+
+    fn get_mut(&mut self, conn: ConnKey) -> Option<&mut FlowRecord> {
+        let (c, i) = Self::slot(conn)?;
+        self.chunks.get_mut(c)?.get_mut(i)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &FlowRecord> {
+        self.chunks.iter().flatten()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut FlowRecord> {
+        self.chunks.iter_mut().flatten()
     }
 }
 
@@ -180,10 +221,7 @@ pub struct Driver {
     // Scheduled actions in *descending* order (see `schedule`); due ones
     // pop off the back. The tie rule is on `Driver::run`.
     pending: Vec<Pending>,
-    // BTreeMap, not HashMap: metrics fold over `records()` (float sums,
-    // CDF inputs), so iteration order must be deterministic — submission
-    // order via the monotonically assigned ConnKey.
-    records: BTreeMap<ConnKey, FlowRecord>,
+    records: Records,
     completed: u64,
     // Hybrid mode: flows at least this many bytes (unbounded included)
     // start as fluid elephants instead of packet-level connections, when
@@ -215,8 +253,8 @@ impl Driver {
         self.fluid.contains_key(&conn)
     }
 
-    /// Reserve a fresh connection key.
-    pub fn alloc_conn(&mut self) -> ConnKey {
+    /// Reserve a fresh connection key: the next record's index plus one.
+    fn alloc_conn(&mut self) -> ConnKey {
         self.next_conn += 1;
         self.next_conn
     }
@@ -224,25 +262,23 @@ impl Driver {
     /// Queue a flow for its start time. Returns the connection key.
     pub fn submit(&mut self, spec: FlowSpecBuilder) -> ConnKey {
         let conn = self.alloc_conn();
-        self.records.insert(
+        self.records.push(FlowRecord {
             conn,
-            FlowRecord {
-                conn,
-                src_node: spec.src_node,
-                scheme: spec.scheme.label(),
-                size: spec.size,
-                subflows: spec.subflows.len(),
-                category: spec.category,
-                tag: spec.tag,
-                start: spec.start,
-                completed: None,
-                goodput_bps: 0.0,
-                mean_rtt_ns: 0,
-                rtos: 0,
-                fast_retransmits: 0,
-            },
-        );
-        self.schedule(conn, Action::Start(spec));
+            src_node: spec.src_node,
+            scheme: spec.scheme.label(),
+            size: spec.size,
+            subflows: spec.subflows.len(),
+            category: spec.category,
+            tag: spec.tag,
+            start: spec.start,
+            completed: None,
+            goodput_bps: 0.0,
+            mean_rtt_ns: 0,
+            rtos: 0,
+            fast_retransmits: 0,
+        });
+        let start = Action::Start(spec.scheme, spec.subflows.into_boxed_slice());
+        self.schedule(conn, spec.start, start);
         conn
     }
 
@@ -250,7 +286,7 @@ impl Driver {
     /// [`Driver::run`] at that instant (a no-op on a completed or unknown
     /// flow, like the immediate form).
     pub fn stop_at(&mut self, conn: ConnKey, at: SimTime) {
-        self.schedule(conn, Action::Stop(at));
+        self.schedule(conn, at, Action::Stop);
     }
 
     /// Declare that `conn` joins the extra subflow `spec` at `at`:
@@ -260,18 +296,18 @@ impl Driver {
     /// stopped) is skipped.
     pub fn add_subflow_at(&mut self, conn: ConnKey, at: SimTime, spec: SubflowSpec) {
         assert!(
-            self.records.contains_key(&conn),
+            self.records.get(conn).is_some(),
             "add_subflow_at on unknown flow {conn}"
         );
-        self.schedule(conn, Action::Join(at, spec));
+        self.schedule(conn, at, Action::Join(spec));
     }
 
-    fn schedule(&mut self, conn: ConnKey, action: Action) {
+    fn schedule(&mut self, conn: ConnKey, at: SimTime, action: Action) {
         // Sorted by time, at one instant starts before joins and stops; among
         // equal keys a start goes to the back (popped first), a join or stop
         // to the front (popped last): see the tie rule on `run`.
-        let key = |p: &Pending| (p.at(), !matches!(p.action, Action::Start(_)));
-        let new = Pending { conn, action };
+        let key = |p: &Pending| (p.at, !matches!(p.action, Action::Start(..)));
+        let new = Pending { conn, at, action };
         let k = key(&new);
         let pos = self
             .pending
@@ -286,12 +322,12 @@ impl Driver {
 
     /// All flow records (completed and not).
     pub fn records(&self) -> impl Iterator<Item = &FlowRecord> {
-        self.records.values()
+        self.records.iter()
     }
 
     /// One record.
     pub fn record(&self, conn: ConnKey) -> Option<&FlowRecord> {
-        self.records.get(&conn)
+        self.records.get(conn)
     }
 
     /// Run the simulation until `until`, firing every scheduled action
@@ -313,7 +349,7 @@ impl Driver {
         loop {
             self.fire_due(sim);
             // Advance to the next scheduled action or the deadline.
-            let stop = match self.pending.last().map(Pending::at) {
+            let stop = match self.pending.last().map(|p| p.at) {
                 Some(t) if t <= until => t,
                 _ => until,
             };
@@ -333,7 +369,7 @@ impl Driver {
             });
             sim.advance_to(stop);
             // Done once the deadline is reached and nothing is due at it.
-            if stop >= until && self.pending.last().is_none_or(|p| p.at() > sim.now()) {
+            if stop >= until && self.pending.last().is_none_or(|p| p.at > sim.now()) {
                 break;
             }
         }
@@ -341,78 +377,78 @@ impl Driver {
 
     /// Fire every scheduled action whose time has been reached.
     fn fire_due<S: FlowSim>(&mut self, sim: &mut S) {
-        while self.pending.last().is_some_and(|p| p.at() <= sim.now()) {
-            let Pending { conn, action } = self.pending.pop().expect("checked non-empty");
+        while self.pending.last().is_some_and(|p| p.at <= sim.now()) {
+            let Pending { conn, action, .. } = self.pending.pop().expect("checked non-empty");
             match action {
-                Action::Start(spec) => self.start_now(sim, spec, conn),
-                Action::Join(_, spec) => {
-                    let node = self.records[&conn].src_node;
+                Action::Start(scheme, subflows) => self.start_now(sim, conn, scheme, subflows),
+                Action::Join(spec) => {
+                    let node = self
+                        .records
+                        .get(conn)
+                        .expect("joins are declared on known flows")
+                        .src_node;
                     if sim.with_host(node, |stack, _| stack.sender(conn).is_some()) {
                         self.add_subflow(sim, conn, spec);
                     }
                 }
-                Action::Stop(_) => self.stop_flow(sim, conn),
+                Action::Stop => self.stop_flow(sim, conn),
             }
         }
     }
 
-    fn start_now<S: FlowSim>(&mut self, sim: &mut S, spec: FlowSpecBuilder, conn: ConnKey) {
-        let is_elephant = self.fluid_threshold.is_some_and(|t| spec.size >= t);
-        if !(is_elephant && sim.fluid_supported() && self.start_fluid(sim, &spec, conn)) {
-            let cc = spec.scheme.make_cc();
-            sim.with_host(spec.src_node, |stack, ctx| {
-                stack.open(ctx, conn, spec.subflows, spec.size, cc);
-            });
-        }
-        if let Some(rec) = self.records.get_mut(&conn) {
-            rec.start = sim.now().max(rec.start);
-        }
-    }
-
-    /// Open `spec` on the fluid plane. The subflow flow-ids reproduce the
-    /// packet stack's `(conn << 3) | r` derivation, so each fluid subflow
-    /// is ECMP-routed over exactly the path its packet twin would take.
-    fn start_fluid<S: FlowSim>(
+    fn start_now<S: FlowSim>(
         &mut self,
         sim: &mut S,
-        spec: &FlowSpecBuilder,
         conn: ConnKey,
-    ) -> bool {
-        let fspec = FluidSpec {
-            src_node: spec.src_node,
-            code: conn,
-            cc: spec.scheme.fluid_cc(),
-            size: (spec.size != u64::MAX).then_some(spec.size),
-            mss: DEFAULT_MSS,
-            subflows: spec
-                .subflows
-                .iter()
-                .enumerate()
-                .map(|(r, sf)| FluidSubflowSpec {
-                    local_port: sf.local_port,
-                    dst: sf.dst,
-                    flow: FlowId((conn << 3) | r as u64),
-                })
-                .collect(),
-        };
-        match sim.fluid_open(&fspec) {
-            Some(id) => {
+        scheme: Scheme,
+        subflows: Box<[SubflowSpec]>,
+    ) {
+        let rec = self
+            .records
+            .get_mut(conn)
+            .expect("every start has a record");
+        rec.start = sim.now().max(rec.start);
+        let (src_node, size) = (rec.src_node, rec.size);
+        let is_elephant = self.fluid_threshold.is_some_and(|t| size >= t);
+        if is_elephant && sim.fluid_supported() {
+            // The subflow flow-ids reproduce the packet stack's
+            // `(conn << 3) | r` derivation, so each fluid subflow is
+            // ECMP-routed over exactly the path its packet twin would take.
+            let paths = subflows.iter().enumerate();
+            let fspec = FluidSpec {
+                src_node,
+                code: conn,
+                cc: scheme.fluid_cc(),
+                size: (size != u64::MAX).then_some(size),
+                mss: DEFAULT_MSS,
+                subflows: paths
+                    .map(|(r, sf)| FluidSubflowSpec {
+                        local_port: sf.local_port,
+                        dst: sf.dst,
+                        flow: FlowId((conn << 3) | r as u64),
+                    })
+                    .collect(),
+            };
+            if let Some(id) = sim.fluid_open(&fspec) {
                 self.fluid.insert(conn, id);
-                true
+                return;
             }
-            None => false,
         }
+        let cc = scheme.make_cc();
+        sim.with_host(src_node, |stack, ctx| {
+            stack.open(ctx, conn, subflows.into_vec(), size, cc);
+        });
     }
 
     fn harvest<S: FlowSim>(
-        records: &mut BTreeMap<ConnKey, FlowRecord>,
+        records: &mut Records,
         completed: &mut u64,
         fluid: &BTreeMap<ConnKey, FluidId>,
         sim: &mut S,
         node: NodeId,
         conn: ConnKey,
     ) {
-        let Some(rec) = records.get_mut(&conn) else {
+        let Some(rec) = records.get_mut(conn) else {
             return;
         };
         if rec.completed.is_some() {
@@ -426,19 +462,22 @@ impl Driver {
             return;
         }
         let now = sim.now();
-        sim.with_host(node, |stack, _| {
-            if let Some(stats) = stack.conn_stats(conn) {
-                rec.completed = stats.completed;
-                rec.goodput_bps = stats.goodput_bps(now);
-                rec.mean_rtt_ns = stats.mean_rtt().map_or(0, |d| d.as_nanos());
-                rec.rtos = stats.rtos;
-                rec.fast_retransmits = stats.fast_retransmits;
-            }
-            // So a host holds its running senders, not every one it ever
-            // opened (an incast cell completes hundreds per host).
-            stack.retire(conn);
-        });
+        // Retired, so a host holds its running senders, not every one it
+        // ever opened (an incast cell completes hundreds per host).
+        if let Some(stats) = sim.with_host(node, |stack, _| stack.retire(conn)) {
+            rec.completed = stats.completed;
+            Self::fill_packet(rec, &stats, now);
+        }
         *completed += 1;
+    }
+
+    /// Copy a packet sender's stats into a flow record (all but
+    /// `completed`).
+    fn fill_packet(rec: &mut FlowRecord, stats: &ConnStats, now: SimTime) {
+        rec.goodput_bps = stats.goodput_bps(now);
+        rec.mean_rtt_ns = stats.mean_rtt().map_or(0, |d| d.as_nanos());
+        rec.rtos = stats.rtos;
+        rec.fast_retransmits = stats.fast_retransmits;
     }
 
     /// Copy a fluid snapshot into a flow record (goodput over the flow's
@@ -461,7 +500,7 @@ impl Driver {
     /// Join an extra subflow on a running flow (the paper's Fig. 6
     /// staggers subflow establishment).
     pub fn add_subflow<S: FlowSim>(&mut self, sim: &mut S, conn: ConnKey, spec: SubflowSpec) {
-        let Some(rec) = self.records.get_mut(&conn) else {
+        let Some(rec) = self.records.get_mut(conn) else {
             panic!("add_subflow on unknown flow {conn}");
         };
         rec.subflows += 1;
@@ -474,7 +513,7 @@ impl Driver {
     /// Stop an unbounded flow and finalize its record with the stats so
     /// far (used for background flows and for time-limited runs).
     pub fn stop_flow<S: FlowSim>(&mut self, sim: &mut S, conn: ConnKey) {
-        let Some(rec) = self.records.get_mut(&conn) else {
+        let Some(rec) = self.records.get_mut(conn) else {
             return;
         };
         if let Some(&fid) = self.fluid.get(&conn) {
@@ -486,11 +525,8 @@ impl Driver {
         let node = rec.src_node;
         let now = sim.now();
         sim.with_host(node, |stack, ctx| {
-            if let Some(stats) = stack.conn_stats(conn) {
-                rec.goodput_bps = stats.goodput_bps(now);
-                rec.mean_rtt_ns = stats.mean_rtt().map_or(0, |d| d.as_nanos());
-                rec.rtos = stats.rtos;
-                rec.fast_retransmits = stats.fast_retransmits;
+            if let Some(sender) = stack.sender(conn) {
+                Self::fill_packet(rec, sender.stats(), now);
             }
             stack.close(ctx, conn);
         });
@@ -500,7 +536,7 @@ impl Driver {
     /// (end-of-run accounting).
     pub fn finalize_running<S: FlowSim>(&mut self, sim: &mut S) {
         let now = sim.now();
-        for rec in self.records.values_mut() {
+        for rec in self.records.iter_mut() {
             if rec.completed.is_some() {
                 continue;
             }
@@ -513,11 +549,8 @@ impl Driver {
             let node = rec.src_node;
             let conn = rec.conn;
             sim.with_host(node, |stack, _| {
-                if let Some(stats) = stack.conn_stats(conn) {
-                    rec.goodput_bps = stats.goodput_bps(now);
-                    rec.mean_rtt_ns = stats.mean_rtt().map_or(0, |d| d.as_nanos());
-                    rec.rtos = stats.rtos;
-                    rec.fast_retransmits = stats.fast_retransmits;
+                if let Some(sender) = stack.sender(conn) {
+                    Self::fill_packet(rec, sender.stats(), now);
                 }
             });
         }
@@ -556,7 +589,7 @@ impl Driver {
     ) -> u64 {
         let mut h = DefaultHasher::new();
         format!("{:?}", sim.now()).hash(&mut h);
-        for r in self.records.values() {
+        for r in self.records.iter() {
             format!("{r:?}").hash(&mut h);
         }
         format!("{audit:?}").hash(&mut h);
@@ -581,7 +614,7 @@ impl Driver {
         conn: ConnKey,
     ) -> &[SubflowSnapshot] {
         self.snap_scratch.clear();
-        let Some(src_node) = self.records.get(&conn).map(|r| r.src_node) else {
+        let Some(src_node) = self.records.get(conn).map(|r| r.src_node) else {
             return &self.snap_scratch;
         };
         let scratch = &mut self.snap_scratch;
@@ -610,7 +643,7 @@ impl Driver {
     /// Bytes acknowledged so far on subflow `r` of a running flow; 0 for a
     /// flow that is not running or a subflow it has not (yet) joined.
     pub fn subflow_acked<S: FlowSim>(&self, sim: &mut S, conn: ConnKey, r: usize) -> u64 {
-        let Some(rec) = self.records.get(&conn) else {
+        let Some(rec) = self.records.get(conn) else {
             return 0;
         };
         sim.with_host(rec.src_node, |stack, _| {
@@ -772,7 +805,7 @@ mod tests {
     use xmp_des::{Bandwidth, SimDuration};
     use xmp_netsim::QdiscConfig;
     use xmp_topo::{Dumbbell, FatTree, FatTreeConfig};
-    use xmp_transport::{StackConfig, DEFAULT_MSS};
+    use xmp_transport::{Acked, StackConfig, DEFAULT_MSS};
 
     fn stack() -> Host {
         HostStack::new(StackConfig::default())
@@ -818,7 +851,8 @@ mod tests {
         assert!(rec.completed.is_some(), "flow did not finish");
         assert!(rec.goodput_bps > 0.0);
         assert_eq!(d.completed_count(), 1);
-        // Harvested means retired: the host keeps the stats, not the sender.
+        // Harvested means retired: the host keeps the acknowledged byte
+        // count, not the sender.
         sim.with_host(db.sources[0], |stack, _| {
             assert!(stack.sender(conn).is_none());
             assert_eq!(stack.conn_stats(conn).map(|s| s.bytes_acked), Some(size));
@@ -1057,6 +1091,155 @@ mod tests {
         d.run(&mut sim, SimTime::from_secs(2), |_, _, _| {});
         assert!(!d.is_fluid(conn), "non-hybrid sim must stay packet-level");
         assert!(d.record(conn).expect("record").completed.is_some());
+    }
+
+    #[test]
+    fn pending_and_records_stay_compact() {
+        // The pending `Vec` keeps its capacity for the whole run, so a slot
+        // is paid once per flow ever scheduled.
+        assert!(std::mem::size_of::<Pending>() <= 48);
+        let mut records = Records::default();
+        for conn in 1..=33 {
+            records.push(FlowRecord {
+                conn,
+                ..populated_record()
+            });
+        }
+        let caps: Vec<usize> = records.chunks.iter().map(Vec::capacity).collect();
+        assert_eq!(caps, [RECORD_CHUNK, RECORD_CHUNK]);
+        assert!(records.iter().map(|r| r.conn).eq(1..=33));
+        assert_eq!(records.get(33).map(|r| r.conn), Some(33));
+        assert!(records.get(0).is_none() && records.get(34).is_none());
+    }
+
+    fn populated_record() -> FlowRecord {
+        FlowRecord {
+            conn: 7,
+            src_node: NodeId(12),
+            scheme: Scheme::xmp(2).label(),
+            size: 65_536,
+            subflows: 2,
+            category: Some(FlowCategory::InterPod),
+            tag: 1_000_003,
+            start: SimTime::from_micros(1_500),
+            completed: Some(SimTime::from_nanos(2_750_250)),
+            goodput_bps: 419_430_400.5,
+            mean_rtt_ns: 181_234,
+            rtos: 1,
+            fast_retransmits: 2,
+        }
+    }
+
+    /// Every outcome digest hashes `format!("{r:?}")` of each record, so
+    /// this form is part of what the recorded digests pin.
+    #[test]
+    fn record_debug_form_is_pinned() {
+        assert_eq!(
+            format!("{:?}", populated_record()),
+            "FlowRecord { conn: 7, src_node: n12, scheme: \"XMP-2\", size: 65536, \
+             subflows: 2, category: Some(InterPod), tag: 1000003, start: t=1500us, \
+             completed: Some(t=2750250ns), goodput_bps: 419430400.5, mean_rtt_ns: 181234, \
+             rtos: 1, fast_retransmits: 2 }"
+        );
+    }
+
+    /// 240 short flows on a k = 4 fat tree: each harvested flow leaves its
+    /// record, with the stats its sender reported, and its acknowledged
+    /// byte count on its host, and nothing else. The reference stats come
+    /// from a twin run that opens the same flows by hand and never
+    /// retires a sender.
+    #[test]
+    fn a_harvested_flow_leaves_only_its_record() {
+        const FLOWS: usize = 240;
+        const BYTES: u64 = 20_000;
+        let build = || {
+            let mut sim: Sim<Segment, Host> = Sim::new(3);
+            let cfg = FatTreeConfig {
+                k: 4,
+                ..FatTreeConfig::paper(QdiscConfig::EcnThreshold { cap: 100, k: 10 })
+            };
+            let ft = FatTree::build(&mut sim, &cfg, |_| stack());
+            (sim, ft)
+        };
+        // 16 hosts; 4i + 3 is odd, so no flow loops back to its source.
+        let ends = |i: usize| (i % 16, (5 * i + 3) % 16);
+        let spec = |ft: &FatTree, i: usize| {
+            let (src, dst) = ends(i);
+            FlowSpecBuilder {
+                src_node: ft.host(src),
+                subflows: vec![SubflowSpec {
+                    local_port: xmp_netsim::PortId(0),
+                    src: ft.host_addr(src, 0),
+                    dst: ft.host_addr(dst, 0),
+                }],
+                size: BYTES,
+                scheme: Scheme::Dctcp,
+                start: SimTime::ZERO,
+                category: None,
+                tag: i as u64,
+            }
+        };
+        let end = SimTime::from_secs(1);
+
+        let (mut twin, ft) = build();
+        // The driver opens starts due at one instant most recent first.
+        for i in (0..FLOWS).rev() {
+            let f = spec(&ft, i);
+            twin.with_host(f.src_node, |st, ctx| {
+                st.open(ctx, i as u64 + 1, f.subflows, BYTES, f.scheme.make_cc());
+            });
+        }
+        let mut reported = BTreeMap::new();
+        twin.run_until(end, |sim, node, conn| {
+            let stats = sim.with_host(node, |st, _| st.sender(conn).map(|s| s.stats().clone()));
+            reported.insert(conn, stats.expect("the completed sender is still there"));
+        });
+
+        let (mut sim, ft) = build();
+        let mut d = Driver::new();
+        for i in 0..FLOWS {
+            assert_eq!(d.submit(spec(&ft, i)), i as u64 + 1);
+        }
+        let mut partial = false;
+        while sim.now() < end && (d.completed_count() as usize) < FLOWS {
+            let step = sim.now() + SimDuration::from_micros(100);
+            d.run(&mut sim, step, |_, _, _| {});
+            let done = d.completed_count() as usize;
+            partial |= 0 < done && done < FLOWS;
+            // A host holds its running senders and its receivers, nothing
+            // else.
+            let mut held = [0; 16];
+            for (i, r) in d.records().enumerate() {
+                let (src, dst) = ends(i);
+                let sending = sim.with_host(ft.host(src), |st, _| st.sender(r.conn).is_some());
+                assert_eq!(sending, r.completed.is_none(), "flow {}", r.conn);
+                held[src] += usize::from(sending);
+                held[dst] +=
+                    usize::from(sim.with_host(ft.host(dst), |st, _| st.receiver(r.conn).is_some()));
+            }
+            for (h, &n) in held.iter().enumerate() {
+                assert_eq!(sim.with_host(ft.host(h), |st, _| st.conn_count()), n);
+            }
+        }
+        assert!(partial, "no step saw some flows done and some running");
+        assert_eq!(d.completed_count(), FLOWS as u64);
+        assert_eq!(reported.len(), FLOWS);
+        for r in d.records() {
+            let s = &reported[&r.conn];
+            let mean_rtt_ns = s.mean_rtt().map_or(0, |t| t.as_nanos());
+            assert_eq!(r.completed, s.completed, "flow {}", r.conn);
+            assert_eq!(r.goodput_bps, s.goodput_bps(end), "flow {}", r.conn);
+            assert_eq!(
+                (r.mean_rtt_ns, r.rtos, r.fast_retransmits),
+                (mean_rtt_ns, s.rtos, s.fast_retransmits),
+                "flow {}",
+                r.conn
+            );
+            sim.with_host(r.src_node, |st, _| {
+                assert!(st.sender(r.conn).is_none());
+                assert_eq!(st.conn_stats(r.conn), Some(Acked { bytes_acked: BYTES }));
+            });
+        }
     }
 
     #[test]
