@@ -13,7 +13,7 @@
 //! 3. **OLIA comparison** — the Pareto-optimality fix the paper's
 //!    Section 7 points to, run through the same fat-tree suite.
 
-use crate::common::{end_of_run_audit, frac, host_stack, mbps, TextTable};
+use crate::common::{audit_windows, end_of_run_audit, frac, host_stack, mbps, TextTable};
 use crate::suite::{run_suite, Pattern, SuiteConfig};
 use std::fmt;
 use xmp_des::{Bandwidth, SimDuration, SimTime};
@@ -102,9 +102,11 @@ pub struct AblationResult {
     pub audit: Vec<String>,
 }
 
-/// `cell`'s end-of-run audit failures, named, onto `audit`.
-fn audit_cell(audit: &mut Vec<String>, cell: &str, sim: &Sim<Segment, Host>) {
-    let failures = end_of_run_audit(sim);
+/// `cell`'s end-of-run audit failures, its driver's window bounds
+/// included, named, onto `audit`.
+fn audit_cell(audit: &mut Vec<String>, cell: &str, sim: &mut Sim<Segment, Host>, d: &Driver) {
+    let mut failures = end_of_run_audit(sim);
+    audit_windows(sim, d, &mut failures);
     audit.extend(failures.into_iter().map(|f| format!("{cell}: {f}")));
 }
 
@@ -148,12 +150,13 @@ fn sweep_point(cfg: &AblationConfig, beta: u32, k: usize, audit: &mut Vec<String
     let s = &sim.link(db.bottleneck).dir(0).stats;
     let dt = sim.now().duration_since(t0).as_secs_f64();
     let bits = (s.delivered_bytes - bytes_before).as_bytes() as f64 * 8.0;
-    audit_cell(audit, &format!("beta={beta} K={k}"), &sim);
+    let mean_queue = s.mean_depth(sim.now());
+    audit_cell(audit, &format!("beta={beta} K={k}"), &mut sim, &d);
     SweepPoint {
         beta,
         k,
         utilization: bits / (1e9 * dt),
-        mean_queue: s.mean_depth(sim.now()),
+        mean_queue,
         jain: jain_index(rates),
         eq1_satisfied: k as f64 >= bdp_packets / (f64::from(beta) - 1.0),
     }
@@ -216,7 +219,7 @@ fn coupling_share(cfg: &AblationConfig, coupled: bool, audit: &mut Vec<String>) 
     } else {
         "uXMP (uncoupled)"
     };
-    audit_cell(audit, cell, &sim);
+    audit_cell(audit, cell, &mut sim, &d);
     let rate: f64 = bins.rows()[1].iter().sum();
     rate / 300e6
 }

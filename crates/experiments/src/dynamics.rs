@@ -17,7 +17,7 @@
 //! The export is byte-identical across reruns (digests recorded in
 //! `tests/determinism.rs`).
 
-use crate::common::{end_of_run_audit, host_stack, TextTable};
+use crate::common::{audit_windows, end_of_run_audit, host_stack, TextTable};
 use std::fmt;
 use xmp_des::{Bandwidth, SimDuration, SimTime};
 use xmp_netsim::{PortId, ProbeConfig, ProbeRecord, QdiscConfig, Sim};
@@ -151,8 +151,11 @@ fn run_scheme(cfg: &DynamicsConfig, scheme: Scheme) -> DynamicsTrace {
             }
         }
     }
+    let mut windows = Vec::new();
+    audit_windows(&mut sim, &driver, &mut windows);
     driver.stop_flow(&mut sim, conn);
-    let audit = end_of_run_audit(&sim);
+    let mut audit = end_of_run_audit(&sim);
+    audit.append(&mut windows);
     let probes = sim.take_probes().expect("probes were installed above");
 
     let mut cwnd_points = 0;

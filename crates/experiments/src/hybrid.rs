@@ -26,7 +26,7 @@
 //! fluid ticks and the aggregate rate — the "million-flow scenarios at
 //! packet-mode fidelity" claim, made measurable.
 
-use crate::common::{end_of_run_audit, TextTable};
+use crate::common::{audit_windows, end_of_run_audit, TextTable};
 use crate::runner::{self, Net};
 use crate::scenario::Scenario;
 use std::fmt;
@@ -288,7 +288,8 @@ pub fn run_cell(cfg: &HybridConfig, hybrid: bool) -> HybridCell {
     driver.drive(&mut sim, deadline, slice, target, |_, _| {});
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
-    let audit = end_of_run_audit(&sim);
+    let mut audit = end_of_run_audit(&sim);
+    audit_windows(&mut sim, &driver, &mut audit);
     let profile = sim.profile();
     let mut elephant_goodputs = Vec::new();
     let mut elephants_done = 0usize;

@@ -12,7 +12,7 @@
 //! with the invariant and conservation audits; a [`Report`] renders the
 //! measure's tables.
 
-use crate::common::{end_of_run_audit, frac, mbps, TextTable};
+use crate::common::{audit_windows, end_of_run_audit, frac, mbps, TextTable};
 use crate::scenario::{indexed, refuse, Column, FaultSpec, LinkAction, LinkRef, Measure, NodeRef};
 use crate::scenario::{Paper, QdiscSpec, Scenario, Shape, Topology, Variant};
 use std::fmt;
@@ -426,7 +426,8 @@ fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, St
     }
     rates.run(driver, sim, end);
     driver.finalize_running(sim);
-    let audit = end_of_run_audit(sim);
+    let mut audit = end_of_run_audit(sim);
+    audit_windows(sim, driver, &mut audit);
 
     let sums = |row: &Vec<f64>| {
         let mut row = row.iter();

@@ -15,7 +15,7 @@
 //! `mega` is the k = 32 memory-footprint cell, and every cell prints the
 //! process's peak resident set once it is done.
 
-use crate::common::{end_of_run_audit, TextTable};
+use crate::common::{audit_windows, end_of_run_audit, TextTable};
 use crate::runner;
 use crate::scenario::{FaultLine, FaultSpec, FlowLine, LinkRef, Scenario};
 use std::fmt;
@@ -135,7 +135,8 @@ pub fn run(sc: Scenario) -> Result<ScaleCell, String> {
     driver.drive(sim, deadline, slice, cell.conns.len(), |_, _| {});
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
-    let audit = end_of_run_audit(sim);
+    let mut audit = end_of_run_audit(sim);
+    audit_windows(sim, driver, &mut audit);
     // The recorded digests hash the conservation report itself; a run
     // whose books do not balance hashes the imbalance (and fails `audit`).
     let digest = match sim.try_audit_conservation() {

@@ -9,7 +9,7 @@
 //! (goodput is a rate, so the distribution shapes survive scaling —
 //! EXPERIMENTS.md records the scale used).
 
-use crate::common::{end_of_run_audit, mbps, TextTable};
+use crate::common::{audit_windows, end_of_run_audit, mbps, TextTable};
 use std::collections::BTreeMap;
 use std::fmt;
 use xmp_des::{SimDuration, SimTime};
@@ -287,7 +287,8 @@ pub fn run_suite_profiled(cfg: &SuiteConfig) -> (SuiteResult, xmp_netsim::SimPro
         });
     }
     driver.finalize_running(&mut sim);
-    let audit = end_of_run_audit(&sim);
+    let mut audit = end_of_run_audit(&sim);
+    audit_windows(&mut sim, &driver, &mut audit);
     let now = sim.now();
 
     // Collect per-flow metrics over completed large flows.

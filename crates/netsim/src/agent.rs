@@ -55,6 +55,11 @@ impl<'a, P> Ctx<'a, P> {
         self.now
     }
 
+    /// What this callback has emitted so far, in order.
+    pub fn emitted(&self) -> &[Emit<P>] {
+        self.emits
+    }
+
     /// Transmit `pkt` on local `port`.
     pub fn send(&mut self, port: PortId, pkt: Packet<P>) {
         self.emits.push(Emit::Send { port, pkt });

@@ -2,21 +2,23 @@
 //! leg, digest each leg, and audit runtime invariants mid-run.
 //!
 //! Every leg simulates the *same* scenario and must produce a
-//! bit-identical [`Driver::outcome_digest`] (final clock, every flow
-//! record, the conservation audit, every probe record and the per-kind
-//! event counts). The baseline drives the run in fixed slices and may stop
-//! early once every flow completed; a `slices-N` leg drives it through a
-//! seeded sequence of irregular windows drawn from `(seed, N)` and ends at
-//! exactly the baseline's final instant — so state that depends on where
-//! a run window falls, and not only on the events, shows up as a
-//! divergence. Any digest mismatch or invariant-audit failure marks the
-//! scenario as failing, which sends it to the shrinker.
+//! bit-identical
+//! [`Driver::outcome_digest`](xmp_workloads::Driver::outcome_digest)
+//! (final clock, every flow record, the conservation audit, every probe
+//! record and the per-kind event counts). The baseline drives the run in
+//! fixed slices and may stop early once every flow completed; a
+//! `slices-N` leg drives it through a seeded sequence of irregular windows
+//! drawn from `(seed, N)` and ends at exactly the baseline's final instant
+//! — so state that depends on where a run window falls, and not only on
+//! the events, shows up as a divergence. Any digest mismatch or
+//! invariant-audit failure marks the scenario as failing, which sends it
+//! to the shrinker.
 
 use crate::scenario::Scenario;
 use xmp_des::{SimDuration, SimRng, SimTime};
+use xmp_experiments::common::audit_windows;
 use xmp_experiments::runner::build;
 use xmp_netsim::InvariantState;
-use xmp_workloads::{Driver, FlowSim};
 
 /// One oracle leg: how this run is cut into run windows.
 #[derive(Debug, Clone)]
@@ -123,7 +125,7 @@ pub fn run_scenario(sc: &Scenario) -> Result<RunOutcome, String> {
 /// the baseline's final instant `end`, audits when it gets there.
 fn run_leg(sc: &Scenario, leg: &LegSpec, end: Option<SimTime>) -> Result<LegOutcome, String> {
     let mut cell = build(sc, None)?;
-    let (sim, driver, conns) = (&mut cell.sim, &mut cell.driver, &cell.conns);
+    let (sim, driver, flows) = (&mut cell.sim, &mut cell.driver, cell.conns.len());
     let deadline = SimTime::ZERO + SimDuration::from_micros(sc.horizon_us);
     if leg.inject {
         // Chaos hook: a timer event for a token that was never armed. The
@@ -155,9 +157,9 @@ fn run_leg(sc: &Scenario, leg: &LegSpec, end: Option<SimTime>) -> Result<LegOutc
         _ => {
             let span = deadline - SimTime::ZERO;
             let slice = SimDuration::from_nanos((span.as_nanos() / 16).max(100_000));
-            driver.drive(sim, deadline, slice, conns.len(), |s, d| {
+            driver.drive(sim, deadline, slice, flows, |s, d| {
                 s.audit_invariants(&mut inv, &mut audit_failures);
-                audit_windows(s, d, conns, &mut audit_failures);
+                audit_windows(s, d, &mut audit_failures);
             });
         }
     }
@@ -173,30 +175,4 @@ fn run_leg(sc: &Scenario, leg: &LegSpec, end: Option<SimTime>) -> Result<LegOutc
         audit_failures,
         end: sim.now(),
     })
-}
-
-/// Per-flow congestion-window sanity at an audit boundary: cwnd finite and
-/// ≥ 1 packet, ssthresh positive (∞ allowed before the first cut).
-fn audit_windows<S: FlowSim>(
-    sim: &mut S,
-    driver: &mut Driver,
-    conns: &[xmp_transport::ConnKey],
-    failures: &mut Vec<String>,
-) {
-    for &conn in conns {
-        for s in driver.subflow_snapshots(sim, conn) {
-            if !s.cwnd.is_finite() || s.cwnd < 1.0 {
-                failures.push(format!(
-                    "conn {conn} subflow {}: cwnd {} out of bounds",
-                    s.subflow, s.cwnd
-                ));
-            }
-            if s.ssthresh.is_nan() || s.ssthresh <= 0.0 {
-                failures.push(format!(
-                    "conn {conn} subflow {}: ssthresh {} out of bounds",
-                    s.subflow, s.ssthresh
-                ));
-            }
-        }
-    }
 }

@@ -8,7 +8,8 @@
 //!   (the constant the paper blames for LIA's completion-time tail),
 //! * [`sender`] / [`receiver`] — pure per-subflow TCP state machines
 //!   (handshake, reassembly, delayed ACKs, NewReno fast retransmit/recovery,
-//!   RTO) shared by every congestion-control scheme,
+//!   RTO) shared by every congestion-control scheme, writing their actions
+//!   to a [`sink::Sink`],
 //! * [`cc`] — the multipath-aware [`cc::CongestionControl`] trait and the
 //!   baselines: [`cc::Reno`] ("TCP"), [`cc::Dctcp`], [`cc::Lia`] (MPTCP's
 //!   Linked Increases). XMP itself lives in the `xmp-core` crate and plugs
@@ -34,6 +35,7 @@ pub mod receiver;
 pub mod rtt;
 pub mod segment;
 pub mod sender;
+pub mod sink;
 pub mod stack;
 
 pub use cc::{AckInfo, CcSnapshot, CongestionControl, Dctcp, Lia, Olia, Reno, SubflowCc, MIN_CWND};
@@ -42,4 +44,5 @@ pub use receiver::{MpReceiver, ReplyPath, RxAction};
 pub use rtt::RttEstimator;
 pub use segment::{ConnKey, EchoMode, SegKind, Segment, DEFAULT_MSS, HEADER_BYTES};
 pub use sender::{ConnStats, MpSender, SubflowSpec, TxAction};
+pub use sink::Sink;
 pub use stack::{Acked, HostStack};

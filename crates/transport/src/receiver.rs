@@ -9,6 +9,7 @@
 //! state machine.
 
 use crate::segment::{ConnKey, EchoMode, SegKind, Segment};
+use crate::sink::Sink;
 use std::collections::BTreeMap;
 use xmp_des::{SimDuration, SimTime};
 use xmp_netsim::{Addr, PortId};
@@ -24,7 +25,7 @@ pub struct ReplyPath {
     pub dst: Addr,
 }
 
-/// Receiver outputs, translated by the host stack.
+/// Receiver outputs, taken by a [`Sink`].
 #[derive(Debug)]
 pub enum RxAction {
     /// Send an ACK-type segment on a subflow's reply path.
@@ -114,7 +115,7 @@ impl MpReceiver {
         seg: &Segment,
         reply: ReplyPath,
         now: SimTime,
-        out: &mut Vec<RxAction>,
+        out: &mut impl Sink<RxAction>,
     ) {
         debug_assert_eq!(seg.kind, SegKind::Syn);
         let r = seg.subflow as usize;
@@ -135,7 +136,13 @@ impl MpReceiver {
     }
 
     /// Handle a data segment (`ce` = arrived with Congestion Experienced).
-    pub fn on_data(&mut self, seg: &Segment, ce: bool, now: SimTime, out: &mut Vec<RxAction>) {
+    pub fn on_data(
+        &mut self,
+        seg: &Segment,
+        ce: bool,
+        now: SimTime,
+        out: &mut impl Sink<RxAction>,
+    ) {
         debug_assert_eq!(seg.kind, SegKind::Data);
         let mode = self.mode;
         let delack = self.delack;
@@ -194,7 +201,7 @@ impl MpReceiver {
     }
 
     /// Delayed-ACK timer fired for subflow `r`.
-    pub fn on_delack(&mut self, r: usize, out: &mut Vec<RxAction>) {
+    pub fn on_delack(&mut self, r: usize, out: &mut impl Sink<RxAction>) {
         let mode = self.mode;
         let conn = self.conn;
         let Some(sub) = self.sub_mut(r) else { return };
@@ -208,7 +215,7 @@ impl MpReceiver {
         mode: EchoMode,
         r: usize,
         sub: &mut SubflowRx,
-        out: &mut Vec<RxAction>,
+        out: &mut impl Sink<RxAction>,
     ) {
         let ce_echo = match mode {
             EchoMode::None => 0,

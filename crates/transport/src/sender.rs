@@ -3,14 +3,16 @@
 //! with a pluggable, multipath-aware congestion controller.
 //!
 //! The sender is a pure state machine: inputs are segments, timeouts and
-//! `open`; outputs are [`TxAction`]s the host stack translates into packets
-//! and timers. This keeps every congestion-control path unit-testable
-//! without a simulated network.
+//! `open`; outputs are [`TxAction`]s handed to a [`Sink`] — a `Vec` that
+//! records them, or the host stack's, which turns each into a packet or
+//! timer as it comes. This keeps every congestion-control path
+//! unit-testable without a simulated network.
 
 use crate::cc::{AckInfo, CongestionControl, SubflowCc};
 use crate::config::StackConfig;
 use crate::rtt::RttEstimator;
-use crate::segment::{ConnKey, SegKind, Segment};
+use crate::segment::{ConnKey, EchoMode, SegKind, Segment};
+use crate::sink::Sink;
 use xmp_des::{SimDuration, SimTime};
 use xmp_netsim::{Addr, PortId};
 
@@ -25,7 +27,7 @@ pub struct SubflowSpec {
     pub dst: Addr,
 }
 
-/// Sender outputs, translated by the host stack.
+/// Sender outputs, taken by a [`Sink`].
 #[derive(Debug)]
 pub enum TxAction {
     /// Transmit a segment on the given subflow.
@@ -213,8 +215,8 @@ impl<C: CongestionControl> MpSender<C> {
     /// [`crate::cc::MIN_CWND`]); `ssthresh` positive (possibly infinite);
     /// sequence sanity `snd_una <= snd_nxt`. Returns a description of the
     /// first violation. Debug builds run this after every segment and RTO;
-    /// the `simcheck` chaos harness also audits it mid-run through the
-    /// driver's subflow snapshots.
+    /// every experiment cell runs it over its running senders at the end,
+    /// and the `simcheck` chaos harness at every audit boundary.
     pub fn check_window_bounds(&self) -> Result<(), String> {
         for (r, v) in self.view.iter().enumerate() {
             if !v.cwnd.is_finite() || v.cwnd < 1.0 {
@@ -267,7 +269,7 @@ impl<C: CongestionControl> MpSender<C> {
         spec: SubflowSpec,
         cfg: &StackConfig,
         now: SimTime,
-        out: &mut Vec<TxAction>,
+        out: &mut impl Sink<TxAction>,
     ) -> usize {
         assert!(self.subs.len() < 8, "at most 8 subflows supported");
         assert!(!self.completed, "cannot join a completed connection");
@@ -284,27 +286,19 @@ impl<C: CongestionControl> MpSender<C> {
             tail_probed: false,
         });
         self.cc.on_subflow_added();
-        out.push(TxAction::Emit(
-            r as u8,
-            Segment::syn(self.conn, r as u8, tsnow(now), self.cc.echo_mode()),
-        ));
-        out.push(TxAction::ArmRto(r as u8, now + self.subs[r].rtt.rto()));
+        self.syn(r, now, out);
         r
     }
 
     /// Start the connection: send SYNs, arm timers.
-    pub fn open(&mut self, now: SimTime, out: &mut Vec<TxAction>) {
+    pub fn open(&mut self, now: SimTime, out: &mut impl Sink<TxAction>) {
         for r in 0..self.subs.len() {
-            out.push(TxAction::Emit(
-                r as u8,
-                Segment::syn(self.conn, r as u8, tsnow(now), self.cc.echo_mode()),
-            ));
-            out.push(TxAction::ArmRto(r as u8, now + self.subs[r].rtt.rto()));
+            self.syn(r, now, out);
         }
     }
 
     /// Process an incoming segment addressed to this sender.
-    pub fn on_segment(&mut self, seg: &Segment, now: SimTime, out: &mut Vec<TxAction>) {
+    pub fn on_segment(&mut self, seg: &Segment, now: SimTime, out: &mut impl Sink<TxAction>) {
         if self.completed {
             return;
         }
@@ -342,7 +336,7 @@ impl<C: CongestionControl> MpSender<C> {
         Some(sample)
     }
 
-    fn on_syn_ack(&mut self, r: usize, seg: &Segment, now: SimTime, out: &mut Vec<TxAction>) {
+    fn on_syn_ack(&mut self, r: usize, seg: &Segment, now: SimTime, out: &mut impl Sink<TxAction>) {
         if self.subs[r].phase != TxPhase::SynSent {
             return; // duplicate SYN-ACK
         }
@@ -352,7 +346,7 @@ impl<C: CongestionControl> MpSender<C> {
         self.fix_rto(r, now, out);
     }
 
-    fn on_ack(&mut self, r: usize, seg: &Segment, now: SimTime, out: &mut Vec<TxAction>) {
+    fn on_ack(&mut self, r: usize, seg: &Segment, now: SimTime, out: &mut impl Sink<TxAction>) {
         if self.subs[r].phase != TxPhase::Established {
             return;
         }
@@ -428,7 +422,7 @@ impl<C: CongestionControl> MpSender<C> {
     }
 
     /// Retransmission timeout on subflow `r`.
-    pub fn on_rto(&mut self, r: usize, now: SimTime, out: &mut Vec<TxAction>) {
+    pub fn on_rto(&mut self, r: usize, now: SimTime, out: &mut impl Sink<TxAction>) {
         if self.completed || r >= self.subs.len() {
             return;
         }
@@ -436,11 +430,7 @@ impl<C: CongestionControl> MpSender<C> {
             TxPhase::SynSent => {
                 self.subs[r].rtt.backoff();
                 self.stats.rtos += 1;
-                out.push(TxAction::Emit(
-                    r as u8,
-                    Segment::syn(self.conn, r as u8, tsnow(now), self.cc.echo_mode()),
-                ));
-                out.push(TxAction::ArmRto(r as u8, now + self.subs[r].rtt.rto()));
+                self.syn(r, now, out);
             }
             TxPhase::Established => {
                 let v = &mut self.view[r];
@@ -470,7 +460,7 @@ impl<C: CongestionControl> MpSender<C> {
     }
 
     /// Send as much as the window allows on subflow `r`.
-    fn pump(&mut self, r: usize, now: SimTime, out: &mut Vec<TxAction>) {
+    fn pump(&mut self, r: usize, now: SimTime, out: &mut impl Sink<TxAction>) {
         if self.subs[r].phase != TxPhase::Established || self.completed {
             return;
         }
@@ -504,10 +494,11 @@ impl<C: CongestionControl> MpSender<C> {
             let push = self.total != u64::MAX
                 && self.allocated == self.total
                 && snd_nxt + len == self.subs[r].sub_allocated;
-            out.push(TxAction::Emit(
-                r as u8,
+            self.emit(
+                r,
                 Segment::data(self.conn, r as u8, snd_nxt, len as u32, tsnow(now), push),
-            ));
+                out,
+            );
             self.subs[r].tail_pushed = push;
             self.view[r].snd_nxt += len;
         }
@@ -527,15 +518,16 @@ impl<C: CongestionControl> MpSender<C> {
             self.subs[r].tail_probed = true;
             let seq = v.snd_nxt - u64::from(self.mss).min(v.snd_nxt - v.snd_una);
             let len = (v.snd_nxt - seq) as u32;
-            out.push(TxAction::Emit(
-                r as u8,
+            self.emit(
+                r,
                 Segment::data(self.conn, r as u8, seq, len, tsnow(now), true),
-            ));
+                out,
+            );
         }
     }
 
     /// Retransmit the first unacknowledged segment on `r`.
-    fn retransmit_head(&mut self, r: usize, now: SimTime, out: &mut Vec<TxAction>) {
+    fn retransmit_head(&mut self, r: usize, now: SimTime, out: &mut impl Sink<TxAction>) {
         let v = &self.view[r];
         let len = (self.subs[r].sub_allocated - v.snd_una).min(u64::from(self.mss));
         if len == 0 {
@@ -544,13 +536,29 @@ impl<C: CongestionControl> MpSender<C> {
         let push = self.total != u64::MAX
             && self.allocated == self.total
             && v.snd_una + len == self.subs[r].sub_allocated;
-        out.push(TxAction::Emit(
-            r as u8,
+        self.emit(
+            r,
             Segment::data(self.conn, r as u8, v.snd_una, len as u32, tsnow(now), push),
-        ));
+            out,
+        );
     }
 
-    fn fix_rto(&mut self, r: usize, now: SimTime, out: &mut Vec<TxAction>) {
+    /// Send subflow `r`'s SYN and arm its retransmission timer.
+    fn syn(&self, r: usize, now: SimTime, out: &mut impl Sink<TxAction>) {
+        let syn = Segment::syn(self.conn, r as u8, tsnow(now), self.cc.echo_mode());
+        self.emit(r, syn, out);
+        out.push(TxAction::ArmRto(r as u8, now + self.subs[r].rtt.rto()));
+    }
+
+    /// Hand `seg` to `out` as subflow `r`'s emit, with the subflow's
+    /// addressing and whether the packet is ECN-capable: data segments
+    /// are, under a controller that reads echoes.
+    fn emit(&self, r: usize, seg: Segment, out: &mut impl Sink<TxAction>) {
+        let ect = seg.kind == SegKind::Data && self.cc.echo_mode() != EchoMode::None;
+        out.emit(TxAction::Emit(r as u8, seg), &self.subs[r].spec, ect);
+    }
+
+    fn fix_rto(&mut self, r: usize, now: SimTime, out: &mut impl Sink<TxAction>) {
         let v = &self.view[r];
         let outstanding = v.snd_nxt > v.snd_una || self.subs[r].phase == TxPhase::SynSent;
         if outstanding {
@@ -560,7 +568,7 @@ impl<C: CongestionControl> MpSender<C> {
         }
     }
 
-    fn complete(&mut self, now: SimTime, out: &mut Vec<TxAction>) {
+    fn complete(&mut self, now: SimTime, out: &mut impl Sink<TxAction>) {
         self.completed = true;
         self.stats.completed = Some(now);
         for r in 0..self.subs.len() {

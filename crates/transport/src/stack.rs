@@ -1,7 +1,7 @@
 //! The host protocol stack: a [`netsim` agent](xmp_netsim::Agent) that
 //! multiplexes any number of sending and receiving connections on one host,
-//! translating the pure sender/receiver state machines into packets and
-//! timers.
+//! turning what the pure sender/receiver state machines do into packets and
+//! timers as they do it.
 //!
 //! Drivers open connections with [`HostStack::open`] (via
 //! [`Sim::with_agent`](xmp_netsim::Sim::with_agent)); when a sending
@@ -12,8 +12,9 @@
 use crate::cc::CongestionControl;
 use crate::config::StackConfig;
 use crate::receiver::{MpReceiver, ReplyPath, RxAction};
-use crate::segment::{ConnKey, EchoMode, SegKind, Segment};
+use crate::segment::{ConnKey, SegKind, Segment};
 use crate::sender::{ConnStats, MpSender, SubflowSpec, TxAction};
+use crate::sink::Sink;
 use std::any::Any;
 use xmp_des::ByteSize;
 use xmp_netsim::hash::FxHashMap;
@@ -53,6 +54,62 @@ pub struct Acked {
     pub bytes_acked: u64,
 }
 
+/// One connection's [`Sink`] on a host: each action becomes a packet, timer
+/// or signal on the simulator the moment the state machine takes it.
+struct Wire<'c, 'a> {
+    ctx: &'c mut Ctx<'a, Segment>,
+    conn: ConnKey,
+}
+
+impl Wire<'_, '_> {
+    /// The flow id of subflow `r`'s data direction; ACKs set bit 62 so the
+    /// reverse direction hashes onto its own ECMP path.
+    fn flow(&self, r: u8) -> FlowId {
+        FlowId((self.conn << 3) | u64::from(r))
+    }
+}
+
+impl Sink<TxAction> for Wire<'_, '_> {
+    fn push(&mut self, act: TxAction) {
+        match act {
+            TxAction::Emit(..) => unreachable!("a sender emits through `Sink::emit`"),
+            TxAction::ArmRto(r, at) => self.ctx.set_timer(token(self.conn, r, KIND_RTO), at),
+            TxAction::CancelRto(r) => self.ctx.cancel_timer(token(self.conn, r, KIND_RTO)),
+            TxAction::Completed => self.ctx.signal(self.conn),
+        }
+    }
+
+    fn emit(&mut self, act: TxAction, spec: &SubflowSpec, ect: bool) {
+        let TxAction::Emit(r, seg) = act else {
+            return self.push(act);
+        };
+        let ecn = if ect { Ecn::Ect } else { Ecn::NotEct };
+        let pkt = Packet::new(spec.src, spec.dst, self.flow(r), ecn, seg.wire_size(), seg);
+        self.ctx.send(spec.local_port, pkt);
+    }
+}
+
+impl Sink<RxAction> for Wire<'_, '_> {
+    fn push(&mut self, act: RxAction) {
+        match act {
+            RxAction::Emit(r, seg, reply) => {
+                let flow = FlowId(self.flow(r).0 ^ (1 << 62));
+                let pkt = Packet::new(
+                    reply.src,
+                    reply.dst,
+                    flow,
+                    Ecn::NotEct,
+                    seg.wire_size(),
+                    seg,
+                );
+                self.ctx.send(reply.port, pkt);
+            }
+            RxAction::ArmDelack(r, at) => self.ctx.set_timer(token(self.conn, r, KIND_DELACK), at),
+            RxAction::CancelDelack(r) => self.ctx.cancel_timer(token(self.conn, r, KIND_DELACK)),
+        }
+    }
+}
+
 /// Per-host transport stack.
 ///
 /// Generic over the congestion controller `C` (see [`MpSender`]); the
@@ -64,13 +121,6 @@ pub struct HostStack<C: CongestionControl = Box<dyn CongestionControl>> {
     /// The acknowledged byte count of each sender [`HostStack::retire`]
     /// removed, sorted by key: all the table keeps of it.
     retired: Vec<(ConnKey, u64)>,
-    /// Scratch buffer for sender actions, reused across events so the
-    /// steady state never allocates (the stack-level analogue of the sim's
-    /// emit-buffer pool). Always drained back to empty before it is
-    /// returned here.
-    tx_scratch: Vec<TxAction>,
-    /// Scratch buffer for receiver actions; same reuse discipline.
-    rx_scratch: Vec<RxAction>,
 }
 
 impl<C: CongestionControl> HostStack<C> {
@@ -80,8 +130,6 @@ impl<C: CongestionControl> HostStack<C> {
             cfg,
             conns: FxHashMap::default(),
             retired: Vec::new(),
-            tx_scratch: Vec::new(),
-            rx_scratch: Vec::new(),
         }
     }
 
@@ -104,29 +152,18 @@ impl<C: CongestionControl> HostStack<C> {
             !self.conns.contains_key(&conn),
             "connection {conn} already exists on this host"
         );
-        let mut sender = MpSender::new(conn, subflows, total, cc, &self.cfg, ctx.now());
-        let mut out = self.take_tx_scratch();
-        sender.open(ctx.now(), &mut out);
+        let now = ctx.now();
+        let mut sender = MpSender::new(conn, subflows, total, cc, &self.cfg, now);
+        sender.open(now, &mut Wire { ctx, conn });
         self.conns.insert(conn, ConnState::Tx(Box::new(sender)));
-        self.apply_tx(ctx, conn, &mut out);
-        self.tx_scratch = out;
     }
 
     /// Join an extra subflow on a running sending connection.
-    pub fn add_subflow(
-        &mut self,
-        ctx: &mut Ctx<'_, Segment>,
-        conn: ConnKey,
-        spec: crate::sender::SubflowSpec,
-    ) {
-        let cfg = self.cfg.clone();
-        let mut out = self.take_tx_scratch();
+    pub fn add_subflow(&mut self, ctx: &mut Ctx<'_, Segment>, conn: ConnKey, spec: SubflowSpec) {
         let Some(ConnState::Tx(s)) = self.conns.get_mut(&conn) else {
             panic!("add_subflow on unknown sending connection {conn}");
         };
-        s.add_subflow(spec, &cfg, ctx.now(), &mut out);
-        self.apply_tx(ctx, conn, &mut out);
-        self.tx_scratch = out;
+        s.add_subflow(spec, &self.cfg, ctx.now(), &mut Wire { ctx, conn });
     }
 
     /// Drop a connection (used to stop unbounded background flows). Timers
@@ -196,76 +233,15 @@ impl<C: CongestionControl> HostStack<C> {
     pub fn conn_count(&self) -> usize {
         self.conns.len()
     }
-
-    /// Take the sender-action scratch buffer (empty; a fresh `Vec` only on
-    /// first use or re-entrant access).
-    fn take_tx_scratch(&mut self) -> Vec<TxAction> {
-        let out = std::mem::take(&mut self.tx_scratch);
-        debug_assert!(out.is_empty(), "tx scratch not drained between events");
-        out
-    }
-
-    /// Take the receiver-action scratch buffer.
-    fn take_rx_scratch(&mut self) -> Vec<RxAction> {
-        let out = std::mem::take(&mut self.rx_scratch);
-        debug_assert!(out.is_empty(), "rx scratch not drained between events");
-        out
-    }
-
-    fn apply_tx(&mut self, ctx: &mut Ctx<'_, Segment>, conn: ConnKey, actions: &mut Vec<TxAction>) {
-        // Look up addressing once per action from the sender's spec.
-        for act in actions.drain(..) {
-            match act {
-                TxAction::Emit(r, seg) => {
-                    let Some(ConnState::Tx(s)) = self.conns.get(&conn) else {
-                        continue;
-                    };
-                    let spec = *s.spec(r as usize);
-                    let ecn = if s.cc().echo_mode() != EchoMode::None && seg.kind == SegKind::Data {
-                        Ecn::Ect
-                    } else {
-                        Ecn::NotEct
-                    };
-                    let size = seg.wire_size();
-                    let flow = FlowId((conn << 3) | u64::from(r));
-                    ctx.send(
-                        spec.local_port,
-                        Packet::new(spec.src, spec.dst, flow, ecn, size, seg),
-                    );
-                }
-                TxAction::ArmRto(r, at) => ctx.set_timer(token(conn, r, KIND_RTO), at),
-                TxAction::CancelRto(r) => ctx.cancel_timer(token(conn, r, KIND_RTO)),
-                TxAction::Completed => ctx.signal(conn),
-            }
-        }
-    }
-
-    fn apply_rx(&mut self, ctx: &mut Ctx<'_, Segment>, conn: ConnKey, actions: &mut Vec<RxAction>) {
-        for act in actions.drain(..) {
-            match act {
-                RxAction::Emit(r, seg, reply) => {
-                    let size = seg.wire_size();
-                    // Reverse direction gets a distinct flow id for ECMP.
-                    let flow = FlowId(((conn << 3) | u64::from(r)) ^ (1 << 62));
-                    ctx.send(
-                        reply.port,
-                        Packet::new(reply.src, reply.dst, flow, Ecn::NotEct, size, seg),
-                    );
-                }
-                RxAction::ArmDelack(r, at) => ctx.set_timer(token(conn, r, KIND_DELACK), at),
-                RxAction::CancelDelack(r) => ctx.cancel_timer(token(conn, r, KIND_DELACK)),
-            }
-        }
-    }
 }
 
 impl<C: CongestionControl + 'static> Agent<Segment> for HostStack<C> {
     fn on_packet(&mut self, pkt: Packet<Segment>, port: PortId, ctx: &mut Ctx<'_, Segment>) {
         let seg = pkt.payload; // Segment is Copy: no clone
         let conn = seg.conn;
+        let now = ctx.now();
         match seg.kind {
             SegKind::Syn => {
-                let mut out = self.take_rx_scratch();
                 let rx = match self.conns.entry(conn).or_insert_with(|| {
                     ConnState::Rx(MpReceiver::new(
                         conn,
@@ -274,60 +250,39 @@ impl<C: CongestionControl + 'static> Agent<Segment> for HostStack<C> {
                     ))
                 }) {
                     ConnState::Rx(r) => r,
-                    ConnState::Tx(_) => {
-                        // Key collision with a local sender: ignore.
-                        self.rx_scratch = out;
-                        return;
-                    }
+                    // Key collision with a local sender: ignore.
+                    ConnState::Tx(_) => return,
                 };
                 let reply = ReplyPath {
                     port,
                     src: pkt.dst,
                     dst: pkt.src,
                 };
-                rx.on_syn(&seg, reply, ctx.now(), &mut out);
-                self.apply_rx(ctx, conn, &mut out);
-                self.rx_scratch = out;
+                rx.on_syn(&seg, reply, now, &mut Wire { ctx, conn });
             }
             SegKind::Data => {
-                let ce = pkt.ecn == Ecn::Ce;
-                let mut out = self.take_rx_scratch();
                 if let Some(ConnState::Rx(rx)) = self.conns.get_mut(&conn) {
-                    rx.on_data(&seg, ce, ctx.now(), &mut out);
-                    self.apply_rx(ctx, conn, &mut out);
+                    let ce = pkt.ecn == Ecn::Ce;
+                    rx.on_data(&seg, ce, now, &mut Wire { ctx, conn });
                 }
-                self.rx_scratch = out;
             }
             SegKind::SynAck | SegKind::Ack => {
-                let mut out = self.take_tx_scratch();
                 if let Some(ConnState::Tx(tx)) = self.conns.get_mut(&conn) {
-                    tx.on_segment(&seg, ctx.now(), &mut out);
-                    self.apply_tx(ctx, conn, &mut out);
+                    tx.on_segment(&seg, now, &mut Wire { ctx, conn });
                 }
-                self.tx_scratch = out;
             }
         }
     }
 
     fn on_timer(&mut self, tok: u64, ctx: &mut Ctx<'_, Segment>) {
         let (conn, subflow, kind) = untoken(tok);
-        match kind {
-            KIND_RTO => {
-                let mut out = self.take_tx_scratch();
-                // A timer for a closed connection is stale: nothing to do.
-                if let Some(ConnState::Tx(tx)) = self.conns.get_mut(&conn) {
-                    tx.on_rto(subflow as usize, ctx.now(), &mut out);
-                    self.apply_tx(ctx, conn, &mut out);
-                }
-                self.tx_scratch = out;
+        // A timer for a closed connection is stale: nothing to do.
+        match (kind, self.conns.get_mut(&conn)) {
+            (KIND_RTO, Some(ConnState::Tx(tx))) => {
+                tx.on_rto(subflow as usize, ctx.now(), &mut Wire { ctx, conn });
             }
-            KIND_DELACK => {
-                let mut out = self.take_rx_scratch();
-                if let Some(ConnState::Rx(rx)) = self.conns.get_mut(&conn) {
-                    rx.on_delack(subflow as usize, &mut out);
-                    self.apply_rx(ctx, conn, &mut out);
-                }
-                self.rx_scratch = out;
+            (KIND_DELACK, Some(ConnState::Rx(rx))) => {
+                rx.on_delack(subflow as usize, &mut Wire { ctx, conn });
             }
             _ => {}
         }
@@ -364,6 +319,16 @@ mod tests {
         // per flow. `Tx` is a box: the controller type does not change it.
         assert!(std::mem::size_of::<ConnState<Box<dyn CongestionControl>>>() <= 56);
         assert!(std::mem::size_of::<ConnState<crate::Dctcp>>() <= 56);
+    }
+
+    #[test]
+    fn a_host_stack_holds_no_action_buffers() {
+        // Paid once per host (1 024 on a k = 16 fat tree): the config, the
+        // table and the retired receipts. Actions go straight to the
+        // simulator's emit buffer. The controller sits behind the table's
+        // box, so every `C` (`xmp-core`'s `CcKind` too) gives this size.
+        assert!(std::mem::size_of::<HostStack<Box<dyn CongestionControl>>>() <= 104);
+        assert!(std::mem::size_of::<HostStack<crate::Dctcp>>() <= 104);
     }
 
     #[test]

@@ -165,6 +165,11 @@ struct Pending {
     action: Action,
 }
 
+/// The fewest slots `Driver::pending` gives back capacity down to: more
+/// than a closed-loop pattern keeps scheduled at once, so those never
+/// re-allocate it.
+const PENDING_FLOOR: usize = 64;
+
 /// Records per chunk of [`Records`].
 const RECORD_CHUNK: usize = 32;
 
@@ -393,6 +398,22 @@ impl Driver {
                 }
                 Action::Stop => self.stop_flow(sim, conn),
             }
+        }
+        self.shrink_pending();
+    }
+
+    /// Give `pending`'s capacity back as it drains: halve it while it is
+    /// under a quarter full, down to [`PENDING_FLOOR`] slots. A run that
+    /// pre-submits its flows would otherwise hold one slot per flow to
+    /// the end, the run's heap peak; halving at a quarter leaves a drained
+    /// list room to double before it grows again.
+    fn shrink_pending(&mut self) {
+        let mut cap = self.pending.capacity();
+        while cap > PENDING_FLOOR && self.pending.len() < cap / 4 {
+            cap /= 2;
+        }
+        if cap < self.pending.capacity() {
+            self.pending.shrink_to(cap.max(PENDING_FLOOR));
         }
     }
 
@@ -1095,8 +1116,9 @@ mod tests {
 
     #[test]
     fn pending_and_records_stay_compact() {
-        // The pending `Vec` keeps its capacity for the whole run, so a slot
-        // is paid once per flow ever scheduled.
+        // A pending slot is paid for each action scheduled and not yet
+        // fired: the `Vec` gives its capacity back as it drains
+        // (`pending_gives_capacity_back_as_it_drains`).
         assert!(std::mem::size_of::<Pending>() <= 48);
         let mut records = Records::default();
         for conn in 1..=33 {
@@ -1110,6 +1132,43 @@ mod tests {
         assert!(records.iter().map(|r| r.conn).eq(1..=33));
         assert_eq!(records.get(33).map(|r| r.conn), Some(33));
         assert!(records.get(0).is_none() && records.get(34).is_none());
+    }
+
+    #[test]
+    fn pending_gives_capacity_back_as_it_drains() {
+        let mut sim: Sim<Segment, Host> = Sim::new(1);
+        let mut d = Driver::new();
+        let at = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
+        // Stops of unknown flows: each fires as a no-op.
+        for conn in 1..=1000 {
+            d.stop_at(conn, at(conn));
+        }
+        let full = d.pending.capacity();
+        assert!(full >= 1000);
+        let mut drain_to = |d: &mut Driver, us: u64| {
+            sim.advance_to(at(us));
+            d.fire_due(&mut sim);
+            (d.pending.len(), d.pending.capacity())
+        };
+        // Above a quarter full, nothing moves.
+        assert_eq!(drain_to(&mut d, 700), (300, full));
+        // Under it, halved until a quarter full is reached again.
+        let (left, cap) = drain_to(&mut d, 950);
+        assert_eq!(left, 50);
+        assert!((left * 2..=left * 4).contains(&cap), "{cap}");
+        // Drained: down to the floor, and no lower.
+        assert_eq!(drain_to(&mut d, 1000), (0, PENDING_FLOOR));
+        // A closed loop that keeps a few actions scheduled reuses the
+        // floor's buffer.
+        let buf = d.pending.as_ptr();
+        for round in 0..100 {
+            for conn in 0..8 {
+                d.stop_at(conn, at(1001 + round));
+            }
+            drain_to(&mut d, 1001 + round);
+            assert_eq!(d.pending.as_ptr(), buf);
+            assert_eq!(d.pending.capacity(), PENDING_FLOOR);
+        }
     }
 
     fn populated_record() -> FlowRecord {
