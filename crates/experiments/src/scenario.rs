@@ -28,6 +28,12 @@ use xmp_workloads::Scheme;
 /// `k` is refused at its line rather than left to fail its allocation.
 pub const MAX_K: usize = 32;
 
+/// The most `[flows]` lines a file may hold: one flow per host of the
+/// largest tree (`scale mega`'s wave). `simcheck generate` writes at most
+/// 24 and no committed file has more than nine; the line past it is
+/// refused there, before the file builds a flow table it cannot run.
+pub const MAX_FLOWS: usize = MAX_K * MAX_K * MAX_K / 4;
+
 /// Bounds on a paper run's times, so that any epoch count times any unit
 /// stays inside the nanosecond clock: a million epochs of at most an hour.
 const MAX_EPOCHS: u64 = 1_000_000;
@@ -800,6 +806,11 @@ fn chaos_field(sc: &mut Scenario, section: &str, f: &Field<'_>) -> Result<(), Te
             }
         }
         ("oracles", "inject_divergence") => sc.inject_divergence = f.parse("bool")?,
+        ("flows", "flow") if sc.flows.len() == MAX_FLOWS => {
+            return Err(msg(format!(
+                "more than {MAX_FLOWS} flows, one per host of the largest tree"
+            )));
+        }
         ("flows", "flow") => sc.flows.push(flow_line(f)?),
         ("faults", "down") => sc.faults.push(link_fault(f, FaultSpec::Down)?),
         ("faults", "up") => sc.faults.push(link_fault(f, FaultSpec::Up)?),
@@ -1292,6 +1303,22 @@ mod tests {
         let text = "[sim]\nseed=1\nk=4\nhorizon_us=1000\n[flows]\nflow = 0 1 100 xmp:2 0 0\n";
         let e = Scenario::parse(text).unwrap_err();
         assert!(e.msg.contains("wants 2 tags"), "{e}");
+    }
+
+    /// `[flows]` holds at most [`MAX_FLOWS`] lines: `scale mega`'s wave,
+    /// the most traffic any command builds, round-trips; one line more is
+    /// refused at that line.
+    #[test]
+    fn flow_count_is_bounded_at_its_line() {
+        let mega = crate::scale::mega(1);
+        assert_eq!(mega.flows.len(), MAX_FLOWS);
+        let text = mega.to_text();
+        assert_eq!(Scenario::parse(&text).as_ref(), Ok(&mega));
+        let at = text.find("\n[faults]").expect("faults follow flows");
+        let over = format!("{}flow = 0 1 100 xmp:2 0 0,1\n{}", &text[..at], &text[at..]);
+        let e = Scenario::parse(&over).unwrap_err();
+        assert_eq!(e.line, text[..at].lines().count() + 1, "{e}");
+        assert!(e.msg.contains("more than 8192 flows"), "{e}");
     }
 
     const PAPER_HEAD: &str = "[sim]\nseed = 1\ntopology = torus\nunit_us = 1000\nepochs = 4\n";

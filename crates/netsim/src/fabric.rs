@@ -14,6 +14,7 @@ use crate::node::{Node, NodeId, NodeKind, PortId};
 use crate::packet::{FlowId, Packet};
 use crate::queue::Qdisc;
 use crate::routing::Router;
+use crate::window::WindowPool;
 use std::fmt;
 use xmp_des::{SimRng, SimTime};
 
@@ -59,6 +60,9 @@ pub(crate) struct Booked {
 pub(crate) struct Fabric<P> {
     pub(crate) nodes: Vec<Node>,
     pub(crate) links: Vec<Link<P>>,
+    /// Every direction's booked transmission windows
+    /// ([`Direction::pending`] lists point into it).
+    pub(crate) windows: WindowPool,
     /// Address book as a sorted `(addr-as-u32, node)` table: binary-search
     /// lookups, no hashing, deterministic iteration. Bindings happen only
     /// during topology construction.
@@ -77,6 +81,7 @@ impl<P: Send + 'static> Fabric<P> {
         Fabric {
             nodes: Vec::new(),
             links: Vec::new(),
+            windows: WindowPool::new(),
             addr_book: Vec::new(),
             busy_dirs: Vec::new(),
             rng: SimRng::new(seed),
@@ -169,17 +174,7 @@ impl<P: Send + 'static> Fabric<P> {
     /// Fail both directions of `link` at `now` (`Sim::take_link_down`).
     pub(crate) fn take_link_down(&mut self, link: LinkId, now: SimTime) {
         for d in &mut self.links[link.0 as usize].dirs {
-            if d.down {
-                continue;
-            }
-            d.down = true;
-            d.fail_gen = d.fail_gen.wrapping_add(1);
-            // Record the departures that genuinely happened, then drop the
-            // booked windows so the backlog reads zero.
-            d.retire_before(now);
-            d.pending.clear();
-            d.busy_until = SimTime::ZERO;
-            d.stats.observe_backlog(now, 0);
+            d.take_down(&mut self.windows, now);
         }
     }
 
@@ -276,7 +271,9 @@ impl<P: Send + 'static> Fabric<P> {
         let l = &mut self.links[link.0 as usize];
         let (bandwidth, delay) = (l.bandwidth, l.delay);
         let d = l.dir_mut(dir);
-        let Offer::Accepted { marked, depart, .. } = d.offer(now, bandwidth, hybrid, pkt) else {
+        let Offer::Accepted { marked, depart, .. } =
+            d.offer(&mut self.windows, now, bandwidth, hybrid, pkt)
+        else {
             return None;
         };
         if !d.listed {
@@ -295,10 +292,10 @@ impl<P: Send + 'static> Fabric<P> {
     /// the driver injects at `t` — see the port as it is at `t`. Only
     /// directions on the busy list can have anything to retire.
     pub(crate) fn retire_departures(&mut self, t: SimTime) {
-        let links = &mut self.links;
+        let (links, windows) = (&mut self.links, &mut self.windows);
         self.busy_dirs.retain(|&(link, dir)| {
             let d = links[link.0 as usize].dir_mut(dir);
-            d.retire_through(t);
+            d.retire_through(windows, t);
             d.listed = !d.pending.is_empty();
             d.listed
         });
@@ -330,7 +327,7 @@ impl<P: Send + 'static> Fabric<P> {
         // `run_until`/`advance_to` already retired departures up to the
         // boundary; a probe tick at `t` ranks last at `t`, so it retires
         // `depart <= t` itself.
-        d.retire_through(now);
+        d.retire_through(&mut self.windows, now);
         let mut depth = d.pending.len();
         if hybrid {
             // Fluid occupancy, in reference packets, is part of the
@@ -345,6 +342,25 @@ impl<P: Send + 'static> Fabric<P> {
     /// served by `now`.
     pub(crate) fn fluid_bytes_out(&mut self, link: LinkId, dir: u8, now: SimTime) -> u64 {
         self.fluid_advanced(link, dir, now).fluid_bytes_out as u64
+    }
+
+    /// Check the window pool against every direction's list
+    /// ([`WindowPool::audit`]) and that no downed direction holds a
+    /// window. `Err` names the direction.
+    pub(crate) fn audit_windows(&self) -> Result<(), String> {
+        let dirs = || self.links.iter().flat_map(|l| &l.dirs);
+        let name = |n: usize| format!("{}/{}", self.links[n / 2].label, n % 2);
+        if let Some((n, d)) = dirs()
+            .enumerate()
+            .find(|(_, d)| d.down && !d.pending.is_empty())
+        {
+            return Err(format!(
+                "downed direction {} holds {} windows",
+                name(n),
+                d.pending.len()
+            ));
+        }
+        self.windows.audit(dirs().map(|d| &d.pending), name)
     }
 
     /// Packets accepted by some direction and not yet delivered. `Err`
@@ -456,7 +472,8 @@ mod tests {
                     let size = ByteSize::from_bytes(1500);
                     let mut pkt = Packet::new(a0, a3, FlowId(1), Ecn::Ect, size, i);
                     let d = f.links[2].dir_mut(dir);
-                    let got = d.offer(now, bw, false, &mut pkt) == Offer::FaultDropped;
+                    let got =
+                        d.offer(&mut f.windows, now, bw, false, &mut pkt) == Offer::FaultDropped;
                     let expect = prob > 0.0 && want[dir as usize].chance(prob);
                     assert_eq!(got, expect, "phase {phase} packet {i} dir {dir}");
                     dropped += u32::from(got);
@@ -477,5 +494,41 @@ mod tests {
             }
         }
         assert!(f.links[0].dirs.iter().all(|d| d.faults.is_none()));
+    }
+
+    /// A thousand bursts, each cut short by a link failure and followed by
+    /// a repair: the cleared lists go back to the pool whole, so its placed
+    /// count stays at one burst's high-water. Every tenth burst instead
+    /// drains through a run-window sweep.
+    #[test]
+    fn failed_bursts_return_their_windows_to_the_pool() {
+        let (mut f, a0, a3) = line(false);
+        let mut now = SimTime::ZERO;
+        for burst in 0..1000u64 {
+            now += SimDuration::from_millis(1);
+            for i in 0..10 {
+                let size = ByteSize::from_bytes(1500);
+                let mut pkt = Packet::new(a0, a3, FlowId(1), Ecn::Ect, size, burst << 8 | i);
+                for dir in 0..2 {
+                    f.offer(LinkId(1), dir, now, false, &mut pkt);
+                }
+            }
+            // `cap = 8` waiting behind the one on the wire: nine windows
+            // booked per direction, one packet dropped.
+            assert_eq!(f.windows.placed(), 18, "burst {burst}");
+            f.audit_windows().expect("booked");
+            if burst % 10 == 9 {
+                f.retire_departures(now + SimDuration::from_millis(1));
+            } else {
+                // Mid-burst: the first packet is still on the wire.
+                f.take_link_down(LinkId(1), now + SimDuration::from_micros(1));
+                f.audit_windows().expect("purged");
+                f.bring_link_up(LinkId(1));
+            }
+            assert!(f.links[1].dirs.iter().all(|d| d.backlog() == 0));
+        }
+        for d in &f.links[1].dirs {
+            assert_eq!((d.stats.enqueued, d.stats.dropped), (9000, 1000));
+        }
     }
 }

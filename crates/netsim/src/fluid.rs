@@ -48,6 +48,7 @@ use crate::network::Payload;
 use crate::node::{NodeId, PortId};
 use crate::packet::FlowId;
 use crate::queue::Qdisc;
+use crate::window::WindowPool;
 use crate::Addr;
 use xmp_des::{SimDuration, SimTime};
 
@@ -477,12 +478,14 @@ impl FluidState {
 
     /// One rate-update tick of flow `id`: credit served bytes, advance the
     /// hop backlogs, read the path congestion signals, step every
-    /// subflow's window, and re-register the new rates.
+    /// subflow's window, and re-register the new rates. `windows` is the
+    /// fabric's pool the directions of `links` keep their packet windows in.
     pub(crate) fn tick<P: Payload>(
         &mut self,
         id: u32,
         now: SimTime,
         links: &mut [Link<P>],
+        windows: &mut WindowPool,
     ) -> TickOutcome {
         let Some(mut flow) = self.slots.get_mut(id as usize).and_then(Option::take) else {
             return TickOutcome {
@@ -537,8 +540,8 @@ impl FluidState {
                     break;
                 }
                 d.fluid_advance(now, cap, d.queue.capacity() as f64 * REF_PKT_BYTES);
-                d.retire_before(now);
-                let backlog_pkts = d.fluid_backlog / REF_PKT_BYTES + d.waiting(now) as f64;
+                d.retire_before(windows, now);
+                let backlog_pkts = d.fluid_backlog / REF_PKT_BYTES + d.waiting(windows, now) as f64;
                 let sig = d.queue.fluid_signal(backlog_pkts);
                 keep_mark *= 1.0 - sig.p_mark;
                 keep_loss *= 1.0 - sig.p_loss;

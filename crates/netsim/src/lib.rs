@@ -45,6 +45,7 @@ pub mod queue;
 pub mod routing;
 pub mod stats;
 mod timer;
+mod window;
 
 pub use addr::Addr;
 pub use agent::{Agent, Ctx};

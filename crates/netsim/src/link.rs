@@ -7,13 +7,14 @@
 //! (c) booked a `(start, depart)` transmission window — service is FIFO
 //! and non-preemptive, so the window is fully determined on arrival — and
 //! delivered `prop_delay` after `depart`. The packet itself rides in its
-//! `Deliver` event; the direction only keeps the windows (DESIGN.md §10).
+//! `Deliver` event; the direction only keeps the windows, as a list in the
+//! fabric's `WindowPool` (DESIGN.md §10).
 
 use crate::node::{NodeId, PortId};
 use crate::packet::Packet;
 use crate::queue::{EnqueueOutcome, Qdisc, QdiscConfig, QdiscKind};
 use crate::stats::DirStats;
-use std::collections::VecDeque;
+use crate::window::{WindowList, WindowPool};
 use std::fmt;
 use xmp_des::{Bandwidth, SimDuration, SimRng, SimTime};
 
@@ -85,7 +86,7 @@ impl LinkParams {
 /// | 1 | 64–127 | `stats.{enqueued, marked, max_depth, depth_weighted_ns, last_sample}`, depth band 0 | tx |
 /// | 2 | 128–191 | depth bands 1–8 | tx |
 /// | 3 | 192–255 | depth band 9, drop/fault/corrupt/blackhole counters, `fluid_{rate, backlog, bytes_out}` | fluid; rare events |
-/// | 4 | 256–319 | `fluid_asof`, the `pending` ring's header, the qdisc's `cap`/`k` | tx, fluid |
+/// | 4 | 256–319 | `fluid_asof`, the `pending` list's header, the qdisc's `cap`/`k` | tx, fluid |
 /// | 5 | 320–383 | rest of the qdisc (its standalone ring; RED's `mode` and state box) | RED |
 ///
 /// What only faults and RED use lives behind boxes: a direction without
@@ -132,12 +133,13 @@ pub struct Direction<P> {
     /// Hybrid mode: instant `fluid_backlog`/`fluid_bytes_out` are valid at.
     pub(crate) fluid_asof: SimTime,
     /// `(start, depart)` per accepted packet that has not left the port
-    /// yet, in departure order. The front entry with `start <= now` is the
-    /// one "on the wire"; later entries are the waiting backlog. `depart`
-    /// says when an entry retires; `start` is what tells serializing from
+    /// yet, in departure order: a list whose entries live in the fabric's
+    /// `WindowPool`. The front entry with `start <= now` is the one "on
+    /// the wire"; later entries are the waiting backlog. `depart` says
+    /// when an entry retires; `start` is what tells serializing from
     /// waiting when a fluid backlog (hybrid mode) floors the start time
     /// past the previous departure and leaves the port idle in between.
-    pub(crate) pending: VecDeque<(SimTime, SimTime)>,
+    pub(crate) pending: WindowList,
     /// The mark/drop rule and buffer size. Statically dispatched for the
     /// in-tree disciplines; see [`QdiscKind`]. It decides, it does not
     /// store: no packet is ever buffered in it.
@@ -199,9 +201,11 @@ impl<P: Send> Direction<P> {
     /// here. The caller schedules the arrival at the far end from the
     /// returned `depart`; nothing else ever has to happen for this packet
     /// on this port. Updates the direction's own counters and backlog
-    /// samples; `hybrid` couples in the fluid plane's occupancy.
+    /// samples; `hybrid` couples in the fluid plane's occupancy. The
+    /// windows live in `windows`, the fabric's pool.
     pub(crate) fn offer(
         &mut self,
+        windows: &mut WindowPool,
         now: SimTime,
         bandwidth: Bandwidth,
         hybrid: bool,
@@ -215,7 +219,7 @@ impl<P: Send> Direction<P> {
         }
         // Same-instant rule: a departure at exactly `now` is not retired
         // yet, so this arrival still counts that packet as on the wire.
-        self.retire_before(now);
+        self.retire_before(windows, now);
         if self.faults.as_mut().is_some_and(|f| f.drops()) {
             self.stats.fault_dropped += 1;
             return Offer::FaultDropped;
@@ -244,7 +248,7 @@ impl<P: Send> Direction<P> {
         } else {
             (0, SimDuration::ZERO)
         };
-        let waiting = self.waiting(now) + fluid_pkts;
+        let waiting = self.waiting(windows, now) + fluid_pkts;
         let outcome = self.queue.classify(waiting, pkt);
         if outcome == EnqueueOutcome::Dropped {
             self.stats.dropped += 1;
@@ -257,7 +261,7 @@ impl<P: Send> Direction<P> {
         let start = self.busy_until.max(now + fluid_delay);
         let depart = start + bandwidth.transmission_time(pkt.size);
         self.busy_until = depart;
-        self.pending.push_back((start, depart));
+        windows.push_back(&mut self.pending, start, depart);
         self.stats.observe_backlog(now, self.pending.len());
         Offer::Accepted {
             marked,
@@ -328,12 +332,8 @@ impl<P: Send> Direction<P> {
 
     /// Retire every front entry whose departure `due` accepts, recording
     /// the backlog sample at the instant it left the port.
-    fn retire_while(&mut self, due: impl Fn(SimTime) -> bool) {
-        while let Some(&(_, depart)) = self.pending.front() {
-            if !due(depart) {
-                break;
-            }
-            self.pending.pop_front();
+    fn retire_while(&mut self, windows: &mut WindowPool, due: impl Fn(SimTime) -> bool) {
+        while let Some(depart) = windows.pop_due(&mut self.pending, &due) {
             self.stats.observe_backlog(depart, self.pending.len());
         }
     }
@@ -341,24 +341,24 @@ impl<P: Send> Direction<P> {
     /// Retire entries that departed strictly before `now` — the
     /// same-instant rule: an arrival at `t` is classified *before* a
     /// departure at `t` is retired, so it still sees that packet.
-    pub(crate) fn retire_before(&mut self, now: SimTime) {
-        self.retire_while(|depart| depart < now);
+    pub(crate) fn retire_before(&mut self, windows: &mut WindowPool, now: SimTime) {
+        self.retire_while(windows, |depart| depart < now);
     }
 
     /// Retire entries with `depart <= t` — used when a run window closes
     /// at `t` (and by probe ticks, which rank last at their instant):
     /// whatever the driver does next at `t` happens after every departure
     /// at `t`.
-    pub(crate) fn retire_through(&mut self, t: SimTime) {
-        self.retire_while(|depart| depart <= t);
+    pub(crate) fn retire_through(&mut self, windows: &mut WindowPool, t: SimTime) {
+        self.retire_while(windows, |depart| depart <= t);
     }
 
     /// Waiting backlog at `now` (excluding the packet on the wire), after
     /// [`Self::retire_before`]. The front entry has started whenever
     /// `start <= now`.
-    pub(crate) fn waiting(&self, now: SimTime) -> usize {
-        match self.pending.front() {
-            Some(&(start, _)) if start <= now => {
+    pub(crate) fn waiting(&self, windows: &WindowPool, now: SimTime) -> usize {
+        match windows.front(&self.pending) {
+            Some(w) if w.start <= now => {
                 // Teardown clears `pending` and nothing is booked while
                 // down: an entry here is a window that outlived its link
                 // (and would silently skew ECN marking decisions).
@@ -367,6 +367,21 @@ impl<P: Send> Direction<P> {
             }
             _ => self.pending.len(),
         }
+    }
+
+    /// Fail the direction at `now`: record the departures that genuinely
+    /// happened, then hand every booked window back to `windows` at once
+    /// so the backlog reads zero. Nothing to do if it is down already.
+    pub(crate) fn take_down(&mut self, windows: &mut WindowPool, now: SimTime) {
+        if self.down {
+            return;
+        }
+        self.down = true;
+        self.fail_gen = self.fail_gen.wrapping_add(1);
+        self.retire_before(windows, now);
+        windows.clear(&mut self.pending);
+        self.busy_until = SimTime::ZERO;
+        self.stats.observe_backlog(now, 0);
     }
 
     /// Hybrid mode: integrate the fluid backlog forward to `now` under the
@@ -452,7 +467,7 @@ impl<P> Link<P> {
                 fail_gen: 0,
                 in_network: 0,
                 busy_until: SimTime::ZERO,
-                pending: VecDeque::new(),
+                pending: WindowList::EMPTY,
                 listed: false,
                 fluid_rate: 0.0,
                 fluid_backlog: 0.0,
@@ -497,6 +512,7 @@ mod tests {
     use crate::addr::Addr;
     use crate::packet::{Ecn, FlowId};
     use crate::queue::RedMode;
+    use std::collections::VecDeque;
     use xmp_des::ByteSize;
 
     /// Reference model of one output port, written the obvious way: an
@@ -504,12 +520,21 @@ mod tests {
     /// per packet that records its departure and moves the next packet
     /// onto the wire. This is the two-event port the engine ran before it
     /// booked `(start, depart)` windows on arrival; it stays here as the
-    /// oracle [`Direction::offer`] is checked against.
+    /// oracle [`Direction::offer`] is checked against. A hybrid-mode start
+    /// floor adds a third event: a packet whose floor is still ahead when
+    /// the port frees up waits for its `TxStart`, with the port idle.
     struct RefPort {
         queue: QdiscKind<u64>,
         bandwidth: Bandwidth,
+        /// Earliest start of each packet in `queue`, in the same order: its
+        /// arrival, or later when a fluid backlog floors it.
+        floors: VecDeque<SimTime>,
+        /// When the head of `queue` starts, while the port waits for it.
+        tx_start: Option<SimTime>,
         /// `(packet id, TxDone time)` of the packet being serialized.
         on_wire: Option<(u64, SimTime)>,
+        /// The link is failed: arrivals are blackholed.
+        down: bool,
         stats: DirStats,
         departs: Vec<(u64, SimTime)>,
         /// Arrivals that landed on the exact instant of a `TxDone`.
@@ -517,34 +542,71 @@ mod tests {
     }
 
     impl RefPort {
+        fn new(queue: &QdiscConfig, bandwidth: Bandwidth) -> Self {
+            RefPort {
+                queue: queue.build(),
+                bandwidth,
+                floors: VecDeque::new(),
+                tx_start: None,
+                on_wire: None,
+                down: false,
+                stats: DirStats::default(),
+                departs: Vec::new(),
+                ties: 0,
+            }
+        }
+
         fn depth(&self) -> usize {
             self.queue.len() + usize::from(self.on_wire.is_some())
+        }
+
+        /// The head of the queue goes on the wire at `at`.
+        fn start(&mut self, at: SimTime) {
+            self.tx_start = None;
+            self.floors.pop_front();
+            let next = self.queue.dequeue().expect("TxStart with an empty queue");
+            let done = at + self.bandwidth.transmission_time(next.size);
+            self.on_wire = Some((next.payload, done));
         }
 
         fn tx_done(&mut self) {
             let (id, at) = self.on_wire.take().expect("TxDone with an idle port");
             self.departs.push((id, at));
-            if let Some(next) = self.queue.dequeue() {
-                let done = at + self.bandwidth.transmission_time(next.size);
-                self.on_wire = Some((next.payload, done));
+            if let Some(&floor) = self.floors.front() {
+                if floor <= at {
+                    self.start(at);
+                } else {
+                    self.tx_start = Some(floor);
+                }
             }
             self.stats.observe_backlog(at, self.depth());
         }
 
         /// Process every `TxDone` due strictly before `t` (or at `t` too,
-        /// when a run window closes there).
+        /// when a run window closes there), and every `TxStart` due by `t`.
         fn run_to(&mut self, t: SimTime, inclusive: bool) {
-            while let Some((_, done)) = self.on_wire {
-                if done > t || (done == t && !inclusive) {
-                    break;
+            loop {
+                match (self.on_wire, self.tx_start) {
+                    (Some((_, done)), _) if done < t || (inclusive && done == t) => self.tx_done(),
+                    (None, Some(at)) if at <= t => self.start(at),
+                    _ => break,
                 }
-                self.tx_done();
             }
         }
 
-        /// A packet arrives at `now`: same-instant arrivals go before the
-        /// `TxDone` of that instant.
-        fn arrive(&mut self, now: SimTime, pkt: Packet<u64>) -> (EnqueueOutcome, usize) {
+        /// A packet arrives at `now` and may not start before `floor`:
+        /// same-instant arrivals go before the `TxDone` of that instant.
+        /// `None` when the link is down.
+        fn arrive(
+            &mut self,
+            now: SimTime,
+            floor: SimTime,
+            pkt: Packet<u64>,
+        ) -> Option<(EnqueueOutcome, usize)> {
+            if self.down {
+                self.stats.blackholed += 1;
+                return None;
+            }
             self.run_to(now, false);
             self.ties += u32::from(self.on_wire.is_some_and(|(_, done)| done == now));
             let waiting = self.queue.len();
@@ -554,16 +616,98 @@ mod tests {
                 _ => {
                     self.stats.enqueued += 1;
                     self.stats.marked += u64::from(outcome == EnqueueOutcome::EnqueuedMarked);
-                    if self.on_wire.is_none() {
-                        let next = self.queue.dequeue().expect("just enqueued");
-                        let done = now + self.bandwidth.transmission_time(next.size);
-                        self.on_wire = Some((next.payload, done));
+                    self.floors.push_back(floor);
+                    if self.on_wire.is_none() && self.tx_start.is_none() {
+                        self.tx_start = Some(floor);
+                        self.run_to(now, false);
                     }
                     self.stats.observe_backlog(now, self.depth());
                 }
             }
-            (outcome, waiting)
+            Some((outcome, waiting))
         }
+
+        /// The link fails at `now`: departures before `now` happened,
+        /// everything else is lost.
+        fn take_down(&mut self, now: SimTime) {
+            self.run_to(now, false);
+            while self.queue.dequeue().is_some() {}
+            self.floors.clear();
+            (self.tx_start, self.on_wire, self.down) = (None, None, true);
+            self.stats.observe_backlog(now, 0);
+        }
+    }
+
+    /// What `offer` answered, in the reference port's terms (`None` for a
+    /// blackholed packet); accepted windows' departures go to `departs`.
+    fn outcome_of(
+        offer: Offer,
+        pkt: &Packet<u64>,
+        departs: &mut Vec<(u64, SimTime)>,
+    ) -> Option<(EnqueueOutcome, usize)> {
+        match offer {
+            Offer::Blackholed => None,
+            Offer::Dropped { waiting } => Some((EnqueueOutcome::Dropped, waiting)),
+            Offer::Accepted {
+                marked,
+                waiting,
+                depart,
+            } => {
+                departs.push((pkt.payload, depart));
+                assert_eq!(marked, pkt.ecn == Ecn::Ce, "CE bit follows the mark");
+                if marked {
+                    Some((EnqueueOutcome::EnqueuedMarked, waiting))
+                } else {
+                    Some((EnqueueOutcome::Enqueued, waiting))
+                }
+            }
+            Offer::FaultDropped => panic!("no faults configured, got {offer:?}"),
+        }
+    }
+
+    fn test_packet(id: u64, size: u64, ecn: Ecn) -> Packet<u64> {
+        Packet::new(
+            Addr::new(10, 0, 0, 1),
+            Addr::new(10, 0, 0, 2),
+            FlowId(1),
+            ecn,
+            ByteSize::from_bytes(size),
+            id,
+        )
+    }
+
+    /// The four disciplines the reference-port tests drive.
+    fn test_qdiscs() -> [QdiscConfig; 4] {
+        let red = |mode| QdiscConfig::Red {
+            cap: 16,
+            wq: 0.5,
+            min_th: 2.0,
+            max_th: 10.0,
+            max_p: 0.5,
+            mode,
+            seed: 77,
+        };
+        [
+            QdiscConfig::DropTail { cap: 8 },
+            QdiscConfig::EcnThreshold { cap: 16, k: 4 },
+            red(RedMode::Mark),
+            red(RedMode::Drop),
+        ]
+    }
+
+    /// A fresh direction with queue `qcfg`, its fault streams off `seed`.
+    fn test_direction(qcfg: &QdiscConfig, bandwidth: Bandwidth, seed: u64) -> Direction<u64> {
+        let params = LinkParams::new(bandwidth, SimDuration::from_micros(20), qcfg.clone());
+        let [d, _] = Link::<u64>::new(
+            &params,
+            (NodeId(0), PortId(0)),
+            (NodeId(1), PortId(0)),
+            &SimRng::new(seed),
+            0,
+            String::new(),
+        )
+        .dirs;
+        d
     }
 
     /// The layout table in [`Direction`]'s docs, as arithmetic: which
@@ -616,7 +760,8 @@ mod tests {
         assert_eq!(line_of!(stats.delivered_bytes), 0);
 
         // tx: `offer` and the retire loop stay on lines 0, 1, 2 and 4 (plus
-        // the ring's heap line) while the backlog is under 256 packets.
+        // the pool entries they read and write) while the backlog is under
+        // 256 packets.
         assert_eq!(line_of!(down), 0);
         assert_eq!(line_of!(listed), 0);
         assert_eq!(line_of!(busy_until), 0);
@@ -632,15 +777,13 @@ mod tests {
         assert_eq!(band(0), 1);
         assert_eq!((band(1), band(8)), (2, 2));
         assert_eq!(line_of!(pending), 4);
-        assert!(whole(
-            offset_of!(D, pending),
-            size_of::<VecDeque<(SimTime, SimTime)>>()
-        ));
+        assert_eq!(size_of::<WindowList>(), 12);
+        assert!(whole(offset_of!(D, pending), size_of::<WindowList>()));
         assert_eq!(line_of!(queue), 4);
         assert!(whole(offset_of!(D, queue), crate::queue::RULE_SPAN));
 
         // Fluid tick: `down`, the four fluid fields, the qdisc's capacity
-        // and the ring's front — lines 0, 3 and 4.
+        // and the list's head — lines 0, 3 and 4.
         assert_eq!(line_of!(fluid_rate), 3);
         assert_eq!(line_of!(fluid_backlog), 3);
         assert_eq!(line_of!(fluid_bytes_out), 3);
@@ -662,52 +805,22 @@ mod tests {
     #[test]
     fn offer_matches_the_two_event_reference_port() {
         let bandwidth = Bandwidth::from_gbps(1);
-        let red = |mode| QdiscConfig::Red {
-            cap: 16,
-            wq: 0.5,
-            min_th: 2.0,
-            max_th: 10.0,
-            max_p: 0.5,
-            mode,
-            seed: 77,
-        };
-        let configs = [
-            QdiscConfig::DropTail { cap: 8 },
-            QdiscConfig::EcnThreshold { cap: 16, k: 4 },
-            red(RedMode::Mark),
-            red(RedMode::Drop),
-        ];
         let sizes = [1500u64, 700, 40];
-        for qcfg in configs {
+        for qcfg in test_qdiscs() {
             let (mut ties, mut drops, mut marks) = (0, 0, 0);
             for seed in 0..60u64 {
-                let params = LinkParams::new(bandwidth, SimDuration::from_micros(20), qcfg.clone());
-                let [mut d, _] = Link::<u64>::new(
-                    &params,
-                    (NodeId(0), PortId(0)),
-                    (NodeId(1), PortId(0)),
-                    &SimRng::new(seed),
-                    0,
-                    String::new(),
-                )
-                .dirs;
-                let mut r = RefPort {
-                    queue: qcfg.build(),
-                    bandwidth,
-                    on_wire: None,
-                    stats: DirStats::default(),
-                    departs: Vec::new(),
-                    ties: 0,
-                };
+                let mut d = test_direction(&qcfg, bandwidth, seed);
+                let mut r = RefPort::new(&qcfg, bandwidth);
+                let mut windows = WindowPool::new();
                 let mut departs = Vec::new();
                 let mut rng = SimRng::new(seed ^ 0x0FFE);
                 let mut now = SimTime::ZERO;
                 for id in 0..300u64 {
-                    let size = ByteSize::from_bytes(sizes[rng.index(sizes.len())]);
+                    let size = sizes[rng.index(sizes.len())];
                     let full = bandwidth.transmission_time(ByteSize::from_bytes(1500));
                     now += match rng.index(6) {
                         0 | 1 => SimDuration::ZERO,
-                        2 => bandwidth.transmission_time(size),
+                        2 => bandwidth.transmission_time(ByteSize::from_bytes(size)),
                         3 => full,
                         4 => SimDuration::from_nanos(rng.uniform_u64(0, 2 * full.as_nanos())),
                         _ => SimDuration::from_nanos(12 * full.as_nanos()),
@@ -717,33 +830,11 @@ mod tests {
                     } else {
                         Ecn::NotEct
                     };
-                    let mut pkt = Packet::new(
-                        Addr::new(10, 0, 0, 1),
-                        Addr::new(10, 0, 0, 2),
-                        FlowId(1),
-                        ecn,
-                        size,
-                        id,
-                    );
-                    let (want, want_waiting) = r.arrive(now, pkt.clone());
-                    let got = match d.offer(now, bandwidth, false, &mut pkt) {
-                        Offer::Dropped { waiting } => (EnqueueOutcome::Dropped, waiting),
-                        Offer::Accepted {
-                            marked,
-                            waiting,
-                            depart,
-                        } => {
-                            departs.push((id, depart));
-                            assert_eq!(marked, pkt.ecn == Ecn::Ce, "CE bit follows the mark");
-                            if marked {
-                                (EnqueueOutcome::EnqueuedMarked, waiting)
-                            } else {
-                                (EnqueueOutcome::Enqueued, waiting)
-                            }
-                        }
-                        other => panic!("no faults configured, got {other:?}"),
-                    };
-                    assert_eq!(got, (want, want_waiting), "seed {seed} packet {id}");
+                    let mut pkt = test_packet(id, size, ecn);
+                    let want = r.arrive(now, now, pkt.clone());
+                    let offer = d.offer(&mut windows, now, bandwidth, false, &mut pkt);
+                    let got = outcome_of(offer, &pkt, &mut departs);
+                    assert_eq!(got, want, "seed {seed} packet {id}");
                     assert_eq!(d.backlog(), r.depth(), "seed {seed} packet {id}: depth");
                     assert_eq!(
                         format!("{:?}", d.stats),
@@ -754,7 +845,7 @@ mod tests {
                 // Close the run window: everything still queued departs.
                 let end = now + SimDuration::from_millis(10);
                 r.run_to(end, true);
-                d.retire_through(end);
+                d.retire_through(&mut windows, end);
                 assert_eq!(departs, r.departs, "seed {seed}: departure times");
                 assert_eq!(
                     format!("{:?}", d.stats),
@@ -779,5 +870,132 @@ mod tests {
             );
             assert_eq!(marks > 0, marks_expected, "{qcfg:?}: marks");
         }
+    }
+
+    /// Six directions — every discipline, two of them in hybrid mode with
+    /// fluid start floors — booking into one [`WindowPool`] in a seeded
+    /// interleaving, with links failing mid-burst and coming back, and run
+    /// windows closing on all of them. After every step each direction
+    /// matches its own reference port (outcome, waiting count, backlog,
+    /// `DirStats` debug form, departures so far) and the pool passes its
+    /// audit; at the end every window has departed or been purged, and
+    /// the pool holds no more entries than were ever live at once.
+    #[test]
+    fn directions_sharing_a_pool_match_their_reference_ports() {
+        const DIRS: usize = 6;
+        let bandwidth = Bandwidth::from_gbps(1);
+        let cap = bandwidth.as_bps() as f64 / 8.0;
+        let full = bandwidth.transmission_time(ByteSize::from_bytes(1500));
+        let qdiscs = test_qdiscs();
+        let sizes = [1500u64, 700, 40];
+        let (mut floored, mut purged, mut idle_starts) = (0, 0, 0);
+        for seed in 0..40u64 {
+            let qcfg = |j: usize| &qdiscs[j % qdiscs.len()];
+            let mut dirs: Vec<_> = (0..DIRS)
+                .map(|j| test_direction(qcfg(j), bandwidth, seed))
+                .collect();
+            let mut refs: Vec<_> = (0..DIRS)
+                .map(|j| RefPort::new(qcfg(j), bandwidth))
+                .collect();
+            let mut booked: Vec<Vec<(u64, SimTime)>> = vec![Vec::new(); DIRS];
+            let mut windows = WindowPool::new();
+            let (mut live_max, mut rng, mut now) = (0, SimRng::new(seed ^ 0xB00C), SimTime::ZERO);
+            for id in 0..1500u64 {
+                now += match rng.index(8) {
+                    0..=3 => SimDuration::ZERO,
+                    4 => full,
+                    5 => SimDuration::from_nanos(rng.uniform_u64(0, full.as_nanos())),
+                    _ => SimDuration::from_nanos(rng.uniform_u64(0, 4 * full.as_nanos())),
+                };
+                let j = rng.index(DIRS);
+                let (d, r) = (&mut dirs[j], &mut refs[j]);
+                let ctx = format!("seed {seed} step {id} dir {j}");
+                match rng.index(40) {
+                    0 if !d.down => {
+                        purged += d.backlog();
+                        d.take_down(&mut windows, now);
+                        r.take_down(now);
+                        // What had not left by `now` never will.
+                        let gone = &booked[j][r.departs.len()..];
+                        assert!(
+                            gone.iter().all(|&(_, t)| t >= now),
+                            "{ctx}: purged {gone:?}"
+                        );
+                        booked[j].truncate(r.departs.len());
+                    }
+                    1 if d.down => (d.down, r.down) = (false, false),
+                    2 => {
+                        // A run window closes at `now` on every direction.
+                        for (d, r) in dirs.iter_mut().zip(&mut refs) {
+                            d.retire_through(&mut windows, now);
+                            r.run_to(now, true);
+                        }
+                    }
+                    _ => {
+                        let size = sizes[rng.index(sizes.len())];
+                        let ecn = if rng.chance(0.8) {
+                            Ecn::Ect
+                        } else {
+                            Ecn::NotEct
+                        };
+                        let mut pkt = test_packet(id, size, ecn);
+                        // Directions 4 and 5 run in hybrid mode under a
+                        // fluid backlog too small to count as a waiting
+                        // packet (under half a reference packet) but large
+                        // enough to floor the start past `now`.
+                        let hybrid = j >= 4;
+                        let mut floor = now;
+                        if hybrid && !d.down {
+                            let backlog = rng.uniform_u64(0, 749) as f64;
+                            (d.fluid_backlog, d.fluid_asof, d.fluid_rate) = (backlog, now, 0.0);
+                            floor = now + SimDuration::from_secs_f64(backlog / cap);
+                            floored += u32::from(backlog > 0.0);
+                        }
+                        let want = r.arrive(now, floor, pkt.clone());
+                        idle_starts += u32::from(r.tx_start.is_some());
+                        let offer = d.offer(&mut windows, now, bandwidth, hybrid, &mut pkt);
+                        let got = outcome_of(offer, &pkt, &mut booked[j]);
+                        assert_eq!(got, want, "{ctx}: outcome and waiting");
+                    }
+                }
+                for (j, (d, r)) in dirs.iter().zip(&refs).enumerate() {
+                    assert_eq!(d.backlog(), r.depth(), "{ctx}: dir {j} backlog");
+                    assert_eq!(
+                        format!("{:?}", d.stats),
+                        format!("{:?}", r.stats),
+                        "{ctx}: dir {j} stats"
+                    );
+                    assert_eq!(
+                        booked[j][..r.departs.len()],
+                        r.departs[..],
+                        "{ctx}: dir {j} departures"
+                    );
+                }
+                live_max = live_max.max(dirs.iter().map(Direction::backlog).sum());
+                windows
+                    .audit(dirs.iter().map(|d| &d.pending), |n| format!("dir {n}"))
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            }
+            let end = now + SimDuration::from_millis(10);
+            for (j, (d, r)) in dirs.iter_mut().zip(&mut refs).enumerate() {
+                d.retire_through(&mut windows, end);
+                r.run_to(end, true);
+                assert_eq!(booked[j], r.departs, "seed {seed} dir {j}: departure times");
+                assert_eq!(format!("{:?}", d.stats), format!("{:?}", r.stats));
+                assert_eq!(d.backlog(), 0);
+            }
+            assert_eq!(
+                windows.placed(),
+                live_max,
+                "seed {seed}: placed vs most live at once"
+            );
+        }
+        // The interleavings reach the cases that matter.
+        assert!(floored > 1000, "{floored} floored starts");
+        assert!(
+            idle_starts > 100,
+            "{idle_starts} arrivals at a port idle until a floor"
+        );
+        assert!(purged > 100, "{purged} windows purged by a failure");
     }
 }

@@ -460,6 +460,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// description instead of aborting, so a chaos harness can record the
     /// violation and shrink the scenario that produced it.
     pub fn try_audit_conservation(&self) -> Result<AuditReport, String> {
+        self.fabric.audit_windows()?;
         self.ledger.conservation(self.fabric.in_network()?)
     }
 
@@ -752,7 +753,12 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         let Some(fluid) = self.fluid.as_mut() else {
             return; // stopped wholesale mid-run; the event rides out
         };
-        let out = fluid.tick(id, self.engine.now(), &mut self.fabric.links);
+        let out = fluid.tick(
+            id,
+            self.engine.now(),
+            &mut self.fabric.links,
+            &mut self.fabric.windows,
+        );
         if let Some((node, code)) = out.completed {
             // Same out-of-band channel transport completions use; the
             // driver's `run_until` callback picks it up this event round.
@@ -897,6 +903,7 @@ mod tests {
     use crate::packet::{Ecn, FlowId};
     use crate::queue::QdiscConfig;
     use crate::routing::{AddrPattern, StaticRouter};
+    use crate::window::WindowList;
     use std::any::Any;
     use xmp_des::{Bandwidth, ByteSize, SimDuration};
 
@@ -1082,6 +1089,52 @@ mod tests {
         assert_eq!(d.stats.dropped, 7);
         assert_eq!(d.stats.delivered, 3);
         sim.with_agent::<Probe, _>(b, |p, _| assert_eq!(p.received.len(), 3));
+    }
+
+    /// The conservation audit also checks the window pool: a direction
+    /// whose list shares another's entries, a list dropped without
+    /// freeing them, or a downed direction still holding windows fails it
+    /// and is named.
+    #[test]
+    fn conservation_audit_checks_the_window_pool() {
+        let mut sim: Sim<u64> = Sim::new(1);
+        let a = sim.add_host("a", Box::new(Probe::default()));
+        let b = sim.add_host("b", Box::new(Probe::default()));
+        let params = LinkParams::new(
+            Bandwidth::from_mbps(1),
+            SimDuration::from_micros(1),
+            QdiscConfig::DropTail { cap: 8 },
+        );
+        let l = sim.connect(a, b, &params, "slow");
+        let (sa, da) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
+        sim.with_agent::<Probe, _>(a, |_, ctx| {
+            for i in 0..10 {
+                ctx.send(PortId(0), pkt(sa, da, i));
+            }
+        });
+        sim.run_until(SimTime::from_millis(1), |_, _, _| {});
+        assert_eq!(sim.link(l).dir(0).backlog(), 9);
+        let ok = sim.try_audit_conservation().expect("consistent");
+        let dirs = &mut sim.fabric.links[l.0 as usize].dirs;
+        let booked = dirs[0].pending;
+        dirs[1].pending = booked;
+        let err = sim.try_audit_conservation().expect_err("shared list");
+        assert!(err.contains("window list of slow/1: entry"), "{err}");
+        let dirs = &mut sim.fabric.links[l.0 as usize].dirs;
+        (dirs[0].pending, dirs[1].pending) = (WindowList::EMPTY, WindowList::EMPTY);
+        let err = sim.try_audit_conservation().expect_err("leaked list");
+        assert!(
+            err.contains("window pool leak: 0 live + 0 free != 9 placed"),
+            "{err}"
+        );
+        let d = &mut sim.fabric.links[l.0 as usize].dirs[0];
+        (d.pending, d.down) = (booked, true);
+        let err = sim
+            .try_audit_conservation()
+            .expect_err("downed with windows");
+        assert_eq!(err, "downed direction slow/0 holds 9 windows");
+        sim.fabric.links[l.0 as usize].dirs[0].down = false;
+        assert_eq!(sim.try_audit_conservation(), Ok(ok));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! inside the mutant; a panic is a failure, caught and reported with the
 //! input that caused it.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use xmp_conformance::SpecFile;
@@ -17,6 +18,7 @@ use xmp_des::{SimRng, SimTime};
 use xmp_experiments::report;
 use xmp_netsim::{CcSnapshot, ProbeRecord};
 use xmp_simcheck::gen::{self, QUICK_COUNT, QUICK_SEED};
+use xmp_simcheck::scenario::MAX_FLOWS;
 use xmp_simcheck::Scenario;
 
 /// Bytes a flip may write besides a flipped bit: the grammars' own
@@ -214,6 +216,25 @@ fn scenario_reader_survives_mutation_and_round_trips_the_quick_batch() {
     fuzz(".scn", &seeds, 100, 1, parse);
     Scenario::parse(EVERY_SPELLING).expect("hand-written seed parses");
     fuzz(".scn", &[EVERY_SPELLING.to_string()], 5000, 4, parse);
+}
+
+/// A file at the `[flows]` bound round-trips, and its mutants — a
+/// duplicated flow line crosses the bound — come back `Ok` or refused at
+/// a line inside them.
+#[test]
+fn scenario_reader_survives_mutation_at_the_flow_bound() {
+    let mut sc = gen::generate(QUICK_SEED, 0);
+    let flow = sc.flows[0].clone();
+    sc.flows.resize(MAX_FLOWS, flow);
+    let text = sc.to_text();
+    assert_eq!(Scenario::parse(&text).as_ref(), Ok(&sc));
+    let over = Cell::new(0);
+    fuzz(".scn", &[text], 60, 6, |m| {
+        let e = Scenario::parse(m).err()?;
+        over.set(over.get() + usize::from(e.msg.contains("flows, one per host")));
+        Some(e.line)
+    });
+    assert!(over.get() > 0, "no mutant crossed the flow bound");
 }
 
 #[test]
