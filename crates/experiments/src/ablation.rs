@@ -11,14 +11,17 @@
 //!    shares, violating the fairness goal that motivates coupling
 //!    (paper Section 2.2).
 //! 3. **OLIA comparison** — the Pareto-optimality fix the paper's
-//!    Section 7 points to, run through the same fat-tree suite.
+//!    Section 7 points to, run through the same fat-tree suite. It and the
+//!    routing and RTO legs are edits of `fattree.scn`'s quick cell
+//!    ([`quick_cell`]).
 
 use crate::common::{audit_windows, end_of_run_audit, frac, host_stack, mbps, TextTable};
-use crate::suite::{run_suite, Pattern, SuiteConfig};
+use crate::scenario::Scenario;
+use crate::suite::{quick_cell, run_suite, Pattern, SuiteResult};
 use std::fmt;
 use xmp_des::{Bandwidth, SimDuration, SimTime};
 use xmp_netsim::{PortId, QdiscConfig, Sim};
-use xmp_topo::Dumbbell;
+use xmp_topo::{Dumbbell, RoutingMode};
 use xmp_transport::{Segment, SubflowSpec};
 use xmp_workloads::{jain_index, Driver, FlowSpecBuilder, Host, RateBins, Scheme};
 
@@ -31,10 +34,12 @@ pub struct AblationConfig {
     pub ks: Vec<usize>,
     /// Measurement window per sweep point.
     pub window: SimDuration,
-    /// Seed.
-    pub seed: u64,
-    /// Base config for the OLIA suite comparison.
-    pub suite: SuiteConfig,
+    /// Every cell's seed; `None`: 1 for the sweep and coupling cells and
+    /// `fattree.scn`'s for the suite legs.
+    pub seed: Option<u64>,
+    /// Run the suite legs at `fattree.scn`'s `--quick` size rather than on
+    /// the k = 8 tree to 150 flows (30 Incast jobs) within 30 s.
+    pub quick_legs: bool,
 }
 
 impl Default for AblationConfig {
@@ -43,8 +48,8 @@ impl Default for AblationConfig {
             betas: vec![2, 3, 4, 5, 6, 8],
             ks: vec![5, 10, 15, 20, 30],
             window: SimDuration::from_secs(2),
-            seed: 1,
-            suite: SuiteConfig::quick_k8(Scheme::xmp(2), Pattern::Permutation),
+            seed: None,
+            quick_legs: false,
         }
     }
 }
@@ -56,9 +61,14 @@ impl AblationConfig {
             betas: vec![2, 4, 6],
             ks: vec![5, 10, 20],
             window: SimDuration::from_millis(400),
-            suite: SuiteConfig::quick(Scheme::xmp(2), Pattern::Permutation),
+            quick_legs: true,
             ..AblationConfig::default()
         }
+    }
+
+    /// The sweep and coupling cells' seed.
+    fn dumbbell_seed(&self) -> u64 {
+        self.seed.unwrap_or(1)
     }
 }
 
@@ -97,8 +107,8 @@ pub struct AblationResult {
     /// RTOmin 200 ms vs 10 ms on the Incast pattern — the paper's
     /// related-work conjecture that fine-grained RTO would help MPTCP.
     pub rto_rows: Vec<(String, f64, f64)>,
-    /// Every end-of-run audit failure of a sweep or coupling cell, after
-    /// the cell's name; empty when every cell is sound.
+    /// Every end-of-run audit failure of a cell, after the cell's name or
+    /// row label; empty when every cell is sound.
     pub audit: Vec<String>,
 }
 
@@ -113,7 +123,7 @@ fn audit_cell(audit: &mut Vec<String>, cell: &str, sim: &mut Sim<Segment, Host>,
 /// Four single-path XMP flows on a 1 Gbps / 400 µs dumbbell at (β, K).
 fn sweep_point(cfg: &AblationConfig, beta: u32, k: usize, audit: &mut Vec<String>) -> SweepPoint {
     let bdp_packets = 33.0; // 1 Gbps x 400 us / 1500 B
-    let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
+    let mut sim: Sim<Segment, Host> = Sim::new(cfg.dumbbell_seed());
     let db = Dumbbell::build(
         &mut sim,
         4,
@@ -165,7 +175,7 @@ fn sweep_point(cfg: &AblationConfig, beta: u32, k: usize, audit: &mut Vec<String
 /// The coupling ablation on a 300 Mbps bottleneck: a 3-subflow flow vs
 /// three single-path XMP flows; returns the multi-subflow flow's share.
 fn coupling_share(cfg: &AblationConfig, coupled: bool, audit: &mut Vec<String>) -> f64 {
-    let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
+    let mut sim: Sim<Segment, Host> = Sim::new(cfg.dumbbell_seed());
     let db = Dumbbell::build(
         &mut sim,
         4,
@@ -224,8 +234,29 @@ fn coupling_share(cfg: &AblationConfig, coupled: bool, audit: &mut Vec<String>) 
     rate / 300e6
 }
 
-/// Run all three ablations.
-pub fn run(cfg: &AblationConfig) -> AblationResult {
+/// One suite leg, named `label`: `fattree.scn`'s quick cell of `kind`
+/// under `scheme`, sized and seeded by `cfg`, then `edit`ed. Its audit
+/// failures go onto `audit`, after `label`.
+fn leg(
+    cfg: &AblationConfig,
+    (kind, scheme): (Pattern, Scheme),
+    label: &str,
+    edit: impl FnOnce(&mut Scenario),
+    audit: &mut Vec<String>,
+) -> Result<SuiteResult, String> {
+    let (mut sc, v) = quick_cell(kind, scheme);
+    sc.seed = cfg.seed.unwrap_or(sc.seed);
+    if let Some(p) = sc.paper.pattern.as_mut().filter(|_| !cfg.quick_legs) {
+        (sc.k, p.flows, p.min_jobs, p.max_sim_us) = (8, 150, 30, 30_000_000);
+    }
+    edit(&mut sc);
+    let run = run_suite(&sc, &v)?;
+    audit.extend(run.audit.into_iter().map(|f| format!("{label}: {f}")));
+    Ok(run.result)
+}
+
+/// Run all three ablations. An `Err` is a suite leg that does not build.
+pub fn run(cfg: &AblationConfig) -> Result<AblationResult, String> {
     let mut audit = Vec::new();
     let mut sweep = Vec::new();
     for &beta in &cfg.betas {
@@ -237,59 +268,42 @@ pub fn run(cfg: &AblationConfig) -> AblationResult {
         coupling_share(cfg, true, &mut audit),
         coupling_share(cfg, false, &mut audit),
     );
-    let olia_rows = [Scheme::xmp(2), Scheme::lia(2), Scheme::Olia { subflows: 2 }]
-        .iter()
-        .map(|&s| {
-            let r = run_suite(&SuiteConfig {
-                scheme: s,
-                ..cfg.suite.clone()
-            });
-            (s.label(), r.avg_goodput_bps)
-        })
-        .collect();
-    let routing_rows = [
-        ("two-level (paper)", xmp_topo::RoutingMode::TwoLevel),
-        ("per-flow ECMP", xmp_topo::RoutingMode::EcmpPerFlow),
-    ]
-    .iter()
-    .map(|&(label, mode)| {
-        let r = run_suite(&SuiteConfig {
-            routing: mode,
-            ..cfg.suite.clone()
-        });
-        (label.to_string(), r.avg_goodput_bps)
-    })
-    .collect();
-    let rto_rows = [
+    let perm = |s| (Pattern::Permutation, s);
+    let mut olia_rows = Vec::new();
+    for s in [Scheme::xmp(2), Scheme::lia(2), Scheme::Olia { subflows: 2 }] {
+        let r = leg(cfg, perm(s), &s.label(), |_| {}, &mut audit)?;
+        olia_rows.push((s.label(), r.avg_goodput_bps));
+    }
+    let mut routing_rows = Vec::new();
+    for (label, routing) in [
+        ("two-level (paper)", RoutingMode::TwoLevel),
+        ("per-flow ECMP", RoutingMode::EcmpPerFlow),
+    ] {
+        let route = |sc: &mut Scenario| sc.routing = routing;
+        let r = leg(cfg, perm(Scheme::xmp(2)), label, route, &mut audit)?;
+        routing_rows.push((label.to_string(), r.avg_goodput_bps));
+    }
+    let mut rto_rows = Vec::new();
+    for (scheme, ms) in [
         (Scheme::lia(2), 200u64),
         (Scheme::lia(2), 10),
         (Scheme::xmp(2), 200),
         (Scheme::xmp(2), 10),
-    ]
-    .iter()
-    .map(|&(scheme, ms)| {
-        let r = run_suite(&SuiteConfig {
-            scheme,
-            pattern: Pattern::Incast,
-            rto_min: SimDuration::from_millis(ms),
-            ..cfg.suite.clone()
-        });
+    ] {
+        let label = format!("{} @ RTOmin {ms}ms", scheme.label());
+        let rto = |sc: &mut Scenario| sc.rto_min_us = ms * 1000;
+        let r = leg(cfg, (Pattern::Incast, scheme), &label, rto, &mut audit)?;
         let jct = r.job_times_ms.as_ref().map_or(0.0, |c| c.median());
-        (
-            format!("{} @ RTOmin {ms}ms", scheme.label()),
-            r.avg_goodput_bps,
-            jct,
-        )
-    })
-    .collect();
-    AblationResult {
+        rto_rows.push((label, r.avg_goodput_bps, jct));
+    }
+    Ok(AblationResult {
         sweep,
         coupling,
         olia_rows,
         routing_rows,
         rto_rows,
         audit,
-    }
+    })
 }
 
 impl fmt::Display for AblationResult {
@@ -351,9 +365,28 @@ mod tests {
             betas: vec![2, 6],
             ks: vec![5, 30],
             window: SimDuration::from_millis(600),
-            seed: 3,
-            suite: SuiteConfig::quick(Scheme::xmp(2), Pattern::Permutation),
+            seed: Some(3),
+            quick_legs: true,
         }
+    }
+
+    /// A suite leg's audit reaches the result's list, named by its row,
+    /// instead of panicking; a sound leg adds nothing to it.
+    #[test]
+    fn a_suite_leg_reports_its_audit() {
+        let mut audit = Vec::new();
+        let small = |sc: &mut Scenario| {
+            let p = sc
+                .paper
+                .pattern
+                .as_mut()
+                .expect("fattree.scn has a [pattern]");
+            (p.flows, p.max_sim_us) = (6, 2_000_000);
+        };
+        let xmp = (Pattern::Permutation, Scheme::xmp(2));
+        let r = leg(&tiny(), xmp, "XMP-2", small, &mut audit).expect("the leg builds");
+        assert!(r.completed_flows >= 6, "{r}");
+        assert_eq!(audit, Vec::<String>::new());
     }
 
     #[test]

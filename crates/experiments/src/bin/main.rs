@@ -13,9 +13,10 @@
 //!   fig6      fairness with 3/2/1/1 subflows (beta 4 vs 6)
 //!   fig7      torus rate compensation (beta 4/5/6)
 //!   failover  goodput through a mid-transfer core-link failure
-//!             (these five run scenarios/paper/<command>.scn, built in)
 //!   fattree   the fat-tree suite: Table 1, Figs. 8/9/10/11, Table 3
+//!             (also as table1, table3, fig8, fig9, fig10, fig11)
 //!   table2    XMP coexistence with LIA / TCP / DCTCP
+//!             (these seven run scenarios/paper/<command>.scn, built in)
 //!   ablation  beta/K sweep, TraSh-coupling ablation, OLIA comparison
 //!   dynamics  Fig.2-style cwnd/queue time series, exported to results/
 //!             (exits 2 naming the path when results/ cannot be written)
@@ -29,33 +30,28 @@
 //!             table2, failover, dynamics
 //! ```
 //!
-//! A paper run exits 2 on a file that does not load or a scenario that does
-//! not build. Every command that simulates ends each cell with the full
-//! end-of-run audit and exits 1 naming a cell whose audit fails.
+//! `--scale`, `--flows` and `--pattern` reach a `[pattern]` run only (`all`:
+//! `fattree` and `table2`), after `--quick`. A flag the command does not
+//! read, a pattern filter that leaves nothing, a file that does not load
+//! or a scenario that does not build exits 2 before anything is simulated.
+//! Every cell ends with the full end-of-run audit; exit 1 names a failure.
 
 use std::time::Instant;
-use xmp_experiments::suite::{self, Pattern, SuiteConfig};
-use xmp_experiments::{ablation, dynamics, hybrid, report, runner, scale, table2};
-use xmp_workloads::Scheme;
+use xmp_experiments::scenario::{pattern_number, PatternSpec, Scenario};
+use xmp_experiments::{ablation, dynamics, hybrid, report, runner, scale};
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Opts {
     quick: bool,
     /// `None`: a scenario file's own seed, 42 for the other commands.
     seed: Option<u64>,
-    scale: u64,
-    flows: usize,
+    scale: Option<u64>,
+    flows: Option<u64>,
     pattern: Option<String>,
 }
 
 fn parse_opts(args: &[String]) -> Opts {
-    let mut o = Opts {
-        quick: false,
-        seed: None,
-        scale: 128,
-        flows: 2000,
-        pattern: None,
-    };
+    let mut o = Opts::default();
     fn arg<T: std::str::FromStr>(flag: &str, val: Option<&String>) -> T {
         let Some(val) = val else {
             eprintln!("{flag} needs a value (e.g. `{flag} 4`)");
@@ -71,16 +67,8 @@ fn parse_opts(args: &[String]) -> Opts {
         match a.as_str() {
             "--quick" => o.quick = true,
             "--seed" => o.seed = Some(arg("--seed", it.next())),
-            "--scale" => {
-                o.scale = arg("--scale", it.next());
-                if o.scale == 0 {
-                    eprintln!(
-                        "--scale 0 is out of range: flow sizes are divided by it, pick 1 or more"
-                    );
-                    std::process::exit(2);
-                }
-            }
-            "--flows" => o.flows = arg("--flows", it.next()),
+            "--scale" => o.scale = Some(arg("--scale", it.next())),
+            "--flows" => o.flows = Some(arg("--flows", it.next())),
             "--pattern" => o.pattern = Some(arg::<String>("--pattern", it.next()).to_lowercase()),
             other => {
                 eprintln!("unknown option {other}");
@@ -94,6 +82,23 @@ fn parse_opts(args: &[String]) -> Opts {
 impl Opts {
     fn seed(&self) -> u64 {
         self.seed.unwrap_or(42)
+    }
+
+    /// Exit 2 naming the first flag given that command `label` does not
+    /// read (`--quick` only if `quick`; `--seed` always).
+    fn only_seed(&self, label: &str, quick: bool) {
+        let given = [
+            ("--quick", self.quick && !quick),
+            ("--scale", self.scale.is_some()),
+            ("--flows", self.flows.is_some()),
+            ("--pattern", self.pattern.is_some()),
+        ];
+        if let Some((flag, _)) = given.iter().find(|g| g.1) {
+            refuse(
+                label,
+                format!("{flag} does not apply: this run does not read it"),
+            );
+        }
     }
 }
 
@@ -110,15 +115,45 @@ fn refuse(label: &str, e: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
-/// One paper run from scenario-file `text`.
-fn run_paper(label: &str, text: &str, o: &Opts) {
+/// Paper run `label` from scenario-file `text`, with `o` applied: `--quick`,
+/// `--seed`, then a `[pattern]`'s `--scale`, `--flows` and `--pattern`.
+fn paper(label: &str, text: &str, o: &Opts) -> Scenario {
     let mut sc = runner::load(text).unwrap_or_else(|e| refuse(label, e));
     if o.quick {
         sc = sc.quick();
     }
     sc.seed = o.seed.unwrap_or(sc.seed);
-    let r = timed(label, || runner::run(&sc)).unwrap_or_else(|e| refuse(label, e));
-    println!("{r}");
+    let Some(p) = sc.paper.pattern.as_mut() else {
+        o.only_seed(label, true);
+        return sc;
+    };
+    let set = |key, n: Option<u64>, was| {
+        let n = n.map(|n| pattern_number(key, n).map_err(|e| format!("--{key} {e}")));
+        n.unwrap_or(Ok(was)).unwrap_or_else(|e| refuse(label, e))
+    };
+    (p.scale, p.flows) = (
+        set("scale", o.scale, p.scale),
+        set("flows", o.flows, p.flows),
+    );
+    if let Some(want) = &o.pattern {
+        let names = PatternSpec::kind_names(&p.kinds);
+        p.kinds.retain(|k| k.name().starts_with(want.as_str()));
+        if p.kinds.is_empty() {
+            let why = format!("unknown pattern, want {names} (or a prefix)");
+            refuse(label, format!("--pattern {want}: {why}"));
+        }
+    }
+    sc
+}
+
+/// Run paper scenario `sc`, named `label`; print its tables.
+fn run_paper(label: &str, sc: &Scenario) {
+    let r = timed(label, || runner::run(sc)).unwrap_or_else(|e| refuse(label, e));
+    for c in &r.cells {
+        eprint!("  -> {}", c.result);
+        eprintln!("  -> profile: {}", c.profile.summary());
+    }
+    print!("{r}");
     exit_on_audit_failures(label, &r.audit_failures());
 }
 
@@ -132,99 +167,15 @@ fn exit_on_audit_failures(label: &str, failures: &[String]) {
     }
 }
 
-/// The committed run `name` (`scenarios/paper/<name>.scn`).
-fn run_committed(name: &str, o: &Opts) {
-    if let Some((_, text)) = runner::PAPER_RUNS.iter().find(|r| r.0 == name) {
-        run_paper(name, text, o);
-    }
-}
-
-fn suite_cfg(o: &Opts, scheme: Scheme, pattern: Pattern) -> SuiteConfig {
-    let mut cfg = if o.quick {
-        SuiteConfig::quick(scheme, pattern)
-    } else {
-        SuiteConfig::new(scheme, pattern)
-    };
-    cfg.seed = o.seed();
-    if !o.quick {
-        cfg.scale = o.scale;
-        cfg.target_flows = o.flows;
-    }
-    cfg
-}
-
-fn run_fattree(o: &Opts) {
-    let schemes = [
-        Scheme::Dctcp,
-        Scheme::lia(2),
-        Scheme::lia(4),
-        Scheme::xmp(2),
-        Scheme::xmp(4),
-    ];
-    let all = [Pattern::Permutation, Pattern::Random, Pattern::Incast];
-    let patterns: Vec<Pattern> = all
-        .iter()
-        .copied()
-        .filter(|p| {
-            o.pattern
-                .as_deref()
-                .is_none_or(|want| p.label().to_lowercase().starts_with(want))
-        })
-        .collect();
-    if patterns.is_empty() {
-        eprintln!(
-            "--pattern {}: unknown pattern, want permutation, random or incast (or a prefix)",
-            o.pattern.as_deref().unwrap_or_default()
-        );
-        std::process::exit(2);
-    }
-    let mut results = Vec::new();
-    let mut failures = Vec::new();
-    for &p in &patterns {
-        for &s in &schemes {
-            let cfg = suite_cfg(o, s, p);
-            let label = format!("{}/{}", s.label(), p.label());
-            let (r, profile, audit) = timed(&label, || suite::run_suite_profiled(&cfg));
-            eprintln!("  -> {r}");
-            eprintln!("  -> profile: {}", profile.summary());
-            failures.extend(audit.into_iter().map(|f| format!("{label}: {f}")));
-            results.push(r);
-        }
-    }
-    println!("{}", suite::render_table1(&results));
-    for &p in &patterns {
-        for t in suite::render_fig8(&results, p) {
-            println!("{t}");
-        }
-    }
-    for t in suite::render_jobs(&results) {
-        println!("{t}");
-    }
-    for &p in &patterns {
-        println!("{}", suite::render_fig10(&results, p));
-    }
-    for &p in &patterns {
-        println!("{}", suite::render_fig11(&results, p));
-    }
-    for &p in &patterns {
-        println!("{}", suite::render_occupancy(&results, p));
-    }
-    exit_on_audit_failures("fattree", &failures);
-}
-
-fn run_table2(o: &Opts) {
-    let mut cfg = if o.quick {
-        table2::Table2Config::quick()
-    } else {
-        table2::Table2Config::default()
-    };
-    cfg.base = suite_cfg(o, Scheme::xmp(2), Pattern::Random);
-    let r = timed("table2", || table2::run(&cfg));
-    println!("{r}");
-    exit_on_audit_failures("table2", &r.audit);
+/// The committed run `name` (`scenarios/paper/<name>.scn`), with `o`
+/// applied.
+fn committed(name: &str, o: &Opts) -> Scenario {
+    let text = runner::PAPER_RUNS.iter().find(|r| r.0 == name).map(|r| r.1);
+    paper(name, text.unwrap_or_default(), o)
 }
 
 fn run_dynamics(o: &Opts) {
+    o.only_seed("dynamics", true);
     let mut cfg = if o.quick {
         dynamics::DynamicsConfig::quick()
     } else {
@@ -279,14 +230,8 @@ fn run_trace_report(paths: &[String]) {
     }
 }
 
-/// One scale cell, `label` naming it.
-fn run_scale(label: &str, sc: xmp_experiments::scenario::Scenario) {
-    let r = timed(label, || scale::run(sc)).unwrap_or_else(|e| refuse(label, e));
-    println!("{r}");
-    exit_on_audit_failures(label, &r.audit);
-}
-
 fn run_hybrid(o: &Opts) {
+    o.only_seed("hybrid", true);
     let mut cfg = if o.quick {
         hybrid::HybridConfig::quick()
     } else {
@@ -302,6 +247,7 @@ fn run_hybrid(o: &Opts) {
 }
 
 fn run_hybrid_million(o: &Opts) {
+    o.only_seed("hybrid million", true);
     let mut cfg = if o.quick {
         hybrid::MillionConfig::quick()
     } else {
@@ -313,86 +259,78 @@ fn run_hybrid_million(o: &Opts) {
     exit_on_audit_failures("hybrid million", &r.audit);
 }
 
+/// Exit 2 with `usage`.
+fn usage(usage: &str) -> ! {
+    eprintln!("usage: xmp-experiments {usage}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("usage: xmp-experiments <run FILE|fig1|fig4|fig6|fig7|fattree|table2|ablation|failover|dynamics|scale|hybrid|trace|all> [--quick] [--seed N] [--scale N] [--flows N] [--pattern P]");
-        std::process::exit(2);
+    let words: Vec<&str> = args.iter().map(String::as_str).collect();
+    // A subcommand word or a file path comes before the flags.
+    let (cmd, rest) = match words[..] {
+        [] => usage("<run FILE|fig1|fig4|fig6|fig7|fattree|table2|ablation|failover|dynamics|scale|hybrid|trace|all> [--quick] [--seed N] [--scale N] [--flows N] [--pattern P]"),
+        ["trace", "report", ..] => return run_trace_report(&args[2..]),
+        ["trace", "export", ..] => ("dynamics".to_string(), &args[2..]),
+        ["trace", ..] => usage("trace <export [--quick] [--seed N] | report [files...]>"),
+        ["run", path, ..] if !path.starts_with("--") => {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| refuse(path, format!("cannot read: {e}")));
+            return run_paper(path, &paper(path, &text, &parse_opts(&args[2..])));
+        }
+        ["run", ..] => usage("run FILE.scn [--quick] [--seed N] [--scale N] [--flows N] [--pattern P]"),
+        [c @ ("scale" | "hybrid"), sub @ ("mega" | "million"), ..] => (format!("{c} {sub}"), &args[2..]),
+        [c, ..] => (c.to_string(), &args[1..]),
     };
-    // `trace` takes file paths, which parse_opts would reject.
-    if cmd == "trace" {
-        match rest.split_first() {
-            Some((sub, tail)) if sub == "export" => run_dynamics(&parse_opts(tail)),
-            Some((sub, tail)) if sub == "report" => run_trace_report(tail),
-            _ => {
-                eprintln!("usage: xmp-experiments trace <export [--quick] [--seed N] | report [files...]>");
-                std::process::exit(2);
-            }
+    let (cmd, o) = (cmd.as_str(), parse_opts(rest));
+    match cmd {
+        "fig1" | "fig4" | "fig6" | "fig7" | "failover" | "table2" => {
+            run_paper(cmd, &committed(cmd, &o))
         }
-        return;
-    }
-    // `hybrid` has a `million` subcommand, which parse_opts would reject.
-    if cmd == "hybrid" {
-        match rest.split_first() {
-            Some((sub, tail)) if sub == "million" => run_hybrid_million(&parse_opts(tail)),
-            _ => run_hybrid(&parse_opts(rest)),
+        "fattree" | "table1" | "fig8" | "fig9" | "fig10" | "fig11" | "table3" => {
+            run_paper("fattree", &committed("fattree", &o))
         }
-        return;
-    }
-    // `scale` has a `mega` subcommand (k = 32 memory-footprint cell).
-    if cmd == "scale" {
-        match rest.split_first() {
-            Some((sub, tail)) if sub == "mega" => {
-                run_scale("scale mega", scale::mega(parse_opts(tail).seed()))
-            }
-            _ => {
-                let o = parse_opts(rest);
-                let cell = if o.quick {
-                    scale::quick
-                } else {
-                    scale::headline
-                };
-                run_scale("scale", cell(o.seed()))
-            }
-        }
-        return;
-    }
-    // `run` takes the scenario file first.
-    if cmd == "run" {
-        let Some((path, tail)) = rest.split_first().filter(|(p, _)| !p.starts_with("--")) else {
-            eprintln!("usage: xmp-experiments run FILE.scn [--quick] [--seed N]");
-            std::process::exit(2);
-        };
-        let o = parse_opts(tail);
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| refuse(path, format!("cannot read: {e}")));
-        run_paper(path, &text, &o);
-        return;
-    }
-    let o = parse_opts(rest);
-    match cmd.as_str() {
-        "fig1" | "fig4" | "fig6" | "fig7" | "failover" => run_committed(cmd, &o),
-        "fattree" | "table1" | "fig8" | "fig9" | "fig10" | "fig11" | "table3" => run_fattree(&o),
-        "table2" => run_table2(&o),
         "dynamics" => run_dynamics(&o),
+        "scale" | "scale mega" => {
+            // The k = 32 memory-footprint cell has no quick form.
+            o.only_seed(cmd, cmd == "scale");
+            let cell = match (cmd, o.quick) {
+                ("scale mega", _) => scale::mega,
+                (_, true) => scale::quick,
+                _ => scale::headline,
+            };
+            let r = timed(cmd, || scale::run(cell(o.seed()))).unwrap_or_else(|e| refuse(cmd, e));
+            println!("{r}");
+            exit_on_audit_failures(cmd, &r.audit);
+        }
+        "hybrid" => run_hybrid(&o),
+        "hybrid million" => run_hybrid_million(&o),
         "ablation" => {
-            let cfg = if o.quick {
+            o.only_seed("ablation", true);
+            let mut cfg = if o.quick {
                 ablation::AblationConfig::quick()
             } else {
                 ablation::AblationConfig::default()
             };
+            cfg.seed = o.seed;
             let r = timed("ablation", || ablation::run(&cfg));
+            let r = r.unwrap_or_else(|e| refuse("ablation", e));
             println!("{r}");
             exit_on_audit_failures("ablation", &r.audit);
         }
         "all" => {
+            // The suite's flags are checked before anything runs.
+            let (fattree, table2) = (committed("fattree", &o), committed("table2", &o));
+            let mut series = o.clone();
+            (series.scale, series.flows, series.pattern) = (None, None, None);
             for fig in ["fig1", "fig4", "fig6", "fig7"] {
-                run_committed(fig, &o);
+                run_paper(fig, &committed(fig, &series));
             }
-            run_fattree(&o);
-            run_table2(&o);
-            run_committed("failover", &o);
-            run_dynamics(&o);
+            run_paper("fattree", &fattree);
+            run_paper("table2", &table2);
+            run_paper("failover", &committed("failover", &series));
+            run_dynamics(&series);
         }
         other => {
             eprintln!("unknown command {other}");

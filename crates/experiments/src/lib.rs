@@ -1,7 +1,7 @@
 //! # xmp-experiments — regenerating every table and figure of the paper
 //!
-//! The time-series runs are scenario files, run by one runner; the rest is
-//! one module per evaluation artifact:
+//! The paper runs are scenario files, run by one runner; the rest is one
+//! module per evaluation artifact:
 //!
 //! | Paper artifact | Where | What it shows |
 //! |---|---|---|
@@ -10,9 +10,9 @@
 //! | Fig. 6 | `scenarios/paper/fig6.scn` | Fairness across flows with 3/2/1/1 subflows, β = 4 vs 6 |
 //! | Fig. 7 | `scenarios/paper/fig7.scn` | Rate compensation on the Fig. 5 torus, β ∈ {4, 5, 6} |
 //! | (extensions) | `scenarios/paper/failover.scn` | goodput through a mid-transfer core-link failure |
-//! | (all of the above) | [`scenario`], [`runner`] | the `.scn` model, [`runner::build`] (the one builder from a scenario to a simulation, for paper runs, simcheck, `scale` and `hybrid`) and the one runner of a paper run |
-//! | Table 1, Figs. 8/10/11 (+ Fig. 9, Table 3 for Incast) | [`suite`] | The fat-tree evaluation |
-//! | Table 2 | [`table2`] | XMP coexistence with LIA / TCP / DCTCP |
+//! | Table 1, Figs. 8/10/11 (+ Fig. 9, Table 3 for Incast) | `scenarios/paper/fattree.scn` | The fat-tree evaluation |
+//! | Table 2 | `scenarios/paper/table2.scn` | XMP coexistence with LIA / TCP / DCTCP |
+//! | (all of the above) | [`scenario`], [`runner`], [`suite`] | the `.scn` model, [`runner::build`] (the one builder from a scenario to a simulation, for paper runs, simcheck, `scale` and `hybrid`), the one runner of a paper run, and the fat-tree suite's cells and tables |
 //! | (extensions) | [`ablation`] | β/K sweep, TraSh-coupling ablation, OLIA |
 //! | Fig. 2 (dynamics) | [`dynamics`] | cwnd/queue/mark time series, exported as JSONL |
 //! | (tooling) | [`report`] | summaries rendered back from exported traces |
@@ -36,7 +36,6 @@ pub mod runner;
 pub mod scale;
 pub mod scenario;
 pub mod suite;
-pub mod table2;
 
 pub use common::TextTable;
 

@@ -1,20 +1,23 @@
 //! The one builder from a [`Scenario`] to a simulation, and the runner
-//! for the paper's time-series runs.
+//! for the paper's runs.
 //!
 //! [`build`] turns any scenario — a paper run's variant, a chaos leg, the
 //! `scale` and `hybrid` cells — into a [`Cell`]: the topology, probes, one
-//! fault plan and every declared flow on one [`Driver`]. Callers keep only
-//! what differs: how the run is windowed and what it reports.
+//! fault plan, every declared flow on one [`Driver`] and the `[pattern]`'s
+//! traffic, started. Callers keep only what differs: how the run is
+//! windowed and what it reports.
 //!
 //! A paper run is a [`Scenario`] with a `[measure]`, such as the committed
-//! `scenarios/paper/*.scn` ([`PAPER_RUNS`]). Per variant it builds the cell,
-//! bins the series with [`RateBins`] (split where a link closes) and ends
-//! with the invariant and conservation audits; a [`Report`] renders the
-//! measure's tables.
+//! `scenarios/paper/*.scn` ([`PAPER_RUNS`]). A time-series run builds one
+//! cell per variant, bins the series with [`RateBins`] (split where a link
+//! closes) and ends with the invariant and conservation audits; a
+//! `[pattern]` run builds one per pattern kind and variant and runs it
+//! with [`suite::run_suite`]. A [`Report`] renders the measure's tables.
 
 use crate::common::{audit_windows, end_of_run_audit, frac, mbps, TextTable};
 use crate::scenario::{indexed, refuse, Column, FaultSpec, LinkAction, LinkRef, Measure, NodeRef};
 use crate::scenario::{Paper, QdiscSpec, Scenario, Shape, Topology, Variant};
+use crate::suite::{self, SuiteRun, Traffic};
 use std::fmt;
 use std::iter::once;
 use xmp_conformance::text::{Field, Table, TextError};
@@ -24,11 +27,13 @@ use xmp_topo::testbed::{Path, TestbedConfig};
 use xmp_topo::torus::TorusConfig;
 use xmp_topo::{Dumbbell, FatTree, FatTreeConfig, ShiftTestbed, Torus};
 use xmp_transport::{ConnKey, HostStack, Segment, StackConfig, SubflowSpec};
-use xmp_workloads::{jain_index, path_spec, Driver, FlowSpecBuilder, Host, RateBins};
+use xmp_workloads::{
+    jain_index, path_spec, Driver, FlowSpecBuilder, Host, PatternConfig, RateBins, Scheme,
+};
 
 /// The committed paper runs by command name, built in so that the commands
 /// work from any directory.
-pub const PAPER_RUNS: [(&str, &str); 5] = [
+pub const PAPER_RUNS: [(&str, &str); 7] = [
     ("fig1", include_str!("../../../scenarios/paper/fig1.scn")),
     ("fig4", include_str!("../../../scenarios/paper/fig4.scn")),
     ("fig6", include_str!("../../../scenarios/paper/fig6.scn")),
@@ -37,11 +42,21 @@ pub const PAPER_RUNS: [(&str, &str); 5] = [
         "failover",
         include_str!("../../../scenarios/paper/failover.scn"),
     ),
+    (
+        "fattree",
+        include_str!("../../../scenarios/paper/fattree.scn"),
+    ),
+    (
+        "table2",
+        include_str!("../../../scenarios/paper/table2.scn"),
+    ),
 ];
 
 /// Parse a paper run: [`Scenario::parse`], with a `[measure]` required and
 /// the chaos-only settings no paper report reads — `horizon_us`,
-/// `probe_interval_us`, `[oracles]` and `[probes]` — refused at their line.
+/// `probe_interval_us`, `[oracles]` and `[probes]` — refused at their line,
+/// and in a `[pattern]` run the time-series ones too: `unit_us`, `bin_us`,
+/// `epochs`, `[flows]` and `[schedule]`.
 pub fn load(text: &str) -> Result<Scenario, TextError> {
     let sc = Scenario::parse(text)?;
     if sc.paper.measure.is_none() {
@@ -51,7 +66,14 @@ pub fn load(text: &str) -> Result<Scenario, TextError> {
     let chaos = |t: &Table<'_>| ["oracles", "probes"].contains(&t.name);
     let key = |f: &Field<'_>| ["horizon_us", "probe_interval_us"].contains(&f.key);
     let why = |name| format!("{name} is a chaos-run setting that no paper report reads");
-    refuse(sc, text, chaos, key, why)
+    let sc = refuse(sc, text, chaos, key, why)?;
+    if sc.paper.pattern.is_none() {
+        return Ok(sc);
+    }
+    let series = |t: &Table<'_>| ["flows", "schedule"].contains(&t.name);
+    let key = |f: &Field<'_>| ["unit_us", "bin_us", "epochs"].contains(&f.key);
+    let why = |name| format!("{name} is a time-series setting that a [pattern] run does not read");
+    refuse(sc, text, series, key, why)
 }
 
 /// A built topology.
@@ -63,13 +85,8 @@ pub enum Net {
 }
 
 impl Net {
-    /// Build `sc`'s topology, marking at `k` where a variant sets it.
-    fn build(sim: &mut Sim<Segment, Host>, sc: &Scenario, k: Option<usize>) -> Result<Net, String> {
-        let qdisc = match (sc.qdisc, k) {
-            (q, None) => q,
-            (QdiscSpec::Ecn { cap, .. }, Some(k)) if k <= cap => QdiscSpec::Ecn { cap, k },
-            (q, Some(k)) => return Err(format!("a variant's k = {k} does not fit qdisc `{q}`")),
-        };
+    /// Build `sc`'s topology, queueing at `qdisc`.
+    fn build(sim: &mut Sim<Segment, Host>, sc: &Scenario, qdisc: QdiscSpec) -> Result<Net, String> {
         let ecn = match qdisc {
             QdiscSpec::Ecn { cap, k } => Ok((cap, k)),
             q => Err(format!("the testbed and ring mark by threshold, not `{q}`")),
@@ -79,7 +96,7 @@ impl Net {
         Ok(match sc.paper.topology {
             Topology::FatTree => {
                 let mut cfg = FatTreeConfig::paper(qdisc.to_config());
-                cfg.k = sc.k;
+                (cfg.k, cfg.routing) = (sc.k, sc.routing);
                 Net::Tree(FatTree::try_build(sim, &cfg, host).map_err(|e| e.to_string())?)
             }
             Topology::Dumbbell(pairs, mbps, rtt_us) => {
@@ -193,29 +210,33 @@ fn port0(src: Addr, dst: Addr) -> Path {
 /// A scenario built and declared, not yet run: the simulation, its
 /// network, the [`Driver`] holding every declared flow, their connections
 /// (`[flows]` lines first, then `[schedule]` flows, each tagged with its
-/// index here), and the `close` events in time order.
+/// index here), the `close` events in time order, and the `[pattern]`'s
+/// traffic.
 pub struct Cell {
     pub sim: Sim<Segment, Host>,
     pub net: Net,
     pub driver: Driver,
     pub conns: Vec<ConnKey>,
     pub(crate) closes: Vec<(SimTime, LinkId)>,
+    pub traffic: Option<Traffic>,
 }
 
 /// The one way from a scenario to a simulation. It sets the tuning, builds
-/// the topology (marking at `variant`'s `k`, if it sets one), installs the
-/// probes and one fault plan — `[faults]` in µs, then `[schedule]`'s `down`
-/// and `up` in epochs — and declares the `[flows]` lines and the
-/// `[schedule]` flows (schemes from `variant`) to one driver. A name the
-/// network does not have, or a host-indexed flow or switch off the fat
-/// tree, is an error naming it.
+/// the topology (queueing at `variant`'s `cap` and `k`, if it sets them),
+/// installs the probes and one fault plan — `[faults]` in µs, then
+/// `[schedule]`'s `down` and `up` in epochs — declares the `[flows]` lines
+/// and the `[schedule]` flows (schemes from `variant`) to one driver, and
+/// starts the `[pattern]`'s first kind on it (`variant`'s scheme, and
+/// `coexist`'s on odd hosts). A name the network does not have, a
+/// host-indexed flow, switch or pattern off the fat tree, or a pattern
+/// variant without a scheme, is an error naming it.
 pub fn build(sc: &Scenario, variant: Option<&Variant>) -> Result<Cell, String> {
     let (p, topology) = (&sc.paper, sc.paper.topology);
     let us = |t: u64| SimTime::ZERO + SimDuration::from_micros(t);
     let at = |epoch: u64| SimTime::ZERO + SimDuration::from_micros(p.unit_us) * epoch;
     let mut sim: Sim<Segment, Host> = Sim::new(sc.seed);
     sim.set_tuning(sc.tuning);
-    let net = Net::build(&mut sim, sc, variant.and_then(|v| v.k))?;
+    let net = Net::build(&mut sim, sc, sc.qdisc_of(variant)?)?;
     let link = |l| net.link(l).ok_or(format!("no link {l} on {topology}"));
     let path = |q: &String| net.path(q).ok_or(format!("no path {q} on {topology}"));
 
@@ -312,12 +333,24 @@ pub fn build(sc: &Scenario, variant: Option<&Variant>) -> Result<Cell, String> {
         }
         conns.push(conn);
     }
+    let traffic = p.pattern.as_ref().map(|spec| {
+        let ft = net.tree();
+        let ft = ft.ok_or_else(|| format!("a [pattern] needs a fat tree, not {topology}"))?;
+        let v = variant.ok_or("the [pattern] takes its scheme from a variant")?;
+        let why = || format!("variant `{}` names no scheme for the [pattern]", v.title);
+        let (scheme, coexist) = (v.scheme.ok_or_else(why)?, v.coexist);
+        let kind = *spec.kinds.first().ok_or("the [pattern] lists no kind")?;
+        let cfg = PatternConfig::new(scheme, sc.seed, spec.scale, usize::MAX);
+        Traffic::start(kind, cfg, coexist, (&mut sim, &mut driver, ft))
+    });
+    let traffic = traffic.transpose()?;
     Ok(Cell {
         sim,
         net,
         driver,
         conns,
         closes,
+        traffic,
     })
 }
 
@@ -340,11 +373,13 @@ pub struct VariantRun {
 }
 
 /// A finished paper run: the scenario as run and one [`VariantRun`] per
-/// variant. `Display` renders the measure's tables.
+/// variant or, for a `[pattern]` run, one [`SuiteRun`] per pattern kind and
+/// variant (kind-major). `Display` renders the measure's tables.
 #[derive(Debug)]
 pub struct Report {
     pub scenario: Scenario,
     pub runs: Vec<VariantRun>,
+    pub cells: Vec<SuiteRun>,
 }
 
 /// Failover's summary of a series around the first `down` and the first
@@ -386,17 +421,37 @@ fn outage(p: &Paper, g: &[f64]) -> Option<Outage> {
     })
 }
 
-/// Run every variant of a paper run.
+/// Run every variant of a paper run, once per pattern kind if it has a
+/// `[pattern]`.
 pub fn run(sc: &Scenario) -> Result<Report, String> {
     let m = sc
         .paper
         .measure
         .as_ref()
         .ok_or("no [measure]: not a paper run")?;
-    let runs = sc.paper.variants.iter().map(|v| run_variant(sc, m, v));
-    let runs = runs.collect::<Result<_, _>>()?;
+    if sc.paper.pattern.is_some() != matches!(m.table, Shape::Suite | Shape::Coexist) {
+        return Err("table = suite or coexist renders a [pattern] run, and nothing else".into());
+    }
+    let (variants, mut cells) = (&sc.paper.variants, Vec::new());
+    for &kind in sc.paper.pattern.iter().flat_map(|p| &p.kinds) {
+        let mut one = sc.clone();
+        if let Some(p) = one.paper.pattern.as_mut() {
+            p.kinds = vec![kind];
+        }
+        for v in variants {
+            cells.push(suite::run_suite(&one, v)?);
+        }
+    }
+    let series = variants.iter().filter(|_| sc.paper.pattern.is_none());
+    let runs = series
+        .map(|v| run_variant(sc, m, v))
+        .collect::<Result<_, _>>()?;
     let scenario = sc.clone();
-    Ok(Report { scenario, runs })
+    Ok(Report {
+        scenario,
+        runs,
+        cells,
+    })
 }
 
 fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, String> {
@@ -464,11 +519,36 @@ fn per_epoch(title: String, head: &str, n: usize) -> TextTable {
 }
 
 impl Report {
-    /// Every audit failure, after its variant's title.
+    /// Every audit failure, after its variant's title (and a cell's
+    /// pattern).
     pub fn audit_failures(&self) -> Vec<String> {
-        let runs = self.scenario.paper.variants.iter().zip(&self.runs);
+        let variants = &self.scenario.paper.variants;
+        let runs = variants.iter().zip(&self.runs);
         let each = runs.flat_map(|(v, r)| r.audit.iter().map(|a| format!("{}: {a}", v.title)));
-        each.collect()
+        let cells = variants.iter().cycle().zip(&self.cells);
+        let cells = cells.flat_map(|(v, c)| {
+            let cell = format!("{}/{}", v.title, c.result.pattern.label());
+            c.audit.iter().map(move |a| format!("{cell}: {a}"))
+        });
+        each.chain(cells).collect()
+    }
+
+    /// Table 2: per cell, its variant's title, queue and the mean goodput
+    /// of each of its two schemes.
+    fn coexist_table(&self, m: &Measure) -> TextTable {
+        let head = [m.head.as_str(), "queue", "XMP", "other"];
+        let mut t = TextTable::new(&m.title).header(head);
+        let variants = self.scenario.paper.variants.iter().cycle();
+        for (v, c) in variants.zip(&self.cells) {
+            let by = &c.result.goodput_by_scheme;
+            let bps = |s: Option<Scheme>| s.and_then(|s| by.get(&s.label()).copied());
+            let mbps = |s| mbps(bps(s).unwrap_or(0.0));
+            let q = self.scenario.qdisc_of(Some(v));
+            let cap = q.map_or(0, |mut q| *q.cap_mut());
+            let (xmp, other) = (mbps(v.scheme), mbps(v.coexist));
+            t.row([v.title.clone(), format!("{cap} pkts"), xmp, other]);
+        }
+        t
     }
 
     /// Whether a flow of the `i`-th series runs in epoch `e`.
@@ -550,9 +630,14 @@ impl fmt::Display for Report {
         let runs = self.scenario.paper.variants.iter().zip(&self.runs);
         let tables: Vec<TextTable> = match m.table {
             Shape::Outage => self.outage_tables(m).into_iter().flatten().collect(),
+            Shape::Suite => suite::render(self.cells.iter().map(|c| &c.result).collect()),
+            Shape::Coexist => vec![self.coexist_table(m)],
             _ => runs.map(|(v, r)| self.variant_table(m, v, r)).collect(),
         };
-        tables.iter().try_for_each(|t| writeln!(f, "{t}"))
+        tables.iter().try_for_each(|t| writeln!(f, "{t}"))?;
+        // The time-series reports have always ended with a blank line more.
+        let suite = matches!(m.table, Shape::Suite | Shape::Coexist);
+        f.write_str(if suite { "" } else { "\n" })
     }
 }
 
@@ -590,6 +675,13 @@ mod tests {
         let wide = head.replace("[[variant]]\n", "[[variant]]\nk = 101\n");
         let sc = load(&format!("{wide}[measure]\n")).expect("parses");
         assert!(run(&sc).unwrap_err().contains("k = 101 does not fit"));
+        // Only a [pattern] run renders, and is rendered by, a suite table.
+        let suite = load(&format!("{head}[measure]\ntable = suite\n")).expect("parses");
+        let mut series = load(PAPER_RUNS[5].1).expect("fattree.scn loads");
+        series.paper.measure = Some(Measure::default());
+        for sc in [suite, series] {
+            assert!(run(&sc).unwrap_err().contains("renders a [pattern] run"));
+        }
     }
 
     /// The chaos sections a paper run shares are honoured or refused, never

@@ -11,17 +11,21 @@
 //!   cross-check, all times in microseconds. A minimized replay file is
 //!   just another scenario file; `simcheck replay` re-executes it exactly.
 //! * a **paper run** (`xmp-experiments run`, `scenarios/paper/*.scn`): the
-//!   optional `[sim]` keys `topology`, `unit_us`, `bin_us` and `epochs`,
-//!   and the sections `[[variant]]` (one table each), `[quick]` (the
-//!   `--quick` overrides), `[schedule]` (flows, joins and link events, in
-//!   epochs of `unit_us`) and `[measure]` (series and table shape). A
-//!   chaos file has none of them, so its text is unchanged.
+//!   optional `[sim]` keys `topology`, `routing`, `unit_us`, `bin_us` and
+//!   `epochs`, and the sections `[[variant]]` (one table each, or one cell
+//!   per pattern kind), `[quick]` (the `--quick` overrides), `[schedule]`
+//!   (flows, joins and link events, in epochs of `unit_us`), `[pattern]`
+//!   (the fat-tree suite's traffic, in place of a schedule) and `[measure]`
+//!   (series and table shape). A chaos file has none of them, so its text
+//!   is unchanged.
 
+use crate::suite::{Pattern, KINDS};
 use std::fmt::{self, Write};
 use std::str::FromStr;
-use xmp_conformance::text::{self, Field, Table, TextError, Value};
+use xmp_conformance::text::{self, Doc, Field, Table, TextError, Value};
 use xmp_des::SimDuration;
 use xmp_netsim::{QdiscConfig, RedMode, SimTuning};
+use xmp_topo::RoutingMode;
 use xmp_workloads::Scheme;
 
 /// The largest fat-tree arity any command builds (`scale mega`); a larger
@@ -212,6 +216,13 @@ impl QdiscSpec {
         }
     }
 
+    /// The capacity in packets, to read or set.
+    pub fn cap_mut(&mut self) -> &mut usize {
+        let (QdiscSpec::DropTail { cap } | QdiscSpec::Ecn { cap, .. } | QdiscSpec::Red { cap, .. }) =
+            self;
+        cap
+    }
+
     fn parse(s: &str) -> Result<QdiscSpec, String> {
         let (kind, params) = kind_params(s)?;
         let q = match kind {
@@ -345,6 +356,11 @@ impl fmt::Display for Topology {
     }
 }
 
+const ROUTINGS: [(&str, RoutingMode); 2] = [
+    ("two_level", RoutingMode::TwoLevel),
+    ("ecmp", RoutingMode::EcmpPerFlow),
+];
+
 /// One flow: `src dst size scheme start_us tags`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowLine {
@@ -409,16 +425,20 @@ fn scheme_parse(s: &str) -> Result<Scheme, String> {
     }
 }
 
-/// `[[variant]]`: one table of a paper run (an outage table's row), titled
-/// `title` after the measure's. Its flows run `scheme` on their first
-/// paths or, without one, XMP at `beta` with a subflow per listed path;
-/// `k` replaces the `[sim]` qdisc's marking threshold.
+/// `[[variant]]`: one table of a paper run (an outage table's row, a
+/// suite's cell), titled `title` after the measure's. Its flows run
+/// `scheme` on their first paths or, without one, XMP at `beta` with a
+/// subflow per listed path; `cap` and `k` replace the `[sim]` qdisc's
+/// capacity and marking threshold. In a `[pattern]` run, `coexist` gives
+/// every odd host its scheme instead (Table 2).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Variant {
     pub title: String,
     pub beta: u32,
     pub scheme: Option<Scheme>,
     pub k: Option<usize>,
+    pub cap: Option<usize>,
+    pub coexist: Option<Scheme>,
 }
 
 impl Variant {
@@ -429,13 +449,113 @@ impl Variant {
     }
 }
 
-/// `[quick]`: the `unit_us`, `bin_us` and number of leading `variants` a
-/// `--quick` run takes instead.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// `[quick]`: what a `--quick` run takes instead — `unit_us`, `bin_us`,
+/// the tree's `k`, the `[pattern]` (its keys set here over the file's),
+/// and `variants` variants after the first `skip`.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Quick {
     pub unit_us: Option<u64>,
     pub bin_us: Option<u64>,
+    pub k: Option<usize>,
+    pub pattern: Option<PatternSpec>,
+    pub skip: Option<usize>,
     pub variants: Option<usize>,
+}
+
+/// The `[pattern]` keys, in file order.
+const PATTERN_KEYS: [&str; 5] = ["kinds", "flows", "min_jobs", "scale", "max_sim_us"];
+
+/// Each numeric `[pattern]` key's least and largest value, and its range
+/// as a refusal states it.
+const PATTERN_NUMBERS: [(&str, u64, u64, &str); 4] = [
+    ("flows", 1, 1_000_000, "pick 1..=1000000 large flows"),
+    ("min_jobs", 0, 1_000_000, "pick 0..=1000000 jobs"),
+    ("scale", 1, u64::MAX, "the size divisor, pick 1 or more"),
+    ("max_sim_us", 1, MAX_UNIT_US, "pick 1..=3600000000 µs"),
+];
+
+/// `n` as the numeric `[pattern]` key `key`, or why it is out of range:
+/// the one check of those keys, for the file, its `[quick]` and the
+/// `--scale` and `--flows` flags alike.
+pub fn pattern_number(key: &str, n: u64) -> Result<u64, String> {
+    let entry = PATTERN_NUMBERS.iter().find(|e| e.0 == key);
+    let &(_, lo, hi, why) = entry.ok_or(format!("`{key}` is not a numeric [pattern] key"))?;
+    let out = || format!("{n} is out of range: {why}");
+    (lo..=hi).contains(&n).then_some(n).ok_or_else(out)
+}
+
+/// `[pattern]`: a fat-tree suite run (paper §5.2). Each of `kinds` runs
+/// once per variant on the `[sim]` tree: large flows sized by the paper
+/// over `scale`, until `flows` of them complete (and, for Incast,
+/// `min_jobs` jobs) or `max_sim_us` passes. A key the file leaves out
+/// keeps the paper-shaped default.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PatternSpec {
+    pub kinds: Vec<Pattern>,
+    pub flows: u64,
+    pub min_jobs: u64,
+    pub scale: u64,
+    pub max_sim_us: u64,
+}
+
+impl Default for PatternSpec {
+    /// Every kind, 2000 flows, 400 Incast jobs, sizes over 128, 120 s.
+    fn default() -> Self {
+        let (kinds, flows, min_jobs, scale, max_sim_us) =
+            (KINDS.into(), 2000, 400, 128, 120_000_000);
+        PatternSpec {
+            kinds,
+            flows,
+            min_jobs,
+            scale,
+            max_sim_us,
+        }
+    }
+}
+
+impl PatternSpec {
+    /// `kinds` named as a `[pattern]` lists them and `--pattern` matches:
+    /// `a, b or c`.
+    pub fn kind_names(kinds: &[Pattern]) -> String {
+        let names: Vec<String> = kinds.iter().map(Pattern::name).collect();
+        match names.split_last() {
+            Some((last, rest @ [_, ..])) => format!("{} or {last}", rest.join(", ")),
+            _ => names.concat(),
+        }
+    }
+
+    /// The numeric keys' values, in [`PATTERN_NUMBERS`] order.
+    fn numbers(&mut self) -> [&mut u64; 4] {
+        let (f, j) = (&mut self.flows, &mut self.min_jobs);
+        [f, j, &mut self.scale, &mut self.max_sim_us]
+    }
+
+    /// Set `key` to `value`: the one parser of `[pattern]` lines and
+    /// their `[quick]` overrides.
+    fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let all = Self::kind_names(&KINDS);
+        if key == "kinds" {
+            let named = |w: &str| KINDS.into_iter().find(|k| k.name() == w);
+            let kind = |w| named(w).ok_or(format!("unknown kind `{w}` (want {all})"));
+            let words = value.split_whitespace();
+            self.kinds = words.map(kind).collect::<Result<_, _>>()?;
+            let none = format!("kinds lists none (want {all})");
+            return (!self.kinds.is_empty()).then_some(()).ok_or(none);
+        }
+        let n = value.parse();
+        let n = n.map_err(|_| format!("bad number `{value}` for {key}"))?;
+        let i = PATTERN_NUMBERS.iter().position(|e| e.0 == key);
+        *self.numbers()[i.unwrap_or_default()] =
+            pattern_number(key, n).map_err(|e| format!("{key} = {e}"))?;
+        Ok(())
+    }
+
+    /// Each key's value, as written, in [`PATTERN_KEYS`] order.
+    fn values(&self) -> Vec<String> {
+        let kinds: Vec<String> = self.kinds.iter().map(Pattern::name).collect();
+        let numbers = self.clone().numbers().map(|n| n.to_string());
+        [kinds.join(" ")].into_iter().chain(numbers).collect()
+    }
 }
 
 /// A `[schedule]` flow, unbounded: it runs over epochs `start..stop`
@@ -468,20 +588,26 @@ const LINK_ACTIONS: [(&str, LinkAction); 3] = [
 ];
 
 /// A paper run's tables: per variant, one row per epoch (`epochs`) or per
-/// series (`series`); or failover's `outage` summary of the first series
-/// around the first `down`, one row per variant, then its per-bin goodput.
+/// series (`series`); failover's `outage` summary of the first series
+/// around the first `down`, one row per variant, then its per-bin goodput;
+/// or, over a `[pattern]`'s cells, the fat-tree `suite` (Tables 1 and 3,
+/// Figs. 8–11) or the `coexist` table (Table 2), one row per variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Shape {
     #[default]
     Epochs,
     Series,
     Outage,
+    Suite,
+    Coexist,
 }
 
-const SHAPES: [(&str, Shape); 3] = [
+const SHAPES: [(&str, Shape); 5] = [
     ("epochs", Shape::Epochs),
     ("series", Shape::Series),
     ("outage", Shape::Outage),
+    ("suite", Shape::Suite),
+    ("coexist", Shape::Coexist),
 ];
 
 /// A column of a paper table.
@@ -529,8 +655,8 @@ impl Measure {
 /// A scenario's paper run, empty in a chaos run: the network, the epoch
 /// (`unit_us`; every `[schedule]` time counts epochs), the sampling bin
 /// (`None`: one per epoch), the epochs run, the `--quick` overrides, the
-/// variants, the flows, the `(epoch, action, link)` events, and the
-/// measure that makes it a paper run.
+/// variants, the flows, the `(epoch, action, link)` events, the suite's
+/// traffic, and the measure that makes it a paper run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Paper {
     pub topology: Topology,
@@ -541,6 +667,7 @@ pub struct Paper {
     pub variants: Vec<Variant>,
     pub flows: Vec<PlannedFlow>,
     pub links: Vec<(u64, LinkAction, LinkRef)>,
+    pub pattern: Option<PatternSpec>,
     pub measure: Option<Measure>,
 }
 
@@ -560,6 +687,8 @@ pub struct Scenario {
     pub tuning: SimTuning,
     /// Queue discipline on every port.
     pub qdisc: QdiscSpec,
+    /// The fat tree's uplink choice.
+    pub routing: RoutingMode,
     /// Probe sampling interval, microseconds.
     pub probe_interval_us: u64,
     /// Re-sliced oracle legs: for each `n`, one more run cut into
@@ -591,16 +720,38 @@ impl Scenario {
         self.k * self.k * self.k / 4
     }
 
-    /// The `--quick` form of a paper run: `[quick]`'s epoch and bin, and
-    /// its first variants.
+    /// The `--quick` form of a paper run: `[quick]`'s epoch, bin, tree and
+    /// pattern, and its variants.
     pub fn quick(&self) -> Scenario {
         let mut sc = self.clone();
         if let Some(q) = sc.paper.quick.take() {
-            sc.paper.unit_us = q.unit_us.unwrap_or(sc.paper.unit_us);
-            sc.paper.bin_us = q.bin_us.or(sc.paper.bin_us);
-            sc.paper.variants.truncate(q.variants.unwrap_or(usize::MAX));
+            let p = &mut sc.paper;
+            p.unit_us = q.unit_us.unwrap_or(p.unit_us);
+            p.bin_us = q.bin_us.or(p.bin_us);
+            sc.k = q.k.unwrap_or(sc.k);
+            p.pattern = q.pattern.or(p.pattern.take());
+            p.variants
+                .drain(..q.skip.unwrap_or(0).min(p.variants.len()));
+            p.variants.truncate(q.variants.unwrap_or(usize::MAX));
         }
         sc
+    }
+
+    /// The qdisc `v` runs: `[sim]`'s, with the variant's `cap` and `k`.
+    pub fn qdisc_of(&self, v: Option<&Variant>) -> Result<QdiscSpec, String> {
+        let (mut q, (cap, k)) = (self.qdisc, v.map_or((None, None), |v| (v.cap, v.k)));
+        if let Some(cap) = cap {
+            *q.cap_mut() = cap;
+        }
+        let mark = match q {
+            QdiscSpec::Ecn { k, .. } => Some(k),
+            _ => None,
+        };
+        match (q, k.or(mark)) {
+            (QdiscSpec::Ecn { cap, .. }, Some(k)) if k <= cap => Ok(QdiscSpec::Ecn { cap, k }),
+            (q, None) => Ok(q),
+            (q, Some(k)) => Err(format!("a variant's k = {k} does not fit qdisc `{q}`")),
+        }
     }
 
     /// Serialize to the scenario-file text format (round-trips through
@@ -621,6 +772,9 @@ impl Scenario {
         let p = &self.paper;
         if p.topology != Topology::FatTree {
             let _ = writeln!(s, "topology = {}", p.topology);
+        }
+        if self.routing != RoutingMode::default() {
+            let _ = writeln!(s, "routing = {}", name_of(&ROUTINGS, &self.routing));
         }
         if p.unit_us != 0 {
             let _ = writeln!(s, "unit_us = {}", p.unit_us);
@@ -665,9 +819,10 @@ impl Scenario {
 
     /// Parse the text format: a walk over [`text::parse`]'s tables. Keys
     /// outside a section, unknown sections or keys, quoted or malformed
-    /// values, missing required `[sim]` keys and a variant's scheme with
-    /// more subflows than a flow lists paths are all reported with their
-    /// line number. A scalar key given twice keeps its last value; `flow`,
+    /// values, missing required `[sim]` keys, a variant's scheme with more
+    /// subflows than a flow lists paths, and a `[quick]` pattern key, `cap`
+    /// or `coexist` in a file without a `[pattern]` are all reported with
+    /// their line number. A scalar key given twice keeps its last value; `flow`,
     /// fault, `watch` and the paper sections' lines accumulate in order.
     pub fn parse(text: &str) -> Result<Scenario, TextError> {
         let doc = text::parse(text)?;
@@ -680,7 +835,15 @@ impl Scenario {
             let p = &mut sc.paper;
             match (t.name, t.array) {
                 ("variant", true) => p.variants.push(variant(t)?),
-                ("quick", false) => p.quick = Some(quick(t, p.quick.unwrap_or_default())?),
+                ("quick", false) => p.quick = Some(quick(t, p.quick.take().unwrap_or_default())?),
+                ("pattern", false) => {
+                    let spec = p.pattern.get_or_insert_with(PatternSpec::default);
+                    for f in &t.fields {
+                        let known = PATTERN_KEYS.contains(&f.key);
+                        known.then_some(()).ok_or_else(|| unknown(f, t))?;
+                        spec.set(f.key, f.bare()?).map_err(|m| f.err(m))?;
+                    }
+                }
                 ("schedule", false) => schedule(t, p, &mut flow_lines)?,
                 ("measure", false) => measure(t, p.measure.get_or_insert_with(Measure::default))?,
                 (name, false) if CHAOS_SECTIONS.contains(&name) => {
@@ -691,9 +854,11 @@ impl Scenario {
                 _ => return Err(t.err(format!("unknown section {}", t.header()))),
             }
         }
+        pattern_rules(&mut sc.paper, &doc)?;
         let p = &sc.paper;
         let required: &[&str] = match (&p.measure, p.topology) {
             (None, _) => &["seed", "k", "horizon_us"],
+            (Some(_), _) if p.pattern.is_some() => &["seed", "k"],
             (Some(_), Topology::FatTree) => &["seed", "k", "unit_us", "epochs"],
             (Some(_), _) => &["seed", "unit_us", "epochs"],
         };
@@ -736,7 +901,8 @@ impl Scenario {
 impl Default for Scenario {
     /// What a file that sets no key describes: no tree, traffic, faults or
     /// probes; a 200 ms minimum RTO, the paper's ECN marking at K = 10 on
-    /// 100-packet queues and probes every 500 µs once one is placed.
+    /// 100-packet queues, its two-level routing, and probes every 500 µs
+    /// once one is placed.
     fn default() -> Self {
         Scenario {
             seed: 0,
@@ -745,6 +911,7 @@ impl Default for Scenario {
             rto_min_us: 200_000,
             tuning: SimTuning::default(),
             qdisc: QdiscSpec::Ecn { cap: 100, k: 10 },
+            routing: RoutingMode::TwoLevel,
             probe_interval_us: 500,
             slices: Vec::new(),
             inject_divergence: false,
@@ -782,13 +949,7 @@ fn chaos_field(sc: &mut Scenario, section: &str, f: &Field<'_>) -> Result<(), Te
     let msg = |m: String| f.err(m);
     match (section, f.key) {
         ("sim", "seed") => sc.seed = f.parse("integer")?,
-        ("sim", "k") => match f.parse("integer")? {
-            k if k > MAX_K => {
-                let why = "the largest tree any command builds";
-                return Err(msg(format!("k = {k} is above {MAX_K}, {why}")));
-            }
-            k => sc.k = k,
-        },
+        ("sim", "k") => sc.k = tree_k(f)?,
         ("sim", "horizon_us") => sc.horizon_us = micros(f, f.key, f.bare()?, 0)?,
         ("sim", "rto_min_us") => sc.rto_min_us = micros(f, f.key, f.bare()?, 0)?,
         ("sim", "drop_unroutable") => sc.tuning.drop_unroutable = f.parse("bool")?,
@@ -796,6 +957,11 @@ fn chaos_field(sc: &mut Scenario, section: &str, f: &Field<'_>) -> Result<(), Te
         // Zero would stall the probe clock (`ProbeConfig::every`).
         ("sim", "probe_interval_us") => sc.probe_interval_us = micros(f, f.key, f.bare()?, 1)?,
         ("sim", "topology") => sc.paper.topology = Topology::parse(f.bare()?).map_err(msg)?,
+        ("sim", "routing") => {
+            let word = f.bare()?;
+            let want = || msg(format!("bad routing `{word}` (want two_level or ecmp)"));
+            sc.routing = named(&ROUTINGS, word).ok_or_else(want)?;
+        }
         ("sim", "unit_us") => sc.paper.unit_us = unit(f)?,
         ("sim", "bin_us") => sc.paper.bin_us = Some(unit(f)?),
         ("sim", "epochs") => sc.paper.epochs = epoch(f, f.bare()?)?,
@@ -835,6 +1001,17 @@ fn chaos_field(sc: &mut Scenario, section: &str, f: &Field<'_>) -> Result<(), Te
     Ok(())
 }
 
+/// A fat-tree arity, at most [`MAX_K`].
+fn tree_k(f: &Field<'_>) -> Result<usize, TextError> {
+    match f.parse("integer")? {
+        k if k > MAX_K => {
+            let why = "the largest tree any command builds";
+            Err(f.err(format!("k = {k} is above {MAX_K}, {why}")))
+        }
+        k => Ok(k),
+    }
+}
+
 /// `word` as a number in `min..=max`.
 fn bounded(f: &Field<'_>, word: &str, min: u64, max: u64) -> Result<u64, TextError> {
     match f.parse_word(word, "number")? {
@@ -869,14 +1046,21 @@ fn unknown(f: &Field<'_>, t: &Table<'_>) -> TextError {
     f.err(format!("unknown key `{}` in section {}", f.key, t.header()))
 }
 
+/// A count in `min..=u32::MAX`.
+fn count(f: &Field<'_>, min: u64) -> Result<usize, TextError> {
+    Ok(bounded(f, f.bare()?, min, u32::MAX.into())? as usize)
+}
+
 /// A `[[variant]]` table.
 fn variant(t: &Table<'_>) -> Result<Variant, TextError> {
-    let (title, beta, scheme, k) = (String::new(), 4, None, None);
+    let (title, beta, scheme, k, cap, coexist) = (String::new(), 4, None, None, None, None);
     let mut v = Variant {
         title,
         beta,
         scheme,
         k,
+        cap,
+        coexist,
     };
     for f in &t.fields {
         let msg = |m: String| f.err(m);
@@ -884,24 +1068,55 @@ fn variant(t: &Table<'_>) -> Result<Variant, TextError> {
             "title" => v.title = f.bare()?.into(),
             "beta" => v.beta = beta_parse(f.bare()?).map_err(msg)?,
             "scheme" => v.scheme = Some(scheme_parse(f.bare()?).map_err(msg)?),
-            "k" => v.k = Some(bounded(f, f.bare()?, 1, u32::MAX.into())? as usize),
+            "coexist" => v.coexist = Some(scheme_parse(f.bare()?).map_err(msg)?),
+            "k" => v.k = Some(count(f, 1)?),
+            "cap" => v.cap = Some(count(f, 1)?),
             _ => return Err(unknown(f, t)),
         }
     }
     Ok(v)
 }
 
-/// A `[quick]` table, over what an earlier one set.
+/// A `[quick]` table, over what an earlier one set. Its `[pattern]` keys
+/// are set over the file's `[pattern]` once that is read.
 fn quick(t: &Table<'_>, mut q: Quick) -> Result<Quick, TextError> {
     for f in &t.fields {
         match f.key {
             "unit_us" => q.unit_us = Some(unit(f)?),
             "bin_us" => q.bin_us = Some(unit(f)?),
-            "variants" => q.variants = Some(bounded(f, f.bare()?, 1, u32::MAX.into())? as usize),
+            "k" => q.k = Some(tree_k(f)?),
+            "skip" => q.skip = Some(count(f, 0)?),
+            "variants" => q.variants = Some(count(f, 1)?),
+            key if PATTERN_KEYS.contains(&key) => {}
             _ => return Err(unknown(f, t)),
         }
     }
     Ok(q)
+}
+
+/// What needs a `[pattern]`, checked once the whole file is read: a
+/// variant's `cap` and `coexist`, and `[quick]`'s pattern keys, set over
+/// the file's `[pattern]`.
+fn pattern_rules(p: &mut Paper, doc: &Doc<'_>) -> Result<(), TextError> {
+    let fields = |name| doc.tables.iter().filter(move |t| t.name == name);
+    let fields = |name| fields(name).flat_map(|t| &t.fields);
+    let quick: Vec<_> = fields("quick")
+        .filter(|f| PATTERN_KEYS.contains(&f.key))
+        .collect();
+    let only = fields("variant").filter(|f| ["cap", "coexist"].contains(&f.key));
+    let Some(spec) = &p.pattern else {
+        let first = only.chain(quick).min_by_key(|f| f.line);
+        let needs = |f: &Field<'_>| f.err(format!("`{}` needs a [pattern]", f.key));
+        return first.map_or(Ok(()), |f| Err(needs(f)));
+    };
+    let mut over = spec.clone();
+    for f in &quick {
+        over.set(f.key, f.bare()?).map_err(|m| f.err(m))?;
+    }
+    if let Some(q) = p.quick.as_mut().filter(|_| !quick.is_empty()) {
+        q.pattern = Some(over);
+    }
+    Ok(())
 }
 
 /// A `[schedule]` table: `flow = name start stop path…` (stop `-`: never),
@@ -992,27 +1207,43 @@ impl Paper {
             s.push_str(&line);
             s.push('\n');
         };
-        if let Some(q) = self.quick {
+        if self.pattern.is_some() {
+            out("\n[pattern]".into());
+        }
+        let pattern = self.pattern.iter().flat_map(PatternSpec::values);
+        for (key, v) in PATTERN_KEYS.iter().zip(pattern) {
+            out(format!("{key} = {v}"));
+        }
+        if let Some(q) = &self.quick {
             out("\n[quick]".into());
             let (unit, bin, n) = (q.unit_us, q.bin_us, q.variants.map(|n| n as u64));
-            for (key, v) in [("unit_us", unit), ("bin_us", bin), ("variants", n)] {
+            let (k, skip) = (q.k.map(|k| k as u64), q.skip.map(|n| n as u64));
+            let keys = [("unit_us", unit), ("bin_us", bin), ("k", k), ("skip", skip)];
+            for (key, v) in keys.into_iter().chain([("variants", n)]) {
                 if let Some(v) = v {
                     out(format!("{key} = {v}"));
                 }
             }
+            let pattern = q.pattern.iter().flat_map(PatternSpec::values);
+            for (key, v) in PATTERN_KEYS.iter().zip(pattern) {
+                out(format!("{key} = {v}"));
+            }
         }
         for v in &self.variants {
-            let scheme = v
-                .scheme
-                .map(|x| format!("\nscheme = {}", scheme_to_text(x)));
-            let (scheme, k) = (
-                scheme.unwrap_or_default(),
-                v.k.map(|k| format!("\nk = {k}")),
-            );
-            let (title, beta, k) = (&v.title, v.beta, k.unwrap_or_default());
             out(format!(
-                "\n[[variant]]\ntitle = {title}\nbeta = {beta}{scheme}{k}"
+                "\n[[variant]]\ntitle = {}\nbeta = {}",
+                v.title, v.beta
             ));
+            for (key, s) in [("scheme", v.scheme), ("coexist", v.coexist)] {
+                if let Some(s) = s {
+                    out(format!("{key} = {}", scheme_to_text(s)));
+                }
+            }
+            for (key, n) in [("k", v.k), ("cap", v.cap)] {
+                if let Some(n) = n {
+                    out(format!("{key} = {n}"));
+                }
+            }
         }
         if !self.flows.is_empty() || !self.links.is_empty() {
             out("\n[schedule]".into());
@@ -1376,6 +1607,109 @@ mod tests {
         assert!(e.msg.contains("xmp-experiments run"), "{e}");
         let chaos = "[sim]\nseed = 1\nk = 4\nhorizon_us = 9\ntopology = fattree\n";
         Scenario::parse_chaos(chaos).expect("a fat tree named as such is a chaos run");
+    }
+
+    /// The committed fat-tree suite files round-trip through `to_text`, and
+    /// `--quick` takes their `[quick]` tree, pattern keys and variants.
+    #[test]
+    fn pattern_runs_round_trip_and_go_quick() {
+        for name in ["fattree", "table2"] {
+            let text = crate::runner::PAPER_RUNS
+                .iter()
+                .find(|r| r.0 == name)
+                .expect("committed")
+                .1;
+            let sc = Scenario::parse(text).expect("parses");
+            assert_eq!(Scenario::parse(&sc.to_text()).as_ref(), Ok(&sc), "{name}");
+            let q = sc.quick();
+            let p = q.paper.pattern.as_ref().expect("a [pattern] run");
+            assert_eq!(
+                (q.k, p.flows, p.max_sim_us, p.scale),
+                (4, 40, 20_000_000, 128),
+                "{name}"
+            );
+        }
+        let text = crate::runner::PAPER_RUNS
+            .iter()
+            .find(|r| r.0 == "table2")
+            .expect("committed")
+            .1;
+        let q = Scenario::parse(text).expect("parses").quick();
+        let v = &q.paper.variants;
+        assert_eq!(
+            (v.len(), v[0].title.as_str(), v[0].cap),
+            (1, "XMP : TCP", Some(50))
+        );
+    }
+
+    /// Bad `[pattern]` input, and what only a `[pattern]` run may set, is
+    /// refused at its line.
+    #[test]
+    fn pattern_lines_are_checked_at_their_line() {
+        let head = "[sim]\nseed = 1\nk = 4\n";
+        let run = "[[variant]]\nscheme = dctcp\n[measure]\ntable = suite\n";
+        let pattern = |key: &str| format!("{head}[pattern]\n{key}\n{run}");
+        for (text, line, what) in [
+            (
+                pattern("kinds = perm shuffle"),
+                5,
+                "unknown kind `perm` (want permutation, random or incast)",
+            ),
+            (pattern("kinds ="), 5, "kinds lists none"),
+            (
+                pattern("scale = 0"),
+                5,
+                "scale = 0 is out of range: the size divisor, pick 1 or more",
+            ),
+            (
+                pattern("max_sim_us = 3600000001"),
+                5,
+                "max_sim_us = 3600000001 is out of range",
+            ),
+            (pattern("flows = 0"), 5, "flows = 0 is out of range"),
+            (pattern("flows = 1000001"), 5, "pick 1..=1000000"),
+            (pattern("min_jobs = 1000001"), 5, "pick 0..=1000000"),
+            (
+                pattern("jobs = 3"),
+                5,
+                "unknown key `jobs` in section [pattern]",
+            ),
+            (
+                format!("{head}[pattern]\n[quick]\nflows = 0\n{run}"),
+                6,
+                "flows = 0 is out of range",
+            ),
+            (
+                format!("{head}routing = spray\n"),
+                4,
+                "bad routing `spray` (want two_level or ecmp)",
+            ),
+            (
+                format!("{head}[quick]\nflows = 9\n{run}"),
+                5,
+                "`flows` needs a [pattern]",
+            ),
+            (
+                format!("{head}[[variant]]\ncap = 50\n"),
+                5,
+                "`cap` needs a [pattern]",
+            ),
+            (
+                format!("{head}[[variant]]\ncoexist = tcp\n"),
+                5,
+                "`coexist` needs a [pattern]",
+            ),
+        ] {
+            let e = Scenario::parse(&text).unwrap_err();
+            assert_eq!(e.line, line, "{text}: {e}");
+            assert!(e.msg.contains(what), "{text}: {e}");
+        }
+        let ecmp = format!("{head}horizon_us = 9\nrouting = ecmp\n");
+        let ecmp = Scenario::parse(&ecmp).expect("parses");
+        assert_eq!(ecmp.routing, RoutingMode::EcmpPerFlow);
+        assert!(ecmp.to_text().contains("routing = ecmp\n"));
+        assert_eq!(Scenario::parse(&ecmp.to_text()).as_ref(), Ok(&ecmp));
+        assert_eq!(pattern_number("scale", 1 << 40), Ok(1 << 40));
     }
 
     #[test]

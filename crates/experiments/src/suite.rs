@@ -1,8 +1,10 @@
 //! The fat-tree evaluation suite (paper Section 5.2): one simulation per
-//! (scheme × traffic pattern), from which Table 1 (average goodput),
-//! Fig. 8 (goodput distributions), Fig. 9 + Table 3 (job completion times),
-//! Fig. 10 (RTT distributions) and Fig. 11 (link utilization by layer) are
-//! all extracted.
+//! (traffic pattern × variant) of a `[pattern]` scenario, from which Table 1
+//! (average goodput), Fig. 8 (goodput distributions), Fig. 9 + Table 3 (job
+//! completion times), Fig. 10 (RTT distributions), Fig. 11 (link
+//! utilization by layer) and Table 2 (coexistence) are all extracted. The
+//! committed runs are `scenarios/paper/fattree.scn` and `table2.scn`;
+//! [`runner::build`] builds each cell and starts its [`Traffic`].
 //!
 //! The paper runs >2000 large flows moving ~600 GB per pattern; the suite
 //! keeps the flow counts and divides flow sizes by `scale`
@@ -10,15 +12,18 @@
 //! EXPERIMENTS.md records the scale used).
 
 use crate::common::{audit_windows, end_of_run_audit, mbps, TextTable};
+use crate::runner::{self, PAPER_RUNS};
+use crate::scenario::{QdiscSpec, Scenario, Variant};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::iter::once;
 use xmp_des::{SimDuration, SimTime};
-use xmp_netsim::{QdiscConfig, Sim, SimTuning};
-use xmp_topo::{FatTree, FatTreeConfig, FlowCategory, LinkLayer, RoutingMode};
-use xmp_transport::{HostStack, Segment, StackConfig};
+use xmp_netsim::SimProfile;
+use xmp_topo::{FatTree, FlowCategory, LinkLayer};
+use xmp_transport::ConnKey;
 use xmp_workloads::{
-    link_utilization, Cdf, Driver, Host, IncastPattern, PatternConfig, PermutationPattern,
-    RandomPattern, Scheme,
+    link_utilization, Cdf, Driver, FlowRecord, FlowSim, IncastPattern, PatternConfig,
+    PermutationPattern, RandomPattern, Scheme,
 };
 
 /// Which of the paper's traffic patterns to run.
@@ -32,6 +37,9 @@ pub enum Pattern {
     Incast,
 }
 
+/// Every pattern, in the paper's order.
+pub const KINDS: [Pattern; 3] = [Pattern::Permutation, Pattern::Random, Pattern::Incast];
+
 impl Pattern {
     /// Table label.
     pub fn label(&self) -> &'static str {
@@ -41,94 +49,11 @@ impl Pattern {
             Pattern::Incast => "Incast",
         }
     }
-}
 
-/// One (scheme, pattern) simulation's configuration.
-#[derive(Clone, Debug)]
-pub struct SuiteConfig {
-    /// Fat-tree port count (paper: 8 → 128 hosts, 80 switches).
-    pub k: usize,
-    /// Scheme for large flows.
-    pub scheme: Scheme,
-    /// Traffic pattern.
-    pub pattern: Pattern,
-    /// Stop after this many completed large flows (paper: >2000).
-    pub target_flows: usize,
-    /// For the Incast pattern, additionally require this many completed
-    /// Jobs before stopping (the JCT distributions need the sample size).
-    pub min_jobs: usize,
-    /// Flow-size divisor.
-    pub scale: u64,
-    /// Hard wall on simulated time.
-    pub max_sim: SimDuration,
-    /// Queue capacity in packets (paper: 100).
-    pub queue_cap: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Optional per-host scheme split (Table 2): even hosts get `scheme`,
-    /// odd hosts get this one.
-    pub coexist_with: Option<Scheme>,
-    /// Uplink routing mode (ablation; the paper uses two-level lookup).
-    pub routing: RoutingMode,
-    /// Minimum RTO for every host stack (paper: 200 ms; the fine-grained
-    /// RTO ablation follows Vasudevan et al., discussed in the paper's
-    /// related work).
-    pub rto_min: SimDuration,
-    /// Simulator mode switches (graceful no-route, hybrid).
-    pub tuning: SimTuning,
-    /// Install probes sampling every core link at this interval (`None`,
-    /// the default, schedules nothing; probes observe without perturbing,
-    /// so either way the flow outcomes are the same).
-    pub probe_interval: Option<SimDuration>,
-}
-
-impl SuiteConfig {
-    /// Paper-shaped defaults at a tractable scale.
-    pub fn new(scheme: Scheme, pattern: Pattern) -> Self {
-        SuiteConfig {
-            k: 8,
-            scheme,
-            pattern,
-            target_flows: 2000,
-            min_jobs: 400,
-            scale: 128,
-            max_sim: SimDuration::from_secs(120),
-            queue_cap: 100,
-            seed: 42,
-            coexist_with: None,
-            routing: RoutingMode::TwoLevel,
-            rto_min: SimDuration::from_millis(200),
-            tuning: SimTuning::default(),
-            probe_interval: None,
-        }
-    }
-
-    /// Small variant for benches and tests (k = 4 tree, few flows). Flow
-    /// sizes stay in the multi-megabyte range — scaling them into the
-    /// tens-of-kilobytes regime would turn the paper's *large* flows into
-    /// small ones and invert every comparison.
-    pub fn quick(scheme: Scheme, pattern: Pattern) -> Self {
-        SuiteConfig {
-            k: 4,
-            target_flows: 40,
-            min_jobs: 8,
-            scale: 128,
-            max_sim: SimDuration::from_secs(20),
-            ..SuiteConfig::new(scheme, pattern)
-        }
-    }
-
-    /// Bench/test variant on the full k = 8 tree (XMP needs the path
-    /// diversity of the real topology for the comparative claims).
-    pub fn quick_k8(scheme: Scheme, pattern: Pattern) -> Self {
-        SuiteConfig {
-            k: 8,
-            target_flows: 150,
-            min_jobs: 30,
-            scale: 128,
-            max_sim: SimDuration::from_secs(30),
-            ..SuiteConfig::new(scheme, pattern)
-        }
+    /// The label in lower case: the pattern's name in a `[pattern]`, and
+    /// what `--pattern` matches a prefix of.
+    pub fn name(&self) -> String {
+        self.label().to_lowercase()
     }
 }
 
@@ -179,203 +104,169 @@ fn layer_name(l: LinkLayer) -> &'static str {
     }
 }
 
-/// Switch marking threshold K, packets (paper: 10; the β/K ablation sweeps
-/// K on its own dumbbell).
-const K_MARK: usize = 10;
-
-enum PatternState {
+/// A pattern running on a cell's driver: what [`runner::build`] starts for
+/// a `[pattern]` scenario.
+pub enum Traffic {
     Perm(PermutationPattern),
     Rand(RandomPattern),
     Incast(IncastPattern),
 }
 
-/// Run one (scheme, pattern) simulation.
-///
-/// # Panics
-/// Panics naming the failures if the cell's end-of-run audit fails;
-/// [`run_suite_profiled`] returns them instead.
-pub fn run_suite(cfg: &SuiteConfig) -> SuiteResult {
-    let (r, _, audit) = run_suite_profiled(cfg);
-    assert!(
-        audit.is_empty(),
-        "{} / {}: end-of-run audit failed: {audit:?}",
-        r.scheme,
-        r.pattern.label()
-    );
-    r
-}
-
-/// [`run_suite`], also returning the simulator's profiling counters (event
-/// mix, pool hit rate, wall time in the event loop) and every failure of
-/// the cell's end-of-run audit ([`end_of_run_audit`]; empty when the run
-/// is sound). The counters are costs and the audit a verdict, not
-/// outcomes, so both stay out of [`SuiteResult`] and its determinism
-/// digests.
-pub fn run_suite_profiled(cfg: &SuiteConfig) -> (SuiteResult, xmp_netsim::SimProfile, Vec<String>) {
-    let mut sim: Sim<Segment, Host> = Sim::new(cfg.seed);
-    sim.set_tuning(cfg.tuning);
-    let qdisc = QdiscConfig::EcnThreshold {
-        cap: cfg.queue_cap,
-        k: K_MARK,
-    };
-    let ft_cfg = FatTreeConfig {
-        k: cfg.k,
-        routing: cfg.routing,
-        ..FatTreeConfig::paper(qdisc)
-    };
-    let stack_cfg = StackConfig::default().with_rto_min(cfg.rto_min);
-    let ft = FatTree::build(&mut sim, &ft_cfg, |_| HostStack::new(stack_cfg.clone()));
-    let mut driver = Driver::new();
-
-    if let Some(interval) = cfg.probe_interval {
-        let mut pc = xmp_netsim::ProbeConfig::every(interval).until(SimTime::ZERO + cfg.max_sim);
-        for (_, id) in ft.links_by_layer().filter(|&(l, _)| l == LinkLayer::Core) {
-            pc = pc.watch_queue(id, 0).watch_queue(id, 1);
+impl Traffic {
+    /// Start `kind` on `ft`: `cfg`'s flows, or, with `coexist`, theirs from
+    /// even hosts and `coexist`'s from odd ones (Random only).
+    pub(crate) fn start<S: FlowSim>(
+        kind: Pattern,
+        cfg: PatternConfig,
+        coexist: Option<Scheme>,
+        (sim, driver, ft): (&mut S, &mut Driver, &FatTree),
+    ) -> Result<Traffic, String> {
+        if coexist.is_some() && kind != Pattern::Random {
+            return Err(format!(
+                "coexist needs the Random pattern, not {}",
+                kind.label()
+            ));
         }
-        sim.install_probes(pc);
+        Ok(match kind {
+            Pattern::Permutation => {
+                let mut p = PermutationPattern::new(cfg);
+                p.start(sim, driver, ft);
+                Traffic::Perm(p)
+            }
+            Pattern::Random => {
+                let scheme = cfg.scheme;
+                let mut p = RandomPattern::new(cfg);
+                p.host_schemes = coexist.map(|other| {
+                    let each = |h| if h % 2 == 0 { scheme } else { other };
+                    (0..ft.hosts.len()).map(each).collect()
+                });
+                p.start(sim, driver, ft);
+                Traffic::Rand(p)
+            }
+            Pattern::Incast => {
+                let mut p = IncastPattern::new(cfg);
+                p.start(sim, driver, ft, 8);
+                Traffic::Incast(p)
+            }
+        })
     }
 
-    let pcfg = PatternConfig::new(cfg.scheme, cfg.seed, cfg.scale, usize::MAX);
-    let mut pattern = match cfg.pattern {
-        Pattern::Permutation => {
-            let mut p = PermutationPattern::new(pcfg);
-            p.start(&mut sim, &mut driver, &ft);
-            PatternState::Perm(p)
+    fn on_complete<S: FlowSim>(&mut self, sim: &mut S, d: &mut Driver, ft: &FatTree, c: ConnKey) {
+        match self {
+            Traffic::Perm(p) => p.on_complete(sim, d, ft, c),
+            Traffic::Rand(p) => p.on_complete(sim, d, ft, c),
+            Traffic::Incast(p) => p.on_complete(sim, d, ft, c),
         }
-        Pattern::Random => {
-            let mut p = RandomPattern::new(pcfg);
-            if let Some(other) = cfg.coexist_with {
-                p.host_schemes = Some(
-                    (0..ft.hosts.len())
-                        .map(|h| if h % 2 == 0 { cfg.scheme } else { other })
-                        .collect(),
-                );
-            }
-            p.start(&mut sim, &mut driver, &ft);
-            PatternState::Rand(p)
-        }
-        Pattern::Incast => {
-            let mut p = IncastPattern::new(pcfg);
-            p.start(&mut sim, &mut driver, &ft, 8);
-            PatternState::Incast(p)
-        }
+    }
+}
+
+/// One cell run: what it measured, and — costs and a verdict, not
+/// outcomes, so they stay out of [`SuiteResult`] and its digests — the
+/// simulator's profiling counters (event mix, pool hit rate, wall time in
+/// the event loop) and every failure of its end-of-run audit
+/// ([`end_of_run_audit`]; empty when the run is sound).
+#[derive(Debug)]
+pub struct SuiteRun {
+    pub result: SuiteResult,
+    pub profile: SimProfile,
+    pub audit: Vec<String>,
+}
+
+/// Run one cell: `sc`'s first pattern kind under variant `v`, built by
+/// [`runner::build`] and run in 100 ms slices until `flows` large flows
+/// (and, for Incast, `min_jobs` jobs) have completed or `max_sim_us` has
+/// passed. An `Err` is a scenario that does not build.
+pub fn run_suite(sc: &Scenario, v: &Variant) -> Result<SuiteRun, String> {
+    let spec = sc.paper.pattern.as_ref();
+    let spec = spec.ok_or("no [pattern]: not a suite cell")?;
+    // Occupancy counts time at or above the marking threshold (a queue
+    // that marks otherwise: the paper's K).
+    let k_mark = match sc.qdisc_of(Some(v))? {
+        QdiscSpec::Ecn { k, .. } => k,
+        _ => 10,
+    };
+    let mut cell = runner::build(sc, Some(v))?;
+    let (sim, driver) = (&mut cell.sim, &mut cell.driver);
+    let (Some(traffic), Some(ft), Some(scheme)) = (&mut cell.traffic, cell.net.tree(), v.scheme)
+    else {
+        unreachable!("`build` starts a [pattern] on the fat tree with the variant's scheme")
     };
 
     // Run in short slices until enough large flows completed.
     let slice = SimDuration::from_millis(100);
     let mut large_done = 0usize;
-    let deadline = SimTime::ZERO + cfg.max_sim;
-    let done = |large_done: usize, pattern: &PatternState| {
-        large_done >= cfg.target_flows
-            && match pattern {
-                PatternState::Incast(p) => p.jobs_completed() >= cfg.min_jobs,
-                _ => true,
-            }
+    let deadline = SimTime::ZERO + SimDuration::from_micros(spec.max_sim_us);
+    let done = |large_done: usize, t: &Traffic| match t {
+        Traffic::Incast(p) if (p.jobs_completed() as u64) < spec.min_jobs => false,
+        _ => large_done as u64 >= spec.flows,
     };
-    while sim.now() < deadline && !done(large_done, &pattern) {
+    while sim.now() < deadline && !done(large_done, traffic) {
         let t = (sim.now() + slice).min(deadline);
-        driver.run(&mut sim, t, |sim, d, conn| {
+        driver.run(sim, t, |sim, d, conn| {
             let is_large = d.record(conn).is_some_and(|r| r.tag < 1_000_000);
             if is_large {
                 large_done += 1;
             }
-            match &mut pattern {
-                PatternState::Perm(p) => p.on_complete(sim, d, &ft, conn),
-                PatternState::Rand(p) => p.on_complete(sim, d, &ft, conn),
-                PatternState::Incast(p) => p.on_complete(sim, d, &ft, conn),
-            }
+            traffic.on_complete(sim, d, ft, conn);
         });
     }
-    driver.finalize_running(&mut sim);
-    let mut audit = end_of_run_audit(&sim);
-    audit_windows(&mut sim, &driver, &mut audit);
+    driver.finalize_running(sim);
+    let mut audit = end_of_run_audit(sim);
+    audit_windows(sim, driver, &mut audit);
     let now = sim.now();
 
     // Collect per-flow metrics over completed large flows.
     const ACCESS_BPS: f64 = 1e9;
-    let large = || {
-        driver
-            .records()
-            .filter(|r| r.tag < 1_000_000 && r.completed.is_some())
-    };
-    let avg_goodput_bps = {
-        let (sum, n) = large().fold((0.0, 0usize), |(s, n), r| (s + r.goodput_bps, n + 1));
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    };
+    let completed = |r: &&FlowRecord| r.tag < 1_000_000 && r.completed.is_some();
+    let large = || driver.records().filter(completed);
+    let (sum, n) = large().fold((0.0, 0usize), |(s, n), r| (s + r.goodput_bps, n + 1));
+    let avg_goodput_bps = if n == 0 { 0.0 } else { sum / n as f64 };
     let goodput_cdf = Cdf::new(large().map(|r| r.goodput_bps / ACCESS_BPS));
     let mut by_cat: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
     let mut rtt_cat: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
     for r in large() {
-        if let Some(c) = r.category {
-            by_cat
-                .entry(category_name(c))
-                .or_default()
-                .push(r.goodput_bps / ACCESS_BPS);
+        if let Some(c) = r.category.map(category_name) {
+            let (goodput, rtt) = (r.goodput_bps / ACCESS_BPS, r.mean_rtt_ns as f64 / 1e6);
+            by_cat.entry(c).or_default().push(goodput);
             if r.mean_rtt_ns > 0 {
-                rtt_cat
-                    .entry(category_name(c))
-                    .or_default()
-                    .push(r.mean_rtt_ns as f64 / 1e6);
+                rtt_cat.entry(c).or_default().push(rtt);
             }
         }
     }
-    let mut goodput_by_scheme: BTreeMap<String, f64> = BTreeMap::new();
-    if cfg.coexist_with.is_some() {
-        let mut sums: BTreeMap<String, (f64, usize)> = BTreeMap::new();
-        for r in large() {
-            let e = sums.entry(r.scheme.clone()).or_default();
-            e.0 += r.goodput_bps;
-            e.1 += 1;
-        }
-        for (k, (s, n)) in sums {
-            goodput_by_scheme.insert(k, s / n.max(1) as f64);
-        }
+    let mut sums: BTreeMap<String, (f64, usize)> = BTreeMap::new();
+    for r in large().filter(|_| v.coexist.is_some()) {
+        let e = sums.entry(r.scheme.clone()).or_default();
+        (e.0, e.1) = (e.0 + r.goodput_bps, e.1 + 1);
     }
+    let mean = |(k, (s, n)): (String, (f64, usize))| (k, s / n.max(1) as f64);
+    let goodput_by_scheme = sums.into_iter().map(mean).collect();
 
     // Link utilization and buffer occupancy by layer.
     let mut util_by_layer = BTreeMap::new();
     let mut occupancy_above_k = BTreeMap::new();
     for layer in [LinkLayer::Core, LinkLayer::Aggregation, LinkLayer::Rack] {
-        let ids: Vec<_> = ft
-            .links_by_layer()
-            .filter(|&(l, _)| l == layer)
-            .map(|(_, id)| id)
-            .collect();
-        util_by_layer.insert(
-            layer_name(layer),
-            Cdf::new(link_utilization(&sim, ids.iter().copied(), now)),
-        );
-        let mean_occ = if ids.is_empty() {
-            0.0
-        } else {
-            ids.iter()
-                .map(|&id| {
-                    let l = sim.link(id);
-                    l.dirs[0]
-                        .stats
-                        .occupancy_at_least(K_MARK)
-                        .max(l.dirs[1].stats.occupancy_at_least(K_MARK))
-                })
-                .sum::<f64>()
-                / ids.len() as f64
+        let ids = ft.links_by_layer().filter(|&(l, _)| l == layer);
+        let ids: Vec<_> = ids.map(|(_, id)| id).collect();
+        let util = link_utilization(sim, ids.iter().copied(), now);
+        util_by_layer.insert(layer_name(layer), Cdf::new(util));
+        let busier = |id| {
+            let dirs = &sim.link(id).dirs;
+            let at = |d: usize| dirs[d].stats.occupancy_at_least(k_mark);
+            at(0).max(at(1))
         };
+        let sum = ids.iter().map(|&id| busier(id)).sum::<f64>();
+        let mean_occ = sum / ids.len().max(1) as f64;
         occupancy_above_k.insert(layer_name(layer), mean_occ);
     }
 
-    let job_times_ms = match &pattern {
-        PatternState::Incast(p) if !p.job_times_ms.is_empty() => {
-            Some(Cdf::new(p.job_times_ms.iter().copied()))
-        }
+    let job_times_ms = match traffic {
+        Traffic::Incast(p) if !p.job_times_ms.is_empty() => Some(Cdf::new(p.job_times_ms.clone())),
         _ => None,
     };
 
     let result = SuiteResult {
-        scheme: cfg.scheme.label(),
-        pattern: cfg.pattern,
+        scheme: scheme.label(),
+        pattern: spec.kinds[0],
         avg_goodput_bps,
         goodput_cdf,
         goodput_by_category: by_cat.into_iter().map(|(k, v)| (k, Cdf::new(v))).collect(),
@@ -387,224 +278,201 @@ pub fn run_suite_profiled(cfg: &SuiteConfig) -> (SuiteResult, xmp_netsim::SimPro
         completed_flows: large_done,
         sim_time: now,
     };
-    (result, *sim.profile(), audit)
+    let profile = *sim.profile();
+    Ok(SuiteRun {
+        result,
+        profile,
+        audit,
+    })
 }
 
-/// Run a batch of suite cells across OS threads.
+/// Run a batch of suite cells, each a `(scenario, variant)` for
+/// [`run_suite`], across OS threads.
 ///
-/// Each `(scheme, pattern, seed)` cell is a fully self-contained
-/// simulation — it owns its engine, RNG, topology and flow driver — so the
-/// batch is embarrassingly parallel. Workers pull cell indices from a
-/// shared atomic counter and stream results back over a channel; the batch
-/// returns in **input order** and is byte-identical to calling
-/// [`run_suite`] on each config serially (asserted by the determinism
+/// Each cell is a fully self-contained simulation — it owns its engine,
+/// RNG, topology and flow driver — so the batch is embarrassingly
+/// parallel. Workers pull cell indices from a shared atomic counter and
+/// stream runs back over a channel; the batch returns in **input order**,
+/// each cell with its audit failures, and is byte-identical to calling
+/// [`run_suite`] on each cell serially (asserted by the determinism
 /// regression tests), because no simulation state crosses a thread
 /// boundary and thread scheduling only affects *when* a cell runs, never
 /// what it computes.
 ///
-/// Worker count is `min(available_parallelism, cells)`; a single-core host
-/// degenerates to the serial loop with no thread overhead.
-pub fn run_suite_parallel(cfgs: &[SuiteConfig]) -> Vec<SuiteResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc;
-
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(cfgs.len());
-    if workers <= 1 {
-        return cfgs.iter().map(run_suite).collect();
-    }
-
+/// Worker count is `min(available_parallelism, cells)`.
+pub fn run_suite_parallel(cells: &[(Scenario, Variant)]) -> Vec<Result<SuiteRun, String>> {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    let n = std::thread::available_parallelism().map_or(1, |n| n.get());
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cfgs.len() {
-                    break;
-                }
-                let r = run_suite(&cfgs[i]);
-                if tx.send((i, r)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<SuiteResult>> = (0..cfgs.len()).map(|_| None).collect();
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every cell produces a result"))
-            .collect()
-    })
+    let claim = || Some(next.fetch_add(1, Relaxed)).filter(|&i| i < cells.len());
+    let worker = || {
+        let run = |i: usize| (i, run_suite(&cells[i].0, &cells[i].1));
+        std::iter::from_fn(claim).map(run).collect::<Vec<_>>()
+    };
+    let mut runs: Vec<_> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..n.min(cells.len())).map(|_| s.spawn(worker)).collect();
+        let joined = workers.into_iter().map(|w| w.join());
+        joined.flat_map(|r| r.expect("a cell panicked")).collect()
+    });
+    runs.sort_by_key(|r| r.0);
+    runs.into_iter().map(|r| r.1).collect()
 }
 
-/// Render Table 1 from a set of suite results.
-pub fn render_table1(results: &[SuiteResult]) -> TextTable {
-    let mut patterns: Vec<Pattern> = Vec::new();
-    let mut schemes: Vec<String> = Vec::new();
+/// The committed `fattree.scn` at `--quick` (k = 4, 40 flows, 20 s),
+/// narrowed to one cell: pattern `kind` under a variant titled and running
+/// `scheme`. Ablation's legs and the tests are edits of it.
+pub fn quick_cell(kind: Pattern, scheme: Scheme) -> (Scenario, Variant) {
+    let text = PAPER_RUNS.iter().find(|r| r.0 == "fattree").map(|r| r.1);
+    let sc = runner::load(text.unwrap_or_default()).expect("the committed fattree.scn loads");
+    let mut sc = sc.quick();
+    if let Some(p) = sc.paper.pattern.as_mut() {
+        p.kinds = vec![kind];
+    }
+    // The file's first variant, retitled and rescheduled.
+    let (title, scheme) = (scheme.label(), Some(scheme));
+    let v = Variant {
+        title,
+        scheme,
+        ..sc.paper.variants.swap_remove(0)
+    };
+    sc.paper.variants = vec![v.clone()];
+    (sc, v)
+}
+
+/// `cdf` at each percentile of `ps` (0: its least sample, 100: its
+/// largest), to `digits` decimals.
+fn at(cdf: &Cdf, ps: &[f64], digits: usize) -> Vec<String> {
+    ps.iter()
+        .map(|&p| format!("{:.digits$}", cdf.percentile(p)))
+        .collect()
+}
+
+/// A table titled `title` over the `pattern` results: per result and each
+/// non-empty distribution `of` it names, the scheme, the name and `stats`
+/// of the distribution under `head`.
+fn per_class<'a>(
+    title: &str,
+    head: &[&str],
+    results: &[&'a SuiteResult],
+    pattern: Pattern,
+    of: impl Fn(&'a SuiteResult) -> &'a BTreeMap<&'static str, Cdf>,
+    stats: impl Fn(&Cdf) -> Vec<String>,
+) -> TextTable {
+    let title = format!("{title} ({})", pattern.label());
+    let mut t = TextTable::new(title).header(once(&"scheme").chain(head).copied());
+    for &r in results.iter().filter(|r| r.pattern == pattern) {
+        for (class, cdf) in of(r).iter().filter(|c| !c.1.is_empty()) {
+            t.row(
+                [r.scheme.clone(), class.to_string()]
+                    .into_iter()
+                    .chain(stats(cdf)),
+            );
+        }
+    }
+    t
+}
+
+/// The fat-tree suite's tables from its cells' results: Table 1 (one row
+/// per scheme, one column per pattern); per pattern Fig. 8's goodput CDF
+/// and locality percentiles; Table 3 and Fig. 9 for Incast; then per
+/// pattern Fig. 10's RTTs, Fig. 11's link utilization and the fraction of
+/// time queues sit at or above K (XMP/DCTCP should reach it only briefly;
+/// loss-driven schemes camp above it).
+pub fn render(results: Vec<&SuiteResult>) -> Vec<TextTable> {
+    let results = &results[..];
+    let (mut patterns, mut schemes) = (Vec::new(), Vec::new());
     for r in results {
         if !patterns.contains(&r.pattern) {
             patterns.push(r.pattern);
         }
-        if !schemes.contains(&r.scheme) {
-            schemes.push(r.scheme.clone());
+        if !schemes.contains(&&r.scheme) {
+            schemes.push(&r.scheme);
         }
     }
-    let mut t = TextTable::new("Table 1 — Average Goodput (Mbps)").header(
-        std::iter::once("scheme".to_string()).chain(patterns.iter().map(|p| p.label().into())),
-    );
-    for s in &schemes {
-        let mut row = vec![s.clone()];
-        for p in &patterns {
-            let cell = results
-                .iter()
-                .find(|r| &r.scheme == s && r.pattern == *p)
-                .map_or("-".into(), |r| mbps(r.avg_goodput_bps));
-            row.push(cell);
-        }
-        t.row(row);
+    let of = |p: Pattern| results.iter().filter(move |r| r.pattern == p);
+    let labels = patterns.iter().map(|p| p.label());
+    let mut t1 =
+        TextTable::new("Table 1 — Average Goodput (Mbps)").header(once("scheme").chain(labels));
+    for &s in &schemes {
+        let cell = |&p: &Pattern| {
+            of(p)
+                .find(|r| &r.scheme == s)
+                .map_or("-".into(), |r| mbps(r.avg_goodput_bps))
+        };
+        t1.row(once(s.clone()).chain(patterns.iter().map(cell)));
     }
-    t
-}
-
-/// Render Fig. 8 (goodput distributions: CDF quantiles + per-category
-/// percentiles) for one pattern.
-pub fn render_fig8(results: &[SuiteResult], pattern: Pattern) -> Vec<TextTable> {
-    let mut out = Vec::new();
-    let mut cdf_t = TextTable::new(format!(
-        "Fig.8 — normalized goodput CDF quantiles ({})",
-        pattern.label()
-    ))
-    .header(["scheme", "p10", "p25", "p50", "p75", "p90", "max"]);
-    for r in results.iter().filter(|r| r.pattern == pattern) {
-        if r.goodput_cdf.is_empty() {
-            continue;
+    let mut out = vec![t1];
+    for &p in &patterns {
+        let title = format!("Fig.8 — normalized goodput CDF quantiles ({})", p.label());
+        let mut t =
+            TextTable::new(title).header(["scheme", "p10", "p25", "p50", "p75", "p90", "max"]);
+        for r in of(p).filter(|r| !r.goodput_cdf.is_empty()) {
+            let cells = at(&r.goodput_cdf, &[10.0, 25.0, 50.0, 75.0, 90.0, 100.0], 3);
+            t.row(once(r.scheme.clone()).chain(cells));
         }
-        cdf_t.row([
-            r.scheme.clone(),
-            format!("{:.3}", r.goodput_cdf.percentile(10.0)),
-            format!("{:.3}", r.goodput_cdf.percentile(25.0)),
-            format!("{:.3}", r.goodput_cdf.percentile(50.0)),
-            format!("{:.3}", r.goodput_cdf.percentile(75.0)),
-            format!("{:.3}", r.goodput_cdf.percentile(90.0)),
-            format!("{:.3}", r.goodput_cdf.max()),
+        let title = "Fig.8 — goodput by locality: min/p10/p50/p90/max";
+        let head = ["category", "min", "p10", "p50", "p90", "max"];
+        let locality = |c: &Cdf| at(c, &[0.0, 10.0, 50.0, 90.0, 100.0], 3);
+        out.extend([
+            t,
+            per_class(
+                title,
+                &head,
+                results,
+                p,
+                |r| &r.goodput_by_category,
+                locality,
+            ),
         ]);
     }
-    out.push(cdf_t);
-    let mut cat_t = TextTable::new(format!(
-        "Fig.8 — goodput by locality: min/p10/p50/p90/max ({})",
-        pattern.label()
-    ))
-    .header(["scheme", "category", "min", "p10", "p50", "p90", "max"]);
-    for r in results.iter().filter(|r| r.pattern == pattern) {
-        for (cat, cdf) in &r.goodput_by_category {
-            if cdf.is_empty() {
-                continue;
-            }
-            cat_t.row([
-                r.scheme.clone(),
-                (*cat).into(),
-                format!("{:.3}", cdf.min()),
-                format!("{:.3}", cdf.percentile(10.0)),
-                format!("{:.3}", cdf.percentile(50.0)),
-                format!("{:.3}", cdf.percentile(90.0)),
-                format!("{:.3}", cdf.max()),
-            ]);
-        }
+    out.extend(render_jobs(results));
+    for &p in &patterns {
+        let title = "Fig.10 — per-flow mean RTT in ms: p10/p50/p90";
+        let rtt = |c: &Cdf| at(c, &[10.0, 50.0, 90.0], 2);
+        out.push(per_class(
+            title,
+            &["category", "p10", "p50", "p90"],
+            results,
+            p,
+            |r| &r.rtt_by_category,
+            rtt,
+        ));
     }
-    out.push(cat_t);
+    for &p in &patterns {
+        let title = "Fig.11 — link utilization by layer: min/mean/max";
+        let util = |c: &Cdf| {
+            [c.min(), c.mean(), c.max()]
+                .map(|x| format!("{x:.3}"))
+                .into()
+        };
+        out.push(per_class(
+            title,
+            &["layer", "min", "mean", "max"],
+            results,
+            p,
+            |r| &r.util_by_layer,
+            util,
+        ));
+    }
+    for &p in &patterns {
+        let title = format!(
+            "Buffer occupancy — mean fraction of time queue >= K ({})",
+            p.label()
+        );
+        let layers = ["Core", "Aggregation", "Rack"];
+        let mut t = TextTable::new(title).header(once("scheme").chain(layers));
+        for r in of(p) {
+            let occ = layers
+                .map(|l| format!("{:.3}", r.occupancy_above_k.get(l).copied().unwrap_or(0.0)));
+            t.row(once(r.scheme.clone()).chain(occ));
+        }
+        out.push(t);
+    }
     out
 }
 
-/// Render Fig. 10 (RTT distributions by locality) for one pattern.
-pub fn render_fig10(results: &[SuiteResult], pattern: Pattern) -> TextTable {
-    let mut t = TextTable::new(format!(
-        "Fig.10 — per-flow mean RTT in ms: p10/p50/p90 ({})",
-        pattern.label()
-    ))
-    .header(["scheme", "category", "p10", "p50", "p90"]);
-    for r in results.iter().filter(|r| r.pattern == pattern) {
-        for (cat, cdf) in &r.rtt_by_category {
-            if cdf.is_empty() {
-                continue;
-            }
-            t.row([
-                r.scheme.clone(),
-                (*cat).into(),
-                format!("{:.2}", cdf.percentile(10.0)),
-                format!("{:.2}", cdf.percentile(50.0)),
-                format!("{:.2}", cdf.percentile(90.0)),
-            ]);
-        }
-    }
-    t
-}
-
-/// Render Fig. 11 (link utilization by layer) for one pattern.
-pub fn render_fig11(results: &[SuiteResult], pattern: Pattern) -> TextTable {
-    let mut t = TextTable::new(format!(
-        "Fig.11 — link utilization by layer: min/mean/max ({})",
-        pattern.label()
-    ))
-    .header(["scheme", "layer", "min", "mean", "max"]);
-    for r in results.iter().filter(|r| r.pattern == pattern) {
-        for (layer, cdf) in &r.util_by_layer {
-            if cdf.is_empty() {
-                continue;
-            }
-            t.row([
-                r.scheme.clone(),
-                (*layer).into(),
-                format!("{:.3}", cdf.min()),
-                format!("{:.3}", cdf.mean()),
-                format!("{:.3}", cdf.max()),
-            ]);
-        }
-    }
-    t
-}
-
-/// Render the buffer-occupancy summary for one pattern: fraction of time
-/// queues sit at or above the marking threshold K (per layer, mean over
-/// links). XMP/DCTCP should be near the marking boundary only briefly;
-/// loss-driven schemes camp above it.
-pub fn render_occupancy(results: &[SuiteResult], pattern: Pattern) -> TextTable {
-    let mut t = TextTable::new(format!(
-        "Buffer occupancy — mean fraction of time queue >= K ({})",
-        pattern.label()
-    ))
-    .header(["scheme", "Core", "Aggregation", "Rack"]);
-    for r in results.iter().filter(|r| r.pattern == pattern) {
-        t.row([
-            r.scheme.clone(),
-            format!(
-                "{:.3}",
-                r.occupancy_above_k.get("Core").copied().unwrap_or(0.0)
-            ),
-            format!(
-                "{:.3}",
-                r.occupancy_above_k
-                    .get("Aggregation")
-                    .copied()
-                    .unwrap_or(0.0)
-            ),
-            format!(
-                "{:.3}",
-                r.occupancy_above_k.get("Rack").copied().unwrap_or(0.0)
-            ),
-        ]);
-    }
-    t
-}
-
 /// Render Fig. 9 + Table 3 (job completion times) from the Incast runs.
-pub fn render_jobs(results: &[SuiteResult]) -> Vec<TextTable> {
+fn render_jobs(results: &[&SuiteResult]) -> [TextTable; 2] {
     let mut t3 = TextTable::new("Table 3 — Average Job Completion Time").header([
         "scheme",
         "jobs",
@@ -618,28 +486,21 @@ pub fn render_jobs(results: &[SuiteResult]) -> Vec<TextTable> {
         .header(["scheme", "p10", "p25", "p50", "p75", "p90", "p99", "max"]);
     for r in results.iter().filter(|r| r.pattern == Pattern::Incast) {
         if let Some(jt) = &r.job_times_ms {
+            let pct = |x: f64| format!("{x:.1}%");
             t3.row([
                 r.scheme.clone(),
                 format!("{}", jt.len()),
                 format!("{:.0}", jt.mean()),
                 format!("{:.0}", jt.median()),
-                format!("{:.1}%", 100.0 * jt.fraction_above(300.0)),
-                format!("{:.1}%", 100.0 * (1.0 - jt.fraction_above(20.0))),
-                format!("{:.1}%", 100.0 * (1.0 - jt.fraction_above(100.0))),
+                pct(100.0 * jt.fraction_above(300.0)),
+                pct(100.0 * (1.0 - jt.fraction_above(20.0))),
+                pct(100.0 * (1.0 - jt.fraction_above(100.0))),
             ]);
-            f9.row([
-                r.scheme.clone(),
-                format!("{:.1}", jt.percentile(10.0)),
-                format!("{:.1}", jt.percentile(25.0)),
-                format!("{:.1}", jt.percentile(50.0)),
-                format!("{:.1}", jt.percentile(75.0)),
-                format!("{:.1}", jt.percentile(90.0)),
-                format!("{:.1}", jt.percentile(99.0)),
-                format!("{:.1}", jt.max()),
-            ]);
+            let cells = at(jt, &[10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0], 1);
+            f9.row(once(r.scheme.clone()).chain(cells));
         }
     }
-    vec![t3, f9]
+    [t3, f9]
 }
 
 impl fmt::Display for SuiteResult {
@@ -660,10 +521,43 @@ impl fmt::Display for SuiteResult {
 mod tests {
     use super::*;
 
+    /// [`quick_cell`] at `flows` flows, within `max_sim_us` and from
+    /// `seed`.
+    fn cell(
+        kind: Pattern,
+        scheme: Scheme,
+        flows: u64,
+        max_sim_us: u64,
+        seed: u64,
+    ) -> (Scenario, Variant) {
+        let (mut sc, v) = quick_cell(kind, scheme);
+        let p = sc
+            .paper
+            .pattern
+            .as_mut()
+            .expect("fattree.scn has a [pattern]");
+        (p.flows, p.max_sim_us, sc.seed) = (flows, max_sim_us, seed);
+        (sc, v)
+    }
+
+    /// `sc` on the k = 8 tree to 150 flows (30 Incast jobs) within 30 s.
+    fn on_k8(mut sc: Scenario) -> Scenario {
+        let p = sc.paper.pattern.as_mut().expect("a [pattern] run");
+        (sc.k, p.flows, p.min_jobs, p.max_sim_us) = (8, 150, 30, 30_000_000);
+        sc
+    }
+
+    /// The cell's result; its audit is clean.
+    fn sound(sc: &Scenario, v: &Variant) -> SuiteResult {
+        let run = run_suite(sc, v).expect("the cell builds");
+        assert!(run.audit.is_empty(), "{:?}", run.audit);
+        run.result
+    }
+
     #[test]
     fn quick_suite_runs_and_measures() {
-        let cfg = SuiteConfig::quick(Scheme::xmp(2), Pattern::Permutation);
-        let r = run_suite(&cfg);
+        let (sc, v) = quick_cell(Pattern::Permutation, Scheme::xmp(2));
+        let r = sound(&sc, &v);
         assert!(r.completed_flows >= 50, "{} flows", r.completed_flows);
         assert!(
             r.avg_goodput_bps > 50e6,
@@ -677,14 +571,11 @@ mod tests {
     #[test]
     fn xmp2_beats_dctcp_on_permutation() {
         // Table 1's headline: XMP-2 > DCTCP by exploiting path diversity.
-        let x = run_suite(&SuiteConfig {
-            seed: 9,
-            ..SuiteConfig::quick_k8(Scheme::xmp(2), Pattern::Permutation)
-        });
-        let d = run_suite(&SuiteConfig {
-            seed: 9,
-            ..SuiteConfig::quick_k8(Scheme::Dctcp, Pattern::Permutation)
-        });
+        let run = |scheme| {
+            let (sc, v) = quick_cell(Pattern::Permutation, scheme);
+            sound(&on_k8(Scenario { seed: 9, ..sc }), &v)
+        };
+        let (x, d) = (run(Scheme::xmp(2)), run(Scheme::Dctcp));
         assert!(
             x.avg_goodput_bps > d.avg_goodput_bps,
             "XMP-2 {} <= DCTCP {}",
@@ -695,41 +586,66 @@ mod tests {
 
     #[test]
     fn incast_quick_produces_job_times() {
-        let cfg = SuiteConfig {
-            target_flows: 30,
-            ..SuiteConfig::quick(Scheme::xmp(2), Pattern::Incast)
-        };
-        let r = run_suite(&cfg);
-        let jt = r.job_times_ms.expect("job times recorded");
+        let (sc, v) = cell(Pattern::Incast, Scheme::xmp(2), 30, 20_000_000, 42);
+        let jt = sound(&sc, &v).job_times_ms.expect("job times recorded");
         assert!(jt.len() >= 8, "{} jobs", jt.len());
         assert!(jt.min() > 0.0);
     }
 
     #[test]
     fn parallel_batch_matches_serial_in_input_order() {
-        let tiny = |scheme, seed| SuiteConfig {
-            target_flows: 6,
-            max_sim: SimDuration::from_secs(2),
-            seed,
-            ..SuiteConfig::quick(scheme, Pattern::Permutation)
-        };
-        let cfgs = [tiny(Scheme::xmp(2), 1), tiny(Scheme::Dctcp, 2)];
-        let serial: Vec<String> = cfgs.iter().map(|c| format!("{:?}", run_suite(c))).collect();
-        let parallel: Vec<String> = run_suite_parallel(&cfgs)
+        let tiny = |scheme, seed| cell(Pattern::Permutation, scheme, 6, 2_000_000, seed);
+        let cells = [tiny(Scheme::xmp(2), 1), tiny(Scheme::Dctcp, 2)];
+        let serial: Vec<String> = cells
             .iter()
-            .map(|r| format!("{r:?}"))
+            .map(|(sc, v)| format!("{:?}", sound(sc, v)))
+            .collect();
+        let parallel: Vec<String> = run_suite_parallel(&cells)
+            .into_iter()
+            .map(|r| {
+                let r = r.expect("the cell builds");
+                assert!(r.audit.is_empty(), "{:?}", r.audit);
+                format!("{:?}", r.result)
+            })
             .collect();
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn renderers_produce_rows() {
-        let r = run_suite(&SuiteConfig::quick(Scheme::xmp(2), Pattern::Permutation));
-        let t1 = render_table1(std::slice::from_ref(&r));
-        assert_eq!(t1.row_count(), 1);
-        let f8 = render_fig8(std::slice::from_ref(&r), Pattern::Permutation);
-        assert!(f8[0].row_count() >= 1);
-        let f11 = render_fig11(std::slice::from_ref(&r), Pattern::Permutation);
-        assert_eq!(f11.row_count(), 3);
+        let (sc, v) = quick_cell(Pattern::Permutation, Scheme::xmp(2));
+        let r = sound(&sc, &v);
+        // Table 1, Fig. 8 (two), Table 3, Fig. 9, Figs. 10 and 11, occupancy.
+        let tables = render(vec![&r]);
+        assert_eq!(tables.len(), 8);
+        assert_eq!(tables[0].row_count(), 1);
+        assert!(tables[1].row_count() >= 1);
+        assert_eq!(tables[6].row_count(), 3);
+    }
+
+    /// Table 2's `--quick` cell, on the k = 8 tree the coexistence story
+    /// needs (XMP shifts away from loss-driven flows across its paths)
+    /// rather than the file's quick k = 4.
+    #[test]
+    fn xmp_coexists_and_beats_tcp_at_small_queue() {
+        let text = PAPER_RUNS
+            .iter()
+            .find(|r| r.0 == "table2")
+            .expect("committed")
+            .1;
+        let sc = on_k8(runner::load(text).expect("table2.scn loads").quick());
+        let r = runner::run(&sc).expect("the run builds");
+        assert_eq!(r.cells.len(), 1);
+        assert_eq!(r.audit_failures(), Vec::<String>::new());
+        let (v, bps) = (&sc.paper.variants[0], &r.cells[0].result.goodput_by_scheme);
+        let label = |s: Option<Scheme>| s.expect("set").label();
+        let (xmp, other) = (bps[&label(v.scheme)], bps[&label(v.coexist)]);
+        assert_eq!(
+            (label(v.coexist).as_str(), sc.qdisc_of(Some(v))),
+            ("TCP", Ok(QdiscSpec::Ecn { cap: 50, k: 10 }))
+        );
+        assert!(xmp > 0.0 && other > 0.0);
+        // The paper's Table 2 shape: XMP well above TCP at queue 50.
+        assert!(xmp > other, "XMP {xmp} <= TCP {other}");
     }
 }

@@ -173,3 +173,91 @@ fn run_refuses_what_a_paper_run_cannot_honour() {
         assert!(err.contains(&format!("{path}: {want}")), "{name}: {err}");
     }
 }
+
+/// A flag the command's run does not read is refused, named, before
+/// anything is simulated: the `[pattern]` flags everywhere but a pattern
+/// run, and `--quick` where a cell has no quick form.
+#[test]
+fn a_flag_the_run_does_not_read_exits_2_naming_it() {
+    let fig4 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/paper/fig4.scn"
+    );
+    for (args, flag) in [
+        (&["fig1", "--scale", "4"][..], "--scale"),
+        (&["failover", "--quick", "--flows", "9"], "--flows"),
+        (&["run", fig4, "--pattern", "perm"], "--pattern"),
+        (&["dynamics", "--quick", "--flows", "9"], "--flows"),
+        (&["trace", "export", "--scale", "2"], "--scale"),
+        (&["ablation", "--quick", "--pattern", "perm"], "--pattern"),
+        (&["scale", "--quick", "--scale", "2"], "--scale"),
+        (&["scale", "mega", "--quick"], "--quick"),
+        (&["hybrid", "--quick", "--flows", "3"], "--flows"),
+        (
+            &["hybrid", "million", "--quick", "--pattern", "incast"],
+            "--pattern",
+        ),
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: printed tables");
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("{flag} does not apply")),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("wall time"), "{args:?} simulated: {err}");
+    }
+}
+
+/// `--pattern` filters a `[pattern]` run's kinds; one that leaves none
+/// exits 2 naming the run's kinds, in `all` before its first paper run.
+#[test]
+fn a_pattern_filter_that_leaves_nothing_exits_2() {
+    for (args, want) in [
+        (
+            &["table2", "--quick", "--pattern", "perm"][..],
+            "--pattern perm: unknown pattern, want random",
+        ),
+        (
+            &["all", "--quick", "--pattern", "incast"],
+            "table2: --pattern incast: unknown pattern, want random",
+        ),
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: printed tables");
+        let err = stderr(&out);
+        assert!(
+            err.contains(want) && !err.contains("wall time"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+/// `--flows` and `--scale` apply after `--quick` (which once dropped them),
+/// through the `[pattern]` reader's bounds.
+#[test]
+fn quick_keeps_flows_and_scale() {
+    let out = cli(&["table2", "--quick", "--flows", "0"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(
+        stderr(&out).contains("--flows 0 is out of range"),
+        "{out:?}"
+    );
+    // `--quick` alone runs this cell 200 ms, to 61 large flows.
+    let cell = |args: &[&str]| {
+        let out = cli(&[&["table2", "--quick"], args].concat());
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        stderr(&out)
+    };
+    let err = cell(&["--flows", "2"]);
+    assert!(err.contains("simulated 100ms"), "{err}");
+    let err = cell(&["--scale", "4096"]);
+    let flows = err
+        .split(" large flows")
+        .next()
+        .and_then(|s| s.rsplit(' ').next());
+    let flows: usize = flows.and_then(|n| n.parse().ok()).expect("a cell line");
+    assert!(flows > 100, "{err}");
+}

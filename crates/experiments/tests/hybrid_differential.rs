@@ -19,9 +19,8 @@
 //! Digests compare full `Debug` renderings — f64 Debug round-trips, so
 //! equal strings mean bit-equal goodputs, FCTs and queue statistics.
 
-use xmp_des::SimDuration;
 use xmp_experiments::hybrid::{self, HybridConfig};
-use xmp_experiments::suite::{run_suite, Pattern, SuiteConfig};
+use xmp_experiments::suite::{quick_cell, run_suite, Pattern};
 use xmp_netsim::SimTuning;
 use xmp_workloads::Scheme;
 
@@ -48,14 +47,16 @@ fn hybrid_tolerance_bands_hold_across_seeds() {
 }
 
 fn suite_digest(seed: u64, scheme: Scheme, tuning: SimTuning) -> String {
-    let cfg = SuiteConfig {
-        target_flows: 6,
-        max_sim: SimDuration::from_secs(2),
-        seed,
-        tuning,
-        ..SuiteConfig::quick(scheme, Pattern::Permutation)
-    };
-    format!("{:?}", run_suite(&cfg))
+    let (mut sc, v) = quick_cell(Pattern::Permutation, scheme);
+    let p = sc
+        .paper
+        .pattern
+        .as_mut()
+        .expect("fattree.scn has a [pattern]");
+    (sc.seed, sc.tuning, p.flows, p.max_sim_us) = (seed, tuning, 6, 2_000_000);
+    let r = run_suite(&sc, &v).expect("the cell builds");
+    assert_eq!(r.audit, Vec::<String>::new());
+    format!("{:?}", r.result)
 }
 
 /// `hybrid: true` with zero fluid flows must be bit-identical to

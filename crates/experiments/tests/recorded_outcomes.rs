@@ -8,9 +8,8 @@
 //! Debug formatting round-trips exactly, so equal digests mean bit-equal
 //! rates, Jain indices, goodputs and queue statistics.
 
-use xmp_des::SimDuration;
 use xmp_experiments::runner::{self, PAPER_RUNS};
-use xmp_experiments::suite::{run_suite, Pattern, SuiteConfig};
+use xmp_experiments::suite::{quick_cell, run_suite, Pattern};
 use xmp_workloads::Scheme;
 
 fn digest(s: &str) -> u64 {
@@ -56,14 +55,17 @@ fn table1_cells_match_the_recorded_outcome() {
         (1, Scheme::xmp(2), 10312447510474682670u64),
         (2, Scheme::Dctcp, 685983094799295037),
     ] {
-        let cfg = SuiteConfig {
-            target_flows: 6,
-            max_sim: SimDuration::from_secs(2),
-            seed,
-            ..SuiteConfig::quick(scheme, Pattern::Permutation)
-        };
+        let (mut sc, v) = quick_cell(Pattern::Permutation, scheme);
+        let p = sc
+            .paper
+            .pattern
+            .as_mut()
+            .expect("fattree.scn has a [pattern]");
+        (sc.seed, p.flows, p.max_sim_us) = (seed, 6, 2_000_000);
+        let r = run_suite(&sc, &v).expect("the cell builds");
+        assert_eq!(r.audit, Vec::<String>::new());
         assert_eq!(
-            digest(&format!("{:?}", run_suite(&cfg))),
+            digest(&format!("{:?}", r.result)),
             recorded,
             "seed {seed}: table1 cell moved off the recorded digest"
         );

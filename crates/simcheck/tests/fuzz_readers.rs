@@ -6,6 +6,7 @@
 //! `to_text` and the committed paper runs `scenarios/paper/*.scn`, every
 //! committed `specs/**/*.toml`, one JSONL export of every record type — and a fixed number of mutants per seed drawn from
 //! `SimRng`: byte flips, line drops, duplicates and swaps, truncation.
+//! The fat-tree suite files also go through the paper-run loader.
 //! Every mutant must come back `Ok` or as an error whose line number lies
 //! inside the mutant; a panic is a failure, caught and reported with the
 //! input that caused it.
@@ -259,6 +260,27 @@ fn paper_runs_round_trip_and_survive_mutation() {
     fuzz(".scn", &seeds, 1000, 5, |m| {
         Scenario::parse(m).err().map(|e| e.line)
     });
+}
+
+/// The fat-tree suite files: every mutant comes back from the paper-run
+/// loader `Ok` or refused at a line inside it, and some reach the
+/// `[pattern]` rules (a bad kind or bound, a pattern-only key without a
+/// `[pattern]`, a table a pattern run does not render).
+#[test]
+fn pattern_runs_survive_mutation() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/paper");
+    let seeds: Vec<String> = ["fattree.scn", "table2.scn"]
+        .iter()
+        .map(|f| std::fs::read_to_string(root.join(f)).expect("paper run is readable"))
+        .collect();
+    let pattern = Cell::new(0);
+    fuzz(".scn", &seeds, 2000, 7, |m| {
+        let e = xmp_experiments::runner::load(m).err()?;
+        let rules = ["[pattern]", "out of range", "unknown kind"];
+        pattern.set(pattern.get() + usize::from(rules.iter().any(|r| e.msg.contains(r))));
+        Some(e.line)
+    });
+    assert!(pattern.get() > 0, "no mutant reached the [pattern] rules");
 }
 
 #[test]

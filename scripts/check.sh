@@ -21,14 +21,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 # Smoke: the paper runs read from disk, through the one .scn runner: the
 # failover file's fault plan and fig7's mid-run L3 closure (a drop split
 # between two bin runs), each ending with the invariant and conservation
-# audits (exit 1 on a failure). The on-disk fig7 must print what the
-# built-in `fig7` alias prints.
+# audits (exit 1 on a failure). The on-disk fig7, fattree and table2 must
+# print what their built-in aliases print (the fat-tree suite through its
+# `[pattern]`, one pattern at --quick).
 mkdir -p results
 cargo run --release --offline -p xmp-experiments -- run scenarios/paper/failover.scn --quick
-cargo run --release --offline -p xmp-experiments -- run scenarios/paper/fig7.scn --quick \
-  > results/fig7-file.txt
-cargo run --release --offline -p xmp-experiments -- fig7 --quick > results/fig7-alias.txt
-diff results/fig7-file.txt results/fig7-alias.txt
+for run in "fig7 --quick" "fattree --quick --pattern perm" "table2 --quick"; do
+  set -- $run
+  name=$1
+  shift
+  cargo run --release --offline -p xmp-experiments -- run "scenarios/paper/$name.scn" "$@" \
+    > "results/$name-file.txt"
+  cargo run --release --offline -p xmp-experiments -- "$name" "$@" > "results/$name-alias.txt"
+  diff "results/$name-file.txt" "results/$name-alias.txt"
+done
 # Smoke: the k=8 fat-tree wave, with faults and probes live, must still
 # print its recorded outcome digest.
 cargo run --release --offline -p xmp-experiments -- scale --quick | tee results/scale.txt

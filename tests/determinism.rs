@@ -6,7 +6,7 @@
 //! parallel runner must return byte-for-byte what the serial loop returns.
 
 use xmp_suite::experiments::runner::{self, PAPER_RUNS};
-use xmp_suite::experiments::suite::{run_suite, run_suite_parallel, Pattern, SuiteConfig};
+use xmp_suite::experiments::suite::{quick_cell, run_suite, run_suite_parallel, Pattern};
 use xmp_suite::prelude::*;
 
 /// FNV-1a over a string rendering — a cheap digest for comparing whole
@@ -184,11 +184,15 @@ fn fig1_rerun_is_identical() {
 
 #[test]
 fn parallel_suite_is_byte_identical_to_serial() {
-    let cell = |scheme, pattern, seed| SuiteConfig {
-        target_flows: 8,
-        max_sim: SimDuration::from_secs(3),
-        seed,
-        ..SuiteConfig::quick(scheme, pattern)
+    let cell = |scheme, pattern, seed| {
+        let (mut sc, v) = quick_cell(pattern, scheme);
+        let p = sc
+            .paper
+            .pattern
+            .as_mut()
+            .expect("fattree.scn has a [pattern]");
+        (sc.seed, p.flows, p.max_sim_us) = (seed, 8, 3_000_000);
+        (sc, v)
     };
     let cells = [
         cell(Scheme::xmp(2), Pattern::Permutation, 11),
@@ -197,11 +201,11 @@ fn parallel_suite_is_byte_identical_to_serial() {
     ];
     let serial: Vec<u64> = cells
         .iter()
-        .map(|c| digest(&format!("{:?}", run_suite(c))))
+        .map(|(sc, v)| digest(&format!("{:?}", run_suite(sc, v).expect("builds").result)))
         .collect();
     let parallel: Vec<u64> = run_suite_parallel(&cells)
-        .iter()
-        .map(|r| digest(&format!("{r:?}")))
+        .into_iter()
+        .map(|r| digest(&format!("{:?}", r.expect("builds").result)))
         .collect();
     assert_eq!(serial, parallel, "parallel suite diverged from serial");
 }

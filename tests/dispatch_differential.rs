@@ -7,7 +7,8 @@
 //! two-event link pipeline (`TxDone` + `Deliver`) produced before it was
 //! removed, as is one suite cell.
 
-use xmp_suite::experiments::suite::{run_suite, Pattern, SuiteConfig};
+use xmp_suite::experiments::scenario::LinkRef;
+use xmp_suite::experiments::suite::{quick_cell, run_suite, Pattern};
 use xmp_suite::netsim::{Agent, ProbeConfig};
 use xmp_suite::prelude::*;
 use xmp_suite::workloads::Host;
@@ -117,14 +118,19 @@ fn inline_and_boxed_agent_dumbbell_runs_match_the_recorded_outcome() {
 fn suite_cell_matches_the_recorded_outcome() {
     // Recorded from the two-event link pipeline at commit ce843ca.
     const RECORDED: u64 = 13708578246439681252;
-    let cell = SuiteConfig {
-        target_flows: 8,
-        max_sim: SimDuration::from_secs(3),
-        seed: 17,
-        probe_interval: Some(SimDuration::from_millis(10)),
-        ..SuiteConfig::quick(Scheme::xmp(2), Pattern::Permutation)
-    };
-    let r = run_suite(&cell);
+    let (mut sc, v) = quick_cell(Pattern::Permutation, Scheme::xmp(2));
+    let p = sc
+        .paper
+        .pattern
+        .as_mut()
+        .expect("fattree.scn has a [pattern]");
+    (sc.seed, p.flows, p.max_sim_us) = (17, 8, 3_000_000);
+    // Both directions of every core link, every 10 ms until the cell's end.
+    let h = sc.k / 2;
+    let cores = (0..h * h * sc.k).map(|n| LinkRef::Core(n / (h * sc.k), n / sc.k % h, n % sc.k));
+    sc.probes = cores.flat_map(|l| [(l, 0), (l, 1)]).collect();
+    (sc.probe_interval_us, sc.horizon_us) = (10_000, 3_000_000);
+    let r = run_suite(&sc, &v).expect("the cell builds").result;
     assert_eq!(
         digest(&format!("{r:?}")),
         RECORDED,
