@@ -15,12 +15,12 @@
 //! with [`suite::run_suite`]. A [`Report`] renders the measure's tables.
 
 use crate::common::{audit_windows, end_of_run_audit, frac, mbps, TextTable};
-use crate::scenario::{indexed, refuse, Column, FaultSpec, LinkAction, LinkRef, Measure, NodeRef};
+use crate::scenario::{indexed, Column, FaultSpec, Kind, LinkAction, LinkRef, Measure, NodeRef};
 use crate::scenario::{Paper, QdiscSpec, Scenario, Shape, Topology, Variant};
 use crate::suite::{self, SuiteRun, Traffic};
 use std::fmt;
 use std::iter::once;
-use xmp_conformance::text::{Field, Table, TextError};
+use xmp_conformance::text::TextError;
 use xmp_des::{Bandwidth, SimDuration, SimTime};
 use xmp_netsim::{Addr, FaultPlan, LinkId, NodeId, PortId, ProbeConfig, Sim};
 use xmp_topo::testbed::{Path, TestbedConfig};
@@ -52,28 +52,9 @@ pub const PAPER_RUNS: [(&str, &str); 7] = [
     ),
 ];
 
-/// Parse a paper run: [`Scenario::parse`], with a `[measure]` required and
-/// the chaos-only settings no paper report reads — `horizon_us`,
-/// `probe_interval_us`, `[oracles]` and `[probes]` — refused at their line,
-/// and in a `[pattern]` run the time-series ones too: `unit_us`, `bin_us`,
-/// `epochs`, `[flows]` and `[schedule]`.
+/// Parse a paper run: a series or pattern [`Scenario`] (see [`Kind`]).
 pub fn load(text: &str) -> Result<Scenario, TextError> {
-    let sc = Scenario::parse(text)?;
-    if sc.paper.measure.is_none() {
-        let why = "no [measure]: a chaos scenario, replay it with `simcheck replay`";
-        return Err(TextError::at(0, why));
-    }
-    let chaos = |t: &Table<'_>| ["oracles", "probes"].contains(&t.name);
-    let key = |f: &Field<'_>| ["horizon_us", "probe_interval_us"].contains(&f.key);
-    let why = |name| format!("{name} is a chaos-run setting that no paper report reads");
-    let sc = refuse(sc, text, chaos, key, why)?;
-    if sc.paper.pattern.is_none() {
-        return Ok(sc);
-    }
-    let series = |t: &Table<'_>| ["flows", "schedule"].contains(&t.name);
-    let key = |f: &Field<'_>| ["unit_us", "bin_us", "epochs"].contains(&f.key);
-    let why = |name| format!("{name} is a time-series setting that a [pattern] run does not read");
-    refuse(sc, text, series, key, why)
+    Scenario::parse_as(text, &[Kind::Series, Kind::Pattern])
 }
 
 /// A built topology.
@@ -429,9 +410,6 @@ pub fn run(sc: &Scenario) -> Result<Report, String> {
         .measure
         .as_ref()
         .ok_or("no [measure]: not a paper run")?;
-    if sc.paper.pattern.is_some() != matches!(m.table, Shape::Suite | Shape::Coexist) {
-        return Err("table = suite or coexist renders a [pattern] run, and nothing else".into());
-    }
     let (variants, mut cells) = (&sc.paper.variants, Vec::new());
     for &kind in sc.paper.pattern.iter().flat_map(|p| &p.kinds) {
         let mut one = sc.clone();
@@ -675,13 +653,24 @@ mod tests {
         let wide = head.replace("[[variant]]\n", "[[variant]]\nk = 101\n");
         let sc = load(&format!("{wide}[measure]\n")).expect("parses");
         assert!(run(&sc).unwrap_err().contains("k = 101 does not fit"));
-        // Only a [pattern] run renders, and is rendered by, a suite table.
-        let suite = load(&format!("{head}[measure]\ntable = suite\n")).expect("parses");
-        let mut series = load(PAPER_RUNS[5].1).expect("fattree.scn loads");
-        series.paper.measure = Some(Measure::default());
-        for sc in [suite, series] {
-            assert!(run(&sc).unwrap_err().contains("renders a [pattern] run"));
-        }
+        // Only a [pattern] run renders, and is rendered by, a suite table:
+        // the load refuses any other pairing at its `table` line.
+        let suite = load(&format!("{head}[measure]\ntable = suite\n")).unwrap_err();
+        assert_eq!(suite.line, 8, "{suite}");
+        assert!(suite
+            .msg
+            .contains("a series run renders epochs, series or outage"));
+        let fattree = PAPER_RUNS[5].1;
+        let line = 1 + fattree
+            .lines()
+            .position(|l| l == "table = suite")
+            .expect("a suite");
+        let e = load(&fattree.replace("table = suite", "table = epochs")).unwrap_err();
+        assert_eq!(e.line, line, "{e}");
+        assert!(
+            e.msg.contains("a pattern run renders suite or coexist"),
+            "{e}"
+        );
     }
 
     /// The chaos sections a paper run shares are honoured or refused, never

@@ -4,25 +4,32 @@
 //! round-trips through [`Scenario::to_text`] / [`Scenario::parse`]:
 //! `[section]` headers with `key = value` lines and `#` comments, read by
 //! `xmp_conformance::text` (the reader spec files share), with bare values
-//! only. Two kinds of run share the one model:
+//! only. The file's sections say which of three kinds of run it is
+//! ([`Kind`]):
 //!
-//! * a **chaos run** (`simcheck`): fat-tree size, tuning knobs, qdisc,
-//!   traffic, fault storm, probe placement and the oracle legs to
-//!   cross-check, all times in microseconds. A minimized replay file is
-//!   just another scenario file; `simcheck replay` re-executes it exactly.
-//! * a **paper run** (`xmp-experiments run`, `scenarios/paper/*.scn`): the
-//!   optional `[sim]` keys `topology`, `routing`, `unit_us`, `bin_us` and
-//!   `epochs`, and the sections `[[variant]]` (one table each, or one cell
-//!   per pattern kind), `[quick]` (the `--quick` overrides), `[schedule]`
-//!   (flows, joins and link events, in epochs of `unit_us`), `[pattern]`
-//!   (the fat-tree suite's traffic, in place of a schedule) and `[measure]`
-//!   (series and table shape). A chaos file has none of them, so its text
-//!   is unchanged.
+//! * a **chaos** run (`simcheck`; no `[measure]`): fat-tree size, tuning
+//!   knobs, qdisc, traffic, fault storm, probe placement and the oracle
+//!   legs to cross-check, all times in microseconds. A minimized replay
+//!   file is just another scenario file; `simcheck replay` re-executes it
+//!   exactly.
+//! * a **series** run (`fig1` … `failover`; a `[measure]`): a `topology`,
+//!   `[[variant]]`s (one table each), `[quick]` (the `--quick` overrides),
+//!   a `[schedule]` of flows, joins and link events in epochs of `unit_us`,
+//!   and the `[measure]`'s series and table shape.
+//! * a **pattern** run (`fattree`, `table2`; a `[measure]` and a
+//!   `[pattern]`): the fat-tree suite's traffic on the `[sim]` tree, one
+//!   cell per pattern kind and variant.
+//!
+//! One table, `RULES`, says which kinds read each key and section, which
+//! of them only on the fat tree, and which require it. [`Scenario::parse`]
+//! refuses a line outside its file's kind, and [`Scenario::to_text`] writes
+//! only what the kind reads, so its text reloads as the same scenario.
 
 use crate::suite::{Pattern, KINDS};
-use std::fmt::{self, Write};
+use std::fmt;
+use std::iter::once;
 use std::str::FromStr;
-use xmp_conformance::text::{self, Doc, Field, Table, TextError, Value};
+use xmp_conformance::text::{self, Doc, Field, Table, TextError};
 use xmp_des::SimDuration;
 use xmp_netsim::{QdiscConfig, RedMode, SimTuning};
 use xmp_topo::RoutingMode;
@@ -43,6 +50,117 @@ pub const MAX_FLOWS: usize = MAX_K * MAX_K * MAX_K / 4;
 const MAX_EPOCHS: u64 = 1_000_000;
 const MAX_UNIT_US: u64 = 3_600_000_000;
 
+/// The kind of run a file describes, told by its sections: `Chaos` has no
+/// `[measure]`, `Pattern` a `[measure]` and a `[pattern]`, `Series` any
+/// other `[measure]`. Each is its bit in a `RULES` set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    Chaos = 1,
+    Series = 2,
+    Pattern = 4,
+}
+
+impl Kind {
+    fn of(measure: bool, pattern: bool) -> Kind {
+        match (measure, pattern) {
+            (false, _) => Kind::Chaos,
+            (true, false) => Kind::Series,
+            (true, true) => Kind::Pattern,
+        }
+    }
+
+    fn name(self) -> String {
+        format!("{self:?}").to_lowercase()
+    }
+}
+
+const CHAOS: u8 = Kind::Chaos as u8;
+const SERIES: u8 = Kind::Series as u8;
+const PATTERN: u8 = Kind::Pattern as u8;
+const PAPER: u8 = SERIES | PATTERN;
+const ALL: u8 = CHAOS | PAPER;
+
+/// What each kind of run reads: `(section, key, reads, tree, needs)`, sets
+/// of [`Kind`] bits. `reads` are the kinds that read the key (an empty key:
+/// the section itself), `tree` those of them that take it only on the fat
+/// tree, and `needs` those that refuse a file without it. A key without a
+/// row is read wherever its section is.
+const RULES: [(&str, &str, u8, u8, u8); 32] = [
+    ("sim", "", ALL, 0, 0),
+    ("sim", "seed", ALL, 0, ALL),
+    ("sim", "k", ALL, SERIES, ALL),
+    ("sim", "horizon_us", CHAOS, 0, CHAOS),
+    ("sim", "rto_min_us", ALL, 0, 0),
+    ("sim", "drop_unroutable", ALL, 0, 0),
+    ("sim", "qdisc", ALL, 0, 0),
+    ("sim", "probe_interval_us", CHAOS, 0, 0),
+    ("sim", "topology", ALL, CHAOS | PATTERN, 0),
+    ("sim", "routing", ALL, SERIES, 0),
+    ("sim", "unit_us", SERIES, 0, SERIES),
+    ("sim", "bin_us", SERIES, 0, 0),
+    ("sim", "epochs", SERIES, 0, SERIES),
+    ("oracles", "", CHAOS, 0, 0),
+    ("flows", "", CHAOS | SERIES, 0, 0),
+    ("faults", "", ALL, 0, 0),
+    ("probes", "", CHAOS, 0, 0),
+    ("pattern", "", PATTERN, 0, 0),
+    ("quick", "", PAPER, 0, 0),
+    ("quick", "unit_us", SERIES, 0, 0),
+    ("quick", "bin_us", SERIES, 0, 0),
+    ("quick", "k", PAPER, SERIES, 0),
+    ("quick", "kinds", PATTERN, 0, 0),
+    ("quick", "flows", PATTERN, 0, 0),
+    ("quick", "min_jobs", PATTERN, 0, 0),
+    ("quick", "scale", PATTERN, 0, 0),
+    ("quick", "max_sim_us", PATTERN, 0, 0),
+    ("variant", "", PAPER, 0, 0),
+    ("variant", "beta", SERIES, 0, 0),
+    ("variant", "cap", PATTERN, 0, 0),
+    ("variant", "coexist", PATTERN, 0, 0),
+    ("schedule", "", SERIES, 0, 0),
+];
+
+/// Why a `kind` run on `topology` refuses `key` of `section` (empty: the
+/// section), named `name`: `None` if it reads it, or if the table does not
+/// know it (the walk has refused that already).
+fn refusal(kind: Kind, topology: Topology, section: &str, key: &str, name: &str) -> Option<String> {
+    let row = |key| RULES.iter().find(|r| r.0 == section && r.1 == key);
+    let &(_, _, reads, tree, _) = row(key).or_else(|| row(""))?;
+    let bit = kind as u8;
+    if reads & bit != 0 {
+        let kind = kind.name();
+        let why = || format!("a {kind} run reads {name} only on the fat tree, not on {topology}");
+        return (tree & bit != 0 && topology != Topology::FatTree).then(why);
+    }
+    Some(match kind {
+        _ if reads == CHAOS => format!("{name} is a chaos-run setting that no paper report reads"),
+        Kind::Chaos => format!("{name} is a paper-run setting that a chaos run does not read"),
+        Kind::Series => format!("{name} needs a [pattern]"),
+        Kind::Pattern => {
+            format!("{name} is a time-series setting that a [pattern] run does not read")
+        }
+    })
+}
+
+/// The first line of `doc` that a `kind` run on `topology` does not read,
+/// refused.
+fn outside(doc: &Doc<'_>, kind: Kind, topology: Topology) -> Result<(), TextError> {
+    for t in &doc.tables {
+        let section = refusal(kind, topology, t.name, "", &t.header());
+        section.map_or(Ok(()), |why| Err(t.err(why)))?;
+        for f in &t.fields {
+            let why = refusal(kind, topology, t.name, f.key, &format!("`{}`", f.key));
+            why.map_or(Ok(()), |why| Err(f.err(why)))?;
+            let table = (t.name, f.key) == ("measure", "table");
+            let shape = SHAPES.iter().find(|s| table && Ok(s.0) == f.bare());
+            if let Some(s) = shape.filter(|s| s.2 != kind) {
+                return Err(f.err(bad_table(s.0, kind)));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// `name/i/j/…` split into the name and its indices.
 pub(crate) fn indexed<'a>(s: &'a str, what: &str) -> Result<(&'a str, Vec<usize>), String> {
     let mut parts = s.split('/');
@@ -50,6 +168,14 @@ pub(crate) fn indexed<'a>(s: &'a str, what: &str) -> Result<(&'a str, Vec<usize>
     let bad = |p: &str| format!("bad index `{p}` in {what} `{s}`");
     let idx = parts.map(|p| p.parse().map_err(|_| bad(p)));
     Ok((name, idx.collect::<Result<_, _>>()?))
+}
+
+/// `names` as `a, b or c`.
+fn either(names: Vec<String>) -> String {
+    match names.split_last() {
+        Some((last, rest @ [_, ..])) => format!("{} or {last}", rest.join(", ")),
+        _ => names.concat(),
+    }
 }
 
 /// The entry of `table` named `word`.
@@ -517,11 +643,7 @@ impl PatternSpec {
     /// `kinds` named as a `[pattern]` lists them and `--pattern` matches:
     /// `a, b or c`.
     pub fn kind_names(kinds: &[Pattern]) -> String {
-        let names: Vec<String> = kinds.iter().map(Pattern::name).collect();
-        match names.split_last() {
-            Some((last, rest @ [_, ..])) => format!("{} or {last}", rest.join(", ")),
-            _ => names.concat(),
-        }
+        either(kinds.iter().map(Pattern::name).collect())
     }
 
     /// The numeric keys' values, in [`PATTERN_NUMBERS`] order.
@@ -602,12 +724,13 @@ pub enum Shape {
     Coexist,
 }
 
-const SHAPES: [(&str, Shape); 5] = [
-    ("epochs", Shape::Epochs),
-    ("series", Shape::Series),
-    ("outage", Shape::Outage),
-    ("suite", Shape::Suite),
-    ("coexist", Shape::Coexist),
+/// Each `table` value, its shape and the kind of run that renders it.
+const SHAPES: [(&str, Shape, Kind); 5] = [
+    ("epochs", Shape::Epochs, Kind::Series),
+    ("series", Shape::Series, Kind::Series),
+    ("outage", Shape::Outage, Kind::Series),
+    ("suite", Shape::Suite, Kind::Pattern),
+    ("coexist", Shape::Coexist, Kind::Pattern),
 ];
 
 /// A column of a paper table.
@@ -711,9 +834,6 @@ pub struct Scenario {
     pub paper: Paper,
 }
 
-/// The sections of a chaos run.
-const CHAOS_SECTIONS: [&str; 5] = ["sim", "oracles", "flows", "faults", "probes"];
-
 impl Scenario {
     /// Hosts in the configured tree (k³/4).
     pub fn host_count(&self) -> usize {
@@ -754,88 +874,161 @@ impl Scenario {
         }
     }
 
-    /// Serialize to the scenario-file text format (round-trips through
-    /// [`Scenario::parse`]).
+    /// The kind of run this is (see [`Kind`]).
+    pub fn kind(&self) -> Kind {
+        Kind::of(self.paper.measure.is_some(), self.paper.pattern.is_some())
+    }
+
+    /// Serialize to the scenario-file text format: every key and section
+    /// this kind of run reads (`RULES`), but an unset topology, routing
+    /// or bin and, outside a chaos run (which writes all its sections), an
+    /// empty list section. [`Scenario::parse`] reads it back as `self`.
     pub fn to_text(&self) -> String {
+        let (p, kind) = (&self.paper, self.kind());
+        let (mut s, chaos) = (String::from("# simcheck scenario v1"), kind == Kind::Chaos);
+        let reads =
+            |section: &str, key: &str| refusal(kind, p.topology, section, key, "").is_none();
+        let mut out = |header: &str, keep: bool, lines: Vec<String>| {
+            let section = header.trim_matches(['[', ']']);
+            let read = |l: &&String| reads(section, l.split(" = ").next().unwrap_or(""));
+            if reads(section, "") && (keep || !lines.is_empty()) {
+                s.extend(["\n", header, "\n"]);
+                lines.iter().filter(read).for_each(|l| s.extend([l, "\n"]));
+            }
+        };
+        let kv = |key: &str, v: &dyn fmt::Display| format!("{key} = {v}");
+        let opt = |key, v: Option<u64>| v.map(|v| kv(key, &v));
+        let wide = |v: Option<usize>| v.map(|n| n as u64);
         let list = |v: &[usize]| v.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
-        let mut s = format!(
-            "# simcheck scenario v1\n[sim]\nseed = {}\nk = {}\nhorizon_us = {}\nrto_min_us = {}\n\
-             drop_unroutable = {}\nqdisc = {}\nprobe_interval_us = {}\n",
-            self.seed,
-            self.k,
-            self.horizon_us,
-            self.rto_min_us,
-            self.tuning.drop_unroutable,
-            self.qdisc,
-            self.probe_interval_us
-        );
-        let p = &self.paper;
-        if p.topology != Topology::FatTree {
-            let _ = writeln!(s, "topology = {}", p.topology);
-        }
-        if self.routing != RoutingMode::default() {
-            let _ = writeln!(s, "routing = {}", name_of(&ROUTINGS, &self.routing));
-        }
-        if p.unit_us != 0 {
-            let _ = writeln!(s, "unit_us = {}", p.unit_us);
-        }
-        if let Some(bin) = p.bin_us {
-            let _ = writeln!(s, "bin_us = {bin}");
-        }
-        if p.epochs != 0 {
-            let _ = writeln!(s, "epochs = {}", p.epochs);
-        }
-        s.push_str("\n[oracles]\n");
-        if !self.slices.is_empty() {
-            let _ = writeln!(s, "slices = {}", list(&self.slices));
-        }
-        let inject = self.inject_divergence;
-        let _ = writeln!(s, "inject_divergence = {inject}\n\n[flows]");
-        for f in &self.flows {
+        let (topology, routing) = (p.topology, name_of(&ROUTINGS, &self.routing));
+        let sim = [
+            Some(kv("seed", &self.seed)),
+            Some(kv("k", &self.k)),
+            Some(kv("horizon_us", &self.horizon_us)),
+            Some(kv("rto_min_us", &self.rto_min_us)),
+            Some(kv("drop_unroutable", &self.tuning.drop_unroutable)),
+            Some(kv("qdisc", &self.qdisc)),
+            Some(kv("probe_interval_us", &self.probe_interval_us)),
+            (topology != Topology::FatTree).then(|| kv("topology", &topology)),
+            (self.routing != RoutingMode::default()).then(|| kv("routing", &routing)),
+            Some(kv("unit_us", &p.unit_us)),
+            opt("bin_us", p.bin_us),
+            Some(kv("epochs", &p.epochs)),
+        ];
+        out("[sim]", true, sim.into_iter().flatten().collect());
+        let slices = (!self.slices.is_empty()).then(|| kv("slices", &list(&self.slices)));
+        let inject = kv("inject_divergence", &self.inject_divergence);
+        let oracles = slices.into_iter().chain([inject]).collect();
+        out("[oracles]", chaos, oracles);
+        let flows = self.flows.iter().map(|f| {
             let (scheme, tags) = (scheme_to_text(f.scheme), list(&f.tags));
             let (src, dst, size, at) = (f.src, f.dst, f.size, f.start_us);
-            let _ = writeln!(s, "flow = {src} {dst} {size} {scheme} {at} {tags}");
+            format!("flow = {src} {dst} {size} {scheme} {at} {tags}")
+        });
+        out("[flows]", chaos, flows.collect());
+        let faults = self.faults.iter().map(|f| match f.event {
+            FaultSpec::Down(l) => format!("down = {} {l}", f.at_us),
+            FaultSpec::Up(l) => format!("up = {} {l}", f.at_us),
+            FaultSpec::SwitchDown(n) => format!("switch_down = {} {n}", f.at_us),
+        });
+        let rate = |key: &'static str| move |(l, p): &(LinkRef, f64)| format!("{key} = {l} {p}");
+        let (loss, corrupt) = (self.loss.iter(), self.corruption.iter());
+        let rates = loss.map(rate("loss")).chain(corrupt.map(rate("corrupt")));
+        out("[faults]", chaos, faults.chain(rates).collect());
+        let probes = self.probes.iter().map(|(l, d)| format!("watch = {l} {d}"));
+        out("[probes]", chaos, probes.collect());
+        let pattern = |spec: &PatternSpec| {
+            let values = PATTERN_KEYS.iter().zip(spec.values());
+            values.map(|(k, v)| kv(k, &v)).collect::<Vec<_>>()
+        };
+        if let Some(spec) = &p.pattern {
+            out("[pattern]", true, pattern(spec));
         }
-        s.push_str("\n[faults]\n");
-        for f in &self.faults {
-            let _ = match f.event {
-                FaultSpec::Down(l) => writeln!(s, "down = {} {l}", f.at_us),
-                FaultSpec::Up(l) => writeln!(s, "up = {} {l}", f.at_us),
-                FaultSpec::SwitchDown(n) => writeln!(s, "switch_down = {} {n}", f.at_us),
-            };
+        if let Some(q) = &p.quick {
+            let keys = [
+                ("unit_us", q.unit_us),
+                ("bin_us", q.bin_us),
+                ("k", wide(q.k)),
+                ("skip", wide(q.skip)),
+                ("variants", wide(q.variants)),
+            ];
+            let keys = keys.into_iter().filter_map(|(key, v)| opt(key, v));
+            let lines = keys.chain(q.pattern.iter().flat_map(pattern)).collect();
+            out("[quick]", true, lines);
         }
-        for (key, links) in [("loss", &self.loss), ("corrupt", &self.corruption)] {
-            for (l, p) in links {
-                let _ = writeln!(s, "{key} = {l} {p}");
-            }
+        for v in &p.variants {
+            let schemes = [("scheme", v.scheme), ("coexist", v.coexist)].into_iter();
+            let schemes = schemes.filter_map(|(key, s)| Some(kv(key, &scheme_to_text(s?))));
+            let numbers = [("k", wide(v.k)), ("cap", wide(v.cap))];
+            let numbers = numbers.into_iter().filter_map(|(key, n)| opt(key, n));
+            let head = [kv("title", &v.title), kv("beta", &v.beta)];
+            let lines = head.into_iter().chain(schemes).chain(numbers).collect();
+            out("[[variant]]", true, lines);
         }
-        s.push_str("\n[probes]\n");
-        for (l, d) in &self.probes {
-            let _ = writeln!(s, "watch = {l} {d}");
+        let flows = p.flows.iter().flat_map(|f| {
+            let (name, start, paths) = (&f.name, f.start, f.paths.join(" "));
+            let stop = f.stop.map_or("-".into(), |e| e.to_string());
+            let join = move |(at, path): &(u64, String)| format!("join = {name} {at} {path}");
+            once(format!("flow = {name} {start} {stop} {paths}")).chain(f.joins.iter().map(join))
+        });
+        let link = |(at, action, link): &(u64, LinkAction, LinkRef)| {
+            format!("{} = {at} {link}", name_of(&LINK_ACTIONS, action))
+        };
+        let lines = flows.chain(p.links.iter().map(link)).collect();
+        out("[schedule]", false, lines);
+        if let Some(m) = &p.measure {
+            let table = SHAPES.iter().find(|s| s.1 == m.table).map_or("", |s| s.0);
+            let words = [("table", table), ("title", &m.title), ("head", &m.head)];
+            let words = words.into_iter().filter(|w| !w.1.is_empty());
+            let columns = m.columns.iter().map(|(header, column)| match column {
+                Column::Series(members, cap) => {
+                    let list = members.iter().map(|(f, x)| format!("{f}/{x}"));
+                    let list = list.collect::<Vec<_>>().join(",");
+                    format!("series = {list} {cap} {header}")
+                }
+                c => format!("column = {} {header}", name_of(&COLUMNS, c)),
+            });
+            let label = |(flow, text): &(String, String)| format!("label = {flow} {text}");
+            let words = words.map(|(key, w)| kv(key, &w)).chain(columns);
+            let lines = words.chain(m.labels.iter().map(label)).collect();
+            out("[measure]", true, lines);
         }
-        p.write_sections(&mut s);
         s
     }
 
-    /// Parse the text format: a walk over [`text::parse`]'s tables. Keys
-    /// outside a section, unknown sections or keys, quoted or malformed
-    /// values, missing required `[sim]` keys, a variant's scheme with more
-    /// subflows than a flow lists paths, and a `[quick]` pattern key, `cap`
-    /// or `coexist` in a file without a `[pattern]` are all reported with
-    /// their line number. A scalar key given twice keeps its last value; `flow`,
-    /// fault, `watch` and the paper sections' lines accumulate in order.
+    /// [`Scenario::parse_as`] a file of any kind.
     pub fn parse(text: &str) -> Result<Scenario, TextError> {
+        Self::parse_as(text, &[Kind::Chaos, Kind::Series, Kind::Pattern])
+    }
+
+    /// Parse the text format for a caller that runs `kinds`: a walk over
+    /// [`text::parse`]'s tables. Keys outside a section, unknown sections
+    /// or keys, quoted or malformed values, a file of a kind the caller does
+    /// not run (a paper run at the first line a chaos run does not read), a
+    /// key, section or `table` outside the file's kind (`RULES`), missing
+    /// required `[sim]` keys and a variant's scheme with more subflows than
+    /// a flow lists paths are all reported with their line number. A scalar
+    /// key given twice keeps its last value; `flow`, fault, `watch` and the
+    /// paper sections' lines accumulate in order.
+    pub fn parse_as(text: &str, kinds: &[Kind]) -> Result<Scenario, TextError> {
         let doc = text::parse(text)?;
         if let Some(f) = doc.top.fields.first() {
             return Err(f.err(format!("key `{}` before any [section]", f.key)));
         }
-        let mut sc = Scenario::default();
-        let mut flow_lines = Vec::new();
-        for t in &doc.tables {
+        let has = |name| doc.tables.iter().any(|t| t.name == name);
+        let kind = Kind::of(has("measure"), has("pattern"));
+        let (mut sc, mut flow_lines) = (Scenario::default(), Vec::new());
+        // `[pattern]` first, for `[quick]` to set its keys over.
+        let (pattern, rest): (Vec<_>, Vec<_>) =
+            doc.tables.iter().partition(|t| t.name == "pattern");
+        for t in pattern.into_iter().chain(rest) {
             let p = &mut sc.paper;
             match (t.name, t.array) {
                 ("variant", true) => p.variants.push(variant(t)?),
-                ("quick", false) => p.quick = Some(quick(t, p.quick.take().unwrap_or_default())?),
+                ("quick", false) => {
+                    let q = p.quick.take().unwrap_or_default();
+                    p.quick = Some(quick(t, q, p.pattern.as_ref())?);
+                }
                 ("pattern", false) => {
                     let spec = p.pattern.get_or_insert_with(PatternSpec::default);
                     for f in &t.fields {
@@ -845,8 +1038,19 @@ impl Scenario {
                     }
                 }
                 ("schedule", false) => schedule(t, p, &mut flow_lines)?,
-                ("measure", false) => measure(t, p.measure.get_or_insert_with(Measure::default))?,
-                (name, false) if CHAOS_SECTIONS.contains(&name) => {
+                ("measure", false) => {
+                    // Without a `table`, the first shape the kind renders.
+                    let table = SHAPES
+                        .iter()
+                        .find(|s| s.2 == kind)
+                        .map_or(Shape::Epochs, |s| s.1);
+                    let m = p.measure.get_or_insert_with(|| Measure {
+                        table,
+                        ..Measure::default()
+                    });
+                    measure(t, m, kind)?
+                }
+                (name @ ("sim" | "oracles" | "flows" | "faults" | "probes"), false) => {
                     for f in &t.fields {
                         chaos_field(&mut sc, name, f)?;
                     }
@@ -854,22 +1058,34 @@ impl Scenario {
                 _ => return Err(t.err(format!("unknown section {}", t.header()))),
             }
         }
-        pattern_rules(&mut sc.paper, &doc)?;
-        let p = &sc.paper;
-        let required: &[&str] = match (&p.measure, p.topology) {
-            (None, _) => &["seed", "k", "horizon_us"],
-            (Some(_), _) if p.pattern.is_some() => &["seed", "k"],
-            (Some(_), Topology::FatTree) => &["seed", "k", "unit_us", "epochs"],
-            (Some(_), _) => &["seed", "unit_us", "epochs"],
-        };
+        let topology = sc.paper.topology;
+        if !kinds.contains(&kind) {
+            let chaos = "no [measure]: a chaos scenario, replay it with `simcheck replay`";
+            let paper = "a paper run, not a chaos scenario: run it with `xmp-experiments run`";
+            let first = || {
+                outside(&doc, Kind::Chaos, topology)
+                    .err()
+                    .map_or(0, |e| e.line)
+            };
+            return Err(match kind {
+                Kind::Chaos => TextError::at(0, chaos),
+                _ => TextError::at(first(), paper),
+            });
+        }
+        outside(&doc, kind, topology)?;
         let sim = doc.tables.iter().filter(|t| t.name == "sim");
         let given: Vec<&str> = sim.flat_map(|t| &t.fields).map(|f| f.key).collect();
-        if let Some(name) = required.iter().find(|k| !given.contains(k)) {
-            return Err(TextError::at(
-                0,
-                format!("[sim] missing required key `{name}`"),
-            ));
+        let needs = |r: &&(&str, &str, u8, u8, u8)| r.0 == "sim" && r.4 & kind as u8 != 0;
+        let read = |key| refusal(kind, topology, "sim", key, "").is_none();
+        let missing = RULES
+            .iter()
+            .filter(needs)
+            .find(|r| read(r.1) && !given.contains(&r.1));
+        if let Some(r) = missing {
+            let why = format!("[sim] missing required key `{}`", r.1);
+            return Err(TextError::at(0, why));
         }
+        let p = &sc.paper;
         for (fl, &line) in p.flows.iter().zip(&flow_lines) {
             let n = fl.paths.len();
             for v in &p.variants {
@@ -883,18 +1099,6 @@ impl Scenario {
             }
         }
         Ok(sc)
-    }
-
-    /// [`Scenario::parse`] for the chaos harness: a paper run is refused at
-    /// the first line that makes it one (a topology other than the fat
-    /// tree, or a paper section).
-    pub fn parse_chaos(text: &str) -> Result<Scenario, TextError> {
-        let sc = Self::parse(text)?;
-        let tree = Value::Bare("fattree");
-        let paper = |t: &Table<'_>| !CHAOS_SECTIONS.contains(&t.name);
-        let topology = |f: &Field<'_>| f.key == "topology" && f.value != tree;
-        let why = |_| "a paper run, not a chaos scenario: run it with `xmp-experiments run`".into();
-        refuse(sc, text, paper, topology, why)
     }
 }
 
@@ -923,25 +1127,6 @@ impl Default for Scenario {
             paper: Paper::default(),
         }
     }
-}
-
-/// `sc`, unless `text` has a section `table` picks or a field `field` picks:
-/// then an error at the first such line, `why` of its name.
-pub(crate) fn refuse(
-    sc: Scenario,
-    text: &str,
-    table: impl Fn(&Table<'_>) -> bool,
-    field: impl Fn(&Field<'_>) -> bool,
-    why: impl Fn(String) -> String,
-) -> Result<Scenario, TextError> {
-    let mut named = Vec::new();
-    for t in &text::parse(text)?.tables {
-        named.extend(table(t).then(|| (t.line, t.header())));
-        let fields = t.fields.iter().filter(|f| field(f));
-        named.extend(fields.map(|f| (f.line, format!("`{}`", f.key))));
-    }
-    let first = named.into_iter().min_by_key(|n| n.0);
-    first.map_or(Ok(sc), |(line, name)| Err(TextError::at(line, why(name))))
 }
 
 /// One `[sim]`, `[oracles]`, `[flows]`, `[faults]` or `[probes]` field.
@@ -1078,45 +1263,24 @@ fn variant(t: &Table<'_>) -> Result<Variant, TextError> {
 }
 
 /// A `[quick]` table, over what an earlier one set. Its `[pattern]` keys
-/// are set over the file's `[pattern]` once that is read.
-fn quick(t: &Table<'_>, mut q: Quick) -> Result<Quick, TextError> {
+/// are set over the file's `pattern`.
+fn quick(t: &Table<'_>, mut q: Quick, pattern: Option<&PatternSpec>) -> Result<Quick, TextError> {
     for f in &t.fields {
+        let over = || pattern.cloned().unwrap_or_default();
         match f.key {
             "unit_us" => q.unit_us = Some(unit(f)?),
             "bin_us" => q.bin_us = Some(unit(f)?),
             "k" => q.k = Some(tree_k(f)?),
             "skip" => q.skip = Some(count(f, 0)?),
             "variants" => q.variants = Some(count(f, 1)?),
-            key if PATTERN_KEYS.contains(&key) => {}
+            key if PATTERN_KEYS.contains(&key) => {
+                let spec = q.pattern.get_or_insert_with(over);
+                spec.set(key, f.bare()?).map_err(|m| f.err(m))?;
+            }
             _ => return Err(unknown(f, t)),
         }
     }
     Ok(q)
-}
-
-/// What needs a `[pattern]`, checked once the whole file is read: a
-/// variant's `cap` and `coexist`, and `[quick]`'s pattern keys, set over
-/// the file's `[pattern]`.
-fn pattern_rules(p: &mut Paper, doc: &Doc<'_>) -> Result<(), TextError> {
-    let fields = |name| doc.tables.iter().filter(move |t| t.name == name);
-    let fields = |name| fields(name).flat_map(|t| &t.fields);
-    let quick: Vec<_> = fields("quick")
-        .filter(|f| PATTERN_KEYS.contains(&f.key))
-        .collect();
-    let only = fields("variant").filter(|f| ["cap", "coexist"].contains(&f.key));
-    let Some(spec) = &p.pattern else {
-        let first = only.chain(quick).min_by_key(|f| f.line);
-        let needs = |f: &Field<'_>| f.err(format!("`{}` needs a [pattern]", f.key));
-        return first.map_or(Ok(()), |f| Err(needs(f)));
-    };
-    let mut over = spec.clone();
-    for f in &quick {
-        over.set(f.key, f.bare()?).map_err(|m| f.err(m))?;
-    }
-    if let Some(q) = p.quick.as_mut().filter(|_| !quick.is_empty()) {
-        q.pattern = Some(over);
-    }
-    Ok(())
 }
 
 /// A `[schedule]` table: `flow = name start stop path…` (stop `-`: never),
@@ -1158,15 +1322,32 @@ fn schedule(t: &Table<'_>, p: &mut Paper, lines: &mut Vec<usize>) -> Result<(), 
     Ok(())
 }
 
-/// A `[measure]` table: `table`, `title`, `head`, then `series = f/x,…
-/// capacity header`, `column = kind header` and `label = flow text` lines.
-fn measure(t: &Table<'_>, m: &mut Measure) -> Result<(), TextError> {
+/// Why a `kind` run refuses `table = value`: the shapes it renders.
+fn bad_table(value: &str, kind: Kind) -> String {
+    let renders = SHAPES
+        .iter()
+        .filter(|s| s.2 == kind)
+        .map(|s| s.0.to_string());
+    let names = either(renders.collect());
+    format!(
+        "bad table `{value}` (a {} run renders {names})",
+        kind.name()
+    )
+}
+
+/// A `[measure]` table of a `kind` run: `table`, `title`, `head`, then
+/// `series = f/x,… capacity header`, `column = kind header` and `label =
+/// flow text` lines.
+fn measure(t: &Table<'_>, m: &mut Measure, kind: Kind) -> Result<(), TextError> {
     for f in &t.fields {
         let value = f.bare()?;
         let (word, rest) = value.split_once(' ').unwrap_or((value, ""));
         let want = |shape: &str| f.err(format!("bad {} `{value}` (want {shape})", f.key));
         match f.key {
-            "table" => m.table = named(&SHAPES, value).ok_or(want("epochs, series or outage"))?,
+            "table" => {
+                let shape = SHAPES.iter().find(|s| s.0 == value);
+                m.table = shape.ok_or_else(|| f.err(bad_table(value, kind)))?.1;
+            }
             "title" => m.title = value.into(),
             "head" => m.head = value.into(),
             "series" => {
@@ -1199,83 +1380,6 @@ impl Paper {
     pub fn runs(&self, name: &str, e: u64) -> bool {
         let covers = |f: &PlannedFlow| f.start <= e && f.stop.is_none_or(|to| e < to);
         self.flows.iter().any(|f| f.name == name && covers(f))
-    }
-
-    /// The paper sections, for [`Scenario::to_text`].
-    fn write_sections(&self, s: &mut String) {
-        let mut out = |line: String| {
-            s.push_str(&line);
-            s.push('\n');
-        };
-        if self.pattern.is_some() {
-            out("\n[pattern]".into());
-        }
-        let pattern = self.pattern.iter().flat_map(PatternSpec::values);
-        for (key, v) in PATTERN_KEYS.iter().zip(pattern) {
-            out(format!("{key} = {v}"));
-        }
-        if let Some(q) = &self.quick {
-            out("\n[quick]".into());
-            let (unit, bin, n) = (q.unit_us, q.bin_us, q.variants.map(|n| n as u64));
-            let (k, skip) = (q.k.map(|k| k as u64), q.skip.map(|n| n as u64));
-            let keys = [("unit_us", unit), ("bin_us", bin), ("k", k), ("skip", skip)];
-            for (key, v) in keys.into_iter().chain([("variants", n)]) {
-                if let Some(v) = v {
-                    out(format!("{key} = {v}"));
-                }
-            }
-            let pattern = q.pattern.iter().flat_map(PatternSpec::values);
-            for (key, v) in PATTERN_KEYS.iter().zip(pattern) {
-                out(format!("{key} = {v}"));
-            }
-        }
-        for v in &self.variants {
-            out(format!(
-                "\n[[variant]]\ntitle = {}\nbeta = {}",
-                v.title, v.beta
-            ));
-            for (key, s) in [("scheme", v.scheme), ("coexist", v.coexist)] {
-                if let Some(s) = s {
-                    out(format!("{key} = {}", scheme_to_text(s)));
-                }
-            }
-            for (key, n) in [("k", v.k), ("cap", v.cap)] {
-                if let Some(n) = n {
-                    out(format!("{key} = {n}"));
-                }
-            }
-        }
-        if !self.flows.is_empty() || !self.links.is_empty() {
-            out("\n[schedule]".into());
-        }
-        for f in &self.flows {
-            let (name, start, paths) = (&f.name, f.start, f.paths.join(" "));
-            let stop = f.stop.map_or("-".into(), |e| e.to_string());
-            out(format!("flow = {name} {start} {stop} {paths}"));
-            for (at, path) in &f.joins {
-                out(format!("join = {name} {at} {path}"));
-            }
-        }
-        for (at, action, link) in &self.links {
-            out(format!("{} = {at} {link}", name_of(&LINK_ACTIONS, action)));
-        }
-        let Some(m) = &self.measure else { return };
-        let (table, title, head) = (name_of(&SHAPES, &m.table), &m.title, &m.head);
-        out(format!("\n[measure]\ntable = {table}"));
-        out(format!("title = {title}\nhead = {head}"));
-        for (header, column) in &m.columns {
-            out(match column {
-                Column::Series(members, cap) => {
-                    let list = members.iter().map(|(f, x)| format!("{f}/{x}"));
-                    let list = list.collect::<Vec<_>>().join(",");
-                    format!("series = {list} {cap} {header}")
-                }
-                c => format!("column = {} {header}", name_of(&COLUMNS, c)),
-            });
-        }
-        for (flow, text) in &m.labels {
-            out(format!("label = {flow} {text}"));
-        }
     }
 }
 
@@ -1587,7 +1691,7 @@ mod tests {
             (
                 "[measure]\ntable = rows\n",
                 10,
-                "want epochs, series or outage",
+                "bad table `rows` (a series run renders epochs, series or outage)",
             ),
         ] {
             let e = Scenario::parse(&format!("{base}{tail}")).unwrap_err();
@@ -1598,15 +1702,16 @@ mod tests {
         assert_eq!(e.line, 4, "{e}");
     }
 
-    /// The chaos harness refuses a paper run at the line that makes it one.
+    /// A caller that runs chaos files refuses a paper run at the first line
+    /// a chaos run does not read.
     #[test]
-    fn parse_chaos_refuses_paper_runs() {
-        let e =
-            Scenario::parse_chaos(&format!("{PAPER_HEAD}[[variant]]\n[measure]\n")).unwrap_err();
+    fn chaos_callers_refuse_paper_runs() {
+        let chaos = |text: &str| Scenario::parse_as(text, &[Kind::Chaos]);
+        let e = chaos(&format!("{PAPER_HEAD}[[variant]]\n[measure]\n")).unwrap_err();
         assert_eq!(e.line, 3, "{e}");
         assert!(e.msg.contains("xmp-experiments run"), "{e}");
-        let chaos = "[sim]\nseed = 1\nk = 4\nhorizon_us = 9\ntopology = fattree\n";
-        Scenario::parse_chaos(chaos).expect("a fat tree named as such is a chaos run");
+        let text = "[sim]\nseed = 1\nk = 4\nhorizon_us = 9\ntopology = fattree\n";
+        chaos(text).expect("a fat tree named as such is a chaos run");
     }
 
     /// The committed fat-tree suite files round-trip through `to_text`, and
@@ -1690,14 +1795,20 @@ mod tests {
                 "`flows` needs a [pattern]",
             ),
             (
-                format!("{head}[[variant]]\ncap = 50\n"),
+                format!("{head}[[variant]]\ncap = 50\n[measure]\n"),
                 5,
                 "`cap` needs a [pattern]",
             ),
             (
-                format!("{head}[[variant]]\ncoexist = tcp\n"),
+                format!("{head}[[variant]]\ncoexist = tcp\n[measure]\n"),
                 5,
                 "`coexist` needs a [pattern]",
+            ),
+            // Without a [measure] it is a chaos file, which reads no variant.
+            (
+                format!("{head}[[variant]]\ncap = 50\n"),
+                4,
+                "[[variant]] is a paper-run setting that a chaos run does not read",
             ),
         ] {
             let e = Scenario::parse(&text).unwrap_err();
@@ -1724,5 +1835,114 @@ mod tests {
         assert_eq!(q.paper.variants.len(), 1);
         assert_eq!(q.paper.quick, None);
         assert_eq!(Scenario::parse(&sc.to_text()).as_ref(), Ok(&sc));
+    }
+
+    /// Each row of `RULES` against each kind of run: a file of that kind
+    /// that gains the row's key or section loads, and reloads from its
+    /// `to_text`, exactly when the table says the kind reads it; otherwise
+    /// the load stops at that line, naming it. The series kind runs on the
+    /// fat tree and off it, for the keys it takes only on the tree.
+    #[test]
+    fn every_key_outside_its_kind_is_refused_at_its_line() {
+        let series = "unit_us = 1000\nepochs = 2\n[[variant]]\n[measure]\n";
+        let bases = [
+            (
+                Kind::Chaos,
+                true,
+                "[sim]\nseed = 1\nk = 4\nhorizon_us = 1000\n".to_string(),
+            ),
+            (
+                Kind::Series,
+                true,
+                format!("[sim]\nseed = 1\nk = 4\n{series}"),
+            ),
+            (
+                Kind::Series,
+                false,
+                format!("[sim]\nseed = 1\ntopology = torus\n{series}"),
+            ),
+            (
+                Kind::Pattern,
+                true,
+                "[sim]\nseed = 1\nk = 4\n[pattern]\n[[variant]]\nscheme = dctcp\n[measure]\n"
+                    .into(),
+            ),
+        ];
+        let mut refused = 0;
+        for &(section, key, reads, tree, _) in &RULES {
+            let values: &[&str] = match key {
+                "qdisc" => &["ecn cap=100 k=10"],
+                "drop_unroutable" => &["true"],
+                "topology" => &["fattree", "torus"],
+                "routing" => &["ecmp"],
+                "kinds" => &["random"],
+                "coexist" => &["tcp"],
+                _ => &["4"],
+            };
+            for (kind, on_tree, base) in &bases {
+                for value in values {
+                    let off_tree = *value == "torus" || !on_tree;
+                    if (section, *kind) == ("pattern", Kind::Series)
+                        || (off_tree && *on_tree && *kind == Kind::Series)
+                    {
+                        continue; // the kind, or the tree a base's `k` needs, would change
+                    }
+                    let header = if section == "variant" {
+                        "[[variant]]".into()
+                    } else {
+                        format!("[{section}]")
+                    };
+                    let (text, line, name) = match (section, key) {
+                        (_, "") => (
+                            format!("{base}{header}\n"),
+                            base.lines().count() + 1,
+                            header.clone(),
+                        ),
+                        ("sim", _) => (
+                            base.replacen("[sim]\n", &format!("[sim]\n{key} = {value}\n"), 1),
+                            2,
+                            format!("`{key}`"),
+                        ),
+                        _ => (
+                            format!("{base}{header}\n{key} = {value}\n"),
+                            base.lines().count() + 2,
+                            format!("`{key}`"),
+                        ),
+                    };
+                    let own = RULES.iter().find(|r| (r.0, r.1) == (section, ""));
+                    let read = |reads: u8, tree: u8| {
+                        let bit = *kind as u8;
+                        reads & bit != 0 && (tree & bit == 0 || !off_tree)
+                    };
+                    let section_read = own.is_none_or(|r| read(r.2, r.3));
+                    let what = format!("{kind:?} run, {section}.{key} = {value}:\n{text}");
+                    match Scenario::parse(&text) {
+                        Ok(sc) => {
+                            assert!(section_read && read(reads, tree), "{what}: read");
+                            let back = Scenario::parse(&sc.to_text());
+                            assert_eq!(back.as_ref(), Ok(&sc), "{what}");
+                        }
+                        Err(e) => {
+                            let (line, name) = if section_read {
+                                (line, name)
+                            } else {
+                                (base.lines().count() + 1, header)
+                            };
+                            assert!(!(section_read && read(reads, tree)), "{what}: {e}");
+                            assert_eq!(e.line, line, "{what}: {e}");
+                            assert!(e.msg.contains(&name), "{what}: {e}");
+                            refused += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(refused > 40, "{refused} refusals");
+        // A chaos file reads none of the time-series keys.
+        for key in ["unit_us", "bin_us", "epochs"] {
+            let e = Scenario::parse(&format!("{}{key} = 3\n", bases[0].2)).unwrap_err();
+            let want = format!("`{key}` is a paper-run setting that a chaos run does not read");
+            assert_eq!((e.line, e.msg), (5, want));
+        }
     }
 }

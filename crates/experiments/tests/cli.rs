@@ -3,7 +3,8 @@
 //! prints its recorded digest.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use xmp_experiments::runner;
 
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_xmp-experiments"))
@@ -260,4 +261,37 @@ fn quick_keeps_flows_and_scale() {
         .and_then(|s| s.rsplit(' ').next());
     let flows: usize = flows.and_then(|n| n.parse().ok()).expect("a cell line");
     assert!(flows > 100, "{err}");
+}
+
+/// A paper run's `to_text` is a paper run: `fig1.scn` written back out and
+/// run from disk prints what the built-in `fig1` prints.
+#[test]
+fn fig1_to_text_runs_as_fig1() {
+    let fig1 = runner::PAPER_RUNS
+        .iter()
+        .find(|r| r.0 == "fig1")
+        .expect("committed");
+    let sc = runner::load(fig1.1).expect("fig1.scn loads");
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fig1-to-text.scn");
+    std::fs::write(&file, sc.to_text()).expect("scratch file is writable");
+    let path = file.to_string_lossy();
+    let spawn = |args: &[&str]| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_xmp-experiments"));
+        cmd.args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+    };
+    // Side by side: each is a few seconds of an unoptimized build.
+    let run = spawn(&["run", &path, "--quick", "--seed", "5"]).expect("runs");
+    let built_in = spawn(&["fig1", "--quick", "--seed", "5"]).expect("runs");
+    let (run, built_in) = (run.wait_with_output(), built_in.wait_with_output());
+    let (run, built_in) = (run.expect("runs"), built_in.expect("runs"));
+    assert_eq!(run.status.code(), Some(0), "{}", stderr(&run));
+    assert_eq!(built_in.status.code(), Some(0), "{}", stderr(&built_in));
+    assert!(!run.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&run.stdout),
+        String::from_utf8_lossy(&built_in.stdout)
+    );
 }

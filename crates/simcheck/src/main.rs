@@ -17,6 +17,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use xmp_simcheck::gen::{QUICK_COUNT, QUICK_SEED};
+use xmp_simcheck::scenario::Kind;
 use xmp_simcheck::{exec, gen, shrink, Scenario};
 
 fn main() -> ExitCode {
@@ -274,7 +275,7 @@ fn cmd_shrink(args: &[&str]) -> ExitCode {
 
 fn load(path: &str) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    Scenario::parse_chaos(&text).map_err(|e| format!("{path}: {e}"))
+    Scenario::parse_as(&text, &[Kind::Chaos]).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Write the minimized reproducer, annotated with what failed.

@@ -7,6 +7,7 @@
 //!   divergence → shrink → replay pipeline.
 
 use xmp_simcheck::gen::QUICK_SEED;
+use xmp_simcheck::scenario::Kind;
 use xmp_simcheck::{exec, gen, shrink, Scenario};
 
 #[test]
@@ -115,7 +116,7 @@ flow = 0 1 65536 tcp 0 0
 #[test]
 fn the_scale_cell_is_a_replayable_scenario() {
     let mut sc = xmp_experiments::scale::quick(42);
-    let back = Scenario::parse_chaos(&sc.to_text()).expect("the cell's text parses");
+    let back = Scenario::parse_as(&sc.to_text(), &[Kind::Chaos]).expect("the cell's text parses");
     assert_eq!(back, sc, "the text changed the cell");
     sc.slices = vec![2];
     let out = exec::run_scenario(&sc).expect("the cell builds");

@@ -9,17 +9,19 @@
 //! The fat-tree suite files also go through the paper-run loader.
 //! Every mutant must come back `Ok` or as an error whose line number lies
 //! inside the mutant; a panic is a failure, caught and reported with the
-//! input that caused it.
+//! input that caused it. A `.scn` that loads — seed or mutant — must also
+//! round-trip: its `to_text` loads through the same loader as itself.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use xmp_conformance::text::TextError;
 use xmp_conformance::SpecFile;
 use xmp_des::{SimRng, SimTime};
-use xmp_experiments::report;
+use xmp_experiments::{report, runner};
 use xmp_netsim::{CcSnapshot, ProbeRecord};
 use xmp_simcheck::gen::{self, QUICK_COUNT, QUICK_SEED};
-use xmp_simcheck::scenario::MAX_FLOWS;
+use xmp_simcheck::scenario::{Kind, MAX_FLOWS};
 use xmp_simcheck::Scenario;
 
 /// Bytes a flip may write besides a flipped bit: the grammars' own
@@ -203,17 +205,37 @@ corrupt = rack/2 0.001
 watch = rack/0 1
 ";
 
+/// A `.scn` loader: [`Scenario::parse`], the chaos harness's or the paper
+/// runs'.
+type Load = fn(&str) -> Result<Scenario, TextError>;
+
+/// `sc`, loaded by `load`, reloads from its own text as itself.
+fn assert_round_trip(sc: &Scenario, load: Load) {
+    let text = sc.to_text();
+    assert_eq!(
+        load(&text).as_ref(),
+        Ok(sc),
+        "did not reload as itself:\n{text}"
+    );
+}
+
+/// `m` through `load`: its error or, if it loads, `None` once its text
+/// reloads as itself.
+fn load_back(load: Load, m: &str) -> Option<TextError> {
+    load(m).map(|sc| assert_round_trip(&sc, load)).err()
+}
+
 #[test]
 fn scenario_reader_survives_mutation_and_round_trips_the_quick_batch() {
     let seeds: Vec<String> = (0..QUICK_COUNT)
         .map(|i| {
             let sc = gen::generate(QUICK_SEED, i);
-            let text = sc.to_text();
-            assert_eq!(Scenario::parse(&text).as_ref(), Ok(&sc), "scenario {i}");
-            text
+            assert_round_trip(&sc, Scenario::parse);
+            assert_round_trip(&sc, |text| Scenario::parse_as(text, &[Kind::Chaos]));
+            sc.to_text()
         })
         .collect();
-    let parse = |m: &str| Scenario::parse(m).err().map(|e| e.line);
+    let parse = |m: &str| load_back(Scenario::parse, m).map(|e| e.line);
     fuzz(".scn", &seeds, 100, 1, parse);
     Scenario::parse(EVERY_SPELLING).expect("hand-written seed parses");
     fuzz(".scn", &[EVERY_SPELLING.to_string()], 5000, 4, parse);
@@ -238,34 +260,33 @@ fn scenario_reader_survives_mutation_at_the_flow_bound() {
     assert!(over.get() > 0, "no mutant crossed the flow bound");
 }
 
+/// Every committed paper run and its `--quick` form reload from their
+/// text through the paper-run loader; every mutant that parses reloads
+/// from its own.
 #[test]
 fn paper_runs_round_trip_and_survive_mutation() {
     let paths = committed("scenarios/paper", "scn");
-    assert!(paths.len() >= 5, "found {} paper runs", paths.len());
+    assert!(paths.len() >= 7, "found {} paper runs", paths.len());
     let seeds: Vec<String> = paths
         .iter()
         .map(|p| {
             let text = std::fs::read_to_string(p).expect("paper run is readable");
-            let sc = Scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
+            let sc = runner::load(&text).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
             assert!(sc.paper.measure.is_some(), "{}", p.display());
-            assert_eq!(
-                Scenario::parse(&sc.to_text()).as_ref(),
-                Ok(&sc),
-                "{}",
-                p.display()
-            );
+            assert_round_trip(&sc, runner::load);
+            assert_round_trip(&sc.quick(), runner::load);
             text
         })
         .collect();
     fuzz(".scn", &seeds, 1000, 5, |m| {
-        Scenario::parse(m).err().map(|e| e.line)
+        load_back(Scenario::parse, m).map(|e| e.line)
     });
 }
 
 /// The fat-tree suite files: every mutant comes back from the paper-run
-/// loader `Ok` or refused at a line inside it, and some reach the
-/// `[pattern]` rules (a bad kind or bound, a pattern-only key without a
-/// `[pattern]`, a table a pattern run does not render).
+/// loader `Ok`, reloading from its own text, or refused at a line inside
+/// it, and some reach the `[pattern]` rules (a bad kind or bound, a
+/// pattern-only key without a `[pattern]`).
 #[test]
 fn pattern_runs_survive_mutation() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/paper");
@@ -275,7 +296,7 @@ fn pattern_runs_survive_mutation() {
         .collect();
     let pattern = Cell::new(0);
     fuzz(".scn", &seeds, 2000, 7, |m| {
-        let e = xmp_experiments::runner::load(m).err()?;
+        let e = load_back(runner::load, m)?;
         let rules = ["[pattern]", "out of range", "unknown kind"];
         pattern.set(pattern.get() + usize::from(rules.iter().any(|r| e.msg.contains(r))));
         Some(e.line)
