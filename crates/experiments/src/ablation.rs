@@ -2,10 +2,11 @@
 //!
 //! 1. **β/K sweep** — the paper's future-work item ("a deeper
 //!    understanding on these impacts should be based on further
-//!    theoretical analysis"): sweep the window-reduction divisor β and the
-//!    marking threshold K on a shared bottleneck and report utilization,
-//!    mean queue depth (≈ latency) and fairness. Eq. 1 predicts the
-//!    utilization cliff at `K < BDP/(β−1)`.
+//!    theoretical analysis"): `scenarios/paper/sweep.scn` sweeps the
+//!    window-reduction divisor β and the marking threshold K on a shared
+//!    bottleneck, one variant per (β, K), and this module reports
+//!    utilization, mean queue depth (≈ latency) and fairness. Eq. 1
+//!    predicts the utilization cliff at `K < BDP/(β−1)`.
 //! 2. **Coupling ablation** — XMP with TraSh disabled (`uXMP`): an
 //!    n-subflow flow competing against single-path flows takes roughly n
 //!    shares, violating the fairness goal that motivates coupling
@@ -14,63 +15,21 @@
 //!    Section 7 points to, run through the same fat-tree suite. It and the
 //!    routing and RTO legs are edits of `fattree.scn`'s quick cell
 //!    ([`quick_cell`]).
+//!
+//! Every cell is built by [`runner::build`].
 
-use crate::common::{audit_windows, end_of_run_audit, frac, host_stack, mbps, TextTable};
-use crate::scenario::Scenario;
+use crate::common::{audit_windows, end_of_run_audit, frac, mbps, TextTable};
+use crate::runner::{self, Cell};
+use crate::scenario::{LinkRef, Paper, QdiscSpec, Scenario, Topology, Variant};
 use crate::suite::{quick_cell, run_suite, Pattern, SuiteResult};
 use std::fmt;
-use xmp_des::{Bandwidth, SimDuration, SimTime};
-use xmp_netsim::{PortId, QdiscConfig, Sim};
-use xmp_topo::{Dumbbell, RoutingMode};
-use xmp_transport::{Segment, SubflowSpec};
-use xmp_workloads::{jain_index, Driver, FlowSpecBuilder, Host, RateBins, Scheme};
+use xmp_core::XmpParams;
+use xmp_des::{Bandwidth, ByteSize, SimDuration, SimTime};
+use xmp_topo::RoutingMode;
+use xmp_workloads::{jain_index, FlowSpecBuilder, RateBins, Scheme};
 
-/// Configuration for the ablation suite.
-#[derive(Clone, Debug)]
-pub struct AblationConfig {
-    /// β values for the sweep.
-    pub betas: Vec<u32>,
-    /// K values for the sweep (packets).
-    pub ks: Vec<usize>,
-    /// Measurement window per sweep point.
-    pub window: SimDuration,
-    /// Every cell's seed; `None`: 1 for the sweep and coupling cells and
-    /// `fattree.scn`'s for the suite legs.
-    pub seed: Option<u64>,
-    /// Run the suite legs at `fattree.scn`'s `--quick` size rather than on
-    /// the k = 8 tree to 150 flows (30 Incast jobs) within 30 s.
-    pub quick_legs: bool,
-}
-
-impl Default for AblationConfig {
-    fn default() -> Self {
-        AblationConfig {
-            betas: vec![2, 3, 4, 5, 6, 8],
-            ks: vec![5, 10, 15, 20, 30],
-            window: SimDuration::from_secs(2),
-            seed: None,
-            quick_legs: false,
-        }
-    }
-}
-
-impl AblationConfig {
-    /// Bench-scale variant.
-    pub fn quick() -> Self {
-        AblationConfig {
-            betas: vec![2, 4, 6],
-            ks: vec![5, 10, 20],
-            window: SimDuration::from_millis(400),
-            quick_legs: true,
-            ..AblationConfig::default()
-        }
-    }
-
-    /// The sweep and coupling cells' seed.
-    fn dumbbell_seed(&self) -> u64 {
-        self.seed.unwrap_or(1)
-    }
-}
+/// The β/K sweep, built in so that `ablation` runs from any directory.
+pub const SWEEP: &str = include_str!("../../../scenarios/paper/sweep.scn");
 
 /// One β/K sweep point.
 #[derive(Debug)]
@@ -92,7 +51,7 @@ pub struct SweepPoint {
 /// Full ablation result.
 #[derive(Debug)]
 pub struct AblationResult {
-    /// The β/K sweep grid.
+    /// The β/K sweep grid, by (β, K).
     pub sweep: Vec<SweepPoint>,
     /// (coupled share, uncoupled share) of a 3-subflow flow against three
     /// single-path competitors.
@@ -114,139 +73,123 @@ pub struct AblationResult {
 
 /// `cell`'s end-of-run audit failures, its driver's window bounds
 /// included, named, onto `audit`.
-fn audit_cell(audit: &mut Vec<String>, cell: &str, sim: &mut Sim<Segment, Host>, d: &Driver) {
-    let mut failures = end_of_run_audit(sim);
-    audit_windows(sim, d, &mut failures);
-    audit.extend(failures.into_iter().map(|f| format!("{cell}: {f}")));
+fn audit_cell(audit: &mut Vec<String>, name: &str, cell: &mut Cell) {
+    let mut failures = end_of_run_audit(&cell.sim);
+    audit_windows(&mut cell.sim, &cell.driver, &mut failures);
+    audit.extend(failures.into_iter().map(|f| format!("{name}: {f}")));
 }
 
-/// Four single-path XMP flows on a 1 Gbps / 400 µs dumbbell at (β, K).
-fn sweep_point(cfg: &AblationConfig, beta: u32, k: usize, audit: &mut Vec<String>) -> SweepPoint {
-    let bdp_packets = 33.0; // 1 Gbps x 400 us / 1500 B
-    let mut sim: Sim<Segment, Host> = Sim::new(cfg.dumbbell_seed());
-    let db = Dumbbell::build(
-        &mut sim,
-        4,
-        Bandwidth::from_gbps(1),
-        SimDuration::from_micros(400),
-        QdiscConfig::EcnThreshold { cap: 100, k },
-        |_| host_stack(),
-    );
-    let mut d = Driver::new();
-    let conns: Vec<_> = (0..4)
-        .map(|i| {
-            d.submit(FlowSpecBuilder {
-                src_node: db.sources[i],
-                subflows: vec![SubflowSpec {
-                    local_port: PortId(0),
-                    src: Dumbbell::src_addr(i),
-                    dst: Dumbbell::dst_addr(i),
-                }],
-                size: u64::MAX,
-                scheme: Scheme::Xmp { beta, subflows: 1 },
-                start: SimTime::ZERO,
-                category: None,
-                tag: i as u64,
-            })
-        })
-        .collect();
-    // Warm up one window, measure over the next: the second bin.
-    let mut bins = RateBins::new(conns.iter().map(|&c| (c, 0)), cfg.window);
-    bins.run(&mut d, &mut sim, SimTime::ZERO + cfg.window);
-    let bytes_before = sim.link(db.bottleneck).dir(0).stats.delivered_bytes;
+/// Variant `v` of the sweep `sc`: its flows warm up until the last window
+/// (`unit_us`) and are measured over it, on the dumbbell's bottleneck.
+fn sweep_point(sc: &Scenario, v: &Variant, audit: &mut Vec<String>) -> Result<SweepPoint, String> {
+    let Topology::Dumbbell(_, mbps, rtt_us) = sc.paper.topology else {
+        return Err(format!(
+            "the sweep runs on a dumbbell, not {}",
+            sc.paper.topology
+        ));
+    };
+    let QdiscSpec::Ecn { k, .. } = sc.qdisc_of(Some(v))? else {
+        return Err(format!("`{}` marks by no threshold K", v.title));
+    };
+    let mut cell = runner::build(sc, Some(v))?;
+    let link = cell.net.link(LinkRef::Bottleneck(0));
+    let link = link.ok_or("the sweep's dumbbell has no bottleneck")?;
+    let (sim, d) = (&mut cell.sim, &mut cell.driver);
+    let window = SimDuration::from_micros(sc.paper.unit_us);
+    let mut bins = RateBins::new(cell.conns.iter().map(|&c| (c, 0)), window);
+    let warm = SimTime::ZERO + window * sc.paper.epochs.saturating_sub(1);
+    bins.run(d, sim, warm);
+    let bytes_before = sim.link(link).dir(0).stats.delivered_bytes;
     let t0 = sim.now();
-    bins.run(&mut d, &mut sim, t0 + cfg.window);
-    let rates = &bins.rows()[1];
-    let s = &sim.link(db.bottleneck).dir(0).stats;
+    bins.run(d, sim, t0 + window);
+    let rates = bins.rows().last().ok_or("the sweep ran no window")?;
+    let s = &sim.link(link).dir(0).stats;
     let dt = sim.now().duration_since(t0).as_secs_f64();
     let bits = (s.delivered_bytes - bytes_before).as_bytes() as f64 * 8.0;
-    let mean_queue = s.mean_depth(sim.now());
-    audit_cell(audit, &format!("beta={beta} K={k}"), &mut sim, &d);
-    SweepPoint {
+    let (rate, rtt) = (Bandwidth::from_mbps(mbps), SimDuration::from_micros(rtt_us));
+    let bdp = XmpParams::bdp_packets(rate, rtt, ByteSize::from_bytes(1500));
+    let beta = v.beta;
+    let point = SweepPoint {
         beta,
         k,
-        utilization: bits / (1e9 * dt),
-        mean_queue,
+        utilization: bits / (mbps as f64 * 1e6 * dt),
+        mean_queue: s.mean_depth(sim.now()),
         jain: jain_index(rates),
-        eq1_satisfied: k as f64 >= bdp_packets / (f64::from(beta) - 1.0),
-    }
+        eq1_satisfied: XmpParams { beta, k }.full_utilization(bdp),
+    };
+    audit_cell(audit, &v.title, &mut cell);
+    Ok(point)
 }
 
-/// The coupling ablation on a 300 Mbps bottleneck: a 3-subflow flow vs
-/// three single-path XMP flows; returns the multi-subflow flow's share.
-fn coupling_share(cfg: &AblationConfig, coupled: bool, audit: &mut Vec<String>) -> f64 {
-    let mut sim: Sim<Segment, Host> = Sim::new(cfg.dumbbell_seed());
-    let db = Dumbbell::build(
-        &mut sim,
-        4,
-        Bandwidth::from_mbps(300),
-        SimDuration::from_micros(1800),
-        QdiscConfig::EcnThreshold { cap: 100, k: 15 },
-        |_| host_stack(),
-    );
-    let mut d = Driver::new();
-    let spec = |i: usize| SubflowSpec {
-        local_port: PortId(0),
-        src: Dumbbell::src_addr(i),
-        dst: Dumbbell::dst_addr(i),
+/// The coupling ablation on a 300 Mbps bottleneck, at `sweep`'s seed and
+/// window: a 3-subflow flow vs three single-path XMP flows; returns the
+/// multi-subflow flow's share.
+fn coupling_share(sweep: &Scenario, coupled: bool, audit: &mut Vec<String>) -> Result<f64, String> {
+    let topology = Topology::Dumbbell(4, 300, 1800);
+    let sc = Scenario {
+        seed: sweep.seed,
+        qdisc: QdiscSpec::Ecn { cap: 100, k: 15 },
+        paper: Paper {
+            topology,
+            ..Paper::default()
+        },
+        ..Scenario::default()
     };
+    let mut cell = runner::build(&sc, None)?;
+    let (beta, subflows) = (4, 3);
     let scheme = if coupled {
-        Scheme::Xmp {
-            beta: 4,
-            subflows: 3,
-        }
+        Scheme::Xmp { beta, subflows }
     } else {
-        Scheme::XmpUncoupled {
-            beta: 4,
-            subflows: 3,
-        }
+        Scheme::XmpUncoupled { beta, subflows }
     };
-    let multi = d.submit(FlowSpecBuilder {
-        src_node: db.sources[0],
-        subflows: vec![spec(0); 3],
-        size: u64::MAX,
-        scheme,
-        start: SimTime::ZERO,
-        category: None,
-        tag: 0,
-    });
-    for i in 1..4 {
-        d.submit(FlowSpecBuilder {
-            src_node: db.sources[i],
-            subflows: vec![spec(i)],
+    // One flow per dumbbell pair: the multi-subflow one on pair 0.
+    let mut submit = |i: usize, scheme: Scheme| {
+        let (src_node, spec) = cell
+            .net
+            .path(&format!("flow/{i}/0"))
+            .ok_or(format!("no pair {i}"))?;
+        Ok::<_, String>(cell.driver.submit(FlowSpecBuilder {
+            src_node,
+            subflows: vec![spec; scheme.subflow_count()],
             size: u64::MAX,
-            scheme: Scheme::xmp(1),
+            scheme,
             start: SimTime::ZERO,
             category: None,
             tag: i as u64,
-        });
+        }))
+    };
+    let multi = submit(0, scheme)?;
+    for i in 1..4 {
+        submit(i, Scheme::xmp(1))?;
     }
     // Warm up two windows, measure over the next two: the second bin.
-    let mut bins = RateBins::new((0..3).map(|r| (multi, r)), cfg.window * 2);
-    bins.run(&mut d, &mut sim, SimTime::ZERO + cfg.window * 4);
-    let cell = if coupled {
+    let window = SimDuration::from_micros(sweep.paper.unit_us);
+    let mut bins = RateBins::new((0..3).map(|r| (multi, r)), window * 2);
+    bins.run(&mut cell.driver, &mut cell.sim, SimTime::ZERO + window * 4);
+    let name = if coupled {
         "XMP (coupled)"
     } else {
         "uXMP (uncoupled)"
     };
-    audit_cell(audit, cell, &mut sim, &d);
+    audit_cell(audit, name, &mut cell);
     let rate: f64 = bins.rows()[1].iter().sum();
-    rate / 300e6
+    Ok(rate / 300e6)
 }
 
 /// One suite leg, named `label`: `fattree.scn`'s quick cell of `kind`
-/// under `scheme`, sized and seeded by `cfg`, then `edit`ed. Its audit
-/// failures go onto `audit`, after `label`.
+/// under `scheme` at `seed` (`None`: the file's), grown unless `quick` to
+/// the k = 8 tree and 150 flows (30 Incast jobs) within 30 s, then
+/// `edit`ed. Its audit failures go onto `audit`, after `label`.
 fn leg(
-    cfg: &AblationConfig,
+    (quick, seed): (bool, Option<u64>),
     (kind, scheme): (Pattern, Scheme),
     label: &str,
     edit: impl FnOnce(&mut Scenario),
     audit: &mut Vec<String>,
 ) -> Result<SuiteResult, String> {
     let (mut sc, v) = quick_cell(kind, scheme);
-    sc.seed = cfg.seed.unwrap_or(sc.seed);
-    if let Some(p) = sc.paper.pattern.as_mut().filter(|_| !cfg.quick_legs) {
+    sc.seed = seed.unwrap_or(sc.seed);
+    if let Some(p) = sc.paper.pattern.as_mut().filter(|_| !quick) {
         (sc.k, p.flows, p.min_jobs, p.max_sim_us) = (8, 150, 30, 30_000_000);
     }
     edit(&mut sc);
@@ -255,30 +198,42 @@ fn leg(
     Ok(run.result)
 }
 
-/// Run all three ablations. An `Err` is a suite leg that does not build.
-pub fn run(cfg: &AblationConfig) -> Result<AblationResult, String> {
+/// Run all three ablations, `quick`ly or not, every cell at `seed`
+/// (`None`: its file's). An `Err` is a cell that does not build.
+pub fn run(quick: bool, seed: Option<u64>) -> Result<AblationResult, String> {
+    let sc = runner::load(SWEEP).map_err(|e| format!("sweep.scn: {e}"))?;
+    let mut sc = if quick { sc.quick() } else { sc };
+    sc.seed = seed.unwrap_or(sc.seed);
     let mut audit = Vec::new();
-    let mut sweep = Vec::new();
-    for &beta in &cfg.betas {
-        for &k in &cfg.ks {
-            sweep.push(sweep_point(cfg, beta, k, &mut audit));
-        }
-    }
+    let points = sc
+        .paper
+        .variants
+        .iter()
+        .map(|v| sweep_point(&sc, v, &mut audit));
+    let mut sweep = points.collect::<Result<Vec<_>, _>>()?;
+    sweep.sort_by_key(|p| (p.beta, p.k));
     let coupling = (
-        coupling_share(cfg, true, &mut audit),
-        coupling_share(cfg, false, &mut audit),
+        coupling_share(&sc, true, &mut audit)?,
+        coupling_share(&sc, false, &mut audit)?,
     );
+    let legs = (quick, seed);
     let perm = |s| (Pattern::Permutation, s);
     let mut olia_rows = Vec::new();
     for s in [Scheme::xmp(2), Scheme::lia(2), Scheme::Olia { subflows: 2 }] {
-        let r = leg(cfg, perm(s), &s.label(), |_| {}, &mut audit)?;
+        let r = leg(legs, perm(s), &s.label(), |_| {}, &mut audit)?;
         olia_rows.push((s.label(), r.avg_goodput_bps));
     }
     // The two-level row is the XMP-2 cell above (same scenario, seed and
     // routing), so only the ECMP leg runs.
     let mut routing_rows = vec![("two-level (paper)".to_string(), olia_rows[0].1)];
     let ecmp = |sc: &mut Scenario| sc.routing = RoutingMode::EcmpPerFlow;
-    let r = leg(cfg, perm(Scheme::xmp(2)), "per-flow ECMP", ecmp, &mut audit)?;
+    let r = leg(
+        legs,
+        perm(Scheme::xmp(2)),
+        "per-flow ECMP",
+        ecmp,
+        &mut audit,
+    )?;
     routing_rows.push(("per-flow ECMP".to_string(), r.avg_goodput_bps));
     let mut rto_rows = Vec::new();
     for (scheme, ms) in [
@@ -289,7 +244,7 @@ pub fn run(cfg: &AblationConfig) -> Result<AblationResult, String> {
     ] {
         let label = format!("{} @ RTOmin {ms}ms", scheme.label());
         let rto = |sc: &mut Scenario| sc.rto_min_us = ms * 1000;
-        let r = leg(cfg, (Pattern::Incast, scheme), &label, rto, &mut audit)?;
+        let r = leg(legs, (Pattern::Incast, scheme), &label, rto, &mut audit)?;
         let jct = r.job_times_ms.as_ref().map_or(0.0, |c| c.median());
         rto_rows.push((label, r.avg_goodput_bps, jct));
     }
@@ -357,14 +312,22 @@ impl fmt::Display for AblationResult {
 mod tests {
     use super::*;
 
-    fn tiny() -> AblationConfig {
-        AblationConfig {
-            betas: vec![2, 6],
-            ks: vec![5, 30],
-            window: SimDuration::from_millis(600),
-            seed: Some(3),
-            quick_legs: true,
-        }
+    /// `sweep.scn` at the tests' 600 ms window and seed 3.
+    fn tiny() -> Scenario {
+        let mut sc = runner::load(SWEEP).expect("sweep.scn loads");
+        (sc.paper.unit_us, sc.seed) = (600_000, 3);
+        sc
+    }
+
+    /// The sweep's (β, K) point at the tests' window and seed.
+    fn point(beta: u32, k: usize, audit: &mut Vec<String>) -> SweepPoint {
+        let sc = tiny();
+        let v = sc
+            .paper
+            .variants
+            .iter()
+            .find(|v| (v.beta, v.k) == (beta, Some(k)));
+        sweep_point(&sc, v.expect("a point of the grid"), audit).expect("the point builds")
     }
 
     /// A suite leg's audit reaches the result's list, named by its row,
@@ -381,34 +344,32 @@ mod tests {
             (p.flows, p.max_sim_us) = (6, 2_000_000);
         };
         let xmp = (Pattern::Permutation, Scheme::xmp(2));
-        let r = leg(&tiny(), xmp, "XMP-2", small, &mut audit).expect("the leg builds");
+        let r = leg((true, Some(3)), xmp, "XMP-2", small, &mut audit).expect("the leg builds");
         assert!(r.completed_flows >= 6, "{r}");
         assert_eq!(audit, Vec::<String>::new());
     }
 
     #[test]
     fn eq1_predicts_the_utilization_cliff() {
-        let cfg = tiny();
         let mut audit = Vec::new();
-        // beta=2 needs K >= 33: K=5 under-utilizes, K=30 nearly does not.
-        let low = sweep_point(&cfg, 2, 5, &mut audit);
-        let high = sweep_point(&cfg, 2, 30, &mut audit);
+        // beta=2 needs K >= 33.3: K=5 under-utilizes, K=30 nearly does not.
+        let low = point(2, 5, &mut audit);
+        let high = point(2, 30, &mut audit);
         assert!(!low.eq1_satisfied && low.utilization < 0.85, "{low:?}");
         assert!(
             high.utilization > low.utilization + 0.1,
             "K=30 {high:?} vs K=5 {low:?}"
         );
-        // Larger beta tolerates small K: beta=6 with K=10 >= 33/5.
-        let b6 = sweep_point(&cfg, 6, 30, &mut audit);
-        assert!(b6.utilization > 0.85, "{b6:?}");
+        // Larger beta tolerates small K: beta=6 with K=30 >= 33.3/5.
+        let b6 = point(6, 30, &mut audit);
+        assert!(b6.eq1_satisfied && b6.utilization > 0.85, "{b6:?}");
         assert!(audit.is_empty(), "{audit:?}");
     }
 
     #[test]
     fn queue_depth_tracks_k() {
-        let cfg = tiny();
-        let small = sweep_point(&cfg, 4, 5, &mut Vec::new());
-        let large = sweep_point(&cfg, 4, 30, &mut Vec::new());
+        let small = point(4, 5, &mut Vec::new());
+        let large = point(4, 30, &mut Vec::new());
         assert!(
             large.mean_queue > small.mean_queue,
             "queue should grow with K: {} vs {}",
@@ -419,10 +380,9 @@ mod tests {
 
     #[test]
     fn coupling_restores_fairness() {
-        let cfg = tiny();
         let mut audit = Vec::new();
-        let coupled = coupling_share(&cfg, true, &mut audit);
-        let uncoupled = coupling_share(&cfg, false, &mut audit);
+        let coupled = coupling_share(&tiny(), true, &mut audit).expect("builds");
+        let uncoupled = coupling_share(&tiny(), false, &mut audit).expect("builds");
         assert!(audit.is_empty(), "{audit:?}");
         // Fair share is 0.25; uncoupled should grab roughly 3 of 6 "slots".
         assert!(

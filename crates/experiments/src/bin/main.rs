@@ -7,7 +7,8 @@
 //!
 //! commands:
 //!   run FILE  one paper run from a scenario file with a [measure]
-//!             (scenarios/paper/*.scn); --seed overrides the file's
+//!             (scenarios/paper/*.scn); --seed overrides the file's; its
+//!             [probes] export to results/<file stem>_<variant>.jsonl
 //!   fig1      DCTCP vs constant-cut convergence/fairness
 //!   fig4      traffic shifting on the Fig.3a testbed (beta 4 vs 6)
 //!   fig6      fairness with 3/2/1/1 subflows (beta 4 vs 6)
@@ -16,10 +17,12 @@
 //!   fattree   the fat-tree suite: Table 1, Figs. 8/9/10/11, Table 3
 //!             (also as table1, table3, fig8, fig9, fig10, fig11)
 //!   table2    XMP coexistence with LIA / TCP / DCTCP
-//!             (these seven run scenarios/paper/<command>.scn, built in)
-//!   ablation  beta/K sweep, TraSh-coupling ablation, OLIA comparison
-//!   dynamics  Fig.2-style cwnd/queue time series, exported to results/
-//!             (exits 2 naming the path when results/ cannot be written)
+//!   dynamics  Fig.2-style cwnd/queue time series, exported to
+//!             results/dynamics_<variant>.jsonl (exits 2 naming the path
+//!             when results/ cannot be written)
+//!             (these eight run scenarios/paper/<command>.scn, built in)
+//!   ablation  beta/K sweep (scenarios/paper/sweep.scn, built in),
+//!             TraSh-coupling ablation, OLIA comparison
 //!   scale     wall clock, peak RSS and outcome digest of one large serial
 //!             cell; `scale mega` runs the k=32 (8192-host) memory cell
 //!   hybrid    hybrid fluid/packet mode vs packet baseline, per-class
@@ -36,9 +39,10 @@
 //! or a scenario that does not build exits 2 before anything is simulated.
 //! Every cell ends with the full end-of-run audit; exit 1 names a failure.
 
+use std::path::Path;
 use std::time::Instant;
 use xmp_experiments::scenario::{pattern_number, PatternSpec, Scenario};
-use xmp_experiments::{ablation, dynamics, hybrid, report, runner, scale};
+use xmp_experiments::{ablation, hybrid, report, runner, scale};
 
 #[derive(Debug, Clone, Default)]
 struct Opts {
@@ -146,14 +150,24 @@ fn paper(label: &str, text: &str, o: &Opts) -> Scenario {
     sc
 }
 
-/// Run paper scenario `sc`, named `label`; print its tables.
-fn run_paper(label: &str, sc: &Scenario) {
-    let r = timed(label, || runner::run(sc)).unwrap_or_else(|e| refuse(label, e));
+/// Run paper scenario `sc`, named `label` in messages and `name` in its
+/// exports; print its tables and write its probe exports under `results/`.
+fn run_paper(label: &str, name: &str, sc: &Scenario) {
+    let r = timed(label, || runner::run(name, sc)).unwrap_or_else(|e| refuse(label, e));
     for c in &r.cells {
         eprint!("  -> {}", c.result);
         eprintln!("  -> profile: {}", c.profile.summary());
     }
     print!("{r}");
+    let mut exports = r.exports().peekable();
+    if exports.peek().is_some() {
+        std::fs::create_dir_all("results").unwrap_or_else(|e| refuse("create results/", e));
+    }
+    for (file, jsonl) in exports {
+        let path = format!("results/{file}");
+        std::fs::write(&path, &jsonl).unwrap_or_else(|e| refuse(&format!("write {path}"), e));
+        println!("wrote {path} ({} lines)", jsonl.lines().count());
+    }
     exit_on_audit_failures(label, &r.audit_failures());
 }
 
@@ -174,23 +188,9 @@ fn committed(name: &str, o: &Opts) -> Scenario {
     paper(name, text.unwrap_or_default(), o)
 }
 
-fn run_dynamics(o: &Opts) {
-    o.only_seed("dynamics", true);
-    let mut cfg = if o.quick {
-        dynamics::DynamicsConfig::quick()
-    } else {
-        dynamics::DynamicsConfig::default()
-    };
-    cfg.seed = o.seed();
-    let r = timed("dynamics", || dynamics::run(&cfg));
-    print!("{r}");
-    std::fs::create_dir_all("results").unwrap_or_else(|e| refuse("create results/", e));
-    for tr in &r.traces {
-        let path = format!("results/{}", tr.filename());
-        std::fs::write(&path, &tr.jsonl).unwrap_or_else(|e| refuse(&format!("write {path}"), e));
-        println!("wrote {path} ({} lines)", tr.jsonl.lines().count());
-    }
-    exit_on_audit_failures("dynamics", &r.audit_failures());
+/// Run the committed run `name` with `o` applied.
+fn run_committed(name: &str, o: &Opts) {
+    run_paper(name, name, &committed(name, o));
 }
 
 /// `trace report [files...]` — defaults to every results/dynamics_*.jsonl.
@@ -277,7 +277,9 @@ fn main() {
         ["run", path, ..] if !path.starts_with("--") => {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| refuse(path, format!("cannot read: {e}")));
-            return run_paper(path, &paper(path, &text, &parse_opts(&args[2..])));
+            let sc = paper(path, &text, &parse_opts(&args[2..]));
+            let stem = Path::new(path).file_stem().unwrap_or_default();
+            return run_paper(path, &stem.to_string_lossy(), &sc);
         }
         ["run", ..] => usage("run FILE.scn [--quick] [--seed N] [--scale N] [--flows N] [--pattern P]"),
         [c @ ("scale" | "hybrid"), sub @ ("mega" | "million"), ..] => (format!("{c} {sub}"), &args[2..]),
@@ -285,13 +287,12 @@ fn main() {
     };
     let (cmd, o) = (cmd.as_str(), parse_opts(rest));
     match cmd {
-        "fig1" | "fig4" | "fig6" | "fig7" | "failover" | "table2" => {
-            run_paper(cmd, &committed(cmd, &o))
+        "fig1" | "fig4" | "fig6" | "fig7" | "failover" | "table2" | "dynamics" => {
+            run_committed(cmd, &o)
         }
         "fattree" | "table1" | "fig8" | "fig9" | "fig10" | "fig11" | "table3" => {
-            run_paper("fattree", &committed("fattree", &o))
+            run_committed("fattree", &o)
         }
-        "dynamics" => run_dynamics(&o),
         "scale" | "scale mega" => {
             // The k = 32 memory-footprint cell has no quick form.
             o.only_seed(cmd, cmd == "scale");
@@ -308,13 +309,7 @@ fn main() {
         "hybrid million" => run_hybrid_million(&o),
         "ablation" => {
             o.only_seed("ablation", true);
-            let mut cfg = if o.quick {
-                ablation::AblationConfig::quick()
-            } else {
-                ablation::AblationConfig::default()
-            };
-            cfg.seed = o.seed;
-            let r = timed("ablation", || ablation::run(&cfg));
+            let r = timed("ablation", || ablation::run(o.quick, o.seed));
             let r = r.unwrap_or_else(|e| refuse("ablation", e));
             println!("{r}");
             exit_on_audit_failures("ablation", &r.audit);
@@ -325,12 +320,12 @@ fn main() {
             let mut series = o.clone();
             (series.scale, series.flows, series.pattern) = (None, None, None);
             for fig in ["fig1", "fig4", "fig6", "fig7"] {
-                run_paper(fig, &committed(fig, &series));
+                run_committed(fig, &series);
             }
-            run_paper("fattree", &fattree);
-            run_paper("table2", &table2);
-            run_paper("failover", &committed("failover", &series));
-            run_dynamics(&series);
+            run_paper("fattree", "fattree", &fattree);
+            run_paper("table2", "table2", &table2);
+            run_committed("failover", &series);
+            run_committed("dynamics", &series);
         }
         other => {
             eprintln!("unknown command {other}");

@@ -1,18 +1,10 @@
-//! Shared experiment plumbing: host factories, the end-of-run audit and
-//! plain-text rendering.
+//! Shared experiment plumbing: the end-of-run audit and plain-text
+//! rendering.
 
 use std::fmt;
 use xmp_netsim::{InvariantState, Sim};
-use xmp_transport::{HostStack, Segment, StackConfig};
+use xmp_transport::Segment;
 use xmp_workloads::{Driver, FlowSim, Host};
-
-/// Standard host agent for experiments: a [`HostStack`] over the
-/// statically dispatched [`xmp_core::CcKind`] controllers, stored inline
-/// in the simulation (`Sim<Segment, Host>`) so the packet hot path is
-/// fully devirtualized.
-pub fn host_stack() -> Host {
-    HostStack::new(StackConfig::default())
-}
 
 /// The audits a cell ends with — [`Sim::audit_invariants`], then
 /// [`Sim::try_audit_conservation`] — as one description per failure;
@@ -131,7 +123,7 @@ mod tests {
     use xmp_des::{Bandwidth, SimDuration, SimTime};
     use xmp_netsim::{PortId, QdiscConfig};
     use xmp_topo::Dumbbell;
-    use xmp_transport::SubflowSpec;
+    use xmp_transport::{HostStack, StackConfig, SubflowSpec};
     use xmp_workloads::{FlowSpecBuilder, Scheme};
 
     #[test]

@@ -1,7 +1,8 @@
 //! # xmp-experiments — regenerating every table and figure of the paper
 //!
-//! The paper runs are scenario files, run by one runner; the rest is one
-//! module per evaluation artifact:
+//! The paper runs are scenario files, run by one runner; the other
+//! commands are one module each. Every simulation, theirs included, is
+//! built by [`runner::build`]:
 //!
 //! | Paper artifact | Where | What it shows |
 //! |---|---|---|
@@ -12,24 +13,23 @@
 //! | (extensions) | `scenarios/paper/failover.scn` | goodput through a mid-transfer core-link failure |
 //! | Table 1, Figs. 8/10/11 (+ Fig. 9, Table 3 for Incast) | `scenarios/paper/fattree.scn` | The fat-tree evaluation |
 //! | Table 2 | `scenarios/paper/table2.scn` | XMP coexistence with LIA / TCP / DCTCP |
-//! | (all of the above) | [`scenario`], [`runner`], [`suite`] | the `.scn` model, [`runner::build`] (the one builder from a scenario to a simulation, for paper runs, simcheck, `scale` and `hybrid`), the one runner of a paper run, and the fat-tree suite's cells and tables |
-//! | (extensions) | [`ablation`] | β/K sweep, TraSh-coupling ablation, OLIA |
-//! | Fig. 2 (dynamics) | [`dynamics`] | cwnd/queue/mark time series, exported as JSONL |
+//! | Fig. 2 (dynamics) | `scenarios/paper/dynamics.scn` | cwnd/queue/mark time series, exported as JSONL |
+//! | (all of the above) | [`scenario`], [`runner`], [`suite`] | the `.scn` model, [`runner::build`] (the one builder from a scenario to a simulation, for paper runs, simcheck, `ablation`, `scale` and `hybrid`), the one runner of a paper run, and the fat-tree suite's cells and tables |
+//! | (extensions) | [`ablation`] | β/K sweep (`scenarios/paper/sweep.scn`), TraSh-coupling ablation, OLIA |
 //! | (tooling) | [`report`] | summaries rendered back from exported traces |
 //! | (scaling) | [`scale`] | wall clock, peak RSS and outcome digest of one large serial cell, itself a chaos scenario |
 //! | (scaling) | [`hybrid`] | hybrid fluid/packet mode vs packet baseline, per-class tolerance bands |
 //!
-//! Each module exposes a `Config` (with paper defaults and a `quick()`
-//! variant for `--quick` runs), a `run` function, and a `Display`able
-//! result that prints the same rows/series the paper reports; a scenario
-//! file carries its own `[quick]`, and `scale`'s cells are scenarios. The `xmp-experiments` binary drives
-//! them from the command line.
+//! A scenario file carries its own `[quick]` (the `--quick` form), and
+//! `scale`'s cells are scenarios; `hybrid` keeps a `Config` with a
+//! `quick()` variant. Each command's result is `Display`able and prints
+//! the rows and series the paper reports. The `xmp-experiments` binary
+//! drives them from the command line.
 
 #![forbid(unsafe_code)]
 
 pub mod ablation;
 pub mod common;
-pub mod dynamics;
 pub mod hybrid;
 pub mod report;
 pub mod runner;
@@ -64,7 +64,7 @@ mod support {
         sc.paper.unit_us = unit_ms * 1000;
         sc.paper.bin_us = bin.map(|b| b * 1000);
         sc.paper.variants = vec![sc.paper.variants[variant].clone()];
-        let r = runner::run(&sc).expect("the run builds");
+        let r = runner::run(name, &sc).expect("the run builds");
         assert_eq!(r.audit_failures(), Vec::<String>::new(), "{name}: audits");
         r
     }
@@ -259,7 +259,7 @@ mod failover {
         fn multipath_recovers_during_outage_single_path_stalls() {
             let mut sc = committed("failover").quick();
             sc.seed = 1;
-            let r = runner::run(&sc).expect("the run builds");
+            let r = runner::run("failover", &sc).expect("the run builds");
             let titles = sc.paper.variants.iter().map(|v| v.title.as_str());
             let rows: Vec<_> = titles.zip(&r.runs).collect();
 
@@ -291,6 +291,74 @@ mod failover {
                 dctcp.dip_bps,
                 dctcp.pre_bps
             );
+        }
+    }
+}
+
+/// Shape tests of `scenarios/paper/dynamics.scn`.
+#[cfg(test)]
+mod dynamics {
+    mod tests {
+        use crate::report::{summarize, TraceSummary};
+        use crate::{runner, support::committed};
+        use xmp_netsim::ProbeRecord;
+
+        /// The quick run at seed 1, audited clean.
+        fn quick() -> runner::Report {
+            let mut sc = committed("dynamics").quick();
+            sc.seed = 1;
+            let r = runner::run("dynamics", &sc).expect("the run builds");
+            assert_eq!(r.audit_failures(), Vec::<String>::new());
+            r
+        }
+
+        #[test]
+        fn xmp_trace_has_both_subflows_marks_and_reductions() {
+            let r = quick();
+            let titles = r.scenario.paper.variants.iter().map(|v| &v.title[..]);
+            assert_eq!(titles.collect::<Vec<_>>(), ["XMP-2", "DCTCP"]);
+            let traces: Vec<_> = (r.runs.iter())
+                .map(|v| summarize(v.probes.as_ref().expect("probed").records()))
+                .collect();
+            let points = |t: &TraceSummary| t.cwnd.iter().map(|c| c.samples).sum::<usize>();
+            for t in &traces {
+                assert_eq!(t.queues[0].samples, 150, "one queue sample per epoch");
+                assert!(t.mark_events > 0, "no CE marks on the bottleneck");
+            }
+            let (xmp, dctcp) = (&traces[0], &traces[1]);
+            // Two subflows → two cwnd rows per epoch; single-path DCTCP → one.
+            assert_eq!(points(xmp), 2 * points(dctcp));
+            // XMP's round machinery reduced at least once under marking.
+            let reduced = xmp.cwnd[0].observed_p.is_some_and(|p| p > 0.0);
+            assert!(reduced, "XMP never entered REDUCED");
+            // DCTCP has no round counters: every cwnd line lacks the cc fields.
+            assert_eq!(dctcp.cwnd[0].observed_p, None);
+        }
+
+        #[test]
+        fn export_parses_line_by_line_and_queue_stays_sane() {
+            let r = quick();
+            let exports: Vec<_> = r.exports().collect();
+            let names: Vec<&str> = exports.iter().map(|e| &e.0[..]).collect();
+            assert_eq!(names, ["dynamics_xmp-2.jsonl", "dynamics_dctcp.jsonl"]);
+            for (name, jsonl) in exports {
+                let mut meta_lines = 0;
+                for (i, line) in jsonl.lines().enumerate() {
+                    let rec = ProbeRecord::parse(line)
+                        .unwrap_or_else(|e| panic!("{name} line {}: {e}", i + 1));
+                    match rec {
+                        ProbeRecord::Meta { experiment, .. } => {
+                            assert_eq!(experiment, "dynamics");
+                            meta_lines += 1;
+                        }
+                        ProbeRecord::Queue { depth, .. } => {
+                            assert!(depth <= 101, "depth {depth} above cap+serializing");
+                        }
+                        _ => {}
+                    }
+                }
+                assert_eq!(meta_lines, 1, "{name}: exactly one meta line");
+            }
         }
     }
 }

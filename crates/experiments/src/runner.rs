@@ -10,9 +10,10 @@
 //! A paper run is a [`Scenario`] with a `[measure]`, such as the committed
 //! `scenarios/paper/*.scn` ([`PAPER_RUNS`]). A time-series run builds one
 //! cell per variant, bins the series with [`RateBins`] (split where a link
-//! closes) and ends with the invariant and conservation audits; a
-//! `[pattern]` run builds one per pattern kind and variant and runs it
-//! with [`suite::run_suite`]. A [`Report`] renders the measure's tables.
+//! closes), records its `[probes]` and ends with the invariant and
+//! conservation audits; a `[pattern]` run builds one per pattern kind and
+//! variant and runs it with [`suite::run_suite`]. A [`Report`] renders the
+//! measure's tables and holds each variant's probe export.
 
 use crate::common::{audit_windows, end_of_run_audit, frac, mbps, TextTable};
 use crate::scenario::{indexed, Column, FaultSpec, Kind, LinkAction, LinkRef, Measure, NodeRef};
@@ -22,7 +23,7 @@ use std::fmt;
 use std::iter::once;
 use xmp_conformance::text::TextError;
 use xmp_des::{Bandwidth, SimDuration, SimTime};
-use xmp_netsim::{Addr, FaultPlan, LinkId, NodeId, PortId, ProbeConfig, Sim};
+use xmp_netsim::{Addr, FaultPlan, LinkId, NodeId, PortId, ProbeConfig, ProbeRecord, Probes, Sim};
 use xmp_topo::testbed::{Path, TestbedConfig};
 use xmp_topo::torus::TorusConfig;
 use xmp_topo::{Dumbbell, FatTree, FatTreeConfig, ShiftTestbed, Torus};
@@ -33,7 +34,7 @@ use xmp_workloads::{
 
 /// The committed paper runs by command name, built in so that the commands
 /// work from any directory.
-pub const PAPER_RUNS: [(&str, &str); 7] = [
+pub const PAPER_RUNS: [(&str, &str); 8] = [
     ("fig1", include_str!("../../../scenarios/paper/fig1.scn")),
     ("fig4", include_str!("../../../scenarios/paper/fig4.scn")),
     ("fig6", include_str!("../../../scenarios/paper/fig6.scn")),
@@ -49,6 +50,10 @@ pub const PAPER_RUNS: [(&str, &str); 7] = [
     (
         "table2",
         include_str!("../../../scenarios/paper/table2.scn"),
+    ),
+    (
+        "dynamics",
+        include_str!("../../../scenarios/paper/dynamics.scn"),
     ),
 ];
 
@@ -108,7 +113,7 @@ impl Net {
 
     /// The source host and subflow binding of path ref `p`, if it exists
     /// here.
-    fn path(&self, p: &str) -> Option<(NodeId, SubflowSpec)> {
+    pub(crate) fn path(&self, p: &str) -> Option<(NodeId, SubflowSpec)> {
         let (name, idx) = indexed(p, "path ref").ok()?;
         let (node, path) = match (self, name, &idx[..]) {
             (Net::Tree(ft), "ft", &[s, d, t]) => return host_path(ft, s, d, t).ok(),
@@ -134,7 +139,7 @@ impl Net {
     }
 
     /// The link `l` names, if it exists here.
-    fn link(&self, l: LinkRef) -> Option<LinkId> {
+    pub(crate) fn link(&self, l: LinkRef) -> Option<LinkId> {
         match (self, l) {
             (Net::Tree(ft), LinkRef::Core(i, j, p)) => {
                 // (k/2)² cores, k pods.
@@ -204,7 +209,9 @@ pub struct Cell {
 
 /// The one way from a scenario to a simulation. It sets the tuning, builds
 /// the topology (queueing at `variant`'s `cap` and `k`, if it sets them),
-/// installs the probes and one fault plan — `[faults]` in µs, then
+/// installs the probes (a chaos run's every `probe_interval_us` to its
+/// horizon; a series run's every bin to its end, marks included) and one
+/// fault plan — `[faults]` in µs, then
 /// `[schedule]`'s `down` and `up` in epochs — declares the `[flows]` lines
 /// and the `[schedule]` flows (schemes from `variant`) to one driver, and
 /// starts the `[pattern]`'s first kind on it (`variant`'s scheme, and
@@ -222,12 +229,17 @@ pub fn build(sc: &Scenario, variant: Option<&Variant>) -> Result<Cell, String> {
     let path = |q: &String| net.path(q).ok_or(format!("no path {q} on {topology}"));
 
     if !sc.probes.is_empty() {
-        let every = SimDuration::from_micros(sc.probe_interval_us);
-        let mut pc = ProbeConfig::every(every).until(us(sc.horizon_us));
+        let series = sc.kind() == Kind::Series;
+        let (every, until) = if series {
+            (p.bin_us.unwrap_or(p.unit_us), at(p.epochs))
+        } else {
+            (sc.probe_interval_us, us(sc.horizon_us))
+        };
+        let mut pc = ProbeConfig::every(SimDuration::from_micros(every)).until(until);
         for &(l, dir) in &sc.probes {
             pc = pc.watch_queue(link(l)?, dir);
         }
-        sim.install_probes(pc);
+        sim.install_probes(if series { pc.with_marks() } else { pc });
     }
 
     let mut plan = FaultPlan::new();
@@ -338,9 +350,9 @@ pub fn build(sc: &Scenario, variant: Option<&Variant>) -> Result<Cell, String> {
 /// One variant's run: per bin, each series' summed member rates over its
 /// capacity; per epoch, their means; the RTOs of the first series' flow;
 /// the packets blackholed on the first `down` link; the first series'
-/// [`Outage`], if the run has a `down`; what the end-of-run audits found;
-/// and the events the run scheduled, in all and past the event wheel's
-/// window.
+/// [`Outage`], if the run has a `down`; what its `[probes]` recorded;
+/// what the end-of-run audits found; and the events the run scheduled, in
+/// all and past the event wheel's window.
 #[derive(Debug)]
 pub struct VariantRun {
     pub bins: Vec<Vec<f64>>,
@@ -348,16 +360,19 @@ pub struct VariantRun {
     pub rtos: u64,
     pub blackholed: u64,
     pub outage: Option<Outage>,
+    pub probes: Option<Probes>,
     pub audit: Vec<String>,
     pub events_scheduled: u64,
     pub events_far: u64,
 }
 
-/// A finished paper run: the scenario as run and one [`VariantRun`] per
-/// variant or, for a `[pattern]` run, one [`SuiteRun`] per pattern kind and
-/// variant (kind-major). `Display` renders the measure's tables.
+/// A finished paper run: its name, the scenario as run and one
+/// [`VariantRun`] per variant or, for a `[pattern]` run, one [`SuiteRun`]
+/// per pattern kind and variant (kind-major). `Display` renders the
+/// measure's tables.
 #[derive(Debug)]
 pub struct Report {
+    pub name: String,
     pub scenario: Scenario,
     pub runs: Vec<VariantRun>,
     pub cells: Vec<SuiteRun>,
@@ -402,9 +417,9 @@ fn outage(p: &Paper, g: &[f64]) -> Option<Outage> {
     })
 }
 
-/// Run every variant of a paper run, once per pattern kind if it has a
-/// `[pattern]`.
-pub fn run(sc: &Scenario) -> Result<Report, String> {
+/// Run every variant of paper run `name`, once per pattern kind if it has
+/// a `[pattern]`. The name heads its probe exports.
+pub fn run(name: &str, sc: &Scenario) -> Result<Report, String> {
     let m = sc
         .paper
         .measure
@@ -424,8 +439,9 @@ pub fn run(sc: &Scenario) -> Result<Report, String> {
     let runs = series
         .map(|v| run_variant(sc, m, v))
         .collect::<Result<_, _>>()?;
-    let scenario = sc.clone();
+    let (name, scenario) = (name.to_string(), sc.clone());
     Ok(Report {
+        name,
         scenario,
         runs,
         cells,
@@ -435,6 +451,7 @@ pub fn run(sc: &Scenario) -> Result<Report, String> {
 fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, String> {
     let p = &sc.paper;
     let unit = SimDuration::from_micros(p.unit_us);
+    let bin = SimDuration::from_micros(p.bin_us.unwrap_or(p.unit_us));
     let mut cell = build(sc, Some(v))?;
     let (sim, driver) = (&mut cell.sim, &mut cell.driver);
     let planned = &cell.conns[sc.flows.len()..];
@@ -447,20 +464,41 @@ fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, St
         .iter()
         .flat_map(|s| s.0.iter().map(|(f, x)| Ok((conn(f)?, *x))));
     let members = members.collect::<Result<Vec<_>, String>>()?;
-    let mut rates = RateBins::new(
-        members,
-        SimDuration::from_micros(p.bin_us.unwrap_or(p.unit_us)),
-    );
+    let mut rates = RateBins::new(members, bin);
     let end = SimTime::ZERO + unit * p.epochs;
-    for &(t, l) in &cell.closes {
-        rates.run(driver, sim, t.min(end));
-        sim.try_set_link_drop_prob(l, 1.0)
-            .map_err(|e| e.to_string())?;
+    // Bin by bin, a bin cut short where a link closes; after each, every
+    // `[schedule]` flow's windows onto the probes.
+    let mut closes = cell.closes.iter().peekable();
+    let probed = sim.probes().map_or(&[][..], |_| planned);
+    while sim.now() < end {
+        while let Some(&(_, l)) = closes.next_if(|c| c.0 <= sim.now()) {
+            sim.try_set_link_drop_prob(l, 1.0)
+                .map_err(|e| e.to_string())?;
+        }
+        let next = closes.peek().map_or(end, |c| c.0.min(end));
+        rates.run(driver, sim, (sim.now() + bin).min(next));
+        let at = sim.now();
+        for &conn in probed {
+            let snaps = driver.subflow_snapshots(sim, conn);
+            let Some(probes) = sim.probes_mut() else {
+                break;
+            };
+            for s in snaps {
+                probes.push(ProbeRecord::Cwnd {
+                    at,
+                    conn,
+                    subflow: s.subflow as u32,
+                    cwnd: s.cwnd,
+                    ssthresh: s.ssthresh,
+                    cc: s.cc,
+                });
+            }
+        }
     }
-    rates.run(driver, sim, end);
     driver.finalize_running(sim);
     let mut audit = end_of_run_audit(sim);
     audit_windows(sim, driver, &mut audit);
+    let probes = sim.take_probes();
 
     let sums = |row: &Vec<f64>| {
         let mut row = row.iter();
@@ -482,6 +520,7 @@ fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, St
         epochs: rates.epoch_means(unit, &bins),
         rtos: record.map_or(0, |r| r.rtos),
         outage: goodput.and_then(|g| outage(p, &g)),
+        probes,
         bins,
         blackholed,
         audit,
@@ -497,6 +536,32 @@ fn per_epoch(title: String, head: &str, n: usize) -> TextTable {
 }
 
 impl Report {
+    /// Each probed variant's export: its file name, `<run>_<variant>.jsonl`
+    /// (lower case, a character outside `[a-z0-9]` as `-`), and its JSON
+    /// Lines: a meta line naming the run, variant, seed, topology, qdisc
+    /// and epoch grid, then every record.
+    pub fn exports(&self) -> impl Iterator<Item = (String, String)> + '_ {
+        let (sc, p) = (&self.scenario, &self.scenario.paper);
+        let runs = p.variants.iter().zip(&self.runs);
+        runs.filter_map(move |(v, r)| {
+            let (probes, q) = (r.probes.as_ref()?, sc.qdisc_of(Some(v)).ok()?);
+            let meta = ProbeRecord::Meta {
+                experiment: self.name.clone(),
+                scheme: v.title.clone(),
+                seed: sc.seed,
+                note: format!("{}, {q}, epoch {} us x {}", p.topology, p.unit_us, p.epochs),
+            };
+            let jsonl = format!("{}\n{}", meta.to_json(), probes.export_jsonl());
+            Some((self.export_name(v), jsonl))
+        })
+    }
+
+    fn export_name(&self, v: &Variant) -> String {
+        let variant = v.title.to_lowercase();
+        let variant = variant.replace(|c: char| !c.is_ascii_alphanumeric(), "-");
+        format!("{}_{variant}.jsonl", self.name)
+    }
+
     /// Every audit failure, after its variant's title (and a cell's
     /// pattern).
     pub fn audit_failures(&self) -> Vec<String> {
@@ -572,6 +637,35 @@ impl Report {
         t
     }
 
+    /// The trace table: per variant, the cwnd rows, queue samples and CE
+    /// marks its probes recorded, the last reduction count a subflow 0
+    /// reported (0 for schemes without rounds), and its export.
+    fn trace_table(&self, m: &Measure) -> TextTable {
+        let ms = self.scenario.paper.unit_us as f64 / 1e3;
+        let header = "cwnd pts|queue pts|marks|reductions|export".split('|');
+        let t = TextTable::new(format!("{} ({ms} ms epochs)", m.title));
+        let mut t = t.header(once(m.head.as_str()).chain(header));
+        for (v, r) in self.scenario.paper.variants.iter().zip(&self.runs) {
+            let mut n = [0; 4];
+            for rec in r.probes.iter().flat_map(Probes::records) {
+                match rec {
+                    ProbeRecord::Cwnd { subflow, cc, .. } => {
+                        n[0] += 1;
+                        n[3] = cc
+                            .filter(|_| *subflow == 0)
+                            .map_or(n[3], |cc| cc.reductions);
+                    }
+                    ProbeRecord::Queue { .. } => n[1] += 1,
+                    ProbeRecord::Mark { .. } => n[2] += 1,
+                    _ => {}
+                }
+            }
+            let cells = n.iter().map(u64::to_string).chain([self.export_name(v)]);
+            t.row(once(v.title.clone()).chain(cells));
+        }
+        t
+    }
+
     /// Failover's summary table and per-bin goodput, one row per variant.
     fn outage_tables(&self, m: &Measure) -> Option<[TextTable; 2]> {
         let o = self.runs.first()?.outage.as_ref()?;
@@ -610,12 +704,13 @@ impl fmt::Display for Report {
             Shape::Outage => self.outage_tables(m).into_iter().flatten().collect(),
             Shape::Suite => suite::render(self.cells.iter().map(|c| &c.result).collect()),
             Shape::Coexist => vec![self.coexist_table(m)],
+            Shape::Trace => vec![self.trace_table(m)],
             _ => runs.map(|(v, r)| self.variant_table(m, v, r)).collect(),
         };
         tables.iter().try_for_each(|t| writeln!(f, "{t}"))?;
         // The time-series reports have always ended with a blank line more.
-        let suite = matches!(m.table, Shape::Suite | Shape::Coexist);
-        f.write_str(if suite { "" } else { "\n" })
+        let single = matches!(m.table, Shape::Suite | Shape::Coexist | Shape::Trace);
+        f.write_str(if single { "" } else { "\n" })
     }
 }
 
@@ -645,21 +740,23 @@ mod tests {
             ("[measure]\nseries = b/0 1e9 b\n", "no flow `b`"),
         ] {
             let sc = load(&format!("{head}{tail}[measure]\n")).expect("parses");
-            assert_eq!(run(&sc).unwrap_err(), want);
+            assert_eq!(run("run", &sc).unwrap_err(), want);
         }
         let droptail = head.replace("epochs = 1\n", "epochs = 1\nqdisc = droptail cap=9\n");
         let sc = load(&format!("{droptail}[measure]\n")).expect("parses");
-        assert!(run(&sc).unwrap_err().contains("mark by threshold"));
+        assert!(run("run", &sc).unwrap_err().contains("mark by threshold"));
         let wide = head.replace("[[variant]]\n", "[[variant]]\nk = 101\n");
         let sc = load(&format!("{wide}[measure]\n")).expect("parses");
-        assert!(run(&sc).unwrap_err().contains("k = 101 does not fit"));
+        assert!(run("run", &sc)
+            .unwrap_err()
+            .contains("k = 101 does not fit"));
         // Only a [pattern] run renders, and is rendered by, a suite table:
         // the load refuses any other pairing at its `table` line.
         let suite = load(&format!("{head}[measure]\ntable = suite\n")).unwrap_err();
         assert_eq!(suite.line, 8, "{suite}");
         assert!(suite
             .msg
-            .contains("a series run renders epochs, series or outage"));
+            .contains("a series run renders epochs, series, outage or trace"));
         let fattree = PAPER_RUNS[5].1;
         let line = 1 + fattree
             .lines()
@@ -674,15 +771,18 @@ mod tests {
     }
 
     /// The chaos sections a paper run shares are honoured or refused, never
-    /// ignored: `[faults]` and `[flows]` reach the build, where a
-    /// host-indexed flow or a switch off the fat tree is an error naming
-    /// it; the settings no paper report reads fail the load at their line.
+    /// ignored: `[faults]`, `[flows]` and a series run's `[probes]` reach
+    /// the build, where a host-indexed flow, a switch off the fat tree or a
+    /// missing watched link is an error naming it; the settings no paper
+    /// report reads, and `[probes]` in a `[pattern]` run, fail the load at
+    /// their line.
     #[test]
     fn a_paper_run_honours_or_refuses_every_section() {
         let base = "[sim]\nseed = 1\ntopology = dumbbell pairs=1 mbps=1000 rtt_us=100\n\
                     unit_us = 2000\nepochs = 2\n[[variant]]\nscheme = dctcp\n\
                     [schedule]\nflow = a 0 - flow/0/0\n[measure]\nseries = a/0 1e9 a\n";
-        let bins = |tail: &str| run(&load(&format!("{base}{tail}")).unwrap()).map(|r| r.runs);
+        let bins =
+            |tail: &str| run("run", &load(&format!("{base}{tail}")).unwrap()).map(|r| r.runs);
         let clean = bins("").unwrap();
         for faults in ["loss = bottleneck/0 0.05", "down = 0 bottleneck/0"] {
             let faulted = bins(&format!("[faults]\n{faults}\n")).unwrap();
@@ -697,19 +797,29 @@ mod tests {
                 "[faults]\nswitch_down = 0 core/0\n",
                 "no switch core/0 on dumbbell",
             ),
+            (
+                "[probes]\nwatch = rack/999 0\n",
+                "no link rack/999 on dumbbell",
+            ),
         ] {
             let e = bins(tail).unwrap_err();
             assert!(e.starts_with(want), "{tail}: {e}");
         }
-        for (tail, line, what) in [
+        let fattree = PAPER_RUNS[5].1;
+        let pattern = format!("{fattree}[probes]\nwatch = rack/0 0\n");
+        for (text, line, what) in [
             (
-                "[probes]\nwatch = rack/999 0\n",
+                format!("{base}[oracles]\nslices = 2\n"),
                 12,
-                "[probes] is a chaos-run",
+                "[oracles] is a chaos-run",
             ),
-            ("[oracles]\nslices = 2\n", 12, "[oracles] is a chaos-run"),
+            (
+                pattern,
+                fattree.lines().count() + 1,
+                "[probes] is a time-series setting",
+            ),
         ] {
-            let e = load(&format!("{base}{tail}")).unwrap_err();
+            let e = load(&text).unwrap_err();
             assert_eq!((e.line, &e.msg[..what.len()]), (line, what), "{e}");
         }
         for key in ["horizon_us = 9", "probe_interval_us = 9"] {
@@ -733,7 +843,7 @@ mod tests {
                 .find(|r| r.0 == name)
                 .expect("committed")
                 .1;
-            let r = run(&load(text).expect("parses").quick()).expect("runs");
+            let r = run(name, &load(text).expect("parses").quick()).expect("runs");
             let titles = r.scenario.paper.variants.iter().map(|v| &v.title);
             for (title, v) in titles.zip(&r.runs) {
                 let (far, all) = (v.events_far, v.events_scheduled);

@@ -12,10 +12,11 @@
 //!   legs to cross-check, all times in microseconds. A minimized replay
 //!   file is just another scenario file; `simcheck replay` re-executes it
 //!   exactly.
-//! * a **series** run (`fig1` … `failover`; a `[measure]`): a `topology`,
-//!   `[[variant]]`s (one table each), `[quick]` (the `--quick` overrides),
-//!   a `[schedule]` of flows, joins and link events in epochs of `unit_us`,
-//!   and the `[measure]`'s series and table shape.
+//! * a **series** run (`fig1` … `failover`, `dynamics`; a `[measure]`): a
+//!   `topology`, `[[variant]]`s (one table each), `[quick]` (the `--quick`
+//!   overrides), a `[schedule]` of flows, joins and link events in epochs
+//!   of `unit_us`, the `[probes]` it records, and the `[measure]`'s series
+//!   and table shape.
 //! * a **pattern** run (`fattree`, `table2`; a `[measure]` and a
 //!   `[pattern]`): the fat-tree suite's traffic on the `[sim]` tree, one
 //!   cell per pattern kind and variant.
@@ -85,7 +86,7 @@ const ALL: u8 = CHAOS | PAPER;
 /// the section itself), `tree` those of them that take it only on the fat
 /// tree, and `needs` those that refuse a file without it. A key without a
 /// row is read wherever its section is.
-const RULES: [(&str, &str, u8, u8, u8); 32] = [
+const RULES: [(&str, &str, u8, u8, u8); 33] = [
     ("sim", "", ALL, 0, 0),
     ("sim", "seed", ALL, 0, ALL),
     ("sim", "k", ALL, SERIES, ALL),
@@ -102,11 +103,12 @@ const RULES: [(&str, &str, u8, u8, u8); 32] = [
     ("oracles", "", CHAOS, 0, 0),
     ("flows", "", CHAOS | SERIES, 0, 0),
     ("faults", "", ALL, 0, 0),
-    ("probes", "", CHAOS, 0, 0),
+    ("probes", "", CHAOS | SERIES, 0, 0),
     ("pattern", "", PATTERN, 0, 0),
     ("quick", "", PAPER, 0, 0),
     ("quick", "unit_us", SERIES, 0, 0),
     ("quick", "bin_us", SERIES, 0, 0),
+    ("quick", "epochs", SERIES, 0, 0),
     ("quick", "k", PAPER, SERIES, 0),
     ("quick", "kinds", PATTERN, 0, 0),
     ("quick", "flows", PATTERN, 0, 0),
@@ -576,12 +578,13 @@ impl Variant {
 }
 
 /// `[quick]`: what a `--quick` run takes instead — `unit_us`, `bin_us`,
-/// the tree's `k`, the `[pattern]` (its keys set here over the file's),
-/// and `variants` variants after the first `skip`.
+/// `epochs`, the tree's `k`, the `[pattern]` (its keys set here over the
+/// file's), and `variants` variants after the first `skip`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Quick {
     pub unit_us: Option<u64>,
     pub bin_us: Option<u64>,
+    pub epochs: Option<u64>,
     pub k: Option<usize>,
     pub pattern: Option<PatternSpec>,
     pub skip: Option<usize>,
@@ -712,23 +715,27 @@ const LINK_ACTIONS: [(&str, LinkAction); 3] = [
 /// A paper run's tables: per variant, one row per epoch (`epochs`) or per
 /// series (`series`); failover's `outage` summary of the first series
 /// around the first `down`, one row per variant, then its per-bin goodput;
-/// or, over a `[pattern]`'s cells, the fat-tree `suite` (Tables 1 and 3,
-/// Figs. 8–11) or the `coexist` table (Table 2), one row per variant.
+/// the `trace` table, one row per variant, of what its `[probes]`
+/// recorded and the file they export to; or, over a `[pattern]`'s cells,
+/// the fat-tree `suite` (Tables 1 and 3, Figs. 8–11) or the `coexist`
+/// table (Table 2), one row per variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Shape {
     #[default]
     Epochs,
     Series,
     Outage,
+    Trace,
     Suite,
     Coexist,
 }
 
 /// Each `table` value, its shape and the kind of run that renders it.
-const SHAPES: [(&str, Shape, Kind); 5] = [
+const SHAPES: [(&str, Shape, Kind); 6] = [
     ("epochs", Shape::Epochs, Kind::Series),
     ("series", Shape::Series, Kind::Series),
     ("outage", Shape::Outage, Kind::Series),
+    ("trace", Shape::Trace, Kind::Series),
     ("suite", Shape::Suite, Kind::Pattern),
     ("coexist", Shape::Coexist, Kind::Pattern),
 ];
@@ -840,14 +847,15 @@ impl Scenario {
         self.k * self.k * self.k / 4
     }
 
-    /// The `--quick` form of a paper run: `[quick]`'s epoch, bin, tree and
-    /// pattern, and its variants.
+    /// The `--quick` form of a paper run: `[quick]`'s epoch, bin, epoch
+    /// count, tree and pattern, and its variants.
     pub fn quick(&self) -> Scenario {
         let mut sc = self.clone();
         if let Some(q) = sc.paper.quick.take() {
             let p = &mut sc.paper;
             p.unit_us = q.unit_us.unwrap_or(p.unit_us);
             p.bin_us = q.bin_us.or(p.bin_us);
+            p.epochs = q.epochs.unwrap_or(p.epochs);
             sc.k = q.k.unwrap_or(sc.k);
             p.pattern = q.pattern.or(p.pattern.take());
             p.variants
@@ -948,6 +956,7 @@ impl Scenario {
             let keys = [
                 ("unit_us", q.unit_us),
                 ("bin_us", q.bin_us),
+                ("epochs", q.epochs),
                 ("k", wide(q.k)),
                 ("skip", wide(q.skip)),
                 ("variants", wide(q.variants)),
@@ -1017,7 +1026,9 @@ impl Scenario {
         }
         let has = |name| doc.tables.iter().any(|t| t.name == name);
         let kind = Kind::of(has("measure"), has("pattern"));
-        let (mut sc, mut flow_lines) = (Scenario::default(), Vec::new());
+        let mut sc = Scenario::default();
+        // The lines of the `[schedule]`'s flows and of its link events.
+        let (mut flow_lines, mut link_lines) = (Vec::new(), Vec::new());
         // `[pattern]` first, for `[quick]` to set its keys over.
         let (pattern, rest): (Vec<_>, Vec<_>) =
             doc.tables.iter().partition(|t| t.name == "pattern");
@@ -1037,7 +1048,7 @@ impl Scenario {
                         spec.set(f.key, f.bare()?).map_err(|m| f.err(m))?;
                     }
                 }
-                ("schedule", false) => schedule(t, p, &mut flow_lines)?,
+                ("schedule", false) => schedule(t, p, &mut flow_lines, &mut link_lines)?,
                 ("measure", false) => {
                     // Without a `table`, the first shape the kind renders.
                     let table = SHAPES
@@ -1086,6 +1097,20 @@ impl Scenario {
             return Err(TextError::at(0, why));
         }
         let p = &sc.paper;
+        // A link event at or past the end would never happen, and would
+        // leave failover's outage window empty; so would one past the end
+        // of the `--quick` run.
+        let quick = p.quick.as_ref().and_then(|q| q.epochs);
+        let ends = once((p.epochs, "")).chain(quick.map(|e| (e, "--quick ")));
+        for (&(at, action, _), &line) in p.links.iter().zip(&link_lines) {
+            if let Some((end, form)) = ends.clone().find(|e| at >= e.0) {
+                let action = name_of(&LINK_ACTIONS, &action);
+                let why = format!(
+                    "`{action}` at epoch {at} is not before the {form}run's end (epochs = {end})"
+                );
+                return Err(TextError::at(line, why));
+            }
+        }
         for (fl, &line) in p.flows.iter().zip(&flow_lines) {
             let n = fl.paths.len();
             for v in &p.variants {
@@ -1270,6 +1295,7 @@ fn quick(t: &Table<'_>, mut q: Quick, pattern: Option<&PatternSpec>) -> Result<Q
         match f.key {
             "unit_us" => q.unit_us = Some(unit(f)?),
             "bin_us" => q.bin_us = Some(unit(f)?),
+            "epochs" => q.epochs = Some(epoch(f, f.bare()?)?),
             "k" => q.k = Some(tree_k(f)?),
             "skip" => q.skip = Some(count(f, 0)?),
             "variants" => q.variants = Some(count(f, 1)?),
@@ -1285,7 +1311,13 @@ fn quick(t: &Table<'_>, mut q: Quick, pattern: Option<&PatternSpec>) -> Result<Q
 
 /// A `[schedule]` table: `flow = name start stop path…` (stop `-`: never),
 /// `join = name at path` and `down|up|close = at linkref`, all in epochs.
-fn schedule(t: &Table<'_>, p: &mut Paper, lines: &mut Vec<usize>) -> Result<(), TextError> {
+/// Each flow's line goes onto `flows`, each link event's onto `links`.
+fn schedule(
+    t: &Table<'_>,
+    p: &mut Paper,
+    flows: &mut Vec<usize>,
+    links: &mut Vec<usize>,
+) -> Result<(), TextError> {
     for f in &t.fields {
         let words: Vec<&str> = f.bare()?.split_whitespace().collect();
         match (f.key, named(&LINK_ACTIONS, f.key), &words[..]) {
@@ -1297,7 +1329,7 @@ fn schedule(t: &Table<'_>, p: &mut Paper, lines: &mut Vec<usize>) -> Result<(), 
                     paths: paths.iter().map(|w| w.to_string()).collect(),
                     joins: Vec::new(),
                 });
-                lines.push(f.line);
+                flows.push(f.line);
             }
             ("join", _, [name, at, path]) => {
                 let flow = p.flows.iter_mut().find(|fl| fl.name == *name);
@@ -1307,6 +1339,7 @@ fn schedule(t: &Table<'_>, p: &mut Paper, lines: &mut Vec<usize>) -> Result<(), 
             (_, Some(action), [at, link]) => {
                 let link = LinkRef::parse(link).map_err(|m| f.err(m))?;
                 p.links.push((epoch(f, at)?, action, link));
+                links.push(f.line);
             }
             (key, action, _) => {
                 let shape = match key {
@@ -1676,6 +1709,47 @@ mod tests {
         assert_eq!(sc.paper.flows[0].paths.len(), 2);
     }
 
+    /// A `[schedule]` `down`, `up` or `close` at or past the run's last
+    /// epoch would never happen (failover's outage summary once read a
+    /// dip of `inf` for it); it is refused at its line, in the file and in
+    /// its `--quick` form.
+    #[test]
+    fn a_link_event_past_the_end_is_refused_at_its_line() {
+        let file = |name: &str| {
+            let run = crate::runner::PAPER_RUNS.iter().find(|r| r.0 == name);
+            run.expect("committed").1
+        };
+        let line_of = |text: &str, l: &str| 1 + text.lines().position(|x| x == l).expect(l);
+        let failover = file("failover");
+        let dead = failover
+            .replace("up = 25 core/0/0/0\n", "")
+            .replace("down = 10", "down = 40");
+        let quick = failover.replace("bin_us = 50000\n", "bin_us = 50000\nepochs = 25\n");
+        let fig7 = file("fig7").replace("close = 12", "close = 14");
+        for (text, at, want) in [
+            (
+                &dead,
+                "down = 40 core/0/0/0",
+                "`down` at epoch 40 is not before the run's end (epochs = 40)",
+            ),
+            (
+                &quick,
+                "up = 25 core/0/0/0",
+                "`up` at epoch 25 is not before the --quick run's end (epochs = 25)",
+            ),
+            (
+                &fig7,
+                "close = 14 bottleneck/2",
+                "`close` at epoch 14 is not before the run's end (epochs = 14)",
+            ),
+        ] {
+            let e = Scenario::parse(text).unwrap_err();
+            assert_eq!((e.line, e.msg.as_str()), (line_of(text, at), want));
+        }
+        let last = failover.replace("up = 25", "up = 39");
+        Scenario::parse(&last).expect("the last epoch is inside the run");
+    }
+
     /// Malformed paper-run lines are refused at their line; flow names in
     /// `[measure]` and path refs are resolved by the run.
     #[test]
@@ -1691,7 +1765,7 @@ mod tests {
             (
                 "[measure]\ntable = rows\n",
                 10,
-                "bad table `rows` (a series run renders epochs, series or outage)",
+                "bad table `rows` (a series run renders epochs, series, outage or trace)",
             ),
         ] {
             let e = Scenario::parse(&format!("{base}{tail}")).unwrap_err();

@@ -291,13 +291,13 @@ pub fn run_suite(sc: &Scenario, v: &Variant) -> Result<SuiteRun, String> {
 ///
 /// Each cell is a fully self-contained simulation — it owns its engine,
 /// RNG, topology and flow driver — so the batch is embarrassingly
-/// parallel. Workers pull cell indices from a shared atomic counter and
-/// stream runs back over a channel; the batch returns in **input order**,
-/// each cell with its audit failures, and is byte-identical to calling
-/// [`run_suite`] on each cell serially (asserted by the determinism
-/// regression tests), because no simulation state crosses a thread
-/// boundary and thread scheduling only affects *when* a cell runs, never
-/// what it computes.
+/// parallel. Scoped worker threads pull cell indices from a shared atomic
+/// counter and each returns its runs as a `Vec` when it joins; the batch
+/// returns in **input order**, each cell with its audit failures, and is
+/// byte-identical to calling [`run_suite`] on each cell serially
+/// (asserted by the determinism regression tests), because no simulation
+/// state crosses a thread boundary and thread scheduling only affects
+/// *when* a cell runs, never what it computes.
 ///
 /// Worker count is `min(available_parallelism, cells)`.
 pub fn run_suite_parallel(cells: &[(Scenario, Variant)]) -> Vec<Result<SuiteRun, String>> {
@@ -634,7 +634,7 @@ mod tests {
             .expect("committed")
             .1;
         let sc = on_k8(runner::load(text).expect("table2.scn loads").quick());
-        let r = runner::run(&sc).expect("the run builds");
+        let r = runner::run("table2", &sc).expect("the run builds");
         assert_eq!(r.cells.len(), 1);
         assert_eq!(r.audit_failures(), Vec::<String>::new());
         let (v, bps) = (&sc.paper.variants[0], &r.cells[0].result.goodput_by_scheme);

@@ -7,20 +7,19 @@
 //! 2. **Disabled means absent** — installing probes with a zero horizon
 //!    schedules nothing and the run is fully identical, event count
 //!    included, to one where `install_probes` was never called.
-//! 3. **Exports are stable** — the `dynamics` JSONL export, and every
-//!    digest of a faulted, probed fat-tree cell, equal the values recorded
-//!    from the two-event (`TxDone` + `Deliver`) link pipeline at commit
-//!    ce843ca, the last one that had it (there they were identical across
-//!    the eager/lazy × dynamic/compiled matrix; the sampled queue depth
-//!    counts queued + serializing packets after every departure at or
-//!    before the tick).
+//! 3. **Exports are stable** — the `dynamics` JSONL export's records, and
+//!    every digest of a faulted, probed fat-tree cell, equal the values
+//!    recorded from the two-event (`TxDone` + `Deliver`) link pipeline at
+//!    commit ce843ca, the last one that had it (there they were identical
+//!    across the eager/lazy × dynamic/compiled matrix; the sampled queue
+//!    depth counts queued + serializing packets after every departure at
+//!    or before the tick).
 
 use xmp_des::{Bandwidth, SimDuration, SimTime};
-use xmp_experiments::common::host_stack;
-use xmp_experiments::dynamics::{self, DynamicsConfig};
-use xmp_netsim::{FaultPlan, PortId, ProbeConfig, QdiscConfig, Sim};
+use xmp_experiments::runner::{self, PAPER_RUNS};
+use xmp_netsim::{FaultPlan, PortId, ProbeConfig, ProbeRecord, QdiscConfig, Sim};
 use xmp_topo::Dumbbell;
-use xmp_transport::{Segment, SubflowSpec};
+use xmp_transport::{HostStack, Segment, StackConfig, SubflowSpec};
 use xmp_workloads::{Driver, FlowSpecBuilder, Host, Scheme};
 
 /// FNV-1a over a string rendering (f64 Debug formatting round-trips
@@ -51,7 +50,7 @@ fn faulted_run(probing: Probing) -> (u64, String, String, u64, usize) {
         Bandwidth::from_gbps(1),
         SimDuration::from_micros(225),
         QdiscConfig::EcnThreshold { cap: 100, k: 10 },
-        |_| host_stack(),
+        |_| HostStack::new(StackConfig::default()),
     );
     sim.install_fault_plan(
         &FaultPlan::new()
@@ -130,18 +129,39 @@ fn zero_horizon_probes_are_fully_absent() {
     assert_eq!(zero.4, 0);
 }
 
+/// `dynamics.scn` at `--quick`, cut to 60 epochs, at seed 1: the records
+/// after each export's meta line are the series `dynamics` exported when
+/// it built its run by hand. The meta line's note now names the file's
+/// topology, qdisc and epoch grid, so only its run, variant and seed are
+/// pinned.
 #[test]
 fn dynamics_export_matches_the_recorded_series() {
-    let cfg = DynamicsConfig {
-        epochs: 60,
-        ..DynamicsConfig::quick()
-    };
-    let traces = dynamics::run(&cfg).traces;
-    assert!(traces[0].jsonl.contains("\"scheme\":\"XMP-2\""));
-    let digests: Vec<u64> = traces.iter().map(|t| digest(&t.jsonl)).collect();
+    let text = PAPER_RUNS
+        .iter()
+        .find(|r| r.0 == "dynamics")
+        .expect("built in");
+    let mut sc = runner::load(text.1).expect("dynamics.scn loads").quick();
+    (sc.paper.epochs, sc.seed) = (60, 1);
+    let r = runner::run("dynamics", &sc).expect("the run builds");
+    let mut digests = Vec::new();
+    for (scheme, (_, jsonl)) in ["XMP-2", "DCTCP"].into_iter().zip(r.exports()) {
+        let (meta, records) = jsonl.split_once('\n').expect("a meta line");
+        let Ok(ProbeRecord::Meta {
+            experiment,
+            scheme: variant,
+            seed,
+            ..
+        }) = ProbeRecord::parse(meta)
+        else {
+            panic!("{scheme}: the first line is no meta line: {meta}");
+        };
+        let run = (experiment.as_str(), variant.as_str(), seed);
+        assert_eq!(run, ("dynamics", scheme, 1), "{meta}");
+        digests.push(digest(records));
+    }
     assert_eq!(
         digests,
-        [16936065972880785139, 6823306043100455486],
+        [10347470197286024210, 12476746191656629493],
         "exported dynamics series moved off the recorded digests"
     );
 }

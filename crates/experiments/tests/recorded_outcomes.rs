@@ -36,7 +36,7 @@ fn fig1_matches_the_recorded_outcome_multi_seed() {
     for seed in [3, 7, 11] {
         let mut sc = runner::load(text).expect("fig1.scn parses");
         (sc.seed, sc.paper.unit_us, sc.paper.bin_us) = (seed, 60_000, Some(20_000));
-        let r = runner::run(&sc).expect("fig1.scn runs");
+        let r = runner::run("fig1", &sc).expect("fig1.scn runs");
         let bins: Vec<_> = r.runs.iter().map(|v| &v.bins).collect();
         assert_eq!(
             digest(&format!("{bins:?}")),

@@ -21,19 +21,27 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 # Smoke: the paper runs read from disk, through the one .scn runner: the
 # failover file's fault plan and fig7's mid-run L3 closure (a drop split
 # between two bin runs), each ending with the invariant and conservation
-# audits (exit 1 on a failure). The on-disk fig7, fattree and table2 must
-# print what their built-in aliases print (the fat-tree suite through its
-# `[pattern]`, one pattern at --quick).
+# audits (exit 1 on a failure). The on-disk fig7, fattree, table2 and
+# dynamics must print what their built-in aliases print (the fat-tree suite
+# through its `[pattern]`, one pattern at --quick), and dynamics must write
+# the same probe exports (results/dynamics_<variant>.jsonl).
 mkdir -p results
 cargo run --release --offline -p xmp-experiments -- run scenarios/paper/failover.scn --quick
-for run in "fig7 --quick" "fattree --quick --pattern perm" "table2 --quick"; do
+for run in "fig7 --quick" "fattree --quick --pattern perm" "table2 --quick" "dynamics --quick"; do
   set -- $run
   name=$1
   shift
+  rm -rf results/file && mkdir -p results/file
   cargo run --release --offline -p xmp-experiments -- run "scenarios/paper/$name.scn" "$@" \
     > "results/$name-file.txt"
+  for f in results/"$name"_*.jsonl; do
+    if [ -e "$f" ]; then mv "$f" results/file/; fi
+  done
   cargo run --release --offline -p xmp-experiments -- "$name" "$@" > "results/$name-alias.txt"
   diff "results/$name-file.txt" "results/$name-alias.txt"
+  for f in results/file/*.jsonl; do
+    if [ -e "$f" ]; then cmp "$f" "results/$(basename "$f")"; fi
+  done
 done
 # Smoke: the k=8 fat-tree wave, with faults and probes live, must still
 # print its recorded outcome digest.
@@ -53,9 +61,9 @@ cargo run --release --offline -p xmp-simcheck -- run --budget quick --out result
 # oracle leg agrees).
 cargo run --release --offline -p xmp-simcheck -- generate --budget quick --out results/scn >/dev/null
 cargo run --release --offline -p xmp-simcheck -- replay results/scn/scenario-00000000513c4ec4-007.scn
-# Smoke: dynamics must export parseable JSONL traces, and `trace report`
-# (the std-only checker) must round-trip them. results/ stays untracked.
-cargo run --release --offline -p xmp-experiments -- dynamics --quick
+# Smoke: the dynamics exports written above must be parseable JSONL, and
+# `trace report` (the std-only checker) must round-trip them. results/
+# stays untracked.
 cargo run --release --offline -p xmp-experiments -- trace report \
   results/dynamics_xmp-2.jsonl results/dynamics_dctcp.jsonl
 if git check-ignore -q results/dynamics_xmp-2.jsonl; then

@@ -176,7 +176,7 @@ fn fig1_rerun_is_identical() {
     let mut sc = runner::load(text).expect("fig1.scn parses");
     (sc.seed, sc.paper.unit_us, sc.paper.bin_us) = (3, 60_000, Some(20_000));
     let bins = || {
-        let r = runner::run(&sc).expect("fig1.scn runs");
+        let r = runner::run("fig1", &sc).expect("fig1.scn runs");
         format!("{:?}", r.runs.iter().map(|v| &v.bins).collect::<Vec<_>>())
     };
     assert_eq!(digest(&bins()), digest(&bins()), "fig1 rerun diverged");
