@@ -18,8 +18,8 @@
 //!
 //! Every cell is built by [`runner::build`].
 
-use crate::common::{audit_windows, end_of_run_audit, frac, mbps, TextTable};
-use crate::runner::{self, Cell};
+use crate::common::{frac, mbps, TextTable};
+use crate::runner;
 use crate::scenario::{LinkRef, Paper, QdiscSpec, Scenario, Topology, Variant};
 use crate::suite::{quick_cell, run_suite, Pattern, SuiteResult};
 use std::fmt;
@@ -71,14 +71,6 @@ pub struct AblationResult {
     pub audit: Vec<String>,
 }
 
-/// `cell`'s end-of-run audit failures, its driver's window bounds
-/// included, named, onto `audit`.
-fn audit_cell(audit: &mut Vec<String>, name: &str, cell: &mut Cell) {
-    let mut failures = end_of_run_audit(&cell.sim);
-    audit_windows(&mut cell.sim, &cell.driver, &mut failures);
-    audit.extend(failures.into_iter().map(|f| format!("{name}: {f}")));
-}
-
 /// Variant `v` of the sweep `sc`: its flows warm up until the last window
 /// (`unit_us`) and are measured over it, on the dumbbell's bottleneck.
 fn sweep_point(sc: &Scenario, v: &Variant, audit: &mut Vec<String>) -> Result<SweepPoint, String> {
@@ -117,7 +109,7 @@ fn sweep_point(sc: &Scenario, v: &Variant, audit: &mut Vec<String>) -> Result<Sw
         jain: jain_index(rates),
         eq1_satisfied: XmpParams { beta, k }.full_utilization(bdp),
     };
-    audit_cell(audit, &v.title, &mut cell);
+    audit.extend(cell.finish().named(&v.title));
     Ok(point)
 }
 
@@ -171,7 +163,7 @@ fn coupling_share(sweep: &Scenario, coupled: bool, audit: &mut Vec<String>) -> R
     } else {
         "uXMP (uncoupled)"
     };
-    audit_cell(audit, name, &mut cell);
+    audit.extend(cell.finish().named(name));
     let rate: f64 = bins.rows()[1].iter().sum();
     Ok(rate / 300e6)
 }
@@ -194,7 +186,7 @@ fn leg(
     }
     edit(&mut sc);
     let run = run_suite(&sc, &v)?;
-    audit.extend(run.audit.into_iter().map(|f| format!("{label}: {f}")));
+    audit.extend(run.outcome.named(label));
     Ok(run.result)
 }
 

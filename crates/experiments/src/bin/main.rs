@@ -37,7 +37,8 @@
 //! `fattree` and `table2`), after `--quick`. A flag the command does not
 //! read, a pattern filter that leaves nothing, a file that does not load
 //! or a scenario that does not build exits 2 before anything is simulated.
-//! Every cell ends with the full end-of-run audit; exit 1 names a failure.
+//! Every cell ends with the one end-of-run audit (`runner::Cell::finish`);
+//! once the command is done, exit 1 names each failure.
 
 use std::path::Path;
 use std::time::Instant;
@@ -151,12 +152,13 @@ fn paper(label: &str, text: &str, o: &Opts) -> Scenario {
 }
 
 /// Run paper scenario `sc`, named `label` in messages and `name` in its
-/// exports; print its tables and write its probe exports under `results/`.
-fn run_paper(label: &str, name: &str, sc: &Scenario) {
+/// exports; print its tables, write its probe exports under `results/` and
+/// return its audit failures.
+fn run_paper(label: &str, name: &str, sc: &Scenario) -> Vec<String> {
     let r = timed(label, || runner::run(name, sc)).unwrap_or_else(|e| refuse(label, e));
     for c in &r.cells {
         eprint!("  -> {}", c.result);
-        eprintln!("  -> profile: {}", c.profile.summary());
+        eprintln!("  -> profile: {}", c.outcome.profile.summary());
     }
     print!("{r}");
     let mut exports = r.exports().peekable();
@@ -168,17 +170,7 @@ fn run_paper(label: &str, name: &str, sc: &Scenario) {
         std::fs::write(&path, &jsonl).unwrap_or_else(|e| refuse(&format!("write {path}"), e));
         println!("wrote {path} ({} lines)", jsonl.lines().count());
     }
-    exit_on_audit_failures(label, &r.audit_failures());
-}
-
-/// Name every end-of-run audit failure of run `label`; exit 1 if any.
-fn exit_on_audit_failures(label: &str, failures: &[String]) {
-    for f in failures {
-        eprintln!("{label}: audit failed: {f}");
-    }
-    if !failures.is_empty() {
-        std::process::exit(1);
-    }
+    r.audit_failures()
 }
 
 /// The committed run `name` (`scenarios/paper/<name>.scn`), with `o`
@@ -186,11 +178,6 @@ fn exit_on_audit_failures(label: &str, failures: &[String]) {
 fn committed(name: &str, o: &Opts) -> Scenario {
     let text = runner::PAPER_RUNS.iter().find(|r| r.0 == name).map(|r| r.1);
     paper(name, text.unwrap_or_default(), o)
-}
-
-/// Run the committed run `name` with `o` applied.
-fn run_committed(name: &str, o: &Opts) {
-    run_paper(name, name, &committed(name, o));
 }
 
 /// `trace report [files...]` — defaults to every results/dynamics_*.jsonl.
@@ -230,7 +217,9 @@ fn run_trace_report(paths: &[String]) {
     }
 }
 
-fn run_hybrid(o: &Opts) {
+/// The hybrid cell's audit failures; exit 1 when it is out of tolerance
+/// but audits clean.
+fn run_hybrid(o: &Opts) -> Vec<String> {
     o.only_seed("hybrid", true);
     let mut cfg = if o.quick {
         hybrid::HybridConfig::quick()
@@ -240,13 +229,14 @@ fn run_hybrid(o: &Opts) {
     cfg.seed = o.seed();
     let r = timed("hybrid", || hybrid::run(&cfg));
     println!("{r}");
-    exit_on_audit_failures("hybrid", &r.audit_failures());
-    if !r.within_tolerance() {
+    let failures = r.audit_failures();
+    if failures.is_empty() && !r.within_tolerance() {
         std::process::exit(1);
     }
+    failures
 }
 
-fn run_hybrid_million(o: &Opts) {
+fn run_hybrid_million(o: &Opts) -> Vec<String> {
     o.only_seed("hybrid million", true);
     let mut cfg = if o.quick {
         hybrid::MillionConfig::quick()
@@ -256,7 +246,7 @@ fn run_hybrid_million(o: &Opts) {
     cfg.seed = o.seed();
     let r = timed("hybrid million", || hybrid::run_million(&cfg));
     println!("{r}");
-    exit_on_audit_failures("hybrid million", &r.audit);
+    r.outcome.failures
 }
 
 /// Exit 2 with `usage`.
@@ -274,24 +264,24 @@ fn main() {
         ["trace", "report", ..] => return run_trace_report(&args[2..]),
         ["trace", "export", ..] => ("dynamics".to_string(), &args[2..]),
         ["trace", ..] => usage("trace <export [--quick] [--seed N] | report [files...]>"),
-        ["run", path, ..] if !path.starts_with("--") => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| refuse(path, format!("cannot read: {e}")));
-            let sc = paper(path, &text, &parse_opts(&args[2..]));
-            let stem = Path::new(path).file_stem().unwrap_or_default();
-            return run_paper(path, &stem.to_string_lossy(), &sc);
-        }
+        ["run", path, ..] if !path.starts_with("--") => (path.to_string(), &args[2..]),
         ["run", ..] => usage("run FILE.scn [--quick] [--seed N] [--scale N] [--flows N] [--pattern P]"),
         [c @ ("scale" | "hybrid"), sub @ ("mega" | "million"), ..] => (format!("{c} {sub}"), &args[2..]),
         [c, ..] => (c.to_string(), &args[1..]),
     };
-    let (cmd, o) = (cmd.as_str(), parse_opts(rest));
-    match cmd {
+    let (cmd, o) = (cmd.as_str(), &parse_opts(rest));
+    let failures = match cmd {
+        path if words[0] == "run" => {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| refuse(path, format!("cannot read: {e}")));
+            let stem = Path::new(path).file_stem().unwrap_or_default();
+            run_paper(path, &stem.to_string_lossy(), &paper(path, &text, o))
+        }
         "fig1" | "fig4" | "fig6" | "fig7" | "failover" | "table2" | "dynamics" => {
-            run_committed(cmd, &o)
+            run_paper(cmd, cmd, &committed(cmd, o))
         }
         "fattree" | "table1" | "fig8" | "fig9" | "fig10" | "fig11" | "table3" => {
-            run_committed("fattree", &o)
+            run_paper("fattree", "fattree", &committed("fattree", o))
         }
         "scale" | "scale mega" => {
             // The k = 32 memory-footprint cell has no quick form.
@@ -303,33 +293,47 @@ fn main() {
             };
             let r = timed(cmd, || scale::run(cell(o.seed()))).unwrap_or_else(|e| refuse(cmd, e));
             println!("{r}");
-            exit_on_audit_failures(cmd, &r.audit);
+            r.outcome.failures
         }
-        "hybrid" => run_hybrid(&o),
-        "hybrid million" => run_hybrid_million(&o),
+        "hybrid" => run_hybrid(o),
+        "hybrid million" => run_hybrid_million(o),
         "ablation" => {
             o.only_seed("ablation", true);
             let r = timed("ablation", || ablation::run(o.quick, o.seed));
             let r = r.unwrap_or_else(|e| refuse("ablation", e));
             println!("{r}");
-            exit_on_audit_failures("ablation", &r.audit);
+            r.audit
         }
         "all" => {
             // The suite's flags are checked before anything runs.
-            let (fattree, table2) = (committed("fattree", &o), committed("table2", &o));
+            let (fattree, table2) = (committed("fattree", o), committed("table2", o));
             let mut series = o.clone();
             (series.scale, series.flows, series.pattern) = (None, None, None);
+            let mut failures = Vec::new();
+            let mut run = |r: &str, sc: &Scenario| {
+                let each = run_paper(r, r, sc).into_iter();
+                failures.extend(each.map(|f| format!("{r}: {f}")));
+            };
             for fig in ["fig1", "fig4", "fig6", "fig7"] {
-                run_committed(fig, &series);
+                run(fig, &committed(fig, &series));
             }
-            run_paper("fattree", "fattree", &fattree);
-            run_paper("table2", "table2", &table2);
-            run_committed("failover", &series);
-            run_committed("dynamics", &series);
+            run("fattree", &fattree);
+            run("table2", &table2);
+            for r in ["failover", "dynamics"] {
+                run(r, &committed(r, &series));
+            }
+            failures
         }
         other => {
             eprintln!("unknown command {other}");
             std::process::exit(2);
         }
+    };
+    // Every end-of-run audit failure, named; exit 1 if any.
+    for f in &failures {
+        eprintln!("{cmd}: audit failed: {f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
 }

@@ -26,15 +26,15 @@
 //! fluid ticks and the aggregate rate — the "million-flow scenarios at
 //! packet-mode fidelity" claim, made measurable.
 
-use crate::common::{audit_windows, end_of_run_audit, TextTable};
-use crate::runner::{self, Net};
+use crate::common::TextTable;
+use crate::runner::{self, Cell, Net, Outcome};
 use crate::scenario::Scenario;
 use std::fmt;
 use xmp_des::{SimDuration, SimRng, SimTime};
-use xmp_netsim::{FlowId, FluidCc, FluidSpec, FluidSubflowSpec, PortId, Sim};
+use xmp_netsim::{FlowId, FluidCc, FluidSpec, FluidSubflowSpec, PortId};
 use xmp_topo::FatTree;
-use xmp_transport::{Segment, SubflowSpec, DEFAULT_MSS};
-use xmp_workloads::{Cdf, Driver, FlowSpecBuilder, Host, Scheme};
+use xmp_transport::{SubflowSpec, DEFAULT_MSS};
+use xmp_workloads::{Cdf, Driver, FlowSpecBuilder, Scheme};
 
 /// Accepted relative error on the per-class elephant goodput mean.
 ///
@@ -122,13 +122,9 @@ pub struct HybridCell {
     pub mice_fct_p99: f64,
     /// Wall-clock milliseconds in the event loop.
     pub wall_ms: f64,
-    /// Events handled (fluid ticks included).
-    pub events: u64,
-    /// Fluid rate-update ticks (0 for the packet run).
-    pub fluid_ticks: u64,
-    /// Every end-of-run audit failure ([`end_of_run_audit`]); empty when
-    /// the run is sound.
-    pub audit: Vec<String>,
+    /// How the cell finished: audit failures and the profile, fluid
+    /// rate-update ticks included (0 for the packet run).
+    pub outcome: Outcome,
 }
 
 /// Both cells plus the per-class comparison verdict.
@@ -175,7 +171,7 @@ impl HybridResult {
     /// Both cells' end-of-run audit failures, each after its mode's name.
     pub fn audit_failures(&self) -> Vec<String> {
         let cells = [("packet", &self.packet), ("hybrid", &self.hybrid)];
-        let each = cells.map(|(mode, c)| c.audit.iter().map(move |a| format!("{mode}: {a}")));
+        let each = cells.map(|(mode, c)| c.outcome.named(mode));
         each.into_iter().flatten().collect()
     }
 
@@ -254,47 +250,47 @@ fn submit(driver: &mut Driver, ft: &FatTree, cfg: &HybridConfig) {
 /// A flowless `k`-ary fat tree from [`runner::build`], seeded `seed`, with
 /// the fluid plane on when `hybrid`. Panics on a `k` the tree cannot take
 /// (odd, or below 4).
-fn fat_tree(k: usize, seed: u64, hybrid: bool) -> (Sim<Segment, Host>, FatTree) {
+fn fat_tree(k: usize, seed: u64, hybrid: bool) -> Cell {
     let mut sc = Scenario {
         seed,
         k,
         ..Scenario::default()
     };
     sc.tuning.hybrid = hybrid;
-    let cell = runner::build(&sc, None).unwrap_or_else(|e| panic!("{e}"));
-    let Net::Tree(ft) = cell.net else {
-        unreachable!("a scenario's default topology is the fat tree")
-    };
-    (cell.sim, ft)
+    runner::build(&sc, None).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The fat tree of a cell from [`fat_tree`].
+fn tree(net: &Net) -> &FatTree {
+    net.tree()
+        .expect("a scenario's default topology is the fat tree")
 }
 
 /// Run the workload in one mode and fold the per-class outcome.
 pub fn run_cell(cfg: &HybridConfig, hybrid: bool) -> HybridCell {
-    let (mut sim, ft) = fat_tree(cfg.k, cfg.seed, hybrid);
+    let mut cell = fat_tree(cfg.k, cfg.seed, hybrid);
+    let (sim, driver) = (&mut cell.sim, &mut cell.driver);
     if hybrid {
         sim.set_fluid_tick_floor(cfg.tick_floor);
     }
 
-    let mut driver = Driver::new();
     // Anything elephant-sized goes fluid when the backend supports it;
     // inert on the packet baseline by construction.
     driver.set_fluid_threshold(Some(cfg.elephant_bytes.min(1 << 20)));
-    submit(&mut driver, &ft, cfg);
+    submit(driver, tree(&cell.net), cfg);
 
     let deadline = SimTime::ZERO + cfg.max_sim;
     let target = cfg.elephants + cfg.mice;
     let wall = std::time::Instant::now();
     let slice = SimDuration::from_millis(10);
-    driver.drive(&mut sim, deadline, slice, target, |_, _| {});
+    driver.drive(sim, deadline, slice, target, |_, _| {});
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
-    let mut audit = end_of_run_audit(&sim);
-    audit_windows(&mut sim, &driver, &mut audit);
-    let profile = sim.profile();
+    let outcome = cell.finish();
     let mut elephant_goodputs = Vec::new();
     let mut elephants_done = 0usize;
     let mut mice_fcts = Vec::new();
-    for r in driver.records() {
+    for r in cell.driver.records() {
         if r.tag == 0 {
             if r.completed.is_some() {
                 elephants_done += 1;
@@ -317,9 +313,7 @@ pub fn run_cell(cfg: &HybridConfig, hybrid: bool) -> HybridCell {
         mice_fct_p50: fct.percentile(50.0),
         mice_fct_p99: fct.percentile(99.0),
         wall_ms,
-        events: profile.events_handled(),
-        fluid_ticks: profile.fluid_ticks,
-        audit,
+        outcome,
     }
 }
 
@@ -364,7 +358,7 @@ impl fmt::Display for HybridResult {
                 format!("{:.2}", c.mice_fct_p50 * 1e3),
                 format!("{:.2}", c.mice_fct_p99 * 1e3),
                 format!("{:.0}", c.wall_ms),
-                format!("{}", c.fluid_ticks),
+                format!("{}", c.outcome.profile.fluid_ticks),
             ]);
         }
         writeln!(f, "{t}")?;
@@ -435,20 +429,19 @@ pub struct MillionResult {
     pub active: usize,
     /// Wall-clock milliseconds: registration + event loop.
     pub wall_ms: f64,
-    /// Fluid rate-update ticks processed.
-    pub fluid_ticks: u64,
     /// Aggregate steady-state sending rate (Gbit/s) across all flows.
     pub agg_rate_gbps: f64,
-    /// Every end-of-run audit failure ([`end_of_run_audit`]); empty when
-    /// the run is sound.
-    pub audit: Vec<String>,
+    /// How the cell finished: audit failures and the profile, fluid
+    /// rate-update ticks included.
+    pub outcome: Outcome,
 }
 
 /// Register `cfg.flows` unbounded fluid elephants on one fat tree and
 /// drive them to `cfg.sim_time`. Goes through `Sim::fluid_open` directly —
 /// at this scale there is no per-flow driver bookkeeping to pay for.
 pub fn run_million(cfg: &MillionConfig) -> MillionResult {
-    let (mut sim, ft) = fat_tree(cfg.k, cfg.seed, true);
+    let mut cell = fat_tree(cfg.k, cfg.seed, true);
+    let (sim, ft) = (&mut cell.sim, tree(&cell.net));
     sim.set_fluid_tick_floor(cfg.tick_floor);
     let n = ft.hosts.len();
     let tag_count = ft.tag_count();
@@ -489,24 +482,23 @@ pub fn run_million(cfg: &MillionConfig) -> MillionResult {
                 .map_or(0.0, |s| s.rate_bps)
         })
         .sum();
-    let profile = sim.profile();
     MillionResult {
         flows: cfg.flows,
         active: sim.fluid_active(),
         wall_ms,
-        fluid_ticks: profile.fluid_ticks,
         agg_rate_gbps: agg_rate_bps / 1e9,
-        audit: end_of_run_audit(&sim),
+        outcome: cell.finish(),
     }
 }
 
 impl fmt::Display for MillionResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ticks = self.outcome.profile.fluid_ticks;
         writeln!(
             f,
             "million-flow cell: {} fluid flows, {} active at end | wall {:.0} ms | \
              {} fluid ticks | aggregate {:.1} Gbit/s",
-            self.flows, self.active, self.wall_ms, self.fluid_ticks, self.agg_rate_gbps,
+            self.flows, self.active, self.wall_ms, ticks, self.agg_rate_gbps,
         )
     }
 }
@@ -518,8 +510,9 @@ mod tests {
     #[test]
     fn quick_cell_is_within_tolerance() {
         let r = run(&HybridConfig::quick());
-        assert!(r.hybrid.fluid_ticks > 0, "hybrid run never ticked");
-        assert_eq!(r.packet.fluid_ticks, 0, "packet run must not tick");
+        let ticks = |c: &HybridCell| c.outcome.profile.fluid_ticks;
+        assert!(ticks(&r.hybrid) > 0, "hybrid run never ticked");
+        assert_eq!(ticks(&r.packet), 0, "packet run must not tick");
         assert!(r.within_tolerance(), "{r}");
     }
 
@@ -534,8 +527,8 @@ mod tests {
         };
         let r = run_million(&cfg);
         assert_eq!(r.active, cfg.flows, "unbounded flows must stay active");
-        assert!(r.fluid_ticks > 0);
+        assert!(r.outcome.profile.fluid_ticks > 0);
         assert!(r.agg_rate_gbps > 0.0, "{r}");
-        assert!(r.audit.is_empty(), "{:?}", r.audit);
+        assert!(r.outcome.failures.is_empty(), "{:?}", r.outcome.failures);
     }
 }

@@ -14,7 +14,7 @@
 //! | Table 1, Figs. 8/10/11 (+ Fig. 9, Table 3 for Incast) | `scenarios/paper/fattree.scn` | The fat-tree evaluation |
 //! | Table 2 | `scenarios/paper/table2.scn` | XMP coexistence with LIA / TCP / DCTCP |
 //! | Fig. 2 (dynamics) | `scenarios/paper/dynamics.scn` | cwnd/queue/mark time series, exported as JSONL |
-//! | (all of the above) | [`scenario`], [`runner`], [`suite`] | the `.scn` model, [`runner::build`] (the one builder from a scenario to a simulation, for paper runs, simcheck, `ablation`, `scale` and `hybrid`), the one runner of a paper run, and the fat-tree suite's cells and tables |
+//! | (all of the above) | [`scenario`], [`runner`], [`suite`] | the `.scn` model, [`runner::build`] (the one builder from a scenario to a simulation, for paper runs, simcheck, `ablation`, `scale` and `hybrid`) and [`runner::Cell::finish`] (where every one of those runs ends: its audit and outcome), the one runner of a paper run, and the fat-tree suite's cells and tables |
 //! | (extensions) | [`ablation`] | β/K sweep (`scenarios/paper/sweep.scn`), TraSh-coupling ablation, OLIA |
 //! | (tooling) | [`report`] | summaries rendered back from exported traces |
 //! | (scaling) | [`scale`] | wall clock, peak RSS and outcome digest of one large serial cell, itself a chaos scenario |
@@ -268,7 +268,11 @@ mod failover {
             for &(scheme, run) in &rows {
                 assert!(run.blackholed > 0, "{scheme}: no packets blackholed");
                 assert!(run.rtos >= 1, "{scheme}: no RTO on the dead subflow");
-                assert!(run.audit.is_empty(), "{scheme}: {:?}", run.audit);
+                assert!(
+                    run.outcome.failures.is_empty(),
+                    "{scheme}: {:?}",
+                    run.outcome
+                );
             }
 
             // Multipath re-attains 90% of pre-failure goodput before repair
@@ -291,6 +295,25 @@ mod failover {
                 dctcp.dip_bps,
                 dctcp.pre_bps
             );
+        }
+
+        /// A repair inside the failure's own bin still leaves that bin as
+        /// the outage: at `--quick` an epoch is 30 ms and a bin 50 ms, so
+        /// `down = 10` and `up = 11` both fall in bin 6 (e7 of the per-epoch
+        /// table), and each scheme's dip is that bin's goodput, not infinity.
+        #[test]
+        fn a_repair_in_the_failure_bin_dips_to_that_bin() {
+            let text = runner::PAPER_RUNS.iter().find(|r| r.0 == "failover");
+            let text = text.expect("committed").1.replace("up = 25", "up = 11");
+            let sc = runner::load(&text).expect("parses").quick();
+            let r = runner::run("failover", &sc).expect("the run builds");
+            let mut dips = Vec::new();
+            for run in &r.runs {
+                let o = run.outage.as_ref().expect("an outage summary");
+                assert_eq!(o.dip_bps / 1e9, run.bins[6][0]);
+                dips.push(crate::common::frac(run.bins[6][0]));
+            }
+            assert_eq!(dips, ["0.33", "0.95", "0.00"]);
         }
     }
 }

@@ -7,15 +7,20 @@
 //! traffic, started. Callers keep only what differs: how the run is
 //! windowed and what it reports.
 //!
+//! Every run ends here too: [`Cell::finish`] fills in the records of the
+//! flows still running, runs the one end-of-run [`audit`] and returns an
+//! [`Outcome`]. A caller that pins the run's outcome — `scale` and
+//! simcheck's legs — asks for [`Cell::digest`] after it.
+//!
 //! A paper run is a [`Scenario`] with a `[measure]`, such as the committed
 //! `scenarios/paper/*.scn` ([`PAPER_RUNS`]). A time-series run builds one
 //! cell per variant, bins the series with [`RateBins`] (split where a link
-//! closes), records its `[probes]` and ends with the invariant and
-//! conservation audits; a `[pattern]` run builds one per pattern kind and
-//! variant and runs it with [`suite::run_suite`]. A [`Report`] renders the
-//! measure's tables and holds each variant's probe export.
+//! closes), records its `[probes]` and finishes; a `[pattern]` run builds
+//! one per pattern kind and variant and runs it with [`suite::run_suite`].
+//! A [`Report`] renders the measure's tables and holds each variant's probe
+//! export.
 
-use crate::common::{audit_windows, end_of_run_audit, frac, mbps, TextTable};
+use crate::common::{frac, mbps, TextTable};
 use crate::scenario::{indexed, Column, FaultSpec, Kind, LinkAction, LinkRef, Measure, NodeRef};
 use crate::scenario::{Paper, QdiscSpec, Scenario, Shape, Topology, Variant};
 use crate::suite::{self, SuiteRun, Traffic};
@@ -23,13 +28,14 @@ use std::fmt;
 use std::iter::once;
 use xmp_conformance::text::TextError;
 use xmp_des::{Bandwidth, SimDuration, SimTime};
-use xmp_netsim::{Addr, FaultPlan, LinkId, NodeId, PortId, ProbeConfig, ProbeRecord, Probes, Sim};
+use xmp_netsim::{Addr, FaultPlan, InvariantState, LinkId, NodeId, PortId, ProbeConfig};
+use xmp_netsim::{ProbeRecord, Probes, Sim, SimProfile};
 use xmp_topo::testbed::{Path, TestbedConfig};
 use xmp_topo::torus::TorusConfig;
 use xmp_topo::{Dumbbell, FatTree, FatTreeConfig, ShiftTestbed, Torus};
 use xmp_transport::{ConnKey, HostStack, Segment, StackConfig, SubflowSpec};
 use xmp_workloads::{
-    jain_index, path_spec, Driver, FlowSpecBuilder, Host, PatternConfig, RateBins, Scheme,
+    jain_index, path_spec, Driver, FlowSim, FlowSpecBuilder, Host, PatternConfig, RateBins, Scheme,
 };
 
 /// The committed paper runs by command name, built in so that the commands
@@ -196,8 +202,8 @@ fn port0(src: Addr, dst: Addr) -> Path {
 /// A scenario built and declared, not yet run: the simulation, its
 /// network, the [`Driver`] holding every declared flow, their connections
 /// (`[flows]` lines first, then `[schedule]` flows, each tagged with its
-/// index here), the `close` events in time order, and the `[pattern]`'s
-/// traffic.
+/// index here), the `close` events in time order, the `[pattern]`'s
+/// traffic, and the watermarks of the run's [`audit`]s so far.
 pub struct Cell {
     pub sim: Sim<Segment, Host>,
     pub net: Net,
@@ -205,6 +211,89 @@ pub struct Cell {
     pub conns: Vec<ConnKey>,
     pub(crate) closes: Vec<(SimTime, LinkId)>,
     pub traffic: Option<Traffic>,
+    pub invariants: InvariantState,
+}
+
+/// How a cell's run ended: every failure of its end-of-run audit (one
+/// description each; empty when the run is sound), the simulator's
+/// profiling counters, the events the run scheduled (in all and past the
+/// event wheel's window), the flows that completed and the final clock.
+/// Costs and a verdict: no digest hashes it.
+#[derive(Clone, Debug)]
+pub struct Outcome {
+    pub failures: Vec<String>,
+    pub profile: SimProfile,
+    pub events_scheduled: u64,
+    pub events_far: u64,
+    pub completed: usize,
+    pub end: SimTime,
+}
+
+impl Outcome {
+    /// Each failure, after `name`.
+    pub(crate) fn named<'a>(
+        &'a self,
+        name: impl fmt::Display + 'a,
+    ) -> impl Iterator<Item = String> + 'a {
+        self.failures.iter().map(move |f| format!("{name}: {f}"))
+    }
+}
+
+/// The audit of a cell's run so far, at a run-window boundary, on the
+/// cell's own fields so that a [`Driver::drive`] step can call it: one
+/// description per failure of [`Sim::audit_invariants`] (conservation,
+/// event storage, `busy_until` since the last audit on `invariants`,
+/// timers), then the first window-bound violation
+/// ([`MpSender::check_window_bounds`](xmp_transport::MpSender::check_window_bounds))
+/// of each sender still running.
+pub fn audit(
+    sim: &mut Sim<Segment, Host>,
+    driver: &Driver,
+    invariants: &mut InvariantState,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    sim.audit_invariants(invariants, &mut failures);
+    for rec in driver.records().filter(|r| r.completed.is_none()) {
+        let conn = rec.conn;
+        sim.with_host(rec.src_node, |stack, _| {
+            if let Some(Err(e)) = stack.sender(conn).map(|s| s.check_window_bounds()) {
+                failures.push(format!("conn {conn} {e}"));
+            }
+        });
+    }
+    failures
+}
+
+impl Cell {
+    /// End the run where it stands: fill in the records of the flows still
+    /// running ([`Driver::finalize_running`]), [`audit`] it, let the
+    /// audit's watermarks go, and return its [`Outcome`].
+    pub fn finish(&mut self) -> Outcome {
+        self.driver.finalize_running(&mut self.sim);
+        let failures = audit(&mut self.sim, &self.driver, &mut self.invariants);
+        self.invariants = InvariantState::default();
+        let (sim, records) = (&self.sim, self.driver.records());
+        Outcome {
+            failures,
+            profile: *sim.profile(),
+            events_scheduled: sim.events_scheduled(),
+            events_far: sim.events_far(),
+            completed: records.filter(|r| r.completed.is_some()).count(),
+            end: sim.now(),
+        }
+    }
+
+    /// The finished run's [`Driver::outcome_digest`]: final clock, every
+    /// flow record, the conservation report — or, when the books do not
+    /// balance, the imbalance — every probe record and the per-kind event
+    /// counts.
+    pub fn digest(&self) -> u64 {
+        let (sim, driver) = (&self.sim, &self.driver);
+        match sim.try_audit_conservation() {
+            Ok(report) => driver.outcome_digest(sim, &report),
+            Err(e) => driver.outcome_digest(sim, &e),
+        }
+    }
 }
 
 /// The one way from a scenario to a simulation. It sets the tuning, builds
@@ -344,15 +433,15 @@ pub fn build(sc: &Scenario, variant: Option<&Variant>) -> Result<Cell, String> {
         conns,
         closes,
         traffic,
+        invariants: InvariantState::default(),
     })
 }
 
 /// One variant's run: per bin, each series' summed member rates over its
 /// capacity; per epoch, their means; the RTOs of the first series' flow;
 /// the packets blackholed on the first `down` link; the first series'
-/// [`Outage`], if the run has a `down`; what its `[probes]` recorded;
-/// what the end-of-run audits found; and the events the run scheduled, in
-/// all and past the event wheel's window.
+/// [`Outage`], if the run has a `down`; what its `[probes]` recorded; and
+/// how its cell finished.
 #[derive(Debug)]
 pub struct VariantRun {
     pub bins: Vec<Vec<f64>>,
@@ -361,9 +450,7 @@ pub struct VariantRun {
     pub blackholed: u64,
     pub outage: Option<Outage>,
     pub probes: Option<Probes>,
-    pub audit: Vec<String>,
-    pub events_scheduled: u64,
-    pub events_far: u64,
+    pub outcome: Outcome,
 }
 
 /// A finished paper run: its name, the scenario as run and one
@@ -380,8 +467,9 @@ pub struct Report {
 
 /// Failover's summary of a series around the first `down` and the first
 /// `up` after it (both in ms): the mean of the last three bins before the
-/// failure and the worst bin until the repair (bits/s), and the time from
-/// the failure to the end of the first bin back at 90 % of that mean.
+/// failure and the worst bin from the failure's until the repair's, the
+/// failure's own bin always included (bits/s), and the time from the
+/// failure to the end of the first bin back at 90 % of that mean.
 #[derive(Debug)]
 pub struct Outage {
     pub down_ms: f64,
@@ -403,7 +491,7 @@ fn outage(p: &Paper, g: &[f64]) -> Option<Outage> {
     let fail = index(down).min(g.len());
     let pre_from = fail.saturating_sub(3);
     let pre_bps = g[pre_from..fail].iter().sum::<f64>() / (fail - pre_from).max(1) as f64;
-    let end = up.map_or(g.len(), |up| index(up).clamp(fail, g.len()));
+    let end = up.map_or(g.len(), |up| index(up).max(fail + 1).min(g.len()));
     let dip_bps = g[fail..end].iter().copied().fold(f64::INFINITY, f64::min);
     let back = g[fail..].iter().position(|&x| x >= 0.9 * pre_bps);
     let recovery_ms = back.map(|i| (i + 1) as f64 * bin as f64 / 1e3);
@@ -464,6 +552,9 @@ fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, St
         .iter()
         .flat_map(|s| s.0.iter().map(|(f, x)| Ok((conn(f)?, *x))));
     let members = members.collect::<Result<Vec<_>, String>>()?;
+    // The first series' flow, whose RTOs the run reports.
+    let first = series.first().and_then(|s| s.0.first());
+    let first = first.and_then(|(f, _)| conn(f).ok());
     let mut rates = RateBins::new(members, bin);
     let end = SimTime::ZERO + unit * p.epochs;
     // Bin by bin, a bin cut short where a link closes; after each, every
@@ -495,9 +586,8 @@ fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, St
             }
         }
     }
-    driver.finalize_running(sim);
-    let mut audit = end_of_run_audit(sim);
-    audit_windows(sim, driver, &mut audit);
+    let outcome = cell.finish();
+    let (sim, driver) = (&mut cell.sim, &cell.driver);
     let probes = sim.take_probes();
 
     let sums = |row: &Vec<f64>| {
@@ -509,8 +599,7 @@ fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, St
     let over = |r: &Vec<f64>| r.iter().zip(&series).map(|(x, s)| x / s.1).collect();
     let bins: Vec<Vec<f64>> = raw.iter().map(over).collect();
     let goodput: Option<Vec<f64>> = raw.iter().map(|row| row.first().copied()).collect();
-    let first = series.first().and_then(|s| s.0.first());
-    let record = first.and_then(|(f, _)| driver.record(conn(f).ok()?));
+    let record = first.and_then(|c| driver.record(c));
     let dead = p.links.iter().find(|l| l.1 == LinkAction::Down);
     let blackholed = dead.and_then(|d| cell.net.link(d.2)).map_or(0, |l| {
         let dirs = &sim.link(l).dirs;
@@ -523,9 +612,7 @@ fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, St
         probes,
         bins,
         blackholed,
-        audit,
-        events_scheduled: sim.events_scheduled(),
-        events_far: sim.events_far(),
+        outcome,
     })
 }
 
@@ -567,11 +654,11 @@ impl Report {
     pub fn audit_failures(&self) -> Vec<String> {
         let variants = &self.scenario.paper.variants;
         let runs = variants.iter().zip(&self.runs);
-        let each = runs.flat_map(|(v, r)| r.audit.iter().map(|a| format!("{}: {a}", v.title)));
+        let each = runs.flat_map(|(v, r)| r.outcome.named(&v.title));
         let cells = variants.iter().cycle().zip(&self.cells);
         let cells = cells.flat_map(|(v, c)| {
             let cell = format!("{}/{}", v.title, c.result.pattern.label());
-            c.audit.iter().map(move |a| format!("{cell}: {a}"))
+            c.outcome.named(cell)
         });
         each.chain(cells).collect()
     }
@@ -717,6 +804,70 @@ impl fmt::Display for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Paper;
+
+    /// A one-pair 1 Gbps dumbbell cell whose source opens every subflow at
+    /// `initial_cwnd`, one XMP-2 flow declared and run for 1 µs — before
+    /// the SYN-ACK that would reach the sender's own per-segment check.
+    fn window_cell(initial_cwnd: f64) -> Cell {
+        let sc = Scenario {
+            qdisc: QdiscSpec::Ecn { cap: 100, k: 10 },
+            paper: Paper {
+                topology: Topology::Dumbbell(1, 1000, 100),
+                ..Paper::default()
+            },
+            ..Scenario::default()
+        };
+        let mut cell = build(&sc, None).expect("a dumbbell builds");
+        let (src_node, spec) = cell.net.path("flow/0/0").expect("pair 0");
+        // A field, not `with_initial_cwnd`, which refuses a NaN itself.
+        let stack = StackConfig {
+            initial_cwnd,
+            ..StackConfig::default()
+        };
+        cell.sim
+            .with_host(src_node, |host, _| *host = HostStack::new(stack));
+        cell.driver.submit(FlowSpecBuilder {
+            src_node,
+            subflows: vec![spec, spec],
+            size: u64::MAX,
+            scheme: Scheme::xmp(2),
+            start: SimTime::ZERO,
+            category: None,
+            tag: 0,
+        });
+        let t = SimTime::ZERO + SimDuration::from_micros(1);
+        cell.driver.run(&mut cell.sim, t, |_, _, _| {});
+        cell
+    }
+
+    #[test]
+    fn a_nan_cwnd_fails_the_window_audit() {
+        assert_eq!(window_cell(10.0).finish().failures, Vec::<String>::new());
+        assert_eq!(
+            window_cell(f64::NAN).finish().failures,
+            ["conn 1 subflow 0: cwnd NaN outside [1.0, finite) (ssthresh inf)"]
+        );
+    }
+
+    /// `finish` runs one audit: a failure it finds is named once, however
+    /// many checks would see it, and the outcome is read off the finished
+    /// run. No public call unbalances the packet ledger, so the
+    /// conservation check's failure is not driven here.
+    #[test]
+    fn finish_names_each_failure_once() {
+        let mut cell = window_cell(f64::NAN);
+        let before = audit(&mut cell.sim, &cell.driver, &mut cell.invariants);
+        let outcome = cell.finish();
+        let mut distinct = outcome.failures.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), outcome.failures.len(), "{outcome:?}");
+        assert_eq!(outcome.failures, before, "finish audits as `audit` does");
+        assert_eq!(outcome.end, SimTime::ZERO + SimDuration::from_micros(1));
+        assert_eq!(outcome.completed, 0);
+        assert!(outcome.events_scheduled > 0, "{outcome:?}");
+    }
 
     /// What the parser cannot check without a topology or a schedule is the
     /// run's error, not a panic: names, and a qdisc the testbeds and ring
@@ -846,7 +997,7 @@ mod tests {
             let r = run(name, &load(text).expect("parses").quick()).expect("runs");
             let titles = r.scenario.paper.variants.iter().map(|v| &v.title);
             for (title, v) in titles.zip(&r.runs) {
-                let (far, all) = (v.events_far, v.events_scheduled);
+                let (far, all) = (v.outcome.events_far, v.outcome.events_scheduled);
                 assert!(
                     far * 200 <= all,
                     "{name}: {title}: {far} of {all} events past the window"

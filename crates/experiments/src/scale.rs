@@ -6,17 +6,19 @@
 //! core link flaps mid-run and probes watch it throughout, so the outcome
 //! digest — every flow record, the packet-conservation audit, the probe
 //! records and the per-kind event counts — covers the fault and
-//! observability paths, not just the happy path. The digest is
-//! `Driver::outcome_digest` over the conservation report; the recorded
-//! values are `7e93a02948d16d8f` ([`quick`]), `e5d22f17048e3846`
-//! ([`headline`]) and `d3616a796022d710` ([`mega`]).
+//! observability paths, not just the happy path. The run ends in
+//! [`Cell::finish`](runner::Cell::finish), and the digest is
+//! [`Cell::digest`](runner::Cell::digest): `Driver::outcome_digest` over
+//! the conservation report. The recorded values are `7e93a02948d16d8f`
+//! ([`quick`]), `e5d22f17048e3846` ([`headline`]) and `d3616a796022d710`
+//! ([`mega`]).
 //!
 //! The headline is wall clock and events per second for the k = 16 cell;
 //! `mega` is the k = 32 memory-footprint cell, and every cell prints the
 //! process's peak resident set once it is done.
 
-use crate::common::{audit_windows, end_of_run_audit, TextTable};
-use crate::runner;
+use crate::common::TextTable;
+use crate::runner::{self, Outcome};
 use crate::scenario::{FaultLine, FaultSpec, FlowLine, LinkRef, Scenario};
 use std::fmt;
 use xmp_des::{SimDuration, SimTime};
@@ -95,20 +97,14 @@ pub struct ScaleCell {
     pub hosts: usize,
     /// Digest over flow records + audit + probes + event counts + clock.
     pub digest: u64,
-    /// Completed flows.
-    pub completed: usize,
-    /// Events handled (all kinds).
-    pub events: u64,
     /// Wall-clock milliseconds spent driving the simulation.
     pub wall_ms: f64,
-    /// Events per wall-clock second inside the event loop.
-    pub events_per_sec: f64,
     /// Peak resident set of the whole process once the cell is done
     /// ([`peak_rss_mib`]).
     pub peak_rss_mib: Option<f64>,
-    /// Every end-of-run audit failure ([`end_of_run_audit`]); empty when
-    /// the run is sound.
-    pub audit: Vec<String>,
+    /// How the cell finished: audit failures, event counts and rate,
+    /// completed flows.
+    pub outcome: Outcome,
 }
 
 /// The process's peak resident set in MiB: `VmHWM` in
@@ -126,34 +122,22 @@ pub fn peak_rss_mib() -> Option<f64> {
 /// so that its flow list does not count in the cell's peak RSS.
 pub fn run(sc: Scenario) -> Result<ScaleCell, String> {
     let mut cell = runner::build(&sc, None)?;
-    let (sim, driver) = (&mut cell.sim, &mut cell.driver);
     let (k, hosts) = (sc.k, sc.host_count());
     let deadline = SimTime::ZERO + SimDuration::from_micros(sc.horizon_us);
     drop(sc);
     let slice = SimDuration::from_millis(10);
     let wall = std::time::Instant::now();
-    driver.drive(sim, deadline, slice, cell.conns.len(), |_, _| {});
+    let (sim, flows) = (&mut cell.sim, cell.conns.len());
+    cell.driver.drive(sim, deadline, slice, flows, |_, _| {});
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-
-    let mut audit = end_of_run_audit(sim);
-    audit_windows(sim, driver, &mut audit);
-    // The recorded digests hash the conservation report itself; a run
-    // whose books do not balance hashes the imbalance (and fails `audit`).
-    let digest = match sim.try_audit_conservation() {
-        Ok(report) => driver.outcome_digest(sim, &report),
-        Err(e) => driver.outcome_digest(sim, &e),
-    };
-    let profile = sim.profile();
+    let outcome = cell.finish();
     Ok(ScaleCell {
         k,
         hosts,
-        digest,
-        completed: driver.records().filter(|r| r.completed.is_some()).count(),
-        events: profile.events_handled(),
+        digest: cell.digest(),
         wall_ms,
-        events_per_sec: profile.events_per_sec(),
         peak_rss_mib: peak_rss_mib(),
-        audit,
+        outcome,
     })
 }
 
@@ -166,8 +150,8 @@ impl fmt::Display for ScaleCell {
         .header(["wall (ms)", "Mev/s", "flows", "peak RSS (MiB)", "digest"]);
         t.row([
             format!("{:.0}", self.wall_ms),
-            format!("{:.2}", self.events_per_sec / 1e6),
-            format!("{}", self.completed),
+            format!("{:.2}", self.outcome.profile.events_per_sec() / 1e6),
+            format!("{}", self.outcome.completed),
             self.peak_rss_mib
                 .map_or_else(|| "-".into(), |m| format!("{m:.1}")),
             format!("{:016x}", self.digest),
@@ -180,10 +164,14 @@ impl fmt::Display for ScaleCell {
 mod tests {
     use super::*;
 
+    /// The k = 4 cell's recorded digest: a change to the digest form, or
+    /// to anything it hashes, moves it.
+    const K4_DIGEST: u64 = 0x34db_f251_c1de_2bf6;
+
     #[test]
     fn quick_scale_digests_match() {
         // The same cell twice: every flow finishes and the outcome repeats
-        // to the bit.
+        // to the recorded bit.
         let sc = Scenario {
             k: 4,
             horizon_us: 200_000,
@@ -192,8 +180,9 @@ mod tests {
         };
         let (a, b) = (run(sc.clone()).unwrap(), run(sc).unwrap());
         assert_eq!(a.digest, b.digest, "{a}{b}");
-        assert_eq!(a.completed, a.hosts, "{a}");
-        assert!(a.audit.is_empty(), "{:?}", a.audit);
+        assert_eq!(a.digest, K4_DIGEST, "{a}");
+        assert_eq!(a.outcome.completed, a.hosts, "{a}");
+        assert!(a.outcome.failures.is_empty(), "{:?}", a.outcome.failures);
     }
 
     #[test]

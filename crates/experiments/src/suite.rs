@@ -11,14 +11,13 @@
 //! (goodput is a rate, so the distribution shapes survive scaling —
 //! EXPERIMENTS.md records the scale used).
 
-use crate::common::{audit_windows, end_of_run_audit, mbps, TextTable};
-use crate::runner::{self, PAPER_RUNS};
+use crate::common::{mbps, TextTable};
+use crate::runner::{self, Outcome, PAPER_RUNS};
 use crate::scenario::{QdiscSpec, Scenario, Variant};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::iter::once;
 use xmp_des::{SimDuration, SimTime};
-use xmp_netsim::SimProfile;
 use xmp_topo::{FatTree, FlowCategory, LinkLayer};
 use xmp_transport::ConnKey;
 use xmp_workloads::{
@@ -160,16 +159,13 @@ impl Traffic {
     }
 }
 
-/// One cell run: what it measured, and — costs and a verdict, not
-/// outcomes, so they stay out of [`SuiteResult`] and its digests — the
-/// simulator's profiling counters (event mix, pool hit rate, wall time in
-/// the event loop) and every failure of its end-of-run audit
-/// ([`end_of_run_audit`]; empty when the run is sound).
+/// One cell run: what it measured, and how its cell finished — costs and
+/// a verdict, not outcomes, so they stay out of [`SuiteResult`] and its
+/// digests.
 #[derive(Debug)]
 pub struct SuiteRun {
     pub result: SuiteResult,
-    pub profile: SimProfile,
-    pub audit: Vec<String>,
+    pub outcome: Outcome,
 }
 
 /// Run one cell: `sc`'s first pattern kind under variant `v`, built by
@@ -186,11 +182,9 @@ pub fn run_suite(sc: &Scenario, v: &Variant) -> Result<SuiteRun, String> {
         _ => 10,
     };
     let mut cell = runner::build(sc, Some(v))?;
-    let (sim, driver) = (&mut cell.sim, &mut cell.driver);
-    let (Some(traffic), Some(ft), Some(scheme)) = (&mut cell.traffic, cell.net.tree(), v.scheme)
-    else {
-        unreachable!("`build` starts a [pattern] on the fat tree with the variant's scheme")
-    };
+    let why = "`build` starts a [pattern] on the fat tree with the variant's scheme";
+    let (sim, driver, ft) = (&mut cell.sim, &mut cell.driver, cell.net.tree().expect(why));
+    let (traffic, scheme) = cell.traffic.as_mut().zip(v.scheme).expect(why);
 
     // Run in short slices until enough large flows completed.
     let slice = SimDuration::from_millis(100);
@@ -210,9 +204,8 @@ pub fn run_suite(sc: &Scenario, v: &Variant) -> Result<SuiteRun, String> {
             traffic.on_complete(sim, d, ft, conn);
         });
     }
-    driver.finalize_running(sim);
-    let mut audit = end_of_run_audit(sim);
-    audit_windows(sim, driver, &mut audit);
+    let outcome = cell.finish();
+    let (sim, driver, ft) = (&cell.sim, &cell.driver, cell.net.tree().expect(why));
     let now = sim.now();
 
     // Collect per-flow metrics over completed large flows.
@@ -259,8 +252,10 @@ pub fn run_suite(sc: &Scenario, v: &Variant) -> Result<SuiteRun, String> {
         occupancy_above_k.insert(layer_name(layer), mean_occ);
     }
 
-    let job_times_ms = match traffic {
-        Traffic::Incast(p) if !p.job_times_ms.is_empty() => Some(Cdf::new(p.job_times_ms.clone())),
+    let job_times_ms = match &cell.traffic {
+        Some(Traffic::Incast(p)) if !p.job_times_ms.is_empty() => {
+            Some(Cdf::new(p.job_times_ms.clone()))
+        }
         _ => None,
     };
 
@@ -278,12 +273,7 @@ pub fn run_suite(sc: &Scenario, v: &Variant) -> Result<SuiteRun, String> {
         completed_flows: large_done,
         sim_time: now,
     };
-    let profile = *sim.profile();
-    Ok(SuiteRun {
-        result,
-        profile,
-        audit,
-    })
+    Ok(SuiteRun { result, outcome })
 }
 
 /// Run a batch of suite cells, each a `(scenario, variant)` for
@@ -550,7 +540,7 @@ mod tests {
     /// The cell's result; its audit is clean.
     fn sound(sc: &Scenario, v: &Variant) -> SuiteResult {
         let run = run_suite(sc, v).expect("the cell builds");
-        assert!(run.audit.is_empty(), "{:?}", run.audit);
+        assert!(run.outcome.failures.is_empty(), "{:?}", run.outcome);
         run.result
     }
 
@@ -604,7 +594,7 @@ mod tests {
             .into_iter()
             .map(|r| {
                 let r = r.expect("the cell builds");
-                assert!(r.audit.is_empty(), "{:?}", r.audit);
+                assert!(r.outcome.failures.is_empty(), "{:?}", r.outcome);
                 format!("{:?}", r.result)
             })
             .collect();

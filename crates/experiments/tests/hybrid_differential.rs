@@ -35,8 +35,9 @@ fn hybrid_tolerance_bands_hold_across_seeds() {
             ..HybridConfig::quick()
         };
         let r = hybrid::run(&cfg);
-        assert!(r.hybrid.fluid_ticks > 0, "seed {seed}: hybrid never ticked");
-        assert_eq!(r.packet.fluid_ticks, 0, "seed {seed}: packet run ticked");
+        let ticks = |c: &hybrid::HybridCell| c.outcome.profile.fluid_ticks;
+        assert!(ticks(&r.hybrid) > 0, "seed {seed}: hybrid never ticked");
+        assert_eq!(ticks(&r.packet), 0, "seed {seed}: packet run ticked");
         assert!(
             r.within_tolerance(),
             "seed {seed}: hybrid cell out of tolerance\n{r}"
@@ -55,7 +56,7 @@ fn suite_digest(seed: u64, scheme: Scheme, tuning: SimTuning) -> String {
         .expect("fattree.scn has a [pattern]");
     (sc.seed, sc.tuning, p.flows, p.max_sim_us) = (seed, tuning, 6, 2_000_000);
     let r = run_suite(&sc, &v).expect("the cell builds");
-    assert_eq!(r.audit, Vec::<String>::new());
+    assert_eq!(r.outcome.failures, Vec::<String>::new());
     format!("{:?}", r.result)
 }
 

@@ -63,7 +63,7 @@ fn table1_cells_match_the_recorded_outcome() {
             .expect("fattree.scn has a [pattern]");
         (sc.seed, p.flows, p.max_sim_us) = (seed, 6, 2_000_000);
         let r = run_suite(&sc, &v).expect("the cell builds");
-        assert_eq!(r.audit, Vec::<String>::new());
+        assert_eq!(r.outcome.failures, Vec::<String>::new());
         assert_eq!(
             digest(&format!("{:?}", r.result)),
             recorded,

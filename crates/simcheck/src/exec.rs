@@ -1,11 +1,12 @@
 //! Scenario execution: run one scenario through every applicable oracle
 //! leg, digest each leg, and audit runtime invariants mid-run.
 //!
-//! Every leg simulates the *same* scenario and must produce a
-//! bit-identical
-//! [`Driver::outcome_digest`](xmp_workloads::Driver::outcome_digest)
-//! (final clock, every flow record, the conservation audit, every probe
-//! record and the per-kind event counts). The baseline drives the run in
+//! Every leg simulates the *same* scenario, ends in
+//! [`Cell::finish`](xmp_experiments::runner::Cell::finish) and must
+//! produce a bit-identical
+//! [`Cell::digest`](xmp_experiments::runner::Cell::digest) (final clock,
+//! every flow record, the conservation report, every probe record and the
+//! per-kind event counts). The baseline drives the run in
 //! fixed slices and may stop early once every flow completed; a
 //! `slices-N` leg drives it through a seeded sequence of irregular windows
 //! drawn from `(seed, N)` and ends at exactly the baseline's final instant
@@ -16,9 +17,7 @@
 
 use crate::scenario::Scenario;
 use xmp_des::{SimDuration, SimRng, SimTime};
-use xmp_experiments::common::audit_windows;
-use xmp_experiments::runner::build;
-use xmp_netsim::InvariantState;
+use xmp_experiments::runner::{audit, build, Outcome};
 
 /// One oracle leg: how this run is cut into run windows.
 #[derive(Debug, Clone)]
@@ -39,12 +38,10 @@ pub struct LegOutcome {
     pub label: String,
     /// Digest over clock + records + audit + probes + event counts.
     pub digest: u64,
-    /// Flows that completed before the horizon.
-    pub completed: usize,
-    /// Invariant-audit failures observed on this leg.
-    pub audit_failures: Vec<String>,
-    /// The leg's final instant.
-    pub end: SimTime,
+    /// How the leg finished: every audit failure observed on it (mid-run
+    /// ones first), the flows completed before the horizon and its final
+    /// instant.
+    pub outcome: Outcome,
 }
 
 /// The verdict for a whole scenario.
@@ -59,7 +56,7 @@ pub struct RunOutcome {
 impl RunOutcome {
     /// No divergence and no audit failure anywhere.
     pub fn passed(&self) -> bool {
-        self.divergent.is_empty() && self.legs.iter().all(|l| l.audit_failures.is_empty())
+        self.divergent.is_empty() && self.legs.iter().all(|l| l.outcome.failures.is_empty())
     }
 
     /// All audit failures across legs, each prefixed with its leg label.
@@ -67,7 +64,8 @@ impl RunOutcome {
         self.legs
             .iter()
             .flat_map(|l| {
-                l.audit_failures
+                l.outcome
+                    .failures
                     .iter()
                     .map(move |f| format!("[{}] {f}", l.label))
             })
@@ -103,7 +101,7 @@ pub fn run_scenario(sc: &Scenario) -> Result<RunOutcome, String> {
     let specs = legs(sc);
     let mut out: Vec<LegOutcome> = Vec::with_capacity(specs.len());
     for leg in &specs {
-        let end = out.first().map(|base| base.end);
+        let end = out.first().map(|base| base.outcome.end);
         out.push(run_leg(sc, leg, end)?);
     }
     let base = out[0].digest;
@@ -120,12 +118,13 @@ pub fn run_scenario(sc: &Scenario) -> Result<RunOutcome, String> {
 }
 
 /// Run one leg of the scenario, built by `runner::build`, and digest
-/// everything an observer could see. Fixed-slice legs run the mid-run
-/// invariant audits at every slice boundary; a re-sliced leg, which needs
-/// the baseline's final instant `end`, audits when it gets there.
+/// everything an observer could see. Fixed-slice legs run `runner::audit`
+/// at every slice boundary of `Driver::drive`; a re-sliced leg, which
+/// needs the baseline's final instant `end`, audits when it gets there.
+/// Both end in `Cell::finish`, whose audit is the same call on the same
+/// state.
 fn run_leg(sc: &Scenario, leg: &LegSpec, end: Option<SimTime>) -> Result<LegOutcome, String> {
     let mut cell = build(sc, None)?;
-    let (sim, driver, flows) = (&mut cell.sim, &mut cell.driver, cell.conns.len());
     let deadline = SimTime::ZERO + SimDuration::from_micros(sc.horizon_us);
     if leg.inject {
         // Chaos hook: a timer event for a token that was never armed. The
@@ -136,15 +135,16 @@ fn run_leg(sc: &Scenario, leg: &LegSpec, end: Option<SimTime>) -> Result<LegOutc
             .net
             .tree()
             .ok_or("the injected leg needs the fat tree")?;
-        sim.debug_inject_spurious_timer(ft.host(0), SimTime::ZERO + SimDuration::from_micros(1));
+        let at = SimTime::ZERO + SimDuration::from_micros(1);
+        cell.sim.debug_inject_spurious_timer(ft.host(0), at);
     }
 
     // Everything is pre-submitted and nothing chains on completion, so
     // where the windows fall must not change what happens.
-    let mut audit_failures = Vec::new();
-    let mut inv = InvariantState::default();
+    let mut failures = Vec::new();
     match (leg.slices, end) {
         (n @ 1.., Some(end)) => {
+            let (sim, driver) = (&mut cell.sim, &mut cell.driver);
             let mut rng = SimRng::new(sc.seed).derive(n as u64);
             let longest = (2 * end.as_nanos() / (16 * n as u64)).max(1);
             while sim.now() < end {
@@ -152,27 +152,21 @@ fn run_leg(sc: &Scenario, leg: &LegSpec, end: Option<SimTime>) -> Result<LegOutc
                 let t = (sim.now() + window).min(end);
                 driver.run(sim, t, |_, _, _| {});
             }
-            driver.finalize_running(sim);
         }
         _ => {
             let span = deadline - SimTime::ZERO;
             let slice = SimDuration::from_nanos((span.as_nanos() / 16).max(100_000));
-            driver.drive(sim, deadline, slice, flows, |s, d| {
-                s.audit_invariants(&mut inv, &mut audit_failures);
-                audit_windows(s, d, &mut audit_failures);
+            let (sim, inv, flows) = (&mut cell.sim, &mut cell.invariants, cell.conns.len());
+            cell.driver.drive(sim, deadline, slice, flows, |s, d| {
+                failures.extend(audit(s, d, inv));
             });
         }
     }
-    sim.audit_invariants(&mut inv, &mut audit_failures);
-
-    let digest = driver.outcome_digest(sim, &sim.try_audit_conservation());
-
-    let completed = driver.records().filter(|r| r.completed.is_some()).count();
+    let mut outcome = cell.finish();
+    outcome.failures.splice(0..0, failures);
     Ok(LegOutcome {
         label: leg.label.clone(),
-        digest,
-        completed,
-        audit_failures,
-        end: sim.now(),
+        digest: cell.digest(),
+        outcome,
     })
 }

@@ -130,7 +130,7 @@ fn cmd_run(args: &[&str]) -> ExitCode {
                     sc.flows.len(),
                     sc.faults.len(),
                     pairs,
-                    out.legs[0].completed,
+                    out.legs[0].outcome.completed,
                 );
             }
             Ok(out) => {
@@ -211,23 +211,21 @@ fn cmd_replay(args: &[&str]) -> ExitCode {
         Err(e) => return fail(&e),
     };
     match exec::run_scenario(&sc) {
-        Ok(out) if out.passed() => {
-            println!("replay {file}: ok — every oracle leg agrees");
+        Ok(out) => {
+            let verdict = if out.passed() {
+                "ok — every oracle leg agrees"
+            } else {
+                "FAILED (reproduced)"
+            };
+            println!("replay {file}: {verdict}");
             for l in &out.legs {
                 println!(
                     "  {:<16} digest {:016x} completed {}",
-                    l.label, l.digest, l.completed
+                    l.label, l.digest, l.outcome.completed
                 );
             }
-            ExitCode::SUCCESS
-        }
-        Ok(out) => {
-            println!("replay {file}: FAILED (reproduced)");
-            for l in &out.legs {
-                println!(
-                    "  {:<16} digest {:016x} completed {}",
-                    l.label, l.digest, l.completed
-                );
+            if out.passed() {
+                return ExitCode::SUCCESS;
             }
             for l in &out.divergent {
                 println!("  digest divergence: {l} vs serial baseline");

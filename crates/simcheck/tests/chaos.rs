@@ -126,5 +126,6 @@ fn the_scale_cell_is_a_replayable_scenario() {
         out.divergent,
         out.audit_failures()
     );
-    assert_eq!(out.legs[0].completed, sc.flows.len(), "the wave finishes");
+    let completed = out.legs[0].outcome.completed;
+    assert_eq!(completed, sc.flows.len(), "the wave finishes");
 }

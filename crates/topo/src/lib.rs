@@ -25,5 +25,5 @@ pub mod torus;
 
 pub use dumbbell::Dumbbell;
 pub use fat_tree::{FatTree, FatTreeConfig, FlowCategory, LinkLayer, RoutingMode, TopoError};
-pub use testbed::{FairnessTestbed, ShiftTestbed};
+pub use testbed::ShiftTestbed;
 pub use torus::Torus;

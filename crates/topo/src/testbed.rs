@@ -11,10 +11,11 @@
 //! * [`ShiftTestbed`] — Fig. 3a: Flow 1 (via DN1), Flow 3 (via DN2), Flow 2
 //!   with one subflow through each, plus background-flow host pairs on both
 //!   bottlenecks. Drives the Fig. 4 traffic-shifting experiment.
-//! * [`FairnessTestbed`] — Fig. 3b: four flows with 3/2/1/1 subflows share
-//!   one bottleneck. Drives the Fig. 6 fairness experiment.
+//! * Fig. 3b — four flows with 3/2/1/1 subflows share one bottleneck — is
+//!   a 4-pair [`Dumbbell`](crate::Dumbbell) with [`TestbedConfig`]'s bandwidth, RTT and
+//!   [`TestbedConfig::bottleneck_queue`]. It drives the Fig. 6 fairness
+//!   experiment.
 
-use crate::dumbbell::Dumbbell;
 use xmp_des::{Bandwidth, SimDuration};
 use xmp_netsim::network::Payload;
 use xmp_netsim::routing::{AddrPattern, StaticRouter};
@@ -57,7 +58,9 @@ impl Default for TestbedConfig {
 }
 
 impl TestbedConfig {
-    fn bottleneck_queue(&self) -> QdiscConfig {
+    /// The DummyNet bottleneck's queue: `queue_cap` packets, marking at
+    /// `k`.
+    pub fn bottleneck_queue(&self) -> QdiscConfig {
         QdiscConfig::EcnThreshold {
             cap: self.queue_cap,
             k: self.k,
@@ -233,47 +236,10 @@ impl ShiftTestbed {
     }
 }
 
-/// Fig. 3b — four flows share one bottleneck (subflow counts 3/2/1/1 in
-/// the paper's experiment). Structurally a 4-pair dumbbell with the
-/// testbed's bottleneck parameters.
-#[derive(Debug)]
-pub struct FairnessTestbed {
-    /// The underlying dumbbell.
-    pub net: Dumbbell,
-}
-
-impl FairnessTestbed {
-    /// Build with the paper's testbed parameters.
-    pub fn build<P: Payload, A: Agent<P>>(
-        sim: &mut Sim<P, A>,
-        cfg: &TestbedConfig,
-        host_factory: impl FnMut(usize) -> A,
-    ) -> FairnessTestbed {
-        let net = Dumbbell::build(
-            sim,
-            4,
-            cfg.bandwidth,
-            cfg.rtt,
-            cfg.bottleneck_queue(),
-            host_factory,
-        );
-        FairnessTestbed { net }
-    }
-
-    /// Flow `i`'s path (all subflows of a flow share it, as on the real
-    /// single-switch testbed).
-    pub fn flow_path(&self, i: usize) -> Path {
-        Path {
-            port: PortId(0),
-            src: Dumbbell::src_addr(i),
-            dst: Dumbbell::dst_addr(i),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dumbbell;
     use std::any::Any;
     use xmp_des::{ByteSize, SimTime};
     use xmp_netsim::{Ctx, Ecn, FlowId, Packet};
@@ -373,17 +339,20 @@ mod tests {
         assert!((900..1000).contains(&one_way_us), "one-way {one_way_us}us");
     }
 
+    /// Fig. 3b's testbed: every pair of the 4-pair dumbbell delivers over
+    /// the testbed's bottleneck.
     #[test]
     fn fairness_testbed_is_a_marked_dumbbell() {
         let mut sim: Sim<u32> = Sim::new(1);
-        let tb = FairnessTestbed::build(&mut sim, &TestbedConfig::default(), |_| {
-            Box::<Probe>::default()
-        });
+        let cfg = TestbedConfig::default();
+        let (rate, rtt, queue) = (cfg.bandwidth, cfg.rtt, cfg.bottleneck_queue());
+        let db = Dumbbell::build(&mut sim, 4, rate, rtt, queue, |_| Box::<Probe>::default());
         for i in 0..4 {
-            let path = tb.flow_path(i);
-            send(&mut sim, tb.net.sources[i], path);
+            let (src, dst) = (Dumbbell::src_addr(i), Dumbbell::dst_addr(i));
+            let port = PortId(0);
+            send(&mut sim, db.sources[i], Path { port, src, dst });
         }
         sim.run_until_quiet(SimTime::from_millis(50));
-        assert_eq!(sim.link(tb.net.bottleneck).dir(0).stats.delivered, 4);
+        assert_eq!(sim.link(db.bottleneck).dir(0).stats.delivered, 4);
     }
 }

@@ -24,7 +24,7 @@ use xmp_netsim::node::NodeKind;
 use xmp_netsim::routing::{AddrPattern, StaticRouter};
 use xmp_netsim::{mix64, Addr, Agent, Ctx, FlowId, NodeId, Packet, PortId, QdiscConfig, Sim};
 use xmp_topo::fat_tree::{FatTree, FatTreeConfig, RoutingMode};
-use xmp_topo::testbed::{FairnessTestbed, ShiftTestbed, TestbedConfig};
+use xmp_topo::testbed::{ShiftTestbed, TestbedConfig};
 use xmp_topo::torus::{Torus, TorusConfig};
 use xmp_topo::Dumbbell;
 
@@ -372,9 +372,9 @@ fn testbeds_routes_match_reference() {
     assert!(assert_routes_match_reference(&sim, "shift testbed", &flow_set(16)) > 0);
 
     let mut sim: Sim<u64> = Sim::new(1);
-    FairnessTestbed::build(&mut sim, &TestbedConfig::default(), |_| {
-        Box::<Probe>::default()
-    });
+    let cfg = TestbedConfig::default();
+    let (rate, rtt, queue) = (cfg.bandwidth, cfg.rtt, cfg.bottleneck_queue());
+    Dumbbell::build(&mut sim, 4, rate, rtt, queue, |_| Box::<Probe>::default());
     // A dumbbell underneath: default routes, nothing unroutable.
     assert_eq!(
         assert_routes_match_reference(&sim, "fairness testbed", &flow_set(16)),

@@ -579,9 +579,10 @@ impl Driver {
 
     /// Harvest-only drive loop: run in `slice`-long steps until `deadline`
     /// or until `target` flows completed, calling `each_slice` at every
-    /// step boundary, then finalize what is still running. The slice is an
-    /// observation grid: where the steps fall changes no simulated bit,
-    /// only where the run may stop early.
+    /// step boundary. The flows still running are left as they are; the
+    /// run's end ([`Driver::finalize_running`]) is the caller's. The slice
+    /// is an observation grid: where the steps fall changes no simulated
+    /// bit, only where the run may stop early.
     pub fn drive<S: FlowSim>(
         &mut self,
         sim: &mut S,
@@ -595,7 +596,6 @@ impl Driver {
             self.run(sim, t, |_, _, _| {});
             each_slice(sim, self);
         }
-        self.finalize_running(sim);
     }
 
     /// Digest of everything an observer can see of a finished run: final

@@ -9,12 +9,14 @@
 //! Run with: `cargo run --release --example fairness`
 
 use xmp_suite::prelude::*;
-use xmp_suite::topo::testbed::{FairnessTestbed, TestbedConfig};
+use xmp_suite::topo::testbed::TestbedConfig;
 
 fn main() {
     let mut sim: Sim<Segment> = Sim::new(3);
+    // The Fig. 3b testbed: a 4-pair dumbbell with the testbed's bottleneck.
     let cfg = TestbedConfig::default();
-    let tb = FairnessTestbed::build(&mut sim, &cfg, |_| {
+    let (rate, rtt, queue) = (cfg.bandwidth, cfg.rtt, cfg.bottleneck_queue());
+    let db = Dumbbell::build(&mut sim, 4, rate, rtt, queue, |_| {
         Box::new(HostStack::new(StackConfig::default()))
     });
     let cap = cfg.bandwidth.as_bps() as f64;
@@ -23,9 +25,15 @@ fn main() {
     let mut driver = Driver::new();
     let conns: Vec<_> = (0..4)
         .map(|i| {
-            let spec = path_spec(tb.flow_path(i));
+            // Every subflow of a flow shares its pair's one path, as on the
+            // real single-switch testbed.
+            let spec = SubflowSpec {
+                local_port: PortId(0),
+                src: Dumbbell::src_addr(i),
+                dst: Dumbbell::dst_addr(i),
+            };
             driver.submit(FlowSpecBuilder {
-                src_node: tb.net.sources[i],
+                src_node: db.sources[i],
                 subflows: vec![spec; subflow_counts[i]],
                 size: u64::MAX,
                 scheme: Scheme::Xmp {
