@@ -10,7 +10,9 @@
 //! 2. **Coupling ablation** — XMP with TraSh disabled (`uXMP`): an
 //!    n-subflow flow competing against single-path flows takes roughly n
 //!    shares, violating the fairness goal that motivates coupling
-//!    (paper Section 2.2).
+//!    (paper Section 2.2). `scenarios/paper/coupling.scn` is the cell, one
+//!    variant coupled and one not; this module reports the 3-subflow
+//!    flow's share of the bottleneck in its second epoch.
 //! 3. **OLIA comparison** — the Pareto-optimality fix the paper's
 //!    Section 7 points to, run through the same fat-tree suite. It and the
 //!    routing and RTO legs are edits of `fattree.scn`'s quick cell
@@ -20,16 +22,19 @@
 
 use crate::common::{frac, mbps, TextTable};
 use crate::runner;
-use crate::scenario::{LinkRef, Paper, QdiscSpec, Scenario, Topology, Variant};
+use crate::scenario::{LinkRef, QdiscSpec, Scenario, Topology, Variant};
 use crate::suite::{quick_cell, run_suite, Pattern, SuiteResult};
 use std::fmt;
 use xmp_core::XmpParams;
 use xmp_des::{Bandwidth, ByteSize, SimDuration, SimTime};
 use xmp_topo::RoutingMode;
-use xmp_workloads::{jain_index, FlowSpecBuilder, RateBins, Scheme};
+use xmp_workloads::{jain_index, RateBins, Scheme};
 
 /// The β/K sweep, built in so that `ablation` runs from any directory.
 pub const SWEEP: &str = include_str!("../../../scenarios/paper/sweep.scn");
+
+/// The coupling ablation, built in likewise.
+pub const COUPLING: &str = include_str!("../../../scenarios/paper/coupling.scn");
 
 /// One β/K sweep point.
 #[derive(Debug)]
@@ -113,59 +118,15 @@ fn sweep_point(sc: &Scenario, v: &Variant, audit: &mut Vec<String>) -> Result<Sw
     Ok(point)
 }
 
-/// The coupling ablation on a 300 Mbps bottleneck, at `sweep`'s seed and
-/// window: a 3-subflow flow vs three single-path XMP flows; returns the
-/// multi-subflow flow's share.
-fn coupling_share(sweep: &Scenario, coupled: bool, audit: &mut Vec<String>) -> Result<f64, String> {
-    let topology = Topology::Dumbbell(4, 300, 1800);
-    let sc = Scenario {
-        seed: sweep.seed,
-        qdisc: QdiscSpec::Ecn { cap: 100, k: 15 },
-        paper: Paper {
-            topology,
-            ..Paper::default()
-        },
-        ..Scenario::default()
-    };
-    let mut cell = runner::build(&sc, None)?;
-    let (beta, subflows) = (4, 3);
-    let scheme = if coupled {
-        Scheme::Xmp { beta, subflows }
-    } else {
-        Scheme::XmpUncoupled { beta, subflows }
-    };
-    // One flow per dumbbell pair: the multi-subflow one on pair 0.
-    let mut submit = |i: usize, scheme: Scheme| {
-        let (src_node, spec) = cell
-            .net
-            .path(&format!("flow/{i}/0"))
-            .ok_or(format!("no pair {i}"))?;
-        Ok::<_, String>(cell.driver.submit(FlowSpecBuilder {
-            src_node,
-            subflows: vec![spec; scheme.subflow_count()],
-            size: u64::MAX,
-            scheme,
-            start: SimTime::ZERO,
-            category: None,
-            tag: i as u64,
-        }))
-    };
-    let multi = submit(0, scheme)?;
-    for i in 1..4 {
-        submit(i, Scheme::xmp(1))?;
-    }
-    // Warm up two windows, measure over the next two: the second bin.
-    let window = SimDuration::from_micros(sweep.paper.unit_us);
-    let mut bins = RateBins::new((0..3).map(|r| (multi, r)), window * 2);
-    bins.run(&mut cell.driver, &mut cell.sim, SimTime::ZERO + window * 4);
-    let name = if coupled {
-        "XMP (coupled)"
-    } else {
-        "uXMP (uncoupled)"
-    };
-    audit.extend(cell.finish().named(name));
-    let rate: f64 = bins.rows()[1].iter().sum();
-    Ok(rate / 300e6)
+/// Run `sc`, the coupling cell: each variant's share of the bottleneck in
+/// the second epoch, coupled first. Its audit failures go onto `audit`,
+/// after their variant.
+fn coupling_shares(sc: &Scenario, audit: &mut Vec<String>) -> Result<(f64, f64), String> {
+    let r = runner::run("coupling", sc)?;
+    audit.extend(r.audit_failures());
+    let share = |i: usize| r.runs.get(i)?.epochs.get(1)?.first().copied();
+    let why = "coupling.scn runs no two variants over two epochs";
+    share(0).zip(share(1)).ok_or(why.into())
 }
 
 /// One suite leg, named `label`: `fattree.scn`'s quick cell of `kind`
@@ -190,12 +151,19 @@ fn leg(
     Ok(run.result)
 }
 
+/// The built-in `file`, `text`, in its `--quick` form if `quick`, at `seed`
+/// (`None`: the file's).
+fn committed(file: &str, text: &str, quick: bool, seed: Option<u64>) -> Result<Scenario, String> {
+    let sc = runner::load(text).map_err(|e| format!("{file}: {e}"))?;
+    let mut sc = if quick { sc.quick() } else { sc };
+    sc.seed = seed.unwrap_or(sc.seed);
+    Ok(sc)
+}
+
 /// Run all three ablations, `quick`ly or not, every cell at `seed`
 /// (`None`: its file's). An `Err` is a cell that does not build.
 pub fn run(quick: bool, seed: Option<u64>) -> Result<AblationResult, String> {
-    let sc = runner::load(SWEEP).map_err(|e| format!("sweep.scn: {e}"))?;
-    let mut sc = if quick { sc.quick() } else { sc };
-    sc.seed = seed.unwrap_or(sc.seed);
+    let sc = committed("sweep.scn", SWEEP, quick, seed)?;
     let mut audit = Vec::new();
     let points = sc
         .paper
@@ -204,10 +172,8 @@ pub fn run(quick: bool, seed: Option<u64>) -> Result<AblationResult, String> {
         .map(|v| sweep_point(&sc, v, &mut audit));
     let mut sweep = points.collect::<Result<Vec<_>, _>>()?;
     sweep.sort_by_key(|p| (p.beta, p.k));
-    let coupling = (
-        coupling_share(&sc, true, &mut audit)?,
-        coupling_share(&sc, false, &mut audit)?,
-    );
+    let coupled = committed("coupling.scn", COUPLING, quick, seed)?;
+    let coupling = coupling_shares(&coupled, &mut audit)?;
     let legs = (quick, seed);
     let perm = |s| (Pattern::Permutation, s);
     let mut olia_rows = Vec::new();
@@ -370,11 +336,13 @@ mod tests {
         );
     }
 
+    /// `coupling.scn` at the tests' 1.2 s epochs and seed 3.
     #[test]
     fn coupling_restores_fairness() {
+        let mut sc = runner::load(COUPLING).expect("coupling.scn loads");
+        (sc.paper.unit_us, sc.seed) = (1_200_000, 3);
         let mut audit = Vec::new();
-        let coupled = coupling_share(&tiny(), true, &mut audit).expect("builds");
-        let uncoupled = coupling_share(&tiny(), false, &mut audit).expect("builds");
+        let (coupled, uncoupled) = coupling_shares(&sc, &mut audit).expect("builds");
         assert!(audit.is_empty(), "{audit:?}");
         // Fair share is 0.25; uncoupled should grab roughly 3 of 6 "slots".
         assert!(

@@ -21,8 +21,9 @@
 //!             results/dynamics_<variant>.jsonl (exits 2 naming the path
 //!             when results/ cannot be written)
 //!             (these eight run scenarios/paper/<command>.scn, built in)
-//!   ablation  beta/K sweep (scenarios/paper/sweep.scn, built in),
-//!             TraSh-coupling ablation, OLIA comparison
+//!   ablation  beta/K sweep and TraSh-coupling ablation
+//!             (scenarios/paper/{sweep,coupling}.scn, built in), OLIA
+//!             comparison
 //!   scale     wall clock, peak RSS and outcome digest of one large serial
 //!             cell; `scale mega` runs the k=32 (8192-host) memory cell
 //!   hybrid    hybrid fluid/packet mode vs packet baseline, per-class
@@ -40,6 +41,8 @@
 //! Every cell ends with the one end-of-run audit (`runner::Cell::finish`);
 //! once the command is done, exit 1 names each failure.
 
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::time::Instant;
 use xmp_experiments::scenario::{pattern_number, PatternSpec, Scenario};
@@ -165,10 +168,15 @@ fn run_paper(label: &str, name: &str, sc: &Scenario) -> Vec<String> {
     if exports.peek().is_some() {
         std::fs::create_dir_all("results").unwrap_or_else(|e| refuse("create results/", e));
     }
-    for (file, jsonl) in exports {
+    for (file, export) in exports {
         let path = format!("results/{file}");
-        std::fs::write(&path, &jsonl).unwrap_or_else(|e| refuse(&format!("write {path}"), e));
-        println!("wrote {path} ({} lines)", jsonl.lines().count());
+        let write = || {
+            let mut w = BufWriter::new(File::create(&path)?);
+            write!(w, "{export}")?;
+            w.flush()
+        };
+        write().unwrap_or_else(|e| refuse(&format!("write {path}"), e));
+        println!("wrote {path} ({} lines)", export.lines());
     }
     r.audit_failures()
 }
@@ -180,7 +188,8 @@ fn committed(name: &str, o: &Opts) -> Scenario {
     paper(name, text.unwrap_or_default(), o)
 }
 
-/// `trace report [files...]` — defaults to every results/dynamics_*.jsonl.
+/// `trace report [files...]` — defaults to every results/*.jsonl: the
+/// `dynamics` exports and those of any probed `run FILE.scn`.
 fn run_trace_report(paths: &[String]) {
     let paths: Vec<String> = if paths.is_empty() {
         let mut found: Vec<String> = std::fs::read_dir("results")

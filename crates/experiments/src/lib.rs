@@ -15,7 +15,7 @@
 //! | Table 2 | `scenarios/paper/table2.scn` | XMP coexistence with LIA / TCP / DCTCP |
 //! | Fig. 2 (dynamics) | `scenarios/paper/dynamics.scn` | cwnd/queue/mark time series, exported as JSONL |
 //! | (all of the above) | [`scenario`], [`runner`], [`suite`] | the `.scn` model, [`runner::build`] (the one builder from a scenario to a simulation, for paper runs, simcheck, `ablation`, `scale` and `hybrid`) and [`runner::Cell::finish`] (where every one of those runs ends: its audit and outcome), the one runner of a paper run, and the fat-tree suite's cells and tables |
-//! | (extensions) | [`ablation`] | β/K sweep (`scenarios/paper/sweep.scn`), TraSh-coupling ablation, OLIA |
+//! | (extensions) | [`ablation`] | β/K sweep (`scenarios/paper/sweep.scn`), TraSh-coupling ablation (`scenarios/paper/coupling.scn`), OLIA |
 //! | (tooling) | [`report`] | summaries rendered back from exported traces |
 //! | (scaling) | [`scale`] | wall clock, peak RSS and outcome digest of one large serial cell, itself a chaos scenario |
 //! | (scaling) | [`hybrid`] | hybrid fluid/packet mode vs packet baseline, per-class tolerance bands |
@@ -364,8 +364,8 @@ mod dynamics {
             let exports: Vec<_> = r.exports().collect();
             let names: Vec<&str> = exports.iter().map(|e| &e.0[..]).collect();
             assert_eq!(names, ["dynamics_xmp-2.jsonl", "dynamics_dctcp.jsonl"]);
-            for (name, jsonl) in exports {
-                let mut meta_lines = 0;
+            for (name, export) in exports {
+                let (jsonl, mut meta_lines) = (export.to_string(), 0);
                 for (i, line) in jsonl.lines().enumerate() {
                     let rec = ProbeRecord::parse(line)
                         .unwrap_or_else(|e| panic!("{name} line {}: {e}", i + 1));

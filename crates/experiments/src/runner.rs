@@ -300,13 +300,13 @@ impl Cell {
 /// the topology (queueing at `variant`'s `cap` and `k`, if it sets them),
 /// installs the probes (a chaos run's every `probe_interval_us` to its
 /// horizon; a series run's every bin to its end, marks included) and one
-/// fault plan — `[faults]` in µs, then
-/// `[schedule]`'s `down` and `up` in epochs — declares the `[flows]` lines
-/// and the `[schedule]` flows (schemes from `variant`) to one driver, and
-/// starts the `[pattern]`'s first kind on it (`variant`'s scheme, and
-/// `coexist`'s on odd hosts). A name the network does not have, a
-/// host-indexed flow, switch or pattern off the fat tree, or a pattern
-/// variant without a scheme, is an error naming it.
+/// fault plan — `[faults]` in µs, then `[schedule]`'s `down` and `up` in
+/// epochs — declares the `[flows]` lines and the `[schedule]` flows (each
+/// under its own scheme, else `variant`'s) to one driver, and starts the
+/// `[pattern]`'s first kind on it (`variant`'s scheme, and `coexist`'s on
+/// odd hosts). A name the network does not have, a host-indexed flow,
+/// switch or pattern off the fat tree, or a pattern variant without a
+/// scheme, is an error naming it.
 pub fn build(sc: &Scenario, variant: Option<&Variant>) -> Result<Cell, String> {
     let (p, topology) = (&sc.paper, sc.paper.topology);
     let us = |t: u64| SimTime::ZERO + SimDuration::from_micros(t);
@@ -391,8 +391,8 @@ pub fn build(sc: &Scenario, variant: Option<&Variant>) -> Result<Cell, String> {
         }));
     }
     for f in &p.flows {
-        let v = variant.ok_or(format!("flow `{}` takes its scheme from a variant", f.name))?;
-        let scheme = v.scheme(f.paths.len());
+        let why = || format!("flow `{}` takes its scheme from a variant", f.name);
+        let scheme = f.scheme_under(variant).ok_or_else(why)?;
         let opened = f.paths.get(..scheme.subflow_count()).unwrap_or_default();
         let paths: Vec<_> = opened.iter().map(path).collect::<Result<_, _>>()?;
         let Some(&(src_node, _)) = paths.first() else {
@@ -616,6 +616,28 @@ fn run_variant(sc: &Scenario, m: &Measure, v: &Variant) -> Result<VariantRun, St
     })
 }
 
+/// One variant's probe export as JSON Lines: a meta line naming the run,
+/// variant, seed, topology, qdisc and epoch grid, then every record.
+/// `Display` writes it one record at a time, so it is never held whole.
+pub struct Export<'a> {
+    meta: ProbeRecord,
+    records: &'a [ProbeRecord],
+}
+
+impl Export<'_> {
+    /// Its line count.
+    pub fn lines(&self) -> usize {
+        1 + self.records.len()
+    }
+}
+
+impl fmt::Display for Export<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut lines = once(&self.meta).chain(self.records);
+        lines.try_for_each(|r| writeln!(f, "{}", r.to_json()))
+    }
+}
+
 /// A table titled `title` with header `head e1 … en`.
 fn per_epoch(title: String, head: &str, n: usize) -> TextTable {
     let epochs = (1..=n).map(|e| format!("e{e}"));
@@ -624,10 +646,9 @@ fn per_epoch(title: String, head: &str, n: usize) -> TextTable {
 
 impl Report {
     /// Each probed variant's export: its file name, `<run>_<variant>.jsonl`
-    /// (lower case, a character outside `[a-z0-9]` as `-`), and its JSON
-    /// Lines: a meta line naming the run, variant, seed, topology, qdisc
-    /// and epoch grid, then every record.
-    pub fn exports(&self) -> impl Iterator<Item = (String, String)> + '_ {
+    /// (lower case, a character outside `[a-z0-9]` as `-`), and its
+    /// [`Export`].
+    pub fn exports(&self) -> impl Iterator<Item = (String, Export<'_>)> + '_ {
         let (sc, p) = (&self.scenario, &self.scenario.paper);
         let runs = p.variants.iter().zip(&self.runs);
         runs.filter_map(move |(v, r)| {
@@ -638,8 +659,8 @@ impl Report {
                 seed: sc.seed,
                 note: format!("{}, {q}, epoch {} us x {}", p.topology, p.unit_us, p.epochs),
             };
-            let jsonl = format!("{}\n{}", meta.to_json(), probes.export_jsonl());
-            Some((self.export_name(v), jsonl))
+            let records = probes.records();
+            Some((self.export_name(v), Export { meta, records }))
         })
     }
 
@@ -867,6 +888,33 @@ mod tests {
         assert_eq!(outcome.end, SimTime::ZERO + SimDuration::from_micros(1));
         assert_eq!(outcome.completed, 0);
         assert!(outcome.events_scheduled > 0, "{outcome:?}");
+    }
+
+    /// A `[schedule]` flow's own scheme wins over its variant's; a flow
+    /// without one takes the variant's, and without a variant has none.
+    #[test]
+    fn a_flows_own_scheme_overrides_its_variants() {
+        let sc = load(crate::ablation::COUPLING).expect("coupling.scn loads");
+        let labels = |v: Option<&Variant>| {
+            let mut cell = build(&sc, v)?;
+            let t = SimTime::ZERO + SimDuration::from_micros(1);
+            cell.driver.run(&mut cell.sim, t, |_, _, _| {});
+            let records = cell.driver.records().map(|r| r.scheme.clone());
+            Ok::<_, String>(records.collect::<Vec<_>>())
+        };
+        let [coupled, uncoupled] = &sc.paper.variants[..] else {
+            panic!("two variants");
+        };
+        let single = ["XMP-1", "XMP-1", "XMP-1"];
+        for (v, multi) in [(coupled, "XMP-3"), (uncoupled, "uXMP-3(b4)")] {
+            let mut got = labels(Some(v)).expect("builds");
+            got.sort();
+            let mut want = [&[multi][..], &single].concat();
+            want.sort();
+            assert_eq!(got, want, "{}", v.title);
+        }
+        let e = labels(None).unwrap_err();
+        assert_eq!(e, "flow `m` takes its scheme from a variant");
     }
 
     /// What the parser cannot check without a topology or a schedule is the

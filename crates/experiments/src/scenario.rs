@@ -684,17 +684,26 @@ impl PatternSpec {
 }
 
 /// A `[schedule]` flow, unbounded: it runs over epochs `start..stop`
-/// (`None`: to the end), opens a subflow per path ref in `paths` and joins
-/// one per `(epoch, path)` in `joins`. A path ref names a place in the
-/// topology: `flow/i/x` (flow `i`'s path `x`), `bg/i` (a background
-/// pair's) or `ft/s/d/t` (fat-tree hosts `s` to `d` on tag `t`).
+/// (`None`: to the end) under its own `scheme` or, without one, its
+/// variant's, opens a subflow per path ref in `paths` (the scheme's first
+/// ones) and joins one per `(epoch, path)` in `joins`. A path ref names a
+/// place in the topology: `flow/i/x` (flow `i`'s path `x`), `bg/i` (a
+/// background pair's) or `ft/s/d/t` (fat-tree hosts `s` to `d` on tag `t`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedFlow {
     pub name: String,
     pub start: u64,
     pub stop: Option<u64>,
+    pub scheme: Option<Scheme>,
     pub paths: Vec<String>,
     pub joins: Vec<(u64, String)>,
+}
+
+impl PlannedFlow {
+    /// The scheme this flow runs under `v`: its own, else `v`'s.
+    pub fn scheme_under(&self, v: Option<&Variant>) -> Option<Scheme> {
+        self.scheme.or_else(|| Some(v?.scheme(self.paths.len())))
+    }
 }
 
 /// A `[schedule]` link event: `down` and `up` are fault-plan events;
@@ -977,8 +986,10 @@ impl Scenario {
         let flows = p.flows.iter().flat_map(|f| {
             let (name, start, paths) = (&f.name, f.start, f.paths.join(" "));
             let stop = f.stop.map_or("-".into(), |e| e.to_string());
+            let scheme = f.scheme.map_or(String::new(), |s| scheme_to_text(s) + " ");
             let join = move |(at, path): &(u64, String)| format!("join = {name} {at} {path}");
-            once(format!("flow = {name} {start} {stop} {paths}")).chain(f.joins.iter().map(join))
+            let flow = format!("flow = {name} {start} {stop} {scheme}{paths}");
+            once(flow).chain(f.joins.iter().map(join))
         });
         let link = |(at, action, link): &(u64, LinkAction, LinkRef)| {
             format!("{} = {at} {link}", name_of(&LINK_ACTIONS, action))
@@ -1015,10 +1026,11 @@ impl Scenario {
     /// or keys, quoted or malformed values, a file of a kind the caller does
     /// not run (a paper run at the first line a chaos run does not read), a
     /// key, section or `table` outside the file's kind (`RULES`), missing
-    /// required `[sim]` keys and a variant's scheme with more subflows than
-    /// a flow lists paths are all reported with their line number. A scalar
-    /// key given twice keeps its last value; `flow`, fault, `watch` and the
-    /// paper sections' lines accumulate in order.
+    /// required `[sim]` keys and a scheme (a flow's own, else each
+    /// variant's) with more subflows than the flow lists paths are all
+    /// reported with their line number. A scalar key given twice keeps its
+    /// last value; `flow`, fault, `watch` and the paper sections' lines
+    /// accumulate in order.
     pub fn parse_as(text: &str, kinds: &[Kind]) -> Result<Scenario, TextError> {
         let doc = text::parse(text)?;
         if let Some(f) = doc.top.fields.first() {
@@ -1113,14 +1125,15 @@ impl Scenario {
         }
         for (fl, &line) in p.flows.iter().zip(&flow_lines) {
             let n = fl.paths.len();
-            for v in &p.variants {
-                let s = v.scheme(n);
-                if s.subflow_count() > n {
-                    let (name, title, s) = (&fl.name, &v.title, s.label());
-                    let why =
-                        format!("flow `{name}` lists {n} path(s); variant `{title}` runs {s}");
-                    return Err(TextError::at(line, why));
-                }
+            let runs: Vec<_> = match fl.scheme {
+                Some(s) => vec![(None, s)],
+                None => p.variants.iter().map(|v| (Some(v), v.scheme(n))).collect(),
+            };
+            if let Some((v, s)) = runs.into_iter().find(|r| r.1.subflow_count() > n) {
+                let who = v.map_or("it".into(), |v| format!("variant `{}`", v.title));
+                let (name, s) = (&fl.name, s.label());
+                let why = format!("flow `{name}` lists {n} path(s); {who} runs {s}");
+                return Err(TextError::at(line, why));
             }
         }
         Ok(sc)
@@ -1309,9 +1322,14 @@ fn quick(t: &Table<'_>, mut q: Quick, pattern: Option<&PatternSpec>) -> Result<Q
     Ok(q)
 }
 
-/// A `[schedule]` table: `flow = name start stop path…` (stop `-`: never),
-/// `join = name at path` and `down|up|close = at linkref`, all in epochs.
-/// Each flow's line goes onto `flows`, each link event's onto `links`.
+/// The shape of a `[schedule]` flow line.
+const FLOW_SHAPE: &str = "name start stop [scheme] path…";
+
+/// A `[schedule]` table: `flow = name start stop [scheme] path…` (stop
+/// `-`: never; a first word without the `/` of a path ref is the flow's
+/// scheme), `join = name at path` and `down|up|close = at linkref`, all in
+/// epochs. Each flow's line goes onto `flows`, each link event's onto
+/// `links`.
 fn schedule(
     t: &Table<'_>,
     p: &mut Paper,
@@ -1321,11 +1339,20 @@ fn schedule(
     for f in &t.fields {
         let words: Vec<&str> = f.bare()?.split_whitespace().collect();
         match (f.key, named(&LINK_ACTIONS, f.key), &words[..]) {
-            ("flow", _, [name, start, stop, paths @ ..]) if !paths.is_empty() => {
+            ("flow", _, [name, start, stop, words @ ..]) => {
+                let (scheme, paths) = match words {
+                    [w, paths @ ..] if !w.contains('/') => (Some(w), paths),
+                    paths => (None, paths),
+                };
+                if paths.is_empty() {
+                    return Err(f.err(format!("flow wants `{FLOW_SHAPE}`")));
+                }
+                let scheme = scheme.map(|w| scheme_parse(w).map_err(|m| f.err(m)));
                 p.flows.push(PlannedFlow {
                     name: name.to_string(),
                     start: epoch(f, start)?,
                     stop: (*stop != "-").then(|| epoch(f, stop)).transpose()?,
+                    scheme: scheme.transpose()?,
                     paths: paths.iter().map(|w| w.to_string()).collect(),
                     joins: Vec::new(),
                 });
@@ -1343,7 +1370,7 @@ fn schedule(
             }
             (key, action, _) => {
                 let shape = match key {
-                    "flow" => "name start stop path…",
+                    "flow" => FLOW_SHAPE,
                     "join" => "name at path",
                     _ if action.is_some() => "at linkref",
                     _ => return Err(unknown(f, t)),
@@ -1707,6 +1734,34 @@ mod tests {
             .replace("flow = a 0 - flow/0/0\n", "");
         let sc = Scenario::parse(&fits).expect("two paths carry XMP-2");
         assert_eq!(sc.paper.flows[0].paths.len(), 2);
+    }
+
+    /// A flow's own scheme must fit its paths too, refused at its line in
+    /// the variant check's form; it is checked in place of the variants'
+    /// schemes, so a variant too wide for the flow is no misfit.
+    #[test]
+    fn rejects_a_flow_scheme_wider_than_its_paths() {
+        let text = format!(
+            "{PAPER_HEAD}[[variant]]\nscheme = xmp:3\n[schedule]\n\
+             flow = a 0 - xmp:3 flow/0/0\n[measure]\nseries = a/0 1e9 a\n"
+        );
+        let e = Scenario::parse(&text).unwrap_err();
+        assert_eq!(e.line, 9, "{e}");
+        assert_eq!(e.msg, "flow `a` lists 1 path(s); it runs XMP-3");
+        let fits = text.replace("- xmp:3", "- dctcp");
+        let sc = Scenario::parse(&fits).expect("one path carries DCTCP");
+        let (flow, v) = (&sc.paper.flows[0], &sc.paper.variants[0]);
+        assert_eq!(flow.paths, ["flow/0/0"]);
+        assert_eq!(flow.scheme_under(Some(v)), Some(Scheme::Dctcp));
+        for (words, what) in [
+            ("xmq:1 flow/0/0", "unknown scheme `xmq:1`"),
+            ("dctcp", "flow wants `name start stop [scheme] path…`"),
+        ] {
+            let bad = text.replace("xmp:3 flow/0/0", words);
+            let e = Scenario::parse(&bad).unwrap_err();
+            assert_eq!(e.line, 9, "{e}");
+            assert!(e.msg.contains(what), "{words}: {e}");
+        }
     }
 
     /// A `[schedule]` `down`, `up` or `close` at or past the run's last

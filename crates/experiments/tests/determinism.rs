@@ -144,7 +144,8 @@ fn dynamics_export_matches_the_recorded_series() {
     (sc.paper.epochs, sc.seed) = (60, 1);
     let r = runner::run("dynamics", &sc).expect("the run builds");
     let mut digests = Vec::new();
-    for (scheme, (_, jsonl)) in ["XMP-2", "DCTCP"].into_iter().zip(r.exports()) {
+    for (scheme, (_, export)) in ["XMP-2", "DCTCP"].into_iter().zip(r.exports()) {
+        let jsonl = export.to_string();
         let (meta, records) = jsonl.split_once('\n').expect("a meta line");
         let Ok(ProbeRecord::Meta {
             experiment,

@@ -266,7 +266,7 @@ fn scenario_reader_survives_mutation_at_the_flow_bound() {
 #[test]
 fn paper_runs_round_trip_and_survive_mutation() {
     let paths = committed("scenarios/paper", "scn");
-    assert!(paths.len() >= 9, "found {} paper runs", paths.len());
+    assert!(paths.len() >= 10, "found {} paper runs", paths.len());
     let seeds: Vec<String> = paths
         .iter()
         .map(|p| {

@@ -72,10 +72,9 @@ else
   echo "check.sh: results/ must be gitignored" >&2
   exit 1
 fi
-# Smoke: the two examples that declare stops to the driver and bin rates
-# (the clippy gate compiles every example; nothing else runs these).
-cargo run --release --offline --example traffic_shifting >/dev/null
-cargo run --release --offline --example rate_compensation >/dev/null
+# Smoke: the TraSh-coupling cell from disk, whose single-path flows name
+# their own scheme on their [schedule] lines (ablation runs it built in).
+cargo run --release --offline -p xmp-experiments -- run scenarios/paper/coupling.scn --quick >/dev/null
 # Benchmark gate: the frozen harness in examples/benchmark/ must still
 # build against the library and pass its own assertions (~10 s at 1/20
 # size: outcome digests equal across repetitions and traced/untraced,
