@@ -17,8 +17,9 @@
 //! timers) sit hundreds of milliseconds out:
 //!
 //! * **Near future** — a wheel of `WHEEL_SLOTS` buckets, each covering
-//!   `BUCKET_NS` nanoseconds. A bucket is an unsorted intrusive list of
-//!   nodes in a shared slab of fixed 256-node chunks (see [`EventQueue`]);
+//!   `BUCKET_NS` nanoseconds. A bucket is an unsorted singly linked list
+//!   of nodes in a shared slab of fixed 256-node chunks, its links kept
+//!   apart from the nodes in one dense `u32` array (see [`EventQueue`]);
 //!   push is O(1) and allocation-free once the slab reaches its
 //!   high-water size, which it exceeds by less than a chunk. The wheel
 //!   is a *sliding window* over absolute bucket indices
@@ -117,30 +118,35 @@ fn abs_bucket(at: SimTime) -> u64 {
 /// Sentinel index terminating a slot's node list / the freelist.
 const NIL: u32 = u32::MAX;
 
-/// One slab entry: an event linked into a wheel slot's LIFO list, or a
-/// freelist entry (`payload == None`) awaiting reuse. The scheduling
-/// metadata is stored inline (not inside the payload option) so the
-/// current-bucket drain and `peek_time` scans read it without touching
-/// `E`.
+/// One slab entry: an event on a wheel slot's LIFO list or in the current
+/// run, or a freelist entry (`payload == None`) awaiting reuse. The
+/// scheduling metadata is stored inline (not inside the payload option)
+/// so the current-bucket drain and `peek_time` scans read it without
+/// touching `E`. A node holds no list link: a slot list's links are
+/// `Slab::links`, and a vacant node's `seq` holds the next freelist
+/// index instead, so the freelist costs no field either. With the packet
+/// engine's 104-byte event the node is 128 B, two cache lines.
 #[derive(Debug)]
 struct Node<E> {
     at: SimTime,
     key: u64,
+    /// Insertion counter while occupied; next freelist index (or `NIL`)
+    /// while vacant.
     seq: u64,
     payload: Option<E>,
-    next: u32,
 }
 
-/// Nodes per slab chunk: 2^8 = 256, about 34 KiB at the packet engine's
-/// 136-byte node.
+/// Nodes per slab chunk: 2^8 = 256, 32 KiB at the packet engine's
+/// 128-byte node, plus 1 KiB of links.
 const CHUNK_SHIFT: u32 = 8;
 const CHUNK_NODES: usize = 1 << CHUNK_SHIFT;
 const CHUNK_MASK: u32 = (CHUNK_NODES as u32) - 1;
 
 /// The wheel's node storage: fixed chunks of `CHUNK_NODES` nodes behind
-/// one `u32` index (chunk `i >> CHUNK_SHIFT`, entry `i & CHUNK_MASK`).
+/// one `u32` index (chunk `i >> CHUNK_SHIFT`, entry `i & CHUNK_MASK`),
+/// plus the nodes' list links in one dense array under the same index.
 /// A chunk is allocated whole and never resized, so a node never moves
-/// once placed, nothing is ever copied by a realloc, and the room held
+/// once placed, a realloc copies only the 4-byte links, and the room held
 /// exceeds the high-water population by less than one chunk — a doubling
 /// `Vec` leaves up to half of it never written (DESIGN.md §9.2). A chunk
 /// is a fixed-size array, so an index costs one bounds check, on the
@@ -148,16 +154,32 @@ const CHUNK_MASK: u32 = (CHUNK_NODES as u32) - 1;
 #[derive(Debug)]
 struct Slab<E> {
     chunks: Vec<Box<[Node<E>; CHUNK_NODES]>>,
+    /// The slot lists' links, indexed like the nodes: `links[i]` is the
+    /// node after `i` on its slot's list (`NIL` at the tail). Kept out of
+    /// the nodes so a bucket's walk runs through this dense array, which
+    /// stays in cache, and the nodes' own loads are issued together
+    /// instead of one after another. Grows by exactly one chunk's worth
+    /// with each chunk; meaningless for a node not on a slot list. A boxed
+    /// slice rather than a `Vec`, and the freelist head kept here, so that
+    /// `EventQueue` is no larger than it was with the links in the nodes:
+    /// growing it by a few words slowed the k = 8 workloads by ≈ 3 %
+    /// through the layout alone (DESIGN.md §13.4).
+    links: Box<[u32]>,
     /// Nodes placed so far (live or free-listed); the rest of the last
     /// chunk is vacant.
     len: u32,
+    /// Head of the freelist, threaded through the vacant nodes' `seq`
+    /// (`NIL` when no placed node is vacant).
+    free_head: u32,
 }
 
 impl<E> Slab<E> {
-    const fn new() -> Self {
+    fn new() -> Self {
         Slab {
             chunks: Vec::new(),
+            links: Box::default(),
             len: 0,
+            free_head: NIL,
         }
     }
 
@@ -188,13 +210,16 @@ impl<E> Slab<E> {
                 key: 0,
                 seq: 0,
                 payload: None,
-                next: NIL,
             });
             let chunk: Box<[Node<E>]> = vacant.collect();
             let Ok(chunk) = chunk.try_into() else {
                 unreachable!("a chunk holds CHUNK_NODES nodes")
             };
             self.chunks.push(chunk);
+            let mut links = std::mem::take(&mut self.links).into_vec();
+            links.reserve_exact(CHUNK_NODES);
+            links.resize(links.len() + CHUNK_NODES, NIL);
+            self.links = links.into_boxed_slice();
         }
         self.len += 1;
         self[i] = node;
@@ -236,9 +261,9 @@ struct HotRec {
 /// A deterministic min-priority queue of timestamped events
 /// (timing-wheel implementation; see the module docs).
 ///
-/// Wheel storage is a **slab with an intrusive freelist**: each slot holds
-/// the head index of a singly linked list of nodes in one shared, chunked
-/// slab.
+/// Wheel storage is a **slab with a freelist**: each slot holds the head
+/// index of a singly linked list of nodes in one shared, chunked slab,
+/// whose links sit in a dense array beside the nodes.
 /// Hot buckets drift across slots as simulated time advances (a cluster of
 /// synchronized serialization completions lands 64 ns later every round),
 /// so per-slot growable buffers re-grow forever; the slab instead quiesces
@@ -253,13 +278,11 @@ pub struct EventQueue<E> {
     hot: Vec<HotRec>,
     /// Pop cursor into `hot`; `head == hot.len()` means the run is drained.
     head: usize,
-    /// Slab of wheel nodes; freelist threads through `payload == None`
-    /// entries.
+    /// Slab of wheel nodes, their slot-list links and the freelist, which
+    /// threads through the `seq` of `payload == None` entries.
     nodes: Slab<E>,
-    /// Head of the freelist (`NIL` when the slab is full).
-    free_head: u32,
     /// Per-slot list head; slot = absolute bucket % WHEEL_SLOTS.
-    slots: Box<[u32]>,
+    slots: Box<[u32; WHEEL_SLOTS]>,
     /// One bit per non-empty wheel slot.
     bitmap: [u64; BITMAP_WORDS],
     /// One bit per non-zero bitmap word (jump table for sparse wheels).
@@ -287,8 +310,10 @@ impl<E> EventQueue<E> {
             hot: Vec::new(),
             head: 0,
             nodes: Slab::new(),
-            free_head: NIL,
-            slots: vec![NIL; WHEEL_SLOTS].into_boxed_slice(),
+            slots: vec![NIL; WHEEL_SLOTS]
+                .into_boxed_slice()
+                .try_into()
+                .expect("WHEEL_SLOTS heads"),
             bitmap: [0; BITMAP_WORDS],
             summary: [0; BITMAP_WORDS.div_ceil(64)],
             overflow: BinaryHeap::new(),
@@ -316,19 +341,19 @@ impl<E> EventQueue<E> {
     /// Store an event in the slab: pull a node off the freelist (or extend
     /// the slab while still below high-water) and return its index.
     #[inline]
-    fn alloc_node(&mut self, at: SimTime, key: u64, seq: u64, payload: E, next: u32) -> u32 {
-        if self.free_head != NIL {
-            let i = self.free_head;
+    fn alloc_node(&mut self, at: SimTime, key: u64, seq: u64, payload: E) -> u32 {
+        let i = self.nodes.free_head;
+        if i != NIL {
             let node = &mut self.nodes[i];
             debug_assert!(node.payload.is_none(), "freelist node still occupied");
-            self.free_head = node.next;
+            let next = node.seq as u32;
             *node = Node {
                 at,
                 key,
                 seq,
                 payload: Some(payload),
-                next,
             };
+            self.nodes.free_head = next;
             i
         } else {
             self.nodes.push(Node {
@@ -336,7 +361,6 @@ impl<E> EventQueue<E> {
                 key,
                 seq,
                 payload: Some(payload),
-                next,
             })
         }
     }
@@ -347,8 +371,8 @@ impl<E> EventQueue<E> {
     #[inline]
     fn place_in_wheel(&mut self, ev: ScheduledEvent<E>) {
         let slot = (abs_bucket(ev.at) & SLOT_MASK) as usize;
-        let head = self.slots[slot];
-        let idx = self.alloc_node(ev.at, ev.key, ev.seq, ev.event, head);
+        let idx = self.alloc_node(ev.at, ev.key, ev.seq, ev.event);
+        self.nodes.links[idx as usize] = self.slots[slot];
         self.slots[slot] = idx;
         self.mark_slot(slot);
     }
@@ -359,7 +383,7 @@ impl<E> EventQueue<E> {
     /// the new record always sorts last — the insertion point is the
     /// partition point over `(time, key)` alone.
     fn push_current(&mut self, at: SimTime, key: u64, seq: u64, event: E) {
-        let idx = self.alloc_node(at, key, seq, event, NIL);
+        let idx = self.alloc_node(at, key, seq, event);
         let pos = self.head + self.hot[self.head..].partition_point(|r| (r.at, r.key) <= (at, key));
         self.hot.insert(pos, HotRec { at, key, seq, idx });
     }
@@ -484,12 +508,14 @@ impl<E> EventQueue<E> {
             let ev = self.overflow.pop().expect("peeked");
             self.place_in_wheel(ev);
         }
-        // Load the cursor bucket: walk its node list pushing packed hot
-        // records into the recycled `hot` vec, then sort once. The sort
-        // touches only the 32-byte records — payloads stay put in the slab
-        // (their freelist return is deferred to pop time). The vec and the
-        // slab both quiesce at their high-water marks; a warmed-up steady
-        // state never touches the allocator.
+        // Load the cursor bucket: walk its list pushing packed hot records
+        // into the recycled `hot` vec, then sort once. The walk follows
+        // `links`, so the next index never waits for a node to arrive and
+        // the nodes' metadata loads overlap. The sort touches only the
+        // 32-byte records — payloads stay put in the slab (their freelist
+        // return is deferred to pop time). The vec and the slab both
+        // quiesce at their high-water marks; a warmed-up steady state never
+        // touches the allocator.
         let slot = (self.cursor & SLOT_MASK) as usize;
         self.clear_slot(slot);
         let Self {
@@ -506,7 +532,7 @@ impl<E> EventQueue<E> {
                 seq: node.seq,
                 idx: i,
             });
-            i = node.next;
+            i = nodes.links[i as usize];
         }
         hot.sort_unstable_by_key(|r| (r.at, r.key, r.seq));
     }
@@ -518,10 +544,11 @@ impl<E> EventQueue<E> {
     fn pop_hot(&mut self) -> ScheduledEvent<E> {
         let rec = self.hot[self.head];
         self.head += 1;
+        let next_free = self.nodes.free_head;
         let node = &mut self.nodes[rec.idx];
         let event = node.payload.take().expect("hot record node occupied");
-        node.next = self.free_head;
-        self.free_head = rec.idx;
+        node.seq = next_free.into();
+        self.nodes.free_head = rec.idx;
         if self.head == self.hot.len() {
             self.hot.clear();
             self.head = 0;
@@ -611,9 +638,9 @@ impl<E> EventQueue<E> {
             let mut i = self.slots[slot];
             let mut best: Option<SimTime> = None;
             while i != NIL {
-                let node = &self.nodes[i];
-                best = Some(best.map_or(node.at, |b| b.min(node.at)));
-                i = node.next;
+                let at = self.nodes[i].at;
+                best = Some(best.map_or(at, |b| b.min(at)));
+                i = self.nodes.links[i as usize];
             }
             return best;
         }
@@ -646,8 +673,8 @@ impl<E> EventQueue<E> {
     /// every free node vacated), slab accounting (every node either live or
     /// on the freelist), hot-run consistency (sorted records pointing at
     /// occupied slab nodes with matching metadata), slot-list/bitmap/summary
-    /// agreement, and the global length reconciliation
-    /// `len == hot + wheel + overflow`.
+    /// agreement (lists followed through the slab's links), and the global
+    /// length reconciliation `len == hot + wheel + overflow`.
     ///
     /// Intended for mid-run invariant audits (the `simcheck` chaos harness
     /// calls it between event windows); costs O(slots + nodes), so call it
@@ -656,7 +683,7 @@ impl<E> EventQueue<E> {
     pub fn check_integrity(&self) -> Result<(), String> {
         // 1. Freelist: bounded walk, every entry vacated.
         let mut free = 0usize;
-        let mut i = self.free_head;
+        let mut i = self.nodes.free_head;
         while i != NIL {
             let node = self.nodes.get(i).ok_or_else(|| {
                 format!(
@@ -671,7 +698,8 @@ impl<E> EventQueue<E> {
             if free > self.nodes.len() {
                 return Err("freelist cycle detected".into());
             }
-            i = node.next;
+            i = u32::try_from(node.seq)
+                .map_err(|_| format!("freelist node {i} links to {}", node.seq))?;
         }
         // 2. Slab accounting: every node is live xor free-listed.
         let occupied = self.nodes.iter().filter(|n| n.payload.is_some()).count();
@@ -735,7 +763,7 @@ impl<E> EventQueue<E> {
                 if steps > self.nodes.len() {
                     return Err(format!("slot {slot} list cycle detected"));
                 }
-                j = node.next;
+                j = self.nodes.links[j as usize];
             }
             wheel += steps;
         }
@@ -749,7 +777,8 @@ impl<E> EventQueue<E> {
         //    is referenced exactly once) and len covers overflow too.
         if live_hot.len() + wheel != occupied {
             return Err(format!(
-                "slab reference mismatch: {} hot + {wheel} wheel != {occupied} occupied",
+                "slab reference mismatch: {} hot + {wheel} wheel != {occupied} occupied \
+                 (a live node is on no list, or on two)",
                 live_hot.len()
             ));
         }
@@ -1285,6 +1314,180 @@ mod tests {
         }
     }
 
+    /// A node holds its metadata and the payload and nothing else: with a
+    /// 104-byte payload (the packet engine's event) it is two cache lines.
+    /// A field added to `Node` spends the bytes the link array saved. The
+    /// queue itself stays at the size it had with the links in the nodes:
+    /// 24 more bytes of it cost the k = 8 workloads ≈ 3 % (DESIGN.md §13.4).
+    #[test]
+    fn node_with_a_104_byte_payload_is_128_bytes() {
+        #[allow(dead_code)]
+        enum Payload {
+            Packet([u64; 12]),
+            Timer(u64),
+        }
+        assert_eq!(std::mem::size_of::<Option<Payload>>(), 104);
+        assert_eq!(std::mem::size_of::<Node<Payload>>(), 128);
+        assert_eq!(std::mem::size_of::<EventQueue<Payload>>(), 4_304);
+    }
+
+    /// Differential test for dense buckets: pushes land within eight
+    /// buckets of the last pop (and one in ten within 64), so a bucket
+    /// holds tens of events when the cursor reaches it — the fat-tree
+    /// regime, where `load_bucket` walks long lists; a third of the pops
+    /// push again into the bucket being drained. The pending population
+    /// climbs past three slab chunks, drains, and climbs again on the
+    /// freelist. Every pop matches the heap oracle; the wheel audits clean
+    /// every 200 operations.
+    #[test]
+    fn dense_buckets_match_heap_oracle() {
+        let bucket = 1u64 << BUCKET_SHIFT;
+        let mut deepest = 0;
+        for seed in 0..12u64 {
+            let mut rng = SimRng::new(0xDE45E ^ seed);
+            let mut wheel = EventQueue::new();
+            let mut heap = BinaryHeapQueue::new();
+            let mut now_ns = 0u64;
+            let mut next_id = 0u64;
+            let mut pop = |wheel: &mut EventQueue<u64>, heap: &mut BinaryHeapQueue<u64>| {
+                let got = match (wheel.pop(), heap.pop()) {
+                    (None, None) => None,
+                    (Some(x), Some(y)) => {
+                        assert_eq!(
+                            (x.at, x.seq, x.event),
+                            (y.at, y.seq, y.event),
+                            "diverged (seed {seed})"
+                        );
+                        Some(x.at)
+                    }
+                    (a, b) => panic!("one queue empty: {a:?} vs {b:?} (seed {seed})"),
+                };
+                deepest = deepest.max(wheel.hot.len());
+                got
+            };
+            let mut push = |wheel: &mut EventQueue<u64>, heap: &mut BinaryHeapQueue<u64>, ns| {
+                let at = SimTime::from_nanos(ns);
+                wheel.push(at, next_id);
+                heap.push(at, next_id);
+                next_id += 1;
+            };
+            for round in 0..2 {
+                // Fill: 70 % pushes, so the population climbs past 1 000.
+                for op in 0..3_000 {
+                    let ahead = match rng.index(10) {
+                        0..=5 => 8 * bucket,
+                        6 => 64 * bucket,
+                        _ => 0,
+                    };
+                    if ahead > 0 {
+                        push(&mut wheel, &mut heap, now_ns + rng.uniform_u64(0, ahead));
+                    } else if let Some(at) = pop(&mut wheel, &mut heap) {
+                        now_ns = at.as_nanos();
+                    }
+                    if op % 200 == 0 {
+                        wheel
+                            .check_integrity()
+                            .unwrap_or_else(|e| panic!("{e} (seed {seed} round {round} op {op})"));
+                    }
+                }
+                assert!(
+                    wheel.len() > 3 * CHUNK_NODES,
+                    "seed {seed}: {} pending",
+                    wheel.len()
+                );
+                // Drain, a third of the pops re-scheduling into their own
+                // bucket: past the pop cursor of the run being drained.
+                let mut ops = 0;
+                while let Some(at) = pop(&mut wheel, &mut heap) {
+                    now_ns = at.as_nanos();
+                    if rng.index(3) == 0 {
+                        let left = bucket - 1 - now_ns % bucket;
+                        push(&mut wheel, &mut heap, now_ns + rng.uniform_u64(0, left));
+                    }
+                    ops += 1;
+                    if ops % 200 == 0 {
+                        wheel.check_integrity().unwrap_or_else(|e| {
+                            panic!("{e} (seed {seed} round {round} drain {ops})")
+                        });
+                    }
+                }
+                assert!(wheel.is_empty() && heap.is_empty());
+                wheel.check_integrity().unwrap();
+            }
+            // The second climb reused the first one's nodes.
+            assert!(wheel.nodes.chunks.len() >= 3, "seed {seed}");
+            assert!(
+                (wheel.nodes.len() as u64) < next_id / 2,
+                "seed {seed}: {} nodes for {next_id} pushes",
+                wheel.nodes.len()
+            );
+        }
+        assert!(deepest >= 32, "deepest loaded bucket held {deepest} events");
+    }
+
+    /// A queue for the corruption tests: `b` waits in the current run
+    /// (`a`, popped, left a freelist entry), three events share the slot of
+    /// 50 µs and one sits alone at 60 µs. Returns the queue and the 50 µs
+    /// slot.
+    fn audited_queue() -> (EventQueue<&'static str>, usize) {
+        let mut q = EventQueue::new();
+        q.push(t(1), "a");
+        q.push(t(1), "b");
+        for ev in ["c", "d", "e"] {
+            q.push(t(50), ev);
+        }
+        q.push(t(60), "f");
+        assert_eq!(q.pop().unwrap().event, "a");
+        q.check_integrity().unwrap();
+        (q, (abs_bucket(t(50)) & SLOT_MASK) as usize)
+    }
+
+    /// The slot list's nodes, head first, followed through `links`.
+    fn slot_list(q: &EventQueue<&str>, slot: usize) -> Vec<u32> {
+        let mut list = vec![q.slots[slot]];
+        while q.nodes.links[*list.last().unwrap() as usize] != NIL {
+            list.push(q.nodes.links[*list.last().unwrap() as usize]);
+        }
+        list
+    }
+
+    /// `check_integrity` fails, naming what is wrong, for each kind of
+    /// corruption it audits: its clean answer on a running wheel means
+    /// something.
+    #[test]
+    fn check_integrity_names_each_corruption() {
+        let expect = |q: &EventQueue<&str>, what: &str| {
+            let err = q.check_integrity().expect_err(what);
+            assert!(err.contains(what), "{what:?} not in {err:?}");
+        };
+        // A slot list closed into a cycle through the links.
+        let (mut q, slot) = audited_queue();
+        let list = slot_list(&q, slot);
+        assert_eq!(list.len(), 3);
+        q.nodes.links[list[2] as usize] = list[0];
+        expect(&q, &format!("slot {slot} list cycle detected"));
+        // A freelist entry pointing at a live node.
+        let (mut q, slot) = audited_queue();
+        let free = q.nodes.free_head;
+        let live = q.slots[slot];
+        q.nodes[free].seq = live.into();
+        expect(&q, &format!("freelist node {live} still holds a payload"));
+        // A live node on no list: the list ends before its tail.
+        let (mut q, slot) = audited_queue();
+        let list = slot_list(&q, slot);
+        q.nodes.links[list[1] as usize] = NIL;
+        expect(&q, "a live node is on no list");
+        // An occupancy bit for an empty slot.
+        let (mut q, _) = audited_queue();
+        let empty = (abs_bucket(t(70)) & SLOT_MASK) as usize;
+        assert_eq!(q.slots[empty], NIL);
+        q.mark_slot(empty);
+        expect(
+            &q,
+            &format!("slot {empty} occupancy bit true disagrees with list head"),
+        );
+    }
+
     /// The slab grows one chunk at a time and holds less than a chunk past
     /// its high-water population: a second burst to the same depth after a
     /// full drain reuses the freelist and grows nothing. The audit walks a
@@ -1308,6 +1511,9 @@ mod tests {
             assert!(q.nodes.chunks.len() > 1);
             assert_eq!(q.nodes.capacity(), N.div_ceil(CHUNK_NODES) * CHUNK_NODES);
             assert!(q.nodes.capacity() < N + CHUNK_NODES);
+            // The links grow a chunk at a time with the nodes, and a boxed
+            // slice holds exactly its length: no slack.
+            assert_eq!(q.nodes.links.len(), q.nodes.capacity(), "round {round}");
             q.check_integrity().unwrap();
             for i in 0..N as u64 {
                 assert_eq!(q.pop().unwrap().event, i, "round {round}");
